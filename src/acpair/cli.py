@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -188,8 +189,8 @@ def cmd_pipeline(args) -> int:
             f"{label} ({_stop_text(stop)})"
             for label, stop in zip(result.unknown, result.stops)))
     else:
-        report = pairing.verify_null(result.x, result.certificates)
-        lines.append("verify-null: " + ("pass" if report.null else "FAIL"))
+        # null_vector_pipeline raised WitnessError unless verify_null passed.
+        lines.append("verify-null: pass")
 
     parent = os.path.dirname(os.path.abspath(args.output)) or "."
     os.makedirs(parent, exist_ok=True)
@@ -208,7 +209,6 @@ def cmd_pipeline(args) -> int:
         os.rename(tmp, args.output)
     finally:
         if os.path.isdir(tmp):
-            import shutil
             shutil.rmtree(tmp)
     print("\n".join(lines))
     return 0 if result.complete else VERIFY_FAIL

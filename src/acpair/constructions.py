@@ -503,7 +503,9 @@ def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness
     p1, p2 = common.p_prime, common.q_prime
     n = p1.rank
     m = euler_char(l1) - 1 + n
-    assert m == len(p1.relators) == len(p2.relators)
+    if not m == len(p1.relators) == len(p2.relators):
+        raise WitnessError("normalized presentations do not have "
+                           f"{m} relators each")
 
     wits12, unknown12 = _collect_witnesses(
         p2.relators, p1.relators, budget, witnesses_second_over_first,

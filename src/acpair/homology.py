@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -594,7 +595,6 @@ def chain_from_json(data: Mapping, group: FiniteGroup | None = None,
         g = data["group"]
         if isinstance(g, str):
             # reference to a CSV group file, relative to the chain file
-            import os
             with open(os.path.join(base_dir, g)) as fh:
                 group = load_group_csv(fh.read())
         else:
@@ -618,6 +618,5 @@ def chain_from_json(data: Mapping, group: FiniteGroup | None = None,
 
 
 def load_chain_file(path: str) -> ChainComplexData:
-    import os
     with open(path) as fh:
         return chain_from_json(json.load(fh), base_dir=os.path.dirname(path) or ".")

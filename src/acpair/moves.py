@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .presentations import Presentation, canonical_key, euler_char
+from .presentations import Presentation, canonical_key
 from .words import (EMPTY, Word, commutator, conjugate, format_word, invert,
                     letter_key, multiply, parse_word, reduce, substitute,
                     valid_name)
@@ -167,9 +167,12 @@ def _check_gen(i: int, rank: int):
         raise MoveError(f"generator index {i} out of range (have {rank})")
 
 
-def _check_word(w: Word, rank: int):
+def _check_word(w: Word, rank: int) -> Word:
+    """The reduced form of a word a move brings in; a zero letter raises
+    ValueError, a letter outside the context MoveError."""
     if any(abs(x) > rank for x in w):
         raise MoveError(f"word {w} uses a generator outside the context")
+    return reduce(w)
 
 
 def _nielsen_substitution(move, rank: int) -> dict:
@@ -189,12 +192,16 @@ def _nielsen_substitution(move, rank: int) -> dict:
 
 
 def apply_move(p: Presentation, move) -> Presentation:
+    """One move on a validated presentation.
+
+    Every relator built here comes from reduced, in-range relators and
+    checked move words, so the result skips the validating constructor.
+    """
     rels = list(p.relators)
     rank = p.rank
     if isinstance(move, ConjRel):
         _check_rel(move.j, len(rels))
-        _check_word(move.w, rank)
-        rels[move.j] = conjugate(rels[move.j], move.w)
+        rels[move.j] = conjugate(rels[move.j], _check_word(move.w, rank))
     elif isinstance(move, InvRel):
         _check_rel(move.j, len(rels))
         rels[move.j] = invert(rels[move.j])
@@ -213,8 +220,8 @@ def apply_move(p: Presentation, move) -> Presentation:
             raise MoveError(f"invalid generator name {move.name!r}")
         if move.name in p.gens:
             raise MoveError(f"generator name {move.name!r} already in use")
-        return Presentation(p.gens + (move.name,),
-                            p.relators + ((rank + 1,),))
+        return Presentation._trusted(p.gens + (move.name,),
+                                     p.relators + ((rank + 1,),))
     elif isinstance(move, RemoveGen):
         _check_gen(move.i, rank)
         letter = move.i + 1
@@ -226,7 +233,7 @@ def apply_move(p: Presentation, move) -> Presentation:
         del rels[hits[0]]
         rels = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
                 for r in rels]
-        return Presentation(p.gens[:move.i] + p.gens[move.i + 1:], tuple(rels))
+        return Presentation._trusted(p.gens[:move.i] + p.gens[move.i + 1:], tuple(rels))
     elif isinstance(move, AddTrivialRel):
         rels.append(EMPTY)
     elif isinstance(move, RemoveTrivialRel):
@@ -239,14 +246,14 @@ def apply_move(p: Presentation, move) -> Presentation:
         word = rels[move.j]
         for f in move.factors:
             _check_rel(f.k, len(rels))
-            _check_word(f.w, rank)
-            _check_word(f.h, rank)
+            w = _check_word(f.w, rank)
+            h = _check_word(f.h, rank)
             base = rels[f.k] if f.sign > 0 else invert(rels[f.k])
-            word = multiply(word, conjugate(commutator(base, f.h), f.w))
+            word = multiply(word, conjugate(commutator(base, h), w))
         rels[move.j] = word
     else:
         raise MoveError(f"unknown move {move!r}")
-    return Presentation(p.gens, tuple(rels))
+    return Presentation._trusted(p.gens, tuple(rels))
 
 
 def _regime_allows(move, regime: str, stabilized: bool) -> bool:
@@ -283,9 +290,9 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
         n, m = _counts_after(move, n, m)
-        assert (current.rank, len(current.relators)) == (n, m), \
-            f"bookkeeping drift at move {pos}"
-        assert euler_char(current) == 1 - n + m
+        # The Euler characteristic 1 - n + m follows from these counts.
+        if (current.rank, len(current.relators)) != (n, m):
+            raise MoveError(f"bookkeeping drift at move {pos}")
     return current
 
 
@@ -577,7 +584,8 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
 
     def finish(moves) -> MoveScript:
         script = MoveScript(tuple(moves), regime)
-        assert canonical_key(replay(p, script)) == goal
+        if canonical_key(replay(p, script)) != goal:
+            raise ValueError("search script does not replay to the goal key")
         return script
 
     if start == goal:

@@ -36,7 +36,7 @@ class FormalSum:
 
     def __init__(self, rank: int, terms=()):
         self.rank = rank
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
+        data = dict(terms)
         for key, coeff in data.items():
             if key.rank != rank:
                 raise ValueError(f"key of rank {key.rank} in a sum of rank {rank}")
@@ -215,7 +215,7 @@ class _UnionFind:
 def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
     """Sum coefficients over the key classes generated by verified
     certificates.  A failing certificate is an error naming the offender."""
-    uf = _UnionFind()
+    certs = list(certs)
     for idx, cert in enumerate(certs):
         ok, msg = cert.verify()
         if not ok:
@@ -223,6 +223,14 @@ def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
             raise CertificateError(f"{name}: {msg}")
         if cert.lhs.rank != x.rank:
             raise ValueError("certificate endpoints have the wrong rank")
+    return _merge_classes(x, certs)
+
+
+def _merge_classes(x: FormalSum, verified) -> FormalSum:
+    """The union step of reduce_by_certificates, for certificates the
+    caller has already verified at the rank of x."""
+    uf = _UnionFind()
+    for cert in verified:
         uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
     out: dict = {}
     for key, coeff in x._terms.items():
@@ -278,8 +286,7 @@ def verify_null(x: FormalSum, certs) -> NullVectorReport:
         status.append((label, ok, msg))
         if ok:
             good.append(cert)
-    square = x.dot(x)
-    residue = reduce_by_certificates(square, good)
+    residue = _merge_classes(x.dot(x), good)
     null = residue.is_zero() and all(ok for _, ok, _ in status)
     return NullVectorReport(null, tuple(status), residue)
 

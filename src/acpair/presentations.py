@@ -59,6 +59,16 @@ class Presentation:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "relators", rels)
 
+    @classmethod
+    def _trusted(cls, gens: tuple, relators: tuple) -> "Presentation":
+        """Build without validation.  The caller guarantees what
+        ``__post_init__`` checks: unique valid names in a tuple, and a tuple
+        of freely reduced relators using only those generators."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "gens", gens)
+        object.__setattr__(p, "relators", relators)
+        return p
+
     @property
     def rank(self) -> int:
         return len(self.gens)

@@ -150,6 +150,28 @@ def cyclically_reduce(u: Word) -> Word:
     return u
 
 
+def _least_rotation(keys: list) -> int:
+    """Start of the lexicographically least rotation, by Booth's algorithm
+    (IPL 1980): a failure function over the doubled sequence, linear time."""
+    doubled = keys + keys
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != doubled[k + i + 1]:  # here i == -1
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def cyclic_canonical(u: Word) -> Word:
     """Canonical representative of the conjugacy-and-inversion class.
 
@@ -160,15 +182,14 @@ def cyclic_canonical(u: Word) -> Word:
     u = cyclically_reduce(u)
     if not u:
         return u
-    best = None
-    best_key = None
+    best = best_keys = None
     for cand in (u, invert(u)):
-        doubled = cand + cand
-        for r in range(len(cand)):
-            rot = doubled[r:r + len(cand)]
-            key = tuple(letter_key(x) for x in rot)
-            if best_key is None or key < best_key:
-                best, best_key = rot, key
+        # 2|x| + (x < 0) orders letters exactly as letter_key does.
+        keys = [2 * x if x > 0 else 1 - 2 * x for x in cand]
+        r = _least_rotation(keys)
+        keys = keys[r:] + keys[:r]
+        if best_keys is None or keys < best_keys:
+            best, best_keys = cand[r:] + cand[:r], keys
     return best
 
 

@@ -1,7 +1,9 @@
 import json
 import os
 import random
+from collections import Counter
 
+from acpair import constructions, pairing
 from acpair.cli import main
 from acpair.constructions import lustig, witness_to_json
 from acpair.homology import chain_to_json
@@ -97,7 +99,8 @@ def test_witness_cli(tmp_path, capsys):
     assert "unknown" in out and "state_cap" in out
 
 
-def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
+def write_lustig_inputs(tmp_path):
+    """lustig(1), lustig(2) and a directory of their fixture witnesses."""
     k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
     k2 = write(tmp_path / "k2.pres", format_presentation(lustig(2)))
     wdir = tmp_path / "wits"
@@ -110,6 +113,11 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     for i, wit in enumerate(w21):
         write(wdir / f"first_over_second_{i+1}.json",
               json.dumps(witness_to_json(wit, names)))
+    return k1, k2, wdir
+
+
+def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
+    k1, k2, wdir = write_lustig_inputs(tmp_path)
     bundle = tmp_path / "bundle"
     code, out, _ = run(capsys, "pipeline", k1, k2, "--witnesses", wdir,
                        "-o", bundle)
@@ -125,6 +133,35 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
     assert code == 0
     assert json.loads(out)["null"] is True
+
+
+def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
+    # pipeline replays each certificate at most twice (its stabilization
+    # check and one verify_null); verify-null replays each exactly once.
+    counts = Counter()
+    for module in (constructions, pairing):
+        def replay(p, script, original=module.replay):
+            counts["replay"] += 1
+            return original(p, script)
+        monkeypatch.setattr(module, "replay", replay)
+    verify = pairing.EquivalenceCertificate.verify
+
+    def counted_verify(cert):
+        counts["verify"] += 1
+        return verify(cert)
+
+    monkeypatch.setattr(pairing.EquivalenceCertificate, "verify", counted_verify)
+    k1, k2, wdir = write_lustig_inputs(tmp_path)
+    bundle = tmp_path / "bundle"
+    code, out, _ = run(capsys, "pipeline", k1, k2, "--witnesses", wdir, "-o", bundle)
+    assert code == 0, out
+    assert "certificates: 4" in out and "verify-null: pass" in out
+    assert counts["replay"] <= 2 * 4
+    assert counts["verify"] == 4
+    counts.clear()
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 0 and "null vector: yes" in out
+    assert counts == {"replay": 4, "verify": 4}
 
 
 def test_pipeline_unknown_exits_1(tmp_path, capsys):

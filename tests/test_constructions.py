@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from acpair import constructions
 from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   SearchStop, WitnessBudget, WitnessError,
                                   common_generators, lustig,
@@ -259,6 +260,20 @@ def test_pipeline_key_collision():
 def test_pipeline_euler_mismatch():
     with pytest.raises(ValueError):
         null_vector_pipeline(pres("x", "x"), pres("x"), IsoWitness.identity(1))
+
+
+def test_pipeline_raises_when_normalization_changes_relator_counts(monkeypatch):
+    original = constructions.common_generators
+
+    def adds_a_relator(p, q, witness):
+        result = original(p, q, witness)
+        return constructions.CommonGeneratorsResult(
+            result.p_prime, wedge_s2(result.q_prime, 1), result.script_p,
+            result.script_q, result.correspondence)
+
+    monkeypatch.setattr(constructions, "common_generators", adds_a_relator)
+    with pytest.raises(WitnessError, match="3 relators each"):
+        null_vector_pipeline(lustig(1), lustig(2), IsoWitness.identity(3))
 
 
 def test_pipeline_lustig_supplied_witnesses():

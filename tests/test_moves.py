@@ -11,9 +11,10 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           expand_restricted_slides, invert_script, replay,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
-from acpair.presentations import (abelianization, canonical_key, euler_char,
-                                  make_presentation)
-from acpair.words import EMPTY, reduce
+from acpair import moves
+from acpair.presentations import (Presentation, abelianization, canonical_key,
+                                  euler_char, make_presentation)
+from acpair.words import EMPTY, conjugate, reduce
 
 
 def pres(gens, *rels):
@@ -178,6 +179,81 @@ def test_replay_preserves_abelianization():
         result = replay(p, script)
         assert result == expected
         assert abelianization(result) == abelianization(p)
+
+
+def removable_generators(p):
+    out = []
+    for i in range(p.rank):
+        hits = [r for r in p.relators if any(abs(x) == i + 1 for x in r)]
+        if len(hits) == 1 and hits[0] in ((i + 1,), (-(i + 1),)):
+            out.append(i)
+    return out
+
+
+def test_moves_build_what_the_validating_constructor_builds():
+    # apply_move skips Presentation's checks; rebuilding each result through
+    # the validating constructor must change nothing.
+    rng = random.Random(25)
+    fresh = 0
+    for _ in range(300):
+        cur = random_presentation(rng)
+        for _ in range(rng.randint(1, 12)):
+            roll = rng.random()
+            if roll < 0.1:
+                fresh += 1
+                mv = AddGen(f"a{fresh}")
+            elif roll < 0.2 and cur.rank > 1 and removable_generators(cur):
+                mv = RemoveGen(rng.choice(removable_generators(cur)))
+            else:
+                mv = random_move(rng, cur)
+            cur = apply_move(cur, mv)
+            assert type(cur.gens) is tuple and type(cur.relators) is tuple
+            assert all(type(r) is tuple for r in cur.relators)
+            assert cur == Presentation(cur.gens, cur.relators)
+
+
+def test_move_words_are_checked_and_reduced():
+    p = pres("x y", "x y", "y^2")
+    with pytest.raises(ValueError) as err:
+        apply_move(p, ConjRel(0, (1, 0)))
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError) as err:
+        apply_move(p, RestrictedSlide(0, (RSFactor((0,), 1, 1, (1,)),)))
+    assert type(err.value) is ValueError
+    with pytest.raises(MoveError):
+        apply_move(p, ConjRel(0, (3,)))
+    with pytest.raises(MoveError):
+        apply_move(p, RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (-3,)),)))
+    # An unreduced conjugator acts as its reduced form.
+    raw = (2, 1, -1, 1, 2, -2)
+    got = apply_move(p, ConjRel(0, raw))
+    assert got == apply_move(p, ConjRel(0, reduce(raw)))
+    assert got.relators[0] == conjugate(p.relators[0], (2, 1))
+    unreduced = list(raw) + list(p.relators[0]) + [-x for x in reversed(raw)]
+    assert got == Presentation(p.gens, (unreduced, p.relators[1]))
+    slide = apply_move(p, RestrictedSlide(0, (RSFactor(raw, 1, -1, (1, 2, -2)),)))
+    assert slide == apply_move(p, RestrictedSlide(0, (RSFactor((2, 1), 1, -1, (1,)),)))
+
+
+def test_replay_raises_on_bookkeeping_drift(monkeypatch):
+    original = moves.apply_move
+
+    def drops_a_relator(p, move):
+        q = original(p, move)
+        return Presentation(q.gens, q.relators[:-1])
+
+    monkeypatch.setattr(moves, "apply_move", drops_a_relator)
+    p = pres("x y", "x", "y")
+    with pytest.raises(MoveError, match="bookkeeping drift at move 1"):
+        replay(p, MoveScript((InvRel(0),)))
+
+
+def test_search_raises_when_its_script_misses_the_goal(monkeypatch):
+    monkeypatch.setattr(moves, "replay", lambda p, script: p)
+    p = pres("x y", "x y", "y")
+    q = pres("x y", "x", "y")
+    with pytest.raises(ValueError, match="does not replay to the goal"):
+        bounded_equivalence_search(p, q, SearchBudget(max_depth=2))
 
 
 def test_expand_restricted_slides_matches():

@@ -4,8 +4,8 @@ import pytest
 
 from acpair.words import (EMPTY, commutator, compose_nielsen, conjugate,
                           cyclic_canonical, cyclically_reduce, exponent_sum,
-                          format_word, invert, multiply, parse_word, power,
-                          reduce, substitute, word_key)
+                          format_word, invert, letter_key, multiply,
+                          parse_word, power, reduce, substitute, word_key)
 
 X, Y = (1,), (2,)
 NAMES = ("x", "y")
@@ -161,6 +161,45 @@ def test_cyclic_canonical_least_in_letter_order():
     assert cyclic_canonical(w("x^-1 y")) == w("x y^-1")  # rotation of inverse
     assert cyclic_canonical(w("y^-1 x^-1")) == w("x y")
     assert word_key(w("x")) < word_key(w("x^-1")) < word_key(w("y"))
+
+
+def reference_cyclic_canonical(u):
+    """The quadratic rotation scan that Booth's algorithm replaced."""
+    u = cyclically_reduce(u)
+    if not u:
+        return u
+    best = best_key = None
+    for cand in (u, invert(u)):
+        doubled = cand + cand
+        for r in range(len(cand)):
+            rot = doubled[r:r + len(cand)]
+            key = tuple(letter_key(x) for x in rot)
+            if best_key is None or key < best_key:
+                best, best_key = rot, key
+    return best
+
+
+def test_cyclic_canonical_matches_rotation_scan():
+    rng = random.Random(11)
+    words = []
+    for rank in (1, 2, 3):
+        words += [random_word(rng, rank, 40) for _ in range(150)]
+        words += [(rng.choice((1, -1)) * rng.randint(1, rank),) for _ in range(10)]
+        for _ in range(40):
+            # (x y)^k and other periodic words, rotated
+            base = random_word(rng, rank, 5)
+            word = power(base, rng.randint(1, 6))
+            r = rng.randrange(len(word) + 1)
+            words.append(word[r:] + word[:r])
+        for _ in range(40):
+            # conjugates that need cyclic reduction
+            words.append(conjugate(random_word(rng, rank, 12), random_word(rng, rank, 6)))
+    # conjugate to their own inverse
+    words += [w("x y x^-1 y^-1"), w("x y x y^-1"), w("x^2 y^2 x^-2 y^-2"),
+              w("x y^-1 x^-1 y"), w("x y x^-1 y x y^-1 x^-1 y^-1"), (1, 2, -1, -2) * 3]
+    words += [reduce(power(w("x y"), k)) for k in (1, 2, 7)]
+    for u in words:
+        assert cyclic_canonical(u) == reference_cyclic_canonical(u), u
 
 
 def test_power():
