@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from acpair import moves
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RegimeError,
                           RemoveGen, RemoveTrivialRel, RestrictedSlide,
@@ -11,7 +12,6 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           expand_restricted_slides, invert_script, replay,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
-from acpair import moves
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation)
 from acpair.words import EMPTY, conjugate, reduce
