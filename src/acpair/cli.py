@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure or a search that stopped
 without a result (the witness searches print why they stopped:
-"exhausted" or "state_cap"), 2 input errors.  Human-readable reports go
-to stdout; machine artifacts to files.  Bundles are written to a
-temporary directory and renamed into place, so a failed run never leaves
-a partial bundle.
+"exhausted" or "state_cap"), 2 input errors.  main is the one place that
+turns an error into exit 2: it catches every ValueError a command raises,
+among them the InputError of _load, the one reader of input files.
+Human-readable reports go to stdout; machine artifacts to files.  Bundles
+are written to a temporary directory and renamed into place, so a failed
+run never leaves a partial bundle.
 """
 
 from __future__ import annotations
@@ -16,40 +18,39 @@ import os
 import shutil
 import sys
 import tempfile
+from json import JSONDecodeError, load as load_json
 
 from . import constructions, homology, moves, pairing, presentations
 from .moves import MoveError, MoveScript, SearchBudget
-from .presentations import (Presentation, canonical_key, euler_char,
-                            format_presentation, parse_presentation,
-                            serialize_key)
+from .presentations import (canonical_key, euler_char, format_presentation,
+                            parse_presentation, serialize_key)
 from .words import parse_word
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
-def _load_presentation(path: str) -> Presentation:
+def _load(path: str, parse, json: bool = False):
+    """parse(contents of path), decoded as JSON first if json is set.
+
+    The one reader of input files: a file that cannot be read or parsed
+    is an InputError naming it.
+    """
     try:
         with open(path) as fh:
-            return parse_presentation(fh.read())
+            return parse(load_json(fh) if json else fh.read())
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from None
-
-
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
+    except KeyError as e:
+        raise InputError(f"{path}: missing key {e}") from None
+    except (ValueError, IndexError, TypeError) as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -63,7 +64,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_normalize(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     key = canonical_key(p)
     if args.format == "json":
         print(json.dumps({"rank": key.rank, "key": serialize_key(key)}))
@@ -73,36 +74,24 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    p = _load_presentation(args.presentation)
-    data = _load_json(args.script)
-    try:
-        script = moves.script_from_json(data, p.gens)
-        result = moves.replay(p, script)
-    except MoveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    p = _load(args.presentation, parse_presentation)
+    script = _load(args.script, lambda data: moves.script_from_json(data, p.gens),
+                   json=True)
+    result = moves.replay(p, script)
     _write_text(args.output, format_presentation(result))
     return 0
 
 
 def cmd_product(args) -> int:
-    p = _load_presentation(args.first)
-    q = _load_presentation(args.second)
-    try:
-        result = presentations.product(p, q)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    p = _load(args.first, parse_presentation)
+    q = _load(args.second, parse_presentation)
+    result = presentations.product(p, q)
     _write_text(args.output, format_presentation(result))
     return 0
 
 
 def cmd_lustig(args) -> int:
-    try:
-        p = constructions.lustig(args.index)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    p = constructions.lustig(args.index)
     _write_text(args.output, format_presentation(p))
     return 0
 
@@ -112,11 +101,8 @@ def _stop_text(stop: constructions.SearchStop) -> str:
 
 
 def cmd_witness(args) -> int:
-    p = _load_presentation(args.presentation)
-    try:
-        target = parse_word(args.target, p.gens)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    p = _load(args.presentation, parse_presentation)
+    target = parse_word(args.target, p.gens)
     stop = constructions.SearchStop()
     wit = constructions.search_normal_closure_witness(
         target, p.relators, args.max_factors, args.max_conj, args.max_states,
@@ -136,13 +122,9 @@ def _load_iso_witness(path, p, q) -> constructions.IsoWitness:
             raise InputError("presentations have different generators; "
                              "an isomorphism witness file is required")
         return constructions.IsoWitness.identity(p.rank)
-    data = _load_json(path)
-    try:
-        return constructions.IsoWitness(
-            tuple(parse_word(w, p.gens) for w in data["y_in_x"]),
-            tuple(parse_word(w, q.gens) for w in data["x_in_y"]))
-    except (KeyError, ValueError) as e:
-        raise InputError(f"{path}: {e}") from None
+    return _load(path, lambda data: constructions.IsoWitness(
+        tuple(parse_word(w, p.gens) for w in data["y_in_x"]),
+        tuple(parse_word(w, q.gens) for w in data["x_in_y"])), json=True)
 
 
 def _load_witness_dir(dirpath, prefix, count, names):
@@ -153,32 +135,27 @@ def _load_witness_dir(dirpath, prefix, count, names):
     for i in range(count):
         path = os.path.join(dirpath, f"{prefix}{i + 1}.json")
         if os.path.exists(path):
-            out.append(constructions.witness_from_json(_load_json(path), names))
+            out.append(_load(path, lambda data: constructions.witness_from_json(
+                data, names), json=True))
         else:
             out.append(None)
     return out
 
 
 def cmd_pipeline(args) -> int:
-    l1 = _load_presentation(args.first)
-    l2 = _load_presentation(args.second)
+    l1 = _load(args.first, parse_presentation)
+    l2 = _load(args.second, parse_presentation)
     iso = _load_iso_witness(args.iso, l1, l2)
     budget = constructions.WitnessBudget(args.max_factors, args.max_conj,
                                          args.max_states)
-    try:
-        common = constructions.common_generators(l1, l2, iso)
-        sup12 = _load_witness_dir(args.witnesses, "second_over_first_",
-                                  len(common.q_prime.relators), common.p_prime.gens)
-        sup21 = _load_witness_dir(args.witnesses, "first_over_second_",
-                                  len(common.p_prime.relators), common.q_prime.gens)
-        result = constructions.null_vector_pipeline(
-            l1, l2, iso, budget, sup12, sup21, jobs=args.jobs)
-    except (constructions.WitnessError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+    common = constructions.common_generators(l1, l2, iso)
+    sup12 = _load_witness_dir(args.witnesses, "second_over_first_",
+                              len(common.q_prime.relators), common.p_prime.gens)
+    sup21 = _load_witness_dir(args.witnesses, "first_over_second_",
+                              len(common.p_prime.relators), common.q_prime.gens)
+    result = constructions.null_vector_pipeline(
+        l1, l2, iso, budget, sup12, sup21, jobs=args.jobs)
 
-    reps = {canonical_key(result.p1): result.p1,
-            canonical_key(result.p2): result.p2}
     lines = [f"boundary rank: {result.p1.rank}",
              f"stabilizations: {result.stabilizations}",
              f"certificates: {len(result.certificates)}"]
@@ -192,7 +169,17 @@ def cmd_pipeline(args) -> int:
         # null_vector_pipeline raised WitnessError unless verify_null passed.
         lines.append("verify-null: pass")
 
-    parent = os.path.dirname(os.path.abspath(args.output)) or "."
+    _write_bundle(args.output, result, lines)
+    print("\n".join(lines))
+    return 0 if result.complete else VERIFY_FAIL
+
+
+def _write_bundle(output: str, result, lines) -> None:
+    """x.sum, certs/ and report.txt, written to a temporary directory that
+    is renamed to output only when complete."""
+    reps = {canonical_key(result.p1): result.p1,
+            canonical_key(result.p2): result.p2}
+    parent = os.path.dirname(os.path.abspath(output)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
@@ -204,26 +191,24 @@ def cmd_pipeline(args) -> int:
                 json.dump(pairing.certificate_to_json(cert), fh, indent=1)
         with open(os.path.join(tmp, "report.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        if os.path.exists(args.output):
-            raise InputError(f"output {args.output} already exists")
-        os.rename(tmp, args.output)
+        if os.path.exists(output):
+            raise InputError(f"output {output} already exists")
+        os.rename(tmp, output)
     finally:
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)
-    print("\n".join(lines))
-    return 0 if result.complete else VERIFY_FAIL
 
 
 def cmd_verify_null(args) -> int:
     sum_path = os.path.join(args.bundle, "x.sum")
     certs_dir = os.path.join(args.bundle, "certs")
-    x, _ = pairing.sum_from_json(_load_json(sum_path))
+    x, _ = _load(sum_path, pairing.sum_from_json, json=True)
     certs = []
     if os.path.isdir(certs_dir):
         for name in sorted(os.listdir(certs_dir)):
             if name.endswith(".json"):
-                certs.append(pairing.certificate_from_json(
-                    _load_json(os.path.join(certs_dir, name))))
+                certs.append(_load(os.path.join(certs_dir, name),
+                                   pairing.certificate_from_json, json=True))
     report = pairing.verify_null(x, certs)
     if args.format == "json":
         print(json.dumps(report.as_json(), indent=1))
@@ -233,27 +218,23 @@ def cmd_verify_null(args) -> int:
 
 
 def cmd_verify_smove(args) -> int:
-    l1 = _load_presentation(args.first)
-    l2 = _load_presentation(args.second)
+    l1 = _load(args.first, parse_presentation)
+    l2 = _load(args.second, parse_presentation)
     names = presentations.product(l1, l2).gens
 
     def load_scripts(prefix):
-        out = []
-        for name in sorted(os.listdir(args.scripts)):
-            if name.startswith(prefix) and name.endswith(".json"):
-                out.append(moves.script_from_json(
-                    _load_json(os.path.join(args.scripts, name)), names))
-        return out
+        return [_load(os.path.join(args.scripts, name),
+                      lambda data: moves.script_from_json(data, names), json=True)
+                for name in sorted(os.listdir(args.scripts))
+                if name.startswith(prefix) and name.endswith(".json")]
 
+    to_first = load_scripts("to_l1l1")
+    to_second = load_scripts("to_l2l2")
     try:
-        to_first = load_scripts("to_l1l1")
-        to_second = load_scripts("to_l2l2")
         certs = constructions.verify_smove_certificates(l1, l2, to_first, to_second)
-    except (moves.RegimeError, constructions.WitnessError, MoveError) as e:
+    except (constructions.WitnessError, MoveError) as e:
         print(f"rejected: {e}")
         return VERIFY_FAIL
-    except ValueError as e:
-        raise InputError(str(e)) from None
     print(f"accepted: {len(certs)} certificates verified")
     if args.output:
         os.makedirs(args.output, exist_ok=True)
@@ -264,14 +245,11 @@ def cmd_verify_smove(args) -> int:
 
 
 def cmd_search_equiv(args) -> int:
-    p = _load_presentation(args.first)
-    q = _load_presentation(args.second)
+    p = _load(args.first, parse_presentation)
+    q = _load(args.second, parse_presentation)
     budget = SearchBudget(args.depth, args.max_relator_length, args.max_states,
                           args.conj_len)
-    try:
-        script = moves.bounded_equivalence_search(p, q, budget, args.regime)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    script = moves.bounded_equivalence_search(p, q, budget, args.regime)
     if script is None:
         print("unknown: search budget exhausted (no claim of inequivalence)")
         return VERIFY_FAIL
@@ -282,21 +260,15 @@ def cmd_search_equiv(args) -> int:
     return 0
 
 
-def _load_chain(path: str):
-    try:
-        return homology.load_chain_file(path)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    except (ValueError, KeyError) as e:
-        raise InputError(f"{path}: {e}") from None
+def _parse_chain(path: str):
+    """chain_from_json, reading a group file named in the chain next to it."""
+    return lambda data: homology.chain_from_json(
+        data, base_dir=os.path.dirname(path) or ".")
 
 
 def cmd_homology(args) -> int:
-    chain = _load_chain(args.chain)
-    try:
-        group = homology.homology_at(chain, args.at)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    chain = _load(args.chain, _parse_chain(args.chain), json=True)
+    group = homology.homology_at(chain, args.at)
     if args.format == "json":
         print(json.dumps({"at": args.at, "free_rank": group.free_rank,
                           "torsion": list(group.torsion)}))
@@ -306,12 +278,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    c1 = _load_chain(args.first)
-    c2 = _load_chain(args.second)
-    try:
-        glued = homology.glue_product(c1, c2)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    c1 = _load(args.first, _parse_chain(args.first), json=True)
+    c2 = _load(args.second, _parse_chain(args.second), json=True)
+    glued = homology.glue_product(c1, c2)
     _write_text(args.output, json.dumps(homology.chain_to_json(glued), indent=1))
     return 0
 
@@ -361,7 +330,7 @@ def _repl_move(parts, pres):
 
 
 def cmd_repl(args) -> int:
-    pres = _load_presentation(args.presentation)
+    pres = _load(args.presentation, parse_presentation)
     initial = pres
     history = []
     log = []
@@ -509,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except ValueError as e:  # InputError, MoveError, WitnessError among them
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -258,7 +258,8 @@ def product_stabilization(l1: Presentation, l2: Presentation,
     One witness per relator of l2, each expressing it over l1's relators;
     witnesses are verified in the free group before any move is emitted.
     The script touches only relators (conjugate/invert/slide composites),
-    never the skeleton.
+    never the skeleton.  It is returned without being replayed: the caller
+    replays it, as null_vector_pipeline does through verify_null.
     """
     if l1.rank != l2.rank:
         raise ValueError("presentations do not share a boundary")
@@ -271,14 +272,8 @@ def product_stabilization(l1: Presentation, l2: Presentation,
             raise WitnessError(f"witness {idx} fails free-group verification")
     base = len(l1.relators)
     targets = [base + i for i in range(len(l2.relators))]
-    script = MoveScript(tuple(stabilization_moves(targets, range(base), witnesses)),
-                        "full")
-    start = product(l1, l2)
-    result = replay(start, script)
-    expected = wedge_s2(l1, len(l2.relators))
-    if canonical_key(result) != canonical_key(expected):
-        raise WitnessError("stabilization replay mismatch")
-    return script
+    return MoveScript(tuple(stabilization_moves(targets, range(base), witnesses)),
+                      "full")
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +488,9 @@ def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness
     certificates.  Witnesses may be supplied per relator; otherwise they
     are searched within the budget.  When a search stops without a
     witness the result carries its Unknown label and SearchStop, and
-    whatever certificates are still justified; nothing unverified is ever
-    emitted.
+    whatever certificates are still justified.  Every certificate built is
+    replayed once, by verify_null, complete or not: nothing unverified is
+    ever emitted.
     """
     if euler_char(l1) != euler_char(l2):
         raise ValueError(
@@ -549,11 +545,14 @@ def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness
     result = PipelineResult(x, tuple(certs), p1, p2, m,
                             tuple(lab for lab, _ in unknown),
                             tuple(stop for _, stop in unknown))
-    if result.complete:
-        report = verify_null(x, certs)
-        if not report.null:
-            raise WitnessError("pipeline produced certificates that do not "
-                               "cancel the self-product")
+    report = verify_null(x, certs)
+    failed = [label for label, ok, _ in report.certificate_status if not ok]
+    if failed:
+        raise WitnessError(f"pipeline certificates fail verification: "
+                           f"{', '.join(failed)}")
+    if result.complete and not report.null:
+        raise WitnessError("pipeline produced certificates that do not "
+                           "cancel the self-product")
     return result
 
 

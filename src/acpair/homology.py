@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -43,8 +41,7 @@ class FiniteGroup:
         return self.inverses[a]
 
     @classmethod
-    def from_table(cls, rows: Sequence[Sequence[int]], check_assoc_limit: int = 64,
-                   samples: int = 4096, seed: int = 0) -> "FiniteGroup":
+    def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroup":
         n = len(rows)
         table = tuple(tuple(r) for r in rows)
         if any(len(r) != n for r in table):
@@ -66,16 +63,15 @@ class FiniteGroup:
             if len(inv) != 1:
                 raise ValueError(f"element {a} has no unique inverse")
             inverses.append(inv[0])
-        # Associativity: exhaustive at small orders, sampled above.
-        if n <= check_assoc_limit:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-        else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(samples))
-        for a, b, c in triples:
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValueError(f"table not associative at ({a},{b},{c})")
+        for s in _greedy_generators(table, identity):
+            # Light's test: (x s) y == x (s y) for every x, y.  The elements
+            # passing it (the identity among them) are closed under the
+            # product, so passing on generators makes the table associative.
+            for x in range(n):
+                xs, row = table[table[x][s]], table[x]
+                for y, sy in enumerate(table[s]):
+                    if xs[y] != row[sy]:
+                        raise ValueError(f"table not associative at ({x},{s},{y})")
         return cls(table, identity, tuple(inverses))
 
     @classmethod
@@ -113,6 +109,32 @@ class FiniteGroup:
         for p in elems:
             rows.append([index[tuple(p[q[i]] for i in range(deg))] for q in elems])
         return cls.from_table(rows)
+
+
+def _greedy_generators(table, identity: int) -> list:
+    """Generators that reach every element from the identity by right
+    multiplication: the least element not yet reached, until all are.
+
+    In a group each new generator at least doubles the subgroup reached
+    (Lagrange), so there are at most log2(n) of them, and a table where one
+    does not double it is no group.
+    """
+    n = len(table)
+    gens, reached = [], {identity}
+    while len(reached) < n:
+        before = len(reached)
+        gens.append(next(g for g in range(n) if g not in reached))
+        elems, reached = [identity], {identity}
+        for x in elems:  # grows while it is walked: a breadth-first search
+            for g in gens:
+                if table[x][g] not in reached:
+                    reached.add(table[x][g])
+                    elems.append(table[x][g])
+        if len(reached) < 2 * before:
+            raise ValueError(f"table is not a group: adding generator {gens[-1]} "
+                             f"grows the generated set from {before} to "
+                             f"{len(reached)}")
+    return gens
 
 
 def symmetric_group_3() -> FiniteGroup:
@@ -615,8 +637,3 @@ def chain_from_json(data: Mapping, group: FiniteGroup | None = None,
         GroupRingMatrix.from_entries(ranks[k], ranks[k - 1], cells[k])
         for k in range(1, n + 1))
     return ChainComplexData(group, ranks, boundaries)
-
-
-def load_chain_file(path: str) -> ChainComplexData:
-    with open(path) as fh:
-        return chain_from_json(json.load(fh), base_dir=os.path.dirname(path) or ".")

@@ -481,11 +481,6 @@ def script_from_json(data, names: Sequence[str]) -> MoveScript:
                       bool(data.get("stabilized", False)))
 
 
-def load_script(path: str, names: Sequence[str]) -> MoveScript:
-    with open(path) as fh:
-        return script_from_json(json.load(fh), names)
-
-
 def dump_script(script: MoveScript, names: Sequence[str], path: str) -> None:
     with open(path, "w") as fh:
         json.dump(script_to_json(script, names), fh, indent=1)
@@ -502,7 +497,6 @@ class SearchBudget:
     max_relator_length: int = 24
     max_states: int = 10000
     conjugator_length: int = 3
-    factor_word_length: int = 1
 
 
 def enumerate_words(rank: int, max_len: int) -> list:
@@ -592,7 +586,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         return finish(())
 
     conj_words = enumerate_words(p.rank, budget.conjugator_length)
-    factor_words = enumerate_words(p.rank, budget.factor_word_length)
+    factor_words = enumerate_words(p.rank, 1)
     parents = {start: None}  # key -> (parent key, fragment)
     states = {start: p}
     frontier = deque([start])

@@ -7,7 +7,6 @@ caller wants rationals.  No floating point anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -348,8 +347,3 @@ def certificate_from_json(data) -> EquivalenceCertificate:
     rhs = parse_presentation(data["rhs"])
     script = script_from_json(data["script"], lhs.gens)
     return EquivalenceCertificate(lhs, rhs, script, data.get("label", ""))
-
-
-def load_certificate(path: str) -> EquivalenceCertificate:
-    with open(path) as fh:
-        return certificate_from_json(json.load(fh))

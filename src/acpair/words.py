@@ -23,6 +23,10 @@ EMPTY: Word = ()
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
+# Most letters a parsed word may spell out, so that a short token such as
+# x^1000000000 cannot demand gigabytes.
+MAX_WORD_LENGTH = 1_000_000
+
 
 def reduce(letters: Iterable[int]) -> Word:
     """Freely reduce a letter sequence.  Idempotent."""
@@ -197,8 +201,11 @@ def cyclic_canonical(u: Word) -> Word:
 # Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity.
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
+    """Raises ValueError on unknown names, bad exponents, and words that
+    spell out more than MAX_WORD_LENGTH letters before reduction."""
     index = {name: i for i, name in enumerate(names)}
     out: list[int] = []
+    spelled = 0
     for token in text.split():
         if token == "1":
             continue
@@ -214,6 +221,9 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
                 raise ValueError(f"zero exponent in token {token!r}")
         else:
             k = 1
+        spelled += abs(k)
+        if spelled > MAX_WORD_LENGTH:
+            raise ValueError(f"word spells out more than {MAX_WORD_LENGTH} letters")
         letter = index[base] + 1 if k > 0 else -(index[base] + 1)
         for _ in range(abs(k)):
             if out and out[-1] == -letter:

@@ -3,6 +3,8 @@ import os
 import random
 from collections import Counter
 
+import pytest
+
 from acpair import constructions, pairing
 from acpair.cli import main
 from acpair.constructions import lustig, witness_to_json
@@ -136,8 +138,7 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
 
 
 def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
-    # pipeline replays each certificate at most twice (its stabilization
-    # check and one verify_null); verify-null replays each exactly once.
+    # pipeline and verify-null each replay every certificate exactly once.
     counts = Counter()
     for module in (constructions, pairing):
         def replay(p, script, original=module.replay):
@@ -156,7 +157,7 @@ def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "pipeline", k1, k2, "--witnesses", wdir, "-o", bundle)
     assert code == 0, out
     assert "certificates: 4" in out and "verify-null: pass" in out
-    assert counts["replay"] <= 2 * 4
+    assert counts["replay"] == 4
     assert counts["verify"] == 4
     counts.clear()
     code, out, _ = run(capsys, "verify-null", bundle)
@@ -315,3 +316,67 @@ def test_input_error_exit_codes(tmp_path, capsys):
     bad = write(tmp_path / "bad.pres", "gens: x\nrel: zz\n")
     code, _, err = run(capsys, "normalize", bad)
     assert code == 2
+
+
+PRES_X = "gens: x\nrel: x\n"
+
+
+def _bundle(tmp_path, x_sum, cert=None):
+    os.makedirs(tmp_path / "b" / "certs")
+    write(tmp_path / "b" / "x.sum", json.dumps(x_sum))
+    if cert is not None:
+        write(tmp_path / "b" / "certs" / "c.json", json.dumps(cert))
+    return ["verify-null", tmp_path / "b"]
+
+
+def _apply(tmp_path, script):
+    pres = write(tmp_path / "p.pres", PRES_X)
+    return ["apply", pres, write(tmp_path / "s.json", json.dumps(script))]
+
+
+def _smove(tmp_path, move):
+    l1 = write(tmp_path / "l1.pres", PRES_X)
+    os.makedirs(tmp_path / "scripts")
+    write(tmp_path / "scripts" / "to_l1l1_1.json",
+          json.dumps({"regime": "k_prime", "moves": [move]}))
+    return ["verify-smove", l1, l1, "--scripts", tmp_path / "scripts"]
+
+
+def _pipeline_witness(tmp_path, witness):
+    k = write(tmp_path / "k.pres", PRES_X)
+    os.makedirs(tmp_path / "wits")
+    write(tmp_path / "wits" / "second_over_first_1.json", json.dumps(witness))
+    return ["pipeline", k, k, "--witnesses", tmp_path / "wits",
+            "-o", tmp_path / "bundle"]
+
+
+MALFORMED = {
+    "sum_unknown_generator": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": "gens: x\nrel: q\n"}]), "x.sum"),
+    "sum_empty": (lambda t: _bundle(t, []), "x.sum"),
+    "certificate_without_rhs": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": PRES_X}],
+        {"lhs": PRES_X, "script": []}), "c.json"),
+    "remove_gen_out_of_range": (lambda t: _apply(
+        t, [{"op": "RemoveGen", "i": 9}]), "s.json"),
+    "move_without_op": (lambda t: _apply(t, [{"j": 1}]), "s.json"),
+    "move_without_j": (lambda t: _apply(t, [{"op": "InvRel"}]), "s.json"),
+    "move_with_text_index": (lambda t: _apply(
+        t, [{"op": "InvRel", "j": "a"}]), "s.json"),
+    "witness_without_factors": (lambda t: _pipeline_witness(
+        t, {"target": "x"}), "second_over_first_1.json"),
+    "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
+    "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
+                         "to_l1l1_1.json"),
+    "word_too_long": (lambda t: ["normalize", write(
+        t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    build, bad_file = MALFORMED[case]
+    code, out, err = run(capsys, *build(tmp_path))
+    assert code == 2, (out, err)
+    assert err.startswith("error: ") and bad_file in err
+    assert "Traceback" not in err

@@ -316,6 +316,17 @@ def test_pipeline_unknown_markers_with_tiny_budget():
         assert ok, (cert.label, msg)
 
 
+def test_pipeline_unknown_path_verifies_its_certificates(monkeypatch):
+    # product_stabilization no longer replays its script, so the pipeline's
+    # one verify_null must catch a script that misses its key, also when the
+    # result is incomplete.
+    monkeypatch.setattr(constructions, "product_stabilization",
+                        lambda l1, l2, witnesses: MoveScript((), "full"))
+    with pytest.raises(WitnessError, match="first_self, second_self"):
+        null_vector_pipeline(lustig(1), lustig(2), IsoWitness.identity(3),
+                             WitnessBudget(2, 1, 200))
+
+
 def test_pipeline_parallel_search_matches_sequential():
     k1, k2 = lustig(1), lustig(2)
     budget = WitnessBudget(2, 1, 200)

@@ -34,6 +34,18 @@ def test_group_validation():
     assert g.inv(2) == 4
     with pytest.raises(ValueError):
         FiniteGroup.from_table([[0, 1], [1, 1]])
+    # Z_128 with one wrong entry: 2 + 3 = 7 is found although no identity or
+    # inverse check sees it.
+    z128 = [[(a + b) % 128 for b in range(128)] for a in range(128)]
+    z128[2][3] = 7
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup.from_table(z128)
+    # Z_3 on {0, 1, 2} and two self-inverse elements: adding 3 to the
+    # generated Z_3 gives 4 elements, not a multiple of 3.
+    with pytest.raises(ValueError, match="not a group"):
+        FiniteGroup.from_table([[0, 1, 2, 3, 4], [1, 2, 0, 3, 3],
+                                [2, 0, 1, 3, 3], [3, 3, 3, 0, 3],
+                                [4, 3, 3, 3, 0]])
 
 
 def test_symmetric_group_3():

@@ -382,8 +382,7 @@ def test_bounded_search_k_prime_regime():
     mv = RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, (2,)),))
     q = apply_move(p, mv)
     script = bounded_equivalence_search(
-        p, q, SearchBudget(max_depth=1, conjugator_length=1,
-                           factor_word_length=1), regime="k_prime")
+        p, q, SearchBudget(max_depth=1, conjugator_length=1), regime="k_prime")
     assert script is not None
     assert script.regime == "k_prime"
     assert canonical_key(replay(p, script)) == canonical_key(q)

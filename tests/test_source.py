@@ -17,3 +17,17 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in acpair: {found}"
     assert len(list(SOURCE.glob("*.py"))) >= 8
+
+
+def test_cli_commands_leave_errors_to_main():
+    # main is the one place that turns an error into exit 2; a command may
+    # catch only to give another verdict: verify-smove's "rejected" (exit 1)
+    # and the repl, which reports a bad move and goes on.
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) >= 12
+    found = [f"{node.name}:{inner.lineno}" for node in commands
+             if node.name not in ("cmd_verify_smove", "cmd_repl")
+             for inner in ast.walk(node) if isinstance(inner, ast.Try)]
+    assert not found, f"try statements in CLI commands: {found}"

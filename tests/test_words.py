@@ -225,6 +225,10 @@ def test_parse_word_errors():
         parse_word("x^0", NAMES)
     with pytest.raises(ValueError):
         parse_word("x^q", NAMES)
+    with pytest.raises(ValueError, match="more than 1000000 letters"):
+        parse_word("x^1000001", NAMES)
+    with pytest.raises(ValueError, match="more than 1000000 letters"):
+        parse_word("x^600000 x^-600000", NAMES)
 
 
 def test_compose_nielsen_inverse_pair():
