@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             canonical_key, euler_char, make_presentation,
                             parse_presentation, product, wedge_s1, wedge_s2)
-from .moves import MoveScript, SearchBudget, bounded_equivalence_search, replay
+from .moves import (MoveScript, SearchBudget, SearchOutcome,
+                    bounded_equivalence_search, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             common_generators, lustig, null_vector_pipeline,

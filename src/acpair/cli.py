@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure or a search that stopped
-without a result (the witness searches print why they stopped:
-"exhausted" or "state_cap"), 2 input errors.  main is the one place that
-turns an error into exit 2: it catches every ValueError a command raises,
+without a result (both searches print why they stopped: "exhausted" or
+"state_cap"), 2 input errors.  main is the one place that turns an error
+into exit 2: it catches every ValueError and OSError a command raises,
 among them the InputError of _load, the one reader of input files.
 Human-readable reports go to stdout; machine artifacts to files.  Bundles
 are written to a temporary directory and renamed into place, so a failed
@@ -96,22 +96,15 @@ def cmd_lustig(args) -> int:
     return 0
 
 
-def _stop_text(stop: constructions.SearchStop) -> str:
-    return f"{stop.reason} after {stop.states} states"
-
-
 def cmd_witness(args) -> int:
     p = _load(args.presentation, parse_presentation)
     target = parse_word(args.target, p.gens)
-    stop = constructions.SearchStop()
-    wit = constructions.search_normal_closure_witness(
-        target, p.relators, args.max_factors, args.max_conj, args.max_states,
-        stop=stop)
-    if wit is None:
-        print(f"unknown: witness search stopped: {_stop_text(stop)} "
-              "(no claim made)")
+    outcome = constructions.search_normal_closure_witness(
+        target, p.relators, args.max_factors, args.max_conj, args.max_states)
+    if outcome.result is None:
+        print(f"unknown: witness search stopped: {outcome} (no claim made)")
         return VERIFY_FAIL
-    payload = constructions.witness_to_json(wit, p.gens)
+    payload = constructions.witness_to_json(outcome.result, p.gens)
     _write_text(args.output, json.dumps(payload, indent=1))
     return 0
 
@@ -163,8 +156,7 @@ def cmd_pipeline(args) -> int:
         lines.append(f"  {cert.label}: {len(cert.script)} moves")
     if result.unknown:
         lines.append("unknown witnesses (no claim): " + ", ".join(
-            f"{label} ({_stop_text(stop)})"
-            for label, stop in zip(result.unknown, result.stops)))
+            f"{label} ({outcome})" for label, outcome in result.unknown))
     else:
         # null_vector_pipeline raised WitnessError unless verify_null passed.
         lines.append("verify-null: pass")
@@ -249,9 +241,11 @@ def cmd_search_equiv(args) -> int:
     q = _load(args.second, parse_presentation)
     budget = SearchBudget(args.depth, args.max_relator_length, args.max_states,
                           args.conj_len)
-    script = moves.bounded_equivalence_search(p, q, budget, args.regime)
+    outcome = moves.bounded_equivalence_search(p, q, budget, args.regime)
+    script = outcome.result
     if script is None:
-        print("unknown: search budget exhausted (no claim of inequivalence)")
+        print(f"unknown: equivalence search stopped: {outcome} "
+              "(no claim of inequivalence)")
         return VERIFY_FAIL
     payload = moves.script_to_json(script, p.gens)
     _write_text(args.output, json.dumps(payload, indent=1))
@@ -478,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:  # InputError, MoveError, WitnessError among them
+    except (ValueError, OSError) as e:  # InputError, MoveError, WitnessError among them
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
 

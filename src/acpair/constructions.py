@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .moves import (AddGen, ConjRel, InvRel, MoveScript, NielsenInv,
-                    NielsenMul, RegimeError, SlideRel, invert_script, replay)
+                    NielsenMul, RegimeError, SearchOutcome, SlideRel,
+                    invert_script, json_int, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
@@ -222,7 +223,8 @@ def witness_to_json(wit: NormalClosureWitness, names: Sequence[str]) -> dict:
 def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
     return NormalClosureWitness(
         parse_word(data["target"], names),
-        tuple((parse_word(f["g"], names), f["r_index"] - 1, f["sign"])
+        tuple((parse_word(f["g"], names), json_int(f, "r_index") - 1,
+               json_int(f, "sign"))
               for f in data["factors"]))
 
 
@@ -296,36 +298,21 @@ def _insertions(word: Word, relators, max_pos: int, max_len: int):
                     yield merged, (pos, k, sign)
 
 
-@dataclass
-class SearchStop:
-    """Why a witness search stopped and how many states it held then.
-
-    reason is "found", "exhausted" (the factor budget or both frontiers
-    ran out: no witness exists within the searched space) or "state_cap"
-    (max_states was reached first: the space was not fully searched).
-    """
-
-    reason: str = ""
-    states: int = 0
-
-
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                                   max_factors: int = 8,
                                   max_conjugator_length: int = 4,
                                   max_states: int = 20000,
-                                  max_word_length: int | None = None,
-                                  stop: SearchStop | None = None):
+                                  max_word_length: int | None = None):
     """Bounded bidirectional search for a normal closure witness.
 
-    Returns a verified NormalClosureWitness or None when the search stops
-    without one (which claims nothing).  Factors are explored through
-    relator insertions at prefix positions up to the conjugator bound, so
-    any returned witness has conjugators no longer than
-    max_conjugator_length letters.  A SearchStop passed as stop receives
-    the reason the search stopped and the number of states it held.
+    Returns a SearchOutcome whose result is a verified NormalClosureWitness,
+    or None when the search stopped without one (which claims nothing):
+    "exhausted" when the factor budget or both frontiers ran out,
+    "state_cap" when max_states was reached first.  Factors are explored
+    through relator insertions at prefix positions up to the conjugator
+    bound, so any witness found has conjugators no longer than
+    max_conjugator_length letters.
     """
-    if stop is None:
-        stop = SearchStop()
     target = reduce(target)
     relators = [reduce(r) for r in relators]
     if max_word_length is None:
@@ -333,8 +320,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
 
     if not target:
-        stop.reason, stop.states = "found", 0
-        return NormalClosureWitness(target, ())
+        return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)
 
     # forward: strip factors off the front of the remaining word (from target),
     # backward: build the suffix product up from the empty word.
@@ -373,17 +359,12 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         factors = forward_factors(word) + backward_factors(word)
         wit = NormalClosureWitness(target, tuple(factors))
         if not wit.verify(relators):
-            raise AssertionError("witness reconstruction failed verification")
-        stop.reason, stop.states = "found", len(fwd) + len(bwd)
-        return wit
-
-    def stopped(reason):
-        stop.reason, stop.states = reason, len(fwd) + len(bwd)
-        return None
+            raise WitnessError("witness reconstruction failed verification")
+        return SearchOutcome(wit, "found", len(fwd) + len(bwd))
 
     while fwd_frontier or bwd_frontier:
         if fwd_depth + bwd_depth >= max_factors:
-            return stopped("exhausted")
+            break
         expand_fwd = bool(fwd_frontier) and (
             not bwd_frontier or len(fwd_frontier) <= len(bwd_frontier))
         frontier, seen, other = ((fwd_frontier, fwd, bwd) if expand_fwd
@@ -399,12 +380,12 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                     return meet(nxt)
                 new_frontier.append(nxt)
                 if len(fwd) + len(bwd) > max_states:
-                    return stopped("state_cap")
+                    return SearchOutcome(None, "state_cap", len(fwd) + len(bwd))
         if expand_fwd:
             fwd_frontier, fwd_depth = new_frontier, fwd_depth + 1
         else:
             bwd_frontier, bwd_depth = new_frontier, bwd_depth + 1
-    return stopped("exhausted")
+    return SearchOutcome(None, "exhausted", len(fwd) + len(bwd))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +406,7 @@ class PipelineResult:
     p1: Presentation
     p2: Presentation
     stabilizations: int
-    unknown: tuple  # labels of witnesses the search could not find
-    stops: tuple  # the SearchStop of each unknown label, in the same order
+    unknown: tuple  # (label, SearchOutcome) of each witness not found
 
     @property
     def complete(self) -> bool:
@@ -435,11 +415,9 @@ class PipelineResult:
 
 def _search_one(args):
     target, relators, budget = args
-    stop = SearchStop()
-    wit = search_normal_closure_witness(
+    return search_normal_closure_witness(
         target, relators, budget.max_factors, budget.max_conjugator_length,
-        budget.max_states, stop=stop)
-    return wit, stop
+        budget.max_states)
 
 
 def _collect_witnesses(targets, base, budget, supplied, label, jobs):
@@ -447,7 +425,7 @@ def _collect_witnesses(targets, base, budget, supplied, label, jobs):
     are verified, missing ones searched.  Labels are 1-based, like the
     supplied witness files: label[i] names target relator i."""
     found: dict = {}
-    unknown = []  # (label, SearchStop) of each target the search did not meet
+    unknown = []  # (label, SearchOutcome) of each target the search did not meet
     missing = []
     for i, word in enumerate(targets):
         if supplied is not None and i < len(supplied) and supplied[i] is not None:
@@ -466,11 +444,11 @@ def _collect_witnesses(targets, base, budget, supplied, label, jobs):
                 results = list(pool.map(_search_one, tasks))
         else:
             results = [_search_one(t) for t in tasks]
-        for i, (wit, stop) in zip(missing, results):
-            if wit is None:
-                unknown.append((f"{label}[{i + 1}]", stop))
+        for i, outcome in zip(missing, results):
+            if outcome.result is None:
+                unknown.append((f"{label}[{i + 1}]", outcome))
             else:
-                found[i] = wit
+                found[i] = outcome.result
     return [found.get(i) for i in range(len(targets))], unknown
 
 
@@ -487,7 +465,7 @@ def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness
     stabilization, and returns x = first - second together with the
     certificates.  Witnesses may be supplied per relator; otherwise they
     are searched within the budget.  When a search stops without a
-    witness the result carries its Unknown label and SearchStop, and
+    witness the result carries its Unknown label and SearchOutcome, and
     whatever certificates are still justified.  Every certificate built is
     replayed once, by verify_null, complete or not: nothing unverified is
     ever emitted.
@@ -542,9 +520,7 @@ def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness
         certs.append(EquivalenceCertificate(
             wedge_s2(p2, m), wedge_s2(p1, m), bridge, "stabilized_bridge"))
 
-    result = PipelineResult(x, tuple(certs), p1, p2, m,
-                            tuple(lab for lab, _ in unknown),
-                            tuple(stop for _, stop in unknown))
+    result = PipelineResult(x, tuple(certs), p1, p2, m, tuple(unknown))
     report = verify_null(x, certs)
     failed = [label for label, ok, _ in report.certificate_status if not ok]
     if failed:

@@ -165,10 +165,6 @@ def gr_mul(a: Mapping[int, int], b: Mapping[int, int], group: FiniteGroup) -> di
     return out
 
 
-def gr_scale(a: Mapping[int, int], c: int) -> dict:
-    return {} if c == 0 else {g: c * v for g, v in a.items()}
-
-
 @dataclass(frozen=True)
 class GroupRingMatrix:
     rows: int

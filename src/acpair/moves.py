@@ -437,30 +437,39 @@ def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     return data
 
 
+def json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: a float or a boolean is a
+    ValueError, not an index or a sign."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def _move_from_json(obj: dict, names: list):
     op = obj["op"]
     if op == "ConjRel":
-        return ConjRel(obj["j"] - 1, parse_word(obj["w"], names))
+        return ConjRel(json_int(obj, "j") - 1, parse_word(obj["w"], names))
     if op == "InvRel":
-        return InvRel(obj["j"] - 1)
+        return InvRel(json_int(obj, "j") - 1)
     if op == "SlideRel":
-        return SlideRel(obj["j"] - 1, obj["k"] - 1, obj["side"])
+        return SlideRel(json_int(obj, "j") - 1, json_int(obj, "k") - 1, obj["side"])
     if op == "NielsenInv":
-        return NielsenInv(obj["i"] - 1)
+        return NielsenInv(json_int(obj, "i") - 1)
     if op == "NielsenMul":
-        return NielsenMul(obj["i"] - 1, obj["j"] - 1, obj["side"])
+        return NielsenMul(json_int(obj, "i") - 1, json_int(obj, "j") - 1, obj["side"])
     if op == "AddGen":
         return AddGen(obj["name"])
     if op == "RemoveGen":
-        return RemoveGen(obj["i"] - 1)
+        return RemoveGen(json_int(obj, "i") - 1)
     if op == "AddTrivialRel":
         return AddTrivialRel()
     if op == "RemoveTrivialRel":
-        return RemoveTrivialRel(obj["j"] - 1)
+        return RemoveTrivialRel(json_int(obj, "j") - 1)
     if op == "RestrictedSlide":
-        return RestrictedSlide(obj["j"] - 1, tuple(
-            RSFactor(parse_word(f["w"], names), f["k"] - 1, f["sign"],
-                     parse_word(f["h"], names))
+        return RestrictedSlide(json_int(obj, "j") - 1, tuple(
+            RSFactor(parse_word(f["w"], names), json_int(f, "k") - 1,
+                     json_int(f, "sign"), parse_word(f["h"], names))
             for f in obj["factors"]))
     raise MoveError(f"unknown op {op!r}")
 
@@ -489,6 +498,26 @@ def dump_script(script: MoveScript, names: Sequence[str], path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Bounded breadth-first equivalence search.
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """How a bounded search ended: the equivalence search here and the
+    witness search in constructions both return one.
+
+    result is the MoveScript or NormalClosureWitness found, or None, which
+    claims nothing.  reason is "found", "exhausted" (the bounded space was
+    searched to its end: nothing exists within it) or "state_cap"
+    (max_states was reached first: the space was not fully searched).
+    states is the number of states the search held when it stopped.
+    """
+
+    result: object
+    reason: str
+    states: int
+
+    def __str__(self) -> str:
+        return f"{self.reason} after {self.states} states"
 
 
 @dataclass(frozen=True)
@@ -561,8 +590,9 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
                                regime: str = "full"):
     """Breadth-first search for a move script from p to q.
 
-    Returns a replay-verified MoveScript, or None when the budget is
-    exhausted.  A None result claims nothing: inequivalence is never
+    Returns a SearchOutcome whose result is a replay-verified MoveScript,
+    or None when the search stopped without one ("exhausted" or
+    "state_cap").  A None result claims nothing: inequivalence is never
     asserted.  States are deduplicated on canonical keys, so the cheap
     conjugation/inversion/permutation quotient is baked into the frontier.
     """
@@ -573,21 +603,22 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
     goal = canonical_key(q)
     target_rels = len(q.relators)
     if regime == "k_prime" and len(p.relators) != target_rels:
-        return None  # k_prime moves preserve the relator count
+        # k_prime moves preserve the relator count: no script exists
+        return SearchOutcome(None, "exhausted", 0)
     start = canonical_key(p)
+    parents = {start: None}  # key -> (parent key, fragment)
 
-    def finish(moves) -> MoveScript:
+    def finish(moves) -> SearchOutcome:
         script = MoveScript(tuple(moves), regime)
         if canonical_key(replay(p, script)) != goal:
             raise ValueError("search script does not replay to the goal key")
-        return script
+        return SearchOutcome(script, "found", len(parents))
 
     if start == goal:
         return finish(())
 
     conj_words = enumerate_words(p.rank, budget.conjugator_length)
     factor_words = enumerate_words(p.rank, 1)
-    parents = {start: None}  # key -> (parent key, fragment)
     states = {start: p}
     frontier = deque([start])
     depth = {start: 0}
@@ -619,8 +650,8 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
                     cur = prev
                 return finish(moves)
             if len(parents) >= budget.max_states:
-                return None
+                return SearchOutcome(None, "state_cap", len(parents))
             states[nkey] = nxt
             depth[nkey] = depth[key] + 1
             frontier.append(nkey)
-    return None
+    return SearchOutcome(None, "exhausted", len(parents))

@@ -82,11 +82,6 @@ def exponent_sum(u: Word, gen) -> int:
     return sum(1 if x == target else -1 for x in u if abs(x) == target)
 
 
-def max_index(u: Word) -> int:
-    """Largest 0-based generator index occurring in u, or -1 for the identity."""
-    return max((abs(x) for x in u), default=0) - 1
-
-
 def substitute(u: Word, images: Mapping[int, Word]) -> Word:
     """Homomorphic extension of a generator map (0-based index -> word).
 

@@ -224,12 +224,19 @@ def test_search_equiv_cli(tmp_path, capsys):
     assert code == 0
     data = json.loads(open(out_script).read())
     assert data["moves"]
+    # the same pair under a cap of 2 states: the Unknown says it was capped
+    code, out, _ = run(capsys, "search-equiv", a, b, "--depth", "2",
+                       "--max-states", "2")
+    assert code == 1
+    assert out == ("unknown: equivalence search stopped: state_cap after 2 "
+                   "states (no claim of inequivalence)\n")
     k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
     k2 = write(tmp_path / "k2.pres", format_presentation(lustig(2)))
     code, out, _ = run(capsys, "search-equiv", k1, k2, "--depth", "3",
                        "--max-states", "400", "--conj-len", "1")
     assert code == 1
-    assert "no claim" in out
+    assert out == ("unknown: equivalence search stopped: exhausted after 243 "
+                   "states (no claim of inequivalence)\n")
 
 
 def test_verify_smove_cli(tmp_path, capsys):
@@ -363,11 +370,22 @@ MALFORMED = {
     "move_without_j": (lambda t: _apply(t, [{"op": "InvRel"}]), "s.json"),
     "move_with_text_index": (lambda t: _apply(
         t, [{"op": "InvRel", "j": "a"}]), "s.json"),
+    "move_with_float_index": (lambda t: _apply(
+        t, [{"op": "InvRel", "j": 1.5}]), "s.json"),
+    "move_with_bool_index": (lambda t: _apply(
+        t, [{"op": "InvRel", "j": True}]), "s.json"),
+    "apply_output_dir_missing": (lambda t: _apply(
+        t, [{"op": "InvRel", "j": 1}]) + ["-o", t / "no_dir" / "out"], "no_dir"),
     "witness_without_factors": (lambda t: _pipeline_witness(
         t, {"target": "x"}), "second_over_first_1.json"),
+    "witness_with_float_index": (lambda t: _pipeline_witness(
+        t, {"target": "x", "factors": [{"g": "1", "r_index": 1.5, "sign": 1}]}),
+        "second_over_first_1.json"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
                          "to_l1l1_1.json"),
+    "smove_scripts_dir_missing": (lambda t: _smove(t, {"op": "InvRel", "j": 1})[:-1]
+                                  + [t / "no_scripts"], "no_scripts"),
     "word_too_long": (lambda t: ["normalize", write(
         t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
 }

@@ -4,7 +4,7 @@ import pytest
 
 from acpair import constructions
 from acpair.constructions import (IsoWitness, NormalClosureWitness,
-                                  SearchStop, WitnessBudget, WitnessError,
+                                  WitnessBudget, WitnessError,
                                   common_generators, lustig,
                                   null_vector_pipeline, permutation_moves,
                                   product_stabilization,
@@ -115,12 +115,12 @@ def test_witness_verify():
 
 
 def test_witness_search_examples():
-    wit = search_normal_closure_witness((1, 1), [(1,)], 4, 2)
+    wit = search_normal_closure_witness((1, 1), [(1,)], 4, 2).result
     assert wit.factors == ((EMPTY, 0, 1), (EMPTY, 0, 1))
-    single = search_normal_closure_witness((1, 1, 1), [(1, 1, 1)], 2, 1)
+    single = search_normal_closure_witness((1, 1, 1), [(1, 1, 1)], 2, 1).result
     assert single.factors == ((EMPTY, 0, 1),)
     assert search_normal_closure_witness((1,), [(1, 1)], 6, 3,
-                                         max_states=4000) is None
+                                         max_states=4000).result is None
 
 
 def test_witness_search_meet_keeps_forward_order():
@@ -128,12 +128,12 @@ def test_witness_search_meet_keeps_forward_order():
     # forward layers, so the forward factors must be listed first-to-last
     rels = [(1, 1), (2, 2)]
     target = (2, 2, -1, -2, -2, 1, -2, -2)
-    stop = SearchStop()
-    wit = search_normal_closure_witness(target, rels, 4, 2, stop=stop)
+    outcome = search_normal_closure_witness(target, rels, 4, 2)
+    wit = outcome.result
     assert wit is not None and wit.verify(rels)
     assert len(wit.factors) <= 4
     assert all(len(g) <= 2 for g, _, _ in wit.factors)
-    assert stop.reason == "found"
+    assert outcome.reason == "found"
 
 
 def test_witness_search_found_witnesses_verify_random():
@@ -148,7 +148,7 @@ def test_witness_search_found_witnesses_verify_random():
             rel = rng.choice(rels)
             rel = rel if rng.random() < 0.5 else invert(rel)
             target = multiply(target, multiply(multiply(invert(g), rel), g))
-        wit = search_normal_closure_witness(target, rels, 8, 4)
+        wit = search_normal_closure_witness(target, rels, 8, 4).result
         if wit is not None:
             assert wit.verify(rels)
             assert len(wit.factors) <= 8
@@ -157,31 +157,36 @@ def test_witness_search_found_witnesses_verify_random():
 
 def test_witness_search_stop_reasons():
     # the first insertion into x^2 over x^3 meets nothing and passes the cap
-    stop = SearchStop()
-    assert search_normal_closure_witness((1, 1), [(1, 1, 1)], 6, 3,
-                                         max_states=1, stop=stop) is None
-    assert (stop.reason, stop.states) == ("state_cap", 3)
+    outcome = search_normal_closure_witness((1, 1), [(1, 1, 1)], 6, 3,
+                                            max_states=1)
+    assert (outcome.result, outcome.reason, outcome.states) == (None, "state_cap", 3)
+    assert str(outcome) == "state_cap after 3 states"
     # x is not in the normal closure of x^2: the whole space is searched
-    stop = SearchStop()
-    assert search_normal_closure_witness((1,), [(1, 1)], 6, 3,
-                                         max_states=4000, stop=stop) is None
-    assert (stop.reason, stop.states) == ("exhausted", 14)
-    stop = SearchStop()
-    assert search_normal_closure_witness((1, 1), [(1,)], 4, 2, stop=stop)
-    assert stop.reason == "found"
+    outcome = search_normal_closure_witness((1,), [(1, 1)], 6, 3, max_states=4000)
+    assert (outcome.result, outcome.reason, outcome.states) == (None, "exhausted", 14)
+    outcome = search_normal_closure_witness((1, 1), [(1,)], 4, 2)
+    assert outcome.result is not None and outcome.reason == "found"
+
+
+def test_witness_search_raises_when_its_witness_fails_verification(monkeypatch):
+    # like the equivalence search, a failed self-check is an error (exit 2),
+    # never an assert or a verdict
+    monkeypatch.setattr(NormalClosureWitness, "verify", lambda self, relators: False)
+    with pytest.raises(WitnessError, match="failed verification"):
+        search_normal_closure_witness((1, 1), [(1,)], 4, 2)
 
 
 def test_witness_search_conjugated_target():
     rel = (1, 2, 1)
     target = reduce((2,) + rel + (-2,))
-    wit = search_normal_closure_witness(target, [rel], 3, 2)
+    wit = search_normal_closure_witness(target, [rel], 3, 2).result
     assert wit is not None and wit.verify([rel])
 
 
 def test_witness_search_commutator_combination():
     # x^2 y^2 over {x^2, y^2}: needs a conjugate pair
     target = (1, 1, 2, 2)
-    wit = search_normal_closure_witness(target, [(1, 1), (2, 2)], 4, 3)
+    wit = search_normal_closure_witness(target, [(1, 1), (2, 2)], 4, 3).result
     assert wit is not None and wit.verify([(1, 1), (2, 2)])
 
 
@@ -304,12 +309,14 @@ def test_pipeline_unknown_markers_with_tiny_budget():
     res = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
                                WitnessBudget(2, 1, 200))
     assert not res.complete
-    assert any("second_over_first" in u for u in res.unknown)
+    assert any("second_over_first" in u for u, _ in res.unknown)
     # labels are 1-based: relator 1 (shared by both) is found, 2 and 3 not;
     # each cross search stops at depth 2 holding 20 states, under the cap
-    assert res.unknown == ("second_over_first[2]", "second_over_first[3]",
-                           "first_over_second[2]", "first_over_second[3]")
-    assert [(s.reason, s.states) for s in res.stops] == [("exhausted", 20)] * 4
+    assert [label for label, _ in res.unknown] == [
+        "second_over_first[2]", "second_over_first[3]",
+        "first_over_second[2]", "first_over_second[3]"]
+    assert [(o.result, o.reason, o.states) for _, o in res.unknown] == \
+        [(None, "exhausted", 20)] * 4
     # nothing unverified is emitted: all returned certificates verify
     for cert in res.certificates:
         ok, msg = cert.verify()
@@ -333,7 +340,6 @@ def test_pipeline_parallel_search_matches_sequential():
     seq = null_vector_pipeline(k1, k2, IsoWitness.identity(3), budget)
     par = null_vector_pipeline(k1, k2, IsoWitness.identity(3), budget, jobs=2)
     assert par.unknown == seq.unknown
-    assert par.stops == seq.stops
     assert [c.script for c in par.certificates] == \
         [c.script for c in seq.certificates]
 

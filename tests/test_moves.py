@@ -353,23 +353,45 @@ def test_script_json_examples_shape():
 def test_bounded_search_finds_slide():
     p = pres("x y", "x y", "y")
     q = pres("x y", "x", "y")
-    script = bounded_equivalence_search(p, q, SearchBudget(max_depth=2))
+    script = bounded_equivalence_search(p, q, SearchBudget(max_depth=2)).result
     assert script is not None
     assert canonical_key(replay(p, script)) == canonical_key(q)
 
 
 def test_bounded_search_identity():
     p = pres("x y", "x y", "y")
-    script = bounded_equivalence_search(p, p, SearchBudget(max_depth=0))
-    assert script == MoveScript((), "full")
+    outcome = bounded_equivalence_search(p, p, SearchBudget(max_depth=0))
+    assert outcome.result == MoveScript((), "full")
+    assert (outcome.reason, outcome.states) == ("found", 1)
 
 
 def test_bounded_search_unknown_small_budget():
     from acpair.constructions import lustig
-    script = bounded_equivalence_search(
+    outcome = bounded_equivalence_search(
         lustig(1), lustig(2),
         SearchBudget(max_depth=3, max_states=300, conjugator_length=1))
-    assert script is None
+    assert outcome.result is None
+
+
+def test_bounded_search_stop_reasons():
+    p = pres("x y", "x y", "y")
+    q = pres("x y", "x", "y")
+
+    def stop(outcome):
+        return outcome.result is not None, outcome.reason, outcome.states
+
+    # one slide away: the search holds 3 states when it meets the goal
+    assert stop(bounded_equivalence_search(p, q, SearchBudget(max_depth=2))) == \
+        (True, "found", 3)
+    capped = bounded_equivalence_search(p, q, SearchBudget(max_depth=2, max_states=2))
+    assert stop(capped) == (False, "state_cap", 2)
+    assert str(capped) == "state_cap after 2 states"
+    # depth 0 searches only the start, to its end
+    assert stop(bounded_equivalence_search(p, q, SearchBudget(max_depth=0))) == \
+        (False, "exhausted", 1)
+    # k_prime moves keep the relator count, so no script exists at all
+    assert stop(bounded_equivalence_search(p, pres("x y", "x"), regime="k_prime")) == \
+        (False, "exhausted", 0)
 
 
 def test_bounded_search_rank_mismatch():
@@ -382,7 +404,8 @@ def test_bounded_search_k_prime_regime():
     mv = RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, (2,)),))
     q = apply_move(p, mv)
     script = bounded_equivalence_search(
-        p, q, SearchBudget(max_depth=1, conjugator_length=1), regime="k_prime")
+        p, q, SearchBudget(max_depth=1, conjugator_length=1),
+        regime="k_prime").result
     assert script is not None
     assert script.regime == "k_prime"
     assert canonical_key(replay(p, script)) == canonical_key(q)

@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import acpair
 
 SOURCE = pathlib.Path(acpair.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_no_assert_statements():
@@ -31,3 +33,17 @@ def test_cli_commands_leave_errors_to_main():
              if node.name not in ("cmd_verify_smove", "cmd_repl")
              for inner in ast.walk(node) if isinstance(inner, ast.Try)]
     assert not found, f"try statements in CLI commands: {found}"
+
+
+def test_public_names_are_used():
+    # a public def or class that nothing in the program or its tests names
+    # besides its own definition is dead code
+    texts = [path.read_text() for path in
+             sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    unused = [f"{path.name}:{node.name}" for path in sorted(SOURCE.glob("*.py"))
+              for node in ast.parse(path.read_text(), str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and sum(len(re.findall(rf"\b{node.name}\b", text))
+                      for text in texts) < 2]
+    assert not unused, f"public names used nowhere: {unused}"
