@@ -446,8 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("full", "k_prime"), default="full")
     p.add_argument("--max-states", type=int, default=10000)
     p.add_argument("--max-relator-length", type=int, default=24)
-    p.add_argument("--conj-len", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--conj-len", type=int, default=3,
+                   help="longest conjugator of a restricted slide (k_prime only)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="unused; kept because the benchmark's command lines pass it")
     p.add_argument("-o", "--output")
 
     p = add("homology", cmd_homology, "homology of a chain complex file")

@@ -187,12 +187,6 @@ class GroupRingMatrix:
     def zero(cls, rows: int, cols: int) -> "GroupRingMatrix":
         return cls(rows, cols, ())
 
-    def entry(self, r: int, c: int) -> dict:
-        for (rr, cc), cell in self.entries:
-            if (rr, cc) == (r, c):
-                return dict(cell)
-        return {}
-
     def as_dict(self) -> dict:
         return {(r, c): dict(cell) for (r, c), cell in self.entries}
 

@@ -27,7 +27,6 @@ memory and 1-based in script files.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -486,8 +485,10 @@ def script_from_json(data, names: Sequence[str]) -> MoveScript:
             current.append(move.name)
         elif isinstance(move, RemoveGen):
             del current[move.i]
-    return MoveScript(tuple(moves), data.get("regime", "full"),
-                      bool(data.get("stabilized", False)))
+    stabilized = data.get("stabilized", False)
+    if type(stabilized) is not bool:
+        raise ValueError(f"'stabilized' must be true or false, not {stabilized!r}")
+    return MoveScript(tuple(moves), data.get("regime", "full"), stabilized)
 
 
 def dump_script(script: MoveScript, names: Sequence[str], path: str) -> None:
@@ -547,9 +548,13 @@ def enumerate_words(rank: int, max_len: int) -> list:
 
 
 def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
-                        conj_words: list, factor_words: list):
-    """Yield (move fragment, successor) pairs in deterministic order."""
+                        slide_words: list):
+    """Yield the move fragments that can change p's canonical key, in
+    deterministic order.  A lone ConjRel or InvRel never does, so neither
+    is a fragment.  slide_words holds the (w, h) pairs of k_prime's
+    restricted slides."""
     m = len(p.relators)
+    pairs = [(j, k) for j in range(m) for k in range(m) if j != k]
     if regime == "full":
         if m > target_rels:
             for j, r in enumerate(p.relators):
@@ -557,32 +562,15 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
                     yield [RemoveTrivialRel(j)]
         if m < target_rels:
             yield [AddTrivialRel()]
-        for j in range(m):
-            yield [InvRel(j)]
-        for j in range(m):
-            for k in range(m):
-                if j == k:
-                    continue
-                for side in ("left", "right"):
-                    yield [SlideRel(j, k, side)]
-                    yield [InvRel(k), SlideRel(j, k, side), InvRel(k)]
-        for j in range(m):
-            for w in conj_words:
-                yield [ConjRel(j, w)]
+        for j, k in pairs:
+            for side in ("left", "right"):
+                yield [SlideRel(j, k, side)]
+                yield [InvRel(k), SlideRel(j, k, side), InvRel(k)]
     else:
-        for j in range(m):
-            yield [InvRel(j)]
-        for j in range(m):
-            for k in range(m):
-                if j == k:
-                    continue
-                for sign in (1, -1):
-                    for w in [EMPTY] + conj_words:
-                        for h in factor_words:
-                            yield [RestrictedSlide(j, (RSFactor(w, k, sign, h),))]
-        for j in range(m):
-            for w in conj_words:
-                yield [ConjRel(j, w)]
+        for j, k in pairs:
+            for sign in (1, -1):
+                for w, h in slide_words:
+                    yield [RestrictedSlide(j, (RSFactor(w, k, sign, h),))]
 
 
 def bounded_equivalence_search(p: Presentation, q: Presentation,
@@ -593,8 +581,16 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
     Returns a SearchOutcome whose result is a replay-verified MoveScript,
     or None when the search stopped without one ("exhausted" or
     "state_cap").  A None result claims nothing: inequivalence is never
-    asserted.  States are deduplicated on canonical keys, so the cheap
-    conjugation/inversion/permutation quotient is baked into the frontier.
+    asserted.
+
+    States are canonical keys.  The searched space holds the keys reached
+    from p by at most max_depth fragments of _neighbor_fragments, with
+    every relator at most max_relator_length letters; each fragment acts
+    on the representative the search first met for the key it starts
+    from.  Conjugating or inverting one relator never changes a key, so
+    neither is a search step, and conjugator_length bounds only the
+    conjugators of k_prime's restricted slides.  "exhausted" means that
+    space was searched to its end.
     """
     if p.rank != q.rank:
         raise ValueError(f"boundary mismatch: ranks {p.rank} and {q.rank}")
@@ -617,41 +613,41 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
     if start == goal:
         return finish(())
 
-    conj_words = enumerate_words(p.rank, budget.conjugator_length)
-    factor_words = enumerate_words(p.rank, 1)
-    states = {start: p}
-    frontier = deque([start])
-    depth = {start: 0}
-    while frontier:
-        key = frontier.popleft()
-        if depth[key] >= budget.max_depth:
-            continue
-        here = states[key]
-        for fragment in _neighbor_fragments(here, regime, target_rels,
-                                            conj_words, factor_words):
-            try:
-                nxt = here
-                for move in fragment:
-                    nxt = apply_move(nxt, move)
-            except MoveError:
-                continue
-            if any(len(r) > budget.max_relator_length for r in nxt.relators):
-                continue
-            nkey = canonical_key(nxt)
-            if nkey in parents:
-                continue
-            parents[nkey] = (key, tuple(fragment))
-            if nkey == goal:
-                moves = []
-                cur = nkey
-                while parents[cur] is not None:
-                    prev, frag = parents[cur]
-                    moves[:0] = frag
-                    cur = prev
-                return finish(moves)
-            if len(parents) >= budget.max_states:
-                return SearchOutcome(None, "state_cap", len(parents))
-            states[nkey] = nxt
-            depth[nkey] = depth[key] + 1
-            frontier.append(nkey)
+    slide_words = []
+    if regime == "k_prime":
+        letters = enumerate_words(p.rank, 1)
+        slide_words = [(w, h) for w in [EMPTY] + enumerate_words(
+            p.rank, budget.conjugator_length) for h in letters]
+    layer = [(start, p)]  # (key, first representative met) at one depth
+    for _ in range(budget.max_depth):
+        if not layer:
+            break
+        next_layer = []
+        for key, here in layer:
+            for fragment in _neighbor_fragments(here, regime, target_rels,
+                                                slide_words):
+                try:
+                    nxt = here
+                    for move in fragment:
+                        nxt = apply_move(nxt, move)
+                except MoveError:
+                    continue
+                if any(len(r) > budget.max_relator_length for r in nxt.relators):
+                    continue
+                nkey = canonical_key(nxt)
+                if nkey in parents:
+                    continue
+                parents[nkey] = (key, tuple(fragment))
+                if nkey == goal:
+                    moves = []
+                    cur = nkey
+                    while parents[cur] is not None:
+                        prev, frag = parents[cur]
+                        moves[:0] = frag
+                        cur = prev
+                    return finish(moves)
+                if len(parents) >= budget.max_states:
+                    return SearchOutcome(None, "state_cap", len(parents))
+                next_layer.append((nkey, nxt))
+        layer = next_layer
     return SearchOutcome(None, "exhausted", len(parents))

@@ -23,23 +23,6 @@ from .words import (EMPTY, Word, cyclic_canonical, format_word, invert,
                     word_key, compose_nielsen, exponent_sum)
 
 
-class Generator(tuple):
-    """Positional generator handle: (index, name)."""
-
-    __slots__ = ()
-
-    def __new__(cls, index, name):
-        return super().__new__(cls, (index, name))
-
-    @property
-    def index(self):
-        return self[0]
-
-    @property
-    def name(self):
-        return self[1]
-
-
 @dataclass(frozen=True)
 class Presentation:
     gens: tuple  # tuple[str, ...]
@@ -72,10 +55,6 @@ class Presentation:
     @property
     def rank(self) -> int:
         return len(self.gens)
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(Generator(i, n) for i, n in enumerate(self.gens))
 
     def __str__(self):
         return format_presentation(self)

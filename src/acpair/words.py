@@ -75,10 +75,9 @@ def power(u: Word, k: int) -> Word:
     return out
 
 
-def exponent_sum(u: Word, gen) -> int:
-    """Signed count of occurrences of a generator (0-based index or a
-    positional generator handle with an .index)."""
-    target = getattr(gen, "index", gen) + 1
+def exponent_sum(u: Word, gen: int) -> int:
+    """Signed count of occurrences of the generator with 0-based index gen."""
+    target = gen + 1
     return sum(1 if x == target else -1 for x in u if abs(x) == target)
 
 

@@ -374,6 +374,9 @@ MALFORMED = {
         t, [{"op": "InvRel", "j": 1.5}]), "s.json"),
     "move_with_bool_index": (lambda t: _apply(
         t, [{"op": "InvRel", "j": True}]), "s.json"),
+    "stabilized_as_text": (lambda t: _apply(
+        t, {"regime": "k_prime", "stabilized": "false",
+            "moves": [{"op": "AddTrivialRel"}]}), "s.json"),
     "apply_output_dir_missing": (lambda t: _apply(
         t, [{"op": "InvRel", "j": 1}]) + ["-o", t / "no_dir" / "out"], "no_dir"),
     "witness_without_factors": (lambda t: _pipeline_witness(

@@ -421,7 +421,26 @@ def test_conj_inverse_pair_is_key_identity():
         q = replay(p, MoveScript((ConjRel(j, w), ConjRel(j, reduce(
             [-x for x in reversed(w)])))))
         assert q == p  # exact, hence key-level too
+        # neither move changes a key, so the search never takes one alone
         assert canonical_key(apply_move(p, ConjRel(j, w))) == canonical_key(p)
+        assert canonical_key(apply_move(p, InvRel(j))) == canonical_key(p)
+
+
+def test_bounded_search_scope_excludes_conjugation():
+    # Conjugating a relator is no search step, and each fragment acts on the
+    # first representative met for its key.  So one slide fragment after
+    # conjugating relator 0 by x reaches a key outside the space searched
+    # to depth 2.
+    p = pres("x y", "x y x^-1 y^-2", "x^2 y")
+    script = MoveScript((ConjRel(0, (1,)), InvRel(1), SlideRel(0, 1, "left"),
+                         InvRel(1)))
+    q = replay(p, script)
+    assert q == pres("x y", "x^-1 y^-2 x^-1", "x^2 y")
+    outcome = bounded_equivalence_search(
+        p, q, SearchBudget(max_depth=2, max_relator_length=10,
+                           max_states=10_000_000, conjugator_length=1))
+    assert outcome.result is None
+    assert str(outcome) == "exhausted after 7 states"
 
 
 def test_bookkeeping_counts():

@@ -37,13 +37,22 @@ def test_cli_commands_leave_errors_to_main():
 
 def test_public_names_are_used():
     # a public def or class that nothing in the program or its tests names
-    # besides its own definition is dead code
+    # besides its own definition is dead code, and so is a public method or
+    # property of a public class that nothing reads as .name
+    sources = [(path.name, ast.parse(path.read_text(), str(path)))
+               for path in sorted(SOURCE.glob("*.py"))]
     texts = [path.read_text() for path in
              sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
-    unused = [f"{path.name}:{node.name}" for path in sorted(SOURCE.glob("*.py"))
-              for node in ast.parse(path.read_text(), str(path)).body
+    unused = [f"{name}:{node.name}" for name, tree in sources
+              for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
               and sum(len(re.findall(rf"\b{node.name}\b", text))
                       for text in texts) < 2]
+    unused += [f"{name}:{cls.name}.{node.name}" for name, tree in sources
+               for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and not any(re.search(rf"\.{node.name}\b", text) for text in texts)]
     assert not unused, f"public names used nowhere: {unused}"
