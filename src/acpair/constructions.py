@@ -12,12 +12,12 @@ from typing import Sequence
 
 from .moves import (AddGen, ConjRel, InvRel, MoveScript, NielsenInv,
                     NielsenMul, RegimeError, SearchOutcome, SlideRel,
-                    invert_script, json_int, replay)
+                    invert_script, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
-from .words import (EMPTY, Word, commutator, format_word, invert, multiply,
-                    parse_word, power, reduce)
+from .words import (EMPTY, Word, commutator, format_word, invert, json_int,
+                    multiply, parse_word, power, reduce)
 
 
 class WitnessError(ValueError):
@@ -223,8 +223,8 @@ def witness_to_json(wit: NormalClosureWitness, names: Sequence[str]) -> dict:
 def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
     return NormalClosureWitness(
         parse_word(data["target"], names),
-        tuple((parse_word(f["g"], names), json_int(f, "r_index") - 1,
-               json_int(f, "sign"))
+        tuple((parse_word(f["g"], names), json_int(f["r_index"], "r_index") - 1,
+               json_int(f["sign"], "sign"))
               for f in data["factors"]))
 
 
@@ -301,8 +301,7 @@ def _insertions(word: Word, relators, max_pos: int, max_len: int):
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                                   max_factors: int = 8,
                                   max_conjugator_length: int = 4,
-                                  max_states: int = 20000,
-                                  max_word_length: int | None = None):
+                                  max_states: int = 20000):
     """Bounded bidirectional search for a normal closure witness.
 
     Returns a SearchOutcome whose result is a verified NormalClosureWitness,
@@ -311,13 +310,13 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     "state_cap" when max_states was reached first.  Factors are explored
     through relator insertions at prefix positions up to the conjugator
     bound, so any witness found has conjugators no longer than
-    max_conjugator_length letters.
+    max_conjugator_length letters.  Words on either frontier have at most
+    len(target) + 2 * (longest relator) + 2 * max_conjugator_length letters.
     """
     target = reduce(target)
     relators = [reduce(r) for r in relators]
-    if max_word_length is None:
-        longest = max((len(r) for r in relators), default=0)
-        max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
+    longest = max((len(r) for r in relators), default=0)
+    max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
 
     if not target:
         return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)

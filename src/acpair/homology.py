@@ -1,8 +1,11 @@
 """Exact integer linear algebra and chain-level homology over group rings.
 
-Matrices are plain lists of lists of ints.  Smith normal form is computed
-with unimodular row/column transforms, pivoting on least absolute value to
-keep intermediate entries small at desk scale.
+Matrices are plain lists of lists of ints.  One elimination brings a
+matrix to Smith form, pivoting on least absolute value to keep
+intermediate entries small at desk scale.  ``smith_normal_form`` runs it
+on the matrix bordered by identity blocks, which then hold the unimodular
+transforms; invariant factors, ranks and homology run it on the bare
+matrix and build no transforms.
 
 Group-ring matrices follow the row-vector convention: a matrix with
 ``rows`` = rank of the domain and ``cols`` = rank of the codomain
@@ -19,6 +22,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from .words import json_int
 
 # ---------------------------------------------------------------------------
 # Finite groups as explicit multiplication tables.
@@ -246,17 +251,6 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
 # Exact integer matrices.
 
 
-def int_matrix(rows: int, cols: int) -> list:
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity_matrix(n: int) -> list:
-    out = int_matrix(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
@@ -317,51 +311,22 @@ def rational_rank(a: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple:
-    """Smith normal form with transforms: returns (d, u, v) with u*a*v = d.
+def _diagonalize(m: list, rows: int, cols: int) -> None:
+    """Bring the leading rows x cols block of m to Smith form, in place.
 
-    d is diagonal with d1 | d2 | ..., u and v unimodular.  Pivots on the
-    least nonzero absolute value, which keeps coefficient growth tame for
-    desk-scale inputs.
+    Row operations act on whole rows among the first `rows` and column
+    operations on whole columns among the first `cols`, so whatever m
+    carries right of or below the block undergoes them too.  The pivot is
+    the least nonzero absolute value in the trailing block, which keeps
+    coefficient growth tame for desk-scale inputs.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(map(int, row)) for row in a]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # Least-absolute-value pivot in the trailing block.
-        pivot = None
-        best = None
+    while t < min(rows, cols):
+        best, pivot = 0, None
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+            for j, x in enumerate(m[i][t:cols], t):
+                if x and (not best or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
                     if best == 1:
                         break
             if best == 1:
@@ -369,44 +334,51 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple:
         if pivot is None:
             break
         i, j = pivot
-        if i != t:
-            swap_rows(t, i)
+        m[t], m[i] = m[i], m[t]
         if j != t:
-            swap_cols(t, j)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+        top, p = m[t], best
         dirty = False
         for i in range(t + 1, rows):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                row_op(i, t, q)
-                if d[i][t] != 0:
-                    dirty = True
+            if m[i][t]:
+                q = m[i][t] // p
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
+                dirty = dirty or m[i][t] != 0
         for j in range(t + 1, cols):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                col_op(j, t, q)
-                if d[t][j] != 0:
-                    dirty = True
+            if top[j]:
+                q = top[j] // p
+                for row in m:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # smaller remainders appeared; re-pick the pivot
-        # Divisibility: pivot must divide the whole trailing block.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
+        if p != 1:  # the pivot must divide the whole trailing block; 1 does
+            offender = next((row for row in m[t + 1:rows]
+                             if any(x % p for x in row[t + 1:cols])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            # Fold the offending row into row t and redo this pivot.
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
+                # Fold the offending row into row t and redo this pivot.
+                m[t] = [x + y for x, y in zip(top, offender)]
+                continue
         t += 1
-    return d, u, v
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple:
+    """Smith normal form with transforms: returns (d, u, v) with u*a*v = d.
+
+    d is diagonal with d1 | d2 | ..., u and v unimodular.  The transforms
+    ride along as identity blocks: eliminating the leading block of
+    [[a, I], [I, 0]] turns it into [[u*a*v, u], [v, 0]].  No operation
+    touches the zero block, so it is not stored.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(row) + [int(i == r) for i in range(rows)] for r, row in enumerate(a)]
+    m += [[int(i == r) for i in range(cols)] for r in range(cols)]
+    _diagonalize(m, rows, cols)
+    return [row[:cols] for row in m[:rows]], [row[cols:] for row in m[:rows]], m[rows:]
 
 
 def diagonal_of(d: Sequence[Sequence[int]]) -> list:
@@ -415,8 +387,9 @@ def diagonal_of(d: Sequence[Sequence[int]]) -> list:
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> list:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d, _, _ = smith_normal_form(a)
-    return [x for x in diagonal_of(d) if x != 0]
+    m = [list(row) for row in a]
+    _diagonalize(m, len(m), len(m[0]) if m else 0)
+    return [x for x in diagonal_of(m) if x != 0]
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
@@ -453,7 +426,7 @@ class AbelianGroup:
 
 def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
     """Z^ambient_rank modulo the row span of a."""
-    factors = invariant_factors(a) if a else []
+    factors = invariant_factors(a)
     if len(factors) > ambient_rank:
         raise ValueError("row span exceeds ambient rank")
     return AbelianGroup(ambient_rank - len(factors),
@@ -610,15 +583,17 @@ def chain_from_json(data: Mapping, group: FiniteGroup | None = None,
             with open(os.path.join(base_dir, g)) as fh:
                 group = load_group_csv(fh.read())
         else:
-            group = FiniteGroup.from_table(g["table"])
+            group = FiniteGroup.from_table(
+                [[json_int(x, "a group table entry") for x in row] for row in g["table"]])
             if group.identity != g.get("identity", group.identity):
                 raise ValueError("declared identity disagrees with the table")
-    n = data["n"]
-    ranks = tuple(data["ranks"])
+    n = json_int(data["n"], "n")
+    ranks = tuple(json_int(r, "a rank") for r in data["ranks"])
     if len(ranks) != n + 1:
         raise ValueError("ranks must list dimensions 0..n")
     cells: dict = {k: {} for k in range(1, n + 1)}
-    for k, r, col, elem, coeff in data["entries"]:
+    for entry in data["entries"]:
+        k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
         if not 1 <= k <= n:
             raise ValueError(f"boundary index {k} out of range")
         cell = cells[k].setdefault((r, col), {})

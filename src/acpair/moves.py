@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 
 from .presentations import Presentation, canonical_key
 from .words import (EMPTY, Word, commutator, conjugate, format_word, invert,
-                    letter_key, multiply, parse_word, reduce, substitute,
-                    valid_name)
+                    json_int, letter_key, multiply, parse_word, reduce,
+                    substitute, valid_name)
 
 
 class MoveError(ValueError):
@@ -436,39 +436,30 @@ def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     return data
 
 
-def json_int(obj: dict, key: str) -> int:
-    """obj[key], which must be a JSON integer: a float or a boolean is a
-    ValueError, not an index or a sign."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, not {value!r}")
-    return value
-
-
 def _move_from_json(obj: dict, names: list):
     op = obj["op"]
     if op == "ConjRel":
-        return ConjRel(json_int(obj, "j") - 1, parse_word(obj["w"], names))
+        return ConjRel(json_int(obj["j"], "j") - 1, parse_word(obj["w"], names))
     if op == "InvRel":
-        return InvRel(json_int(obj, "j") - 1)
+        return InvRel(json_int(obj["j"], "j") - 1)
     if op == "SlideRel":
-        return SlideRel(json_int(obj, "j") - 1, json_int(obj, "k") - 1, obj["side"])
+        return SlideRel(json_int(obj["j"], "j") - 1, json_int(obj["k"], "k") - 1, obj["side"])
     if op == "NielsenInv":
-        return NielsenInv(json_int(obj, "i") - 1)
+        return NielsenInv(json_int(obj["i"], "i") - 1)
     if op == "NielsenMul":
-        return NielsenMul(json_int(obj, "i") - 1, json_int(obj, "j") - 1, obj["side"])
+        return NielsenMul(json_int(obj["i"], "i") - 1, json_int(obj["j"], "j") - 1, obj["side"])
     if op == "AddGen":
         return AddGen(obj["name"])
     if op == "RemoveGen":
-        return RemoveGen(json_int(obj, "i") - 1)
+        return RemoveGen(json_int(obj["i"], "i") - 1)
     if op == "AddTrivialRel":
         return AddTrivialRel()
     if op == "RemoveTrivialRel":
-        return RemoveTrivialRel(json_int(obj, "j") - 1)
+        return RemoveTrivialRel(json_int(obj["j"], "j") - 1)
     if op == "RestrictedSlide":
-        return RestrictedSlide(json_int(obj, "j") - 1, tuple(
-            RSFactor(parse_word(f["w"], names), json_int(f, "k") - 1,
-                     json_int(f, "sign"), parse_word(f["h"], names))
+        return RestrictedSlide(json_int(obj["j"], "j") - 1, tuple(
+            RSFactor(parse_word(f["w"], names), json_int(f["k"], "k") - 1,
+                     json_int(f["sign"], "sign"), parse_word(f["h"], names))
             for f in obj["factors"]))
     raise MoveError(f"unknown op {op!r}")
 

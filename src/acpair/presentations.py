@@ -77,9 +77,6 @@ class ClosedComplex:
         return tuple(k.sort_key() for k in self.components)
 
 
-EMPTY_COMPLEX = ClosedComplex(())
-
-
 @lru_cache(maxsize=1 << 16)
 def canonical_key(p: Presentation) -> CanonicalKey:
     classes = sorted((cyclic_canonical(r) for r in p.relators), key=word_key)

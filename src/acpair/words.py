@@ -227,6 +227,14 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
     return tuple(out)
 
 
+def json_int(value, what: str) -> int:
+    """value, which must be a JSON integer: a float or a boolean is a
+    ValueError, not an index, a count or a coefficient."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def format_word(u: Word, names: Sequence[str]) -> str:
     if not u:
         return "1"

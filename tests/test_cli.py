@@ -357,6 +357,12 @@ def _pipeline_witness(tmp_path, witness):
             "-o", tmp_path / "bundle"]
 
 
+def _homology(tmp_path, entry, ranks=(1, 1, 1)):
+    chain = {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 2,
+             "ranks": list(ranks), "entries": [entry]}
+    return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", "1"]
+
+
 MALFORMED = {
     "sum_unknown_generator": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": "gens: x\nrel: q\n"}]), "x.sum"),
@@ -389,6 +395,11 @@ MALFORMED = {
                          "to_l1l1_1.json"),
     "smove_scripts_dir_missing": (lambda t: _smove(t, {"op": "InvRel", "j": 1})[:-1]
                                   + [t / "no_scripts"], "no_scripts"),
+    "chain_float_coefficient": (lambda t: _homology(t, [2, 0, 0, 0, 2.5]), "c.json"),
+    "chain_bool_coefficient": (lambda t: _homology(t, [2, 0, 0, 0, True]), "c.json"),
+    "chain_float_row": (lambda t: _homology(t, [2, 0.5, 0, 0, 2]), "c.json"),
+    "chain_float_rank": (lambda t: _homology(t, [2, 0, 0, 0, 2], (1, 1.5, 1)),
+                         "c.json"),
     "word_too_long": (lambda t: ["normalize", write(
         t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
 }

@@ -178,9 +178,20 @@ def test_snf_against_naive_oracle():
 
 
 def test_snf_transforms_random():
+    # random dense matrices, then edge shapes, zero matrices, sparse +-1
+    # matrices (unit pivots, no divisibility scan) and a divisibility fold
     rng = random.Random(52)
-    for _ in range(100):
-        a = random_matrix(rng, max_dim=8)
+    cases = [random_matrix(rng, max_dim=8) for _ in range(100)]
+    cases += [[], [[0] * 5], [[0]] * 4, [[0, 0, 0]] * 3, [[2, 0], [0, 3]]]
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        cases += [[[rng.randint(-5, 5) for _ in range(n)]],
+                  [[rng.randint(-5, 5)] for _ in range(n)]]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
+                      for _ in range(rows)])
+    for a in cases:
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
         assert abs(determinant(u)) == 1
@@ -188,7 +199,9 @@ def test_snf_transforms_random():
         diag = [x for x in diagonal_of(d) if x != 0]
         for x, y in zip(diag, diag[1:]):
             assert y % x == 0
+        assert invariant_factors(a) == diag
         assert matrix_rank(a) == rational_rank(a)
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_cokernel_invariants():

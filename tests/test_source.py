@@ -35,20 +35,28 @@ def test_cli_commands_leave_errors_to_main():
     assert not found, f"try statements in CLI commands: {found}"
 
 
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def test_public_names_are_used():
-    # a public def or class that nothing in the program or its tests names
-    # besides its own definition is dead code, and so is a public method or
-    # property of a public class that nothing reads as .name
+    # a public def, class or module-level assignment that nothing in the
+    # program or its tests names besides its own definition is dead code,
+    # and so is a public method or property of a public class that nothing
+    # reads as .name
     sources = [(path.name, ast.parse(path.read_text(), str(path)))
                for path in sorted(SOURCE.glob("*.py"))]
     texts = [path.read_text() for path in
              sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
-    unused = [f"{name}:{node.name}" for name, tree in sources
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and sum(len(re.findall(rf"\b{node.name}\b", text))
-                      for text in texts) < 2]
+    defined = [(name, node.name) for name, tree in sources for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [(name, target) for name, tree in sources for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in _assigned_names(node)]
+    unused = [f"{name}:{public}" for name, public in defined
+              if not public.startswith("_")
+              and sum(len(re.findall(rf"\b{public}\b", text)) for text in texts) < 2]
     unused += [f"{name}:{cls.name}.{node.name}" for name, tree in sources
                for cls in tree.body
                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
