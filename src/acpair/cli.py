@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -291,36 +292,36 @@ commands (indices 1-based; words are comma-separated syllables, e.g. x,y^-2):
 """
 
 
-def _repl_word(token, names):
-    return parse_word(token.replace(",", " "), names)
+# command -> (op, the fields its arguments fill, in order); "rslide" fills
+# j and the one factor of a RestrictedSlide
+_REPL_MOVES = {
+    "conj": ("ConjRel", ("j", "w")),
+    "inv": ("InvRel", ("j",)),
+    "slide": ("SlideRel", ("j", "k", "side")),
+    "rslide": ("RestrictedSlide", ("j", "k", "sign", "w", "h")),
+    "addgen": ("AddGen", ("name",)),
+    "rmgen": ("RemoveGen", ("i",)),
+    "addtriv": ("AddTrivialRel", ()),
+    "rmtriv": ("RemoveTrivialRel", ("j",)),
+    "ninv": ("NielsenInv", ("i",)),
+    "nmul": ("NielsenMul", ("i", "j", "side")),
+}
 
 
-def _repl_move(parts, pres):
-    op = parts[0]
-    names = pres.gens
-    if op == "conj":
-        return moves.ConjRel(int(parts[1]) - 1, _repl_word(parts[2], names))
-    if op == "inv":
-        return moves.InvRel(int(parts[1]) - 1)
-    if op == "slide":
-        return moves.SlideRel(int(parts[1]) - 1, int(parts[2]) - 1, parts[3])
-    if op == "rslide":
-        j, k, sign = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-        w, h = _repl_word(parts[4], names), _repl_word(parts[5], names)
-        return moves.RestrictedSlide(j, (moves.RSFactor(w, k, sign, h),))
-    if op == "addgen":
-        return moves.AddGen(parts[1])
-    if op == "rmgen":
-        return moves.RemoveGen(int(parts[1]) - 1)
-    if op == "addtriv":
-        return moves.AddTrivialRel()
-    if op == "rmtriv":
-        return moves.RemoveTrivialRel(int(parts[1]) - 1)
-    if op == "ninv":
-        return moves.NielsenInv(int(parts[1]) - 1)
-    if op == "nmul":
-        return moves.NielsenMul(int(parts[1]) - 1, int(parts[2]) - 1, parts[3])
-    raise MoveError(f"unknown command {op!r} (try 'help')")
+def _repl_move(parts, names):
+    """The move a command line names, built as its script-file object: an
+    index or sign written in decimal digits is an integer, any other
+    argument text with its commas read as spaces."""
+    if parts[0] not in _REPL_MOVES:
+        raise MoveError(f"unknown command {parts[0]!r} (try 'help')")
+    op, fields = _REPL_MOVES[parts[0]]
+    if len(parts) != len(fields) + 1:
+        raise MoveError(f"{parts[0]} takes {len(fields)} arguments (try 'help')")
+    args = {f: int(a) if f in ("i", "j", "k", "sign") and re.fullmatch("-?[0-9]+", a)
+            else a.replace(",", " ") for f, a in zip(fields, parts[1:])}
+    if op == "RestrictedSlide":
+        args = {"j": args.pop("j"), "factors": [args]}
+    return moves.script_from_json([{"op": op, **args}], names).moves[0]
 
 
 def cmd_repl(args) -> int:
@@ -362,9 +363,9 @@ def cmd_repl(args) -> int:
                 print("nothing to undo")
             continue
         try:
-            move = _repl_move(parts, pres)
+            move = _repl_move(parts, pres.gens)
             nxt = moves.apply_move(pres, move)
-        except (MoveError, ValueError, IndexError) as e:
+        except ValueError as e:  # MoveError among them
             print(f"error: {e}")
             continue
         history.append(pres)
@@ -373,8 +374,8 @@ def cmd_repl(args) -> int:
         print(f"chi = {euler_char(pres)}")
         print(serialize_key(canonical_key(pres)))
     if args.log:
-        script = MoveScript(tuple(log), "full")
-        moves.dump_script(script, initial.gens, args.log)
+        script = moves.script_to_json(MoveScript(tuple(log), "full"), initial.gens)
+        _write_text(args.log, json.dumps(script, indent=1) + "\n")
         print(f"session script written to {args.log}")
     return 0
 

@@ -10,9 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .moves import (AddGen, ConjRel, InvRel, MoveScript, NielsenInv,
-                    NielsenMul, RegimeError, SearchOutcome, SlideRel,
-                    invert_script, replay)
+from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
+                    SearchOutcome, _conjugated_slide, invert_script, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
@@ -228,28 +227,14 @@ def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
               for f in data["factors"]))
 
 
-def _factor_removal_moves(j: int, k: int, g: Word, sign: int) -> list:
-    """Left-multiply relator j by (g^-1 R_k^sign g)^-1 with type-(i) moves."""
-    moves = []
-    if g != EMPTY:
-        moves.append(ConjRel(k, invert(g)))
-    if sign > 0:
-        moves.append(InvRel(k))
-    moves.append(SlideRel(j, k, "left"))
-    if sign > 0:
-        moves.append(InvRel(k))
-    if g != EMPTY:
-        moves.append(ConjRel(k, g))
-    return moves
-
-
 def stabilization_moves(target_positions: Sequence[int], base_positions: Sequence[int],
                         witnesses: Sequence[NormalClosureWitness]) -> list:
     """Moves clearing each target relator via its witness over the base block."""
     moves = []
     for j, wit in zip(target_positions, witnesses):
         for g, k, s in wit.factors:
-            moves.extend(_factor_removal_moves(j, base_positions[k], g, s))
+            # left-multiply relator j by (g^-1 R_k^s g)^-1
+            moves += _conjugated_slide(j, base_positions[k], invert(g), -s, "left")
     return moves
 
 
@@ -268,7 +253,7 @@ def product_stabilization(l1: Presentation, l2: Presentation,
     if len(witnesses) != len(l2.relators):
         raise WitnessError(f"need {len(l2.relators)} witnesses, got {len(witnesses)}")
     for idx, (rel, wit) in enumerate(zip(l2.relators, witnesses)):
-        if reduce(wit.target) != rel:
+        if wit.target != rel:
             raise WitnessError(f"witness {idx} targets the wrong word")
         if not wit.verify(l1.relators):
             raise WitnessError(f"witness {idx} fails free-group verification")
@@ -429,7 +414,7 @@ def _collect_witnesses(targets, base, budget, supplied, label, jobs):
     for i, word in enumerate(targets):
         if supplied is not None and i < len(supplied) and supplied[i] is not None:
             wit = supplied[i]
-            if reduce(wit.target) != word:
+            if wit.target != word:
                 raise WitnessError(f"{label}[{i + 1}]: supplied witness targets the wrong word")
             if not wit.verify(base):
                 raise WitnessError(f"{label}[{i + 1}]: supplied witness fails verification")
@@ -569,19 +554,11 @@ def verify_smove_certificates(l1: Presentation, l2: Presentation,
         if script.regime != "k_prime":
             raise RegimeError("scripts must be declared k_prime")
 
-    def compose(scripts):
-        moves = []
-        stabilized = False
-        for s in scripts:
-            moves.extend(s.moves)
-            stabilized = stabilized or s.stabilized
-        return MoveScript(tuple(moves), "k_prime", stabilized)
-
     start = product(l1, l2)
     certs = []
     for scripts, rhs, label in ((to_first, product(l1, l1), "to_first_self"),
                                 (to_second, product(l2, l2), "to_second_self")):
-        script = compose(scripts)
+        script = sum(scripts, MoveScript((), "k_prime"))
         result = replay(start, script)  # raises RegimeError on violations
         if canonical_key(result) != canonical_key(rhs):
             raise WitnessError(f"{label}: replay does not reach the claimed key")

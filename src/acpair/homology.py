@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -534,10 +535,16 @@ def check_dyer_bound(c1: ChainComplexData, c2: ChainComplexData,
 # File formats.
 
 
+def _csv_cell(cell: str) -> int:
+    if not re.fullmatch("[0-9]+", cell):
+        raise ValueError(f"cell {cell!r} is not a plain decimal integer")
+    return int(cell)
+
+
 def load_group_csv(text: str) -> FiniteGroup:
     """Group file: first row `order,identity`, then `order` table rows."""
     reader = csv.reader(io.StringIO(text.strip()))
-    rows = [[int(x) for x in row] for row in reader if row]
+    rows = [[_csv_cell(x) for x in row] for row in reader if row]
     if not rows or len(rows[0]) != 2:
         raise ValueError("group file must start with 'order,identity'")
     order, identity = rows[0]
@@ -574,19 +581,21 @@ def chain_to_json(c: ChainComplexData) -> dict:
     }
 
 
-def chain_from_json(data: Mapping, group: FiniteGroup | None = None,
-                    base_dir: str = ".") -> ChainComplexData:
-    if group is None:
-        g = data["group"]
-        if isinstance(g, str):
-            # reference to a CSV group file, relative to the chain file
-            with open(os.path.join(base_dir, g)) as fh:
-                group = load_group_csv(fh.read())
-        else:
-            group = FiniteGroup.from_table(
-                [[json_int(x, "a group table entry") for x in row] for row in g["table"]])
-            if group.identity != g.get("identity", group.identity):
-                raise ValueError("declared identity disagrees with the table")
+def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
+    g = data["group"]
+    if isinstance(g, str):
+        # reference to a CSV group file, relative to the chain file
+        with open(os.path.join(base_dir, g)) as fh:
+            text = fh.read()
+        try:
+            group = load_group_csv(text)
+        except ValueError as e:
+            raise ValueError(f"group file {g}: {e}") from None
+    else:
+        group = FiniteGroup.from_table(
+            [[json_int(x, "a group table entry") for x in row] for row in g["table"]])
+        if group.identity != g.get("identity", group.identity):
+            raise ValueError("declared identity disagrees with the table")
     n = json_int(data["n"], "n")
     ranks = tuple(json_int(r, "a rank") for r in data["ranks"])
     if len(ranks) != n + 1:

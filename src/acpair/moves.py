@@ -26,9 +26,8 @@ memory and 1-based in script files.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .presentations import Presentation, canonical_key
 from .words import (EMPTY, Word, commutator, conjugate, format_word, invert,
@@ -295,6 +294,17 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
     return current
 
 
+def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
+    """Moves multiplying relator j on side by c R_k^e c^-1 (e = +-1), which
+    leave relator k as it was."""
+    out = [SlideRel(j, k, side)]
+    if e < 0:
+        out = [InvRel(k)] + out + [InvRel(k)]
+    if c != EMPTY:
+        out = [ConjRel(k, c)] + out + [ConjRel(k, invert(c))]
+    return out
+
+
 def expand_restricted_slides(script: MoveScript) -> MoveScript:
     """Rewrite every RestrictedSlide as conjugate/invert/slide composites.
 
@@ -308,40 +318,26 @@ def expand_restricted_slides(script: MoveScript) -> MoveScript:
             out.append(move)
             continue
         for f in move.factors:
-            for conj_word, sign in ((f.w, f.sign), (multiply(f.w, f.h), -f.sign)):
-                steps = []
-                if conj_word != EMPTY:
-                    steps.append(ConjRel(f.k, conj_word))
-                if sign < 0:
-                    steps.append(InvRel(f.k))
-                steps.append(SlideRel(move.j, f.k, "right"))
-                if sign < 0:
-                    steps.append(InvRel(f.k))
-                if conj_word != EMPTY:
-                    steps.append(ConjRel(f.k, invert(conj_word)))
-                out.extend(steps)
+            out += _conjugated_slide(move.j, f.k, f.w, f.sign, "right")
+            out += _conjugated_slide(move.j, f.k, multiply(f.w, f.h), -f.sign,
+                                     "right")
     return MoveScript(tuple(out), "full", script.stabilized)
 
 
-_INVERTIBLE = (ConjRel, InvRel, SlideRel, NielsenInv, NielsenMul, RestrictedSlide)
-
-
-def invert_moves(moves: Iterable) -> list:
-    """Inverse move sequence for the structurally stable move kinds.
+def invert_script(script: MoveScript) -> MoveScript:
+    """The inverse script, for the structurally stable move kinds.
 
     Moves that change the relator or generator lists are rejected: their
     inverses are position-dependent.
     """
     out = []
-    for move in reversed(list(moves)):
+    for move in reversed(script.moves):
         if isinstance(move, ConjRel):
             out.append(ConjRel(move.j, invert(move.w)))
-        elif isinstance(move, InvRel):
+        elif isinstance(move, (InvRel, NielsenInv)):
             out.append(move)
         elif isinstance(move, SlideRel):
             out.extend([InvRel(move.k), move, InvRel(move.k)])
-        elif isinstance(move, NielsenInv):
-            out.append(move)
         elif isinstance(move, NielsenMul):
             # Applied substitution of the declared move is g_i -> g_i g_j^-1
             # (right) resp. g_j^-1 g_i (left); conjugating by NielsenInv(j)
@@ -354,12 +350,7 @@ def invert_moves(moves: Iterable) -> list:
             out.append(RestrictedSlide(move.j, inv_factors))
         else:
             raise MoveError(f"cannot invert structural move {type(move).__name__}")
-    return out
-
-
-def invert_script(script: MoveScript) -> MoveScript:
-    return MoveScript(tuple(invert_moves(script.moves)), script.regime,
-                      script.stabilized)
+    return MoveScript(tuple(out), script.regime, script.stabilized)
 
 
 def slide_exponent_ledger(script: MoveScript) -> dict:
@@ -390,34 +381,50 @@ def slide_exponent_ledger(script: MoveScript) -> dict:
 # ---------------------------------------------------------------------------
 # Script files.  JSON object {"regime": ..., "stabilized": ..., "moves": [...]};
 # a bare array is accepted on input and treated as a full-regime script.
-# Relator and generator indices are 1-based in files.
+# A move is {"op": <class name>, <field>: <value>, ...} with its fields in
+# class order, each written and read by the rule for its name.
+
+_KINDS = {cls.__name__: cls for cls in (
+    ConjRel, InvRel, SlideRel, NielsenInv, NielsenMul, AddGen, RemoveGen,
+    AddTrivialRel, RemoveTrivialRel, RestrictedSlide)}
+
+# field name -> (to the file, from the file), given the generator names in
+# force at the move: indices are 1-based in files, words are text
+_RULES = {
+    "i": (lambda v, names: v + 1, lambda v, names: json_int(v, "i") - 1),
+    "j": (lambda v, names: v + 1, lambda v, names: json_int(v, "j") - 1),
+    "k": (lambda v, names: v + 1, lambda v, names: json_int(v, "k") - 1),
+    "sign": (lambda v, names: v, lambda v, names: json_int(v, "sign")),
+    "w": (format_word, parse_word),
+    "h": (format_word, parse_word),
+    "factors": (lambda v, names: [_to_json(f, names, {}) for f in v],
+                lambda v, names: tuple(_from_json(RSFactor, f, names) for f in v)),
+    "side": (lambda v, names: v, lambda v, names: v),
+    "name": (lambda v, names: v, lambda v, names: v),
+}
+_FIELDS = {cls: tuple((f.name, *_RULES[f.name]) for f in fields(cls))
+           for cls in (*_KINDS.values(), RSFactor)}
 
 
-def _move_to_json(move, names: list) -> dict:
-    if isinstance(move, ConjRel):
-        return {"op": "ConjRel", "j": move.j + 1, "w": format_word(move.w, names)}
-    if isinstance(move, InvRel):
-        return {"op": "InvRel", "j": move.j + 1}
-    if isinstance(move, SlideRel):
-        return {"op": "SlideRel", "j": move.j + 1, "k": move.k + 1, "side": move.side}
-    if isinstance(move, NielsenInv):
-        return {"op": "NielsenInv", "i": move.i + 1}
-    if isinstance(move, NielsenMul):
-        return {"op": "NielsenMul", "i": move.i + 1, "j": move.j + 1, "side": move.side}
+def _to_json(obj, names: list, out: dict) -> dict:
+    """out, with the fields of a move or RSFactor written into it."""
+    for f, write, _ in _FIELDS[type(obj)]:
+        out[f] = write(getattr(obj, f), names)
+    return out
+
+
+def _from_json(cls, obj: dict, names: list):
+    return cls(*[read(obj[f], names) for f, _, read in _FIELDS[cls]])
+
+
+def _track_names(move, names: list) -> None:
+    """Update names, the generator names in force before move, to those
+    after it."""
     if isinstance(move, AddGen):
-        return {"op": "AddGen", "name": move.name}
-    if isinstance(move, RemoveGen):
-        return {"op": "RemoveGen", "i": move.i + 1}
-    if isinstance(move, AddTrivialRel):
-        return {"op": "AddTrivialRel"}
-    if isinstance(move, RemoveTrivialRel):
-        return {"op": "RemoveTrivialRel", "j": move.j + 1}
-    if isinstance(move, RestrictedSlide):
-        return {"op": "RestrictedSlide", "j": move.j + 1,
-                "factors": [{"w": format_word(f.w, names), "k": f.k + 1,
-                             "sign": f.sign, "h": format_word(f.h, names)}
-                            for f in move.factors]}
-    raise MoveError(f"unknown move {move!r}")
+        names.append(move.name)
+    elif isinstance(move, RemoveGen):
+        _check_gen(move.i, len(names))
+        del names[move.i]
 
 
 def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
@@ -425,67 +432,31 @@ def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     current = list(names)
     out = []
     for move in script.moves:
-        out.append(_move_to_json(move, current))
-        if isinstance(move, AddGen):
-            current.append(move.name)
-        elif isinstance(move, RemoveGen):
-            del current[move.i]
+        out.append(_to_json(move, current, {"op": type(move).__name__}))
+        _track_names(move, current)
     data = {"regime": script.regime, "moves": out}
     if script.stabilized:
         data["stabilized"] = True
     return data
 
 
-def _move_from_json(obj: dict, names: list):
-    op = obj["op"]
-    if op == "ConjRel":
-        return ConjRel(json_int(obj["j"], "j") - 1, parse_word(obj["w"], names))
-    if op == "InvRel":
-        return InvRel(json_int(obj["j"], "j") - 1)
-    if op == "SlideRel":
-        return SlideRel(json_int(obj["j"], "j") - 1, json_int(obj["k"], "k") - 1, obj["side"])
-    if op == "NielsenInv":
-        return NielsenInv(json_int(obj["i"], "i") - 1)
-    if op == "NielsenMul":
-        return NielsenMul(json_int(obj["i"], "i") - 1, json_int(obj["j"], "j") - 1, obj["side"])
-    if op == "AddGen":
-        return AddGen(obj["name"])
-    if op == "RemoveGen":
-        return RemoveGen(json_int(obj["i"], "i") - 1)
-    if op == "AddTrivialRel":
-        return AddTrivialRel()
-    if op == "RemoveTrivialRel":
-        return RemoveTrivialRel(json_int(obj["j"], "j") - 1)
-    if op == "RestrictedSlide":
-        return RestrictedSlide(json_int(obj["j"], "j") - 1, tuple(
-            RSFactor(parse_word(f["w"], names), json_int(f["k"], "k") - 1,
-                     json_int(f["sign"], "sign"), parse_word(f["h"], names))
-            for f in obj["factors"]))
-    raise MoveError(f"unknown op {op!r}")
-
-
 def script_from_json(data, names: Sequence[str]) -> MoveScript:
+    """The script a script file holds; the REPL reads its commands through
+    this too."""
     if isinstance(data, list):
         data = {"regime": "full", "moves": data}
     current = list(names)
     moves = []
     for obj in data["moves"]:
-        move = _move_from_json(obj, current)
-        moves.append(move)
-        if isinstance(move, AddGen):
-            current.append(move.name)
-        elif isinstance(move, RemoveGen):
-            del current[move.i]
+        cls = _KINDS.get(obj["op"])
+        if cls is None:
+            raise MoveError(f"unknown op {obj['op']!r}")
+        moves.append(_from_json(cls, obj, current))
+        _track_names(moves[-1], current)
     stabilized = data.get("stabilized", False)
     if type(stabilized) is not bool:
         raise ValueError(f"'stabilized' must be true or false, not {stabilized!r}")
     return MoveScript(tuple(moves), data.get("regime", "full"), stabilized)
-
-
-def dump_script(script: MoveScript, names: Sequence[str], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(script_to_json(script, names), fh, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

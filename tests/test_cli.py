@@ -307,14 +307,30 @@ def test_cli_roundtrip_property(tmp_path, capsys):
 def test_repl_session(tmp_path, capsys, monkeypatch):
     pres = write(tmp_path / "p.pres", "gens: x y\nrel: x\nrel: y\n")
     log = tmp_path / "log.json"
-    lines = iter(["slide 2 1 right", "key", "chi", "undo", "inv 1",
-                  "bogus", "quit"])
+    bad = ["inv 9", "slide 1", "rslide 1 2 a 1 x", "bogus"]
+    lines = iter(["conj 1 x,y^-2", "inv 2", "slide 2 1 right", "key", "chi",
+                  "inv 1", "undo", "rslide 1 2 -1 1 x", "ninv 1",
+                  "nmul 1 2 left", "addgen z", "rmgen 3", "addtriv",
+                  "rmtriv 3"] + bad + ["show", "quit"])
     monkeypatch.setattr("builtins.input", lambda *_: next(lines))
     code, out, _ = run(capsys, "repl", pres, "--log", log)
     assert code == 0
-    assert "error" in out  # the bogus command reports, session continues
+    # each bad line reports and the session goes on to show and quit
+    assert out.count("error:") == len(bad)
+    assert "session script written" in out
     data = json.loads(open(log).read())
-    assert [m["op"] for m in data["moves"]] == ["InvRel"]
+    assert data == {"regime": "full", "moves": [
+        {"op": "ConjRel", "j": 1, "w": "x y^-2"},
+        {"op": "InvRel", "j": 2},
+        {"op": "SlideRel", "j": 2, "k": 1, "side": "right"},
+        {"op": "RestrictedSlide", "j": 1,
+         "factors": [{"w": "1", "k": 2, "sign": -1, "h": "x"}]},
+        {"op": "NielsenInv", "i": 1},
+        {"op": "NielsenMul", "i": 1, "j": 2, "side": "left"},
+        {"op": "AddGen", "name": "z"},
+        {"op": "RemoveGen", "i": 3},
+        {"op": "AddTrivialRel"},
+        {"op": "RemoveTrivialRel", "j": 3}]}
 
 
 def test_input_error_exit_codes(tmp_path, capsys):
@@ -357,9 +373,11 @@ def _pipeline_witness(tmp_path, witness):
             "-o", tmp_path / "bundle"]
 
 
-def _homology(tmp_path, entry, ranks=(1, 1, 1)):
+def _homology(tmp_path, entry, ranks=(1, 1, 1), group_csv=None):
     chain = {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 2,
              "ranks": list(ranks), "entries": [entry]}
+    if group_csv is not None:
+        chain["group"] = write(tmp_path / "g.csv", group_csv)
     return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", "1"]
 
 
@@ -372,6 +390,8 @@ MALFORMED = {
         {"lhs": PRES_X, "script": []}), "c.json"),
     "remove_gen_out_of_range": (lambda t: _apply(
         t, [{"op": "RemoveGen", "i": 9}]), "s.json"),
+    "remove_gen_index_zero": (lambda t: _apply(
+        t, [{"op": "RemoveGen", "i": 0}]), "s.json"),
     "move_without_op": (lambda t: _apply(t, [{"j": 1}]), "s.json"),
     "move_without_j": (lambda t: _apply(t, [{"op": "InvRel"}]), "s.json"),
     "move_with_text_index": (lambda t: _apply(
@@ -400,6 +420,8 @@ MALFORMED = {
     "chain_float_row": (lambda t: _homology(t, [2, 0.5, 0, 0, 2]), "c.json"),
     "chain_float_rank": (lambda t: _homology(t, [2, 0, 0, 0, 2], (1, 1.5, 1)),
                          "c.json"),
+    "chain_group_csv_underscore": (lambda t: _homology(
+        t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
     "word_too_long": (lambda t: ["normalize", write(
         t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
 }

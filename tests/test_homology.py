@@ -61,6 +61,13 @@ def test_group_csv_roundtrip():
     assert load_group_csv(dump_group_csv(g)) == g
 
 
+@pytest.mark.parametrize("cell", ["0_0", "1_0", " 1", "+1", "-0", "1.0", ""])
+def test_group_csv_cells_are_plain_digits(cell):
+    # int() would read 0_0 as 0, 1_0 as 10, and " 1" and +1 as 1
+    with pytest.raises(ValueError, match="plain decimal integer"):
+        load_group_csv(f"2,0\n0,1\n1,{cell}\n")
+
+
 # -- restrict_scalars ---------------------------------------------------------
 
 

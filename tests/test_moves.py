@@ -328,14 +328,28 @@ def test_invert_script_rejects_structural_moves():
 
 
 def test_script_json_roundtrip():
+    # every move kind, with words written over the names in force at each
+    # move (z exists only between AddGen and RemoveGen)
     p = pres("x y", "x y", "y")
     script = MoveScript((ConjRel(0, (2,)), InvRel(1), SlideRel(0, 1, "left"),
-                         AddGen("z"), ConjRel(0, (3,)), ConjRel(0, (-3,)),
-                         RemoveGen(2),
-                         RestrictedSlide(0, (RSFactor((1,), 1, -1, (2,)),)),
+                         AddGen("z"), ConjRel(0, (3, 3)), ConjRel(0, (-3, -3)),
+                         RemoveGen(2), NielsenInv(1), NielsenMul(1, 0, "left"),
+                         RestrictedSlide(0, (RSFactor((1,), 1, -1, (2,)),
+                                             RSFactor(EMPTY, 1, 1, (-1, -1)))),
                          AddTrivialRel(), RemoveTrivialRel(2)))
-    data = script_to_json(script, p.gens)
-    text = json.dumps(data)
+    text = json.dumps(script_to_json(script, p.gens))
+    assert text == (
+        '{"regime": "full", "moves": ['
+        '{"op": "ConjRel", "j": 1, "w": "y"}, {"op": "InvRel", "j": 2}, '
+        '{"op": "SlideRel", "j": 1, "k": 2, "side": "left"}, '
+        '{"op": "AddGen", "name": "z"}, {"op": "ConjRel", "j": 1, "w": "z^2"}, '
+        '{"op": "ConjRel", "j": 1, "w": "z^-2"}, {"op": "RemoveGen", "i": 3}, '
+        '{"op": "NielsenInv", "i": 2}, '
+        '{"op": "NielsenMul", "i": 2, "j": 1, "side": "left"}, '
+        '{"op": "RestrictedSlide", "j": 1, "factors": ['
+        '{"w": "x", "k": 2, "sign": -1, "h": "y"}, '
+        '{"w": "1", "k": 2, "sign": 1, "h": "x^-2"}]}, '
+        '{"op": "AddTrivialRel"}, {"op": "RemoveTrivialRel", "j": 3}]}')
     loaded = script_from_json(json.loads(text), p.gens)
     assert loaded == script
     assert replay(p, loaded) == replay(p, script)

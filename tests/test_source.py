@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import acpair
+from acpair import moves
 
 SOURCE = pathlib.Path(acpair.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -64,3 +65,22 @@ def test_public_names_are_used():
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                and not any(re.search(rf"\.{node.name}\b", text) for text in texts)]
     assert not unused, f"public names used nowhere: {unused}"
+
+
+def test_applied_move_kinds_are_serialized():
+    # a move kind that apply_move applies but the script codec cannot write
+    # or read would give certificates that cannot be replayed from a file
+    tree = ast.parse((SOURCE / "moves.py").read_text())
+    apply = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "apply_move")
+    applied = set()
+    for node in ast.walk(apply):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"):
+            kinds = node.args[1]
+            applied.update(getattr(moves, e.id) for e in
+                           (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+    assert len(applied) >= 10
+    missing = [cls.__name__ for cls in applied
+               if cls not in moves._KINDS.values()]
+    assert not missing, f"applied but not in the script codec: {missing}"
