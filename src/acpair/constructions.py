@@ -267,20 +267,17 @@ def product_stabilization(l1: Presentation, l2: Presentation,
 # Witness search: bidirectional BFS over relator insertions.
 
 
-def _insertions(word: Word, relators, max_pos: int, max_len: int):
-    """Deterministic successor list: insert a relator or its inverse at a
-    prefix position and reduce.  Yields (new word, (position, k, sign))."""
-    limit = min(max_pos, len(word))
-    for pos in range(limit + 1):
-        prefix = word[:pos]
-        suffix = word[pos:]
-        for k, rel in enumerate(relators):
-            if not rel:
-                continue
-            for sign, body in ((1, rel), (-1, invert(rel))):
-                merged = multiply(multiply(prefix, body), suffix)
-                if len(merged) <= max_len:
-                    yield merged, (pos, k, sign)
+# Letters are stored one per byte, letter x as x + 128, so that a letter and
+# its inverse sum to 256; ranks beyond 127 do not fit.
+_MAX_LETTER = 127
+
+
+def _encode(word: Word) -> bytes:
+    return bytes(x + 128 for x in word)
+
+
+def _decode(word: bytes) -> Word:
+    return tuple(b - 128 for b in word)
 
 
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
@@ -297,21 +294,30 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     bound, so any witness found has conjugators no longer than
     max_conjugator_length letters.  Words on either frontier have at most
     len(target) + 2 * (longest relator) + 2 * max_conjugator_length letters.
+    Raises ValueError when a word uses a generator beyond the 127th.
     """
     target = reduce(target)
     relators = [reduce(r) for r in relators]
+    if any(abs(x) > _MAX_LETTER for w in (target, *relators) for x in w):
+        raise ValueError(f"witness search handles at most {_MAX_LETTER} generators")
     longest = max((len(r) for r in relators), default=0)
     max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
 
     if not target:
         return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)
 
+    # Each relator and its inverse, in successor order.
+    bodies = [(k, sign, _encode(rel if sign > 0 else invert(rel)))
+              for k, rel in enumerate(relators) if rel for sign in (1, -1)]
     # forward: strip factors off the front of the remaining word (from target),
-    # backward: build the suffix product up from the empty word.
-    fwd = {target: None}
-    bwd = {EMPTY: None}
-    fwd_frontier = [target]
-    bwd_frontier = [EMPTY]
+    # backward: build the suffix product up from the empty word.  Each entry
+    # maps a word to (parent, pos, k, sign): word = parent[:pos] R_k^sign
+    # parent[pos:], reduced.
+    start = _encode(target)
+    fwd = {start: None}
+    bwd = {b"": None}
+    fwd_frontier = [start]
+    bwd_frontier = [b""]
     fwd_depth = bwd_depth = 0
 
     def forward_factors(word):
@@ -321,10 +327,8 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         # last-first, so the list is reversed to read target = F_0 F_1 ...
         out = []
         while fwd[word] is not None:
-            parent, (pos, k, sign) = fwd[word]
-            prefix = parent[:pos]
-            out.append((invert(prefix), k, -sign))
-            word = parent
+            word, pos, k, sign = fwd[word]
+            out.append((invert(_decode(word[:pos])), k, -sign))
         out.reverse()
         return out
 
@@ -333,10 +337,8 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         # prepending the factor g^-1 R^sign g with g = p^-1.
         out = []
         while bwd[word] is not None:
-            parent, (pos, k, sign) = bwd[word]
-            prefix = parent[:pos]
-            out.append((invert(prefix), k, sign))
-            word = parent
+            word, pos, k, sign = bwd[word]
+            out.append((invert(_decode(word[:pos])), k, sign))
         return out
 
     def meet(word):
@@ -355,16 +357,30 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                                  else (bwd_frontier, bwd, fwd))
         new_frontier = []
         for word in frontier:
-            for nxt, edge in _insertions(word, relators, max_conjugator_length,
-                                         max_word_length):
-                if nxt in seen:
-                    continue
-                seen[nxt] = (word, edge)
-                if nxt in other:
-                    return meet(nxt)
-                new_frontier.append(nxt)
-                if len(fwd) + len(bwd) > max_states:
-                    return SearchOutcome(None, "state_cap", len(fwd) + len(bwd))
+            n = len(word)
+            for pos in range(min(max_conjugator_length, n) + 1):
+                prefix, suffix = word[:pos], word[pos:]
+                for k, sign, body in bodies:
+                    # prefix * body * suffix: all three are reduced, so
+                    # letters cancel only at the two junctions
+                    i, m = 0, len(body)
+                    while i < pos and i < m and prefix[pos - 1 - i] + body[i] == 256:
+                        i += 1
+                    head = prefix[:pos - i] + body[i:]
+                    j, m = 0, len(head)
+                    while j < m and j < n - pos and head[m - 1 - j] + suffix[j] == 256:
+                        j += 1
+                    if m + n - pos - 2 * j > max_word_length:
+                        continue
+                    nxt = head[:m - j] + suffix[j:]
+                    if nxt in seen:
+                        continue
+                    seen[nxt] = (word, pos, k, sign)
+                    if nxt in other:
+                        return meet(nxt)
+                    new_frontier.append(nxt)
+                    if len(fwd) + len(bwd) > max_states:
+                        return SearchOutcome(None, "state_cap", len(fwd) + len(bwd))
         if expand_fwd:
             fwd_frontier, fwd_depth = new_frontier, fwd_depth + 1
         else:

@@ -388,6 +388,13 @@ _KINDS = {cls.__name__: cls for cls in (
     ConjRel, InvRel, SlideRel, NielsenInv, NielsenMul, AddGen, RemoveGen,
     AddTrivialRel, RemoveTrivialRel, RestrictedSlide)}
 
+
+def _read_name(value, names: list) -> str:
+    if type(value) is not str:
+        raise ValueError(f"name must be a string, not {value!r}")
+    return value
+
+
 # field name -> (to the file, from the file), given the generator names in
 # force at the move: indices are 1-based in files, words are text
 _RULES = {
@@ -400,7 +407,7 @@ _RULES = {
     "factors": (lambda v, names: [_to_json(f, names, {}) for f in v],
                 lambda v, names: tuple(_from_json(RSFactor, f, names) for f in v)),
     "side": (lambda v, names: v, lambda v, names: v),
-    "name": (lambda v, names: v, lambda v, names: v),
+    "name": (lambda v, names: v, _read_name),
 }
 _FIELDS = {cls: tuple((f.name, *_RULES[f.name]) for f in fields(cls))
            for cls in (*_KINDS.values(), RSFactor)}

@@ -195,8 +195,11 @@ def cyclic_canonical(u: Word) -> Word:
 # Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity.
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
-    """Raises ValueError on unknown names, bad exponents, and words that
-    spell out more than MAX_WORD_LENGTH letters before reduction."""
+    """Raises ValueError on text that is not a str, unknown names, bad
+    exponents, and words that spell out more than MAX_WORD_LENGTH letters
+    before reduction."""
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be text, not {text!r}")
     index = {name: i for i, name in enumerate(names)}
     out: list[int] = []
     spelled = 0

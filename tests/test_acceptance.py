@@ -61,8 +61,9 @@ def rand_presentation(rng, max_gens=4, max_rels=4, max_len=8):
 # ---------------------------------------------------------------------------
 
 
-CROSS_UNKNOWNS = ("second_over_first[2]", "second_over_first[3]",
-                  "first_over_second[2]", "first_over_second[3]")
+# Each cross search, run to the end of the budget, and the states it holds.
+CROSS_UNKNOWNS = {"second_over_first[2]": 588745, "second_over_first[3]": 607885,
+                  "first_over_second[2]": 506968, "first_over_second[3]": 530728}
 
 
 def test_acceptance_1_pipeline_lustig_with_search_budget(tmp_path, capsys):
@@ -81,7 +82,8 @@ def test_acceptance_1_pipeline_lustig_with_search_budget(tmp_path, capsys):
     The criterion passes on either honest outcome:
     (a) a complete certificate set: pipeline exit 0 and verify-null exit 0;
     (b) an earned Unknown: exit 1, exactly the four cross relators unknown,
-        each with reason "exhausted", and a bundle holding exactly the two
+        each with reason "exhausted" after exactly the state count in
+        CROSS_UNKNOWNS, and a bundle holding exactly the two
         self-product certificates, which verify-null accepts while
         reporting that x is not (yet) shown null.
     Anything else fails: a traceback, exit 2, a capped Unknown, another
@@ -108,14 +110,15 @@ def test_acceptance_1_pipeline_lustig_with_search_budget(tmp_path, capsys):
     elif code == 1:
         line = next((line for line in pipeline_out.splitlines()
                      if line.startswith("unknown witnesses (no claim): ")), "")
-        entries = [re.fullmatch(r"(\S+) \((\w+) after \d+ states\)", entry)
+        entries = [re.fullmatch(r"(\S+) \((\w+) after (\d+) states\)", entry)
                    for entry in line.split(": ", 1)[-1].split(", ")]
-        stops = {m.group(1): m.group(2) for m in entries if m}
+        stops = {m.group(1): (m.group(2), int(m.group(3))) for m in entries if m}
         certs = sorted(p.name for p in (bundle / "certs").iterdir())
         verify_code = main(["verify-null", str(bundle), "--format", "json"])
         verdict = json.loads(capsys.readouterr().out)
         ok = (all(entries)
-              and stops == dict.fromkeys(CROSS_UNKNOWNS, "exhausted")
+              and stops == {label: ("exhausted", states)
+                            for label, states in CROSS_UNKNOWNS.items()}
               and certs == ["first_self.json", "second_self.json"]
               and [(c["label"], c["ok"]) for c in verdict["certificates"]]
               == [("first_self", True), ("second_self", True)]

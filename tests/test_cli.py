@@ -101,6 +101,19 @@ def test_witness_cli(tmp_path, capsys):
     assert "unknown" in out and "state_cap" in out
 
 
+def test_witness_cli_rank_limit(tmp_path, capsys):
+    # the search stores one letter per byte: generators 1 to 127 only
+    gens = " ".join(f"g{i}" for i in range(1, 129))
+    pres = write(tmp_path / "p.pres", f"gens: {gens}\nrel: g1\nrel: g127\n")
+    code, out, _ = run(capsys, "witness", pres, "--target", "g127 g1^2")
+    assert code == 0 and len(json.loads(out)["factors"]) == 3
+    high_rel = write(tmp_path / "q.pres", f"gens: {gens}\nrel: g128\n")
+    for path, target in ((pres, "g128"), (high_rel, "g1")):
+        code, _, err = run(capsys, "witness", path, "--target", target)
+        assert code == 2 and "at most 127 generators" in err
+        assert "Traceback" not in err
+
+
 def write_lustig_inputs(tmp_path):
     """lustig(1), lustig(2) and a directory of their fixture witnesses."""
     k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
@@ -400,6 +413,10 @@ MALFORMED = {
         t, [{"op": "InvRel", "j": 1.5}]), "s.json"),
     "move_with_bool_index": (lambda t: _apply(
         t, [{"op": "InvRel", "j": True}]), "s.json"),
+    "move_with_number_word": (lambda t: _apply(
+        t, [{"op": "ConjRel", "j": 1, "w": 1}]), "s.json"),
+    "move_with_number_name": (lambda t: _apply(
+        t, [{"op": "AddGen", "name": 5}]), "s.json"),
     "stabilized_as_text": (lambda t: _apply(
         t, {"regime": "k_prime", "stabilized": "false",
             "moves": [{"op": "AddTrivialRel"}]}), "s.json"),
@@ -409,6 +426,9 @@ MALFORMED = {
         t, {"target": "x"}), "second_over_first_1.json"),
     "witness_with_float_index": (lambda t: _pipeline_witness(
         t, {"target": "x", "factors": [{"g": "1", "r_index": 1.5, "sign": 1}]}),
+        "second_over_first_1.json"),
+    "witness_with_number_conjugator": (lambda t: _pipeline_witness(
+        t, {"target": "x", "factors": [{"g": 1, "r_index": 1, "sign": 1}]}),
         "second_over_first_1.json"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),

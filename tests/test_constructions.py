@@ -190,6 +190,71 @@ def test_witness_search_commutator_combination():
     assert wit is not None and wit.verify([(1, 1), (2, 2)])
 
 
+def _tuple_witness_search(target, relators, max_factors, max_conj, max_states):
+    """Reference: the witness search on tuple words, each successor built
+    as multiply(multiply(prefix, body), suffix).  Returns (reason, states,
+    factors or None)."""
+    target, relators = reduce(target), [reduce(r) for r in relators]
+    max_len = (len(target) + 2 * max((len(r) for r in relators), default=0)
+               + 2 * max_conj)
+    if not target:
+        return "found", 0, ()
+    seen, frontiers, depth = ({target: None}, {EMPTY: None}), [[target], [EMPTY]], 0
+
+    def factors(side, word):
+        out = []
+        while seen[side][word] is not None:
+            word, pos, k, sign = seen[side][word]
+            out.append((invert(word[:pos]), k, sign if side else -sign))
+        return out if side else out[::-1]
+
+    while (frontiers[0] or frontiers[1]) and depth < max_factors:
+        side = 0 if frontiers[0] and (not frontiers[1] or
+                                      len(frontiers[0]) <= len(frontiers[1])) else 1
+        new = []
+        for word in frontiers[side]:
+            for pos in range(min(max_conj, len(word)) + 1):
+                for k, rel in enumerate(relators):
+                    for sign, body in ((1, rel), (-1, invert(rel))) if rel else ():
+                        nxt = multiply(multiply(word[:pos], body), word[pos:])
+                        if len(nxt) > max_len or nxt in seen[side]:
+                            continue
+                        seen[side][nxt] = (word, pos, k, sign)
+                        states = len(seen[0]) + len(seen[1])
+                        if nxt in seen[1 - side]:
+                            return "found", states, tuple(factors(0, nxt) + factors(1, nxt))
+                        new.append(nxt)
+                        if states > max_states:
+                            return "state_cap", states, None
+        frontiers[side], depth = new, depth + 1
+    return "exhausted", len(seen[0]) + len(seen[1]), None
+
+
+def test_witness_search_matches_tuple_word_reference():
+    # the byte encoding changes neither the space searched nor its order:
+    # same stop reason, state count and factors on every problem
+    rng = random.Random(2003)
+    reasons = []
+    for _ in range(240):
+        rank = rng.randint(1, 3)
+        letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        rels = [reduce(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+                for _ in range(rng.randint(1, 3))]
+        target = reduce(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        for _ in range(rng.randint(1, 3)):
+            g = reduce(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            rel = rng.choice(rels)
+            rel = rel if rng.random() < 0.5 else invert(rel)
+            target = multiply(target, multiply(multiply(invert(g), rel), g))
+        budget = (rng.randint(1, 8), rng.randint(0, 4), rng.choice((20, 200, 5000)))
+        outcome = search_normal_closure_witness(target, rels, *budget)
+        factors = None if outcome.result is None else outcome.result.factors
+        assert ((outcome.reason, outcome.states, factors)
+                == _tuple_witness_search(target, rels, *budget))
+        reasons.append(outcome.reason)
+    assert all(reasons.count(r) >= 20 for r in ("found", "exhausted", "state_cap"))
+
+
 def test_witness_json_roundtrip():
     wit = NormalClosureWitness((1, 1, 2), (((2, -1), 0, -1), (EMPTY, 1, 1)))
     names = ("x", "y")
