@@ -143,14 +143,15 @@ def cmd_pipeline(args) -> int:
     budget = constructions.WitnessBudget(args.max_factors, args.max_conj,
                                          args.max_states)
     common = constructions.common_generators(l1, l2, iso)
+    p1, p2 = common.p_prime, common.q_prime
     sup12 = _load_witness_dir(args.witnesses, "second_over_first_",
-                              len(common.q_prime.relators), common.p_prime.gens)
+                              len(p2.relators), p1.gens)
     sup21 = _load_witness_dir(args.witnesses, "first_over_second_",
-                              len(common.p_prime.relators), common.q_prime.gens)
-    result = constructions.null_vector_pipeline(
-        l1, l2, iso, budget, sup12, sup21, jobs=args.jobs)
+                              len(p1.relators), p2.gens)
+    result = constructions.null_vector_pipeline(common, budget, sup12, sup21,
+                                                jobs=args.jobs)
 
-    lines = [f"boundary rank: {result.p1.rank}",
+    lines = [f"boundary rank: {p1.rank}",
              f"stabilizations: {result.stabilizations}",
              f"certificates: {len(result.certificates)}"]
     for cert in result.certificates:
@@ -162,26 +163,29 @@ def cmd_pipeline(args) -> int:
         # null_vector_pipeline raised WitnessError unless verify_null passed.
         lines.append("verify-null: pass")
 
-    _write_bundle(args.output, result, lines)
+    _write_bundle(args.output, result, {canonical_key(p): p for p in (p1, p2)}, lines)
     print("\n".join(lines))
     return 0 if result.complete else VERIFY_FAIL
 
 
-def _write_bundle(output: str, result, lines) -> None:
-    """x.sum, certs/ and report.txt, written to a temporary directory that
-    is renamed to output only when complete."""
-    reps = {canonical_key(result.p1): result.p1,
-            canonical_key(result.p2): result.p2}
+def _write_json(path: str, data) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data))  # json.dump and indent bypass the C encoder
+
+
+def _write_bundle(output: str, result, reps, lines) -> None:
+    """x.sum (with reps, key -> presentation, naming its terms), certs/ and
+    report.txt, written to a temporary directory that is renamed to output
+    only when complete."""
     parent = os.path.dirname(os.path.abspath(output)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
-        with open(os.path.join(tmp, "x.sum"), "w") as fh:
-            json.dump(pairing.sum_to_json(result.x, reps), fh, indent=1)
+        _write_json(os.path.join(tmp, "x.sum"), pairing.sum_to_json(result.x, reps))
         os.makedirs(os.path.join(tmp, "certs"), exist_ok=True)
         for cert in result.certificates:
-            with open(os.path.join(tmp, "certs", f"{cert.label}.json"), "w") as fh:
-                json.dump(pairing.certificate_to_json(cert), fh, indent=1)
+            _write_json(os.path.join(tmp, "certs", f"{cert.label}.json"),
+                        pairing.certificate_to_json(cert))
         with open(os.path.join(tmp, "report.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
         if os.path.exists(output):
@@ -232,8 +236,8 @@ def cmd_verify_smove(args) -> int:
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for cert in certs:
-            with open(os.path.join(args.output, f"{cert.label}.json"), "w") as fh:
-                json.dump(pairing.certificate_to_json(cert), fh, indent=1)
+            _write_json(os.path.join(args.output, f"{cert.label}.json"),
+                        pairing.certificate_to_json(cert))
     return 0
 
 

@@ -119,7 +119,6 @@ class CommonGeneratorsResult:
     q_prime: Presentation
     script_p: MoveScript
     script_q: MoveScript
-    correspondence: tuple  # shared position -> (origin, original index)
 
 
 def common_generators(p: Presentation, q: Presentation,
@@ -138,44 +137,35 @@ def common_generators(p: Presentation, q: Presentation,
         raise WitnessError(
             f"witness dimensions {len(witness.y_in_x)}/{len(witness.x_in_y)} "
             f"do not match ranks {c}/{a}")
-    for w in witness.y_in_x:
-        if any(abs(x) > a for x in w):
-            raise WitnessError("y_in_x image outside the first context")
-    for w in witness.x_in_y:
-        if any(abs(x) > c for x in w):
-            raise WitnessError("x_in_y image outside the second context")
-
     if p.gens == q.gens and witness.is_identity():
-        empty = MoveScript((), "full")
-        corr = tuple(("both", i) for i in range(a))
-        return CommonGeneratorsResult(p, q, empty, empty, corr)
+        return CommonGeneratorsResult(p, q, MoveScript(()), MoveScript(()))
 
-    moves_p = []
-    taken = set(p.gens)
-    for idx in range(c):
-        name = q.gens[idx] if q.gens[idx] not in taken else fresh_name(taken, a + idx)
-        taken.add(name)
-        moves_p.append(AddGen(name))
-        moves_p.extend(append_word_moves(a + idx, invert(reduce(witness.y_in_x[idx]))))
-    script_p = MoveScript(tuple(moves_p), "full")
-    p_prime = replay(p, script_p)
-
-    moves_q = []
-    taken = set(q.gens)
-    for idx in range(a):
-        name = p.gens[idx] if p.gens[idx] not in taken else fresh_name(taken, c + idx)
-        taken.add(name)
-        moves_q.append(AddGen(name))
-        moves_q.extend(append_word_moves(c + idx, invert(reduce(witness.x_in_y[idx]))))
+    script_p = MoveScript(_adjoin_images(p, q.gens, witness.y_in_x))
+    moves_q = _adjoin_images(q, p.gens, witness.x_in_y)
     # Reorder the roles so position k means: k < a the k-th first-presentation
     # generator, k >= a the (k-a)-th second-presentation generator.
-    perm = [c + i for i in range(a)] + list(range(c))
-    moves_q.extend(permutation_moves(perm))
-    script_q = MoveScript(tuple(moves_q), "full")
-    q_prime = replay(q, script_q)
+    moves_q.extend(permutation_moves([c + i for i in range(a)] + list(range(c))))
+    script_q = MoveScript(moves_q)
+    return CommonGeneratorsResult(replay(p, script_p), replay(q, script_q),
+                                  script_p, script_q)
 
-    corr = tuple((("p", i) for i in range(a))) + tuple(("q", i) for i in range(c))
-    return CommonGeneratorsResult(p_prime, q_prime, script_p, script_q, corr)
+
+def _adjoin_images(p: Presentation, names: Sequence[str], images) -> list:
+    """Moves appending one generator per image, named after names where that
+    name is free, each linked to its image over p's generators by one new
+    relator."""
+    moves = []
+    taken = set(p.gens)
+    for idx, (name, image) in enumerate(zip(names, images)):
+        if any(abs(x) > p.rank for x in image):
+            raise WitnessError(f"image {idx + 1} lies outside the generators "
+                               f"{', '.join(p.gens)}")
+        if name in taken:
+            name = fresh_name(taken, p.rank + idx)
+        taken.add(name)
+        moves.append(AddGen(name))
+        moves.extend(append_word_moves(p.rank + idx, invert(reduce(image))))
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +393,6 @@ class WitnessBudget:
 class PipelineResult:
     x: FormalSum
     certificates: tuple
-    p1: Presentation
-    p2: Presentation
     stabilizations: int
     unknown: tuple  # (label, SearchOutcome) of each witness not found
 
@@ -420,107 +408,94 @@ def _search_one(args):
         budget.max_states)
 
 
-def _collect_witnesses(targets, base, budget, supplied, label, jobs):
-    """One witness per target word over the base relators; supplied entries
-    are verified, missing ones searched.  Labels are 1-based, like the
-    supplied witness files: label[i] names target relator i."""
-    found: dict = {}
-    unknown = []  # (label, SearchOutcome) of each target the search did not meet
-    missing = []
-    for i, word in enumerate(targets):
-        if supplied is not None and i < len(supplied) and supplied[i] is not None:
-            wit = supplied[i]
-            if wit.target != word:
-                raise WitnessError(f"{label}[{i + 1}]: supplied witness targets the wrong word")
-            if not wit.verify(base):
-                raise WitnessError(f"{label}[{i + 1}]: supplied witness fails verification")
-            found[i] = wit
-        else:
-            missing.append(i)
-    if missing:
-        tasks = [(targets[i], list(base), budget) for i in missing]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_search_one, tasks))
-        else:
-            results = [_search_one(t) for t in tasks]
-        for i, outcome in zip(missing, results):
-            if outcome.result is None:
-                unknown.append((f"{label}[{i + 1}]", outcome))
-            else:
-                found[i] = outcome.result
-    return [found.get(i) for i in range(len(targets))], unknown
+def _collect_witnesses(requests, budget, jobs):
+    """One witness or None per (label, target, base relators, supplied
+    witness or None) request, and the (label, SearchOutcome) of each search
+    that stopped without one.  Every supplied witness is checked before any
+    search runs; the missing ones are searched, all in one process pool when
+    jobs > 1, and a found one was checked by the search itself."""
+    found = []
+    for label, word, base, wit in requests:
+        if wit is not None and wit.target != word:
+            raise WitnessError(f"{label}: supplied witness targets the wrong word")
+        if wit is not None and not wit.verify(base):
+            raise WitnessError(f"{label}: supplied witness fails verification")
+        found.append(wit)
+    missing = [n for n, wit in enumerate(found) if wit is None]
+    tasks = [(requests[n][1], requests[n][2], budget) for n in missing]
+    if jobs > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_search_one, tasks))
+    else:
+        outcomes = map(_search_one, tasks)
+    unknown = []
+    for n, outcome in zip(missing, outcomes):
+        found[n] = outcome.result
+        if outcome.result is None:
+            unknown.append((requests[n][0], outcome))
+    return found, unknown
 
 
-def null_vector_pipeline(l1: Presentation, l2: Presentation, witness: IsoWitness,
+def null_vector_pipeline(common: CommonGeneratorsResult,
                          budget: WitnessBudget = WitnessBudget(),
                          witnesses_second_over_first=None,
                          witnesses_first_over_second=None,
                          jobs: int = 1) -> PipelineResult:
     """Certified null vector from two presentations of the same group with
-    equal Euler characteristic.
+    equal Euler characteristic, already rewritten over common generators.
 
-    Runs the common-generator normalization, then builds four certificates
-    identifying both self-products and the cross product with the common
-    stabilization, and returns x = first - second together with the
-    certificates.  Witnesses may be supplied per relator; otherwise they
-    are searched within the budget.  When a search stops without a
-    witness the result carries its Unknown label and SearchOutcome, and
-    whatever certificates are still justified.  Every certificate built is
-    replayed once, by verify_null, complete or not: nothing unverified is
-    ever emitted.
+    Builds four certificates identifying both self-products and the cross
+    product with the common stabilization, and returns x = first - second
+    together with the certificates.  Witnesses may be supplied per relator;
+    otherwise they are searched within the budget.  When a search stops
+    without a witness the result carries its Unknown label and
+    SearchOutcome, and whatever certificates are still justified.  Every
+    certificate built is replayed once, by verify_null, complete or not:
+    nothing unverified is ever emitted.
     """
-    if euler_char(l1) != euler_char(l2):
-        raise ValueError(
-            f"Euler characteristics differ: {euler_char(l1)} vs {euler_char(l2)}")
-    common = common_generators(l1, l2, witness)
     p1, p2 = common.p_prime, common.q_prime
-    n = p1.rank
-    m = euler_char(l1) - 1 + n
-    if not m == len(p1.relators) == len(p2.relators):
-        raise WitnessError("normalized presentations do not have "
-                           f"{m} relators each")
-
-    wits12, unknown12 = _collect_witnesses(
-        p2.relators, p1.relators, budget, witnesses_second_over_first,
-        "second_over_first", jobs)
-    wits21, unknown21 = _collect_witnesses(
-        p1.relators, p2.relators, budget, witnesses_first_over_second,
-        "first_over_second", jobs)
-    unknown = unknown12 + unknown21
-
+    if euler_char(p1) != euler_char(p2):
+        raise ValueError(
+            f"Euler characteristics differ: {euler_char(p1)} vs {euler_char(p2)}")
+    # common_generators adds one relator per added generator, so at equal
+    # rank and equal Euler characteristic both sides hold m relators.
+    m = euler_char(p1) - 1 + p1.rank
+    first, second = range(m), range(m, 2 * m)
     x = FormalSum.of_presentation(p1) - FormalSum.of_presentation(p2)
+
+    requests = []  # (label, target, base relators, supplied witness or None)
+    for label, targets, base, supplied in (
+            ("second_over_first", p2.relators, p1.relators, witnesses_second_over_first),
+            ("first_over_second", p1.relators, p2.relators, witnesses_first_over_second)):
+        # labels are 1-based, like the supplied witness files
+        supplied = list(supplied or ())
+        requests += [(f"{label}[{i + 1}]", word, base,
+                      supplied[i] if i < len(supplied) else None)
+                     for i, word in enumerate(targets)]
+    wits, unknown = _collect_witnesses(requests, budget, jobs)
+    wits12, wits21 = wits[:m], wits[m:]
+
     certs = []
-
-    self1 = [NormalClosureWitness(r, ((EMPTY, i, 1),))
-             for i, r in enumerate(p1.relators)]
-    certs.append(EquivalenceCertificate(
-        product(p1, p1), wedge_s2(p1, m),
-        product_stabilization(p1, p1, self1), "first_self"))
-
-    self2 = [NormalClosureWitness(r, ((EMPTY, i, 1),))
-             for i, r in enumerate(p2.relators)]
-    certs.append(EquivalenceCertificate(
-        product(p2, p2), wedge_s2(p2, m),
-        product_stabilization(p2, p2, self2), "second_self"))
-
-    if not unknown12:
+    for p, label in ((p1, "first_self"), (p2, "second_self")):
+        own = [NormalClosureWitness(r, ((EMPTY, i, 1),))
+               for i, r in enumerate(p.relators)]
+        certs.append(EquivalenceCertificate(
+            product(p, p), wedge_s2(p, m),
+            MoveScript(stabilization_moves(second, first, own)), label))
+    if None not in wits12:
         certs.append(EquivalenceCertificate(
             product(p1, p2), wedge_s2(p1, m),
-            product_stabilization(p1, p2, wits12), "cross"))
-
-    if not unknown12 and not unknown21:
+            MoveScript(stabilization_moves(second, first, wits12)), "cross"))
+    if None not in wits:
         # Stabilization bridge: undo the (second, first) stabilization, then
         # clear the second block inside the product over the first block.
-        stab21 = product_stabilization(p2, p1, wits21)
-        bridge_moves = list(invert_script(stab21).moves)
-        bridge_moves.extend(stabilization_moves(
-            range(m), [m + i for i in range(m)], wits12))
-        bridge = MoveScript(tuple(bridge_moves), "full")
         certs.append(EquivalenceCertificate(
-            wedge_s2(p2, m), wedge_s2(p1, m), bridge, "stabilized_bridge"))
+            wedge_s2(p2, m), wedge_s2(p1, m),
+            invert_script(MoveScript(stabilization_moves(second, first, wits21)))
+            + MoveScript(stabilization_moves(first, second, wits12)),
+            "stabilized_bridge"))
 
-    result = PipelineResult(x, tuple(certs), p1, p2, m, tuple(unknown))
+    result = PipelineResult(x, tuple(certs), m, tuple(unknown))
     report = verify_null(x, certs)
     failed = [label for label, ok, _ in report.certificate_status if not ok]
     if failed:

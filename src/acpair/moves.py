@@ -533,8 +533,8 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
             yield [AddTrivialRel()]
         for j, k in pairs:
             for side in ("left", "right"):
-                yield [SlideRel(j, k, side)]
-                yield [InvRel(k), SlideRel(j, k, side), InvRel(k)]
+                for e in (1, -1):
+                    yield _conjugated_slide(j, k, EMPTY, e, side)
     else:
         for j, k in pairs:
             for sign in (1, -1):

@@ -7,6 +7,7 @@ caller wants rationals.  No floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -15,7 +16,7 @@ from .moves import MoveScript, MoveError, replay, script_from_json, script_to_js
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             canonical_key, format_presentation,
                             parse_presentation, serialize_key)
-from .words import word_key
+from .words import json_int, word_key
 
 
 class CertificateError(ValueError):
@@ -311,16 +312,21 @@ def sum_to_json(x: FormalSum, representatives) -> list:
 
 
 def sum_from_json(data) -> tuple:
-    """Returns (FormalSum, {key: Presentation})."""
+    """Returns (FormalSum, {key: Presentation}).  A coefficient is a JSON
+    integer or a string n or n/d (d > 0) in decimal digits."""
     terms: dict = {}
     reps: dict = {}
     rank = None
     for item in data:
         pres = parse_presentation(item["presentation"])
         coeff = item["coeff"]
-        coeff = Fraction(coeff) if isinstance(coeff, str) else coeff
-        if coeff == int(coeff):
-            coeff = int(coeff)
+        if not isinstance(coeff, str):
+            coeff = json_int(coeff, "coeff")
+        elif re.fullmatch("-?[0-9]+(/0*[1-9][0-9]*)?", coeff):
+            coeff = Fraction(coeff)
+            coeff = int(coeff) if coeff.denominator == 1 else coeff
+        else:
+            raise ValueError(f"coeff must be an integer or n/d with d > 0, not {coeff!r}")
         key = canonical_key(pres)
         if rank is None:
             rank = pres.rank

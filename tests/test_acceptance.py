@@ -16,7 +16,8 @@ import random
 import re
 import time
 
-from acpair.constructions import (IsoWitness, NormalClosureWitness, lustig,
+from acpair.constructions import (IsoWitness, NormalClosureWitness,
+                                  common_generators, lustig,
                                   null_vector_pipeline, product_stabilization,
                                   verify_smove_certificates)
 from acpair.homology import (determinant, diagonal_of, euler_char_chain,
@@ -139,8 +140,8 @@ def test_acceptance_1_companion_supplied_witnesses():
     start = time.monotonic()
     k1, k2 = lustig(1), lustig(2)
     w12, w21 = lustig_witness_pair(1, 2)
-    result = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                                  witnesses_second_over_first=w12,
+    common = common_generators(k1, k2, IsoWitness.identity(3))
+    result = null_vector_pipeline(common, witnesses_second_over_first=w12,
                                   witnesses_first_over_second=w21)
     elapsed = time.monotonic() - start
     assert result.complete

@@ -176,6 +176,14 @@ def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 0 and "null vector: yes" in out
     assert counts == {"replay": 4, "verify": 4}
+    # with an isomorphism witness the normalization replays both sides once
+    counts.clear()
+    p = write(tmp_path / "p.pres", "gens: x\nrel: x^2\n")
+    q = write(tmp_path / "q.pres", "gens: y\nrel: y^2\n")
+    iso = write(tmp_path / "iso.json", json.dumps({"y_in_x": ["x"], "x_in_y": ["y"]}))
+    code, out, _ = run(capsys, "pipeline", p, q, "--iso", iso, "-o", tmp_path / "iso")
+    assert code == 0 and "verify-null: pass" in out, out
+    assert counts == {"replay": 6, "verify": 4}
 
 
 def test_pipeline_unknown_exits_1(tmp_path, capsys):
@@ -365,6 +373,10 @@ def _bundle(tmp_path, x_sum, cert=None):
     return ["verify-null", tmp_path / "b"]
 
 
+def _sum_coeff(tmp_path, coeff):
+    return _bundle(tmp_path, [{"coeff": coeff, "presentation": PRES_X}])
+
+
 def _apply(tmp_path, script):
     pres = write(tmp_path / "p.pres", PRES_X)
     return ["apply", pres, write(tmp_path / "s.json", json.dumps(script))]
@@ -398,6 +410,11 @@ MALFORMED = {
     "sum_unknown_generator": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": "gens: x\nrel: q\n"}]), "x.sum"),
     "sum_empty": (lambda t: _bundle(t, []), "x.sum"),
+    "sum_coeff_exponent": (lambda t: _sum_coeff(t, "1e10000000"), "x.sum"),
+    "sum_coeff_zero_denominator": (lambda t: _sum_coeff(t, "1/0"), "x.sum"),
+    "sum_coeff_underscore": (lambda t: _sum_coeff(t, " 1_0 "), "x.sum"),
+    "sum_coeff_float": (lambda t: _sum_coeff(t, 2.0), "x.sum"),
+    "sum_coeff_bool": (lambda t: _sum_coeff(t, True), "x.sum"),
     "certificate_without_rhs": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": PRES_X}],
         {"lhs": PRES_X, "script": []}), "c.json"),

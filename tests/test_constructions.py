@@ -101,6 +101,10 @@ def test_common_generators_relator_counts():
 def test_common_generators_dimension_mismatch():
     with pytest.raises(WitnessError):
         common_generators(pres("x", "x"), pres("y", "y"), IsoWitness((), ((1,),)))
+    # an image may use only the generators of the side it is written over
+    for bad in (IsoWitness(((2,),), ((1,),)), IsoWitness(((1,),), ((1, -2),))):
+        with pytest.raises(WitnessError, match="image 1 lies outside the generators"):
+            common_generators(pres("x", "x"), pres("y", "y"), bad)
 
 
 # -- normal closure witnesses -------------------------------------------------
@@ -311,9 +315,13 @@ def test_product_stabilization_self_random():
 # -- the certified pipeline ---------------------------------------------------
 
 
+def lustig_common():
+    return common_generators(lustig(1), lustig(2), IsoWitness.identity(3))
+
+
 def test_pipeline_trivial_same_presentation():
     p = pres("x", "x")
-    res = null_vector_pipeline(p, p, IsoWitness.identity(1))
+    res = null_vector_pipeline(common_generators(p, p, IsoWitness.identity(1)))
     assert res.complete
     assert res.x.is_zero()
     assert verify_null(res.x, res.certificates).null
@@ -322,36 +330,42 @@ def test_pipeline_trivial_same_presentation():
 def test_pipeline_key_collision():
     p = pres("x", "x")
     q = pres("x", "x x x^-1")
-    res = null_vector_pipeline(p, q, IsoWitness.identity(1))
+    res = null_vector_pipeline(common_generators(p, q, IsoWitness.identity(1)))
     assert res.x.is_zero()
     assert verify_null(res.x, res.certificates).null
 
 
 def test_pipeline_euler_mismatch():
-    with pytest.raises(ValueError):
-        null_vector_pipeline(pres("x", "x"), pres("x"), IsoWitness.identity(1))
+    common = common_generators(pres("x", "x"), pres("x"), IsoWitness.identity(1))
+    with pytest.raises(ValueError, match="Euler characteristics differ: 1 vs 0"):
+        null_vector_pipeline(common)
 
 
-def test_pipeline_raises_when_normalization_changes_relator_counts(monkeypatch):
-    original = constructions.common_generators
-
-    def adds_a_relator(p, q, witness):
-        result = original(p, q, witness)
-        return constructions.CommonGeneratorsResult(
-            result.p_prime, wedge_s2(result.q_prime, 1), result.script_p,
-            result.script_q, result.correspondence)
-
-    monkeypatch.setattr(constructions, "common_generators", adds_a_relator)
-    with pytest.raises(WitnessError, match="3 relators each"):
-        null_vector_pipeline(lustig(1), lustig(2), IsoWitness.identity(3))
+def test_pipeline_raises_when_normalization_changes_relator_counts():
+    # At equal rank, equal Euler characteristics force equal relator counts,
+    # so a normalization that adds a relator fails the Euler check.
+    good = lustig_common()
+    bad = constructions.CommonGeneratorsResult(
+        good.p_prime, wedge_s2(good.q_prime, 1), good.script_p, good.script_q)
+    with pytest.raises(ValueError, match="Euler characteristics differ: 1 vs 2"):
+        null_vector_pipeline(bad)
 
 
-def test_pipeline_lustig_supplied_witnesses():
+def test_pipeline_lustig_supplied_witnesses(monkeypatch):
     k1, k2 = lustig(1), lustig(2)
     w12, w21 = lustig_witness_pair(1, 2)
-    res = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                               witnesses_second_over_first=w12,
+    verified = []
+    original = NormalClosureWitness.verify
+
+    def counted(wit, relators):
+        verified.append(wit)
+        return original(wit, relators)
+
+    monkeypatch.setattr(NormalClosureWitness, "verify", counted)
+    res = null_vector_pipeline(lustig_common(), witnesses_second_over_first=w12,
                                witnesses_first_over_second=w21)
+    # each supplied witness is verified once, and nothing else is
+    assert sorted(map(id, verified)) == sorted(map(id, w12 + w21))
     assert res.complete
     assert res.stabilizations == 3
     assert len(res.x.support) == 2
@@ -370,9 +384,7 @@ def test_pipeline_lustig_supplied_witnesses():
 
 
 def test_pipeline_unknown_markers_with_tiny_budget():
-    k1, k2 = lustig(1), lustig(2)
-    res = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                               WitnessBudget(2, 1, 200))
+    res = null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200))
     assert not res.complete
     assert any("second_over_first" in u for u, _ in res.unknown)
     # labels are 1-based: relator 1 (shared by both) is found, 2 and 3 not;
@@ -389,21 +401,31 @@ def test_pipeline_unknown_markers_with_tiny_budget():
 
 
 def test_pipeline_unknown_path_verifies_its_certificates(monkeypatch):
-    # product_stabilization no longer replays its script, so the pipeline's
-    # one verify_null must catch a script that misses its key, also when the
+    # The pipeline builds its scripts without replaying them, so its one
+    # verify_null must catch a script that misses its key, also when the
     # result is incomplete.
-    monkeypatch.setattr(constructions, "product_stabilization",
-                        lambda l1, l2, witnesses: MoveScript((), "full"))
+    monkeypatch.setattr(constructions, "stabilization_moves",
+                        lambda targets, base, witnesses: [])
     with pytest.raises(WitnessError, match="first_self, second_self"):
-        null_vector_pipeline(lustig(1), lustig(2), IsoWitness.identity(3),
-                             WitnessBudget(2, 1, 200))
+        null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200))
 
 
-def test_pipeline_parallel_search_matches_sequential():
-    k1, k2 = lustig(1), lustig(2)
+def test_pipeline_parallel_search_matches_sequential(monkeypatch):
     budget = WitnessBudget(2, 1, 200)
-    seq = null_vector_pipeline(k1, k2, IsoWitness.identity(3), budget)
-    par = null_vector_pipeline(k1, k2, IsoWitness.identity(3), budget, jobs=2)
+    seq = null_vector_pipeline(lustig_common(), budget)
+    pools = []
+
+    class CountedPool(constructions.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "ProcessPoolExecutor", CountedPool)
+    par = null_vector_pipeline(lustig_common(), budget, jobs=2)
+    # the searches missing in both directions share one pool
+    assert len(pools) == 1
+    assert {label.split("[")[0] for label, _ in par.unknown} == {
+        "second_over_first", "first_over_second"}
     assert par.unknown == seq.unknown
     assert [c.script for c in par.certificates] == \
         [c.script for c in seq.certificates]
@@ -414,10 +436,10 @@ def test_pipeline_general_path_with_search():
     # cross witnesses are small enough for the search to find live
     p = pres("x", "x^2")
     q = pres("y", "y^2")
-    wit = IsoWitness(((1,),), ((1,),))
-    res = null_vector_pipeline(p, q, wit, WitnessBudget(8, 4, 40000))
+    common = common_generators(p, q, IsoWitness(((1,),), ((1,),)))
+    res = null_vector_pipeline(common, WitnessBudget(8, 4, 40000))
     assert res.complete, res.unknown
-    assert res.p1.rank == 2
+    assert common.p_prime.rank == 2
     assert res.stabilizations == 2
     report = verify_null(res.x, res.certificates)
     assert report.null
@@ -426,13 +448,10 @@ def test_pipeline_general_path_with_search():
 
 
 def test_pipeline_parallel_jobs_matches_sequential():
-    k1, k2 = lustig(1), lustig(2)
     w12, w21 = lustig_witness_pair(1, 2)
-    seq = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                               witnesses_second_over_first=w12,
+    seq = null_vector_pipeline(lustig_common(), witnesses_second_over_first=w12,
                                witnesses_first_over_second=w21, jobs=1)
-    par = null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                               witnesses_second_over_first=w12,
+    par = null_vector_pipeline(lustig_common(), witnesses_second_over_first=w12,
                                witnesses_first_over_second=w21, jobs=2)
     assert seq.x == par.x
     assert [c.label for c in seq.certificates] == [c.label for c in par.certificates]
@@ -442,8 +461,14 @@ def test_pipeline_rejects_bad_supplied_witness():
     k1, k2 = lustig(1), lustig(2)
     bad = [NormalClosureWitness(k2.relators[0], ((EMPTY, 1, 1),))] * 3
     with pytest.raises(WitnessError):
-        null_vector_pipeline(k1, k2, IsoWitness.identity(3),
-                             witnesses_second_over_first=bad)
+        null_vector_pipeline(lustig_common(), witnesses_second_over_first=bad)
+    # a bad first_over_second witness is named, also when every
+    # second_over_first witness is left to a search that stops unknown
+    bad21 = [None, NormalClosureWitness(k1.relators[1], ((EMPTY, 0, 1),))]
+    with pytest.raises(WitnessError, match=r"first_over_second\[2\]: supplied "
+                                           "witness fails verification"):
+        null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200),
+                             witnesses_first_over_second=bad21)
 
 
 # -- Lustig family -----------------------------------------------------------

@@ -163,12 +163,18 @@ def test_verify_null_failed_certificate_forces_false():
 
 def test_sum_json_roundtrip():
     p, q = pres("x y", "x"), pres("x y", "x y^2")
-    x = fs(p, 2) - fs(q, 3)
+    x = fs(p, 2) - fs(q, Fraction(3, 2))
     reps = {canonical_key(p): p, canonical_key(q): q}
     data = sum_to_json(x, reps)
+    assert [t["coeff"] for t in data] == [2, "-3/2"]
     loaded, loaded_reps = sum_from_json(json.loads(json.dumps(data)))
     assert loaded == x
     assert set(loaded_reps) == set(reps)
+    # a string coefficient n/d need not be in lowest terms
+    loaded, _ = sum_from_json([{**data[0], "coeff": "4/2"},
+                               {**data[1], "coeff": "-6/4"}])
+    assert loaded == x
+    assert [type(c) for _, c in loaded.items()] == [int, Fraction]
 
 
 def test_certificate_json_roundtrip():
