@@ -52,6 +52,8 @@ def _load(path: str, parse, json: bool = False):
         raise InputError(f"{path}: missing key {e}") from None
     except (ValueError, IndexError, TypeError) as e:
         raise InputError(f"{path}: {e}") from None
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -125,6 +127,8 @@ def _load_witness_dir(dirpath, prefix, count, names):
     """Optional per-relator witness files <prefix><i>.json (1-based)."""
     if dirpath is None:
         return None
+    if not os.path.isdir(dirpath):
+        raise InputError(f"witness directory {dirpath} does not exist")
     out = []
     for i in range(count):
         path = os.path.join(dirpath, f"{prefix}{i + 1}.json")

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
-                    SearchOutcome, _conjugated_slide, invert_script, replay)
+                    SearchOutcome, _compact, _conjugated_slide, invert_script,
+                    replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
@@ -481,18 +482,18 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
                for i, r in enumerate(p.relators)]
         certs.append(EquivalenceCertificate(
             product(p, p), wedge_s2(p, m),
-            MoveScript(stabilization_moves(second, first, own)), label))
+            MoveScript(_compact(stabilization_moves(second, first, own))), label))
     if None not in wits12:
         certs.append(EquivalenceCertificate(
             product(p1, p2), wedge_s2(p1, m),
-            MoveScript(stabilization_moves(second, first, wits12)), "cross"))
+            MoveScript(_compact(stabilization_moves(second, first, wits12))), "cross"))
     if None not in wits:
         # Stabilization bridge: undo the (second, first) stabilization, then
         # clear the second block inside the product over the first block.
+        bridge = (invert_script(MoveScript(stabilization_moves(second, first, wits21)))
+                  + MoveScript(stabilization_moves(first, second, wits12)))
         certs.append(EquivalenceCertificate(
-            wedge_s2(p2, m), wedge_s2(p1, m),
-            invert_script(MoveScript(stabilization_moves(second, first, wits21)))
-            + MoveScript(stabilization_moves(first, second, wits12)),
+            wedge_s2(p2, m), wedge_s2(p1, m), MoveScript(_compact(bridge.moves)),
             "stabilized_bridge"))
 
     result = PipelineResult(x, tuple(certs), m, tuple(unknown))

@@ -189,14 +189,14 @@ def _nielsen_substitution(move, rank: int) -> dict:
     return images
 
 
-def apply_move(p: Presentation, move) -> Presentation:
-    """One move on a validated presentation.
+def _apply(rels: list, gens: tuple, move) -> tuple:
+    """Apply one move to rels in place, the relators over gens, and return
+    the generators after it.
 
     Every relator built here comes from reduced, in-range relators and
-    checked move words, so the result skips the validating constructor.
+    checked move words, so callers wrap the result without validation.
     """
-    rels = list(p.relators)
-    rank = p.rank
+    rank = len(gens)
     if isinstance(move, ConjRel):
         _check_rel(move.j, len(rels))
         rels[move.j] = conjugate(rels[move.j], _check_word(move.w, rank))
@@ -212,14 +212,14 @@ def apply_move(p: Presentation, move) -> Presentation:
             rels[move.j] = multiply(rels[move.j], rels[move.k])
     elif isinstance(move, (NielsenInv, NielsenMul)):
         images = _nielsen_substitution(move, rank)
-        rels = [substitute(r, images) for r in rels]
+        rels[:] = [substitute(r, images) for r in rels]
     elif isinstance(move, AddGen):
         if not valid_name(move.name):
             raise MoveError(f"invalid generator name {move.name!r}")
-        if move.name in p.gens:
+        if move.name in gens:
             raise MoveError(f"generator name {move.name!r} already in use")
-        return Presentation._trusted(p.gens + (move.name,),
-                                     p.relators + ((rank + 1,),))
+        rels.append((rank + 1,))
+        return gens + (move.name,)
     elif isinstance(move, RemoveGen):
         _check_gen(move.i, rank)
         letter = move.i + 1
@@ -229,9 +229,9 @@ def apply_move(p: Presentation, move) -> Presentation:
                 f"generator {move.i} is not removable: need exactly one relator, "
                 f"equal to that generator or its inverse, and no other occurrence")
         del rels[hits[0]]
-        rels = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
-                for r in rels]
-        return Presentation._trusted(p.gens[:move.i] + p.gens[move.i + 1:], tuple(rels))
+        rels[:] = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
+                   for r in rels]
+        return gens[:move.i] + gens[move.i + 1:]
     elif isinstance(move, AddTrivialRel):
         rels.append(EMPTY)
     elif isinstance(move, RemoveTrivialRel):
@@ -251,7 +251,14 @@ def apply_move(p: Presentation, move) -> Presentation:
         rels[move.j] = word
     else:
         raise MoveError(f"unknown move {move!r}")
-    return Presentation._trusted(p.gens, tuple(rels))
+    return gens
+
+
+def apply_move(p: Presentation, move) -> Presentation:
+    """One move on a validated presentation."""
+    rels = list(p.relators)
+    gens = _apply(rels, p.gens, move)
+    return Presentation._trusted(gens, tuple(rels))
 
 
 def _regime_allows(move, regime: str, stabilized: bool) -> bool:
@@ -275,23 +282,24 @@ def _counts_after(move, n: int, m: int) -> tuple:
 
 
 def replay(p: Presentation, script: MoveScript) -> Presentation:
-    """Left fold of apply_move with regime and bookkeeping checks."""
-    current = p
-    n, m = p.rank, len(p.relators)
+    """Left fold of the script's moves over one relator list, with regime
+    and bookkeeping checks on every move."""
+    rels, gens = list(p.relators), p.gens
+    n, m = p.rank, len(rels)
     for pos, move in enumerate(script.moves, start=1):
         if not _regime_allows(move, script.regime, script.stabilized):
             raise RegimeError(
                 f"move {pos} ({type(move).__name__}) violates the "
                 f"{script.regime} regime")
         try:
-            current = apply_move(current, move)
+            gens = _apply(rels, gens, move)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
         n, m = _counts_after(move, n, m)
         # The Euler characteristic 1 - n + m follows from these counts.
-        if (current.rank, len(current.relators)) != (n, m):
+        if (len(gens), len(rels)) != (n, m):
             raise MoveError(f"bookkeeping drift at move {pos}")
-    return current
+    return Presentation._trusted(gens, tuple(rels))
 
 
 def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
@@ -302,6 +310,27 @@ def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
         out = [InvRel(k)] + out + [InvRel(k)]
     if c != EMPTY:
         out = [ConjRel(k, c)] + out + [ConjRel(k, invert(c))]
+    return out
+
+
+def _compact(moves) -> list:
+    """moves with InvRel(k) InvRel(k) cancelled, ConjRel(k, a) ConjRel(k, b)
+    fused into ConjRel(k, b a) and ConjRel(k, ()) dropped, wherever such
+    moves end up adjacent.  Each rule leaves the relators a replayable
+    script reaches unchanged, and no SlideRel is touched."""
+    out = []
+    for move in moves:
+        top = out[-1] if out else None
+        if isinstance(move, ConjRel):
+            if isinstance(top, ConjRel) and top.j == move.j:
+                out.pop()
+                move = ConjRel(move.j, multiply(move.w, top.w))
+            if move.w:
+                out.append(move)
+        elif isinstance(move, InvRel) and move == top:
+            out.pop()
+        else:
+            out.append(move)
     return out
 
 

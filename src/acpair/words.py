@@ -2,9 +2,13 @@
 
 A word is a tuple of nonzero ints.  Letter ``+k`` is the generator with
 0-based index ``k-1``, letter ``-k`` its inverse.  The empty tuple is the
-identity.  All functions return freely reduced words; all values are
-immutable and hashable, so words can be used as dict keys and shared
-freely between threads.
+identity.  All values are immutable and hashable, so words can be used as
+dict keys and shared freely between threads.
+
+``reduce`` and the parsers take any letters and return freely reduced
+words.  ``multiply``, ``conjugate``, ``commutator`` and ``power`` take
+reduced words: they cancel letters only where their operands meet, so
+their result is reduced when their operands are.
 
 Generator names live at the presentation level (see ``presentations``);
 words themselves are name-free, so the same word value makes sense in any
@@ -42,18 +46,15 @@ def reduce(letters: Iterable[int]) -> Word:
 
 
 def multiply(u: Word, v: Word) -> Word:
-    """Product of two reduced words (cancellation only at the junction)."""
-    out = list(u)
-    for x in v:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    """Product of two reduced words: letters cancel only at the junction."""
+    i, n, m = 0, len(u), min(len(u), len(v))
+    while i < m and u[n - 1 - i] == -v[i]:
+        i += 1
+    return u[:n - i] + v[i:]
 
 
 def invert(u: Word) -> Word:
-    return tuple(-x for x in reversed(u))
+    return tuple(map(int.__neg__, reversed(u)))
 
 
 def conjugate(u: Word, w: Word) -> Word:

@@ -390,10 +390,19 @@ def _smove(tmp_path, move):
     return ["verify-smove", l1, l1, "--scripts", tmp_path / "scripts"]
 
 
+def _nested_sum(tmp_path):
+    argv = _bundle(tmp_path, [])
+    write(tmp_path / "b" / "x.sum", "[" * 100_000)
+    return argv
+
+
 def _pipeline_witness(tmp_path, witness):
+    """A pipeline run on a supplied witness, or with no witness directory
+    at all when witness is None."""
     k = write(tmp_path / "k.pres", PRES_X)
-    os.makedirs(tmp_path / "wits")
-    write(tmp_path / "wits" / "second_over_first_1.json", json.dumps(witness))
+    if witness is not None:
+        os.makedirs(tmp_path / "wits")
+        write(tmp_path / "wits" / "second_over_first_1.json", json.dumps(witness))
     return ["pipeline", k, k, "--witnesses", tmp_path / "wits",
             "-o", tmp_path / "bundle"]
 
@@ -447,6 +456,8 @@ MALFORMED = {
     "witness_with_number_conjugator": (lambda t: _pipeline_witness(
         t, {"target": "x", "factors": [{"g": 1, "r_index": 1, "sign": 1}]}),
         "second_over_first_1.json"),
+    "pipeline_witness_dir_missing": (lambda t: _pipeline_witness(t, None), "wits"),
+    "json_nested_too_deep": (_nested_sum, "x.sum"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
                          "to_l1l1_1.json"),

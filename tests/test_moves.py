@@ -4,6 +4,8 @@ import random
 import pytest
 
 from acpair import moves
+from acpair.constructions import (IsoWitness, common_generators, lustig,
+                                  null_vector_pipeline)
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RegimeError,
                           RemoveGen, RemoveTrivialRel, RestrictedSlide,
@@ -15,6 +17,7 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation)
 from acpair.words import EMPTY, conjugate, reduce
+from lustig_fixtures import lustig_witness_pair
 
 
 def pres(gens, *rels):
@@ -236,13 +239,14 @@ def test_move_words_are_checked_and_reduced():
 
 
 def test_replay_raises_on_bookkeeping_drift(monkeypatch):
-    original = moves.apply_move
+    original = moves._apply
 
-    def drops_a_relator(p, move):
-        q = original(p, move)
-        return Presentation(q.gens, q.relators[:-1])
+    def drops_a_relator(rels, gens, move):
+        gens = original(rels, gens, move)
+        rels.pop()
+        return gens
 
-    monkeypatch.setattr(moves, "apply_move", drops_a_relator)
+    monkeypatch.setattr(moves, "_apply", drops_a_relator)
     p = pres("x y", "x", "y")
     with pytest.raises(MoveError, match="bookkeeping drift at move 1"):
         replay(p, MoveScript((InvRel(0),)))
@@ -469,3 +473,145 @@ def test_enumerate_words_deterministic():
     words = enumerate_words(2, 2)
     assert words[:4] == [(1,), (-1,), (2,), (-2,)]
     assert len(words) == 4 + 12
+
+
+def fold_apply_move(p, script):
+    """replay spelled out as a fold of apply_move, one presentation per
+    move, with the same checks and error texts."""
+    cur = p
+    for pos, move in enumerate(script.moves, start=1):
+        if not moves._regime_allows(move, script.regime, script.stabilized):
+            raise RegimeError(f"move {pos} ({type(move).__name__}) violates the "
+                              f"{script.regime} regime")
+        try:
+            cur = apply_move(cur, move)
+        except MoveError as e:
+            raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
+    return cur
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_replay_is_a_fold_of_apply_move():
+    # replay runs one relator list through the script; on full-regime
+    # scripts with every move kind it must reach what apply_move reaches
+    # one presentation at a time
+    rng = random.Random(26)
+    fresh = 0
+    for _ in range(200):
+        p = random_presentation(rng)
+        cur, script = p, []
+        for _ in range(rng.randint(0, 14)):
+            roll = rng.random()
+            if roll < 0.15:
+                fresh += 1
+                mv = AddGen(f"a{fresh}")
+            elif roll < 0.3 and cur.rank > 1 and removable_generators(cur):
+                mv = RemoveGen(rng.choice(removable_generators(cur)))
+            else:
+                mv = random_move(rng, cur)
+            script.append(mv)
+            cur = apply_move(cur, mv)
+        got = replay(p, MoveScript(tuple(script)))
+        assert got == cur == fold_apply_move(p, MoveScript(tuple(script)))
+        assert type(got.gens) is tuple and type(got.relators) is tuple
+
+
+def test_replay_rejects_bad_scripts_as_apply_move_does():
+    p = pres("x y", "x y", "y^2")
+    bad = [
+        (MoveScript((InvRel(0), InvRel(5))), MoveError,
+         "move 2 (InvRel): relator index 5 out of range (have 2)"),
+        (MoveScript((ConjRel(0, (1,)), SlideRel(1, 0, "left")), "k_prime"), RegimeError,
+         "move 2 (SlideRel) violates the k_prime regime"),
+        (MoveScript((AddGen("z"), RemoveGen(0))), MoveError,
+         "move 2 (RemoveGen): generator 0 is not removable: need exactly one "
+         "relator, equal to that generator or its inverse, and no other occurrence"),
+        (MoveScript((InvRel(1), ConjRel(1, (2, 0)))), ValueError,
+         "bad letter 0: letters are nonzero ints"),
+        (MoveScript((NielsenMul(0, 2, "left"),)), MoveError,
+         "move 1 (NielsenMul): generator index 2 out of range (have 2)"),
+    ]
+    for script, kind, message in bad:
+        assert outcome(replay, p, script) == (kind, message)
+        assert outcome(fold_apply_move, p, script) == (kind, message)
+    # a failed replay leaves its input as it was
+    assert p == pres("x y", "x y", "y^2")
+
+
+def compaction_script(rng, p, length):
+    """ConjRel/InvRel/SlideRel moves on p, drawn so that the three rules of
+    _compact have much to do: few relator indices, short conjugators, and
+    inverse conjugator pairs."""
+    m, out = len(p.relators), []
+    for _ in range(length):
+        j = rng.randrange(min(m, 2))
+        roll = rng.random()
+        if roll < 0.4:
+            w = random_word_over(rng, p.rank, 2)
+            out.append(ConjRel(j, w))
+            if rng.random() < 0.3:
+                out.append(ConjRel(j, tuple(-x for x in reversed(w))))
+        elif roll < 0.8:
+            out.append(InvRel(j))
+        elif m > 1:
+            out.append(SlideRel(j, rng.choice([k for k in range(m) if k != j]),
+                                rng.choice(["left", "right"])))
+    return out
+
+
+def rule_patterns(script_moves):
+    out = []
+    for a, b in zip(script_moves, script_moves[1:]):
+        if isinstance(a, InvRel) and a == b:
+            out.append((a, b))
+        if isinstance(a, ConjRel) and isinstance(b, ConjRel) and a.j == b.j:
+            out.append((a, b))
+    out += [(a,) for a in script_moves if isinstance(a, ConjRel) and not a.w]
+    return out
+
+
+def test_compact_keeps_relators_and_ledger():
+    rng = random.Random(27)
+    shrunk = 0
+    for _ in range(300):
+        p = random_presentation(rng, max_gens=3, max_rels=3)
+        script = MoveScript(tuple(compaction_script(rng, p, rng.randint(0, 16))))
+        compact = MoveScript(tuple(moves._compact(script.moves)))
+        # an identity on relator tuples, not only on canonical keys
+        assert replay(p, compact).relators == replay(p, script).relators
+        assert not rule_patterns(compact.moves)
+        assert slide_exponent_ledger(compact) == slide_exponent_ledger(script)
+        assert ([m for m in compact.moves if isinstance(m, SlideRel)]
+                == [m for m in script.moves if isinstance(m, SlideRel)])
+        shrunk += len(compact) < len(script)
+    assert shrunk > 100
+
+
+def test_compact_examples():
+    a, b = (1,), (2, 1)
+    assert moves._compact([InvRel(0), InvRel(0)]) == []
+    assert moves._compact([InvRel(0), InvRel(1)]) == [InvRel(0), InvRel(1)]
+    assert moves._compact([ConjRel(0, a), ConjRel(0, b)]) == [ConjRel(0, (2, 1, 1))]
+    assert moves._compact([ConjRel(0, a), ConjRel(1, b)]) == [ConjRel(0, a), ConjRel(1, b)]
+    assert moves._compact([ConjRel(0, EMPTY), InvRel(1)]) == [InvRel(1)]
+    # cancellations cascade: the pair exposed by a removal is fused too
+    assert moves._compact([ConjRel(0, a), InvRel(1), InvRel(1), ConjRel(0, (-1,))]) == []
+    slide = SlideRel(1, 0, "left")
+    assert moves._compact([InvRel(0), slide, InvRel(0)]) == [InvRel(0), slide, InvRel(0)]
+
+
+def test_pipeline_certificate_lengths_lustig_1_2():
+    common = common_generators(lustig(1), lustig(2), IsoWitness.identity(3))
+    w12, w21 = lustig_witness_pair(1, 2)
+    result = null_vector_pipeline(common, witnesses_second_over_first=w12,
+                                  witnesses_first_over_second=w21)
+    assert result.complete
+    # 9, 9, 257 and 863 moves before compaction
+    assert [len(c.script) for c in result.certificates] == [9, 9, 214, 536]
+    assert all(not rule_patterns(c.script.moves) for c in result.certificates)

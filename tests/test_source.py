@@ -68,11 +68,12 @@ def test_public_names_are_used():
 
 
 def test_applied_move_kinds_are_serialized():
-    # a move kind that apply_move applies but the script codec cannot write
-    # or read would give certificates that cannot be replayed from a file
+    # a move kind that _apply (behind apply_move and replay) applies but the
+    # script codec cannot write or read would give certificates that cannot
+    # be replayed from a file
     tree = ast.parse((SOURCE / "moves.py").read_text())
     apply = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name == "apply_move")
+                 and node.name == "_apply")
     applied = set()
     for node in ast.walk(apply):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

@@ -58,6 +58,40 @@ def test_group_laws_random():
         assert invert(invert(a)) == a
 
 
+def stack_inverse(u):
+    return tuple(-x for x in reversed(u))
+
+
+def test_word_kernel_matches_stack_reduction():
+    # multiply cancels only at the junction of its reduced operands; it and
+    # the functions built on it must agree with reducing the concatenation
+    rng = random.Random(12)
+    shapes = set()
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        u = random_word(rng, rank, rng.choice((0, 3, 40, 1200)))
+        roll = rng.random()
+        if roll < 0.2:
+            v = invert(u)  # cancels completely
+        elif roll < 0.5:
+            # cancels a random suffix of u, then goes on
+            v = reduce(stack_inverse(u[rng.randint(0, len(u)):])
+                       + random_word(rng, rank, rng.choice((0, 5, 600))))
+        else:
+            v = random_word(rng, rank, rng.choice((0, 5, 1200)))
+        product = multiply(u, v)
+        assert product == reduce(u + v)
+        shapes.add((not u, not v, not product))
+        assert conjugate(u, v) == reduce(v + u + stack_inverse(v))
+        assert commutator(u, v) == reduce(u + v + stack_inverse(u) + stack_inverse(v))
+        assert invert(u) == stack_inverse(u)
+        k = rng.randint(-3, 3)
+        assert power(u, k) == reduce((u if k >= 0 else stack_inverse(u)) * abs(k))
+    # empty operands on each side, and products cancelling to the identity
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (True, True, True)} <= shapes
+
+
 def test_invert_examples():
     assert invert(w("x y")) == w("y^-1 x^-1")
     assert invert(EMPTY) == EMPTY
