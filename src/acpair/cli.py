@@ -103,13 +103,18 @@ def cmd_witness(args) -> int:
     p = _load(args.presentation, parse_presentation)
     target = parse_word(args.target, p.gens)
     outcome = constructions.search_normal_closure_witness(
-        target, p.relators, args.max_factors, args.max_conj, args.max_states)
+        target, p.relators, _witness_budget(args))
     if outcome.result is None:
         print(f"unknown: witness search stopped: {outcome} (no claim made)")
         return VERIFY_FAIL
     payload = constructions.witness_to_json(outcome.result, p.gens)
     _write_text(args.output, json.dumps(payload, indent=1))
     return 0
+
+
+def _witness_budget(args) -> constructions.WitnessBudget:
+    return constructions.WitnessBudget(args.max_factors, args.max_conj,
+                                       args.max_states)
 
 
 def _load_iso_witness(path, p, q) -> constructions.IsoWitness:
@@ -144,16 +149,14 @@ def cmd_pipeline(args) -> int:
     l1 = _load(args.first, parse_presentation)
     l2 = _load(args.second, parse_presentation)
     iso = _load_iso_witness(args.iso, l1, l2)
-    budget = constructions.WitnessBudget(args.max_factors, args.max_conj,
-                                         args.max_states)
     common = constructions.common_generators(l1, l2, iso)
     p1, p2 = common.p_prime, common.q_prime
     sup12 = _load_witness_dir(args.witnesses, "second_over_first_",
                               len(p2.relators), p1.gens)
     sup21 = _load_witness_dir(args.witnesses, "first_over_second_",
                               len(p1.relators), p2.gens)
-    result = constructions.null_vector_pipeline(common, budget, sup12, sup21,
-                                                jobs=args.jobs)
+    result = constructions.null_vector_pipeline(common, _witness_budget(args),
+                                                sup12, sup21, jobs=args.jobs)
 
     lines = [f"boundary rank: {p1.rank}",
              f"stabilizations: {result.stabilizations}",
@@ -394,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Move scripts, pairings and homology for presentation "
                     "2-complexes with a fixed wedge boundary.")
     sub = parser.add_subparsers(dest="command", required=True)
+    witness, search = constructions.WitnessBudget(), SearchBudget()
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -421,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("witness", cmd_witness, "search a normal closure witness")
     p.add_argument("presentation")
     p.add_argument("--target", required=True)
-    p.add_argument("--max-factors", type=int, default=8)
-    p.add_argument("--max-conj", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=20000)
+    p.add_argument("--max-factors", type=int, default=witness.max_factors)
+    p.add_argument("--max-conj", type=int, default=witness.max_conjugator_length)
+    p.add_argument("--max-states", type=int, default=witness.max_states)
     p.add_argument("-o", "--output")
 
     p = add("pipeline", cmd_pipeline, "build a certified null vector bundle")
@@ -431,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument("--iso", help="isomorphism witness JSON (default: identity)")
     p.add_argument("--witnesses", help="directory of supplied witness files")
-    p.add_argument("--max-factors", type=int, default=8)
-    p.add_argument("--max-conj", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=20000)
+    p.add_argument("--max-factors", type=int, default=witness.max_factors)
+    p.add_argument("--max-conj", type=int, default=witness.max_conjugator_length)
+    p.add_argument("--max-states", type=int, default=witness.max_states)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", required=True)
 
@@ -451,11 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search-equiv", cmd_search_equiv, "bounded equivalence search")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=search.max_depth)
     p.add_argument("--regime", choices=("full", "k_prime"), default="full")
-    p.add_argument("--max-states", type=int, default=10000)
-    p.add_argument("--max-relator-length", type=int, default=24)
-    p.add_argument("--conj-len", type=int, default=3,
+    p.add_argument("--max-states", type=int, default=search.max_states)
+    p.add_argument("--max-relator-length", type=int,
+                   default=search.max_relator_length)
+    p.add_argument("--conj-len", type=int, default=search.conjugator_length,
                    help="longest conjugator of a restricted slide (k_prime only)")
     p.add_argument("--jobs", type=int, default=1,
                    help="unused; kept because the benchmark's command lines pass it")

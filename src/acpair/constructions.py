@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
@@ -16,8 +17,8 @@ from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
-from .words import (EMPTY, Word, commutator, format_word, invert, json_int,
-                    multiply, parse_word, power, reduce)
+from .words import (EMPTY, Word, commutator, format_word, identity_images,
+                    invert, json_int, multiply, parse_word, power, reduce)
 
 
 class WitnessError(ValueError):
@@ -106,12 +107,11 @@ class IsoWitness:
 
     @classmethod
     def identity(cls, rank: int) -> "IsoWitness":
-        imgs = tuple((i + 1,) for i in range(rank))
-        return cls(imgs, imgs)
+        return cls(identity_images(rank), identity_images(rank))
 
     def is_identity(self) -> bool:
-        return (self.y_in_x == tuple((i + 1,) for i in range(len(self.y_in_x)))
-                and self.x_in_y == tuple((i + 1,) for i in range(len(self.x_in_y))))
+        return (self.y_in_x == identity_images(len(self.y_in_x))
+                and self.x_in_y == identity_images(len(self.x_in_y)))
 
 
 @dataclass(frozen=True)
@@ -271,22 +271,29 @@ def _decode(word: bytes) -> Word:
     return tuple(b - 128 for b in word)
 
 
+@dataclass(frozen=True)
+class WitnessBudget:
+    max_factors: int = 8
+    max_conjugator_length: int = 4
+    max_states: int = 20000
+
+
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
-                                  max_factors: int = 8,
-                                  max_conjugator_length: int = 4,
-                                  max_states: int = 20000):
+                                  budget: WitnessBudget = WitnessBudget()):
     """Bounded bidirectional search for a normal closure witness.
 
     Returns a SearchOutcome whose result is a verified NormalClosureWitness,
     or None when the search stopped without one (which claims nothing):
     "exhausted" when the factor budget or both frontiers ran out,
-    "state_cap" when max_states was reached first.  Factors are explored
-    through relator insertions at prefix positions up to the conjugator
-    bound, so any witness found has conjugators no longer than
+    "state_cap" when the budget's max_states was reached first.  Factors
+    are explored through relator insertions at prefix positions up to the
+    conjugator bound, so any witness found has conjugators no longer than
     max_conjugator_length letters.  Words on either frontier have at most
     len(target) + 2 * (longest relator) + 2 * max_conjugator_length letters.
     Raises ValueError when a word uses a generator beyond the 127th.
     """
+    max_factors, max_conjugator_length, max_states = (
+        budget.max_factors, budget.max_conjugator_length, budget.max_states)
     target = reduce(target)
     relators = [reduce(r) for r in relators]
     if any(abs(x) > _MAX_LETTER for w in (target, *relators) for x in w):
@@ -384,13 +391,6 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
 
 
 @dataclass(frozen=True)
-class WitnessBudget:
-    max_factors: int = 8
-    max_conjugator_length: int = 4
-    max_states: int = 20000
-
-
-@dataclass(frozen=True)
 class PipelineResult:
     x: FormalSum
     certificates: tuple
@@ -402,19 +402,15 @@ class PipelineResult:
         return not self.unknown
 
 
-def _search_one(args):
-    target, relators, budget = args
-    return search_normal_closure_witness(
-        target, relators, budget.max_factors, budget.max_conjugator_length,
-        budget.max_states)
-
-
 def _collect_witnesses(requests, budget, jobs):
     """One witness or None per (label, target, base relators, supplied
     witness or None) request, and the (label, SearchOutcome) of each search
     that stopped without one.  Every supplied witness is checked before any
-    search runs; the missing ones are searched, all in one process pool when
-    jobs > 1, and a found one was checked by the search itself."""
+    search runs; the missing ones are searched, all in one process pool of
+    at most jobs workers, one per search, and a found one was checked by the
+    search itself."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     found = []
     for label, word, base, wit in requests:
         if wit is not None and wit.target != word:
@@ -423,12 +419,14 @@ def _collect_witnesses(requests, budget, jobs):
             raise WitnessError(f"{label}: supplied witness fails verification")
         found.append(wit)
     missing = [n for n, wit in enumerate(found) if wit is None]
-    tasks = [(requests[n][1], requests[n][2], budget) for n in missing]
-    if jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_search_one, tasks))
+    args = ([requests[n][1] for n in missing], [requests[n][2] for n in missing],
+            repeat(budget))
+    workers = min(jobs, len(missing))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(search_normal_closure_witness, *args))
     else:
-        outcomes = map(_search_one, tasks)
+        outcomes = map(search_normal_closure_witness, *args)
     unknown = []
     for n, outcome in zip(missing, outcomes):
         found[n] = outcome.result

@@ -585,11 +585,10 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
     g = data["group"]
     if isinstance(g, str):
         # reference to a CSV group file, relative to the chain file
-        with open(os.path.join(base_dir, g)) as fh:
-            text = fh.read()
         try:
-            group = load_group_csv(text)
-        except ValueError as e:
+            with open(os.path.join(base_dir, g)) as fh:
+                group = load_group_csv(fh.read())
+        except (OSError, ValueError) as e:
             raise ValueError(f"group file {g}: {e}") from None
     else:
         group = FiniteGroup.from_table(

@@ -30,9 +30,9 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .presentations import Presentation, canonical_key
-from .words import (EMPTY, Word, commutator, conjugate, format_word, invert,
-                    json_int, letter_key, multiply, parse_word, reduce,
-                    substitute, valid_name)
+from .words import (EMPTY, Word, commutator, conjugate, format_word,
+                    identity_images, invert, json_int, letter_key, multiply,
+                    parse_word, reduce, substitute, valid_name)
 
 
 class MoveError(ValueError):
@@ -175,7 +175,7 @@ def _check_word(w: Word, rank: int) -> Word:
 
 def _nielsen_substitution(move, rank: int) -> dict:
     """The map substituted through relators: the inverse of the declared map."""
-    images = {k: (k + 1,) for k in range(rank)}
+    images = dict(enumerate(identity_images(rank)))
     if isinstance(move, NielsenInv):
         _check_gen(move.i, rank)
         images[move.i] = (-(move.i + 1),)
@@ -300,6 +300,26 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
         if (len(gens), len(rels)) != (n, m):
             raise MoveError(f"bookkeeping drift at move {pos}")
     return Presentation._trusted(gens, tuple(rels))
+
+
+def apply_automorphism(p: Presentation, images, script: MoveScript) -> Presentation:
+    """p with the free-group automorphism g_i -> images[i] substituted
+    through its relators.
+
+    The script, of NielsenInv and NielsenMul moves only, certifies the map:
+    replayed over the basis presentation, whose relators are g_1 ... g_n,
+    it must reach the images.  The result is replay(p, script), so the map
+    checked is the one replay substitutes.  Recognizing automorphisms is
+    not attempted.
+    """
+    if len(images) != p.rank:
+        raise ValueError("need one image per generator")
+    if not all(isinstance(move, (NielsenInv, NielsenMul)) for move in script.moves):
+        raise MoveError("an automorphism script holds Nielsen moves only")
+    basis = Presentation._trusted(p.gens, identity_images(p.rank))
+    if replay(basis, script).relators != tuple(reduce(w) for w in images):
+        raise ValueError("images not certified by the supplied Nielsen script")
+    return replay(p, script)
 
 
 def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:

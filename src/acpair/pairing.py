@@ -297,10 +297,12 @@ def verify_null(x: FormalSum, certs) -> NullVectorReport:
 
 
 def sum_to_json(x: FormalSum, representatives) -> list:
-    """Serialize with caller-chosen representatives (key -> Presentation)."""
+    """Serialize with caller-chosen representatives (key -> Presentation):
+    one entry per term and per representative, with coefficient 0 where x
+    has no term, so that a zero sum keeps its rank."""
     out = []
-    for key, coeff in x.items():
-        pres = representatives[key]
+    for key in sorted(x.support | set(representatives), key=CanonicalKey.sort_key):
+        pres, coeff = representatives[key], x.coefficient(key)
         if canonical_key(pres) != key:
             raise ValueError("representative does not match its key")
         if isinstance(coeff, Fraction) and coeff.denominator != 1:

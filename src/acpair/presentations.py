@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import homology
 from .words import (EMPTY, Word, cyclic_canonical, format_word, invert,
-                    multiply, parse_word, reduce, substitute, valid_name,
-                    word_key, compose_nielsen, exponent_sum)
+                    multiply, parse_word, reduce, valid_name, word_key,
+                    exponent_sum)
 
 
 @dataclass(frozen=True)
@@ -134,27 +134,6 @@ def wedge_s1(p: Presentation, count: int) -> Presentation:
     for _ in range(count):
         gens.append(fresh_name(set(gens), len(gens)))
     return Presentation(tuple(gens), p.relators)
-
-
-def apply_automorphism(p: Presentation, images, nielsen_steps) -> Presentation:
-    """Act on relators by a free-group automorphism.
-
-    `images` maps each generator index to its image word; the caller must
-    certify the map by supplying a Nielsen decomposition, which is replayed
-    and compared against the claimed images.  Recognizing automorphisms is
-    not attempted.
-    """
-    if isinstance(images, dict):
-        image_list = [images[i] for i in range(p.rank)]
-    else:
-        image_list = list(images)
-    if len(image_list) != p.rank:
-        raise ValueError("need one image per generator")
-    composed = compose_nielsen(nielsen_steps, p.rank)
-    if [reduce(w) for w in image_list] != composed:
-        raise ValueError("images not certified by the supplied Nielsen decomposition")
-    mapping = {i: w for i, w in enumerate(image_list)}
-    return Presentation(p.gens, tuple(substitute(r, mapping) for r in p.relators))
 
 
 def forget_boundary(p: Presentation) -> ClosedComplex:

@@ -104,32 +104,9 @@ def substitute(u: Word, images: Mapping[int, Word]) -> Word:
     return tuple(out)
 
 
-def identity_images(rank: int) -> list[Word]:
-    return [(i + 1,) for i in range(rank)]
-
-
-def compose_nielsen(steps: Sequence[tuple], rank: int) -> list[Word]:
-    """Images of the automorphism given by a sequence of Nielsen steps.
-
-    Steps are ("inv", i) or ("mul", i, j, "left"|"right") with 0-based
-    indices; ("mul", i, j, "right") is g_i -> g_i g_j.  The composite is
-    applied left to right.
-    """
-    imgs = identity_images(rank)
-    for step in steps:
-        if step[0] == "inv":
-            _, i = step
-            step_map = {k: ((-(i + 1),) if k == i else (k + 1,)) for k in range(rank)}
-        elif step[0] == "mul":
-            _, i, j, side = step
-            if i == j:
-                raise ValueError("Nielsen multiplication needs distinct generators")
-            img = (i + 1, j + 1) if side == "right" else (j + 1, i + 1)
-            step_map = {k: (img if k == i else (k + 1,)) for k in range(rank)}
-        else:
-            raise ValueError(f"unknown Nielsen step {step!r}")
-        imgs = [substitute(w, step_map) for w in imgs]
-    return imgs
+def identity_images(rank: int) -> tuple:
+    """The images of the identity map g_i -> g_i, in generator order."""
+    return tuple((i + 1,) for i in range(rank))
 
 
 # Deterministic letter order: generator index ascending, positive sign first.

@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from acpair import constructions, pairing
-from acpair.cli import main
-from acpair.constructions import lustig, witness_to_json
+from acpair.cli import build_parser, main
+from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
-from acpair.moves import MoveScript, SlideRel, script_to_json
+from acpair.moves import MoveScript, SearchBudget, SlideRel, script_to_json
 from acpair.presentations import (format_presentation, make_presentation,
                                   parse_presentation)
 
@@ -148,6 +148,40 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
     assert code == 0
     assert json.loads(out)["null"] is True
+
+
+def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
+    # x = a - a is the zero sum; its file still names the presentation
+    # (coefficient 0), so that verify-null can read the sum's rank
+    a = write(tmp_path / "a.pres", format_presentation(lustig(1)))
+    bundle = tmp_path / "b"
+    code, out, _ = run(capsys, "pipeline", a, a, "-o", bundle)
+    assert code == 0 and "verify-null: pass" in out, out
+    assert json.loads((bundle / "x.sum").read_text()) == [
+        {"coeff": 0, "presentation": format_presentation(lustig(1))}]
+    code, out, err = run(capsys, "verify-null", bundle)
+    assert code == 0, err
+    assert "null vector: yes" in out
+
+
+def test_pipeline_jobs_below_one_is_an_input_error(tmp_path, capsys):
+    k1, k2, _ = write_lustig_inputs(tmp_path)
+    for jobs in ("0", "-1"):
+        code, _, err = run(capsys, "pipeline", k1, k2, "--jobs", jobs,
+                           "-o", tmp_path / f"b{jobs}")
+        assert code == 2 and "jobs must be at least 1" in err
+        assert not (tmp_path / f"b{jobs}").exists()
+
+
+def test_search_flag_defaults_are_the_budget_defaults():
+    parse = build_parser().parse_args
+    for args in (parse(["witness", "p", "--target", "x"]),
+                 parse(["pipeline", "p", "q", "-o", "b"])):
+        assert WitnessBudget(args.max_factors, args.max_conj,
+                             args.max_states) == WitnessBudget()
+    args = parse(["search-equiv", "p", "q"])
+    assert SearchBudget(args.depth, args.max_relator_length, args.max_states,
+                        args.conj_len) == SearchBudget()
 
 
 def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
@@ -415,6 +449,13 @@ def _homology(tmp_path, entry, ranks=(1, 1, 1), group_csv=None):
     return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", "1"]
 
 
+def _missing_group(tmp_path):
+    argv = _homology(tmp_path, [2, 0, 0, 0, 2])
+    chain = json.loads((tmp_path / "c.json").read_text())
+    write(tmp_path / "c.json", json.dumps({**chain, "group": "nope.csv"}))
+    return argv
+
+
 MALFORMED = {
     "sum_unknown_generator": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": "gens: x\nrel: q\n"}]), "x.sum"),
@@ -468,6 +509,9 @@ MALFORMED = {
     "chain_float_row": (lambda t: _homology(t, [2, 0.5, 0, 0, 2]), "c.json"),
     "chain_float_rank": (lambda t: _homology(t, [2, 0, 0, 0, 2], (1, 1.5, 1)),
                          "c.json"),
+    # the chain file was read: the error names it as the prefix, then the
+    # group file it could not read
+    "chain_group_file_missing": (_missing_group, "c.json: group file nope.csv"),
     "chain_group_csv_underscore": (lambda t: _homology(
         t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
     "word_too_long": (lambda t: ["normalize", write(

@@ -119,12 +119,13 @@ def test_witness_verify():
 
 
 def test_witness_search_examples():
-    wit = search_normal_closure_witness((1, 1), [(1,)], 4, 2).result
+    wit = search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2)).result
     assert wit.factors == ((EMPTY, 0, 1), (EMPTY, 0, 1))
-    single = search_normal_closure_witness((1, 1, 1), [(1, 1, 1)], 2, 1).result
+    single = search_normal_closure_witness((1, 1, 1), [(1, 1, 1)],
+                                           WitnessBudget(2, 1)).result
     assert single.factors == ((EMPTY, 0, 1),)
-    assert search_normal_closure_witness((1,), [(1, 1)], 6, 3,
-                                         max_states=4000).result is None
+    assert search_normal_closure_witness((1,), [(1, 1)], WitnessBudget(
+        6, 3, max_states=4000)).result is None
 
 
 def test_witness_search_meet_keeps_forward_order():
@@ -132,7 +133,7 @@ def test_witness_search_meet_keeps_forward_order():
     # forward layers, so the forward factors must be listed first-to-last
     rels = [(1, 1), (2, 2)]
     target = (2, 2, -1, -2, -2, 1, -2, -2)
-    outcome = search_normal_closure_witness(target, rels, 4, 2)
+    outcome = search_normal_closure_witness(target, rels, WitnessBudget(4, 2))
     wit = outcome.result
     assert wit is not None and wit.verify(rels)
     assert len(wit.factors) <= 4
@@ -152,7 +153,7 @@ def test_witness_search_found_witnesses_verify_random():
             rel = rng.choice(rels)
             rel = rel if rng.random() < 0.5 else invert(rel)
             target = multiply(target, multiply(multiply(invert(g), rel), g))
-        wit = search_normal_closure_witness(target, rels, 8, 4).result
+        wit = search_normal_closure_witness(target, rels, WitnessBudget(8, 4)).result
         if wit is not None:
             assert wit.verify(rels)
             assert len(wit.factors) <= 8
@@ -161,14 +162,15 @@ def test_witness_search_found_witnesses_verify_random():
 
 def test_witness_search_stop_reasons():
     # the first insertion into x^2 over x^3 meets nothing and passes the cap
-    outcome = search_normal_closure_witness((1, 1), [(1, 1, 1)], 6, 3,
-                                            max_states=1)
+    outcome = search_normal_closure_witness((1, 1), [(1, 1, 1)],
+                                            WitnessBudget(6, 3, max_states=1))
     assert (outcome.result, outcome.reason, outcome.states) == (None, "state_cap", 3)
     assert str(outcome) == "state_cap after 3 states"
     # x is not in the normal closure of x^2: the whole space is searched
-    outcome = search_normal_closure_witness((1,), [(1, 1)], 6, 3, max_states=4000)
+    outcome = search_normal_closure_witness((1,), [(1, 1)],
+                                            WitnessBudget(6, 3, max_states=4000))
     assert (outcome.result, outcome.reason, outcome.states) == (None, "exhausted", 14)
-    outcome = search_normal_closure_witness((1, 1), [(1,)], 4, 2)
+    outcome = search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2))
     assert outcome.result is not None and outcome.reason == "found"
 
 
@@ -177,20 +179,21 @@ def test_witness_search_raises_when_its_witness_fails_verification(monkeypatch):
     # never an assert or a verdict
     monkeypatch.setattr(NormalClosureWitness, "verify", lambda self, relators: False)
     with pytest.raises(WitnessError, match="failed verification"):
-        search_normal_closure_witness((1, 1), [(1,)], 4, 2)
+        search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2))
 
 
 def test_witness_search_conjugated_target():
     rel = (1, 2, 1)
     target = reduce((2,) + rel + (-2,))
-    wit = search_normal_closure_witness(target, [rel], 3, 2).result
+    wit = search_normal_closure_witness(target, [rel], WitnessBudget(3, 2)).result
     assert wit is not None and wit.verify([rel])
 
 
 def test_witness_search_commutator_combination():
     # x^2 y^2 over {x^2, y^2}: needs a conjugate pair
     target = (1, 1, 2, 2)
-    wit = search_normal_closure_witness(target, [(1, 1), (2, 2)], 4, 3).result
+    wit = search_normal_closure_witness(target, [(1, 1), (2, 2)],
+                                        WitnessBudget(4, 3)).result
     assert wit is not None and wit.verify([(1, 1), (2, 2)])
 
 
@@ -251,7 +254,7 @@ def test_witness_search_matches_tuple_word_reference():
             rel = rel if rng.random() < 0.5 else invert(rel)
             target = multiply(target, multiply(multiply(invert(g), rel), g))
         budget = (rng.randint(1, 8), rng.randint(0, 4), rng.choice((20, 200, 5000)))
-        outcome = search_normal_closure_witness(target, rels, *budget)
+        outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
         factors = None if outcome.result is None else outcome.result.factors
         assert ((outcome.reason, outcome.states, factors)
                 == _tuple_witness_search(target, rels, *budget))
@@ -429,6 +432,39 @@ def test_pipeline_parallel_search_matches_sequential(monkeypatch):
     assert par.unknown == seq.unknown
     assert [c.script for c in par.certificates] == \
         [c.script for c in seq.certificates]
+
+
+def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
+    # six searches are missing, so a pool of 64 would fork 58 idle workers;
+    # the stand-in runs the searches in process and starts no workers
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(constructions, "ProcessPoolExecutor", RecordingPool)
+    budget = WitnessBudget(2, 1, 200)
+    res = null_vector_pipeline(lustig_common(), budget, jobs=64)
+    assert sizes == [6] and len(res.unknown) == 4
+    # one missing search runs in process, with no pool at all
+    w12, w21 = lustig_witness_pair(1, 2)
+    res = null_vector_pipeline(lustig_common(), budget, w12, [*w21[:2], None],
+                               jobs=64)
+    assert sizes == [6] and len(res.unknown) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            null_vector_pipeline(lustig_common(), budget, jobs=jobs)
+    assert sizes == [6]
 
 
 def test_pipeline_general_path_with_search():

@@ -9,14 +9,14 @@ from acpair.constructions import (IsoWitness, common_generators, lustig,
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RegimeError,
                           RemoveGen, RemoveTrivialRel, RestrictedSlide,
-                          RSFactor, SearchBudget, SlideRel, apply_move,
-                          bounded_equivalence_search, enumerate_words,
+                          RSFactor, SearchBudget, SlideRel, apply_automorphism,
+                          apply_move, bounded_equivalence_search, enumerate_words,
                           expand_restricted_slides, invert_script, replay,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation)
-from acpair.words import EMPTY, conjugate, reduce
+from acpair.words import EMPTY, conjugate, reduce, substitute
 from lustig_fixtures import lustig_witness_pair
 
 
@@ -56,6 +56,33 @@ def test_nielsen_moves_substitute_inverse_map():
     assert q.relators == ((1, -2),)
     r = apply_move(p, NielsenInv(0))
     assert r.relators == ((-1,),)
+
+
+def test_apply_automorphism_matches_substitution():
+    # images composed here from the map each Nielsen move substitutes, the
+    # inverse of its declared map: g_i -> g_i^-1, g_i -> g_i g_j^-1 (right),
+    # g_i -> g_j^-1 g_i (left), the later move applied to the earlier images
+    rng = random.Random(1201)
+    for _ in range(1000):
+        p = random_presentation(rng)
+        rank = p.rank
+        script, images = [], [(i + 1,) for i in range(rank)]
+        for _ in range(rng.randint(0, 8)):
+            i = rng.randrange(rank)
+            step = {k: (k + 1,) for k in range(rank)}
+            if rank == 1 or rng.random() < 0.3:
+                script.append(NielsenInv(i))
+                step[i] = (-(i + 1),)
+            else:
+                j = rng.choice([k for k in range(rank) if k != i])
+                side = rng.choice(("left", "right"))
+                script.append(NielsenMul(i, j, side))
+                step[i] = (i + 1, -(j + 1)) if side == "right" else (-(j + 1), i + 1)
+            images = [substitute(w, step) for w in images]
+        q = apply_automorphism(p, images, MoveScript(tuple(script)))
+        assert q.gens == p.gens
+        assert q.relators == tuple(substitute(r, dict(enumerate(images)))
+                                   for r in p.relators)
 
 
 def test_addgen_removegen():

@@ -177,6 +177,20 @@ def test_sum_json_roundtrip():
     assert [type(c) for _, c in loaded.items()] == [int, Fraction]
 
 
+def test_sum_json_writes_every_representative():
+    # a representative without a term is written with coefficient 0, so the
+    # zero sum a - a keeps its rank; a term without a representative raises
+    p, q = pres("x y", "x"), pres("x y", "x y^2")
+    reps = {canonical_key(p): p, canonical_key(q): q}
+    data = sum_to_json(fs(q, 2), reps)
+    assert [t["coeff"] for t in data] == [0, 2]
+    assert data == sum_to_json(fs(q, 2) + fs(p) - fs(p), reps)
+    loaded, loaded_reps = sum_from_json(sum_to_json(fs(p) - fs(p), reps))
+    assert loaded == FormalSum.zero(2) and set(loaded_reps) == set(reps)
+    with pytest.raises(KeyError):
+        sum_to_json(fs(p), {canonical_key(q): q})
+
+
 def test_certificate_json_roundtrip():
     a = pres("x y", "x", "y")
     from acpair.moves import SlideRel, replay

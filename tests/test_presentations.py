@@ -3,12 +3,14 @@ import random
 import pytest
 
 from acpair.homology import AbelianGroup
+from acpair.moves import (AddGen, ConjRel, MoveError, MoveScript, NielsenInv,
+                          NielsenMul, apply_automorphism)
 from acpair.presentations import (ClosedComplex, Presentation, abelianization,
-                                  apply_automorphism, canonical_key,
-                                  disjoint_union, euler_char, forget_boundary,
-                                  format_presentation, make_presentation,
-                                  parse_presentation, product, serialize_key,
-                                  unit_presentation, wedge_s1, wedge_s2)
+                                  canonical_key, disjoint_union, euler_char,
+                                  forget_boundary, format_presentation,
+                                  make_presentation, parse_presentation,
+                                  product, serialize_key, unit_presentation,
+                                  wedge_s1, wedge_s2)
 from acpair.words import EMPTY, invert, reduce
 
 
@@ -104,21 +106,43 @@ def test_wedge_s1_fresh_names():
 
 def test_apply_automorphism():
     p = make_presentation("x y", ["x y"])
-    q = apply_automorphism(p, [(1,), (-2,)], [("inv", 1)])
+    # NielsenInv(1) substitutes y -> y^-1
+    q = apply_automorphism(p, [(1,), (-2,)], MoveScript((NielsenInv(1),)))
     assert q.relators == ((1, -2),)
-    same = apply_automorphism(p, [(1,), (2,)], [])
+    same = apply_automorphism(p, [(1,), (2,)], MoveScript(()))
     assert same == p
-    # inverse Nielsen pair restores the key
-    step1 = apply_automorphism(p, [(1, 2), (2,)], [("mul", 0, 1, "right")])
-    step2 = apply_automorphism(step1, [(1, -2), (2,)],
-                               [("inv", 1), ("mul", 0, 1, "right"), ("inv", 1)])
+    # an inverse Nielsen pair restores the key: NielsenMul(0, 1, "right")
+    # substitutes x -> x y^-1, and conjugating it by NielsenInv(1) gives
+    # x -> x y
+    step1 = apply_automorphism(p, [(1, -2), (2,)],
+                               MoveScript((NielsenMul(0, 1, "right"),)))
+    step2 = apply_automorphism(step1, [(1, 2), (2,)], MoveScript(
+        (NielsenInv(1), NielsenMul(0, 1, "right"), NielsenInv(1))))
     assert canonical_key(step2) == canonical_key(p)
 
 
 def test_apply_automorphism_rejects_uncertified():
     p = make_presentation("x y", ["x y"])
-    with pytest.raises(ValueError):
-        apply_automorphism(p, [(1, 2), (2,)], [("inv", 0)])
+    with pytest.raises(ValueError, match="not certified"):
+        apply_automorphism(p, [(1, 2), (2,)], MoveScript((NielsenInv(0),)))
+    # the images of the declared map x -> x y are not what the move substitutes
+    with pytest.raises(ValueError, match="not certified"):
+        apply_automorphism(p, [(1, 2), (2,)],
+                           MoveScript((NielsenMul(0, 1, "right"),)))
+
+
+def test_apply_automorphism_rejects_bad_scripts():
+    p = make_presentation("x y", ["x y"])
+    # a script that is not only Nielsen moves certifies no automorphism,
+    # even where its replay over the basis reaches the images
+    for move in (ConjRel(0, (1,)), AddGen("z")):
+        with pytest.raises(MoveError, match="Nielsen moves only"):
+            apply_automorphism(p, [(1,), (2,)], MoveScript((move,)))
+    with pytest.raises(MoveError, match="out of range"):
+        apply_automorphism(p, [(1,), (2,)], MoveScript((NielsenInv(2),)))
+    for images in ([(1,)], [(1,), (2,), (3,)]):
+        with pytest.raises(ValueError, match="one image per generator"):
+            apply_automorphism(p, images, MoveScript(()))
 
 
 def test_forget_boundary_and_disjoint_union():

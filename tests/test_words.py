@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from acpair.words import (EMPTY, commutator, compose_nielsen, conjugate,
-                          cyclic_canonical, cyclically_reduce, exponent_sum,
-                          format_word, invert, letter_key, multiply,
-                          parse_word, power, reduce, substitute, word_key)
+from acpair.words import (EMPTY, commutator, conjugate, cyclic_canonical,
+                          cyclically_reduce, exponent_sum, format_word, invert,
+                          letter_key, multiply, parse_word, power, reduce,
+                          substitute, word_key)
 
 X, Y = (1,), (2,)
 NAMES = ("x", "y")
@@ -263,15 +263,3 @@ def test_parse_word_errors():
         parse_word("x^1000001", NAMES)
     with pytest.raises(ValueError, match="more than 1000000 letters"):
         parse_word("x^600000 x^-600000", NAMES)
-
-
-def test_compose_nielsen_inverse_pair():
-    # g0 -> g0 g1 then g0 -> g0 g1^-1 is the identity map
-    steps = [("mul", 0, 1, "right")]
-    imgs = compose_nielsen(steps, 2)
-    assert imgs == [(1, 2), (2,)]
-    undone = compose_nielsen(steps + [("mul", 0, 1, "right")], 2)
-    assert undone == [(1, 2, 2), (2,)]
-    # composing with the inverse map directly
-    back = [substitute(im, {0: (1, -2), 1: (2,)}) for im in imgs]
-    assert back == [(1,), (2,)]
