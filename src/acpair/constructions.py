@@ -29,26 +29,22 @@ class WitnessError(ValueError):
 # Nielsen-composite script builders (2-deformations: generator-level moves).
 
 
-def _append_letter_moves(i: int, letter: int) -> list:
-    """Moves whose net substitution is g_i -> g_i * letter.
+def append_word_moves(i: int, u: Word) -> list:
+    """Moves realizing the substitution g_i -> g_i * u (u must avoid g_i).
 
     The engine substitutes the inverse of a declared Nielsen map, so a
     plain right multiplication appends the negative letter and appending a
     positive letter needs conjugation by an inversion pair.
     """
-    j = abs(letter) - 1
-    if letter < 0:
-        return [NielsenMul(i, j, "right")]
-    return [NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)]
-
-
-def append_word_moves(i: int, u: Word) -> list:
-    """Moves realizing the substitution g_i -> g_i * u (u must avoid g_i)."""
     if any(abs(x) - 1 == i for x in u):
         raise ValueError("appended word may not involve the rewritten generator")
     moves = []
     for letter in reversed(u):
-        moves.extend(_append_letter_moves(i, letter))
+        j = abs(letter) - 1
+        if letter < 0:
+            moves.append(NielsenMul(i, j, "right"))
+        else:
+            moves += [NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)]
     return moves
 
 
@@ -202,6 +198,14 @@ class NormalClosureWitness:
         return self.product_word(relators) == self.target
 
 
+def _check_witness(wit, target: Word, relators: Sequence[Word], name: str) -> None:
+    """Raise a WitnessError led by name unless wit expresses target over relators."""
+    if wit.target != target:
+        raise WitnessError(f"{name} targets the wrong word")
+    if not wit.verify(relators):
+        raise WitnessError(f"{name} fails verification")
+
+
 def witness_to_json(wit: NormalClosureWitness, names: Sequence[str]) -> dict:
     return {
         "target": format_word(wit.target, names),
@@ -244,10 +248,7 @@ def product_stabilization(l1: Presentation, l2: Presentation,
     if len(witnesses) != len(l2.relators):
         raise WitnessError(f"need {len(l2.relators)} witnesses, got {len(witnesses)}")
     for idx, (rel, wit) in enumerate(zip(l2.relators, witnesses)):
-        if wit.target != rel:
-            raise WitnessError(f"witness {idx} targets the wrong word")
-        if not wit.verify(l1.relators):
-            raise WitnessError(f"witness {idx} fails free-group verification")
+        _check_witness(wit, rel, l1.relators, f"witness {idx}")
     base = len(l1.relators)
     targets = [base + i for i in range(len(l2.relators))]
     return MoveScript(tuple(stabilization_moves(targets, range(base), witnesses)),
@@ -318,29 +319,21 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     bwd_frontier = [b""]
     fwd_depth = bwd_depth = 0
 
-    def forward_factors(word):
-        # Edge (pos,k,sign) at word w: w' = p rel^sign v, i.e. the stripped
-        # factor is F = p rel^-sign p^-1 = g^-1 R^-sign g with g = p^-1, and
-        # w = F w'.  Walking back from the meeting word visits the factors
-        # last-first, so the list is reversed to read target = F_0 F_1 ...
+    def walk(seen, word, orient):
+        # The factors g^-1 R^(orient*sign) g, g = p^-1, on the parent links
+        # from word back to its side's start.  A backward edge turns the
+        # suffix v = p u into p rel^sign u = (p rel^sign p^-1) v, prepending
+        # a factor; a forward edge strips F = p rel^-sign p^-1 off w = F w',
+        # so the forward walk visits its factors last-first.
         out = []
-        while fwd[word] is not None:
-            word, pos, k, sign = fwd[word]
-            out.append((invert(_decode(word[:pos])), k, -sign))
-        out.reverse()
-        return out
-
-    def backward_factors(word):
-        # Edge at suffix v: v' = p rel^sign rest = (p rel^sign p^-1) v,
-        # prepending the factor g^-1 R^sign g with g = p^-1.
-        out = []
-        while bwd[word] is not None:
-            word, pos, k, sign = bwd[word]
-            out.append((invert(_decode(word[:pos])), k, sign))
+        while seen[word] is not None:
+            word, pos, k, sign = seen[word]
+            out.append((invert(_decode(word[:pos])), k, orient * sign))
         return out
 
     def meet(word):
-        factors = forward_factors(word) + backward_factors(word)
+        # reversed, the forward factors read target = F_0 F_1 ...
+        factors = walk(fwd, word, -1)[::-1] + walk(bwd, word, 1)
         wit = NormalClosureWitness(target, tuple(factors))
         if not wit.verify(relators):
             raise WitnessError("witness reconstruction failed verification")
@@ -402,21 +395,37 @@ class PipelineResult:
         return not self.unknown
 
 
+def _relator_witness(target: Word, relators: Sequence[Word]):
+    """The witness the search meets first for an empty target or for a
+    target that is a relator or its inverse, taking the least such relator;
+    None for any other target."""
+    if not target:
+        return NormalClosureWitness(target, ())
+    inverse = invert(target)
+    for k, rel in enumerate(relators):
+        if rel in (target, inverse):
+            return NormalClosureWitness(target, ((EMPTY, k, 1 if rel == target else -1),))
+    return None
+
+
 def _collect_witnesses(requests, budget, jobs):
     """One witness or None per (label, target, base relators, supplied
     witness or None) request, and the (label, SearchOutcome) of each search
     that stopped without one.  Every supplied witness is checked before any
-    search runs; the missing ones are searched, all in one process pool of
-    at most jobs workers, one per search, and a found one was checked by the
-    search itself."""
+    search runs.  A missing one that the search would meet in its first
+    expansion, before the state cap, is taken from _relator_witness; the
+    others are searched, all in one process pool of at most jobs workers,
+    one per search, and a found one was checked by the search itself."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     found = []
     for label, word, base, wit in requests:
-        if wit is not None and wit.target != word:
-            raise WitnessError(f"{label}: supplied witness targets the wrong word")
-        if wit is not None and not wit.verify(base):
-            raise WitnessError(f"{label}: supplied witness fails verification")
+        if wit is not None:
+            _check_witness(wit, word, base, f"{label}: supplied witness")
+        elif budget.max_factors > 0 and budget.max_states > 2 * len(base):
+            # the first expansion adds at most 2 * len(base) - 1 states
+            # before the meeting one, to the 2 it starts with
+            wit = _relator_witness(word, base)
         found.append(wit)
     missing = [n for n, wit in enumerate(found) if wit is None]
     args = ([requests[n][1] for n in missing], [requests[n][2] for n in missing],

@@ -16,7 +16,7 @@ from .moves import MoveScript, MoveError, replay, script_from_json, script_to_js
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             canonical_key, format_presentation,
                             parse_presentation, serialize_key)
-from .words import json_int, word_key
+from .words import json_int
 
 
 class CertificateError(ValueError):
@@ -92,9 +92,6 @@ class FormalSum:
         _check_scalar(c)
         return FormalSum(self.rank, {k: c * v for k, v in self._terms.items()})
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def dot(self, other: "FormalSum") -> "FormalSum":
         """Bilinear extension of the presentation product.
 
@@ -107,8 +104,7 @@ class FormalSum:
         out: dict = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                merged = CanonicalKey(self.rank, tuple(
-                    sorted(k1.classes + k2.classes, key=word_key)))
+                merged = CanonicalKey(self.rank, k1.classes + k2.classes)
                 out[merged] = out.get(merged, 0) + c1 * c2
         return FormalSum(self.rank, out)
 
@@ -212,31 +208,35 @@ class _UnionFind:
         self.parent[drop] = keep
 
 
-def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
-    """Sum coefficients over the key classes generated by verified
-    certificates.  A failing certificate is an error naming the offender."""
-    certs = list(certs)
+def _reduce(x: FormalSum, certs) -> tuple:
+    """Verify each certificate once, at the rank of x, and sum x's
+    coefficients over the key classes that the holding certificates join.
+    Returns the status rows (label, ok, message), labelled by list position
+    where a certificate has no label, and the reduced sum."""
+    status, uf = [], _UnionFind()
     for idx, cert in enumerate(certs):
         ok, msg = cert.verify()
-        if not ok:
-            name = cert.label or f"certificate {idx}"
-            raise CertificateError(f"{name}: {msg}")
-        if cert.lhs.rank != x.rank:
-            raise ValueError("certificate endpoints have the wrong rank")
-    return _merge_classes(x, certs)
-
-
-def _merge_classes(x: FormalSum, verified) -> FormalSum:
-    """The union step of reduce_by_certificates, for certificates the
-    caller has already verified at the rank of x."""
-    uf = _UnionFind()
-    for cert in verified:
-        uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
+        if ok and cert.lhs.rank != x.rank:
+            ok, msg = False, "certificate rank differs from the sum"
+        status.append((cert.label or str(idx), ok, msg))
+        if ok:
+            uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
     out: dict = {}
     for key, coeff in x._terms.items():
         rep = uf.find(key)
         out[rep] = out.get(rep, 0) + coeff
-    return FormalSum(x.rank, out)
+    return status, FormalSum(x.rank, out)
+
+
+def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
+    """Sum coefficients over the key classes generated by verified
+    certificates.  A failing certificate is an error naming the first
+    offender in list order."""
+    status, reduced = _reduce(x, certs)
+    for label, ok, msg in status:
+        if not ok:
+            raise CertificateError(f"certificate {label}: {msg}")
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -275,18 +275,7 @@ def verify_null(x: FormalSum, certs) -> NullVectorReport:
     Certificate failures are reported, excluded from the reduction, and
     force the verdict to False.
     """
-    certs = list(certs)
-    status = []
-    good = []
-    for idx, cert in enumerate(certs):
-        ok, msg = cert.verify()
-        if ok and cert.lhs.rank != x.rank:
-            ok, msg = False, "certificate rank differs from the sum"
-        label = cert.label or str(idx)
-        status.append((label, ok, msg))
-        if ok:
-            good.append(cert)
-    residue = _merge_classes(x.dot(x), good)
+    status, residue = _reduce(x.dot(x), certs)
     null = residue.is_zero() and all(ok for _, ok, _ in status)
     return NullVectorReport(null, tuple(status), residue)
 

@@ -63,7 +63,10 @@ class Presentation:
 @dataclass(frozen=True)
 class CanonicalKey:
     rank: int
-    classes: tuple  # tuple[Word, ...], sorted canonical forms
+    classes: tuple  # tuple[Word, ...], canonical forms, sorted here
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(sorted(self.classes, key=word_key)))
 
     def sort_key(self):
         return (self.rank, len(self.classes), tuple(word_key(w) for w in self.classes))
@@ -79,8 +82,7 @@ class ClosedComplex:
 
 @lru_cache(maxsize=1 << 16)
 def canonical_key(p: Presentation) -> CanonicalKey:
-    classes = sorted((cyclic_canonical(r) for r in p.relators), key=word_key)
-    return CanonicalKey(p.rank, tuple(classes))
+    return CanonicalKey(p.rank, tuple(cyclic_canonical(r) for r in p.relators))
 
 
 def serialize_key(key: CanonicalKey) -> str:
@@ -102,7 +104,7 @@ def product(p: Presentation, q: Presentation) -> Presentation:
     """
     if p.rank != q.rank:
         raise ValueError(f"boundary mismatch: ranks {p.rank} and {q.rank}")
-    return Presentation(p.gens, p.relators + q.relators)
+    return Presentation._trusted(p.gens, p.relators + q.relators)
 
 
 def unit_presentation(rank: int, names=None) -> Presentation:
@@ -114,7 +116,7 @@ def unit_presentation(rank: int, names=None) -> Presentation:
 def wedge_s2(p: Presentation, count: int) -> Presentation:
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return Presentation(p.gens, p.relators + (EMPTY,) * count)
+    return Presentation._trusted(p.gens, p.relators + (EMPTY,) * count)
 
 
 def fresh_name(taken, position: int) -> str:
@@ -132,8 +134,8 @@ def wedge_s1(p: Presentation, count: int) -> Presentation:
         raise ValueError("count must be nonnegative")
     gens = list(p.gens)
     for _ in range(count):
-        gens.append(fresh_name(set(gens), len(gens)))
-    return Presentation(tuple(gens), p.relators)
+        gens.append(fresh_name(set(gens), len(gens)))  # valid and unused
+    return Presentation._trusted(tuple(gens), p.relators)
 
 
 def forget_boundary(p: Presentation) -> ClosedComplex:

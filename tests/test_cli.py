@@ -449,6 +449,12 @@ def _homology(tmp_path, entry, ranks=(1, 1, 1), group_csv=None):
     return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", "1"]
 
 
+def _bare_chain(tmp_path, ranks, at):
+    chain = {"group": {"order": 1, "identity": 0, "table": [[0]]},
+             "n": len(ranks) - 1, "ranks": list(ranks), "entries": []}
+    return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", str(at)]
+
+
 def _missing_group(tmp_path):
     argv = _homology(tmp_path, [2, 0, 0, 0, 2])
     chain = json.loads((tmp_path / "c.json").read_text())
@@ -509,6 +515,9 @@ MALFORMED = {
     "chain_float_row": (lambda t: _homology(t, [2, 0.5, 0, 0, 2]), "c.json"),
     "chain_float_rank": (lambda t: _homology(t, [2, 0, 0, 0, 2], (1, 1.5, 1)),
                          "c.json"),
+    # 100 bytes that would restrict to a 1,000,000 x 1 integer matrix
+    "chain_rank_unbounded": (lambda t: _bare_chain(t, (1, 1000000), 1), "c.json"),
+    "chain_rank_negative": (lambda t: _bare_chain(t, (1, -1), 0), "c.json"),
     # the chain file was read: the error names it as the prefix, then the
     # group file it could not read
     "chain_group_file_missing": (_missing_group, "c.json: group file nope.csv"),

@@ -174,6 +174,29 @@ def test_witness_search_stop_reasons():
     assert outcome.result is not None and outcome.reason == "found"
 
 
+def test_relator_witness_matches_the_search():
+    # the pipeline answers an empty target or a target that is a relator or
+    # its inverse without a search; the answer must be the search's own,
+    # also at the smallest state cap the pipeline lets it answer under
+    rng = random.Random(44)
+    answered = 0
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+        rels = [reduce([rng.choice(letters) for _ in range(rng.randint(0, 5))])
+                for _ in range(rng.randint(1, 4))]
+        target = rng.choice([EMPTY, rng.choice(rels), invert(rng.choice(rels)),
+                             reduce([rng.choice(letters) for _ in range(3)])])
+        wit = constructions._relator_witness(target, rels)
+        if wit is None:
+            continue
+        answered += 1
+        budget = WitnessBudget(rng.randint(1, 8), rng.randint(0, 4), 2 * len(rels) + 1)
+        assert wit == search_normal_closure_witness(target, rels).result
+        assert wit == search_normal_closure_witness(target, rels, budget).result
+    assert answered > 150
+
+
 def test_witness_search_raises_when_its_witness_fails_verification(monkeypatch):
     # like the equivalence search, a failed self-check is an error (exit 2),
     # never an assert or a verdict
@@ -435,8 +458,9 @@ def test_pipeline_parallel_search_matches_sequential(monkeypatch):
 
 
 def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
-    # six searches are missing, so a pool of 64 would fork 58 idle workers;
-    # the stand-in runs the searches in process and starts no workers
+    # six witnesses are missing, and two of them are shared relators that
+    # need no search, so a pool of 64 would fork 60 idle workers; the
+    # stand-in runs the searches in process and starts no workers
     sizes = []
 
     class RecordingPool:
@@ -455,16 +479,16 @@ def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
     monkeypatch.setattr(constructions, "ProcessPoolExecutor", RecordingPool)
     budget = WitnessBudget(2, 1, 200)
     res = null_vector_pipeline(lustig_common(), budget, jobs=64)
-    assert sizes == [6] and len(res.unknown) == 4
+    assert sizes == [4] and len(res.unknown) == 4
     # one missing search runs in process, with no pool at all
     w12, w21 = lustig_witness_pair(1, 2)
     res = null_vector_pipeline(lustig_common(), budget, w12, [*w21[:2], None],
                                jobs=64)
-    assert sizes == [6] and len(res.unknown) == 1
+    assert sizes == [4] and len(res.unknown) == 1
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             null_vector_pipeline(lustig_common(), budget, jobs=jobs)
-    assert sizes == [6]
+    assert sizes == [4]
 
 
 def test_pipeline_general_path_with_search():

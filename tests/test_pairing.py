@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from acpair.constructions import lustig
-from acpair.moves import ConjRel, MoveScript
+from acpair.moves import ConjRel, MoveScript, SlideRel, replay
 from acpair.pairing import (CertificateError, EquivalenceCertificate,
                             FormalSum, certificate_from_json,
                             certificate_to_json, reduce_by_certificates,
                             sum_from_json, sum_to_json, verify_null)
-from acpair.presentations import (canonical_key, forget_boundary,
-                                  make_presentation, unit_presentation)
+from acpair.presentations import (Presentation, canonical_key,
+                                  forget_boundary, make_presentation, product,
+                                  unit_presentation)
+from acpair.words import reduce
 
 
 def pres(gens, *rels):
@@ -50,6 +52,16 @@ def test_dot_unit_and_matches_product():
     from acpair.presentations import product
     q = pres("x", "x^3 x^-1")
     assert fs(p).dot(fs(q)) == fs(product(p, q))
+
+
+def test_dot_of_two_presentations_is_the_key_of_their_product():
+    rng = random.Random(34)
+    letters = (1, -1, 2, -2)
+    for _ in range(100):
+        p, q = (Presentation(("x", "y"), tuple(
+            reduce([rng.choice(letters) for _ in range(rng.randint(0, 5))])
+            for _ in range(rng.randint(0, 3)))) for _ in range(2))
+        assert list(fs(p).dot(fs(q)).support) == [canonical_key(product(p, q))]
 
 
 def test_dot_bilinear_square():
@@ -127,6 +139,20 @@ def test_reduce_reports_bad_certificate():
     with pytest.raises(CertificateError) as err:
         reduce_by_certificates(fs(a), [bad])
     assert "bogus" in str(err.value)
+
+
+def test_reduce_names_the_first_failing_certificate():
+    a = pres("x", "x", "x^2")
+    script = MoveScript((SlideRel(1, 0, "right"),))
+    good = EquivalenceCertificate(a, replay(a, script), script, "good")
+    wrong_key = EquivalenceCertificate(a, pres("x", "x^3"), MoveScript(()))
+    wrong_rank = EquivalenceCertificate(pres("x y"), pres("x y"), MoveScript(()),
+                                        "wrong_rank")
+    with pytest.raises(CertificateError, match="^certificate 1: replay does not"):
+        reduce_by_certificates(fs(a), [good, wrong_key, wrong_rank])
+    with pytest.raises(CertificateError,
+                       match="^certificate wrong_rank: certificate rank differs"):
+        reduce_by_certificates(fs(a), [good, wrong_rank, wrong_key])
 
 
 def test_reduce_preserves_total_coefficient():

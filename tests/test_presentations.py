@@ -5,12 +5,12 @@ import pytest
 from acpair.homology import AbelianGroup
 from acpair.moves import (AddGen, ConjRel, MoveError, MoveScript, NielsenInv,
                           NielsenMul, apply_automorphism)
-from acpair.presentations import (ClosedComplex, Presentation, abelianization,
-                                  canonical_key, disjoint_union, euler_char,
-                                  forget_boundary, format_presentation,
-                                  make_presentation, parse_presentation,
-                                  product, serialize_key, unit_presentation,
-                                  wedge_s1, wedge_s2)
+from acpair.presentations import (CanonicalKey, ClosedComplex, Presentation,
+                                  abelianization, canonical_key,
+                                  disjoint_union, euler_char, forget_boundary,
+                                  format_presentation, make_presentation,
+                                  parse_presentation, product, serialize_key,
+                                  unit_presentation, wedge_s1, wedge_s2)
 from acpair.words import EMPTY, invert, reduce
 
 
@@ -60,6 +60,38 @@ def test_canonical_key_random_invariance():
         rng.shuffle(mutated)
         q = Presentation(names, tuple(mutated))
         assert canonical_key(p) == canonical_key(q)
+
+
+def _random_presentation(rng, names):
+    letters = [x for i in range(1, len(names) + 1) for x in (i, -i)]
+    return Presentation(names, tuple(
+        reduce([rng.choice(letters) for _ in range(rng.randint(0, 6))])
+        for _ in range(rng.randint(0, 3))))
+
+
+def test_canonical_key_sorts_its_own_classes():
+    rng = random.Random(12)
+    for _ in range(100):
+        key = canonical_key(_random_presentation(rng, ("x", "y")))
+        classes = list(key.classes)
+        rng.shuffle(classes)
+        assert CanonicalKey(2, tuple(classes)) == key
+        assert CanonicalKey(2, tuple(reversed(classes))) == key
+
+
+def test_product_and_wedges_match_the_validating_constructor():
+    # product, wedge_s2 and wedge_s1 build without validation from
+    # presentations already validated; wedge_s1 must dodge taken names
+    rng = random.Random(13)
+    for _ in range(100):
+        names = ("g2", "x", "g3")[:rng.randint(1, 3)]
+        p, q = _random_presentation(rng, names), _random_presentation(rng, names)
+        count = rng.randint(0, 3)
+        assert product(p, q) == Presentation(names, p.relators + q.relators)
+        assert wedge_s2(p, count) == Presentation(names, p.relators + (EMPTY,) * count)
+        s1 = wedge_s1(p, count)
+        assert s1 == Presentation(s1.gens, p.relators)
+        assert s1.gens[:len(names)] == names and len(s1.gens) == len(names) + count
 
 
 def test_euler_char():

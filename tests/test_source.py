@@ -42,10 +42,11 @@ def _assigned_names(node):
 
 
 def test_public_names_are_used():
-    # a public def, class or module-level assignment that nothing in the
-    # program or its tests names besides its own definition is dead code,
-    # and so is a public method or property of a public class that nothing
-    # reads as .name
+    # a def, class or module-level assignment, public or private, that
+    # nothing in the program or its tests names besides its own definition
+    # is dead code, and so is a public method or property of a public class
+    # that nothing reads as .name; dunder names such as __version__ are
+    # read by tools
     sources = [(path.name, ast.parse(path.read_text(), str(path)))
                for path in sorted(SOURCE.glob("*.py"))]
     texts = [path.read_text() for path in
@@ -55,16 +56,16 @@ def test_public_names_are_used():
     defined += [(name, target) for name, tree in sources for node in tree.body
                 if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for target in _assigned_names(node)]
-    unused = [f"{name}:{public}" for name, public in defined
-              if not public.startswith("_")
-              and sum(len(re.findall(rf"\b{public}\b", text)) for text in texts) < 2]
+    unused = [f"{name}:{defined_name}" for name, defined_name in defined
+              if not re.fullmatch("__.*__", defined_name)
+              and sum(len(re.findall(rf"\b{defined_name}\b", text)) for text in texts) < 2]
     unused += [f"{name}:{cls.name}.{node.name}" for name, tree in sources
                for cls in tree.body
                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
                for node in cls.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                and not any(re.search(rf"\.{node.name}\b", text) for text in texts)]
-    assert not unused, f"public names used nowhere: {unused}"
+    assert not unused, f"names used nowhere: {unused}"
 
 
 def test_applied_move_kinds_are_serialized():
