@@ -1,11 +1,15 @@
 """Exact integer linear algebra and chain-level homology over group rings.
 
-Matrices are plain lists of lists of ints.  One elimination brings a
-matrix to Smith form, pivoting on least absolute value to keep
-intermediate entries small at desk scale.  ``smith_normal_form`` runs it
-on the matrix bordered by identity blocks, which then hold the unimodular
-transforms; invariant factors, ranks and homology run it on the bare
-matrix and build no transforms.
+Matrices are plain lists of lists of ints.  Two exact eliminations serve
+them.  Ranks and determinants come from a fraction-free (Bareiss)
+echelon that pivots in each column on the least nonzero absolute value,
+made positive.  Invariant factors and transforms come from a Smith
+elimination that pivots once per diagonal position on the least nonzero
+absolute value of the trailing block, then runs Euclid with
+nearest-integer quotients.  ``smith_normal_form`` runs it on the matrix
+bordered by identity blocks, which then hold the unimodular transforms;
+invariant factors and homology run it on the bare matrix and build no
+transforms.
 
 Group-ring matrices follow the row-vector convention: a matrix with
 ``rows`` = rank of the domain and ``cols`` = rank of the codomain
@@ -259,29 +263,57 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
+def _echelon(a: Sequence[Sequence[int]]) -> tuple:
+    """(r, minor): the rank r of a and the determinant of the r x r
+    submatrix on its pivot rows and columns, by Bareiss's fraction-free
+    elimination (Math. Comp. 1968).
+
+    After each pivot the entries below it are minors of a, so every
+    division is exact and no entry outgrows a minor.  Each column pivots
+    on its least nonzero absolute value below the pivot rows, made
+    positive; a column with none is skipped.
+    """
     m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        p, k = 0, None
+        for i in range(rank, rows):
+            x = abs(m[i][c])
+            if x and (not p or x < p):
+                p, k = x, i
+                if x == 1:
                     break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        if k is None:
+            continue
+        if k != rank:
+            m[rank], m[k] = m[k], m[rank]
+            sign = -sign
+        top = m[rank]
+        if top[c] < 0:
+            top[c:] = [-x for x in top[c:]]
+            sign = -sign
+        tail = top[c:]
+        for row in m[rank + 1:]:
+            x = row[c]
+            if x:
+                row[c:] = ([y * p - x * z for y, z in zip(row[c:], tail)] if prev == 1 else
+                           [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
+            elif p != prev:
+                row[c:] = [y * p // prev for y in row[c:]]
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant, from the fraction-free echelon."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    rank, minor = _echelon(a)
+    return minor if rank == len(a) else 0
 
 
 def rational_rank(a: Sequence[Sequence[int]]) -> int:
@@ -317,53 +349,75 @@ def _diagonalize(m: list, rows: int, cols: int) -> None:
 
     Row operations act on whole rows among the first `rows` and column
     operations on whole columns among the first `cols`, so whatever m
-    carries right of or below the block undergoes them too.  The pivot is
-    the least nonzero absolute value in the trailing block, which keeps
-    coefficient growth tame for desk-scale inputs.
+    carries right of or below the block undergoes them too.  Each position
+    t pivots on the least nonzero absolute value of the trailing block,
+    which keeps coefficient growth tame for desk-scale inputs.  Euclid's
+    algorithm with nearest-integer quotients then clears column t and row
+    t, moving the least remainder into the pivot after each pass, until
+    the pivot divides the whole trailing block.
+
+    Left of column t the block's rows from t down are zero, so row
+    operations skip those columns; in column t only the pivot and the
+    rows below the block can be nonzero, so column operations touch only
+    those rows.
     """
-    t = 0
-    while t < min(rows, cols):
-        best, pivot = 0, None
+    below = m[rows:]
+    for t in range(min(rows, cols)):
+        p, pivot = 0, None
         for i in range(t, rows):
             for j, x in enumerate(m[i][t:cols], t):
-                if x and (not best or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
-                    if best == 1:
+                if x and (not p or abs(x) < p):
+                    p, pivot = abs(x), (i, j)
+                    if p == 1:
                         break
-            if best == 1:
+            if p == 1:
                 break
         if pivot is None:
-            break
-        i, j = pivot
-        m[t], m[i] = m[i], m[t]
-        if j != t:
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        top, p = m[t], best
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t]:
-                q = m[i][t] // p
-                m[i] = [x - q * y for x, y in zip(m[i], top)]
-                dirty = dirty or m[i][t] != 0
-        for j in range(t + 1, cols):
-            if top[j]:
-                q = top[j] // p
-                for row in m:
-                    row[j] -= q * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue  # smaller remainders appeared; re-pick the pivot
-        if p != 1:  # the pivot must divide the whole trailing block; 1 does
+            return
+        m[t], m[pivot[0]] = m[pivot[0]], m[t]
+        col = pivot[1]
+        while True:
+            if col != t:
+                for row in m[t:]:
+                    row[t], row[col] = row[col], row[t]
+                col = t
+            top = m[t]
+            if top[t] < 0:
+                top[t:] = [-x for x in top[t:]]
+            p, tail = top[t], top[t:]
+            r, k = 0, None  # the least remainder in column t, and its row
+            for i in range(t + 1, rows):
+                row = m[i]
+                x = row[t]
+                if x:
+                    q = (2 * x + p) // (2 * p)
+                    row[t:] = [y - q * z for y, z in zip(row[t:], tail)]
+                    if row[t] and (not r or abs(row[t]) < r):
+                        r, k = abs(row[t]), i
+            if k is not None:
+                m[t], m[k] = m[k], m[t]
+                continue
+            carriers = [row for row in below if row[t]]
+            for j in range(t + 1, cols):
+                x = top[j]
+                if x:
+                    q = (2 * x + p) // (2 * p)
+                    top[j] = x - q * p
+                    for row in carriers:
+                        row[j] -= q * row[t]
+                    if top[j] and (not r or abs(top[j]) < r):
+                        r, col = abs(top[j]), j
+            if col != t:
+                continue
+            if p == 1:  # the pivot must divide the whole trailing block; 1 does
+                break
             offender = next((row for row in m[t + 1:rows]
                              if any(x % p for x in row[t + 1:cols])), None)
-            if offender is not None:
-                # Fold the offending row into row t and redo this pivot.
-                m[t] = [x + y for x, y in zip(top, offender)]
-                continue
-        t += 1
+            if offender is None:
+                break
+            # Fold the offending row into row t; clearing row t then brings
+            # a remainder the pivot does not divide.
+            top[t:] = [x + y for x, y in zip(top[t:], offender[t:])]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple:
@@ -394,7 +448,8 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list:
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    return len(invariant_factors(a))
+    """Rank over Z, from the fraction-free echelon."""
+    return _echelon(a)[0]
 
 
 @dataclass(frozen=True)

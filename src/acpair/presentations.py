@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import homology
-from .words import (EMPTY, Word, cyclic_canonical, format_word, invert,
-                    multiply, parse_word, reduce, valid_name, word_key,
+from .words import (EMPTY, LetterBudget, Word, cyclic_canonical, format_word,
+                    invert, multiply, parse_word, reduce, valid_name, word_key,
                     exponent_sum)
 
 
@@ -171,19 +171,22 @@ def abelianization(p: Presentation) -> homology.AbelianGroup:
 # Comments start with '#'.
 
 
-def parse_relator_text(text: str, names) -> Word:
+def parse_relator_text(text: str, names, budget: LetterBudget | None = None) -> Word:
     left, eq, right = text.partition("=")
-    w = parse_word(left, names)
+    w = parse_word(left, names, budget)
     if eq:
         if "=" in right:
             raise ValueError(f"more than one '=' in relation {text!r}")
-        w = multiply(w, invert(parse_word(right, names)))
+        w = multiply(w, invert(parse_word(right, names, budget)))
     return w
 
 
 def parse_presentation(text: str) -> Presentation:
+    """Parse the text format above.  The relators spell out at most
+    words.MAX_WORD_LENGTH letters in all, counted before reduction."""
     gens = None
     relators = []
+    budget = LetterBudget("presentation")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,7 +203,7 @@ def parse_presentation(text: str) -> Presentation:
         elif head == "rel":
             if gens is None:
                 raise ValueError(f"line {lineno}: rel before gens")
-            relators.append(parse_relator_text(rest, gens))
+            relators.append(parse_relator_text(rest, gens, budget))
         else:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if gens is None:

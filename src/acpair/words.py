@@ -27,9 +27,23 @@ EMPTY: Word = ()
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
-# Most letters a parsed word may spell out, so that a short token such as
-# x^1000000000 cannot demand gigabytes.
+# Most letters a parsed word, or all the relators of a presentation file,
+# may spell out, so that a short token such as x^1000000000 cannot demand
+# gigabytes.
 MAX_WORD_LENGTH = 1_000_000
+
+
+class LetterBudget:
+    """The letters that the words of one input may still spell out before
+    reduction, MAX_WORD_LENGTH in all; `what` names the input in the error."""
+
+    def __init__(self, what: str = "word"):
+        self.what, self.left = what, MAX_WORD_LENGTH
+
+    def charge(self, letters: int) -> None:
+        self.left -= letters
+        if self.left < 0:
+            raise ValueError(f"{self.what} spells out more than {MAX_WORD_LENGTH} letters")
 
 
 def reduce(letters: Iterable[int]) -> Word:
@@ -172,15 +186,17 @@ def cyclic_canonical(u: Word) -> Word:
 # ---------------------------------------------------------------------------
 # Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity.
 
-def parse_word(text: str, names: Sequence[str]) -> Word:
+def parse_word(text: str, names: Sequence[str],
+               budget: LetterBudget | None = None) -> Word:
     """Raises ValueError on text that is not a str, unknown names, bad
-    exponents, and words that spell out more than MAX_WORD_LENGTH letters
-    before reduction."""
+    exponents, and words that spell out more than the budget's letters
+    before reduction: a fresh LetterBudget unless one is shared."""
     if not isinstance(text, str):
         raise ValueError(f"a word must be text, not {text!r}")
+    if budget is None:
+        budget = LetterBudget()
     index = {name: i for i, name in enumerate(names)}
     out: list[int] = []
-    spelled = 0
     for token in text.split():
         if token == "1":
             continue
@@ -196,9 +212,7 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
                 raise ValueError(f"zero exponent in token {token!r}")
         else:
             k = 1
-        spelled += abs(k)
-        if spelled > MAX_WORD_LENGTH:
-            raise ValueError(f"word spells out more than {MAX_WORD_LENGTH} letters")
+        budget.charge(abs(k))
         letter = index[base] + 1 if k > 0 else -(index[base] + 1)
         for _ in range(abs(k)):
             if out and out[-1] == -letter:

@@ -2,6 +2,7 @@ import json
 import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_normalize_is_conjugation_invariant(tmp_path, capsys):
 def test_apply_and_roundtrip(tmp_path, capsys):
     pres = write(tmp_path / "p.pres", "gens: x y\nrel: x\nrel: y\n")
     script = tmp_path / "s.json"
-    p = parse_presentation(open(pres).read())
+    p = parse_presentation(Path(pres).read_text())
     write(script, json.dumps(script_to_json(
         MoveScript((SlideRel(1, 0, "right"),)), p.gens)))
     code, out, _ = run(capsys, "apply", pres, script)
@@ -277,7 +278,7 @@ def test_search_equiv_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "search-equiv", a, b, "--depth", "2",
                        "-o", out_script)
     assert code == 0
-    data = json.loads(open(out_script).read())
+    data = json.loads(out_script.read_text())
     assert data["moves"]
     # the same pair under a cap of 2 states: the Unknown says it was capped
     code, out, _ = run(capsys, "search-equiv", a, b, "--depth", "2",
@@ -355,7 +356,7 @@ def test_cli_roundtrip_property(tmp_path, capsys):
         path = tmp_path / f"k{i}.pres"
         code, out, _ = run(capsys, "lustig", str(i), "-o", path)
         assert code == 0
-        text = open(path).read()
+        text = path.read_text()
         assert format_presentation(parse_presentation(text)) == text
 
 
@@ -373,7 +374,7 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     # each bad line reports and the session goes on to show and quit
     assert out.count("error:") == len(bad)
     assert "session script written" in out
-    data = json.loads(open(log).read())
+    data = json.loads(log.read_text())
     assert data == {"regime": "full", "moves": [
         {"op": "ConjRel", "j": 1, "w": "x y^-2"},
         {"op": "InvRel", "j": 2},
@@ -525,6 +526,9 @@ MALFORMED = {
         t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
     "word_too_long": (lambda t: ["normalize", write(
         t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
+    # each relator is under the bound, all three together are not
+    "presentation_letters_unbounded": (lambda t: ["normalize", write(
+        t / "many.pres", "gens: x y\n" + "rel: x^999999 y\n" * 3)], "many.pres"),
 }
 
 

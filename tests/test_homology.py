@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from acpair.constructions import lustig
 from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              GroupRingMatrix, chain_from_json, chain_to_json,
                              check_dyer_bound, cokernel_invariants,
@@ -13,7 +14,8 @@ from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              rational_rank, restrict_scalars,
                              smith_normal_form, symmetric_group_3)
 
-from chain_fixtures import GROUP_KINDS, base_complex, random_gn_fixture
+from chain_fixtures import (GROUP_KINDS, base_complex, presentation_chain,
+                            random_gn_fixture)
 
 Z = GroupRingMatrix.zero
 
@@ -22,6 +24,28 @@ def random_matrix(rng, max_dim=12, lo=-5, hi=5):
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def elimination_cases(rng, dense, sparse):
+    """Inputs that stress each elimination: dense +-5 squares of the given
+    sides (many Euclid rounds, a non-unit last factor), sparse +-1
+    rectangles up to sparse x sparse short of full rank, zero leading
+    columns (the echelon skips them) and diagonals that force the
+    divisibility fold."""
+    cases = [[[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+             for n in dense]
+    for _ in range(6):
+        rows, cols = rng.randint(2, sparse), rng.randint(2, sparse)
+        base = [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(cols)]
+                for _ in range(rng.randint(1, min(rows, cols) - 1))]
+        cases.append([[x * rng.choice((1, -1)) for x in rng.choice(base)]
+                      for _ in range(rows)])
+    for _ in range(6):
+        zeros = rng.randint(1, 3)
+        cases.append([[0] * zeros + row for row in random_matrix(rng, max_dim=7)])
+    cases += [[[4, 0, 0], [0, 6, 0], [0, 0, 10]], [[9, 0], [0, 6]],
+              [[0, 0, 0, 15], [0, 0, 10, 0], [0, 6, 0, 0]]]
+    return cases
 
 
 # -- groups -------------------------------------------------------------------
@@ -179,9 +203,14 @@ def test_snf_known_values():
 
 def test_snf_against_naive_oracle():
     rng = random.Random(51)
-    for _ in range(150):
-        a = random_matrix(rng, max_dim=6, lo=-4, hi=4)
-        assert invariant_factors(a) == naive_diagonalize(a)
+    # the oracle does not finish on dense squares past 7 x 7, so
+    # test_snf_transforms_random takes the larger ones, where u*a*v = d
+    # with unimodular u, v and a divisibility chain pins the Smith form
+    cases = [random_matrix(rng, max_dim=6, lo=-4, hi=4) for _ in range(150)]
+    for a in cases + elimination_cases(rng, dense=(5, 6, 7), sparse=14):
+        factors = invariant_factors(a)
+        assert factors == naive_diagonalize(a)
+        assert matrix_rank(a) == rational_rank(a) == len(factors)
 
 
 def test_snf_transforms_random():
@@ -198,7 +227,7 @@ def test_snf_transforms_random():
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
                       for _ in range(rows)])
-    for a in cases:
+    for a in cases + elimination_cases(rng, dense=(10, 13, 16), sparse=30):
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
         assert abs(determinant(u)) == 1
@@ -207,8 +236,89 @@ def test_snf_transforms_random():
         for x, y in zip(diag, diag[1:]):
             assert y % x == 0
         assert invariant_factors(a) == diag
-        assert matrix_rank(a) == rational_rank(a)
+        assert matrix_rank(a) == rational_rank(a) == len(diag)
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
+
+
+def cofactor_determinant(a):
+    """Independent oracle: Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * cofactor_determinant([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
+def test_determinant_against_cofactor_expansion():
+    # random squares up to 6 x 6, then singular ones (a repeated or scaled
+    # row, a zero column) and ones whose elimination needs row swaps (a
+    # zero corner) and negative pivots (all entries negative)
+    rng = random.Random(57)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+    for kind in list(range(4)) * 5:
+        n = rng.randint(2, 6)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        if kind == 0:
+            c = rng.choice((-2, 1, 3))
+            a[i] = [c * x for x in a[j]]
+        elif kind == 1:
+            for row in a:
+                row[j] = 0
+        elif kind == 2:
+            a[0][0] = 0
+        else:
+            a = [[-rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
+        cases.append(a)
+    cases += [[[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 0], [5, 0, 0]], [[-2]]]
+    singular = 0
+    for a in cases:
+        det = cofactor_determinant(a)
+        assert determinant(a) == det, a
+        singular += det == 0
+    assert singular >= 10
+    assert determinant([]) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        determinant([[1, 2]])
+
+
+def test_a5_fox_chains_of_the_benchmark_shape():
+    # the homology workload's shape: Fox chains of lustig(1)..(4) over A5,
+    # whose d_2 restricts to 180 x 180; images r, s involutions and t of
+    # order 3, with s and t generating A5, so every relator maps to 1.
+    # H_1 and H_2 are frozen values, so an elimination that moves them
+    # fails here.
+    a5 = FiniteGroup.from_permutations([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+
+    def order(g):
+        k, x = 1, g
+        while x != a5.identity:
+            k, x = k + 1, a5.mul(x, g)
+        return k
+
+    def generates(gens):
+        reached, frontier = {a5.identity}, [a5.identity]
+        for x in frontier:  # grows while it is walked
+            for y in (a5.mul(x, g) for g in gens):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        return len(reached) == a5.order
+
+    involutions = [g for g in range(a5.order) if order(g) == 2]
+    s, t = next((s, t) for s in involutions for t in range(a5.order)
+                if order(t) == 3 and generates((s, t)))
+    r = next(g for g in involutions if g != s)
+    for i in range(1, 5):
+        chain = presentation_chain(a5, [r, s, t], lustig(i).relators)
+        assert len(restrict_scalars(chain.boundary(2), a5)) == 180
+        h = [homology_at(chain, k) for k in range(3)]
+        assert h[0] == AbelianGroup(1, ())
+        assert (h[1], h[2]) == (AbelianGroup(43, ()), AbelianGroup(102, ()))
+        assert 1 - h[1].free_rank + h[2].free_rank == a5.order
 
 
 def test_cokernel_invariants():

@@ -232,6 +232,12 @@ def test_parse_errors():
         parse_presentation("gens: x\nbogus: y\n")
     with pytest.raises(ValueError):
         parse_presentation("gens: x\nrel: a = b = c\n")
+    # the relators of one file share one budget of MAX_WORD_LENGTH letters,
+    # counted as spelled out: exactly that many load, one more does not
+    exact = "gens: x y\nrel: x^500000 x^-499999\nrel: y\n"
+    assert parse_presentation(exact).relators == ((1,), (2,))
+    with pytest.raises(ValueError, match="presentation spells out more than 1000000"):
+        parse_presentation(exact + "rel: y\n")
 
 
 def test_serialize_key_deterministic():
