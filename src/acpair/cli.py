@@ -19,6 +19,7 @@ import re
 import shutil
 import sys
 import tempfile
+from functools import cache
 from json import JSONDecodeError, load as load_json
 
 from . import constructions, homology, moves, pairing, presentations
@@ -391,7 +392,9 @@ def cmd_repl(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="acpair",
         description="Move scripts, pairings and homology for presentation "

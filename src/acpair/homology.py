@@ -179,30 +179,27 @@ def gr_mul(a: Mapping[int, int], b: Mapping[int, int], group: FiniteGroup) -> di
 class GroupRingMatrix:
     rows: int
     cols: int
-    entries: tuple  # tuple[((r, c), tuple[(elem, coeff), ...]), ...] sorted
+    entries: dict  # {(r, c): {elem: coeff}}, nonzero, positions and cells sorted
 
     @classmethod
     def from_entries(cls, rows: int, cols: int,
                      entries: Mapping[tuple, Mapping[int, int]]) -> "GroupRingMatrix":
-        norm = []
+        norm = {}
         for (r, c), elem in sorted(entries.items()):
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry position {(r, c)} out of range")
-            cell = tuple(sorted((g, v) for g, v in elem.items() if v != 0))
+            cell = {g: v for g, v in sorted(elem.items()) if v != 0}
             if cell:
-                norm.append(((r, c), cell))
-        return cls(rows, cols, tuple(norm))
+                norm[(r, c)] = cell
+        return cls(rows, cols, norm)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "GroupRingMatrix":
-        return cls(rows, cols, ())
-
-    def as_dict(self) -> dict:
-        return {(r, c): dict(cell) for (r, c), cell in self.entries}
+        return cls(rows, cols, {})
 
     def check_elements(self, group: FiniteGroup) -> None:
-        for _, cell in self.entries:
-            for g, _ in cell:
+        for cell in self.entries.values():
+            for g in cell:
                 if not 0 <= g < group.order:
                     raise ValueError(f"group element index {g} out of range")
 
@@ -210,17 +207,15 @@ class GroupRingMatrix:
 def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix, group: FiniteGroup) -> GroupRingMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    left = a.as_dict()
     right: dict = {}
-    for (r, c), cell in b.entries:
-        right.setdefault(r, []).append((c, dict(cell)))
+    for (r, c), cell in b.entries.items():
+        right.setdefault(r, []).append((c, cell))
     out: dict = {}
-    for (r, j), cell in left.items():
+    for (r, j), cell in a.entries.items():
         for c, other in right.get(j, ()):
             prod = gr_mul(cell, other, group)
             if prod:
                 out[(r, c)] = gr_add(out.get((r, c), {}), prod)
-    out = {pos: cell for pos, cell in out.items() if cell}
     return GroupRingMatrix.from_entries(a.rows, b.cols, out)
 
 
@@ -228,8 +223,8 @@ def gr_stack(a: GroupRingMatrix, b: GroupRingMatrix) -> GroupRingMatrix:
     """Stack two maps with the same codomain (domain rows concatenate)."""
     if a.cols != b.cols:
         raise ValueError("codomain mismatch")
-    entries = a.as_dict()
-    for (r, c), cell in b.as_dict().items():
+    entries = dict(a.entries)
+    for (r, c), cell in b.entries.items():
         entries[(r + a.rows, c)] = cell
     return GroupRingMatrix.from_entries(a.rows + b.rows, a.cols, entries)
 
@@ -244,10 +239,10 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
     m.check_elements(group)
     n = group.order
     out = [[0] * (m.cols * n) for _ in range(m.rows * n)]
-    for (r, c), cell in m.entries:
+    for (r, c), cell in m.entries.items():
         for g in range(n):
             row = out[r * n + g]
-            for elem, coeff in cell:
+            for elem, coeff in cell.items():
                 row[c * n + group.mul(g, elem)] += coeff
     return out
 
@@ -623,8 +618,8 @@ def dump_group_csv(group: FiniteGroup) -> str:
 def chain_to_json(c: ChainComplexData) -> dict:
     entries = []
     for k, b in enumerate(c.boundaries, start=1):
-        for (r, col), cell in b.entries:
-            for elem, coeff in cell:
+        for (r, col), cell in b.entries.items():
+            for elem, coeff in cell.items():
                 entries.append([k, r, col, elem, coeff])
     return {
         "group": {"order": c.group.order, "identity": c.group.identity,

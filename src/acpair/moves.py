@@ -570,7 +570,9 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
     """Yield the move fragments that can change p's canonical key, in
     deterministic order.  A lone ConjRel or InvRel never does, so neither
     is a fragment.  slide_words holds the (w, h) pairs of k_prime's
-    restricted slides."""
+    restricted slides.  Every fragment applies to p: its relator indices
+    are in range and distinct, its words are over p's generators, and it
+    removes only empty relators."""
     m = len(p.relators)
     pairs = [(j, k) for j in range(m) for k in range(m) if j != k]
     if regime == "full":
@@ -644,12 +646,9 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         for key, here in layer:
             for fragment in _neighbor_fragments(here, regime, target_rels,
                                                 slide_words):
-                try:
-                    nxt = here
-                    for move in fragment:
-                        nxt = apply_move(nxt, move)
-                except MoveError:
-                    continue
+                nxt = here
+                for move in fragment:
+                    nxt = apply_move(nxt, move)
                 if any(len(r) > budget.max_relator_length for r in nxt.relators):
                     continue
                 nkey = canonical_key(nxt)

@@ -29,19 +29,50 @@ def _check_scalar(c):
     return c
 
 
-class FormalSum:
-    """Finitely supported map from canonical keys to exact coefficients."""
+def _merge(pairs) -> dict:
+    """The coefficients of (key, coefficient) pairs summed per key."""
+    out: dict = {}
+    for key, coeff in pairs:
+        out[key] = out.get(key, 0) + coeff
+    return out
 
-    __slots__ = ("rank", "_terms")
 
-    def __init__(self, rank: int, terms=()):
-        self.rank = rank
+class _ExactSum:
+    """Finitely supported map from keys to exact nonzero coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=()):
         data = dict(terms)
-        for key, coeff in data.items():
-            if key.rank != rank:
-                raise ValueError(f"key of rank {key.rank} in a sum of rank {rank}")
+        for coeff in data.values():
             _check_scalar(coeff)
         self._terms = {k: c for k, c in data.items() if c != 0}
+
+    def items(self):
+        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+
+    def coefficient(self, key):
+        return self._terms.get(key, 0)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
+
+class FormalSum(_ExactSum):
+    """Formal sum of canonical keys of one rank."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int, terms=()):
+        terms = dict(terms)
+        for key in terms:
+            if key.rank != rank:
+                raise ValueError(f"key of rank {key.rank} in a sum of rank {rank}")
+        super().__init__(terms)
+        self.rank = rank
 
     @classmethod
     def zero(cls, rank: int) -> "FormalSum":
@@ -51,36 +82,21 @@ class FormalSum:
     def of_presentation(cls, p: Presentation, coeff=1) -> "FormalSum":
         return cls(p.rank, {canonical_key(p): coeff})
 
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, key: CanonicalKey):
-        return self._terms.get(key, 0)
-
     @property
     def support(self):
         return frozenset(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
     def __eq__(self, other):
-        return (isinstance(other, FormalSum) and self.rank == other.rank
-                and self._terms == other._terms)
+        return super().__eq__(other) and self.rank == other.rank
 
-    def __hash__(self):
-        return hash((self.rank, frozenset(self._terms.items())))
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
+    def _common_rank(self, other: "FormalSum") -> int:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} and {other.rank}")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return FormalSum(self.rank, out)
+        return self.rank
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        rank = self._common_rank(other)
+        return FormalSum(rank, _merge([*self._terms.items(), *other._terms.items()]))
 
     def __neg__(self):
         return FormalSum(self.rank, {k: -c for k, c in self._terms.items()})
@@ -99,23 +115,17 @@ class FormalSum:
         class multiset on the common boundary, which is exactly the key of
         the product of any two representatives.
         """
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} and {other.rank}")
-        out: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                merged = CanonicalKey(self.rank, k1.classes + k2.classes)
-                out[merged] = out.get(merged, 0) + c1 * c2
-        return FormalSum(self.rank, out)
+        rank = self._common_rank(other)
+        return FormalSum(rank, _merge(
+            (CanonicalKey(rank, k1.classes + k2.classes), c1 * c2)
+            for k1, c1 in self._terms.items() for k2, c2 in other._terms.items()))
 
     def bracket(self, other: "FormalSum") -> "ClosedSum":
-        """Product followed by forgetting the boundary graph."""
-        prod = self.dot(other)
-        out: dict = {}
-        for key, coeff in prod._terms.items():
-            closed = ClosedComplex((key,))
-            out[closed] = out.get(closed, 0) + coeff
-        return ClosedSum(out)
+        """Product followed by forgetting the boundary graph.  A key and its
+        one-component closed complex determine each other, so no two terms
+        meet."""
+        return ClosedSum({ClosedComplex((key,)): coeff
+                          for key, coeff in self.dot(other)._terms.items()})
 
     def __repr__(self):
         if not self._terms:
@@ -124,40 +134,10 @@ class FormalSum:
         return f"FormalSum(rank={self.rank}, {' + '.join(bits)})"
 
 
-class ClosedSum:
+class ClosedSum(_ExactSum):
     """Formal sum over closed complexes (boundary forgotten)."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        data = dict(terms)
-        for coeff in data.values():
-            _check_scalar(coeff)
-        self._terms = {k: c for k, c in data.items() if c != 0}
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, key: ClosedComplex):
-        return self._terms.get(key, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ClosedSum) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return ClosedSum(out)
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -221,11 +201,8 @@ def _reduce(x: FormalSum, certs) -> tuple:
         status.append((cert.label or str(idx), ok, msg))
         if ok:
             uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
-    out: dict = {}
-    for key, coeff in x._terms.items():
-        rep = uf.find(key)
-        out[rep] = out.get(rep, 0) + coeff
-    return status, FormalSum(x.rank, out)
+    return status, FormalSum(x.rank, _merge((uf.find(key), coeff)
+                                            for key, coeff in x._terms.items()))
 
 
 def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
@@ -305,9 +282,7 @@ def sum_to_json(x: FormalSum, representatives) -> list:
 def sum_from_json(data) -> tuple:
     """Returns (FormalSum, {key: Presentation}).  A coefficient is a JSON
     integer or a string n or n/d (d > 0) in decimal digits."""
-    terms: dict = {}
-    reps: dict = {}
-    rank = None
+    terms, reps, rank = [], {}, None
     for item in data:
         pres = parse_presentation(item["presentation"])
         coeff = item["coeff"]
@@ -323,11 +298,11 @@ def sum_from_json(data) -> tuple:
             rank = pres.rank
         elif pres.rank != rank:
             raise ValueError("mixed ranks in formal sum file")
-        terms[key] = terms.get(key, 0) + coeff
+        terms.append((key, coeff))
         reps.setdefault(key, pres)
     if rank is None:
         raise ValueError("empty formal sum file has no rank")
-    return FormalSum(rank, terms), reps
+    return FormalSum(rank, _merge(terms)), reps
 
 
 def certificate_to_json(cert: EquivalenceCertificate) -> dict:

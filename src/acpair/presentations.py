@@ -74,7 +74,11 @@ class CanonicalKey:
 
 @dataclass(frozen=True)
 class ClosedComplex:
-    components: tuple  # tuple[CanonicalKey, ...], sorted multiset
+    components: tuple  # tuple[CanonicalKey, ...], a multiset sorted here
+
+    def __post_init__(self):
+        object.__setattr__(self, "components",
+                           tuple(sorted(self.components, key=CanonicalKey.sort_key)))
 
     def sort_key(self):
         return tuple(k.sort_key() for k in self.components)
@@ -149,8 +153,7 @@ def forget_boundary(p: Presentation) -> ClosedComplex:
 
 
 def disjoint_union(c: ClosedComplex, d: ClosedComplex) -> ClosedComplex:
-    comps = sorted(c.components + d.components, key=lambda k: k.sort_key())
-    return ClosedComplex(tuple(comps))
+    return ClosedComplex(c.components + d.components)
 
 
 def abelianization(p: Presentation) -> homology.AbelianGroup:

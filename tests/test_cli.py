@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -185,6 +186,23 @@ def test_search_flag_defaults_are_the_budget_defaults():
                         args.conj_len) == SearchBudget()
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # one parser and its twelve subparsers, however many commands run
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    build_parser.cache_clear()
+    path = write(tmp_path / "p.pres", "gens: x\nrel: x\n")
+    for _ in range(2):
+        assert run(capsys, "normalize", path) == (0, "1\ng1\n", "")
+    assert built["parsers"] <= 13
+
+
 def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     # pipeline and verify-null each replay every certificate exactly once.
     counts = Counter()
@@ -269,6 +287,26 @@ def test_verify_null_detects_broken_bundle(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 1
     assert "null vector: NO" in out
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda cert: cert["script"]["moves"].insert(0, {"op": "InvRel", "j": 99}),
+     "replay failed: move 1 (InvRel): relator index 98 out of range (have 6)"),
+    (lambda cert: cert.update(rhs="gens: r s\n"), "endpoint ranks differ"),
+])
+def test_verify_null_reports_a_failing_certificate(tmp_path, capsys, tamper, message):
+    k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
+    bundle = tmp_path / "b"
+    code, out, _ = run(capsys, "pipeline", k1, k1, "-o", bundle)
+    assert code == 0 and "verify-null: pass" in out, out
+    path = bundle / "certs" / "first_self.json"
+    cert = json.loads(path.read_text())
+    tamper(cert)
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 1
+    assert f"certificate first_self: FAILED - {message}\n" in out
+    assert out.endswith("null vector: NO\n")
 
 
 def test_search_equiv_cli(tmp_path, capsys):

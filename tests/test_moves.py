@@ -15,7 +15,7 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
 from acpair.presentations import (Presentation, abelianization, canonical_key,
-                                  euler_char, make_presentation)
+                                  euler_char, make_presentation, wedge_s2)
 from acpair.words import EMPTY, conjugate, reduce, substitute
 from lustig_fixtures import lustig_witness_pair
 
@@ -437,6 +437,12 @@ def test_bounded_search_stop_reasons():
     # k_prime moves keep the relator count, so no script exists at all
     assert stop(bounded_equivalence_search(p, pres("x y", "x"), regime="k_prime")) == \
         (False, "exhausted", 0)
+    # the full regime adds and removes a trivial relator in one fragment
+    p, q = pres("x y", "x", "y"), wedge_s2(pres("x y", "x", "y"), 1)
+    for start, goal, move in ((p, q, AddTrivialRel()), (q, p, RemoveTrivialRel(j=2))):
+        outcome = bounded_equivalence_search(start, goal)
+        assert stop(outcome) == (True, "found", 2)
+        assert outcome.result.moves == (move,)
 
 
 def test_bounded_search_rank_mismatch():
@@ -445,16 +451,18 @@ def test_bounded_search_rank_mismatch():
 
 
 def test_bounded_search_k_prime_regime():
-    p = pres("x y", "x", "y")
-    mv = RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, (2,)),))
-    q = apply_move(p, mv)
-    script = bounded_equivalence_search(
-        p, q, SearchBudget(max_depth=1, conjugator_length=1),
-        regime="k_prime").result
-    assert script is not None
+    # one restricted slide away, so the search takes a k_prime fragment
+    p = pres("x y", "x", "y^2")
+    q = apply_move(p, RestrictedSlide(0, (RSFactor((2,), 1, 1, (1,)),)))
+    assert canonical_key(q) != canonical_key(p)
+    outcome = bounded_equivalence_search(
+        p, q, SearchBudget(max_depth=1, conjugator_length=1), regime="k_prime")
+    script = outcome.result
+    assert (outcome.reason, outcome.states) == ("found", 3)
     assert script.regime == "k_prime"
+    assert len(script.moves) == 1
+    assert all(isinstance(m, RestrictedSlide) for m in script.moves)
     assert canonical_key(replay(p, script)) == canonical_key(q)
-    assert all(not isinstance(m, SlideRel) for m in script.moves)
 
 
 def test_conj_inverse_pair_is_key_identity():

@@ -36,6 +36,14 @@ def test_rank_mismatch():
         fs(pres("x", "x")) + fs(pres("x y", "x"))
     with pytest.raises(ValueError):
         fs(pres("x", "x")).dot(fs(pres("x y", "x")))
+    # zero sums of different ranks are unequal, a key of the wrong rank is
+    # rejected even with coefficient 0, and a closed sum is never a formal sum
+    assert FormalSum.zero(1) != FormalSum.zero(2)
+    assert FormalSum(1, {canonical_key(pres("x", "x")): 0}) == FormalSum.zero(1)
+    with pytest.raises(ValueError, match="key of rank 2 in a sum of rank 1"):
+        FormalSum(1, {canonical_key(pres("x y", "x")): 0})
+    closed = FormalSum.zero(1).bracket(FormalSum.zero(1))
+    assert closed.is_zero() and closed != FormalSum.zero(1)
 
 
 def test_rational_coefficients():

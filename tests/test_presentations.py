@@ -192,6 +192,10 @@ def test_forget_boundary_and_disjoint_union():
     assert disjoint_union(a, empty) == a
     b = forget_boundary(wedge_s2(p, 1))
     assert disjoint_union(a, b) == disjoint_union(b, a)
+    # the components are a multiset: their order is not part of the value
+    ka, kb = a.components[0], b.components[0]
+    assert ClosedComplex((ka, kb)) == ClosedComplex((kb, ka))
+    assert ClosedComplex((kb, ka)).components == disjoint_union(b, a).components
     doubled = disjoint_union(a, a)
     assert len(doubled.components) == 2
 
