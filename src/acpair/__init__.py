@@ -1,14 +1,19 @@
 """acpair: presentations as 2-complexes with a fixed wedge boundary,
 Andrews-Curtis style move scripts as replayable certificates, the formal
-pairing algebra, and exact chain-level homology."""
+pairing algebra, and exact chain-level homology.
+
+The names imported below are the library surface."""
 
 __version__ = "0.1.0"
 
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
-                            canonical_key, euler_char, make_presentation,
-                            parse_presentation, product, wedge_s1, wedge_s2)
+                            abelianization, canonical_key, disjoint_union,
+                            euler_char, forget_boundary, make_presentation,
+                            parse_presentation, product, unit_presentation,
+                            wedge_s1, wedge_s2)
 from .moves import (MoveScript, SearchBudget, SearchOutcome,
-                    bounded_equivalence_search, replay)
+                    apply_automorphism, bounded_equivalence_search,
+                    expand_restricted_slides, replay, slide_exponent_ledger)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             common_generators, lustig, null_vector_pipeline,
@@ -17,5 +22,5 @@ from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             verify_smove_certificates)
 from .homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                        GroupRingMatrix, check_dyer_bound, euler_char_chain,
-                       glue_product, homology_at, restrict_scalars,
-                       smith_normal_form)
+                       glue_product, homology_at, product_euler,
+                       restrict_scalars, smith_normal_form)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -23,8 +22,8 @@ from functools import cache
 from json import JSONDecodeError, load as load_json
 
 from . import constructions, homology, moves, pairing, presentations
-from .moves import MoveError, MoveScript, SearchBudget
-from .presentations import (canonical_key, euler_char, format_presentation,
+from .moves import MoveError, SearchBudget
+from .presentations import (canonical_key, format_presentation,
                             parse_presentation, serialize_key)
 from .words import parse_word
 
@@ -292,106 +291,6 @@ def cmd_glue(args) -> int:
     return 0
 
 
-REPL_HELP = """\
-commands (indices 1-based; words are comma-separated syllables, e.g. x,y^-2):
-  conj J W        conjugate relator J by W
-  inv J           invert relator J
-  slide J K left|right
-  rslide J K SIGN W H   append W [R_K^SIGN, H] W^-1 to relator J (W may be 1)
-  addgen NAME | rmgen I | addtriv | rmtriv J
-  ninv I | nmul I J left|right
-  show | key | chi | undo | help | quit
-"""
-
-
-# command -> (op, the fields its arguments fill, in order); "rslide" fills
-# j and the one factor of a RestrictedSlide
-_REPL_MOVES = {
-    "conj": ("ConjRel", ("j", "w")),
-    "inv": ("InvRel", ("j",)),
-    "slide": ("SlideRel", ("j", "k", "side")),
-    "rslide": ("RestrictedSlide", ("j", "k", "sign", "w", "h")),
-    "addgen": ("AddGen", ("name",)),
-    "rmgen": ("RemoveGen", ("i",)),
-    "addtriv": ("AddTrivialRel", ()),
-    "rmtriv": ("RemoveTrivialRel", ("j",)),
-    "ninv": ("NielsenInv", ("i",)),
-    "nmul": ("NielsenMul", ("i", "j", "side")),
-}
-
-
-def _repl_move(parts, names):
-    """The move a command line names, built as its script-file object: an
-    index or sign written in decimal digits is an integer, any other
-    argument text with its commas read as spaces."""
-    if parts[0] not in _REPL_MOVES:
-        raise MoveError(f"unknown command {parts[0]!r} (try 'help')")
-    op, fields = _REPL_MOVES[parts[0]]
-    if len(parts) != len(fields) + 1:
-        raise MoveError(f"{parts[0]} takes {len(fields)} arguments (try 'help')")
-    args = {f: int(a) if f in ("i", "j", "k", "sign") and re.fullmatch("-?[0-9]+", a)
-            else a.replace(",", " ") for f, a in zip(fields, parts[1:])}
-    if op == "RestrictedSlide":
-        args = {"j": args.pop("j"), "factors": [args]}
-    return moves.script_from_json([{"op": op, **args}], names).moves[0]
-
-
-def cmd_repl(args) -> int:
-    pres = _load(args.presentation, parse_presentation)
-    initial = pres
-    history = []
-    log = []
-    print(REPL_HELP)
-    print(format_presentation(pres))
-    while True:
-        try:
-            line = input("> ").strip()
-        except EOFError:
-            break
-        if not line:
-            continue
-        parts = line.split()
-        op = parts[0]
-        if op in ("quit", "exit"):
-            break
-        if op == "help":
-            print(REPL_HELP)
-            continue
-        if op == "show":
-            print(format_presentation(pres), end="")
-            continue
-        if op == "key":
-            print(serialize_key(canonical_key(pres)))
-            continue
-        if op == "chi":
-            print(euler_char(pres))
-            continue
-        if op == "undo":
-            if history:
-                pres = history.pop()
-                log.pop()
-                print("undone")
-            else:
-                print("nothing to undo")
-            continue
-        try:
-            move = _repl_move(parts, pres.gens)
-            nxt = moves.apply_move(pres, move)
-        except ValueError as e:  # MoveError among them
-            print(f"error: {e}")
-            continue
-        history.append(pres)
-        log.append(move)
-        pres = nxt
-        print(f"chi = {euler_char(pres)}")
-        print(serialize_key(canonical_key(pres)))
-    if args.log:
-        script = moves.script_to_json(MoveScript(tuple(log), "full"), initial.gens)
-        _write_text(args.log, json.dumps(script, indent=1) + "\n")
-        print(f"session script written to {args.log}")
-    return 0
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
@@ -478,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output")
-
-    p = add("repl", cmd_repl, "interactive move application with undo")
-    p.add_argument("presentation")
-    p.add_argument("--log", help="write the session as a move script on exit")
 
     return parser
 

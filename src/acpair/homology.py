@@ -25,7 +25,6 @@ import io
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .words import json_int
@@ -147,10 +146,6 @@ def _greedy_generators(table, identity: int) -> list:
     return gens
 
 
-def symmetric_group_3() -> FiniteGroup:
-    return FiniteGroup.from_permutations([(1, 2, 0), (1, 0, 2)])
-
-
 # ---------------------------------------------------------------------------
 # Sparse group-ring elements: dict {element index: integer coefficient}.
 
@@ -251,13 +246,6 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
 # Exact integer matrices.
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def _echelon(a: Sequence[Sequence[int]]) -> tuple:
     """(r, minor): the rank r of a and the determinant of the r x r
     submatrix on its pivot rows and columns, by Bareiss's fraction-free
@@ -309,34 +297,6 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
         raise ValueError("determinant of a non-square matrix")
     rank, minor = _echelon(a)
     return minor if rank == len(a) else 0
-
-
-def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction elimination; independent oracle for SNF ranks."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for r in range(pivot_row, rows):
-            if m[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[pivot_row], m[sel] = m[sel], m[pivot_row]
-        pv = m[pivot_row][col]
-        for r in range(rows):
-            if r != pivot_row and m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == rows:
-            break
-    return rank
 
 
 def _diagonalize(m: list, rows: int, cols: int) -> None:
@@ -604,15 +564,6 @@ def load_group_csv(text: str) -> FiniteGroup:
     if group.identity != identity:
         raise ValueError("declared identity disagrees with the table")
     return group
-
-
-def dump_group_csv(group: FiniteGroup) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([group.order, group.identity])
-    for row in group.table:
-        writer.writerow(row)
-    return out.getvalue()
 
 
 def chain_to_json(c: ChainComplexData) -> dict:

@@ -497,8 +497,7 @@ def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
 
 
 def script_from_json(data, names: Sequence[str]) -> MoveScript:
-    """The script a script file holds; the REPL reads its commands through
-    this too."""
+    """The script a script file holds."""
     if isinstance(data, list):
         data = {"regime": "full", "moves": data}
     current = list(names)

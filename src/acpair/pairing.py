@@ -19,10 +19,6 @@ from .presentations import (CanonicalKey, ClosedComplex, Presentation,
 from .words import json_int
 
 
-class CertificateError(ValueError):
-    pass
-
-
 def _check_scalar(c):
     if not isinstance(c, Rational):
         raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
@@ -203,17 +199,6 @@ def _reduce(x: FormalSum, certs) -> tuple:
             uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
     return status, FormalSum(x.rank, _merge((uf.find(key), coeff)
                                             for key, coeff in x._terms.items()))
-
-
-def reduce_by_certificates(x: FormalSum, certs) -> FormalSum:
-    """Sum coefficients over the key classes generated by verified
-    certificates.  A failing certificate is an error naming the first
-    offender in list order."""
-    status, reduced = _reduce(x, certs)
-    for label, ok, msg in status:
-        if not ok:
-            raise CertificateError(f"certificate {label}: {msg}")
-    return reduced
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,11 @@ def parse_relator_text(text: str, names, budget: LetterBudget | None = None) -> 
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse the text format above.  The relators spell out at most
-    words.MAX_WORD_LENGTH letters in all, counted before reduction."""
+    """Parse the text format above; text that is not a str is a ValueError.
+    The relators spell out at most words.MAX_WORD_LENGTH letters in all,
+    counted before reduction."""
+    if not isinstance(text, str):
+        raise ValueError(f"a presentation must be text, not {text!r}")
     gens = None
     relators = []
     budget = LetterBudget("presentation")

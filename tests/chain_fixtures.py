@@ -9,12 +9,67 @@ extra rows are ZG-combinations of the generators, so the image is
 unchanged and the codimension-one homology stays zero.
 """
 
+import csv
+import io
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 from acpair.homology import (ChainComplexData, FiniteGroup, GroupRingMatrix,
                              gr_add, gr_mul, restrict_scalars,
-                             smith_normal_form, symmetric_group_3)
+                             smith_normal_form)
+
+# ---------------------------------------------------------------------------
+# Test-only helpers: a named group, a group-file writer, and two independent
+# integer-matrix oracles (a plain product and a rank over Q).
+
+
+def symmetric_group_3() -> FiniteGroup:
+    return FiniteGroup.from_permutations([(1, 2, 0), (1, 0, 2)])
+
+
+def dump_group_csv(group: FiniteGroup) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([group.order, group.identity])
+    for row in group.table:
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def mat_mul(a, b) -> list:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    bt = list(zip(*b)) if b else []
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def rational_rank(a) -> int:
+    """Rank over Q by fraction elimination; independent oracle for SNF ranks."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivot_row = 0
+    for col in range(cols):
+        sel = None
+        for r in range(pivot_row, rows):
+            if m[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        m[pivot_row], m[sel] = m[sel], m[pivot_row]
+        pv = m[pivot_row][col]
+        for r in range(rows):
+            if r != pivot_row and m[r][col] != 0:
+                factor = m[r][col] / pv
+                m[r] = [x - factor * y for x, y in zip(m[r], m[pivot_row])]
+        pivot_row += 1
+        rank += 1
+        if pivot_row == rows:
+            break
+    return rank
 
 # ---------------------------------------------------------------------------
 # Integer lattice utilities (row lattices).

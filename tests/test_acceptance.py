@@ -21,7 +21,7 @@ from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   null_vector_pipeline, product_stabilization,
                                   verify_smove_certificates)
 from acpair.homology import (determinant, diagonal_of, euler_char_chain,
-                             glue_product, homology_at, mat_mul, product_euler,
+                             glue_product, homology_at, product_euler,
                              smith_normal_form)
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RemoveGen,
@@ -34,7 +34,7 @@ from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   make_presentation, product, unit_presentation)
 from acpair.words import EMPTY, reduce
 
-from chain_fixtures import random_gn_fixture
+from chain_fixtures import mat_mul, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair
 
 

@@ -15,7 +15,7 @@ from acpair.moves import MoveScript, SearchBudget, SlideRel, script_to_json
 from acpair.presentations import (format_presentation, make_presentation,
                                   parse_presentation)
 
-from chain_fixtures import random_gn_fixture
+from chain_fixtures import dump_group_csv, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair
 
 
@@ -376,7 +376,7 @@ def test_homology_and_glue_cli(tmp_path, capsys):
 
 
 def test_homology_group_file_reference(tmp_path, capsys):
-    from acpair.homology import dump_group_csv, chain_to_json, FiniteGroup
+    from acpair.homology import chain_to_json, FiniteGroup
     rng = random.Random(61)
     c = random_gn_fixture("c3", 3, rng)
     data = chain_to_json(c)
@@ -396,35 +396,6 @@ def test_cli_roundtrip_property(tmp_path, capsys):
         assert code == 0
         text = path.read_text()
         assert format_presentation(parse_presentation(text)) == text
-
-
-def test_repl_session(tmp_path, capsys, monkeypatch):
-    pres = write(tmp_path / "p.pres", "gens: x y\nrel: x\nrel: y\n")
-    log = tmp_path / "log.json"
-    bad = ["inv 9", "slide 1", "rslide 1 2 a 1 x", "bogus"]
-    lines = iter(["conj 1 x,y^-2", "inv 2", "slide 2 1 right", "key", "chi",
-                  "inv 1", "undo", "rslide 1 2 -1 1 x", "ninv 1",
-                  "nmul 1 2 left", "addgen z", "rmgen 3", "addtriv",
-                  "rmtriv 3"] + bad + ["show", "quit"])
-    monkeypatch.setattr("builtins.input", lambda *_: next(lines))
-    code, out, _ = run(capsys, "repl", pres, "--log", log)
-    assert code == 0
-    # each bad line reports and the session goes on to show and quit
-    assert out.count("error:") == len(bad)
-    assert "session script written" in out
-    data = json.loads(log.read_text())
-    assert data == {"regime": "full", "moves": [
-        {"op": "ConjRel", "j": 1, "w": "x y^-2"},
-        {"op": "InvRel", "j": 2},
-        {"op": "SlideRel", "j": 2, "k": 1, "side": "right"},
-        {"op": "RestrictedSlide", "j": 1,
-         "factors": [{"w": "1", "k": 2, "sign": -1, "h": "x"}]},
-        {"op": "NielsenInv", "i": 1},
-        {"op": "NielsenMul", "i": 1, "j": 2, "side": "left"},
-        {"op": "AddGen", "name": "z"},
-        {"op": "RemoveGen", "i": 3},
-        {"op": "AddTrivialRel"},
-        {"op": "RemoveTrivialRel", "j": 3}]}
 
 
 def test_input_error_exit_codes(tmp_path, capsys):
@@ -510,6 +481,11 @@ MALFORMED = {
     "sum_coeff_underscore": (lambda t: _sum_coeff(t, " 1_0 "), "x.sum"),
     "sum_coeff_float": (lambda t: _sum_coeff(t, 2.0), "x.sum"),
     "sum_coeff_bool": (lambda t: _sum_coeff(t, True), "x.sum"),
+    "sum_presentation_number": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": 5}]), "x.sum"),
+    "certificate_lhs_number": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": PRES_X}],
+        {"lhs": 7, "rhs": PRES_X, "script": []}), "c.json"),
     "certificate_without_rhs": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": PRES_X}],
         {"lhs": PRES_X, "script": []}), "c.json"),

@@ -7,15 +7,15 @@ from acpair.constructions import lustig
 from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              GroupRingMatrix, chain_from_json, chain_to_json,
                              check_dyer_bound, cokernel_invariants,
-                             determinant, diagonal_of, dump_group_csv,
-                             euler_char_chain, glue_product, gr_mat_mul,
-                             homology_at, invariant_factors, load_group_csv,
-                             mat_mul, matrix_rank, product_euler,
-                             rational_rank, restrict_scalars,
-                             smith_normal_form, symmetric_group_3)
+                             determinant, diagonal_of, euler_char_chain,
+                             glue_product, gr_mat_mul, homology_at,
+                             invariant_factors, load_group_csv, matrix_rank,
+                             product_euler, restrict_scalars,
+                             smith_normal_form)
 
-from chain_fixtures import (GROUP_KINDS, base_complex, presentation_chain,
-                            random_gn_fixture)
+from chain_fixtures import (GROUP_KINDS, base_complex, dump_group_csv, mat_mul,
+                            presentation_chain, random_gn_fixture,
+                            rational_rank, symmetric_group_3)
 
 Z = GroupRingMatrix.zero
 

@@ -6,9 +6,8 @@ import pytest
 
 from acpair.constructions import lustig
 from acpair.moves import ConjRel, MoveScript, SlideRel, replay
-from acpair.pairing import (CertificateError, EquivalenceCertificate,
-                            FormalSum, certificate_from_json,
-                            certificate_to_json, reduce_by_certificates,
+from acpair.pairing import (EquivalenceCertificate, FormalSum, _reduce,
+                            certificate_from_json, certificate_to_json,
                             sum_from_json, sum_to_json, verify_null)
 from acpair.presentations import (Presentation, canonical_key,
                                   forget_boundary, make_presentation, product,
@@ -130,49 +129,52 @@ def test_bracket_linear():
 
 def test_reduce_by_certificates():
     a = pres("x", "x", "x^2")
-    from acpair.moves import SlideRel, replay
     script = MoveScript((SlideRel(1, 0, "right"),))
     target = replay(a, script)
     cert = EquivalenceCertificate(a, target, script, "slide")
     x = fs(a) - fs(target)
     assert not x.is_zero()
-    assert reduce_by_certificates(x, [cert]).is_zero()
-    assert reduce_by_certificates(x, []) == x
+    status, reduced = _reduce(x, [cert])
+    assert status == [("slide", True, "ok")]
+    assert reduced.is_zero()
+    assert _reduce(x, []) == ([], x)
 
 
 def test_reduce_reports_bad_certificate():
+    # a failing certificate is reported under its label and joins nothing
     a = pres("x", "x")
     b = pres("x", "x^2")
     bad = EquivalenceCertificate(a, b, MoveScript(()), "bogus")
-    with pytest.raises(CertificateError) as err:
-        reduce_by_certificates(fs(a), [bad])
-    assert "bogus" in str(err.value)
+    status, reduced = _reduce(fs(a) - fs(b), [bad])
+    assert status == [("bogus", False, "replay does not reach the right-hand key")]
+    assert reduced == fs(a) - fs(b)
 
 
-def test_reduce_names_the_first_failing_certificate():
+def test_reduce_labels_each_failing_certificate():
+    # in list order, under its label or else its list position
     a = pres("x", "x", "x^2")
     script = MoveScript((SlideRel(1, 0, "right"),))
     good = EquivalenceCertificate(a, replay(a, script), script, "good")
     wrong_key = EquivalenceCertificate(a, pres("x", "x^3"), MoveScript(()))
     wrong_rank = EquivalenceCertificate(pres("x y"), pres("x y"), MoveScript(()),
                                         "wrong_rank")
-    with pytest.raises(CertificateError, match="^certificate 1: replay does not"):
-        reduce_by_certificates(fs(a), [good, wrong_key, wrong_rank])
-    with pytest.raises(CertificateError,
-                       match="^certificate wrong_rank: certificate rank differs"):
-        reduce_by_certificates(fs(a), [good, wrong_rank, wrong_key])
+    no_key = ("1", False, "replay does not reach the right-hand key")
+    rank = ("wrong_rank", False, "certificate rank differs from the sum")
+    status, _ = _reduce(fs(a), [good, wrong_key, wrong_rank])
+    assert status == [("good", True, "ok"), no_key, rank]
+    status, _ = _reduce(fs(a), [good, wrong_rank, wrong_key])
+    assert status == [("good", True, "ok"), rank, ("2",) + no_key[1:]]
 
 
 def test_reduce_preserves_total_coefficient():
     rng = random.Random(32)
     a = pres("x y", "x", "y")
-    from acpair.moves import SlideRel, replay
     script = MoveScript((SlideRel(0, 1, "right"),))
     b = replay(a, script)
     cert = EquivalenceCertificate(a, b, script, "s")
     for _ in range(50):
         x = fs(a, rng.randint(-4, 4)) + fs(b, rng.randint(-4, 4))
-        red = reduce_by_certificates(x, [cert])
+        _, red = _reduce(x, [cert])
         assert sum(c for _, c in red.items()) == sum(c for _, c in x.items())
 
 

@@ -1,11 +1,13 @@
 """Checks on the program's source text."""
 
+import argparse
 import ast
 import pathlib
 import re
 
 import acpair
 from acpair import moves
+from acpair.cli import build_parser
 
 SOURCE = pathlib.Path(acpair.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -24,14 +26,17 @@ def test_no_assert_statements():
 
 def test_cli_commands_leave_errors_to_main():
     # main is the one place that turns an error into exit 2; a command may
-    # catch only to give another verdict: verify-smove's "rejected" (exit 1)
-    # and the repl, which reports a bad move and goes on.
+    # catch only to give another verdict: verify-smove's "rejected" (exit 1).
+    # The cmd_ functions checked are exactly the registered subcommands.
     tree = ast.parse((SOURCE / "cli.py").read_text())
     commands = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
-    assert len(commands) >= 12
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    registered = {parser.get_default("func").__name__ for parser in sub.choices.values()}
+    assert {node.name for node in commands} == registered
     found = [f"{node.name}:{inner.lineno}" for node in commands
-             if node.name not in ("cmd_verify_smove", "cmd_repl")
+             if node.name != "cmd_verify_smove"
              for inner in ast.walk(node) if isinstance(inner, ast.Try)]
     assert not found, f"try statements in CLI commands: {found}"
 
@@ -46,7 +51,8 @@ def test_public_names_are_used():
     # nothing in the program or its tests names besides its own definition
     # is dead code, and so is a public method or property of a public class
     # that nothing reads as .name; dunder names such as __version__ are
-    # read by tools
+    # read by tools.  A public name that only the tests name is library
+    # surface, and is exported from acpair/__init__.py.
     sources = [(path.name, ast.parse(path.read_text(), str(path)))
                for path in sorted(SOURCE.glob("*.py"))]
     texts = [path.read_text() for path in
@@ -66,6 +72,13 @@ def test_public_names_are_used():
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                and not any(re.search(rf"\.{node.name}\b", text) for text in texts)]
     assert not unused, f"names used nowhere: {unused}"
+    program = [path.read_text() for path in sorted(SOURCE.glob("*.py"))
+               if path.name != "__init__.py"]
+    unexported = [f"{name}:{defined_name}" for name, defined_name in defined
+                  if not defined_name.startswith("_") and defined_name not in vars(acpair)
+                  and sum(len(re.findall(rf"\b{defined_name}\b", text))
+                          for text in program) < 2]
+    assert not unexported, f"used only by tests, not exported from acpair: {unexported}"
 
 
 def test_applied_move_kinds_are_serialized():
