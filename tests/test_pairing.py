@@ -158,12 +158,13 @@ def test_reduce_labels_each_failing_certificate():
     wrong_key = EquivalenceCertificate(a, pres("x", "x^3"), MoveScript(()))
     wrong_rank = EquivalenceCertificate(pres("x y"), pres("x y"), MoveScript(()),
                                         "wrong_rank")
-    no_key = ("1", False, "replay does not reach the right-hand key")
+    ok = ("good", True, "ok")
+    no_key = (False, "replay does not reach the right-hand key")
     rank = ("wrong_rank", False, "certificate rank differs from the sum")
     status, _ = _reduce(fs(a), [good, wrong_key, wrong_rank])
-    assert status == [("good", True, "ok"), no_key, rank]
+    assert status == [ok, ("1", *no_key), rank]
     status, _ = _reduce(fs(a), [good, wrong_rank, wrong_key])
-    assert status == [("good", True, "ok"), rank, ("2",) + no_key[1:]]
+    assert status == [ok, rank, ("2", *no_key)]
 
 
 def test_reduce_preserves_total_coefficient():
