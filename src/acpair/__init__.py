@@ -13,7 +13,8 @@ from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             wedge_s1, wedge_s2)
 from .moves import (MoveScript, SearchBudget, SearchOutcome,
                     apply_automorphism, bounded_equivalence_search,
-                    expand_restricted_slides, replay, slide_exponent_ledger)
+                    expand_restricted_slides, invert_script, replay,
+                    slide_exponent_ledger)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             common_generators, lustig, null_vector_pipeline,

@@ -12,13 +12,13 @@ from itertools import repeat
 from typing import Sequence
 
 from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
-                    SearchOutcome, _compact, _conjugated_slide, invert_script,
-                    replay)
+                    SearchOutcome, _compact, _conjugated_slide, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
-from .words import (EMPTY, Word, commutator, format_word, identity_images,
-                    invert, json_int, multiply, parse_word, power, reduce)
+from .words import (EMPTY, MAX_WORD_LENGTH, Word, commutator, format_word,
+                    identity_images, invert, json_int, multiply, parse_word,
+                    power, reduce)
 
 
 class WitnessError(ValueError):
@@ -222,15 +222,15 @@ def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
               for f in data["factors"]))
 
 
-def stabilization_moves(target_positions: Sequence[int], base_positions: Sequence[int],
-                        witnesses: Sequence[NormalClosureWitness]) -> list:
-    """Moves clearing each target relator via its witness over the base block."""
+def stabilization_moves(base: int, witnesses: Sequence[NormalClosureWitness]) -> list:
+    """Compacted moves clearing relator base + i by witness i, which
+    expresses it over the first base relators."""
     moves = []
-    for j, wit in zip(target_positions, witnesses):
+    for i, wit in enumerate(witnesses):
         for g, k, s in wit.factors:
-            # left-multiply relator j by (g^-1 R_k^s g)^-1
-            moves += _conjugated_slide(j, base_positions[k], invert(g), -s, "left")
-    return moves
+            # left-multiply relator base + i by (g^-1 R_k^s g)^-1
+            moves += _conjugated_slide(base + i, k, invert(g), -s, "left")
+    return _compact(moves)
 
 
 def product_stabilization(l1: Presentation, l2: Presentation,
@@ -239,9 +239,9 @@ def product_stabilization(l1: Presentation, l2: Presentation,
 
     One witness per relator of l2, each expressing it over l1's relators;
     witnesses are verified in the free group before any move is emitted.
-    The script touches only relators (conjugate/invert/slide composites),
-    never the skeleton.  It is returned without being replayed: the caller
-    replays it, as null_vector_pipeline does through verify_null.
+    The script touches only relators: conjugated slides, compacted as
+    null_vector_pipeline's scripts are, never the skeleton.  It is returned
+    without being replayed, so the caller replays it.
     """
     if l1.rank != l2.rank:
         raise ValueError("presentations do not share a boundary")
@@ -249,10 +249,7 @@ def product_stabilization(l1: Presentation, l2: Presentation,
         raise WitnessError(f"need {len(l2.relators)} witnesses, got {len(witnesses)}")
     for idx, (rel, wit) in enumerate(zip(l2.relators, witnesses)):
         _check_witness(wit, rel, l1.relators, f"witness {idx}")
-    base = len(l1.relators)
-    targets = [base + i for i in range(len(l2.relators))]
-    return MoveScript(tuple(stabilization_moves(targets, range(base), witnesses)),
-                      "full")
+    return MoveScript(stabilization_moves(len(l1.relators), witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +449,12 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
     """Certified null vector from two presentations of the same group with
     equal Euler characteristic, already rewritten over common generators.
 
-    Builds four certificates identifying both self-products and the cross
-    product with the common stabilization, and returns x = first - second
-    together with the certificates.  Witnesses may be supplied per relator;
-    otherwise they are searched within the budget.  When a search stops
-    without a witness the result carries its Unknown label and
-    SearchOutcome, and whatever certificates are still justified.  Every
+    Each certificate takes a*b to a v mS^2: first_self (p1*p1), second_self
+    (p2*p2), cross (p1*p2) and cross_second (p2*p1), a cross one only when
+    all its witnesses are at hand.  Returns x = first - second with the
+    certificates.  Witnesses may be supplied per relator; otherwise they
+    are searched within the budget.  When a search stops without a witness
+    the result carries its Unknown label and SearchOutcome.  Every
     certificate built is replayed once, by verify_null, complete or not:
     nothing unverified is ever emitted.
     """
@@ -468,7 +465,6 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
     # common_generators adds one relator per added generator, so at equal
     # rank and equal Euler characteristic both sides hold m relators.
     m = euler_char(p1) - 1 + p1.rank
-    first, second = range(m), range(m, 2 * m)
     x = FormalSum.of_presentation(p1) - FormalSum.of_presentation(p2)
 
     requests = []  # (label, target, base relators, supplied witness or None)
@@ -481,27 +477,18 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
                       supplied[i] if i < len(supplied) else None)
                      for i, word in enumerate(targets)]
     wits, unknown = _collect_witnesses(requests, budget, jobs)
-    wits12, wits21 = wits[:m], wits[m:]
 
-    certs = []
-    for p, label in ((p1, "first_self"), (p2, "second_self")):
-        own = [NormalClosureWitness(r, ((EMPTY, i, 1),))
-               for i, r in enumerate(p.relators)]
-        certs.append(EquivalenceCertificate(
-            product(p, p), wedge_s2(p, m),
-            MoveScript(_compact(stabilization_moves(second, first, own))), label))
-    if None not in wits12:
-        certs.append(EquivalenceCertificate(
-            product(p1, p2), wedge_s2(p1, m),
-            MoveScript(_compact(stabilization_moves(second, first, wits12))), "cross"))
-    if None not in wits:
-        # Stabilization bridge: undo the (second, first) stabilization, then
-        # clear the second block inside the product over the first block.
-        bridge = (invert_script(MoveScript(stabilization_moves(second, first, wits21)))
-                  + MoveScript(stabilization_moves(first, second, wits12)))
-        certs.append(EquivalenceCertificate(
-            wedge_s2(p2, m), wedge_s2(p1, m), MoveScript(_compact(bridge.moves)),
-            "stabilized_bridge"))
+    # product(p2, p1) has the key of product(p1, p2), so verify_null joins
+    # both stabilized wedges through the cross product.
+    own1, own2 = ([NormalClosureWitness(r, ((EMPTY, i, 1),))
+                   for i, r in enumerate(p.relators)] for p in (p1, p2))
+    certs = [EquivalenceCertificate(product(a, b), wedge_s2(a, m),
+                                    MoveScript(stabilization_moves(m, ws)), label)
+             for label, a, b, ws in (("first_self", p1, p1, own1),
+                                     ("second_self", p2, p2, own2),
+                                     ("cross", p1, p2, wits[:m]),
+                                     ("cross_second", p2, p1, wits[m:]))
+             if None not in ws]
 
     result = PipelineResult(x, tuple(certs), m, tuple(unknown))
     report = verify_null(x, certs)
@@ -525,6 +512,8 @@ def lustig(i: int) -> Presentation:
     rule)."""
     if i < 1:
         raise ValueError("index must be a positive integer")
+    if 10 * i + 17 > MAX_WORD_LENGTH:
+        raise ValueError(f"lustig({i}) spells out more than {MAX_WORD_LENGTH} letters")
     names = ("r", "s", "t")
     r, s, t = (1,), (2,), (3,)
     rel1 = multiply(power(s, 2), power(t, -3))

@@ -500,6 +500,8 @@ def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData
     if c1.top_dim != c2.top_dim:
         raise ValueError("dimension mismatch")
     n = c1.top_dim
+    if n < 1:
+        raise ValueError("0-dimensional complexes have no top boundary to glue")
     if c1.ranks[:n] != c2.ranks[:n]:
         raise ValueError("lower skeleton rank mismatch")
     if c1.boundaries[:n - 1] != c2.boundaries[:n - 1]:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .presentations import Presentation, canonical_key
-from .words import (EMPTY, Word, commutator, conjugate, format_word,
-                    identity_images, invert, json_int, letter_key, multiply,
-                    parse_word, reduce, substitute, valid_name)
+from .words import (EMPTY, MAX_WORD_LENGTH, Word, commutator, conjugate,
+                    format_word, identity_images, invert, json_int, letter_key,
+                    multiply, parse_word, reduce, substitute, valid_name)
 
 
 class MoveError(ValueError):
@@ -189,17 +189,26 @@ def _nielsen_substitution(move, rank: int) -> dict:
     return images
 
 
+def _bounded(relator: Word) -> Word:
+    """relator, unless it is longer than a parsed word may be."""
+    if len(relator) > MAX_WORD_LENGTH:
+        raise MoveError(f"relator of {len(relator)} letters exceeds the "
+                        f"{MAX_WORD_LENGTH}-letter bound")
+    return relator
+
+
 def _apply(rels: list, gens: tuple, move) -> tuple:
     """Apply one move to rels in place, the relators over gens, and return
     the generators after it.
 
     Every relator built here comes from reduced, in-range relators and
-    checked move words, so callers wrap the result without validation.
+    checked move words, so callers wrap the result without validation.  A
+    relator a move lengthens is checked against MAX_WORD_LENGTH.
     """
     rank = len(gens)
     if isinstance(move, ConjRel):
         _check_rel(move.j, len(rels))
-        rels[move.j] = conjugate(rels[move.j], _check_word(move.w, rank))
+        rels[move.j] = _bounded(conjugate(rels[move.j], _check_word(move.w, rank)))
     elif isinstance(move, InvRel):
         _check_rel(move.j, len(rels))
         rels[move.j] = invert(rels[move.j])
@@ -207,12 +216,12 @@ def _apply(rels: list, gens: tuple, move) -> tuple:
         _check_rel(move.j, len(rels))
         _check_rel(move.k, len(rels))
         if move.side == "left":
-            rels[move.j] = multiply(rels[move.k], rels[move.j])
+            rels[move.j] = _bounded(multiply(rels[move.k], rels[move.j]))
         else:
-            rels[move.j] = multiply(rels[move.j], rels[move.k])
+            rels[move.j] = _bounded(multiply(rels[move.j], rels[move.k]))
     elif isinstance(move, (NielsenInv, NielsenMul)):
         images = _nielsen_substitution(move, rank)
-        rels[:] = [substitute(r, images) for r in rels]
+        rels[:] = [_bounded(substitute(r, images)) for r in rels]
     elif isinstance(move, AddGen):
         if not valid_name(move.name):
             raise MoveError(f"invalid generator name {move.name!r}")
@@ -248,7 +257,7 @@ def _apply(rels: list, gens: tuple, move) -> tuple:
             h = _check_word(f.h, rank)
             base = rels[f.k] if f.sign > 0 else invert(rels[f.k])
             word = multiply(word, conjugate(commutator(base, h), w))
-        rels[move.j] = word
+        rels[move.j] = _bounded(word)
     else:
         raise MoveError(f"unknown move {move!r}")
     return gens

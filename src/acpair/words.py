@@ -82,12 +82,14 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 def power(u: Word, k: int) -> Word:
+    """u^k as h c^k h^-1, where u = h c h^-1 with c cyclically reduced."""
+    if k == 0:
+        return EMPTY
     if k < 0:
-        return power(invert(u), -k)
-    out: Word = EMPTY
-    for _ in range(k):
-        out = multiply(out, u)
-    return out
+        u, k = invert(u), -k
+    core = cyclically_reduce(u)
+    head = u[:(len(u) - len(core)) // 2]
+    return head + core * k + invert(head)
 
 
 def exponent_sum(u: Word, gen: int) -> int:
@@ -135,9 +137,10 @@ def word_key(u: Word) -> tuple:
 
 
 def cyclically_reduce(u: Word) -> Word:
-    while len(u) > 1 and u[0] == -u[-1]:
-        u = u[1:-1]
-    return u
+    i = 0
+    while 2 * i + 1 < len(u) and u[i] == -u[-1 - i]:
+        i += 1
+    return u[i:len(u) - i]
 
 
 def _least_rotation(keys: list) -> int:

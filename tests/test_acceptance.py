@@ -155,7 +155,7 @@ def test_acceptance_1_companion_supplied_witnesses():
         assert canonical_key(replay(cert.lhs, cert.script)) == \
             canonical_key(cert.rhs), cert.label
     assert {c.label for c in result.certificates} == {
-        "first_self", "cross", "second_self", "stabilized_bridge"}
+        "first_self", "cross", "second_self", "cross_second"}
     assert elapsed < 60.0
     print(f"ACCEPTANCE 1 (companion): PASS - certified chain with supplied "
           f"witnesses in {elapsed:.1f}s")

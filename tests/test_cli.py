@@ -43,6 +43,14 @@ def test_normalize_golden(tmp_path, capsys):
                    "g1^2 g3^4 g1^-2 g3^-4\n")
 
 
+def test_lustig_cli_index_over_the_letter_bound(tmp_path, capsys):
+    out_path = tmp_path / "k.pres"
+    code, _, err = run(capsys, "lustig", "99999", "-o", out_path)
+    assert code == 2
+    assert "lustig(99999) spells out more than 1000000 letters" in err
+    assert not out_path.exists()
+
+
 def test_normalize_is_conjugation_invariant(tmp_path, capsys):
     a = write(tmp_path / "a.pres", "gens: x y\nrel: y x y^-1\n")
     b = write(tmp_path / "b.pres", "gens: x y\nrel: x\n")
@@ -69,6 +77,40 @@ def test_apply_illegal_move_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "apply", pres, script)
     assert code == 2
     assert "move 1" in err
+
+
+def fibonacci_slides(count):
+    """SlideRel moves alternating between relators 1 and 2: from x and y
+    the relator built by move n has Fibonacci(n + 2) letters."""
+    return MoveScript(tuple(SlideRel(n % 2, 1 - n % 2, "right") for n in range(count)))
+
+
+def test_apply_rejects_a_relator_over_the_word_bound(tmp_path, capsys):
+    # move 28 builds a relator of F(30) = 832,040 letters, move 29 one of
+    # F(31) = 1,346,269, more than a parsed word may hold
+    pres = write(tmp_path / "p.pres", "gens: x y\nrel: x\nrel: y\n")
+    script = write(tmp_path / "s.json", json.dumps(
+        script_to_json(fibonacci_slides(32), ("x", "y"))))
+    out_path = tmp_path / "out.pres"
+    code, _, err = run(capsys, "apply", pres, script, "-o", out_path)
+    assert code == 2
+    assert "move 29 (SlideRel): relator of 1346269 letters exceeds" in err
+    assert not out_path.exists()
+
+
+def test_verify_null_fails_a_certificate_over_the_word_bound(tmp_path, capsys):
+    p = make_presentation("x y", ["x", "y"])
+    cert = pairing.EquivalenceCertificate(p, p, fibonacci_slides(32), "grow")
+    bundle = tmp_path / "b"
+    os.makedirs(bundle / "certs")
+    write(bundle / "x.sum",
+          json.dumps([{"coeff": 1, "presentation": format_presentation(p)}]))
+    write(bundle / "certs" / "grow.json", json.dumps(pairing.certificate_to_json(cert)))
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 1
+    assert ("certificate grow: FAILED - replay failed: move 29 (SlideRel): "
+            "relator of 1346269 letters exceeds") in out
+    assert out.endswith("null vector: NO\n")
 
 
 def test_product_cli(tmp_path, capsys):
@@ -142,8 +184,8 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     assert "stabilizations: 3" in out
     assert (bundle / "x.sum").exists()
     assert sorted(p.name for p in (bundle / "certs").iterdir()) == [
-        "cross.json", "first_self.json", "second_self.json",
-        "stabilized_bridge.json"]
+        "cross.json", "cross_second.json", "first_self.json",
+        "second_self.json"]
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 0
     assert "null vector: yes" in out
@@ -373,6 +415,17 @@ def test_homology_and_glue_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "homology", glued_path, "--at", "2")
     assert code == 0
     assert out.strip() == "H_2 = 0"
+
+
+def test_glue_of_0_dimensional_chains_is_an_input_error(tmp_path, capsys):
+    chain = write(tmp_path / "c.json", json.dumps(
+        {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 0,
+         "ranks": [1], "entries": []}))
+    out_path = tmp_path / "g.json"
+    code, _, err = run(capsys, "glue", chain, chain, "-o", out_path)
+    assert code == 2
+    assert "error: 0-dimensional complexes have no top boundary to glue" in err
+    assert not out_path.exists()
 
 
 def test_homology_group_file_reference(tmp_path, capsys):

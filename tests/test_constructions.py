@@ -16,8 +16,9 @@ from acpair.moves import (ConjRel, InvRel, MoveScript, RegimeError,
                           RestrictedSlide, RSFactor, SlideRel, apply_move,
                           invert_script, replay)
 from acpair.pairing import verify_null
-from acpair.presentations import (canonical_key, euler_char, make_presentation,
-                                  product, wedge_s2)
+from acpair.presentations import (canonical_key, euler_char,
+                                  format_presentation, make_presentation,
+                                  parse_presentation, product, wedge_s2)
 from acpair.words import EMPTY, commutator, invert, multiply, power, reduce
 
 from lustig_fixtures import LustigCalculus, lustig_witness_pair
@@ -396,12 +397,12 @@ def test_pipeline_lustig_supplied_witnesses(monkeypatch):
     assert res.stabilizations == 3
     assert len(res.x.support) == 2
     labels = {c.label for c in res.certificates}
-    assert labels == {"first_self", "second_self", "cross", "stabilized_bridge"}
+    assert labels == {"first_self", "second_self", "cross", "cross_second"}
     report = verify_null(res.x, res.certificates)
     assert report.null
     # the four-product identity chain: each certificate replays onto its own
     # right-hand key, and the endpoints are exactly the two stabilized wedges,
-    # joined by the bridge certificate
+    # joined through the cross product
     for cert in res.certificates:
         assert canonical_key(replay(cert.lhs, cert.script)) == canonical_key(cert.rhs)
     endpoint_keys = {canonical_key(c.rhs) for c in res.certificates}
@@ -426,12 +427,45 @@ def test_pipeline_unknown_markers_with_tiny_budget():
         assert ok, (cert.label, msg)
 
 
+def test_pipeline_one_direction_certifies_its_cross_product():
+    # Only the first-over-second witnesses are at hand, so of the cross
+    # certificates only cross_second is built.  It joins p1*p2 (the key of
+    # p2*p1) to p2's stabilized wedge, so -2 p1*p2 and p2*p2 merge into one
+    # surviving term and p1*p1 is the other.
+    _, w21 = lustig_witness_pair(1, 2)
+    res = null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200),
+                               witnesses_first_over_second=w21)
+    assert [c.label for c in res.certificates] == [
+        "first_self", "second_self", "cross_second"]
+    assert [label for label, _ in res.unknown] == [
+        "second_over_first[2]", "second_over_first[3]"]
+    report = verify_null(res.x, res.certificates)
+    assert all(ok for _, ok, _ in report.certificate_status)
+    assert not report.null
+    assert sorted(c for _, c in report.residue.items()) == [-1, 1]
+
+
+def test_pipeline_certificates_use_relator_moves_only():
+    # every pipeline certificate fixes the boundary wedge: it conjugates,
+    # inverts and slides relators, and touches no generator
+    w12, w21 = lustig_witness_pair(1, 2)
+    for supplied in ({}, {"witnesses_second_over_first": w12},
+                     {"witnesses_second_over_first": w12,
+                      "witnesses_first_over_second": w21}):
+        res = null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200),
+                                   **supplied)
+        assert len(res.certificates) == 2 + len(supplied)
+        for cert in res.certificates:
+            assert all(isinstance(m, (ConjRel, InvRel, SlideRel))
+                       for m in cert.script.moves), cert.label
+
+
 def test_pipeline_unknown_path_verifies_its_certificates(monkeypatch):
     # The pipeline builds its scripts without replaying them, so its one
     # verify_null must catch a script that misses its key, also when the
     # result is incomplete.
     monkeypatch.setattr(constructions, "stabilization_moves",
-                        lambda targets, base, witnesses: [])
+                        lambda base, witnesses: [])
     with pytest.raises(WitnessError, match="first_self, second_self"):
         null_vector_pipeline(lustig_common(), WitnessBudget(2, 1, 200))
 
@@ -545,6 +579,16 @@ def test_lustig_values():
     assert canonical_key(lustig(1)) != canonical_key(lustig(2))
     with pytest.raises(ValueError):
         lustig(0)
+
+
+def test_lustig_index_bound_is_the_file_letter_budget():
+    # lustig(i) spells out 10 i + 17 letters, and a presentation file may
+    # spell out 1,000,000: the largest index still round-trips
+    big = lustig(99_998)
+    assert sum(map(len, big.relators)) == 999_997
+    assert parse_presentation(format_presentation(big)) == big
+    with pytest.raises(ValueError, match="lustig.99999. spells out more than 1000000"):
+        lustig(99_999)
 
 
 def test_lustig_calculus_scales():

@@ -647,6 +647,6 @@ def test_pipeline_certificate_lengths_lustig_1_2():
     result = null_vector_pipeline(common, witnesses_second_over_first=w12,
                                   witnesses_first_over_second=w21)
     assert result.complete
-    # 9, 9, 257 and 863 moves before compaction
-    assert [len(c.script) for c in result.certificates] == [9, 9, 214, 536]
+    # 9, 9, 257 and 402 moves before compaction
+    assert [len(c.script) for c in result.certificates] == [9, 9, 214, 326]
     assert all(not rule_patterns(c.script.moves) for c in result.certificates)

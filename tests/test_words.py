@@ -240,6 +240,11 @@ def test_power():
     assert power(X, 3) == (1, 1, 1)
     assert power(X, -2) == (-1, -1)
     assert power(w("x y"), 0) == EMPTY
+    # a word that is not cyclically reduced keeps its head once
+    assert power(w("x y x^-1"), 3) == w("x y^3 x^-1")
+    assert power(w("x y^-1 x^-1"), -2) == w("x y^2 x^-1")
+    assert power(w("x y x^-1"), 0) == EMPTY
+    assert power(X, -1_000_000) == (-1,) * 1_000_000
 
 
 def test_parse_format_roundtrip():
