@@ -25,7 +25,7 @@ from . import constructions, homology, moves, pairing, presentations
 from .moves import MoveError, SearchBudget
 from .presentations import (canonical_key, format_presentation,
                             parse_presentation, serialize_key)
-from .words import parse_word
+from .words import LetterBudget, parse_word
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
@@ -123,9 +123,14 @@ def _load_iso_witness(path, p, q) -> constructions.IsoWitness:
             raise InputError("presentations have different generators; "
                              "an isomorphism witness file is required")
         return constructions.IsoWitness.identity(p.rank)
-    return _load(path, lambda data: constructions.IsoWitness(
-        tuple(parse_word(w, p.gens) for w in data["y_in_x"]),
-        tuple(parse_word(w, q.gens) for w in data["x_in_y"])), json=True)
+
+    def parse(data):
+        budget = LetterBudget("isomorphism witness")
+        return constructions.IsoWitness(
+            tuple(parse_word(w, p.gens, budget) for w in data["y_in_x"]),
+            tuple(parse_word(w, q.gens, budget) for w in data["x_in_y"]))
+
+    return _load(path, parse, json=True)
 
 
 def _load_witness_dir(dirpath, prefix, count, names):

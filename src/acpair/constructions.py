@@ -12,13 +12,14 @@ from itertools import repeat
 from typing import Sequence
 
 from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
-                    SearchOutcome, _compact, _conjugated_slide, replay)
+                    SearchOutcome, _compact, _conjugated_slide, _nonnegative,
+                    replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
-from .words import (EMPTY, MAX_WORD_LENGTH, Word, commutator, format_word,
-                    identity_images, invert, json_int, multiply, parse_word,
-                    power, reduce)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, commutator,
+                    format_word, identity_images, invert, json_int, multiply,
+                    parse_word, power, reduce)
 
 
 class WitnessError(ValueError):
@@ -215,10 +216,12 @@ def witness_to_json(wit: NormalClosureWitness, names: Sequence[str]) -> dict:
 
 
 def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
+    """The witness of one file, whose words share one LetterBudget."""
+    budget = LetterBudget("witness")
     return NormalClosureWitness(
-        parse_word(data["target"], names),
-        tuple((parse_word(f["g"], names), json_int(f["r_index"], "r_index") - 1,
-               json_int(f["sign"], "sign"))
+        parse_word(data["target"], names, budget),
+        tuple((parse_word(f["g"], names, budget),
+               json_int(f["r_index"], "r_index") - 1, json_int(f["sign"], "sign"))
               for f in data["factors"]))
 
 
@@ -275,6 +278,22 @@ class WitnessBudget:
     max_conjugator_length: int = 4
     max_states: int = 20000
 
+    def __post_init__(self):
+        _nonnegative(self)
+
+
+def _insert(prefix: bytes, body: bytes, suffix: bytes) -> bytes:
+    """prefix * body * suffix, reduced.  All three are reduced, so letters
+    cancel only at the two junctions."""
+    i, p, m = 0, len(prefix), len(body)
+    while i < p and i < m and prefix[p - 1 - i] + body[i] == 256:
+        i += 1
+    head = prefix[:p - i] + body[i:]
+    j, h, n = 0, len(head), len(suffix)
+    while j < h and j < n and head[h - 1 - j] + suffix[j] == 256:
+        j += 1
+    return head[:h - j] + suffix[j:]
+
 
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                                   budget: WitnessBudget = WitnessBudget()):
@@ -288,6 +307,11 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     conjugator bound, so any witness found has conjugators no longer than
     max_conjugator_length letters.  Words on either frontier have at most
     len(target) + 2 * (longest relator) + 2 * max_conjugator_length letters.
+    Each state stores only its parent, the word whose insertion first
+    reached it.  The found path is rebuilt edge by edge by running the
+    parent's insertions again in search order and taking the first that
+    yields the child, which is the edge the search took; the witness is
+    then verified in the free group.
     Raises ValueError when a word uses a generator beyond the 127th.
     """
     max_factors, max_conjugator_length, max_states = (
@@ -302,13 +326,15 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     if not target:
         return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)
 
-    # Each relator and its inverse, in successor order.
-    bodies = [(k, sign, _encode(rel if sign > 0 else invert(rel)))
-              for k, rel in enumerate(relators) if rel for sign in (1, -1)]
+    # Each relator and its inverse, in successor order, with the body's
+    # first letter, last letter and length.
+    bodies = [(k, sign, body, body[0], body[-1], len(body))
+              for k, rel in enumerate(relators) if rel for sign in (1, -1)
+              for body in [_encode(rel if sign > 0 else invert(rel))]]
     # forward: strip factors off the front of the remaining word (from target),
     # backward: build the suffix product up from the empty word.  Each entry
-    # maps a word to (parent, pos, k, sign): word = parent[:pos] R_k^sign
-    # parent[pos:], reduced.
+    # maps a word to its parent: word = parent[:pos] R_k^sign parent[pos:],
+    # reduced, for the first such (pos, k, sign) in search order.
     start = _encode(target)
     fwd = {start: None}
     bwd = {b"": None}
@@ -323,9 +349,14 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         # a factor; a forward edge strips F = p rel^-sign p^-1 off w = F w',
         # so the forward walk visits its factors last-first.
         out = []
-        while seen[word] is not None:
-            word, pos, k, sign = seen[word]
-            out.append((invert(_decode(word[:pos])), k, orient * sign))
+        while (parent := seen[word]) is not None:
+            pos, k, sign = next(
+                (pos, k, sign)
+                for pos in range(min(max_conjugator_length, len(parent)) + 1)
+                for k, sign, body, *_ in bodies
+                if _insert(parent[:pos], body, parent[pos:]) == word)
+            out.append((invert(_decode(parent[:pos])), k, orient * sign))
+            word = parent
         return out
 
     def meet(word):
@@ -343,31 +374,33 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
             not bwd_frontier or len(fwd_frontier) <= len(bwd_frontier))
         frontier, seen, other = ((fwd_frontier, fwd, bwd) if expand_fwd
                                  else (bwd_frontier, bwd, fwd))
+        cap = max_states - len(other)  # other does not grow while seen does
         new_frontier = []
         for word in frontier:
             n = len(word)
+            room = max_word_length - n
             for pos in range(min(max_conjugator_length, n) + 1):
                 prefix, suffix = word[:pos], word[pos:]
-                for k, sign, body in bodies:
-                    # prefix * body * suffix: all three are reduced, so
-                    # letters cancel only at the two junctions
-                    i, m = 0, len(body)
-                    while i < pos and i < m and prefix[pos - 1 - i] + body[i] == 256:
-                        i += 1
-                    head = prefix[:pos - i] + body[i:]
-                    j, m = 0, len(head)
-                    while j < m and j < n - pos and head[m - 1 - j] + suffix[j] == 256:
-                        j += 1
-                    if m + n - pos - 2 * j > max_word_length:
-                        continue
-                    nxt = head[:m - j] + suffix[j:]
+                # the letters that would cancel the prefix's last and the
+                # suffix's first letter; 0 is no letter
+                before = 256 - word[pos - 1] if pos else 0
+                after = 256 - word[pos] if pos < n else 0
+                for _, _, body, first, last, m in bodies:
+                    if first != before and last != after:
+                        if m > room:
+                            continue
+                        nxt = prefix + body + suffix
+                    else:
+                        nxt = _insert(prefix, body, suffix)
+                        if len(nxt) > max_word_length:
+                            continue
                     if nxt in seen:
                         continue
-                    seen[nxt] = (word, pos, k, sign)
+                    seen[nxt] = word
                     if nxt in other:
                         return meet(nxt)
                     new_frontier.append(nxt)
-                    if len(fwd) + len(bwd) > max_states:
+                    if len(seen) > cap:
                         return SearchOutcome(None, "state_cap", len(fwd) + len(bwd))
         if expand_fwd:
             fwd_frontier, fwd_depth = new_frontier, fwd_depth + 1

@@ -547,12 +547,24 @@ class SearchOutcome:
         return f"{self.reason} after {self.states} states"
 
 
+def _nonnegative(budget) -> None:
+    """Raise ValueError on a negative field of a search budget: a negative
+    bound would report a verdict over an empty space."""
+    for field in fields(budget):
+        value = getattr(budget, field.name)
+        if value < 0:
+            raise ValueError(f"{field.name} must not be negative, not {value}")
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_depth: int = 3
     max_relator_length: int = 24
     max_states: int = 10000
     conjugator_length: int = 3
+
+    def __post_init__(self):
+        _nonnegative(self)
 
 
 def enumerate_words(rank: int, max_len: int) -> list:

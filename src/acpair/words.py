@@ -131,9 +131,14 @@ def letter_key(x: int) -> tuple:
     return (abs(x), x < 0)
 
 
+def _letter_ranks(u: Word) -> list:
+    """2|x| + (x < 0) for each letter x of u: ints in letter_key's order."""
+    return [2 * x if x > 0 else 1 - 2 * x for x in u]
+
+
 def word_key(u: Word) -> tuple:
     """Total order on words: by length, then letterwise."""
-    return (len(u), tuple(letter_key(x) for x in u))
+    return (len(u), tuple(_letter_ranks(u)))
 
 
 def cyclically_reduce(u: Word) -> Word:
@@ -177,8 +182,7 @@ def cyclic_canonical(u: Word) -> Word:
         return u
     best = best_keys = None
     for cand in (u, invert(u)):
-        # 2|x| + (x < 0) orders letters exactly as letter_key does.
-        keys = [2 * x if x > 0 else 1 - 2 * x for x in cand]
+        keys = _letter_ranks(cand)
         r = _least_rotation(keys)
         keys = keys[r:] + keys[:r]
         if best_keys is None or keys < best_keys:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from acpair import constructions, pairing
+from acpair import cli, constructions, pairing
 from acpair.cli import build_parser, main
 from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
@@ -215,6 +215,34 @@ def test_pipeline_jobs_below_one_is_an_input_error(tmp_path, capsys):
                            "-o", tmp_path / f"b{jobs}")
         assert code == 2 and "jobs must be at least 1" in err
         assert not (tmp_path / f"b{jobs}").exists()
+
+
+BUDGET_FLAGS = [("witness", flag) for flag in ("--max-factors", "--max-conj",
+                                                 "--max-states")]
+BUDGET_FLAGS += [("pipeline", flag) for flag in ("--max-factors", "--max-conj",
+                                                 "--max-states")]
+BUDGET_FLAGS += [("search-equiv", flag) for flag in (
+    "--depth", "--max-states", "--max-relator-length", "--conj-len")]
+
+
+@pytest.mark.parametrize("command, flag", BUDGET_FLAGS)
+def test_negative_search_budget_is_an_input_error(tmp_path, capsys, command, flag):
+    # a negative bound searches an empty space, so it once gave verdicts such
+    # as "exhausted after 2 states" for a target that is the relator itself
+    pres = write(tmp_path / "p.pres", "gens: x y\nrel: x y x^-1 y^-1\n")
+    # a pair one slide apart
+    a = write(tmp_path / "a.pres", "gens: x y\nrel: x\nrel: y\n")
+    b = write(tmp_path / "b.pres", "gens: x y\nrel: x\nrel: y x\n")
+    argv = {"witness": ["witness", pres, "--target", "x y x^-1 y^-1"],
+            "pipeline": ["pipeline", a, b, "-o", tmp_path / "b"],
+            "search-equiv": ["search-equiv", a, b]}[command]
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert code == 2 and out == "", out
+    assert err.startswith("error: ") and "must not be negative, not -1" in err
+    assert not (tmp_path / "b").exists()
+    # the same call with the bound at 0 gives a verdict
+    code, _, err = run(capsys, *argv, flag, "0")
+    assert code in (0, 1) and err == ""
 
 
 def test_search_flag_defaults_are_the_budget_defaults():
@@ -504,6 +532,14 @@ def _pipeline_witness(tmp_path, witness):
             "-o", tmp_path / "bundle"]
 
 
+def _pipeline_iso(tmp_path, iso):
+    """A pipeline run from gens x to gens y through the isomorphism iso."""
+    p = write(tmp_path / "p.pres", PRES_X)
+    q = write(tmp_path / "q.pres", "gens: y\nrel: y\n")
+    return ["pipeline", p, q, "--iso", write(tmp_path / "iso.json", json.dumps(iso)),
+            "-o", tmp_path / "bundle"]
+
+
 def _homology(tmp_path, entry, ranks=(1, 1, 1), group_csv=None):
     chain = {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 2,
              "ranks": list(ranks), "entries": [entry]}
@@ -572,6 +608,16 @@ MALFORMED = {
         t, {"target": "x", "factors": [{"g": 1, "r_index": 1, "sign": 1}]}),
         "second_over_first_1.json"),
     "pipeline_witness_dir_missing": (lambda t: _pipeline_witness(t, None), "wits"),
+    # each conjugator is under the bound, the six of one file are not
+    "witness_letters_unbounded": (lambda t: _pipeline_witness(
+        t, {"target": "x", "factors": [{"g": "x^900000", "r_index": 1, "sign": 1}] * 6}),
+        "second_over_first_1.json"),
+    "witness_target_and_conjugator_over_the_bound": (lambda t: _pipeline_witness(
+        t, {"target": "x^500000", "factors": [{"g": "x^500001", "r_index": 1,
+                                               "sign": 1}]}),
+        "second_over_first_1.json"),
+    "iso_letters_unbounded": (lambda t: _pipeline_iso(
+        t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
     "json_nested_too_deep": (_nested_sum, "x.sum"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
@@ -606,3 +652,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == 2, (out, err)
     assert err.startswith("error: ") and bad_file in err
     assert "Traceback" not in err
+
+
+def test_witness_and_iso_files_at_the_letter_budget_load(tmp_path):
+    # all the words of one file share MAX_WORD_LENGTH letters, which a file
+    # may use to the last letter
+    names = ("x",)
+    os.makedirs(tmp_path / "wits")
+    write(tmp_path / "wits" / "w_1.json", json.dumps(
+        {"target": "x^999998", "factors": [{"g": "x^2", "r_index": 1, "sign": 1}]}))
+    (wit,) = cli._load_witness_dir(tmp_path / "wits", "w_", 1, names)
+    assert wit.target == (1,) * 999_998 and wit.factors == (((1, 1), 0, 1),)
+    p, q = parse_presentation(PRES_X), parse_presentation("gens: y\nrel: y\n")
+    path = write(tmp_path / "iso.json", json.dumps(
+        {"y_in_x": ["x^999999"], "x_in_y": ["y"]}))
+    iso = cli._load_iso_witness(path, p, q)
+    assert iso.y_in_x == ((1,) * 999_999,) and iso.x_in_y == ((1,),)

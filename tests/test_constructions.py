@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -221,10 +222,12 @@ def test_witness_search_commutator_combination():
     assert wit is not None and wit.verify([(1, 1), (2, 2)])
 
 
-def _tuple_witness_search(target, relators, max_factors, max_conj, max_states):
+def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
+                          branches=None):
     """Reference: the witness search on tuple words, each successor built
     as multiply(multiply(prefix, body), suffix).  Returns (reason, states,
-    factors or None)."""
+    factors or None).  A Counter passed as branches counts the successors
+    by where their letters cancel."""
     target, relators = reduce(target), [reduce(r) for r in relators]
     max_len = (len(target) + 2 * max((len(r) for r in relators), default=0)
                + 2 * max_conj)
@@ -248,6 +251,8 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states):
                 for k, rel in enumerate(relators):
                     for sign, body in ((1, rel), (-1, invert(rel))) if rel else ():
                         nxt = multiply(multiply(word[:pos], body), word[pos:])
+                        if branches is not None:
+                            branches[_junction(word, pos, body, nxt)] += 1
                         if len(nxt) > max_len or nxt in seen[side]:
                             continue
                         seen[side][nxt] = (word, pos, k, sign)
@@ -261,11 +266,23 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states):
     return "exhausted", len(seen[0]) + len(seen[1]), None
 
 
+def _junction(word, pos, body, nxt):
+    """Where inserting body at pos of word cancels letters, nxt the result."""
+    if len(nxt) <= len(word) - len(body):
+        return "body cancels completely"
+    if pos and word[pos - 1] == -body[0]:
+        return "prefix junction"
+    if pos < len(word) and body[-1] == -word[pos]:
+        return "suffix junction"
+    return "no cancellation"
+
+
 def test_witness_search_matches_tuple_word_reference():
-    # the byte encoding changes neither the space searched nor its order:
-    # same stop reason, state count and factors on every problem
+    # the byte encoding and the parent links that hold only the parent word
+    # change neither the space searched nor its order: same stop reason,
+    # state count and factors on every problem
     rng = random.Random(2003)
-    reasons = []
+    reasons, branches = [], Counter()
     for _ in range(240):
         rank = rng.randint(1, 3)
         letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
@@ -281,9 +298,24 @@ def test_witness_search_matches_tuple_word_reference():
         outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
         factors = None if outcome.result is None else outcome.result.factors
         assert ((outcome.reason, outcome.states, factors)
-                == _tuple_witness_search(target, rels, *budget))
+                == _tuple_witness_search(target, rels, *budget, branches))
         reasons.append(outcome.reason)
     assert all(reasons.count(r) >= 20 for r in ("found", "exhausted", "state_cap"))
+    # the corpus reaches every way a successor is built
+    assert set(branches) == {"no cancellation", "prefix junction",
+                             "suffix junction", "body cancels completely"}
+    assert min(branches.values()) >= 100, branches
+
+
+def test_witness_search_takes_the_first_of_two_equal_insertions():
+    # x^2 inserted at position 0 or 1 of x gives the same child x^3; the
+    # search recorded position 0, so the rebuilt path must take it too
+    rels = [(1, 1, 1), (1, 1)]
+    budget = (4, 1, 1000)
+    outcome = search_normal_closure_witness((1,), rels, WitnessBudget(*budget))
+    expected = _tuple_witness_search((1,), rels, *budget)
+    assert expected[2] == (((), 1, -1), ((), 0, 1))
+    assert (outcome.reason, outcome.states, outcome.result.factors) == expected
 
 
 def test_witness_json_roundtrip():

@@ -41,6 +41,31 @@ def test_cli_commands_leave_errors_to_main():
     assert not found, f"try statements in CLI commands: {found}"
 
 
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_name(node):
+    """The name of functools.cache, lru_cache or cached_property that node
+    reads, called or not, or None."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in CACHES else None
+
+
+def test_caches_decorate_only_canonical_key_and_build_parser():
+    # a cache outlives the call that fills it; the bench clears canonical_key
+    # before every job, and any other cache would carry work from one
+    # in-process job to the next
+    decorated, uses = [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                decorated += [node.name for d in node.decorator_list if _cache_name(d)]
+            uses += isinstance(node, (ast.Name, ast.Attribute)) and bool(_cache_name(node))
+    assert sorted(decorated) == ["build_parser", "canonical_key"]
+    assert uses == len(decorated), "a cache used other than as a decorator"
+
+
 def _assigned_names(node):
     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
     return [t.id for t in targets if isinstance(t, ast.Name)]

@@ -197,6 +197,19 @@ def test_cyclic_canonical_least_in_letter_order():
     assert word_key(w("x")) < word_key(w("x^-1")) < word_key(w("y"))
 
 
+def test_word_key_orders_as_letter_key_tuples():
+    # word_key ranks letters by 2|x| + (x < 0); the order must be that of
+    # the letter_key tuples, by length first
+    rng = random.Random(5)
+    words = []
+    for _ in range(3000):
+        rank = rng.choice((1, 2, 3, 300))
+        words.append(reduce(rng.choice((1, -1)) * rng.randint(1, rank)
+                            for _ in range(rng.randint(0, 6))))
+    assert (sorted(words, key=word_key)
+            == sorted(words, key=lambda u: (len(u), tuple(map(letter_key, u)))))
+
+
 def reference_cyclic_canonical(u):
     """The quadratic rotation scan that Booth's algorithm replaced."""
     u = cyclically_reduce(u)
