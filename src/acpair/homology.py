@@ -6,7 +6,9 @@ echelon that pivots in each column on the least nonzero absolute value,
 made positive.  Invariant factors and transforms come from a Smith
 elimination that pivots once per diagonal position on the least nonzero
 absolute value of the trailing block, then runs Euclid with
-nearest-integer quotients.  ``smith_normal_form`` runs it on the matrix
+nearest-integer quotients.  Rows are dense lists in both, and a row
+update runs only over the nonzero entries of the pivot row, where it can
+change something.  ``smith_normal_form`` runs it on the matrix
 bordered by identity blocks, which then hold the unimodular transforms;
 invariant factors and homology run it on the bare matrix and build no
 transforms.
@@ -255,6 +257,12 @@ def _echelon(a: Sequence[Sequence[int]]) -> tuple:
     division is exact and no entry outgrows a minor.  Each column pivots
     on its least nonzero absolute value below the pivot rows, made
     positive; a column with none is skipped.
+
+    A row with x in the pivot column becomes (row * p - x * top) // prev.
+    When the pivot p equals the previous pivot prev, that is the row
+    itself wherever top is zero, and a row with x = 0 does not change, so
+    only rows with x != 0 are updated, and only on top's nonzero entries.
+    Otherwise every row is rescaled by p / prev and rebuilt whole.
     """
     m = [list(map(int, row)) for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
@@ -278,14 +286,25 @@ def _echelon(a: Sequence[Sequence[int]]) -> tuple:
         if top[c] < 0:
             top[c:] = [-x for x in top[c:]]
             sign = -sign
-        tail = top[c:]
-        for row in m[rank + 1:]:
-            x = row[c]
-            if x:
-                row[c:] = ([y * p - x * z for y, z in zip(row[c:], tail)] if prev == 1 else
-                           [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
-            elif p != prev:
-                row[c:] = [y * p // prev for y in row[c:]]
+        if p == prev:
+            support = [(j, z) for j, z in enumerate(top[c:], c) if z]
+            for row in m[rank + 1:]:
+                x = row[c]
+                if x and p == 1:
+                    for j, z in support:
+                        row[j] -= x * z
+                elif x:
+                    for j, z in support:
+                        row[j] = (row[j] * p - x * z) // prev
+        else:
+            tail = top[c:]
+            for row in m[rank + 1:]:
+                x = row[c]
+                if x:
+                    row[c:] = ([y * p - x * z for y, z in zip(row[c:], tail)] if prev == 1 else
+                               [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
+                else:
+                    row[c:] = [y * p // prev for y in row[c:]]
         prev = p
         rank += 1
     return rank, sign * prev
@@ -314,13 +333,21 @@ def _diagonalize(m: list, rows: int, cols: int) -> None:
     Left of column t the block's rows from t down are zero, so row
     operations skip those columns; in column t only the pivot and the
     rows below the block can be nonzero, so column operations touch only
-    those rows.
+    those rows.  A row operation subtracts a multiple of the pivot row,
+    which changes nothing where the pivot row is zero, so it runs over the
+    pivot row's nonzero entries, right of the block too; column operations
+    likewise run only on the pivot row's nonzero columns, the ones they
+    clear.  The pivot search skips rows whose trailing block is zero, as
+    they hold no candidate.
     """
     below = m[rows:]
     for t in range(min(rows, cols)):
         p, pivot = 0, None
         for i in range(t, rows):
-            for j, x in enumerate(m[i][t:cols], t):
+            block = m[i][t:cols]
+            if not any(block):
+                continue
+            for j, x in enumerate(block, t):
                 if x and (not p or abs(x) < p):
                     p, pivot = abs(x), (i, j)
                     if p == 1:
@@ -339,29 +366,32 @@ def _diagonalize(m: list, rows: int, cols: int) -> None:
             top = m[t]
             if top[t] < 0:
                 top[t:] = [-x for x in top[t:]]
-            p, tail = top[t], top[t:]
+            p = top[t]
+            support = [(j, z) for j, z in enumerate(top[t:], t) if z]
             r, k = 0, None  # the least remainder in column t, and its row
             for i in range(t + 1, rows):
                 row = m[i]
                 x = row[t]
                 if x:
                     q = (2 * x + p) // (2 * p)
-                    row[t:] = [y - q * z for y, z in zip(row[t:], tail)]
+                    for j, z in support:
+                        row[j] -= q * z
                     if row[t] and (not r or abs(row[t]) < r):
                         r, k = abs(row[t]), i
             if k is not None:
                 m[t], m[k] = m[k], m[t]
                 continue
             carriers = [row for row in below if row[t]]
-            for j in range(t + 1, cols):
-                x = top[j]
-                if x:
-                    q = (2 * x + p) // (2 * p)
-                    top[j] = x - q * p
-                    for row in carriers:
-                        row[j] -= q * row[t]
-                    if top[j] and (not r or abs(top[j]) < r):
-                        r, col = abs(top[j]), j
+            # top is as the support was taken: a row swap continued above
+            for j, x in support[1:]:
+                if j >= cols:
+                    break
+                q = (2 * x + p) // (2 * p)
+                top[j] = x - q * p
+                for row in carriers:
+                    row[j] -= q * row[t]
+                if top[j] and (not r or abs(top[j]) < r):
+                    r, col = abs(top[j]), j
             if col != t:
                 continue
             if p == 1:  # the pivot must divide the whole trailing block; 1 does

@@ -30,9 +30,10 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .presentations import Presentation, canonical_key
-from .words import (EMPTY, MAX_WORD_LENGTH, Word, commutator, conjugate,
-                    format_word, identity_images, invert, json_int, letter_key,
-                    multiply, parse_word, reduce, substitute, valid_name)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, commutator,
+                    conjugate, format_word, identity_images, invert, json_int,
+                    letter_key, multiply, parse_word, reduce, substitute,
+                    valid_name)
 
 
 class MoveError(ValueError):
@@ -447,24 +448,26 @@ _KINDS = {cls.__name__: cls for cls in (
     AddTrivialRel, RemoveTrivialRel, RestrictedSlide)}
 
 
-def _read_name(value, names: list) -> str:
+def _read_name(value, *_) -> str:
     if type(value) is not str:
         raise ValueError(f"name must be a string, not {value!r}")
     return value
 
 
 # field name -> (to the file, from the file), given the generator names in
-# force at the move: indices are 1-based in files, words are text
+# force at the move: indices are 1-based in files, words are text, and a
+# word read is charged to the file's LetterBudget
 _RULES = {
-    "i": (lambda v, names: v + 1, lambda v, names: json_int(v, "i") - 1),
-    "j": (lambda v, names: v + 1, lambda v, names: json_int(v, "j") - 1),
-    "k": (lambda v, names: v + 1, lambda v, names: json_int(v, "k") - 1),
-    "sign": (lambda v, names: v, lambda v, names: json_int(v, "sign")),
+    "i": (lambda v, names: v + 1, lambda v, *_: json_int(v, "i") - 1),
+    "j": (lambda v, names: v + 1, lambda v, *_: json_int(v, "j") - 1),
+    "k": (lambda v, names: v + 1, lambda v, *_: json_int(v, "k") - 1),
+    "sign": (lambda v, names: v, lambda v, *_: json_int(v, "sign")),
     "w": (format_word, parse_word),
     "h": (format_word, parse_word),
     "factors": (lambda v, names: [_to_json(f, names, {}) for f in v],
-                lambda v, names: tuple(_from_json(RSFactor, f, names) for f in v)),
-    "side": (lambda v, names: v, lambda v, names: v),
+                lambda v, names, budget: tuple(_from_json(RSFactor, f, names, budget)
+                                               for f in v)),
+    "side": (lambda v, names: v, lambda v, *_: v),
     "name": (lambda v, names: v, _read_name),
 }
 _FIELDS = {cls: tuple((f.name, *_RULES[f.name]) for f in fields(cls))
@@ -478,8 +481,8 @@ def _to_json(obj, names: list, out: dict) -> dict:
     return out
 
 
-def _from_json(cls, obj: dict, names: list):
-    return cls(*[read(obj[f], names) for f, _, read in _FIELDS[cls]])
+def _from_json(cls, obj: dict, names: list, budget: LetterBudget):
+    return cls(*[read(obj[f], names, budget) for f, _, read in _FIELDS[cls]])
 
 
 def _track_names(move, names: list) -> None:
@@ -505,17 +508,22 @@ def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     return data
 
 
-def script_from_json(data, names: Sequence[str]) -> MoveScript:
-    """The script a script file holds."""
+def script_from_json(data, names: Sequence[str],
+                     budget: LetterBudget | None = None) -> MoveScript:
+    """The script a script file holds.  Its words spell out at most
+    words.MAX_WORD_LENGTH letters in all, counted before reduction and
+    charged to budget: a fresh LetterBudget unless one is shared."""
     if isinstance(data, list):
         data = {"regime": "full", "moves": data}
+    if budget is None:
+        budget = LetterBudget("script")
     current = list(names)
     moves = []
     for obj in data["moves"]:
         cls = _KINDS.get(obj["op"])
         if cls is None:
             raise MoveError(f"unknown op {obj['op']!r}")
-        moves.append(_from_json(cls, obj, current))
+        moves.append(_from_json(cls, obj, current, budget))
         _track_names(moves[-1], current)
     stabilized = data.get("stabilized", False)
     if type(stabilized) is not bool:

@@ -16,7 +16,7 @@ from .moves import MoveScript, MoveError, replay, script_from_json, script_to_js
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             canonical_key, format_presentation,
                             parse_presentation, serialize_key)
-from .words import json_int
+from .words import LetterBudget, json_int
 
 
 def _check_scalar(c):
@@ -266,10 +266,12 @@ def sum_to_json(x: FormalSum, representatives) -> list:
 
 def sum_from_json(data) -> tuple:
     """Returns (FormalSum, {key: Presentation}).  A coefficient is a JSON
-    integer or a string n or n/d (d > 0) in decimal digits."""
+    integer or a string n or n/d (d > 0) in decimal digits.  The
+    presentations share one LetterBudget."""
     terms, reps, rank = [], {}, None
+    budget = LetterBudget("formal sum")
     for item in data:
-        pres = parse_presentation(item["presentation"])
+        pres = parse_presentation(item["presentation"], budget)
         coeff = item["coeff"]
         if not isinstance(coeff, str):
             coeff = json_int(coeff, "coeff")
@@ -300,7 +302,10 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
 
 
 def certificate_from_json(data) -> EquivalenceCertificate:
-    lhs = parse_presentation(data["lhs"])
-    rhs = parse_presentation(data["rhs"])
-    script = script_from_json(data["script"], lhs.gens)
+    """The certificate a certificate file holds; lhs, rhs and the script
+    share one LetterBudget."""
+    budget = LetterBudget("certificate")
+    lhs = parse_presentation(data["lhs"], budget)
+    rhs = parse_presentation(data["rhs"], budget)
+    script = script_from_json(data["script"], lhs.gens, budget)
     return EquivalenceCertificate(lhs, rhs, script, data.get("label", ""))

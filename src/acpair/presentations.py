@@ -184,15 +184,17 @@ def parse_relator_text(text: str, names, budget: LetterBudget | None = None) -> 
     return w
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str, budget: LetterBudget | None = None) -> Presentation:
     """Parse the text format above; text that is not a str is a ValueError.
     The relators spell out at most words.MAX_WORD_LENGTH letters in all,
-    counted before reduction."""
+    counted before reduction and charged to budget: a fresh LetterBudget
+    unless one is shared."""
     if not isinstance(text, str):
         raise ValueError(f"a presentation must be text, not {text!r}")
     gens = None
     relators = []
-    budget = LetterBudget("presentation")
+    if budget is None:
+        budget = LetterBudget("presentation")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from acpair import cli, constructions, pairing
+from acpair import cli, constructions, moves, pairing
 from acpair.cli import build_parser, main
 from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
@@ -618,6 +618,19 @@ MALFORMED = {
         "second_over_first_1.json"),
     "iso_letters_unbounded": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
+    # each word is under the bound, all the words of one file are not
+    "script_letters_unbounded": (lambda t: _apply(
+        t, [{"op": "ConjRel", "j": 1, "w": "x^999999"}] * 12), "s.json"),
+    "smove_script_letters_unbounded": (lambda t: _smove(
+        t, {"op": "RestrictedSlide", "j": 1, "factors": [
+            {"w": "x^500000", "k": 2, "sign": 1, "h": "x^500001"}]}), "to_l1l1_1.json"),
+    "certificate_letters_unbounded": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": PRES_X}],
+        {"lhs": "gens: x\nrel: x^400000\n", "rhs": "gens: x\nrel: x^400000\n",
+         "script": [{"op": "ConjRel", "j": 1, "w": "x^200001"}]}), "c.json"),
+    "sum_letters_unbounded": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": "gens: x\nrel: x^500000\n"},
+            {"coeff": 1, "presentation": "gens: x\nrel: x^500001\n"}]), "x.sum"),
     "json_nested_too_deep": (_nested_sum, "x.sum"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
@@ -668,3 +681,23 @@ def test_witness_and_iso_files_at_the_letter_budget_load(tmp_path):
         {"y_in_x": ["x^999999"], "x_in_y": ["y"]}))
     iso = cli._load_iso_witness(path, p, q)
     assert iso.y_in_x == ((1,) * 999_999,) and iso.x_in_y == ((1,),)
+
+
+def test_script_certificate_and_sum_files_at_the_letter_budget_load(tmp_path):
+    # the words of a script file, of a certificate's lhs, rhs and script,
+    # and of a sum file's presentations share MAX_WORD_LENGTH letters
+    conj = [{"op": "ConjRel", "j": 1, "w": "x^400000"},
+            {"op": "ConjRel", "j": 1, "w": "x^-600000"}]
+    script = cli._load(write(tmp_path / "s.json", json.dumps(conj)),
+                       lambda data: moves.script_from_json(data, ("x",)), json=True)
+    assert script.moves == (moves.ConjRel(0, (1,) * 400_000),
+                            moves.ConjRel(0, (-1,) * 600_000))
+    cert = cli._load(write(tmp_path / "c.json", json.dumps(
+        {"lhs": "gens: x\nrel: x^300000\n", "rhs": "gens: x\nrel: x^300000\n",
+         "script": conj[:1]})), pairing.certificate_from_json, json=True)
+    assert cert.lhs.relators == ((1,) * 300_000,) and cert.script.moves == script.moves[:1]
+    x, reps = cli._load(write(tmp_path / "x.sum", json.dumps(
+        [{"coeff": 1, "presentation": "gens: x\nrel: x^500000\n"},
+         {"coeff": 2, "presentation": "gens: x\nrel: x^-500000\n"}])),
+        pairing.sum_from_json, json=True)
+    assert [x.coefficient(key) for key in reps] == [3]

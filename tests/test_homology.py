@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,9 @@ from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              glue_product, gr_mat_mul, homology_at,
                              invariant_factors, load_group_csv, matrix_rank,
                              product_euler, restrict_scalars,
-                             smith_normal_form)
+                             smith_normal_form, _echelon)
 
+import elimination_reference as reference
 from chain_fixtures import (GROUP_KINDS, base_complex, dump_group_csv, mat_mul,
                             presentation_chain, random_gn_fixture,
                             rational_rank, symmetric_group_3)
@@ -194,9 +196,10 @@ def test_snf_against_naive_oracle():
         assert matrix_rank(a) == rational_rank(a) == len(factors)
 
 
-def test_snf_transforms_random():
-    # random dense matrices, then edge shapes, zero matrices, sparse +-1
-    # matrices (unit pivots, no divisibility scan) and a divisibility fold
+def transform_cases():
+    """Random dense matrices, then edge shapes, zero matrices, sparse +-1
+    matrices (unit pivots, no divisibility scan), a divisibility fold and
+    the elimination cases."""
     rng = random.Random(52)
     cases = [random_matrix(rng, max_dim=8) for _ in range(100)]
     cases += [[], [[0] * 5], [[0]] * 4, [[0, 0, 0]] * 3, [[2, 0], [0, 3]]]
@@ -208,7 +211,11 @@ def test_snf_transforms_random():
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
         cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
                       for _ in range(rows)])
-    for a in cases + elimination_cases(rng, dense=(10, 13, 16), sparse=30):
+    return cases + elimination_cases(rng, dense=(10, 13, 16), sparse=30)
+
+
+def test_snf_transforms_random():
+    for a in transform_cases():
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
         assert abs(determinant(u)) == 1
@@ -266,12 +273,11 @@ def test_determinant_against_cofactor_expansion():
         determinant([[1, 2]])
 
 
-def test_a5_fox_chains_of_the_benchmark_shape():
-    # the homology workload's shape: Fox chains of lustig(1)..(4) over A5,
-    # whose d_2 restricts to 180 x 180; images r, s involutions and t of
-    # order 3, with s and t generating A5, so every relator maps to 1.
-    # H_1 and H_2 are frozen values, so an elimination that moves them
-    # fails here.
+def a5_fox_chains():
+    """(A5, the Fox chains of lustig(1)..(4) over it): the homology
+    workload's shape, whose d_2 restricts to 180 x 180.  The images r, s
+    are involutions and t has order 3, with s and t generating A5, so
+    every relator maps to 1."""
     a5 = FiniteGroup.from_permutations([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
 
     def order(g):
@@ -293,13 +299,40 @@ def test_a5_fox_chains_of_the_benchmark_shape():
     s, t = next((s, t) for s in involutions for t in range(a5.order)
                 if order(t) == 3 and generates((s, t)))
     r = next(g for g in involutions if g != s)
-    for i in range(1, 5):
-        chain = presentation_chain(a5, [r, s, t], lustig(i).relators)
+    return a5, [presentation_chain(a5, [r, s, t], lustig(i).relators)
+                for i in range(1, 5)]
+
+
+def test_a5_fox_chains_of_the_benchmark_shape():
+    # H_1 and H_2 are frozen values, so an elimination that moves them
+    # fails here
+    a5, chains = a5_fox_chains()
+    for chain in chains:
         assert len(restrict_scalars(chain.boundary(2), a5)) == 180
         h = [homology_at(chain, k) for k in range(3)]
         assert h[0] == AbelianGroup(1, ())
         assert (h[1], h[2]) == (AbelianGroup(43, ()), AbelianGroup(102, ()))
         assert 1 - h[1].free_rank + h[2].free_rank == a5.order
+
+
+def test_eliminations_match_the_dense_reference():
+    # the eliminations update rows only over the pivot row's nonzero
+    # entries and skip zero rows in the Smith pivot search; the reference
+    # copies do neither, and every result must be the same, transforms
+    # included.  The counts show that the corpus reaches each branch where
+    # work is skipped.
+    a5, chains = a5_fox_chains()
+    cases = (elimination_cases(random.Random(53), dense=(5, 8, 13, 16), sparse=30)
+             + transform_cases() + [[[2, 1], [0, 1], [0, 1]]]
+             + [restrict_scalars(chain.boundary(2), a5) for chain in chains])
+    branches = Counter()
+    for a in cases:
+        assert _echelon(a) == reference.echelon(a, branches), a
+        assert invariant_factors(a) == reference.invariant_factors(a, branches), a
+        assert smith_normal_form(a) == reference.smith_normal_form(a, branches), a
+    assert min(branches[b] for b in (
+        "echelon p == prev == 1", "echelon p == prev > 1",
+        "echelon p != prev, zero x", "smith zero row skipped", "smith fold")) >= 10, branches
 
 
 def test_cokernel_invariants():
