@@ -22,6 +22,6 @@ from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             search_normal_closure_witness,
                             verify_smove_certificates)
 from .homology import (AbelianGroup, ChainComplexData, FiniteGroup,
-                       GroupRingMatrix, check_dyer_bound, euler_char_chain,
-                       glue_product, homology_at, product_euler,
-                       restrict_scalars, smith_normal_form)
+                       GroupRingMatrix, check_dyer_bound, determinant,
+                       euler_char_chain, glue_product, homology_at,
+                       product_euler, restrict_scalars, smith_normal_form)

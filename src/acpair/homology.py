@@ -48,9 +48,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroup":
         n = len(rows)
@@ -84,42 +81,6 @@ class FiniteGroup:
                     if xs[y] != row[sy]:
                         raise ValueError(f"table not associative at ({x},{s},{y})")
         return cls(table, identity, tuple(inverses))
-
-    @classmethod
-    def trivial(cls) -> "FiniteGroup":
-        return cls(((0,),), 0, (0,))
-
-    @classmethod
-    def cyclic(cls, m: int) -> "FiniteGroup":
-        if m < 1:
-            raise ValueError("order must be positive")
-        rows = [[(a + b) % m for b in range(m)] for a in range(m)]
-        return cls.from_table(rows)
-
-    @classmethod
-    def from_permutations(cls, perms: Sequence[Sequence[int]]) -> "FiniteGroup":
-        """Group generated by the given permutations (as mapping tuples)."""
-        deg = len(perms[0])
-        ident = tuple(range(deg))
-        elems = [ident]
-        seen = {ident}
-        frontier = [ident]
-        gens = [tuple(p) for p in perms]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(p[g[i]] for i in range(deg))
-                    if q not in seen:
-                        seen.add(q)
-                        elems.append(q)
-                        nxt.append(q)
-            frontier = nxt
-        index = {p: i for i, p in enumerate(elems)}
-        rows = []
-        for p in elems:
-            rows.append([index[tuple(p[q[i]] for i in range(deg))] for q in elems])
-        return cls.from_table(rows)
 
 
 def _greedy_generators(table, identity: int) -> list:
@@ -194,12 +155,6 @@ class GroupRingMatrix:
     def zero(cls, rows: int, cols: int) -> "GroupRingMatrix":
         return cls(rows, cols, {})
 
-    def check_elements(self, group: FiniteGroup) -> None:
-        for cell in self.entries.values():
-            for g in cell:
-                if not 0 <= g < group.order:
-                    raise ValueError(f"group element index {g} out of range")
-
 
 def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix, group: FiniteGroup) -> GroupRingMatrix:
     if a.cols != b.rows:
@@ -216,24 +171,14 @@ def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix, group: FiniteGroup) -> Gr
     return GroupRingMatrix.from_entries(a.rows, b.cols, out)
 
 
-def gr_stack(a: GroupRingMatrix, b: GroupRingMatrix) -> GroupRingMatrix:
-    """Stack two maps with the same codomain (domain rows concatenate)."""
-    if a.cols != b.cols:
-        raise ValueError("codomain mismatch")
-    entries = dict(a.entries)
-    for (r, c), cell in b.entries.items():
-        entries[(r + a.rows, c)] = cell
-    return GroupRingMatrix.from_entries(a.rows + b.rows, a.cols, entries)
-
-
 def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
     """Integer matrix of the map on the underlying Z-module.
 
     Each ZG entry x becomes the |G| x |G| regular-representation block
     B[g][h] = coefficient of h in g*x, so restriction is multiplicative
-    for composites taken in the row-vector convention.
+    for composites taken in the row-vector convention.  As in gr_mul, the
+    elements of m lie in 0..|G|-1, which ChainComplexData checks.
     """
-    m.check_elements(group)
     n = group.order
     out = [[0] * (m.cols * n) for _ in range(m.rows * n)]
     for (r, c), cell in m.entries.items():
@@ -493,7 +438,10 @@ class ChainComplexData:
             if (b.rows, b.cols) != (self.ranks[k], self.ranks[k - 1]):
                 raise ValueError(f"boundary {k} has shape {(b.rows, b.cols)}, "
                                  f"expected {(self.ranks[k], self.ranks[k - 1])}")
-            b.check_elements(self.group)
+            for cell in b.entries.values():
+                for g in cell:
+                    if not 0 <= g < self.group.order:
+                        raise ValueError(f"group element index {g} out of range")
         for k in range(2, len(self.ranks)):
             prod = gr_mat_mul(self.boundaries[k - 1], self.boundaries[k - 2], self.group)
             if prod.entries:
@@ -523,7 +471,8 @@ def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData
     """Union of two complexes along the common codimension-1 skeleton.
 
     Both complexes must agree in ranks 0..n-1 and boundaries 1..n-1; the
-    top boundaries stack.
+    top boundaries stack, c2's domain rows after c1's, over the codomain
+    of rank ranks[n-1] that both share.
     """
     if c1.group != c2.group:
         raise ValueError("complexes over different groups")
@@ -536,9 +485,12 @@ def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData
         raise ValueError("lower skeleton rank mismatch")
     if c1.boundaries[:n - 1] != c2.boundaries[:n - 1]:
         raise ValueError("lower skeleton boundary mismatch")
-    top = gr_stack(c1.boundary(n), c2.boundary(n))
-    return ChainComplexData(c1.group,
-                            c1.ranks[:n] + (c1.ranks[n] + c2.ranks[n],),
+    entries = dict(c1.boundary(n).entries)
+    for (r, c), cell in c2.boundary(n).entries.items():
+        entries[(r + c1.ranks[n], c)] = cell
+    rows = c1.ranks[n] + c2.ranks[n]
+    top = GroupRingMatrix.from_entries(rows, c1.ranks[n - 1], entries)
+    return ChainComplexData(c1.group, c1.ranks[:n] + (rows,),
                             c1.boundaries[:n - 1] + (top,))
 
 

@@ -27,6 +27,7 @@ memory and 1-based in script files.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 from .presentations import Presentation, canonical_key
@@ -575,30 +576,35 @@ class SearchBudget:
         _nonnegative(self)
 
 
-def enumerate_words(rank: int, max_len: int) -> list:
-    """All reduced words of length 1..max_len, in deterministic letter order."""
+def enumerate_words(rank: int, max_len: int):
+    """All reduced words of length 1..max_len, shortest first and each
+    length in letter order, made one at a time: the memory it holds grows
+    with max_len, not with the number of words."""
     letters = sorted((x for i in range(1, rank + 1) for x in (i, -i)),
                      key=letter_key)
-    out = []
-    layer = [EMPTY]
-    for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            for x in letters:
-                if w and w[-1] == -x:
-                    continue
-                nxt.append(w + (x,))
-        out.extend(nxt)
-        layer = nxt
-    return out
+    for length in range(1, max_len + 1):
+        word, choices = [], [iter(letters)]  # one letter iterator per position
+        while choices:
+            x = next(choices[-1], None)
+            if x is None:
+                choices.pop()
+                if word:
+                    word.pop()
+            elif not word or word[-1] != -x:
+                if len(word) + 1 == length:
+                    yield tuple(word) + (x,)
+                else:
+                    word.append(x)
+                    choices.append(iter(letters))
 
 
 def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
-                        slide_words: list):
+                        conjugator_length: int):
     """Yield the move fragments that can change p's canonical key, in
     deterministic order.  A lone ConjRel or InvRel never does, so neither
-    is a fragment.  slide_words holds the (w, h) pairs of k_prime's
-    restricted slides.  Every fragment applies to p: its relator indices
+    is a fragment.  k_prime's restricted slides take every conjugator w of
+    at most conjugator_length letters, made as they are needed, and every
+    one-letter h.  Every fragment applies to p: its relator indices
     are in range and distinct, its words are over p's generators, and it
     removes only empty relators."""
     m = len(p.relators)
@@ -615,10 +621,12 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
                 for e in (1, -1):
                     yield _conjugated_slide(j, k, EMPTY, e, side)
     else:
+        letters = list(enumerate_words(p.rank, 1))
         for j, k in pairs:
             for sign in (1, -1):
-                for w, h in slide_words:
-                    yield [RestrictedSlide(j, (RSFactor(w, k, sign, h),))]
+                for w in chain([EMPTY], enumerate_words(p.rank, conjugator_length)):
+                    for h in letters:
+                        yield [RestrictedSlide(j, (RSFactor(w, k, sign, h),))]
 
 
 def bounded_equivalence_search(p: Presentation, q: Presentation,
@@ -661,11 +669,6 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
     if start == goal:
         return finish(())
 
-    slide_words = []
-    if regime == "k_prime":
-        letters = enumerate_words(p.rank, 1)
-        slide_words = [(w, h) for w in [EMPTY] + enumerate_words(
-            p.rank, budget.conjugator_length) for h in letters]
     layer = [(start, p)]  # (key, first representative met) at one depth
     for _ in range(budget.max_depth):
         if not layer:
@@ -673,7 +676,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         next_layer = []
         for key, here in layer:
             for fragment in _neighbor_fragments(here, regime, target_rels,
-                                                slide_words):
+                                                budget.conjugator_length):
                 nxt = here
                 for move in fragment:
                     nxt = apply_move(nxt, move)

@@ -20,12 +20,37 @@ from acpair.homology import (ChainComplexData, FiniteGroup, GroupRingMatrix,
                              smith_normal_form)
 
 # ---------------------------------------------------------------------------
-# Test-only helpers: a named group, a group-file writer, and two independent
-# integer-matrix oracles (a plain product and a rank over Q).
+# Test-only helpers: named groups, a group-file writer, and two independent
+# integer-matrix oracles (a plain product and a rank over Q).  Every group
+# is built by FiniteGroup.from_table, which checks its table.
+
+
+def trivial_group() -> FiniteGroup:
+    return FiniteGroup.from_table([[0]])
+
+
+def cyclic_group(m: int) -> FiniteGroup:
+    return FiniteGroup.from_table([[(a + b) % m for b in range(m)] for a in range(m)])
+
+
+def permutation_group(perms) -> FiniteGroup:
+    """Group generated by the given permutations (as mapping tuples), its
+    elements numbered in breadth-first order from the identity."""
+    gens = [tuple(p) for p in perms]
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for p in elems:  # grows while it is walked: a breadth-first search
+        for g in gens:
+            q = tuple(p[i] for i in g)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    return FiniteGroup.from_table([[index[tuple(p[i] for i in q)] for q in elems]
+                                   for p in elems])
 
 
 def symmetric_group_3() -> FiniteGroup:
-    return FiniteGroup.from_permutations([(1, 2, 0), (1, 0, 2)])
+    return permutation_group([(1, 2, 0), (1, 0, 2)])
 
 
 def dump_group_csv(group: FiniteGroup) -> str:
@@ -231,12 +256,12 @@ def presentation_chain(group, gen_images, relators):
 def base_complex(kind):
     """Presentation chain data for the supported groups."""
     if kind == "trivial":
-        group = FiniteGroup.trivial()
+        group = trivial_group()
         # one generator killed by one relator
         return presentation_chain(group, [0], [(1,)])
     if kind.startswith("c"):
         m = int(kind[1:])
-        group = FiniteGroup.cyclic(m)
+        group = cyclic_group(m)
         return presentation_chain(group, [1 % m], [(1,) * m])
     if kind == "s3":
         group = symmetric_group_3()

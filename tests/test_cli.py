@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from acpair.moves import MoveScript, SearchBudget, SlideRel, script_to_json
 from acpair.presentations import (format_presentation, make_presentation,
                                   parse_presentation)
 
-from chain_fixtures import dump_group_csv, random_gn_fixture
+from chain_fixtures import cyclic_group, dump_group_csv, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair
 
 
@@ -403,6 +404,26 @@ def test_search_equiv_cli(tmp_path, capsys):
                    "states (no claim of inequivalence)\n")
 
 
+def test_k_prime_search_memory_does_not_grow_with_conj_len(tmp_path, capsys):
+    # at rank 3 there are 5 times as many conjugators with each letter more;
+    # a list of every (w, h) pair up to --conj-len 7 alone held 57 MB
+    a = write(tmp_path / "a.pres", "gens: x y z\nrel: x\nrel: y\nrel: z\n")
+    b = write(tmp_path / "b.pres", "gens: x y z\nrel: x y\nrel: y^2 z\nrel: z^3\n")
+    peaks = []
+    for conj_len in (1, 7):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "search-equiv", a, b, "--regime", "k_prime",
+                               "--conj-len", conj_len, "--max-states", "20")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ("unknown: equivalence search stopped: state_cap after 20 "
+                       "states (no claim of inequivalence)\n")
+    assert peaks[1] < peaks[0] + 500_000, peaks
+
+
 def test_verify_smove_cli(tmp_path, capsys):
     l1 = make_presentation("x y", ["x", "y x"])
     l2_path = write(tmp_path / "l2.pres", format_presentation(l1))
@@ -457,12 +478,11 @@ def test_glue_of_0_dimensional_chains_is_an_input_error(tmp_path, capsys):
 
 
 def test_homology_group_file_reference(tmp_path, capsys):
-    from acpair.homology import chain_to_json, FiniteGroup
     rng = random.Random(61)
     c = random_gn_fixture("c3", 3, rng)
     data = chain_to_json(c)
     data["group"] = "c3.csv"
-    write(tmp_path / "c3.csv", dump_group_csv(FiniteGroup.cyclic(3)))
+    write(tmp_path / "c3.csv", dump_group_csv(cyclic_group(3)))
     chain = write(tmp_path / "c.json", json.dumps(data))
     code, out, _ = run(capsys, "homology", chain, "--at", "2")
     assert code == 0
@@ -642,6 +662,11 @@ MALFORMED = {
     "chain_float_row": (lambda t: _homology(t, [2, 0.5, 0, 0, 2]), "c.json"),
     "chain_float_rank": (lambda t: _homology(t, [2, 0, 0, 0, 2], (1, 1.5, 1)),
                          "c.json"),
+    # the group has order 1: element 0 only
+    "chain_element_negative": (lambda t: _homology(t, [2, 0, 0, -1, 2]),
+                               "c.json: group element index -1 out of range"),
+    "chain_element_past_order": (lambda t: _homology(t, [2, 0, 0, 1, 2]),
+                                 "c.json: group element index 1 out of range"),
     # 100 bytes that would restrict to a 1,000,000 x 1 integer matrix
     "chain_rank_unbounded": (lambda t: _bare_chain(t, (1, 1000000), 1), "c.json"),
     "chain_rank_negative": (lambda t: _bare_chain(t, (1, -1), 0), "c.json"),

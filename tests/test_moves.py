@@ -505,7 +505,7 @@ def test_bookkeeping_counts():
 
 
 def test_enumerate_words_deterministic():
-    words = enumerate_words(2, 2)
+    words = list(enumerate_words(2, 2))
     assert words[:4] == [(1,), (-1,), (2,), (-2,)]
     assert len(words) == 4 + 12
 

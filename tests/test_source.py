@@ -4,6 +4,7 @@ import argparse
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import acpair
 from acpair import moves
@@ -71,38 +72,55 @@ def _assigned_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _identifiers(paths):
+    """How often the code of the given files names each identifier, and how
+    often it reads each as an attribute.  Names, attributes, imported names
+    and definitions count; docstrings, comments and other strings do not."""
+    names, attributes = Counter(), Counter()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                names[node.attr] += 1
+                attributes[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                names.update([node.asname] if node.asname else [])
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names[node.name] += 1
+    return names, attributes
+
+
 def test_public_names_are_used():
     # a def, class or module-level assignment, public or private, that
     # nothing in the program or its tests names besides its own definition
     # is dead code, and so is a public method or property of a public class
     # that nothing reads as .name; dunder names such as __version__ are
     # read by tools.  A public name that only the tests name is library
-    # surface, and is exported from acpair/__init__.py.
-    sources = [(path.name, ast.parse(path.read_text(), str(path)))
-               for path in sorted(SOURCE.glob("*.py"))]
-    texts = [path.read_text() for path in
-             sorted(SOURCE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    # surface, and is exported from acpair/__init__.py.  Only code counts:
+    # a name that a docstring mentions is not thereby used.
+    paths = sorted(SOURCE.glob("*.py"))
+    sources = [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
+    names, attributes = _identifiers(paths + sorted(TESTS.glob("*.py")))
     defined = [(name, node.name) for name, tree in sources for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     defined += [(name, target) for name, tree in sources for node in tree.body
                 if isinstance(node, (ast.Assign, ast.AnnAssign))
                 for target in _assigned_names(node)]
     unused = [f"{name}:{defined_name}" for name, defined_name in defined
-              if not re.fullmatch("__.*__", defined_name)
-              and sum(len(re.findall(rf"\b{defined_name}\b", text)) for text in texts) < 2]
+              if not re.fullmatch("__.*__", defined_name) and names[defined_name] < 2]
     unused += [f"{name}:{cls.name}.{node.name}" for name, tree in sources
                for cls in tree.body
                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
                for node in cls.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-               and not any(re.search(rf"\.{node.name}\b", text) for text in texts)]
+               and not attributes[node.name]]
     assert not unused, f"names used nowhere: {unused}"
-    program = [path.read_text() for path in sorted(SOURCE.glob("*.py"))
-               if path.name != "__init__.py"]
+    program, _ = _identifiers([path for path in paths if path.name != "__init__.py"])
     unexported = [f"{name}:{defined_name}" for name, defined_name in defined
                   if not defined_name.startswith("_") and defined_name not in vars(acpair)
-                  and sum(len(re.findall(rf"\b{defined_name}\b", text))
-                          for text in program) < 2]
+                  and program[defined_name] < 2]
     assert not unexported, f"used only by tests, not exported from acpair: {unexported}"
 
 
