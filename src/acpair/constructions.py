@@ -26,6 +26,15 @@ class WitnessError(ValueError):
     pass
 
 
+# Most letters the images of an isomorphism witness may hold in all.
+# common_generators emits up to three Nielsen moves per image letter, and
+# each substitutes through every relator, linking relators included, so its
+# time grows with the square of the images' length: 1.3-1.6 s for the
+# worst images of this length, x^-1999 and y, on a 2-core x86 box
+# (CPython 3.11).
+MAX_ISO_LETTERS = 2_000
+
+
 # ---------------------------------------------------------------------------
 # Nielsen-composite script builders (2-deformations: generator-level moves).
 
@@ -128,7 +137,8 @@ def common_generators(p: Presentation, q: Presentation,
     scripts use only generator-level moves and their composites, so they
     are 2-deformations.  When the generator tuples already coincide and
     the witness is the identity, both presentations are returned as they
-    are with empty scripts.
+    are with empty scripts.  Otherwise images of more than MAX_ISO_LETTERS
+    letters in all are a WitnessError.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:
@@ -137,6 +147,10 @@ def common_generators(p: Presentation, q: Presentation,
             f"do not match ranks {c}/{a}")
     if p.gens == q.gens and witness.is_identity():
         return CommonGeneratorsResult(p, q, MoveScript(()), MoveScript(()))
+    letters = sum(map(len, witness.y_in_x + witness.x_in_y))
+    if letters > MAX_ISO_LETTERS:
+        raise WitnessError(f"isomorphism witness images hold {letters} letters, "
+                           f"more than the {MAX_ISO_LETTERS} that common_generators accepts")
 
     script_p = MoveScript(_adjoin_images(p, q.gens, witness.y_in_x))
     moves_q = _adjoin_images(q, p.gens, witness.x_in_y)

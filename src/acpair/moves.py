@@ -170,7 +170,7 @@ def _check_gen(i: int, rank: int):
 def _check_word(w: Word, rank: int) -> Word:
     """The reduced form of a word a move brings in; a zero letter raises
     ValueError, a letter outside the context MoveError."""
-    if any(abs(x) > rank for x in w):
+    if max(map(abs, w), default=0) > rank:
         raise MoveError(f"word {w} uses a generator outside the context")
     return reduce(w)
 

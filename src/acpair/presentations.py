@@ -37,7 +37,7 @@ class Presentation:
                 raise ValueError(f"invalid generator name {name!r}")
         rels = tuple(reduce(r) for r in self.relators)
         for r in rels:
-            if any(abs(x) > len(gens) for x in r):
+            if max(map(abs, r), default=0) > len(gens):
                 raise ValueError(f"relator {r} uses a generator outside the context")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "relators", rels)

@@ -19,6 +19,7 @@ declared.
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -101,18 +102,20 @@ def exponent_sum(u: Word, gen: int) -> int:
 def substitute(u: Word, images: Mapping[int, Word]) -> Word:
     """Homomorphic extension of a generator map (0-based index -> word).
 
-    Raises ValueError when a generator occurring in u has no image.
+    Raises ValueError when a generator occurring in u has no image: the
+    first such generator in u.
     """
-    out: list[int] = []
-    for x in u:
+    signed = {}  # letter -> its image, inverted for a negative letter
+    for x in dict.fromkeys(u):
         idx = abs(x) - 1
         try:
             img = images[idx]
         except KeyError:
             raise ValueError(f"no image for generator index {idx}") from None
-        if x < 0:
-            img = invert(img)
-        for y in img:
+        signed[x] = invert(img) if x < 0 else img
+    out: list[int] = []
+    for x in u:
+        for y in signed[x]:
             if out and out[-1] == -y:
                 out.pop()
             else:
@@ -191,41 +194,59 @@ def cyclic_canonical(u: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity.
+# Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity,
+# where k is a nonzero decimal integer: ASCII digits, an optional minus sign.
+
+EXPONENT_RE = re.compile(r"-?[0-9]+")
+
+
+def _letter_tokens(names: Sequence[str]) -> dict:
+    """Letter -> the token that writes it alone: `name` or `name^-1`."""
+    tokens = {}
+    for i, name in enumerate(names, 1):
+        tokens[i], tokens[-i] = name, name + "^-1"
+    return tokens
+
 
 def parse_word(text: str, names: Sequence[str],
                budget: LetterBudget | None = None) -> Word:
     """Raises ValueError on text that is not a str, unknown names, bad
     exponents, and words that spell out more than the budget's letters
-    before reduction: a fresh LetterBudget unless one is shared."""
+    before reduction: a fresh LetterBudget unless one is shared.  Each
+    token is charged to the budget before it is expanded."""
     if not isinstance(text, str):
         raise ValueError(f"a word must be text, not {text!r}")
     if budget is None:
         budget = LetterBudget()
-    index = {name: i for i, name in enumerate(names)}
+    # `name` and `name^-1` -> letter; a `name^k` base is looked up here too
+    letters = {token: x for x, token in _letter_tokens(names).items()}
     out: list[int] = []
     for token in text.split():
-        if token == "1":
-            continue
-        base, caret, exp = token.partition("^")
-        if base not in index:
-            raise ValueError(f"unknown generator {base!r} in word {text!r}")
-        if caret:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-            if k == 0:
-                raise ValueError(f"zero exponent in token {token!r}")
-        else:
-            k = 1
-        budget.charge(abs(k))
-        letter = index[base] + 1 if k > 0 else -(index[base] + 1)
-        for _ in range(abs(k)):
+        letter = letters.get(token)
+        if letter is not None:
+            budget.charge(1)
             if out and out[-1] == -letter:
                 out.pop()
             else:
                 out.append(letter)
+            continue
+        if token == "1":
+            continue
+        base, _, exp = token.partition("^")
+        if base not in letters:
+            raise ValueError(f"unknown generator {base!r} in word {text!r}")
+        if not EXPONENT_RE.fullmatch(exp):
+            raise ValueError(f"bad exponent in token {token!r}")
+        k = int(exp)
+        if k == 0:
+            raise ValueError(f"zero exponent in token {token!r}")
+        n = abs(k)
+        budget.charge(n)
+        letter = letters[base] if k > 0 else -letters[base]
+        while n and out and out[-1] == -letter:
+            out.pop()
+            n -= 1
+        out.extend(repeat(letter, n))
     return tuple(out)
 
 
@@ -238,20 +259,21 @@ def json_int(value, what: str) -> int:
 
 
 def format_word(u: Word, names: Sequence[str]) -> str:
+    """The text of u: one token per run of equal letters."""
     if not u:
         return "1"
+    tokens = _letter_tokens(names)
     parts = []
-    i = 0
-    while i < len(u):
-        j = i
-        while j < len(u) and u[j] == u[i]:
-            j += 1
-        idx = abs(u[i]) - 1
-        if idx >= len(names):
-            raise ValueError(f"letter {u[i]} outside the naming context")
-        k = (j - i) if u[i] > 0 else -(j - i)
-        parts.append(names[idx] if k == 1 else f"{names[idx]}^{k}")
-        i = j
+    prev, run = u[0], 0
+    for x in chain(u, (None,)):  # None ends the last run
+        if x == prev:
+            run += 1
+            continue
+        token = tokens.get(prev)
+        if token is None:
+            raise ValueError(f"letter {prev} outside the naming context")
+        parts.append(token if run == 1 else f"{tokens[abs(prev)]}^{run if prev > 0 else -run}")
+        prev, run = x, 1
     return " ".join(parts)
 
 

@@ -12,7 +12,10 @@ p = 2i+1 and q = 3i+1.  A factor list [(g, k, sign), ...] denotes the
 product of g^-1 R_k^sign g in order.
 """
 
-from acpair.constructions import NormalClosureWitness, lustig
+import json
+
+from acpair.constructions import NormalClosureWitness, lustig, witness_to_json
+from acpair.presentations import format_presentation
 from acpair.words import EMPTY, commutator, invert, multiply, power, reduce
 
 R, S, T = (1,), (2,), (3,)
@@ -144,3 +147,19 @@ def lustig_witness_pair(i, j):
     """(witnesses of K_j relators over K_i, witnesses of K_i over K_j)."""
     return (LustigCalculus(i).witnesses_for(j),
             LustigCalculus(j).witnesses_for(i))
+
+
+def write_lustig_inputs(tmp_path):
+    """lustig(1), lustig(2) and a directory of their witnesses, written under
+    tmp_path (a pathlib.Path): the paths of k1.pres, k2.pres and wits/."""
+    k1, k2, wdir = tmp_path / "k1.pres", tmp_path / "k2.pres", tmp_path / "wits"
+    k1.write_text(format_presentation(lustig(1)))
+    k2.write_text(format_presentation(lustig(2)))
+    wdir.mkdir()
+    names = lustig(1).gens
+    for prefix, witnesses in zip(("second_over_first", "first_over_second"),
+                                 lustig_witness_pair(1, 2)):
+        for i, wit in enumerate(witnesses):
+            (wdir / f"{prefix}_{i + 1}.json").write_text(
+                json.dumps(witness_to_json(wit, names)))
+    return str(k1), str(k2), wdir

@@ -17,7 +17,7 @@ from acpair.presentations import (format_presentation, make_presentation,
                                   parse_presentation)
 
 from chain_fixtures import cyclic_group, dump_group_csv, random_gn_fixture
-from lustig_fixtures import lustig_witness_pair
+from lustig_fixtures import lustig_witness_pair, write_lustig_inputs
 
 
 def write(path, text):
@@ -157,23 +157,6 @@ def test_witness_cli_rank_limit(tmp_path, capsys):
         code, _, err = run(capsys, "witness", path, "--target", target)
         assert code == 2 and "at most 127 generators" in err
         assert "Traceback" not in err
-
-
-def write_lustig_inputs(tmp_path):
-    """lustig(1), lustig(2) and a directory of their fixture witnesses."""
-    k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
-    k2 = write(tmp_path / "k2.pres", format_presentation(lustig(2)))
-    wdir = tmp_path / "wits"
-    os.makedirs(wdir)
-    w12, w21 = lustig_witness_pair(1, 2)
-    names = lustig(1).gens
-    for i, wit in enumerate(w12):
-        write(wdir / f"second_over_first_{i+1}.json",
-              json.dumps(witness_to_json(wit, names)))
-    for i, wit in enumerate(w21):
-        write(wdir / f"first_over_second_{i+1}.json",
-              json.dumps(witness_to_json(wit, names)))
-    return k1, k2, wdir
 
 
 def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
@@ -638,6 +621,11 @@ MALFORMED = {
         "second_over_first_1.json"),
     "iso_letters_unbounded": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
+    # images one letter over the bound of common_generators, whose time
+    # grows with their length squared; the letter budget admits 1,000,000
+    "iso_images_over_their_bound": (lambda t: _pipeline_iso(
+        t, {"y_in_x": [f"x^-{constructions.MAX_ISO_LETTERS}"], "x_in_y": ["y"]}),
+        f"more than the {constructions.MAX_ISO_LETTERS} that common_generators accepts"),
     # each word is under the bound, all the words of one file are not
     "script_letters_unbounded": (lambda t: _apply(
         t, [{"op": "ConjRel", "j": 1, "w": "x^999999"}] * 12), "s.json"),
@@ -675,6 +663,9 @@ MALFORMED = {
     "chain_group_file_missing": (_missing_group, "c.json: group file nope.csv"),
     "chain_group_csv_underscore": (lambda t: _homology(
         t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
+    # x^+3, x^1_0 and x^(Arabic-Indic 3) are not name^k with k = -?[0-9]+
+    "word_exponent_not_ascii_decimal": (lambda t: ["normalize", write(
+        t / "exp.pres", "gens: x\nrel: x^+3 x^1_0 x^\u0663\n")], "exp.pres: bad exponent"),
     "word_too_long": (lambda t: ["normalize", write(
         t / "long.pres", "gens: x\nrel: x^1000001\n")], "long.pres"),
     # each relator is under the bound, all three together are not

@@ -100,6 +100,21 @@ def test_common_generators_relator_counts():
     assert replay(q, res.script_q) == res.q_prime
 
 
+def test_common_generators_bounds_the_image_letters(monkeypatch):
+    # the images of both sides count together; identity data needs no moves
+    # and is not counted
+    monkeypatch.setattr(constructions, "MAX_ISO_LETTERS", 5)
+    p, q = pres("x", "x"), pres("y", "y")
+    res = common_generators(p, q, IsoWitness(((-1,) * 4,), ((1,),)))
+    assert replay(q, res.script_q) == res.q_prime
+    with pytest.raises(WitnessError, match="images hold 6 letters, more than the 5"):
+        common_generators(p, q, IsoWitness(((-1,) * 4,), ((1, 1),)))
+    assert common_generators(p, p, IsoWitness.identity(1)).p_prime == p
+    monkeypatch.setattr(constructions, "MAX_ISO_LETTERS", 1)
+    k1 = lustig(1)
+    assert common_generators(k1, k1, IsoWitness.identity(3)).q_prime == k1
+
+
 def test_common_generators_dimension_mismatch():
     with pytest.raises(WitnessError):
         common_generators(pres("x", "x"), pres("y", "y"), IsoWitness((), ((1,),)))

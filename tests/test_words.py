@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from acpair.words import (EMPTY, commutator, conjugate, cyclic_canonical,
-                          cyclically_reduce, exponent_sum, format_word, invert,
-                          letter_key, multiply, parse_word, power, reduce,
-                          substitute, word_key)
+from acpair.words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, commutator,
+                          conjugate, cyclic_canonical, cyclically_reduce,
+                          exponent_sum, format_word, invert, letter_key,
+                          multiply, parse_word, power, reduce, substitute,
+                          word_key)
+
+import word_reference as ref
 
 X, Y = (1,), (2,)
 NAMES = ("x", "y")
@@ -277,7 +281,94 @@ def test_parse_word_errors():
         parse_word("x^0", NAMES)
     with pytest.raises(ValueError):
         parse_word("x^q", NAMES)
+    # k is -?[0-9]+ in ASCII digits: no plus sign, underscore or other digits
+    for token in ("x^+3", "x^1_0", "x^\u0663", "x^", "x^--1", "x^2.0", "x^^2"):
+        with pytest.raises(ValueError, match=r"bad exponent in token"):
+            parse_word(f"y {token}", NAMES)
     with pytest.raises(ValueError, match="more than 1000000 letters"):
         parse_word("x^1000001", NAMES)
     with pytest.raises(ValueError, match="more than 1000000 letters"):
         parse_word("x^600000 x^-600000", NAMES)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _random_text(rng, names):
+    """Tokens name, name^-1, name^k and 1, the powers often cancelling part
+    of, all of or more than the run before them, and at times a malformed
+    or unknown token."""
+    tokens = []
+    for _ in range(rng.choice((0, 1, 4, 30, 200))):
+        name, roll = rng.choice(names), rng.random()
+        if roll < 0.35:
+            tokens.append(name)
+        elif roll < 0.6:
+            tokens.append(name + "^-1")
+        elif roll < 0.95:
+            tokens.append(f"{name}^{rng.choice((1, -1)) * rng.randint(1, 6)}")
+        else:
+            tokens.append("1")
+    if rng.random() < 0.25:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(
+            ("q", "X", "x'", "^2", "x^", "x^0", "x^-0", "x^00", "x^+3", "x^1_0",
+             "x^\u0663", "x^2.0", "x^--1", "x^^2", "x^-1^2", "y^3x")))
+    return "".join(token + rng.choice((" ", "  ", "\t", "\n")) for token in tokens)
+
+
+def test_word_codec_matches_the_letter_by_letter_reference():
+    rng = random.Random(21)
+    branches = Counter()
+    name_sets = (("x", "y", "z", "w"), ("a'", "b_1", "a''", "_c"))
+    for _ in range(300):
+        rank = rng.randint(1, 4)
+        names = rng.choice(name_sets)[:rank]
+        u = random_word(rng, rank, rng.choice((0, 1, 5, 40, 300, 1200)))
+        text = format_word(u, names)
+        assert text == ref.format_word(u, names, branches)
+        assert parse_word(text, names) == ref.parse_word(text, names, None, branches) == u
+        text = _random_text(rng, names)
+        budgets = [LetterBudget() for _ in range(2)]
+        if rng.random() < 0.3:
+            # a shared budget with a few letters left: plain tokens alone or
+            # one power can cross it, before or after a malformed token
+            spent = MAX_WORD_LENGTH - rng.randint(0, 40)
+            for budget in budgets:
+                budget.charge(spent)
+        elif rng.random() < 0.1:
+            text += f" x^{rng.choice((1, -1)) * (MAX_WORD_LENGTH + 1)}"
+        assert (_outcome(parse_word, text, names, budgets[0])
+                == _outcome(ref.parse_word, text, names, budgets[1], branches))
+        assert budgets[0].left == budgets[1].left
+        images = {i: random_word(rng, rank, rng.choice((0, 1, 3))) for i in range(rank)}
+        if rng.random() < 0.2:
+            # one or two missing images: the error names the first in u
+            for i in rng.sample(range(rank), min(rank, rng.randint(1, 2))):
+                del images[i]
+        assert (_outcome(substitute, u, images)
+                == _outcome(ref.substitute, u, images, branches))
+    # the letter budget is crossed by plain tokens and by one power
+    budget = LetterBudget()
+    budget.charge(MAX_WORD_LENGTH - 2)
+    assert _outcome(parse_word, "x y x", ("x", "y"), budget) == (
+        ValueError, f"word spells out more than {MAX_WORD_LENGTH} letters")
+    assert _outcome(parse_word, f"y x^{MAX_WORD_LENGTH + 1}", ("x", "y")) == (
+        ValueError, f"word spells out more than {MAX_WORD_LENGTH} letters")
+    assert min(branches.values()) >= 10 and sorted(branches) == [
+        "format run of one", "parse name", "parse name^-1",
+        "parse power cancels all of the run before it",
+        "parse power cancels more than the run before it",
+        "parse power cancels part of the run before it",
+        "parse power, no cancellation",
+        "substitute reuses an image", "substitute reuses an inverted image"], branches
+
+
+def test_format_word_refuses_letters_outside_the_names():
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"letter {letter} outside the naming context"):
+            format_word((1, letter), NAMES)
