@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
-                    SearchOutcome, _compact, _conjugated_slide, _nonnegative,
-                    replay)
+                    SearchOutcome, _breadth_first, _compact, _conjugated_slide,
+                    _nonnegative, replay)
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
@@ -26,13 +26,10 @@ class WitnessError(ValueError):
     pass
 
 
-# Most letters the images of an isomorphism witness may hold in all.
-# common_generators emits up to three Nielsen moves per image letter, and
-# each substitutes through every relator, linking relators included, so its
-# time grows with the square of the images' length: 1.3-1.6 s for the
-# worst images of this length, x^-1999 and y, on a 2-core x86 box
-# (CPython 3.11).
-MAX_ISO_LETTERS = 2_000
+# Most work common_generators may take (see there).  The slowest input
+# found at the bound, the relator (x z^-1)^4573 rewritten by the image
+# x^-100, takes 1.3 s on a 2-core x86 box (CPython 3.11).
+MAX_ISO_WORK = 3_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +134,10 @@ def common_generators(p: Presentation, q: Presentation,
     scripts use only generator-level moves and their composites, so they
     are 2-deformations.  When the generator tuples already coincide and
     the witness is the identity, both presentations are returned as they
-    are with empty scripts.  Otherwise images of more than MAX_ISO_LETTERS
-    letters in all are a WitnessError.
+    are with empty scripts.  Otherwise a witness is a WitnessError when its
+    work exceeds MAX_ISO_WORK: per direction, the Nielsen moves (three per
+    image letter, eight per generator swap) times the letters each
+    substitutes through, each relator and image five letters longer.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:
@@ -147,10 +146,13 @@ def common_generators(p: Presentation, q: Presentation,
             f"do not match ranks {c}/{a}")
     if p.gens == q.gens and witness.is_identity():
         return CommonGeneratorsResult(p, q, MoveScript(()), MoveScript(()))
-    letters = sum(map(len, witness.y_in_x + witness.x_in_y))
-    if letters > MAX_ISO_LETTERS:
-        raise WitnessError(f"isomorphism witness images hold {letters} letters, "
-                           f"more than the {MAX_ISO_LETTERS} that common_generators accepts")
+    work = sum((3 * sum(map(len, images)) + 8 * (a + c))
+               * sum(len(w) + 5 for w in chain(rels, images))
+               for rels, images in ((p.relators, witness.y_in_x),
+                                    (q.relators, witness.x_in_y)))
+    if work > MAX_ISO_WORK:
+        raise WitnessError(f"isomorphism witness needs work {work}, "
+                           f"more than the {MAX_ISO_WORK} that common_generators accepts")
 
     script_p = MoveScript(_adjoin_images(p, q.gens, witness.y_in_x))
     moves_q = _adjoin_images(q, p.gens, witness.x_in_y)
@@ -282,10 +284,6 @@ def _encode(word: Word) -> bytes:
     return bytes(x + 128 for x in word)
 
 
-def _decode(word: bytes) -> Word:
-    return tuple(b - 128 for b in word)
-
-
 @dataclass(frozen=True)
 class WitnessBudget:
     max_factors: int = 8
@@ -328,8 +326,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     then verified in the free group.
     Raises ValueError when a word uses a generator beyond the 127th.
     """
-    max_factors, max_conjugator_length, max_states = (
-        budget.max_factors, budget.max_conjugator_length, budget.max_states)
+    max_conjugator_length = budget.max_conjugator_length
     target = reduce(target)
     relators = [reduce(r) for r in relators]
     if any(abs(x) > _MAX_LETTER for w in (target, *relators) for x in w):
@@ -345,16 +342,36 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     bodies = [(k, sign, body, body[0], body[-1], len(body))
               for k, rel in enumerate(relators) if rel for sign in (1, -1)
               for body in [_encode(rel if sign > 0 else invert(rel))]]
+
+    def successors(word):
+        # each body inserted at each prefix position, reduced, if it fits
+        out = []
+        n = len(word)
+        room = max_word_length - n
+        for pos in range(min(max_conjugator_length, n) + 1):
+            prefix, suffix = word[:pos], word[pos:]
+            # the letters that would cancel the prefix's last and the
+            # suffix's first letter; 0 is no letter
+            before = 256 - word[pos - 1] if pos else 0
+            after = 256 - word[pos] if pos < n else 0
+            for _, _, body, first, last, m in bodies:
+                if first != before and last != after:
+                    if m <= room:
+                        out.append(prefix + body + suffix)
+                else:
+                    nxt = _insert(prefix, body, suffix)
+                    if len(nxt) <= max_word_length:
+                        out.append(nxt)
+        return out
+
     # forward: strip factors off the front of the remaining word (from target),
-    # backward: build the suffix product up from the empty word.  Each entry
-    # maps a word to its parent: word = parent[:pos] R_k^sign parent[pos:],
+    # backward: build the suffix product up from the empty word.  Each map
+    # takes a word to its parent: word = parent[:pos] R_k^sign parent[pos:],
     # reduced, for the first such (pos, k, sign) in search order.
-    start = _encode(target)
-    fwd = {start: None}
-    bwd = {b"": None}
-    fwd_frontier = [start]
-    bwd_frontier = [b""]
-    fwd_depth = bwd_depth = 0
+    reason, word, fwd, bwd = _breadth_first(_encode(target), b"", successors, successors,
+                                            budget.max_factors, budget.max_states)
+    if reason != "found":
+        return SearchOutcome(None, reason, len(fwd) + len(bwd))
 
     def walk(seen, word, orient):
         # The factors g^-1 R^(orient*sign) g, g = p^-1, on the parent links
@@ -369,58 +386,16 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                 for pos in range(min(max_conjugator_length, len(parent)) + 1)
                 for k, sign, body, *_ in bodies
                 if _insert(parent[:pos], body, parent[pos:]) == word)
-            out.append((invert(_decode(parent[:pos])), k, orient * sign))
+            out.append((tuple(128 - b for b in reversed(parent[:pos])), k, orient * sign))
             word = parent
         return out
 
-    def meet(word):
-        # reversed, the forward factors read target = F_0 F_1 ...
-        factors = walk(fwd, word, -1)[::-1] + walk(bwd, word, 1)
-        wit = NormalClosureWitness(target, tuple(factors))
-        if not wit.verify(relators):
-            raise WitnessError("witness reconstruction failed verification")
-        return SearchOutcome(wit, "found", len(fwd) + len(bwd))
-
-    while fwd_frontier or bwd_frontier:
-        if fwd_depth + bwd_depth >= max_factors:
-            break
-        expand_fwd = bool(fwd_frontier) and (
-            not bwd_frontier or len(fwd_frontier) <= len(bwd_frontier))
-        frontier, seen, other = ((fwd_frontier, fwd, bwd) if expand_fwd
-                                 else (bwd_frontier, bwd, fwd))
-        cap = max_states - len(other)  # other does not grow while seen does
-        new_frontier = []
-        for word in frontier:
-            n = len(word)
-            room = max_word_length - n
-            for pos in range(min(max_conjugator_length, n) + 1):
-                prefix, suffix = word[:pos], word[pos:]
-                # the letters that would cancel the prefix's last and the
-                # suffix's first letter; 0 is no letter
-                before = 256 - word[pos - 1] if pos else 0
-                after = 256 - word[pos] if pos < n else 0
-                for _, _, body, first, last, m in bodies:
-                    if first != before and last != after:
-                        if m > room:
-                            continue
-                        nxt = prefix + body + suffix
-                    else:
-                        nxt = _insert(prefix, body, suffix)
-                        if len(nxt) > max_word_length:
-                            continue
-                    if nxt in seen:
-                        continue
-                    seen[nxt] = word
-                    if nxt in other:
-                        return meet(nxt)
-                    new_frontier.append(nxt)
-                    if len(seen) > cap:
-                        return SearchOutcome(None, "state_cap", len(fwd) + len(bwd))
-        if expand_fwd:
-            fwd_frontier, fwd_depth = new_frontier, fwd_depth + 1
-        else:
-            bwd_frontier, bwd_depth = new_frontier, bwd_depth + 1
-    return SearchOutcome(None, "exhausted", len(fwd) + len(bwd))
+    # reversed, the forward factors read target = F_0 F_1 ...
+    factors = walk(fwd, word, -1)[::-1] + walk(bwd, word, 1)
+    wit = NormalClosureWitness(target, tuple(factors))
+    if not wit.verify(relators):
+        raise WitnessError("witness reconstruction failed verification")
+    return SearchOutcome(wit, "found", len(fwd) + len(bwd))
 
 
 # ---------------------------------------------------------------------------

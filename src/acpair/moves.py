@@ -533,7 +533,7 @@ def script_from_json(data, names: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Bounded breadth-first equivalence search.
+# Bounded breadth-first searches.
 
 
 @dataclass(frozen=True)
@@ -545,7 +545,9 @@ class SearchOutcome:
     claims nothing.  reason is "found", "exhausted" (the bounded space was
     searched to its end: nothing exists within it) or "state_cap"
     (max_states was reached first: the space was not fully searched).
-    states is the number of states the search held when it stopped.
+    states sums the sizes of the parent maps the search counts: a found
+    witness search counts its meeting word in both of its maps, and the
+    equivalence search counts the goal only once it is reached.
     """
 
     result: object
@@ -554,6 +556,39 @@ class SearchOutcome:
 
     def __str__(self) -> str:
         return f"{self.reason} after {self.states} states"
+
+
+def _breadth_first(start, goal, forward, backward, max_depth: int, max_states: int):
+    """Breadth-first search from start, and from goal unless backward is
+    None, until the sides meet, at once if start is goal.  Each step expands
+    the smaller non-empty frontier, start's on a tie; max_depth bounds the
+    steps of both sides.  A new state is tested against the other side's
+    map, then stops the search if its side holds more than max_states less
+    the other's states.  Returns (reason, meeting state or None, start map,
+    goal map); a map takes each state to the one it was first reached from."""
+    maps, steps = ({start: None}, {goal: None}), (forward, backward)
+    if start == goal:
+        return "found", start, *maps
+    frontiers = [[start], [] if backward is None else [goal]]
+    for _ in range(max_depth):
+        if not (frontiers[0] or frontiers[1]):
+            break
+        side = int(not frontiers[0] or 0 < len(frontiers[1]) < len(frontiers[0]))
+        seen, other = maps[side], maps[1 - side]
+        cap = max_states - len(other)  # other does not grow while seen does
+        new_frontier = []
+        for state in frontiers[side]:
+            for nxt in steps[side](state):
+                if nxt in seen:
+                    continue
+                seen[nxt] = state
+                if nxt in other:
+                    return "found", nxt, *maps
+                if len(seen) > cap:
+                    return "state_cap", None, *maps
+                new_frontier.append(nxt)
+        frontiers[side] = new_frontier
+    return "exhausted", None, *maps
 
 
 def _nonnegative(budget) -> None:
@@ -658,44 +693,32 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         # k_prime moves preserve the relator count: no script exists
         return SearchOutcome(None, "exhausted", 0)
     start = canonical_key(p)
-    parents = {start: None}  # key -> (parent key, fragment)
+    # key -> (the representative first met, the fragment that reached it)
+    known = {start: (p, ())}
 
-    def finish(moves) -> SearchOutcome:
-        script = MoveScript(tuple(moves), regime)
-        if canonical_key(replay(p, script)) != goal:
-            raise ValueError("search script does not replay to the goal key")
-        return SearchOutcome(script, "found", len(parents))
+    def successors(key):
+        here = known[key][0]
+        for fragment in _neighbor_fragments(here, regime, target_rels,
+                                            budget.conjugator_length):
+            nxt = here
+            for move in fragment:
+                nxt = apply_move(nxt, move)
+            if any(len(r) > budget.max_relator_length for r in nxt.relators):
+                continue
+            nkey = canonical_key(nxt)
+            if nkey not in known:
+                known[nkey] = (nxt, tuple(fragment))
+            yield nkey
 
-    if start == goal:
-        return finish(())
-
-    layer = [(start, p)]  # (key, first representative met) at one depth
-    for _ in range(budget.max_depth):
-        if not layer:
-            break
-        next_layer = []
-        for key, here in layer:
-            for fragment in _neighbor_fragments(here, regime, target_rels,
-                                                budget.conjugator_length):
-                nxt = here
-                for move in fragment:
-                    nxt = apply_move(nxt, move)
-                if any(len(r) > budget.max_relator_length for r in nxt.relators):
-                    continue
-                nkey = canonical_key(nxt)
-                if nkey in parents:
-                    continue
-                parents[nkey] = (key, tuple(fragment))
-                if nkey == goal:
-                    moves = []
-                    cur = nkey
-                    while parents[cur] is not None:
-                        prev, frag = parents[cur]
-                        moves[:0] = frag
-                        cur = prev
-                    return finish(moves)
-                if len(parents) >= budget.max_states:
-                    return SearchOutcome(None, "state_cap", len(parents))
-                next_layer.append((nkey, nxt))
-        layer = next_layer
-    return SearchOutcome(None, "exhausted", len(parents))
+    reason, _, parents, _ = _breadth_first(start, goal, successors, None,
+                                           budget.max_depth, budget.max_states)
+    if reason != "found":
+        return SearchOutcome(None, reason, len(parents))
+    moves, key = [], goal
+    while key != start:
+        moves[:0] = known[key][1]
+        key = parents[key]
+    script = MoveScript(tuple(moves), regime)
+    if canonical_key(replay(p, script)) != goal:
+        raise ValueError("search script does not replay to the goal key")
+    return SearchOutcome(script, "found", len(parents))

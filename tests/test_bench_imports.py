@@ -37,3 +37,41 @@ def test_benchmark_imports_sets_up_and_traces_the_program():
         names = [w["name"] for w in json.load(fh)["workloads"]]
     assert sorted(passes) == sorted(names)
     assert all(len(tasks) == 1 and tasks[0] > 0 for tasks in passes.values()), passes
+
+
+COUNTERS = """
+import json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import run
+run.import_program()
+import tracing
+import acpair.cli
+tracer = tracing.Tracer()
+tracer.install()
+codes = []
+with tempfile.TemporaryDirectory() as d:
+    for name, text in (("p", "gens: x y\\nrel: x y\\nrel: y\\n"),
+                       ("q", "gens: x y\\nrel: x\\nrel: y\\n")):
+        with open(os.path.join(d, name + ".pres"), "w") as fh:
+            fh.write(text)
+    p, q = os.path.join(d, "p.pres"), os.path.join(d, "q.pres")
+    codes.append(acpair.cli.main(["search-equiv", p, q, "--depth", "2"]))
+    codes.append(acpair.cli.main(["witness", q, "--target", "y x y^-1",
+                                  "-o", os.path.join(d, "w.json")]))
+tracer.uninstall()
+print(json.dumps({"codes": codes, "counts": tracer.counts}))
+"""
+
+
+def test_benchmark_search_counters_count_the_searches():
+    # the tracer counts the searches by wrapping their public functions from
+    # outside, so a refactor that moves the work elsewhere would read 0
+    proc = subprocess.run([sys.executable, "-B", "-c", COUNTERS, str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    counts = result["counts"]
+    for name in ("moves.bounded_equivalence_search.calls", "moves.search.successors",
+                 "constructions.search_normal_closure_witness.calls"):
+        assert counts.get(name, 0) > 0, (name, counts)

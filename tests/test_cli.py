@@ -535,9 +535,10 @@ def _pipeline_witness(tmp_path, witness):
             "-o", tmp_path / "bundle"]
 
 
-def _pipeline_iso(tmp_path, iso):
-    """A pipeline run from gens x to gens y through the isomorphism iso."""
-    p = write(tmp_path / "p.pres", PRES_X)
+def _pipeline_iso(tmp_path, iso, first=PRES_X):
+    """A pipeline run from first, over gens x, to gens y through the
+    isomorphism iso."""
+    p = write(tmp_path / "p.pres", first)
     q = write(tmp_path / "q.pres", "gens: y\nrel: y\n")
     return ["pipeline", p, q, "--iso", write(tmp_path / "iso.json", json.dumps(iso)),
             "-o", tmp_path / "bundle"]
@@ -621,11 +622,16 @@ MALFORMED = {
         "second_over_first_1.json"),
     "iso_letters_unbounded": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
-    # images one letter over the bound of common_generators, whose time
-    # grows with their length squared; the letter budget admits 1,000,000
+    # images over the work bound of common_generators, whose time grows
+    # with their length squared; the letter budget admits 1,000,000
     "iso_images_over_their_bound": (lambda t: _pipeline_iso(
-        t, {"y_in_x": [f"x^-{constructions.MAX_ISO_LETTERS}"], "x_in_y": ["y"]}),
-        f"more than the {constructions.MAX_ISO_LETTERS} that common_generators accepts"),
+        t, {"y_in_x": ["x^-1000"], "x_in_y": ["y"]}),
+        f"more than the {constructions.MAX_ISO_WORK} that common_generators accepts"),
+    # a short image over a long relator: each of its moves substitutes
+    # through the whole relator
+    "iso_image_over_a_long_relator": (lambda t: _pipeline_iso(
+        t, {"y_in_x": ["x^-100"], "x_in_y": ["y"]}, "gens: x\nrel: x^1000000\n"),
+        f"more than the {constructions.MAX_ISO_WORK} that common_generators accepts"),
     # each word is under the bound, all the words of one file are not
     "script_letters_unbounded": (lambda t: _apply(
         t, [{"op": "ConjRel", "j": 1, "w": "x^999999"}] * 12), "s.json"),

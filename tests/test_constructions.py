@@ -101,16 +101,24 @@ def test_common_generators_relator_counts():
 
 
 def test_common_generators_bounds_the_image_letters(monkeypatch):
-    # the images of both sides count together; identity data needs no moves
-    # and is not counted
-    monkeypatch.setattr(constructions, "MAX_ISO_LETTERS", 5)
+    # the work of both directions counts together: per direction, three
+    # moves per image letter and eight per generator of the two
+    # presentations, times the letters of the relators and images, each
+    # word five letters longer; identity data needs no moves and is not
+    # counted
     p, q = pres("x", "x"), pres("y", "y")
-    res = common_generators(p, q, IsoWitness(((-1,) * 4,), ((1,),)))
+    wit = IsoWitness(((-1,) * 4,), ((1,),))
+    assert (3 * 4 + 16) * (6 + 9) + (3 + 16) * (6 + 6) == 648
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 648)
+    res = common_generators(p, q, wit)
     assert replay(q, res.script_q) == res.q_prime
-    with pytest.raises(WitnessError, match="images hold 6 letters, more than the 5"):
+    with pytest.raises(WitnessError, match="needs work 706, more than the 648"):
         common_generators(p, q, IsoWitness(((-1,) * 4,), ((1, 1),)))
+    # a long relator makes even a one-letter image costly
+    with pytest.raises(WitnessError, match="needs work 19437, more than the 648"):
+        common_generators(pres("x", "x^1000"), q, IsoWitness(((-1,),), ((1,),)))
     assert common_generators(p, p, IsoWitness.identity(1)).p_prime == p
-    monkeypatch.setattr(constructions, "MAX_ISO_LETTERS", 1)
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 0)
     k1 = lustig(1)
     assert common_generators(k1, k1, IsoWitness.identity(3)).q_prime == k1
 

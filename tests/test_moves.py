@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation, wedge_s2)
 from acpair.words import EMPTY, conjugate, reduce, substitute
 from lustig_fixtures import lustig_witness_pair
+import search_reference
 
 
 def pres(gens, *rels):
@@ -650,3 +652,47 @@ def test_pipeline_certificate_lengths_lustig_1_2():
     # 9, 9, 257 and 402 moves before compaction
     assert [len(c.script) for c in result.certificates] == [9, 9, 214, 326]
     assert all(not rule_patterns(c.script.moves) for c in result.certificates)
+
+
+def test_equivalence_search_matches_layer_loop_reference():
+    # the search reaches the same keys in the same order as its reference,
+    # the layer-by-layer loop: same stop reason, state count and script on
+    # every problem, in both regimes
+    rng = random.Random(2203)
+    reasons, cases = [], Counter()
+    for _ in range(400):
+        regime = rng.choice(("full", "k_prime"))
+        rank = rng.randint(1, 3)
+        p = Presentation(("x", "y", "z")[:rank], tuple(
+            random_word_over(rng, rank, 5) for _ in range(rng.randint(2, 3))))
+        budget = SearchBudget(max_depth=rng.randint(0, 3),
+                              max_relator_length=rng.randint(4, 10),
+                              max_states=rng.choice((2, 6, 40, 200)),
+                              conjugator_length=rng.randint(0, 1))
+        shape = rng.random()
+        if shape < 0.1:
+            q = p
+        elif shape < 0.25:  # one more relator: k_prime cannot reach it
+            q = wedge_s2(p, 1)
+        else:  # a few fragments of the search away, or not, after conjugations
+            q = p
+            for _ in range(rng.randint(1, 4)):
+                fragments = list(moves._neighbor_fragments(
+                    q, regime, len(q.relators) + rng.randint(0, 1), 1))
+                if fragments:
+                    for move in rng.choice(fragments):
+                        q = apply_move(q, move)
+            if q.relators and rng.random() < 0.3:
+                q = apply_move(q, ConjRel(rng.randrange(len(q.relators)),
+                                          random_word_over(rng, q.rank, 2)))
+        outcome = bounded_equivalence_search(p, q, budget, regime)
+        script = None if outcome.result is None else outcome.result.moves
+        assert ((outcome.reason, outcome.states, script)
+                == search_reference.equivalence_search(p, q, budget, regime))
+        reasons.append(outcome.reason)
+        cases["start = goal"] += canonical_key(q) == canonical_key(p)
+        cases["depth 0"] += budget.max_depth == 0
+        cases["k_prime count mismatch"] += (
+            regime == "k_prime" and len(p.relators) != len(q.relators))
+    assert all(reasons.count(r) >= 20 for r in ("found", "exhausted", "state_cap"))
+    assert min(cases.values()) >= 20, cases
