@@ -24,4 +24,5 @@ from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
 from .homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                        GroupRingMatrix, check_dyer_bound, determinant,
                        euler_char_chain, glue_product, homology_at,
-                       product_euler, restrict_scalars, smith_normal_form)
+                       invariant_factors, matrix_rank, product_euler,
+                       restrict_scalars, smith_normal_form)

@@ -28,7 +28,7 @@ class WitnessError(ValueError):
 
 # Most work common_generators may take (see there).  The slowest input
 # found at the bound, the relator (x z^-1)^4573 rewritten by the image
-# x^-100, takes 1.3 s on a 2-core x86 box (CPython 3.11).
+# x^-100, takes 0.7 s on a 2-core x86 box (CPython 3.11).
 MAX_ISO_WORK = 3_000_000
 
 
@@ -136,8 +136,10 @@ def common_generators(p: Presentation, q: Presentation,
     the witness is the identity, both presentations are returned as they
     are with empty scripts.  Otherwise a witness is a WitnessError when its
     work exceeds MAX_ISO_WORK: per direction, the Nielsen moves (three per
-    image letter, eight per generator swap) times the letters each
-    substitutes through, each relator and image five letters longer.
+    image letter, eight per generator swap) times the letters each may
+    substitute through, each relator and image five letters longer.  A
+    move substitutes only through the relators that hold its generator, so
+    this over-counts the work.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:

@@ -27,6 +27,8 @@ import io
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .words import json_int
@@ -51,23 +53,23 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroup":
         n = len(rows)
-        table = tuple(tuple(r) for r in rows)
-        if any(len(r) != n for r in table):
+        table = tuple(map(tuple, rows))
+        if set(map(len, table)) - {n}:
             raise ValueError("multiplication table must be square")
-        for r in table:
-            for x in r:
-                if not 0 <= x < n:
-                    raise ValueError("table entry out of range")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
+        if table and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+            raise ValueError("table entry out of range")
+        # the identity's row and column are 0..n-1
+        ident = tuple(range(n))
+        identity = next((e for e in range(n) if table[e] == ident
+                         and tuple(map(itemgetter(e), table)) == ident), None)
         if identity is None:
             raise ValueError("table has no identity element")
         inverses = []
-        for a in range(n):
-            inv = [b for b in range(n) if table[a][b] == identity and table[b][a] == identity]
+        for a, row in enumerate(table):
+            # the b with row[b] == identity, of which a group has one
+            inv = ([row.index(identity)] if row.count(identity) == 1 else
+                   [b for b, x in enumerate(row) if x == identity])
+            inv = [b for b in inv if table[b][a] == identity]
             if len(inv) != 1:
                 raise ValueError(f"element {a} has no unique inverse")
             inverses.append(inv[0])
@@ -75,11 +77,14 @@ class FiniteGroup:
             # Light's test: (x s) y == x (s y) for every x, y.  The elements
             # passing it (the identity among them) are closed under the
             # product, so passing on generators makes the table associative.
-            for x in range(n):
-                xs, row = table[table[x][s]], table[x]
-                for y, sy in enumerate(table[s]):
-                    if xs[y] != row[sy]:
-                        raise ValueError(f"table not associative at ({x},{s},{y})")
+            # A generator exists only for n >= 2, so table[s] has two
+            # entries and times_s returns a tuple.
+            times_s = itemgetter(*table[s])
+            for x, row in enumerate(table):
+                xs = table[row[s]]
+                if times_s(row) != xs:
+                    y = next(y for y, sy in enumerate(table[s]) if xs[y] != row[sy])
+                    raise ValueError(f"table not associative at ({x},{s},{y})")
         return cls(table, identity, tuple(inverses))
 
 
@@ -179,18 +184,32 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
     for composites taken in the row-vector convention.  As in gr_mul, the
     elements of m lie in 0..|G|-1, which ChainComplexData checks.
     """
-    n = group.order
+    n, table = group.order, group.table
     out = [[0] * (m.cols * n) for _ in range(m.rows * n)]
     for (r, c), cell in m.entries.items():
-        for g in range(n):
-            row = out[r * n + g]
+        base = c * n
+        for g, times in enumerate(table, r * n):  # times[h] = g*h
+            row = out[g]
             for elem, coeff in cell.items():
-                row[c * n + group.mul(g, elem)] += coeff
+                row[base + times[elem]] += coeff
     return out
 
 
 # ---------------------------------------------------------------------------
-# Exact integer matrices.
+# Exact integer matrices.  The public eliminations refuse an entry that is
+# not an int, a bool included, as json_int does: their divisions are exact
+# only over the integers.  Matrices that restrict_scalars builds hold ints
+# by construction and go to the private eliminations unchecked.
+
+
+def _all_ints(values) -> bool:
+    return not set(map(type, values)) - {int}
+
+
+def _check_entries(a: Sequence[Sequence[int]]) -> None:
+    if not _all_ints(chain.from_iterable(a)):
+        json_int(next(x for x in chain.from_iterable(a) if type(x) is not int),
+                 "a matrix entry")
 
 
 def _echelon(a: Sequence[Sequence[int]]) -> tuple:
@@ -209,7 +228,7 @@ def _echelon(a: Sequence[Sequence[int]]) -> tuple:
     only rows with x != 0 are updated, and only on top's nonzero entries.
     Otherwise every row is rescaled by p / prev and rebuilt whole.
     """
-    m = [list(map(int, row)) for row in a]
+    m = [list(row) for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
     for c in range(cols):
@@ -259,6 +278,7 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
     """Exact determinant, from the fraction-free echelon."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("determinant of a non-square matrix")
+    _check_entries(a)
     rank, minor = _echelon(a)
     return minor if rank == len(a) else 0
 
@@ -358,6 +378,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple:
     [[a, I], [I, 0]] turns it into [[u*a*v, u], [v, 0]].  No operation
     touches the zero block, so it is not stored.
     """
+    _check_entries(a)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [list(row) + [int(i == r) for i in range(rows)] for r, row in enumerate(a)]
@@ -372,13 +393,19 @@ def diagonal_of(d: Sequence[Sequence[int]]) -> list:
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> list:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    m = [list(row) for row in a]
+    _check_entries(a)
+    return _invariant_factors([list(row) for row in a])
+
+
+def _invariant_factors(m: list) -> list:
+    """invariant_factors of m, a list of row lists that it overwrites."""
     _diagonalize(m, len(m), len(m[0]) if m else 0)
     return [x for x in diagonal_of(m) if x != 0]
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
     """Rank over Z, from the fraction-free echelon."""
+    _check_entries(a)
     return _echelon(a)[0]
 
 
@@ -412,7 +439,13 @@ class AbelianGroup:
 
 def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
     """Z^ambient_rank modulo the row span of a."""
-    factors = invariant_factors(a)
+    _check_entries(a)
+    return _cokernel([list(row) for row in a], ambient_rank)
+
+
+def _cokernel(m: list, ambient_rank: int) -> AbelianGroup:
+    """cokernel_invariants of m, a list of row lists that it overwrites."""
+    factors = _invariant_factors(m)
     if len(factors) > ambient_rank:
         raise ValueError("row span exceeds ambient rank")
     return AbelianGroup(ambient_rank - len(factors),
@@ -438,10 +471,10 @@ class ChainComplexData:
             if (b.rows, b.cols) != (self.ranks[k], self.ranks[k - 1]):
                 raise ValueError(f"boundary {k} has shape {(b.rows, b.cols)}, "
                                  f"expected {(self.ranks[k], self.ranks[k - 1])}")
-            for cell in b.entries.values():
-                for g in cell:
-                    if not 0 <= g < self.group.order:
-                        raise ValueError(f"group element index {g} out of range")
+            elems = list(chain.from_iterable(b.entries.values()))
+            if elems and (min(elems) < 0 or max(elems) >= self.group.order):
+                g = next(g for g in elems if not 0 <= g < self.group.order)
+                raise ValueError(f"group element index {g} out of range")
         for k in range(2, len(self.ranks)):
             prod = gr_mat_mul(self.boundaries[k - 1], self.boundaries[k - 2], self.group)
             if prod.entries:
@@ -460,11 +493,11 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     n = c.top_dim
     if not 0 <= k <= n:
         raise ValueError(f"position {k} outside 0..{n}")
-    rank_out = matrix_rank(restrict_scalars(c.boundary(k), c.group)) if k >= 1 else 0
+    rank_out = _echelon(restrict_scalars(c.boundary(k), c.group))[0] if k >= 1 else 0
     incoming = restrict_scalars(c.boundary(k + 1), c.group) if k < n else []
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0
-    return cokernel_invariants(incoming, c.ranks[k] * c.group.order - rank_out)
+    return _cokernel(incoming, c.ranks[k] * c.group.order - rank_out)
 
 
 def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData:
@@ -565,7 +598,27 @@ def chain_to_json(c: ChainComplexData) -> dict:
     }
 
 
+def _checked_entries(entries, n: int) -> list:
+    """entries as lists [k, r, col, elem, coeff] of ints with k in 1..n,
+    checked one at a time in file order, so that an error names the first
+    bad entry of the file."""
+    out = []
+    for entry in entries:
+        k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
+        if not 1 <= k <= n:
+            raise ValueError(f"boundary index {k} out of range")
+        out.append([k, r, col, elem, coeff])
+    return out
+
+
 def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
+    """The chain complex of a chain file, decoded from JSON.
+
+    The fields of all entries are checked at once; only a file that fails
+    those checks is scanned again, in file order, for the error to report.
+    One pass over the sorted entries then merges repeated (k, r, col, elem)
+    entries, checks positions and builds each boundary in its sorted form.
+    """
     g = data["group"]
     if isinstance(g, str):
         # reference to a CSV group file, relative to the chain file
@@ -575,8 +628,10 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         except (OSError, ValueError) as e:
             raise ValueError(f"group file {g}: {e}") from None
     else:
-        group = FiniteGroup.from_table(
-            [[json_int(x, "a group table entry") for x in row] for row in g["table"]])
+        table = g["table"]
+        if set(map(type, table)) - {list} or not _all_ints(chain.from_iterable(table)):
+            table = [[json_int(x, "a group table entry") for x in row] for row in table]
+        group = FiniteGroup.from_table(table)
         if group.identity != g.get("identity", group.identity):
             raise ValueError("declared identity disagrees with the table")
     n = json_int(data["n"], "n")
@@ -590,14 +645,32 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         if rows * max(cols, 1) > MAX_RESTRICTED_CELLS:
             raise ValueError(f"boundary {k} restricts to a {rows} x {cols} integer "
                              f"matrix, over the bound of {MAX_RESTRICTED_CELLS} cells")
-    cells: dict = {k: {} for k in range(1, n + 1)}
-    for entry in data["entries"]:
-        k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
-        if not 1 <= k <= n:
-            raise ValueError(f"boundary index {k} out of range")
-        cell = cells[k].setdefault((r, col), {})
-        cell[elem] = cell.get(elem, 0) + coeff
-    boundaries = tuple(
-        GroupRingMatrix.from_entries(ranks[k], ranks[k - 1], cells[k])
-        for k in range(1, n + 1))
+    entries = data["entries"]
+    if (set(map(type, entries)) - {list} or set(map(len, entries)) - {5}
+            or not _all_ints(chain.from_iterable(entries))):
+        entries = _checked_entries(entries, n)
+    entries = sorted(entries)
+    if entries and not (1 <= entries[0][0] and entries[-1][0] <= n):
+        _checked_entries(data["entries"], n)
+    cells = [{} for _ in range(n + 1)]  # cells[k]: {(r, col): {elem: coeff}} of d_k
+    pos, cell, zero = None, None, not all(map(itemgetter(4), entries))
+    for k, r, col, elem, coeff in entries:
+        if (k, r, col) != pos:
+            if not (0 <= r < ranks[k] and 0 <= col < ranks[k - 1]):
+                raise ValueError(f"entry position {(r, col)} out of range")
+            pos, cell = (k, r, col), {}
+            cells[k][r, col] = cell
+        if elem in cell:
+            cell[elem] += coeff
+            zero = zero or not cell[elem]
+        else:
+            cell[elem] = coeff
+    if zero:  # drop zero sums, then positions left without a term
+        for m in cells:
+            for at in list(m):
+                m[at] = {g: v for g, v in m[at].items() if v}
+                if not m[at]:
+                    del m[at]
+    boundaries = tuple(GroupRingMatrix(ranks[k], ranks[k - 1], cells[k])
+                       for k in range(1, n + 1))
     return ChainComplexData(group, ranks, boundaries)

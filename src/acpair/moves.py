@@ -223,7 +223,11 @@ def _apply(rels: list, gens: tuple, move) -> tuple:
             rels[move.j] = _bounded(multiply(rels[move.j], rels[move.k]))
     elif isinstance(move, (NielsenInv, NielsenMul)):
         images = _nielsen_substitution(move, rank)
-        rels[:] = [_bounded(substitute(r, images)) for r in rels]
+        # the map moves only generator i, so a relator without it stays
+        letter = move.i + 1
+        for idx, r in enumerate(rels):
+            if letter in r or -letter in r:
+                rels[idx] = _bounded(substitute(r, images))
     elif isinstance(move, AddGen):
         if not valid_name(move.name):
             raise MoveError(f"invalid generator name {move.name!r}")

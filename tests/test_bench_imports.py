@@ -63,15 +63,50 @@ print(json.dumps({"codes": codes, "counts": tracer.counts}))
 """
 
 
+def traced(script) -> dict:
+    """The JSON object that script, run under the benchmark's tracer in a
+    fresh interpreter, prints last."""
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_benchmark_search_counters_count_the_searches():
     # the tracer counts the searches by wrapping their public functions from
     # outside, so a refactor that moves the work elsewhere would read 0
-    proc = subprocess.run([sys.executable, "-B", "-c", COUNTERS, str(ROOT / "bench")],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = traced(COUNTERS)
     assert result["codes"] == [0, 0]
     counts = result["counts"]
     for name in ("moves.bounded_equivalence_search.calls", "moves.search.successors",
                  "constructions.search_normal_closure_witness.calls"):
         assert counts.get(name, 0) > 0, (name, counts)
+
+
+HOMOLOGY_COUNTERS = """
+import json, random, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import run
+run.import_program()
+import tracing, workloads
+import acpair.cli
+from acpair.homology import FiniteGroup
+table = workloads.alternating_group_5()
+with tempfile.TemporaryDirectory() as d:
+    task = workloads.a5_task(random.Random(1), d, 0, FiniteGroup.from_table(table), table, 1)
+    (argv,) = [a for a in task.argvs if a[a.index("--at") + 1] == "1"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    code = acpair.cli.main(argv)
+    tracer.uninstall()
+print(json.dumps({"code": code, "counts": tracer.counts}))
+"""
+
+
+def test_benchmark_homology_counters_count_the_restrictions():
+    # the homology twin of the search check: one homology job on a Fox
+    # chain over A5, as the homology workload runs them, must be counted in
+    # restrict_scalars, whose calls are a per-layer metric
+    result = traced(HOMOLOGY_COUNTERS)
+    assert result["code"] == 0
+    assert result["counts"].get("homology.restrict_scalars.calls", 0) > 0, result["counts"]

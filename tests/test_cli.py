@@ -663,6 +663,10 @@ MALFORMED = {
                                  "c.json: group element index 1 out of range"),
     # 100 bytes that would restrict to a 1,000,000 x 1 integer matrix
     "chain_rank_unbounded": (lambda t: _bare_chain(t, (1, 1000000), 1), "c.json"),
+    # the ranks are refused before any entry is read
+    "chain_rank_unbounded_and_bad_entry": (lambda t: _homology(
+        t, [2, 0, 0, 0, 2.5], (1, 1000000, 1)),
+        "c.json: boundary 1 restricts to a 1000000 x 1 integer matrix"),
     "chain_rank_negative": (lambda t: _bare_chain(t, (1, -1), 0), "c.json"),
     # the chain file was read: the error names it as the prefix, then the
     # group file it could not read

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              product_euler, restrict_scalars,
                              smith_normal_form, _echelon)
 
+import chain_reference
 import elimination_reference as reference
 from chain_fixtures import (GROUP_KINDS, base_complex, cyclic_group,
                             dump_group_csv, mat_mul, permutation_group,
@@ -336,6 +339,26 @@ def test_eliminations_match_the_dense_reference():
         "echelon p != prev, zero x", "smith zero row skipped", "smith fold")) >= 10, branches
 
 
+@pytest.mark.parametrize("entry", [1.5, 0.5, 2.0, Fraction(3, 2), True, "1", None])
+@pytest.mark.parametrize("elimination", [
+    determinant, matrix_rank, invariant_factors, smith_normal_form,
+    lambda a: cokernel_invariants(a, 2)])
+def test_eliminations_refuse_entries_that_are_not_ints(elimination, entry):
+    # int() made det [[1.5]] == 1, rank [[0.5]] == 0 and det [[3/2, 0],
+    # [0, 2]] == 2 where it is 3, and invariant_factors [[1.5]] was [1.5];
+    # a bool is refused as json_int refuses it
+    message = re.escape(f"a matrix entry must be an integer, not {entry!r}")
+    for a in ([[entry]], [[entry, 0], [0, 2]]):
+        with pytest.raises(ValueError, match=message):
+            elimination(a)
+
+
+def test_eliminations_take_int_tuples():
+    a = ((3, 0), (0, 2))
+    assert determinant(a) == 6 and matrix_rank(a) == 2 and invariant_factors(a) == [1, 6]
+    assert smith_normal_form(a)[0] == [[1, 0], [0, 6]]
+
+
 def test_cokernel_invariants():
     assert cokernel_invariants([[2, 0], [0, 3]], 2) == AbelianGroup(0, (6,))
     assert cokernel_invariants([], 3) == AbelianGroup(3, ())
@@ -465,3 +488,140 @@ def test_chain_json_roundtrip():
     data = json.loads(json.dumps(chain_to_json(c)))
     again = chain_from_json(data)
     assert again == c
+
+
+def valid_chain_file(rng) -> dict:
+    """The chain file of a random fixture over one of the small groups, with
+    some entries split in two on one (k, r, col, elem), cancelling pairs and
+    zero terms added anywhere in range, and its entries mostly shuffled."""
+    c = random_gn_fixture(rng.choice(GROUP_KINDS), rng.randint(2, 3), rng)
+    data = chain_to_json(c)
+    entries, ranks, order = data["entries"], c.ranks, c.group.order
+    for entry in list(entries):
+        if rng.random() < 0.2:
+            part = rng.randint(-3, 3)
+            entries.append(entry[:4] + [part])
+            entry[4] -= part
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(1, c.top_dim)
+        if ranks[k] and ranks[k - 1]:
+            at = [k, rng.randrange(ranks[k]), rng.randrange(ranks[k - 1])]
+            elem, x = rng.randrange(order), rng.randint(1, 3)
+            # a pair that cancels, and a zero term, which is dropped before
+            # its element is checked, even an element out of range
+            entries += [at + [elem, x], at + [elem, -x]]
+            if rng.random() < 0.5:
+                entries.append(at + [rng.choice((elem, order, -1)), 0])
+    if rng.random() < 0.8:
+        rng.shuffle(entries)
+    return data
+
+
+def _bad_entry(rng, data, kind: str) -> None:
+    """Spoil one entry of data in the way kind names."""
+    entries, n, ranks = data["entries"], data["n"], data["ranks"]
+    i = rng.choice([i for i, e in enumerate(entries) if type(e) is list and len(e) == 5
+                    and all(type(x) is int for x in e) and 1 <= e[0] <= n])
+    entry = entries[i]
+    k = entry[0]
+    if kind == "k":
+        entry[0] = rng.choice((0, -1, n + 1, n + 7))
+    elif kind == "position":
+        if rng.random() < 0.5:
+            entry[1] = rng.choice((-1, ranks[k], ranks[k] + 3))
+        else:
+            entry[2] = rng.choice((-2, ranks[k - 1], ranks[k - 1] + 1))
+    elif kind == "element":
+        entry[3] = rng.choice((-1, len(data["group"]["table"]), 99))
+        entry[4] = rng.choice((1, -2, 5))
+    elif kind == "4 fields":
+        del entry[rng.randrange(5)]
+    elif kind == "6 fields":
+        entry.insert(rng.randrange(6), rng.choice((0, 1, 7, True)))
+    elif kind in ("bool", "float", "str", "null", "list"):
+        entry[rng.randrange(5)] = rng.choice({
+            "bool": (True, False), "float": (1.0, 0.5, -2.0), "str": ("1", "", "x"),
+            "null": (None,), "list": ([1], [], [0, 0])}[kind])
+    else:  # not a list
+        entries[i] = rng.choice((5, "abcde", None, {"k": 1}, {}, 1.5))
+
+
+def _bad_table(rng, data, kind: str) -> None:
+    """Spoil the group table of data in the way kind names; the table has
+    at least 3 elements for all but the first three kinds."""
+    table = data["group"]["table"]
+    order, e = len(table), data["group"]["identity"]
+    a, b = rng.sample([x for x in range(order) if x != e], 2) if order > 2 else (0, 0)
+    if kind == "non-square":
+        row = rng.choice(table)
+        row.pop() if rng.random() < 0.5 else row.append(0)
+    elif kind == "range":
+        rng.choice(table)[rng.randrange(order)] = rng.choice((-1, order))
+    elif kind == "type":
+        rng.choice(table)[rng.randrange(order)] = rng.choice((True, 1.0, "0", None))
+    elif kind == "identity":  # swap two values throughout
+        data["group"]["table"] = [[b if x == a else a if x == b else x for x in row]
+                                  for row in table]
+    elif kind == "inverse":  # a second identity in rows a and b
+        if table[a][b] == e:
+            b = table[a].index(rng.choice([x for x in table[a] if x != e]))
+        table[a][b] = table[b][a] = e
+    else:  # one product changed to another element that is not the identity
+        if kind == "product":
+            b = rng.choice([x for x in range(order) if x != e])
+        else:  # by the first generator, which breaks the subgroups it generates
+            b = min(x for x in range(order) if x != e)
+        table[a][b] = rng.choice([x for x in range(order) if x not in (e, table[a][b])])
+
+
+def test_chain_loader_matches_entry_by_entry_reference():
+    # each load, valid or not, gives the reference's complex, with its
+    # entries in the same order, or its exception type and message; the
+    # counts show that the corpus reaches every branch of the reference
+    rng = random.Random(71)
+
+    def outcome(loader, data):
+        try:
+            c = loader(json.loads(json.dumps(data)))
+        except (ValueError, TypeError, KeyError, IndexError) as e:
+            return type(e), str(e)
+        return c, chain_to_json(c)
+
+    branches = Counter()
+    corpus = [valid_chain_file(rng) for _ in range(150)]
+    kinds = ("k", "position", "element", "4 fields", "6 fields", "bool", "float", "str",
+             "null", "list", "not a list")
+    for kind in kinds * 20:
+        data = valid_chain_file(rng)
+        _bad_entry(rng, data, kind)
+        # more spoiled entries: the first in file order, or in sorted order
+        # for positions and elements, is the one reported
+        for _ in range(min(rng.choice((0, 1, 2)), len(data["entries"]) - 1)):
+            _bad_entry(rng, data, rng.choice((kind, kind, rng.choice(kinds))))
+        corpus.append(data)
+    for kind in ("non-square", "range", "type", "identity", "inverse", "product",
+                 "generator") * 25:
+        data = valid_chain_file(rng)
+        while len(data["group"]["table"]) < 3 and kind not in ("non-square", "range", "type"):
+            data = valid_chain_file(rng)
+        _bad_table(rng, data, kind)
+        corpus.append(data)
+    for _ in range(20):
+        data = valid_chain_file(rng)
+        data["ranks"][-1] = rng.choice((10 ** 6, 2 ** 18 + 1))
+        corpus.append(data)
+        data = valid_chain_file(rng)
+        k = rng.randint(1, data["n"])
+        data["entries"].append([k, 0, 0, 0, rng.randint(1, 3)])
+        corpus.append(data)
+    for data in corpus:
+        assert (outcome(chain_from_json, data)
+                == outcome(lambda d: chain_reference.chain_from_json(d, branches), data)), data
+    assert min(branches[b] for b in (
+        "valid", "unsorted", "merged", "cancelled", "several boundaries",
+        "k out of range", "position out of range", "element out of range",
+        "4 fields", "6 fields", "bool field", "float field", "str field",
+        "NoneType field", "list field", "not a list", "non-square",
+        "table entry out of range", "no identity", "no unique inverse",
+        "not associative", "not a group", "cell bound",
+        "boundary condition")) >= 10, branches

@@ -60,6 +60,48 @@ def test_nielsen_moves_substitute_inverse_map():
     assert r.relators == ((-1,),)
 
 
+def test_nielsen_moves_substitute_only_where_their_generator_occurs(monkeypatch):
+    # a Nielsen move rewrites generator i only, so relators without it are
+    # left as they are, and substitute runs once per relator that holds it
+    calls = []
+
+    def counted(u, images):
+        calls.append(u)
+        return substitute(u, images)
+
+    monkeypatch.setattr(moves, "substitute", counted)
+    p = Presentation(("x", "y"), ((1,),) * 10_000 + ((2, 1), (-2,)))
+    q = apply_move(p, NielsenMul(1, 0, "right"))  # y -> y x^-1 substituted
+    assert calls == [(2, 1), (-2,)]
+    assert q.relators == ((1,),) * 10_000 + ((2,), (1, -2))
+    calls.clear()
+    assert apply_move(p, NielsenInv(0)).relators[-2:] == ((2, -1), (-2,))
+    assert len(calls) == 10_001
+
+
+def test_nielsen_moves_match_full_substitution():
+    # the relators after a Nielsen move are those of substituting its map
+    # through every relator
+    rng = random.Random(1207)
+    skipped = 0
+    for _ in range(500):
+        p = random_presentation(rng, max_gens=4, max_rels=6)
+        i = rng.randrange(p.rank)
+        if p.rank == 1 or rng.random() < 0.3:
+            move, image = NielsenInv(i), (-(i + 1),)
+        else:
+            j = rng.choice([k for k in range(p.rank) if k != i])
+            side = rng.choice(("left", "right"))
+            move = NielsenMul(i, j, side)
+            image = (i + 1, -(j + 1)) if side == "right" else (-(j + 1), i + 1)
+        images = {k: (k + 1,) for k in range(p.rank)}
+        images[i] = image
+        assert apply_move(p, move).relators == tuple(
+            substitute(r, images) for r in p.relators), (p, move)
+        skipped += sum(i + 1 not in r and -(i + 1) not in r for r in p.relators)
+    assert skipped >= 100
+
+
 def test_apply_automorphism_matches_substitution():
     # images composed here from the map each Nielsen move substitutes, the
     # inverse of its declared map: g_i -> g_i^-1, g_i -> g_i g_j^-1 (right),
