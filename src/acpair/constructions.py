@@ -17,9 +17,9 @@ from .moves import (AddGen, MoveScript, NielsenInv, NielsenMul, RegimeError,
 from .pairing import EquivalenceCertificate, FormalSum, verify_null
 from .presentations import (Presentation, canonical_key, euler_char,
                             fresh_name, product, wedge_s2)
-from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, commutator,
-                    format_word, identity_images, invert, json_int, multiply,
-                    parse_word, power, reduce)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _letter_tokens,
+                    _token_letters, commutator, identity_images, invert,
+                    json_int, multiply, power, read_word, reduce, write_word)
 
 
 class WitnessError(ValueError):
@@ -226,19 +226,22 @@ def _check_witness(wit, target: Word, relators: Sequence[Word], name: str) -> No
 
 
 def witness_to_json(wit: NormalClosureWitness, names: Sequence[str]) -> dict:
+    tokens = _letter_tokens(names)
     return {
-        "target": format_word(wit.target, names),
-        "factors": [{"g": format_word(g, names), "r_index": k + 1, "sign": s}
+        "target": write_word(wit.target, tokens),
+        "factors": [{"g": write_word(g, tokens), "r_index": k + 1, "sign": s}
                     for g, k, s in wit.factors],
     }
 
 
 def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
-    """The witness of one file, whose words share one LetterBudget."""
+    """The witness of one file, whose words share one LetterBudget and one
+    token table."""
     budget = LetterBudget("witness")
+    table = _token_letters(names)
     return NormalClosureWitness(
-        parse_word(data["target"], names, budget),
-        tuple((parse_word(f["g"], names, budget),
+        read_word(data["target"], table, budget),
+        tuple((read_word(f["g"], table, budget),
                json_int(f["r_index"], "r_index") - 1, json_int(f["sign"], "sign"))
               for f in data["factors"]))
 

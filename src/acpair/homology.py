@@ -617,7 +617,8 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
     The fields of all entries are checked at once; only a file that fails
     those checks is scanned again, in file order, for the error to report.
     One pass over the sorted entries then merges repeated (k, r, col, elem)
-    entries, checks positions and builds each boundary in its sorted form.
+    entries, checks positions and builds each boundary in its sorted form;
+    the group elements of all entries are checked after it.
     """
     g = data["group"]
     if isinstance(g, str):
@@ -652,6 +653,10 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
     entries = sorted(entries)
     if entries and not (1 <= entries[0][0] and entries[-1][0] <= n):
         _checked_entries(data["entries"], n)
+    # every element an entry names is checked, even in a term that is zero
+    # or cancels, after the positions
+    stray = entries and (min(map(itemgetter(3), entries)) < 0
+                         or max(map(itemgetter(3), entries)) >= group.order)
     cells = [{} for _ in range(n + 1)]  # cells[k]: {(r, col): {elem: coeff}} of d_k
     pos, cell, zero = None, None, not all(map(itemgetter(4), entries))
     for k, r, col, elem, coeff in entries:
@@ -665,6 +670,9 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
             zero = zero or not cell[elem]
         else:
             cell[elem] = coeff
+    if stray:
+        g = next(e[3] for e in entries if not 0 <= e[3] < group.order)
+        raise ValueError(f"group element index {g} out of range")
     if zero:  # drop zero sums, then positions left without a term
         for m in cells:
             for at in list(m):

@@ -21,7 +21,8 @@ RestrictedSlide(j, fs) relator_j -> relator_j * prod w [relator_k^s, h] w^-1,
 Scripts carry a regime: "full" permits everything; "k_prime" permits only
 ConjRel, InvRel and RestrictedSlide, plus the trivial-relator moves when
 the script is explicitly flagged as stabilized.  Indices are 0-based in
-memory and 1-based in script files.
+memory and 1-based in script files.  The words of ConjRel and RSFactor are
+freely reduced when the move is built.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from itertools import chain
 from typing import Sequence
 
 from .presentations import Presentation, canonical_key
-from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, commutator,
-                    conjugate, format_word, identity_images, invert, json_int,
-                    letter_key, multiply, parse_word, reduce, substitute,
-                    valid_name)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _letter_tokens,
+                    _token_letters, commutator, conjugate, identity_images,
+                    invert, json_int, letter_key, multiply, read_word, reduce,
+                    substitute, valid_name, write_word)
 
 
 class MoveError(ValueError):
@@ -49,6 +50,9 @@ class RegimeError(MoveError):
 class ConjRel:
     j: int
     w: Word
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", reduce(self.w))
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class RSFactor:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise MoveError(f"bad factor sign {self.sign}")
+        object.__setattr__(self, "w", reduce(self.w))
+        object.__setattr__(self, "h", reduce(self.h))
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,6 @@ class RestrictedSlide:
             if f.k == self.j:
                 raise MoveError(
                     f"restricted slide on relator {self.j} may not use relator {f.k}")
-
-
-K_PRIME_MOVES = (ConjRel, InvRel, RestrictedSlide)
-K_PRIME_STABILIZED_EXTRA = (AddTrivialRel, RemoveTrivialRel)
 
 
 @dataclass(frozen=True)
@@ -157,143 +159,167 @@ class MoveScript:
                           self.stabilized or other.stabilized)
 
 
-def _check_rel(j: int, count: int):
-    if not 0 <= j < count:
-        raise MoveError(f"relator index {j} out of range (have {count})")
+def _out_of_range(what: str, index: int, count: int) -> MoveError:
+    return MoveError(f"{what} index {index} out of range (have {count})")
 
 
 def _check_gen(i: int, rank: int):
     if not 0 <= i < rank:
-        raise MoveError(f"generator index {i} out of range (have {rank})")
+        raise _out_of_range("generator", i, rank)
 
 
-def _check_word(w: Word, rank: int) -> Word:
-    """The reduced form of a word a move brings in; a zero letter raises
-    ValueError, a letter outside the context MoveError."""
-    if max(map(abs, w), default=0) > rank:
+def _too_long(relator: Word) -> MoveError:
+    return MoveError(f"relator of {len(relator)} letters exceeds the "
+                     f"{MAX_WORD_LENGTH}-letter bound")
+
+
+# One function per move kind applies it to rels in place, the relators over
+# gens, and returns the generators after it.  Every relator built comes from
+# reduced, in-range relators and move words that are reduced when the move
+# is built and range-checked here, so callers wrap the result without
+# validation.  A relator a move lengthens is checked against MAX_WORD_LENGTH.
+
+def _conj_rel(rels: list, gens: tuple, move) -> tuple:
+    j, w = move.j, move.w
+    if not 0 <= j < len(rels):
+        raise _out_of_range("relator", j, len(rels))
+    if w and (max(w) > len(gens) or -min(w) > len(gens)):
         raise MoveError(f"word {w} uses a generator outside the context")
-    return reduce(w)
+    r = conjugate(rels[j], w)
+    if len(r) > MAX_WORD_LENGTH:
+        raise _too_long(r)
+    rels[j] = r
+    return gens
 
 
-def _nielsen_substitution(move, rank: int) -> dict:
-    """The map substituted through relators: the inverse of the declared map."""
+def _inv_rel(rels: list, gens: tuple, move) -> tuple:
+    j = move.j
+    if not 0 <= j < len(rels):
+        raise _out_of_range("relator", j, len(rels))
+    rels[j] = invert(rels[j])
+    return gens
+
+
+def _slide_rel(rels: list, gens: tuple, move) -> tuple:
+    j, k = move.j, move.k
+    if not 0 <= j < len(rels):
+        raise _out_of_range("relator", j, len(rels))
+    if not 0 <= k < len(rels):
+        raise _out_of_range("relator", k, len(rels))
+    r = multiply(rels[k], rels[j]) if move.side == "left" else multiply(rels[j], rels[k])
+    if len(r) > MAX_WORD_LENGTH:
+        raise _too_long(r)
+    rels[j] = r
+    return gens
+
+
+def _nielsen(rels: list, gens: tuple, move) -> tuple:
+    """Substitute the inverse of the declared map through the relators."""
+    rank = len(gens)
     images = dict(enumerate(identity_images(rank)))
-    if isinstance(move, NielsenInv):
-        _check_gen(move.i, rank)
+    _check_gen(move.i, rank)
+    if type(move) is NielsenInv:
         images[move.i] = (-(move.i + 1),)
     else:
-        _check_gen(move.i, rank)
         _check_gen(move.j, rank)
         if move.side == "right":  # declared g_i -> g_i g_j
             images[move.i] = (move.i + 1, -(move.j + 1))
         else:                      # declared g_i -> g_j g_i
             images[move.i] = (-(move.j + 1), move.i + 1)
-    return images
-
-
-def _bounded(relator: Word) -> Word:
-    """relator, unless it is longer than a parsed word may be."""
-    if len(relator) > MAX_WORD_LENGTH:
-        raise MoveError(f"relator of {len(relator)} letters exceeds the "
-                        f"{MAX_WORD_LENGTH}-letter bound")
-    return relator
-
-
-def _apply(rels: list, gens: tuple, move) -> tuple:
-    """Apply one move to rels in place, the relators over gens, and return
-    the generators after it.
-
-    Every relator built here comes from reduced, in-range relators and
-    checked move words, so callers wrap the result without validation.  A
-    relator a move lengthens is checked against MAX_WORD_LENGTH.
-    """
-    rank = len(gens)
-    if isinstance(move, ConjRel):
-        _check_rel(move.j, len(rels))
-        rels[move.j] = _bounded(conjugate(rels[move.j], _check_word(move.w, rank)))
-    elif isinstance(move, InvRel):
-        _check_rel(move.j, len(rels))
-        rels[move.j] = invert(rels[move.j])
-    elif isinstance(move, SlideRel):
-        _check_rel(move.j, len(rels))
-        _check_rel(move.k, len(rels))
-        if move.side == "left":
-            rels[move.j] = _bounded(multiply(rels[move.k], rels[move.j]))
-        else:
-            rels[move.j] = _bounded(multiply(rels[move.j], rels[move.k]))
-    elif isinstance(move, (NielsenInv, NielsenMul)):
-        images = _nielsen_substitution(move, rank)
-        # the map moves only generator i, so a relator without it stays
-        letter = move.i + 1
-        for idx, r in enumerate(rels):
-            if letter in r or -letter in r:
-                rels[idx] = _bounded(substitute(r, images))
-    elif isinstance(move, AddGen):
-        if not valid_name(move.name):
-            raise MoveError(f"invalid generator name {move.name!r}")
-        if move.name in gens:
-            raise MoveError(f"generator name {move.name!r} already in use")
-        rels.append((rank + 1,))
-        return gens + (move.name,)
-    elif isinstance(move, RemoveGen):
-        _check_gen(move.i, rank)
-        letter = move.i + 1
-        hits = [idx for idx, r in enumerate(rels) if any(abs(x) == letter for x in r)]
-        if len(hits) != 1 or rels[hits[0]] not in ((letter,), (-letter,)):
-            raise MoveError(
-                f"generator {move.i} is not removable: need exactly one relator, "
-                f"equal to that generator or its inverse, and no other occurrence")
-        del rels[hits[0]]
-        rels[:] = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
-                   for r in rels]
-        return gens[:move.i] + gens[move.i + 1:]
-    elif isinstance(move, AddTrivialRel):
-        rels.append(EMPTY)
-    elif isinstance(move, RemoveTrivialRel):
-        _check_rel(move.j, len(rels))
-        if rels[move.j] != EMPTY:
-            raise MoveError(f"relator {move.j} is not trivial")
-        del rels[move.j]
-    elif isinstance(move, RestrictedSlide):
-        _check_rel(move.j, len(rels))
-        word = rels[move.j]
-        for f in move.factors:
-            _check_rel(f.k, len(rels))
-            w = _check_word(f.w, rank)
-            h = _check_word(f.h, rank)
-            base = rels[f.k] if f.sign > 0 else invert(rels[f.k])
-            word = multiply(word, conjugate(commutator(base, h), w))
-        rels[move.j] = _bounded(word)
-    else:
-        raise MoveError(f"unknown move {move!r}")
+    # the map moves only generator i, so a relator without it stays
+    letter = move.i + 1
+    for idx, r in enumerate(rels):
+        if letter in r or -letter in r:
+            r = substitute(r, images)
+            if len(r) > MAX_WORD_LENGTH:
+                raise _too_long(r)
+            rels[idx] = r
     return gens
+
+
+def _add_gen(rels: list, gens: tuple, move) -> tuple:
+    if not valid_name(move.name):
+        raise MoveError(f"invalid generator name {move.name!r}")
+    if move.name in gens:
+        raise MoveError(f"generator name {move.name!r} already in use")
+    rels.append((len(gens) + 1,))
+    return gens + (move.name,)
+
+
+def _remove_gen(rels: list, gens: tuple, move) -> tuple:
+    _check_gen(move.i, len(gens))
+    letter = move.i + 1
+    hits = [idx for idx, r in enumerate(rels) if letter in r or -letter in r]
+    if len(hits) != 1 or rels[hits[0]] not in ((letter,), (-letter,)):
+        raise MoveError(
+            f"generator {move.i} is not removable: need exactly one relator, "
+            f"equal to that generator or its inverse, and no other occurrence")
+    del rels[hits[0]]
+    rels[:] = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
+               for r in rels]
+    return gens[:move.i] + gens[move.i + 1:]
+
+
+def _add_trivial_rel(rels: list, gens: tuple, move) -> tuple:
+    rels.append(EMPTY)
+    return gens
+
+
+def _remove_trivial_rel(rels: list, gens: tuple, move) -> tuple:
+    if not 0 <= move.j < len(rels):
+        raise _out_of_range("relator", move.j, len(rels))
+    if rels[move.j] != EMPTY:
+        raise MoveError(f"relator {move.j} is not trivial")
+    del rels[move.j]
+    return gens
+
+
+def _restricted_slide(rels: list, gens: tuple, move) -> tuple:
+    if not 0 <= move.j < len(rels):
+        raise _out_of_range("relator", move.j, len(rels))
+    word = rels[move.j]
+    for f in move.factors:
+        if not 0 <= f.k < len(rels):
+            raise _out_of_range("relator", f.k, len(rels))
+        for w in (f.w, f.h):
+            if w and (max(w) > len(gens) or -min(w) > len(gens)):
+                raise MoveError(f"word {w} uses a generator outside the context")
+        base = rels[f.k] if f.sign > 0 else invert(rels[f.k])
+        word = multiply(word, conjugate(commutator(base, f.h), f.w))
+    if len(word) > MAX_WORD_LENGTH:
+        raise _too_long(word)
+    rels[move.j] = word
+    return gens
+
+
+def _unknown_move(rels: list, gens: tuple, move) -> tuple:
+    raise MoveError(f"unknown move {move!r}")
+
+
+# Move class -> (apply, change in generators, change in relators, the
+# regimes that admit it: "full", "k_prime", and "stabilized" for a k_prime
+# script flagged as stabilized).  apply_move and replay dispatch here.
+_ALL = ("full", "k_prime", "stabilized")
+_MOVES = {
+    ConjRel: (_conj_rel, 0, 0, _ALL),
+    InvRel: (_inv_rel, 0, 0, _ALL),
+    SlideRel: (_slide_rel, 0, 0, ("full",)),
+    NielsenInv: (_nielsen, 0, 0, ("full",)),
+    NielsenMul: (_nielsen, 0, 0, ("full",)),
+    AddGen: (_add_gen, 1, 1, ("full",)),
+    RemoveGen: (_remove_gen, -1, -1, ("full",)),
+    AddTrivialRel: (_add_trivial_rel, 0, 1, ("full", "stabilized")),
+    RemoveTrivialRel: (_remove_trivial_rel, 0, -1, ("full", "stabilized")),
+    RestrictedSlide: (_restricted_slide, 0, 0, _ALL),
+}
+_UNKNOWN = (_unknown_move, 0, 0, ("full",))
 
 
 def apply_move(p: Presentation, move) -> Presentation:
     """One move on a validated presentation."""
     rels = list(p.relators)
-    gens = _apply(rels, p.gens, move)
+    gens = _MOVES.get(type(move), _UNKNOWN)[0](rels, p.gens, move)
     return Presentation._trusted(gens, tuple(rels))
-
-
-def _regime_allows(move, regime: str, stabilized: bool) -> bool:
-    if regime == "full":
-        return True
-    if isinstance(move, K_PRIME_MOVES):
-        return True
-    return stabilized and isinstance(move, K_PRIME_STABILIZED_EXTRA)
-
-
-def _counts_after(move, n: int, m: int) -> tuple:
-    if isinstance(move, AddGen):
-        return n + 1, m + 1
-    if isinstance(move, RemoveGen):
-        return n - 1, m - 1
-    if isinstance(move, AddTrivialRel):
-        return n, m + 1
-    if isinstance(move, RemoveTrivialRel):
-        return n, m - 1
-    return n, m
 
 
 def replay(p: Presentation, script: MoveScript) -> Presentation:
@@ -301,18 +327,23 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
     and bookkeeping checks on every move."""
     rels, gens = list(p.relators), p.gens
     n, m = p.rank, len(rels)
+    # the script's regime as _MOVES names it
+    stabilized = script.regime == "k_prime" and script.stabilized
+    regime = "stabilized" if stabilized else script.regime
     for pos, move in enumerate(script.moves, start=1):
-        if not _regime_allows(move, script.regime, script.stabilized):
+        apply, dn, dm, regimes = _MOVES.get(type(move), _UNKNOWN)
+        if regime not in regimes:
             raise RegimeError(
                 f"move {pos} ({type(move).__name__}) violates the "
                 f"{script.regime} regime")
         try:
-            gens = _apply(rels, gens, move)
+            gens = apply(rels, gens, move)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
-        n, m = _counts_after(move, n, m)
+        n += dn
+        m += dm
         # The Euler characteristic 1 - n + m follows from these counts.
-        if (len(gens), len(rels)) != (n, m):
+        if len(gens) != n or len(rels) != m:
             raise MoveError(f"bookkeeping drift at move {pos}")
     return Presentation._trusted(gens, tuple(rels))
 
@@ -339,7 +370,7 @@ def apply_automorphism(p: Presentation, images, script: MoveScript) -> Presentat
 
 def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
     """Moves multiplying relator j on side by c R_k^e c^-1 (e = +-1), which
-    leave relator k as it was."""
+    leave relator k as it was; c is reduced."""
     out = [SlideRel(j, k, side)]
     if e < 0:
         out = [InvRel(k)] + out + [InvRel(k)]
@@ -451,6 +482,8 @@ def slide_exponent_ledger(script: MoveScript) -> dict:
 _KINDS = {cls.__name__: cls for cls in (
     ConjRel, InvRel, SlideRel, NielsenInv, NielsenMul, AddGen, RemoveGen,
     AddTrivialRel, RemoveTrivialRel, RestrictedSlide)}
+_WORDY = (ConjRel, RestrictedSlide)  # the moves whose fields hold words
+_RENAMING = (AddGen, RemoveGen)      # the moves that change the generator names
 
 
 def _read_name(value, *_) -> str:
@@ -459,35 +492,36 @@ def _read_name(value, *_) -> str:
     return value
 
 
-# field name -> (to the file, from the file), given the generator names in
-# force at the move: indices are 1-based in files, words are text, and a
-# word read is charged to the file's LetterBudget
+# field name -> (to the file, from the file), given the token table of the
+# generator names in force at the move (words._letter_tokens to write,
+# words._token_letters to read): indices are 1-based in files, words are
+# text, and a word read is charged to the file's LetterBudget
 _RULES = {
-    "i": (lambda v, names: v + 1, lambda v, *_: json_int(v, "i") - 1),
-    "j": (lambda v, names: v + 1, lambda v, *_: json_int(v, "j") - 1),
-    "k": (lambda v, names: v + 1, lambda v, *_: json_int(v, "k") - 1),
-    "sign": (lambda v, names: v, lambda v, *_: json_int(v, "sign")),
-    "w": (format_word, parse_word),
-    "h": (format_word, parse_word),
-    "factors": (lambda v, names: [_to_json(f, names, {}) for f in v],
-                lambda v, names, budget: tuple(_from_json(RSFactor, f, names, budget)
+    "i": (lambda v, table: v + 1, lambda v, *_: json_int(v, "i") - 1),
+    "j": (lambda v, table: v + 1, lambda v, *_: json_int(v, "j") - 1),
+    "k": (lambda v, table: v + 1, lambda v, *_: json_int(v, "k") - 1),
+    "sign": (lambda v, table: v, lambda v, *_: json_int(v, "sign")),
+    "w": (write_word, read_word),
+    "h": (write_word, read_word),
+    "factors": (lambda v, table: [_to_json(f, table, {}) for f in v],
+                lambda v, table, budget: tuple(_from_json(RSFactor, f, table, budget)
                                                for f in v)),
-    "side": (lambda v, names: v, lambda v, *_: v),
-    "name": (lambda v, names: v, _read_name),
+    "side": (lambda v, table: v, lambda v, *_: v),
+    "name": (lambda v, table: v, _read_name),
 }
 _FIELDS = {cls: tuple((f.name, *_RULES[f.name]) for f in fields(cls))
            for cls in (*_KINDS.values(), RSFactor)}
 
 
-def _to_json(obj, names: list, out: dict) -> dict:
+def _to_json(obj, table: dict, out: dict) -> dict:
     """out, with the fields of a move or RSFactor written into it."""
     for f, write, _ in _FIELDS[type(obj)]:
-        out[f] = write(getattr(obj, f), names)
+        out[f] = write(getattr(obj, f), table)
     return out
 
 
-def _from_json(cls, obj: dict, names: list, budget: LetterBudget):
-    return cls(*[read(obj[f], names, budget) for f, _, read in _FIELDS[cls]])
+def _from_json(cls, obj: dict, table: dict, budget: LetterBudget):
+    return cls(*[read(obj[f], table, budget) for f, _, read in _FIELDS[cls]])
 
 
 def _track_names(move, names: list) -> None:
@@ -500,13 +534,21 @@ def _track_names(move, names: list) -> None:
         del names[move.i]
 
 
+# The codec builds the token table of the names in force when a move with
+# words follows a change of names, not at each change: a script of many
+# AddGen moves costs time and memory linear in its length.
+
 def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     """Serialize, tracking the evolving generator names through the script."""
-    current = list(names)
+    current, table = list(names), None
     out = []
     for move in script.moves:
-        out.append(_to_json(move, current, {"op": type(move).__name__}))
-        _track_names(move, current)
+        if table is None and type(move) in _WORDY:
+            table = _letter_tokens(current)
+        out.append(_to_json(move, table, {"op": type(move).__name__}))
+        if type(move) in _RENAMING:
+            _track_names(move, current)
+            table = None
     data = {"regime": script.regime, "moves": out}
     if script.stabilized:
         data["stabilized"] = True
@@ -522,14 +564,18 @@ def script_from_json(data, names: Sequence[str],
         data = {"regime": "full", "moves": data}
     if budget is None:
         budget = LetterBudget("script")
-    current = list(names)
+    current, table = list(names), None
     moves = []
     for obj in data["moves"]:
         cls = _KINDS.get(obj["op"])
         if cls is None:
             raise MoveError(f"unknown op {obj['op']!r}")
-        moves.append(_from_json(cls, obj, current, budget))
-        _track_names(moves[-1], current)
+        if table is None and cls in _WORDY:
+            table = _token_letters(current)
+        moves.append(_from_json(cls, obj, table, budget))
+        if cls in _RENAMING:
+            _track_names(moves[-1], current)
+            table = None
     stabilized = data.get("stabilized", False)
     if type(stabilized) is not bool:
         raise ValueError(f"'stabilized' must be true or false, not {stabilized!r}")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import homology
-from .words import (EMPTY, LetterBudget, Word, cyclic_canonical, format_word,
-                    invert, multiply, parse_word, reduce, valid_name, word_key,
-                    exponent_sum)
+from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
+                    cyclic_canonical, invert, multiply, read_word, reduce,
+                    valid_name, word_key, write_word, exponent_sum)
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ def canonical_key(p: Presentation) -> CanonicalKey:
 
 def serialize_key(key: CanonicalKey) -> str:
     """Rank plus one canonical word per line, with positional names g1..gn."""
-    names = [f"g{i + 1}" for i in range(key.rank)]
+    tokens = _letter_tokens([f"g{i + 1}" for i in range(key.rank)])
     lines = [str(key.rank)]
-    lines.extend(format_word(w, names) for w in key.classes)
+    lines.extend(write_word(w, tokens) for w in key.classes)
     return "\n".join(lines)
 
 
@@ -174,13 +174,14 @@ def abelianization(p: Presentation) -> homology.AbelianGroup:
 # Comments start with '#'.
 
 
-def parse_relator_text(text: str, names, budget: LetterBudget | None = None) -> Word:
+def parse_relator_text(text: str, table: dict, budget: LetterBudget) -> Word:
+    """The relator of a relation read with read_word's table."""
     left, eq, right = text.partition("=")
-    w = parse_word(left, names, budget)
+    w = read_word(left, table, budget)
     if eq:
         if "=" in right:
             raise ValueError(f"more than one '=' in relation {text!r}")
-        w = multiply(w, invert(parse_word(right, names, budget)))
+        w = multiply(w, invert(read_word(right, table, budget)))
     return w
 
 
@@ -208,10 +209,11 @@ def parse_presentation(text: str, budget: LetterBudget | None = None) -> Present
             if gens is not None:
                 raise ValueError(f"line {lineno}: duplicate gens line")
             gens = tuple(rest.split())
+            table = _token_letters(gens)
         elif head == "rel":
             if gens is None:
                 raise ValueError(f"line {lineno}: rel before gens")
-            relators.append(parse_relator_text(rest, gens, budget))
+            relators.append(parse_relator_text(rest, table, budget))
         else:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if gens is None:
@@ -220,12 +222,15 @@ def parse_presentation(text: str, budget: LetterBudget | None = None) -> Present
 
 
 def format_presentation(p: Presentation) -> str:
+    tokens = _letter_tokens(p.gens)
     lines = ["gens: " + " ".join(p.gens)]
-    lines.extend("rel: " + format_word(r, p.gens) for r in p.relators)
+    lines.extend("rel: " + write_word(r, tokens) for r in p.relators)
     return "\n".join(lines) + "\n"
 
 
 def make_presentation(gens, relator_texts=()) -> Presentation:
     """Convenience constructor from 'x y' and relator strings."""
     names = tuple(gens.split()) if isinstance(gens, str) else tuple(gens)
-    return Presentation(names, tuple(parse_relator_text(t, names) for t in relator_texts))
+    table = _token_letters(names)
+    return Presentation(names, tuple(parse_relator_text(t, table, LetterBudget())
+                                     for t in relator_texts))

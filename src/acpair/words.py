@@ -6,9 +6,10 @@ identity.  All values are immutable and hashable, so words can be used as
 dict keys and shared freely between threads.
 
 ``reduce`` and the parsers take any letters and return freely reduced
-words.  ``multiply``, ``conjugate``, ``commutator`` and ``power`` take
-reduced words: they cancel letters only where their operands meet, so
-their result is reduced when their operands are.
+words; ``reduce`` returns a word that is already reduced as it is, after
+checks that run at C speed.  ``multiply``, ``conjugate``, ``commutator``
+and ``power`` take reduced words: they cancel letters only where their
+operands meet, so their result is reduced when their operands are.
 
 Generator names live at the presentation level (see ``presentations``);
 words themselves are name-free, so the same word value makes sense in any
@@ -19,7 +20,8 @@ declared.
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
+from itertools import chain, islice
+from operator import add, neg
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -46,11 +48,33 @@ class LetterBudget:
         if self.left < 0:
             raise ValueError(f"{self.what} spells out more than {MAX_WORD_LENGTH} letters")
 
+    def charge_tokens(self, tokens: int) -> None:
+        """Charge the letters of `tokens` one-letter tokens at once, leaving
+        the budget where charging them one at a time would stop it."""
+        if tokens > self.left:
+            self.charge(max(self.left, 0) + 1)
+        self.left -= tokens
+
 
 def reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a letter sequence.  Idempotent."""
+    """Freely reduce a letter sequence.  Idempotent: a tuple of nonzero
+    ints in which no letter meets its inverse is returned as it is, after
+    checks that each take one pass at C speed."""
+    w = letters if type(letters) is tuple else tuple(letters)
+    try:
+        # the sum is an int for int (and bool) letters; a float or Fraction
+        # letter makes it one of those, and a str or None raises TypeError
+        if type(sum(w)) is int and 0 not in w and all(map(add, w, islice(w, 1, None))):
+            return w
+    except TypeError:
+        pass
+    return _reduce_letters(w)
+
+
+def _reduce_letters(w: tuple) -> Word:
+    """reduce, one letter at a time: the path for words that need it."""
     out: list[int] = []
-    for x in letters:
+    for x in w:
         if not isinstance(x, int) or x == 0:
             raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
         if out and out[-1] == -x:
@@ -69,7 +93,7 @@ def multiply(u: Word, v: Word) -> Word:
 
 
 def invert(u: Word) -> Word:
-    return tuple(map(int.__neg__, reversed(u)))
+    return tuple(map(neg, reversed(u)))
 
 
 def conjugate(u: Word, w: Word) -> Word:
@@ -197,15 +221,20 @@ def cyclic_canonical(u: Word) -> Word:
 # Text grammar: whitespace-separated tokens `name` or `name^k`, `1` = identity,
 # where k is a nonzero decimal integer: ASCII digits, an optional minus sign.
 
-EXPONENT_RE = re.compile(r"-?[0-9]+")
-
-
 def _letter_tokens(names: Sequence[str]) -> dict:
-    """Letter -> the token that writes it alone: `name` or `name^-1`."""
+    """Letter -> the token that writes it alone: `name` or `name^-1`, the
+    table write_word writes with.  A writer of many words builds it once
+    per naming context."""
     tokens = {}
     for i, name in enumerate(names, 1):
         tokens[i], tokens[-i] = name, name + "^-1"
     return tokens
+
+
+def _token_letters(names: Sequence[str]) -> dict:
+    """`name` and `name^-1` -> letter: the table read_word reads with.  A
+    reader of many words builds it once per naming context."""
+    return {token: x for x, token in _letter_tokens(names).items()}
 
 
 def parse_word(text: str, names: Sequence[str],
@@ -214,17 +243,23 @@ def parse_word(text: str, names: Sequence[str],
     exponents, and words that spell out more than the budget's letters
     before reduction: a fresh LetterBudget unless one is shared.  Each
     token is charged to the budget before it is expanded."""
-    if not isinstance(text, str):
-        raise ValueError(f"a word must be text, not {text!r}")
     if budget is None:
         budget = LetterBudget()
-    # `name` and `name^-1` -> letter; a `name^k` base is looked up here too
-    letters = {token: x for x, token in _letter_tokens(names).items()}
+    return read_word(text, _token_letters(names), budget)
+
+
+def read_word(text: str, table: dict, budget: LetterBudget) -> Word:
+    """parse_word over the table _token_letters(names).  One-letter tokens
+    are charged together, before the next `name^k` token and at the end, as
+    charging each in turn would."""
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be text, not {text!r}")
     out: list[int] = []
+    ones = 0  # one-letter tokens not yet charged
     for token in text.split():
-        letter = letters.get(token)
+        letter = table.get(token)
         if letter is not None:
-            budget.charge(1)
+            ones += 1
             if out and out[-1] == -letter:
                 out.pop()
             else:
@@ -232,21 +267,28 @@ def parse_word(text: str, names: Sequence[str],
             continue
         if token == "1":
             continue
+        if ones:
+            budget.charge_tokens(ones)
+            ones = 0
         base, _, exp = token.partition("^")
-        if base not in letters:
+        letter = table.get(base)
+        if letter is None:
             raise ValueError(f"unknown generator {base!r} in word {text!r}")
-        if not EXPONENT_RE.fullmatch(exp):
+        digits = exp[1:] if exp[:1] == "-" else exp
+        if not (digits.isdigit() and digits.isascii()):
             raise ValueError(f"bad exponent in token {token!r}")
         k = int(exp)
         if k == 0:
             raise ValueError(f"zero exponent in token {token!r}")
-        n = abs(k)
-        budget.charge(n)
-        letter = letters[base] if k > 0 else -letters[base]
-        while n and out and out[-1] == -letter:
+        if k < 0:
+            letter, k = -letter, -k
+        budget.charge(k)
+        while k and out and out[-1] == -letter:
             out.pop()
-            n -= 1
-        out.extend(repeat(letter, n))
+            k -= 1
+        out += [letter] * k
+    if ones:
+        budget.charge_tokens(ones)
     return tuple(out)
 
 
@@ -258,11 +300,11 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def format_word(u: Word, names: Sequence[str]) -> str:
-    """The text of u: one token per run of equal letters."""
+def write_word(u: Word, tokens: dict) -> str:
+    """The text of u, one token per run of equal letters, written with the
+    table _letter_tokens(names)."""
     if not u:
         return "1"
-    tokens = _letter_tokens(names)
     parts = []
     prev, run = u[0], 0
     for x in chain(u, (None,)):  # None ends the last run

@@ -4,17 +4,19 @@
 acpair.homology's loader of a chain file with an inline group table, in
 the form that checks and merges one entry at a time: every field through
 json_int in file order, one dict per position, each cell sorted on its
-own, the group table element by element and each group element of the
-boundaries in turn.  Their checks and messages are those of
-acpair.homology.  The only addition is the optional `branches` Counter,
-which counts the cases a test corpus must reach:
+own, the group table element by element and each group element that an
+entry names in turn, in a term that is zero or cancels too.  Their checks
+and messages are those of acpair.homology.  The only addition is the
+optional `branches` Counter, which counts the cases a test corpus must
+reach:
 
 - a loaded complex ("valid"), with entries out of order ("unsorted"),
   entries on one (k, r, col, elem) ("merged"), terms whose sum is zero
   ("cancelled") and entries in two boundaries or more ("several
   boundaries");
 - each refusal of an entry: a boundary index, a position or a group
-  element out of range, 4 or 6 fields, a field of a type other than int
+  element out of range (also in a zero or cancelling term: "element out
+  of range in a zero term"), 4 or 6 fields, a field of a type other than int
   ("bool field", "float field", "str field", "NoneType field", "list
   field"), an entry that is not a list;
 - each refusal of a table: "non-square", "table entry out of range", "no
@@ -85,12 +87,15 @@ def from_entries(rows, cols, entries, branches: Counter | None = None) -> GroupR
     return GroupRingMatrix(rows, cols, norm)
 
 
-def check_elements(group, boundaries, branches: Counter | None = None) -> None:
-    for b in boundaries:
-        for cell in b.entries.values():
-            for g in cell:
+def check_elements(group, cells, branches: Counter | None = None) -> None:
+    """Each element of the merged cells, zero sums included, by boundary,
+    position and element."""
+    for k in sorted(cells):
+        for _, cell in sorted(cells[k].items()):
+            for g in sorted(cell):
                 if not 0 <= g < group.order:
-                    raise _refuse(branches, "element out of range",
+                    raise _refuse(branches, "element out of range" if cell[g] else
+                                  "element out of range in a zero term",
                                   f"group element index {g} out of range")
 
 
@@ -137,7 +142,7 @@ def chain_from_json(data, branches: Counter | None = None) -> ChainComplexData:
     boundaries = tuple(
         from_entries(ranks[k], ranks[k - 1], cells[k], branches)
         for k in range(1, n + 1))
-    check_elements(group, boundaries, branches)
+    check_elements(group, cells, branches)
     try:
         complex_ = ChainComplexData(group, ranks, boundaries)
     except ValueError as e:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acpair import cli, constructions, moves, pairing
+from acpair import cli, constructions, moves, pairing, words
 from acpair.cli import build_parser, main
 from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
@@ -176,6 +176,44 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
     assert code == 0
     assert json.loads(out)["null"] is True
+
+
+def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the words of a bundle come out of the parser reduced, so reduce only
+    # checks them, and each presentation text and each script with words
+    # builds its token table once, not once per word
+    k1, k2, wdir = write_lustig_inputs(tmp_path)
+    bundle = tmp_path / "bundle"
+    assert main(["pipeline", k1, k2, "--witnesses", str(wdir), "-o", str(bundle)]) == 0
+    counts = Counter()
+
+    def counting(name):
+        f = getattr(words, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(words, name, counted)
+
+    counting("_reduce_letters")
+    counting("_letter_tokens")
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 0 and "null vector: yes" in out
+    texts = [item["presentation"] for item in json.loads((bundle / "x.sum").read_text())]
+    scripts = []
+    for path in (bundle / "certs").iterdir():
+        cert = json.loads(path.read_text())
+        texts += [cert["lhs"], cert["rhs"]]
+        scripts.append([move["op"] for move in cert["script"]["moves"]])
+    # no script renames a generator, so each holds one naming context
+    assert not {"AddGen", "RemoveGen"} & {op for ops in scripts for op in ops}
+    with_words = [ops.count("ConjRel") for ops in scripts if "ConjRel" in ops]
+    assert len(texts) == 10 and len(with_words) == 2
+    assert counts["_reduce_letters"] == 0
+    assert counts["_letter_tokens"] == len(texts) + len(with_words)
+    words_read = sum(text.count("rel:") for text in texts) + sum(with_words)
+    assert words_read > 20 * counts["_letter_tokens"], (words_read, counts)
 
 
 def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
@@ -661,6 +699,9 @@ MALFORMED = {
                                "c.json: group element index -1 out of range"),
     "chain_element_past_order": (lambda t: _homology(t, [2, 0, 0, 1, 2]),
                                  "c.json: group element index 1 out of range"),
+    # a term with coefficient 0 names an element all the same
+    "chain_element_in_zero_term": (lambda t: _homology(t, [2, 0, 0, 99, 0]),
+                                   "c.json: group element index 99 out of range"),
     # 100 bytes that would restrict to a 1,000,000 x 1 integer matrix
     "chain_rank_unbounded": (lambda t: _bare_chain(t, (1, 1000000), 1), "c.json"),
     # the ranks are refused before any entry is read

@@ -507,11 +507,10 @@ def valid_chain_file(rng) -> dict:
         if ranks[k] and ranks[k - 1]:
             at = [k, rng.randrange(ranks[k]), rng.randrange(ranks[k - 1])]
             elem, x = rng.randrange(order), rng.randint(1, 3)
-            # a pair that cancels, and a zero term, which is dropped before
-            # its element is checked, even an element out of range
+            # a pair that cancels, and a zero term, which are dropped
             entries += [at + [elem, x], at + [elem, -x]]
             if rng.random() < 0.5:
-                entries.append(at + [rng.choice((elem, order, -1)), 0])
+                entries.append(at + [rng.choice((elem, rng.randrange(order))), 0])
     if rng.random() < 0.8:
         rng.shuffle(entries)
     return data
@@ -534,6 +533,10 @@ def _bad_entry(rng, data, kind: str) -> None:
     elif kind == "element":
         entry[3] = rng.choice((-1, len(data["group"]["table"]), 99))
         entry[4] = rng.choice((1, -2, 5))
+    elif kind == "zero element":  # a zero term or a cancelling pair
+        bad = entry[:3] + [rng.choice((-1, len(data["group"]["table"]), 99))]
+        x = rng.choice((0, 1, -3))
+        entries[i:i] = [bad + [x]] if x == 0 else [bad + [x], bad + [-x]]
     elif kind == "4 fields":
         del entry[rng.randrange(5)]
     elif kind == "6 fields":
@@ -589,8 +592,8 @@ def test_chain_loader_matches_entry_by_entry_reference():
 
     branches = Counter()
     corpus = [valid_chain_file(rng) for _ in range(150)]
-    kinds = ("k", "position", "element", "4 fields", "6 fields", "bool", "float", "str",
-             "null", "list", "not a list")
+    kinds = ("k", "position", "element", "zero element", "4 fields", "6 fields", "bool",
+             "float", "str", "null", "list", "not a list")
     for kind in kinds * 20:
         data = valid_chain_file(rng)
         _bad_entry(rng, data, kind)
@@ -620,6 +623,7 @@ def test_chain_loader_matches_entry_by_entry_reference():
     assert min(branches[b] for b in (
         "valid", "unsorted", "merged", "cancelled", "several boundaries",
         "k out of range", "position out of range", "element out of range",
+        "element out of range in a zero term",
         "4 fields", "6 fields", "bool field", "float field", "str field",
         "NoneType field", "list field", "not a list", "non-square",
         "table entry out of range", "no identity", "no unique inverse",

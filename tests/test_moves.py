@@ -1,10 +1,11 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from acpair import moves
+from acpair import moves, words
 from acpair.constructions import (IsoWitness, common_generators, lustig,
                                   null_vector_pipeline)
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
@@ -310,14 +311,15 @@ def test_move_words_are_checked_and_reduced():
 
 
 def test_replay_raises_on_bookkeeping_drift(monkeypatch):
-    original = moves._apply
+    # the apply step that replay dispatches to drops a relator
+    original, *rest = moves._MOVES[InvRel]
 
     def drops_a_relator(rels, gens, move):
         gens = original(rels, gens, move)
         rels.pop()
         return gens
 
-    monkeypatch.setattr(moves, "_apply", drops_a_relator)
+    monkeypatch.setitem(moves._MOVES, InvRel, (drops_a_relator, *rest))
     p = pres("x y", "x", "y")
     with pytest.raises(MoveError, match="bookkeeping drift at move 1"):
         replay(p, MoveScript((InvRel(0),)))
@@ -439,6 +441,36 @@ def test_script_json_examples_shape():
     assert bare.moves == (InvRel(0),)
 
 
+def test_script_codec_is_linear_in_renaming_moves(monkeypatch):
+    # the codec builds a token table only when a move with words follows a
+    # change of names, so 2,000 AddGen moves need one table, built for the
+    # ConjRel after them, and reading them holds memory linear in the
+    # script; a table kept for each of the 2,001 naming contexts would hold
+    # millions of entries
+    n = 2000
+    data = {"regime": "full",
+            "moves": [{"op": "AddGen", "name": f"a{i}"} for i in range(n)]
+            + [{"op": "ConjRel", "j": n, "w": f"a{n - 1}^-1"}]}
+    builds = Counter()
+    build = words._letter_tokens
+
+    def counted(names):
+        builds[len(names)] += 1
+        return build(names)
+    monkeypatch.setattr(words, "_letter_tokens", counted)  # read_word's table
+    monkeypatch.setattr(moves, "_letter_tokens", counted)  # write_word's
+    tracemalloc.start()
+    try:
+        script = script_from_json(data, ("x",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert script.moves[-1] == ConjRel(n - 1, (-(n + 1),)) and len(script.moves) == n + 1
+    assert peak < 1_500_000, peak
+    assert script_to_json(script, ("x",)) == data
+    assert builds == {n + 1: 2}  # one to read, one to write
+
+
 def test_bounded_search_finds_slide():
     p = pres("x y", "x y", "y")
     q = pres("x y", "x", "y")
@@ -558,8 +590,10 @@ def fold_apply_move(p, script):
     """replay spelled out as a fold of apply_move, one presentation per
     move, with the same checks and error texts."""
     cur = p
+    stabilized = script.regime == "k_prime" and script.stabilized
+    regime = "stabilized" if stabilized else script.regime
     for pos, move in enumerate(script.moves, start=1):
-        if not moves._regime_allows(move, script.regime, script.stabilized):
+        if regime not in moves._MOVES.get(type(move), moves._UNKNOWN)[3]:
             raise RegimeError(f"move {pos} ({type(move).__name__}) violates the "
                               f"{script.regime} regime")
         try:
@@ -611,14 +645,15 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
         (MoveScript((AddGen("z"), RemoveGen(0))), MoveError,
          "move 2 (RemoveGen): generator 0 is not removable: need exactly one "
          "relator, equal to that generator or its inverse, and no other occurrence"),
-        (MoveScript((InvRel(1), ConjRel(1, (2, 0)))), ValueError,
-         "bad letter 0: letters are nonzero ints"),
         (MoveScript((NielsenMul(0, 2, "left"),)), MoveError,
          "move 1 (NielsenMul): generator index 2 out of range (have 2)"),
     ]
     for script, kind, message in bad:
         assert outcome(replay, p, script) == (kind, message)
         assert outcome(fold_apply_move, p, script) == (kind, message)
+    # a zero letter is refused when the move is built, before any replay
+    assert outcome(ConjRel, 1, (2, 0)) == (ValueError,
+                                           "bad letter 0: letters are nonzero ints")
     # a failed replay leaves its input as it was
     assert p == pres("x y", "x y", "y^2")
 

@@ -125,20 +125,16 @@ def test_public_names_are_used():
 
 
 def test_applied_move_kinds_are_serialized():
-    # a move kind that _apply (behind apply_move and replay) applies but the
-    # script codec cannot write or read would give certificates that cannot
-    # be replayed from a file
-    tree = ast.parse((SOURCE / "moves.py").read_text())
-    apply = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name == "_apply")
-    applied = set()
-    for node in ast.walk(apply):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"):
-            kinds = node.args[1]
-            applied.update(getattr(moves, e.id) for e in
-                           (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+    # a move kind that the dispatch table behind apply_move and replay
+    # applies but the script codec cannot write or read would give
+    # certificates that cannot be replayed from a file, and a kind that the
+    # codec reads but nothing applies would give scripts that cannot replay
+    applied = set(moves._MOVES)
     assert len(applied) >= 10
-    missing = [cls.__name__ for cls in applied
-               if cls not in moves._KINDS.values()]
-    assert not missing, f"applied but not in the script codec: {missing}"
+    assert applied == set(moves._KINDS.values()) == set(moves._FIELDS) - {moves.RSFactor}
+    assert all(name == cls.__name__ for name, cls in moves._KINDS.items())
+    # the codec builds a token table only for the kinds it names as holding
+    # words, so a kind with a word field that it missed would read no table
+    wordy = {cls for cls in applied
+             if {"w", "h", "factors"} & {f for f, *_ in moves._FIELDS[cls]}}
+    assert wordy == set(moves._WORDY)

@@ -33,10 +33,10 @@ pytestmark = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
 # dataclass's generated methods are named __create_fn__.<locals>.<method>
 COMMON = {
     "cli": "_load main",
-    "moves": "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _apply "
-             "_bounded _check_rel _check_word _counts_after _from_json "
-             "_from_json.<locals>.<listcomp> _regime_allows _track_names <lambda> "
-             "replay script_from_json",
+    "moves": "ConjRel.__post_init__ MoveScript.__post_init__ "
+             "__create_fn__.<locals>.__init__ _conj_rel _from_json "
+             "_from_json.<locals>.<listcomp> _inv_rel <lambda> replay "
+             "script_from_json",
     "pairing": "__create_fn__.<locals>.__init__",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
                      "Presentation.__post_init__.<locals>.<genexpr> "
@@ -45,11 +45,11 @@ COMMON = {
                      "__create_fn__.<locals>.__init__ canonical_key "
                      "canonical_key.<locals>.<genexpr> parse_presentation "
                      "parse_relator_text",
-    "words": "LetterBudget.__init__ LetterBudget.charge _least_rotation "
-             "_letter_ranks _letter_ranks.<locals>.<listcomp> _letter_tokens "
-             "conjugate cyclic_canonical cyclically_reduce invert json_int "
-             "multiply parse_word parse_word.<locals>.<dictcomp> reduce "
-             "valid_name word_key",
+    "words": "LetterBudget.__init__ LetterBudget.charge LetterBudget.charge_tokens "
+             "_least_rotation _letter_ranks _letter_ranks.<locals>.<listcomp> "
+             "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
+             "conjugate cyclic_canonical cyclically_reduce invert json_int multiply "
+             "read_word reduce valid_name word_key",
 }
 PARSER = {  # build_parser, with the budget defaults it shows
     "cli": "build_parser build_parser.<locals>.add",
@@ -58,7 +58,7 @@ PARSER = {  # build_parser, with the budget defaults it shows
 }
 VERIFY_NULL = {
     "cli": "cmd_verify_null",
-    "moves": "SlideRel.__post_init__",
+    "moves": "SlideRel.__post_init__ _slide_rel",
     "pairing": "EquivalenceCertificate.verify FormalSum.__init__ "
                "FormalSum._common_rank FormalSum.dot FormalSum.dot.<locals>.<genexpr> "
                "NullVectorReport.as_text _ExactSum.__init__ "
@@ -75,7 +75,7 @@ VERIFY_SMOVE = {
            "cmd_verify_smove.<locals>.load_scripts.<locals>.<listcomp>.<lambda>",
     "constructions": "verify_smove_certificates",
     "moves": "<lambda>.<locals>.<genexpr> MoveScript.__add__ RSFactor.__post_init__ "
-             "RestrictedSlide.__post_init__",
+             "RestrictedSlide.__post_init__ _restricted_slide",
     "presentations": "product",
     "words": "commutator",
 }

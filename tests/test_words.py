@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from acpair.words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, commutator,
-                          conjugate, cyclic_canonical, cyclically_reduce,
-                          exponent_sum, format_word, invert, letter_key,
+from acpair.words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, _letter_tokens,
+                          commutator, conjugate, cyclic_canonical,
+                          cyclically_reduce, exponent_sum, invert, letter_key,
                           multiply, parse_word, power, reduce, substitute,
-                          word_key)
+                          word_key, write_word)
 
 import word_reference as ref
 
@@ -17,6 +17,11 @@ NAMES = ("x", "y")
 
 def w(text):
     return parse_word(text, NAMES)
+
+
+def format_word(u, names):
+    """The text of u over names, as the codecs write it."""
+    return write_word(u, _letter_tokens(names))
 
 
 def random_word(rng, rank=4, max_len=32):
@@ -372,3 +377,75 @@ def test_format_word_refuses_letters_outside_the_names():
     for letter in (0, 3, -3):
         with pytest.raises(ValueError, match=f"letter {letter} outside the naming context"):
             format_word((1, letter), NAMES)
+
+
+def _kernel_outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _kernel_corpus(rng):
+    """Words for the kernels: reduced and unreduced, with zero, bool and
+    non-int letters, and pairs whose junction cancels nothing, a run up to
+    a mismatch, or the shorter word whole."""
+    words = []
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.35:
+            u = random_word(rng, 3, rng.choice((0, 1, 4, 40)))
+        else:
+            u = [rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(rng.randint(0, 12))]
+            if roll < 0.6 and u:
+                u[rng.randrange(len(u))] = rng.choice(
+                    (0, True, False, 1.0, -2.5, "x", None, 10 ** 30))
+            u = tuple(u)
+        words.append(u)
+    pairs = []
+    for u in words:
+        roll = rng.random()
+        v = rng.choice(words)
+        if roll < 0.5 and u:
+            # v starts with the inverse of u's last letters, then goes on
+            # with a letter that does not cancel, or stops
+            run = rng.randint(1, len(u))
+            head = tuple(-x if type(x) in (int, float) else x for x in reversed(u[-run:]))
+            tail = random_word(rng, 3, rng.choice((0, 3)))
+            v = head + tail
+        pairs.append((u, v))
+    return words, pairs
+
+
+def test_word_kernels_match_the_letter_by_letter_reference():
+    rng = random.Random(24)
+    branches, errors = Counter(), Counter()
+    words, pairs = _kernel_corpus(rng)
+    outcomes = []
+    for u in words:
+        outcomes += [(reduce, _kernel_outcome(reduce, u),
+                      _kernel_outcome(ref.reduce, u, branches)),
+                     (reduce, _kernel_outcome(reduce, list(u)),
+                      _kernel_outcome(ref.reduce, list(u))),
+                     (invert, _kernel_outcome(invert, u), _kernel_outcome(ref.invert, u))]
+    for u, v in pairs:
+        outcomes += [(multiply, _kernel_outcome(multiply, u, v),
+                      _kernel_outcome(ref.multiply, u, v, branches)),
+                     (conjugate, _kernel_outcome(conjugate, u, v),
+                      _kernel_outcome(ref.conjugate, u, v, branches))]
+    for f, got, expected in outcomes:
+        assert got == expected, (f.__name__, got, expected)
+        if got and type(got[0]) is type:
+            errors[f.__name__, got[0].__name__] += 1
+    # bad letters are refused by reduce, and fail to negate in the others
+    assert min(errors[f, kind] for f, kind in (
+        ("reduce", "ValueError"), ("invert", "TypeError"), ("multiply", "TypeError"),
+        ("conjugate", "TypeError"))) >= 5, errors
+    # reduce returns a reduced tuple itself
+    u = random_word(rng, 3, 40)
+    assert reduce(u) is u
+    assert min(branches.values()) >= 20 and sorted(branches) == [
+        "multiply cancels a run up to a mismatch",
+        "multiply cancels the shorter word whole", "multiply without cancellation",
+        "reduce letter by letter", "reduce returns a reduced tuple as it is"], branches

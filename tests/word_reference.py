@@ -1,4 +1,19 @@
-"""Reference copies of the letter-by-letter word codec, as test oracles.
+"""Reference copies of the letter-by-letter word kernels and codec, as
+test oracles.
+
+`reduce`, `multiply`, `invert` and `conjugate` are those of acpair.words
+in the form that looks at one letter at a time, with the same checks and
+messages.  Their `branches` Counter counts the cases a corpus must reach:
+
+- "reduce returns a reduced tuple as it is": a tuple of ints, none zero
+  and none next to its inverse, which acpair.words only checks, at C
+  speed;
+- "reduce letter by letter": any other input, which acpair.words reduces
+  one letter at a time;
+- "multiply without cancellation": the junction letters do not cancel;
+- "multiply cancels a run up to a mismatch", "multiply cancels the
+  shorter word whole": the cancelling run at the junction ends at a letter
+  that does not cancel, or at the end of the shorter operand.
 
 `parse_word`, `format_word` and `substitute` are those of acpair.words in
 the form that does all its work one letter at a time: a parsed token is
@@ -26,6 +41,43 @@ import re
 from collections import Counter
 
 from acpair.words import LetterBudget
+
+
+def reduce(letters, branches: Counter | None = None):
+    letters = list(letters)
+    if branches is not None:
+        reduced = (all(isinstance(x, int) and x != 0 for x in letters)
+                   and all(x + y != 0 for x, y in zip(letters, letters[1:])))
+        branches["reduce returns a reduced tuple as it is" if reduced
+                 else "reduce letter by letter"] += 1
+    out = []
+    for x in letters:
+        if not isinstance(x, int) or x == 0:
+            raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def multiply(u, v, branches: Counter | None = None):
+    i, n, m = 0, len(u), min(len(u), len(v))
+    while i < m and u[n - 1 - i] == -v[i]:
+        i += 1
+    if branches is not None:
+        branches["multiply without cancellation" if i == 0 else
+                 "multiply cancels the shorter word whole" if i == m else
+                 "multiply cancels a run up to a mismatch"] += 1
+    return u[:n - i] + v[i:]
+
+
+def invert(u):
+    return tuple(-x for x in reversed(u))
+
+
+def conjugate(u, w, branches: Counter | None = None):
+    return multiply(multiply(w, u, branches), invert(w), branches)
 
 
 def parse_word(text, names, budget=None, branches: Counter | None = None):
