@@ -11,11 +11,11 @@ from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             euler_char, forget_boundary, make_presentation,
                             parse_presentation, product, unit_presentation,
                             wedge_s1, wedge_s2)
-from .moves import (MoveScript, SearchBudget, SearchOutcome,
-                    apply_automorphism, bounded_equivalence_search,
-                    expand_restricted_slides, invert_script, replay,
-                    slide_exponent_ledger)
-from .pairing import EquivalenceCertificate, FormalSum, verify_null
+from .moves import (EquivalenceCertificate, MoveScript, SearchBudget,
+                    SearchOutcome, apply_automorphism,
+                    bounded_equivalence_search, expand_restricted_slides,
+                    invert_script, replay, slide_exponent_ledger)
+from .pairing import FormalSum, verify_null
 from .constructions import (IsoWitness, NormalClosureWitness, WitnessBudget,
                             common_generators, lustig, null_vector_pipeline,
                             product_stabilization,

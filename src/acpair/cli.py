@@ -25,7 +25,7 @@ from . import constructions, homology, moves, pairing, presentations
 from .moves import MoveError, SearchBudget
 from .presentations import (canonical_key, format_presentation,
                             parse_presentation, serialize_key)
-from .words import LetterBudget, parse_word
+from .words import LetterBudget, _token_letters, parse_word, read_word
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
@@ -126,9 +126,10 @@ def _load_iso_witness(path, p, q) -> constructions.IsoWitness:
 
     def parse(data):
         budget = LetterBudget("isomorphism witness")
+        over_p, over_q = _token_letters(p.gens), _token_letters(q.gens)
         return constructions.IsoWitness(
-            tuple(parse_word(w, p.gens, budget) for w in data["y_in_x"]),
-            tuple(parse_word(w, q.gens, budget) for w in data["x_in_y"]))
+            tuple(read_word(w, over_p, budget) for w in data["y_in_x"]),
+            tuple(read_word(w, over_q, budget) for w in data["x_in_y"]))
 
     return _load(path, parse, json=True)
 
@@ -241,7 +242,7 @@ def cmd_verify_smove(args) -> int:
     to_second = load_scripts("to_l2l2")
     try:
         certs = constructions.verify_smove_certificates(l1, l2, to_first, to_second)
-    except (constructions.WitnessError, MoveError) as e:
+    except MoveError as e:
         print(f"rejected: {e}")
         return VERIFY_FAIL
     print(f"accepted: {len(certs)} certificates verified")

@@ -154,7 +154,8 @@ class MoveScript:
 
     def __add__(self, other: "MoveScript") -> "MoveScript":
         if self.regime != other.regime:
-            raise MoveError("cannot concatenate scripts of different regimes")
+            raise RegimeError(f"cannot compose a {self.regime} script with a "
+                              f"{other.regime} script")
         return MoveScript(self.moves + other.moves, self.regime,
                           self.stabilized or other.stabilized)
 
@@ -346,6 +347,30 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
         if len(gens) != n or len(rels) != m:
             raise MoveError(f"bookkeeping drift at move {pos}")
     return Presentation._trusted(gens, tuple(rels))
+
+
+@dataclass(frozen=True)
+class EquivalenceCertificate:
+    """A claimed equivalence, checkable by replay: script takes lhs to a
+    presentation with the canonical key of rhs.  verify is the one place
+    that decides such a claim."""
+
+    lhs: Presentation
+    rhs: Presentation
+    script: MoveScript
+    label: str = ""
+
+    def verify(self) -> tuple:
+        """(ok, message).  Never raises for replay failures."""
+        if self.lhs.rank != self.rhs.rank:
+            return False, "endpoint ranks differ"
+        try:
+            result = replay(self.lhs, self.script)
+        except MoveError as e:
+            return False, f"replay failed: {e}"
+        if canonical_key(result) != canonical_key(self.rhs):
+            return False, "replay does not reach the right-hand key"
+        return True, "ok"
 
 
 def apply_automorphism(p: Presentation, images, script: MoveScript) -> Presentation:
@@ -769,6 +794,6 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         moves[:0] = known[key][1]
         key = parents[key]
     script = MoveScript(tuple(moves), regime)
-    if canonical_key(replay(p, script)) != goal:
+    if not EquivalenceCertificate(p, q, script).verify()[0]:
         raise ValueError("search script does not replay to the goal key")
     return SearchOutcome(script, "found", len(parents))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .moves import MoveScript, MoveError, replay, script_from_json, script_to_json
+from .moves import EquivalenceCertificate, script_from_json, script_to_json
 from .presentations import (CanonicalKey, ClosedComplex, Presentation,
                             canonical_key, format_presentation,
                             parse_presentation, serialize_key)
@@ -134,29 +134,6 @@ class ClosedSum(_ExactSum):
     """Formal sum over closed complexes (boundary forgotten)."""
 
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class EquivalenceCertificate:
-    """A claimed equivalence, checkable by replay: script takes lhs to a
-    presentation with the canonical key of rhs."""
-
-    lhs: Presentation
-    rhs: Presentation
-    script: MoveScript
-    label: str = ""
-
-    def verify(self) -> tuple:
-        """(ok, message).  Never raises for replay failures."""
-        if self.lhs.rank != self.rhs.rank:
-            return False, "endpoint ranks differ"
-        try:
-            result = replay(self.lhs, self.script)
-        except MoveError as e:
-            return False, f"replay failed: {e}"
-        if canonical_key(result) != canonical_key(self.rhs):
-            return False, "replay does not reach the right-hand key"
-        return True, "ok"
 
 
 class _UnionFind:

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -13,8 +15,9 @@ from acpair.cli import build_parser, main
 from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
 from acpair.moves import MoveScript, SearchBudget, SlideRel, script_to_json
-from acpair.presentations import (format_presentation, make_presentation,
-                                  parse_presentation)
+from acpair.presentations import (Presentation, format_presentation,
+                                  make_presentation, parse_presentation)
+from acpair.words import identity_images
 
 from chain_fixtures import cyclic_group, dump_group_csv, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair, write_lustig_inputs
@@ -216,6 +219,40 @@ def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, caps
     assert words_read > 20 * counts["_letter_tokens"], (words_read, counts)
 
 
+def test_iso_load_builds_one_token_table_per_side(tmp_path, monkeypatch):
+    # an --iso file's words are read against one token table per
+    # presentation, not one per word, so loading it is linear in the rank
+    tables = Counter()
+    build = words._letter_tokens
+
+    def counted(names):
+        tables[len(names)] += 1
+        return build(names)
+
+    monkeypatch.setattr(words, "_letter_tokens", counted)
+    for rank in (2, 300):
+        p = Presentation(tuple(f"x{i}" for i in range(rank)), ())
+        q = Presentation(tuple(f"y{i}" for i in range(rank)), ())
+        iso = write(tmp_path / f"iso{rank}.json", json.dumps(
+            {"y_in_x": [f"x{i} x{(i + 1) % rank}^-2" for i in range(rank)],
+             "x_in_y": list(q.gens)}))
+        tables.clear()
+        witness = cli._load_iso_witness(iso, p, q)
+        assert tables == {rank: 2}
+        assert witness.y_in_x[-1] == (rank, -1, -1)
+        assert witness.x_in_y == identity_images(rank)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the process pool is imported only where pipeline --jobs starts one
+    code = "import sys, acpair.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
     # x = a - a is the zero sum; its file still names the presentation
     # (coefficient 0), so that verify-null can read the sum's rank
@@ -298,7 +335,7 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     # pipeline and verify-null each replay every certificate exactly once.
     counts = Counter()
-    for module in (constructions, pairing):
+    for module in (constructions, moves):
         def replay(p, script, original=module.replay):
             counts["replay"] += 1
             return original(p, script)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from collections import Counter
 
@@ -13,9 +14,9 @@ from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   swap_generators_moves,
                                   verify_smove_certificates, witness_from_json,
                                   witness_to_json)
-from acpair.moves import (ConjRel, InvRel, MoveScript, RegimeError,
-                          RestrictedSlide, RSFactor, SlideRel, apply_move,
-                          invert_script, replay)
+from acpair.moves import (ConjRel, InvRel, MoveError, MoveScript,
+                          RegimeError, RestrictedSlide, RSFactor, SlideRel,
+                          apply_move, invert_script, replay)
 from acpair.pairing import verify_null
 from acpair.presentations import (canonical_key, euler_char,
                                   format_presentation, make_presentation,
@@ -530,12 +531,12 @@ def test_pipeline_parallel_search_matches_sequential(monkeypatch):
     seq = null_vector_pipeline(lustig_common(), budget)
     pools = []
 
-    class CountedPool(constructions.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(constructions, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     par = null_vector_pipeline(lustig_common(), budget, jobs=2)
     # the searches missing in both directions share one pool
     assert len(pools) == 1
@@ -565,7 +566,7 @@ def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(constructions, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     budget = WitnessBudget(2, 1, 200)
     res = null_vector_pipeline(lustig_common(), budget, jobs=64)
     assert sizes == [4] and len(res.unknown) == 4
@@ -721,15 +722,15 @@ def _shift_moves(moves, offset):
 def test_verify_smove_rejects_raw_slide():
     l1 = pres("x y", "x", "y")
     bad = MoveScript((SlideRel(2, 0, "right"),), "k_prime")
-    with pytest.raises(RegimeError):
+    with pytest.raises(MoveError, match="violates the k_prime regime"):
         verify_smove_certificates(l1, l1, [bad], [])
     undeclared = MoveScript((InvRel(0),), "full")
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="a k_prime script with a full script"):
         verify_smove_certificates(l1, l1, [undeclared], [])
 
 
 def test_verify_smove_wrong_target():
     l1 = pres("x y", "x", "y")
     l2 = pres("x y", "x^2", "y")
-    with pytest.raises(WitnessError):
+    with pytest.raises(MoveError, match="does not reach the right-hand key"):
         verify_smove_certificates(l1, l2, [], [])

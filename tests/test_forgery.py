@@ -12,33 +12,46 @@ and a conjugation that makes a relator longer than the word bound.
 `verify-null` must exit 0 exactly when an independent null check says yes,
 and 1 or 2 otherwise.  The witness files are mutated too: the pipeline must
 accept exactly the witnesses whose products the oracle checks, and refuse
-the others as witnesses, before it builds any certificate.
+the others as witnesses, before it builds any certificate.  The k_prime
+script pairs of `verify-smove` are mutated as well, and it must exit 0
+exactly when both sides' scripts, all declared k_prime, reach their keys.
+A sample of these verdicts must come out the same under `python -O` with
+another hash seed.
 
 The independent check is bench/oracle.py, which shares no code with acpair,
 plus the few rules written here from the README: ranks must agree, indices
 are 1-based and in range, k_prime admits ConjRel, InvRel and RestrictedSlide
-(and the trivial-relator moves when stabilized), no relator may grow past
-the word bound, and the certificates that replay join the keys whose
-coefficients must cancel in the self-product.
+(and the trivial-relator moves when stabilized), RestrictedSlide multiplies
+as the README defines it, no relator may grow past the word bound, and the
+certificates that replay join the keys whose coefficients must cancel in
+the self-product.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import types
 from collections import Counter, defaultdict
 from fractions import Fraction
 
 from acpair.cli import main
-from acpair.words import MAX_WORD_LENGTH
+from acpair.moves import (ConjRel, InvRel, MoveScript, RestrictedSlide, RSFactor,
+                          apply_move, invert_script, script_to_json)
+from acpair.presentations import Presentation, format_presentation, product
+from acpair.words import MAX_WORD_LENGTH, reduce
 
 from lustig_fixtures import write_lustig_inputs
 
 SEED = 10
 PER_KIND = 16
+VALID_SMOVE_MUTANTS = 42  # of the 96 forged pairs, by the independent check
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _load_oracle():
@@ -54,37 +67,63 @@ oracle = _load_oracle()
 
 K_PRIME = {"ConjRel", "InvRel", "RestrictedSlide"}
 STABILIZED = {"AddTrivialRel", "RemoveTrivialRel"}
-RELATOR_FIELDS = {"ConjRel": "j", "InvRel": "j", "SlideRel": "jk", "RemoveTrivialRel": "j"}
+RELATOR_FIELDS = {"ConjRel": "j", "InvRel": "j", "SlideRel": "jk", "RemoveTrivialRel": "j",
+                  "RestrictedSlide": "j"}
 GENERATOR_FIELDS = {"NielsenInv": "i", "NielsenMul": "ij", "RemoveGen": "i"}
+
+
+def _restricted_slide(rels: list, move: dict, names) -> list:
+    """The README's RestrictedSlide: relator j is multiplied by
+    w [R_k^sign, h] w^-1 for each factor, k != j, where [a, b] is
+    a b a^-1 b^-1."""
+    rels, j = list(rels), move["j"] - 1
+    for f in move["factors"]:
+        if f["k"] - 1 == j or f["sign"] not in (1, -1):
+            raise ValueError("a factor on its own relator, or a bad sign")
+        w, h = oracle.parse_word(f["w"], names), oracle.parse_word(f["h"], names)
+        r = rels[f["k"] - 1] if f["sign"] == 1 else oracle.invert(rels[f["k"] - 1])
+        rels[j] = oracle.multiply(rels[j], w, r, h, oracle.invert(r), oracle.invert(h),
+                                  oracle.invert(w))
+    return rels
+
+
+def _replay(gens, rels: list, script: dict):
+    """The relators that script takes rels to by the oracle's moves, the
+    RestrictedSlide above and the rules above, or None where they refuse it."""
+    regime, stabilized = script.get("regime", "full"), script.get("stabilized", False)
+    admitted = K_PRIME | (STABILIZED if stabilized else set())
+    for move in script["moves"]:
+        op = move["op"]
+        if regime == "k_prime" and op not in admitted:
+            return None
+        indices = ([(move[f], len(rels)) for f in RELATOR_FIELDS.get(op, "")]
+                   + [(f["k"], len(rels)) for f in move.get("factors", ())]
+                   + [(move[f], len(gens)) for f in GENERATOR_FIELDS.get(op, "")])
+        if any(not 1 <= index <= count for index, count in indices):
+            return None
+        if move.get("side", "left") not in ("left", "right"):
+            return None
+        try:
+            if op == "RestrictedSlide":
+                rels = _restricted_slide(rels, move, gens)
+            else:
+                rels = oracle.apply_move(rels, move, gens)
+        except ValueError:
+            return None
+        if any(len(r) > MAX_WORD_LENGTH for r in rels):
+            return None
+    return rels
 
 
 def _replays(cert: dict, rank: int) -> bool:
     """Whether the certificate's script takes its lhs to the key of its rhs,
-    both of the sum's rank, by the oracle's moves and the rules above."""
+    both of the sum's rank."""
     gens, rels = oracle.parse_presentation(cert["lhs"])
     rgens, target = oracle.parse_presentation(cert["rhs"])
     if not len(gens) == len(rgens) == rank:
         return False
-    script = cert["script"]
-    regime, stabilized = script.get("regime", "full"), script.get("stabilized", False)
-    for move in script["moves"]:
-        op = move["op"]
-        admitted = K_PRIME | (STABILIZED if stabilized else set())
-        if regime == "k_prime" and op not in admitted:
-            return False
-        indices = ([(move[f], len(rels)) for f in RELATOR_FIELDS.get(op, "")]
-                   + [(move[f], len(gens)) for f in GENERATOR_FIELDS.get(op, "")])
-        if any(not 1 <= index <= count for index, count in indices):
-            return False
-        if move.get("side", "left") not in ("left", "right"):
-            return False
-        try:
-            rels = oracle.apply_move(rels, move, gens)
-        except ValueError:
-            return False
-        if any(len(r) > MAX_WORD_LENGTH for r in rels):
-            return False
-    return oracle.key(rels) == oracle.key(target)
+    rels = _replay(gens, rels, cert["script"])
+    return rels is not None and oracle.key(rels) == oracle.key(target)
 
 
 def _oracle_null(xsum: list, certs: list, replays: dict) -> bool:
@@ -259,26 +298,39 @@ def _run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def test_forged_bundles_are_refused_as_the_oracle_refuses_them(tmp_path):
+def _valid_bundle(tmp_path) -> tuple:
+    """x.sum and the certificates of the supplied-witness lustig(1) x
+    lustig(2) bundle."""
     k1, k2, wdir = write_lustig_inputs(tmp_path)
     bundle = tmp_path / "bundle"
     assert _run(["pipeline", k1, k2, "--witnesses", wdir, "-o", bundle])[0] == 0
     xsum = json.loads((bundle / "x.sum").read_text())
-    certs = [json.loads(p.read_text()) for p in sorted((bundle / "certs").iterdir())]
-    replays = {}
-    assert _oracle_null(xsum, certs, replays)
+    return xsum, [json.loads(p.read_text()) for p in sorted((bundle / "certs").iterdir())]
+
+
+def _forged_bundles(xsum, certs):
+    """(mutation name, n, x.sum, certificates) of every forged bundle, in
+    the same order for every run."""
     rng = random.Random(SEED)
-    verdicts = Counter()
     for mutate, count in MUTATIONS:
         for n in range(count):
             forged_sum, forged = copy.deepcopy(xsum), copy.deepcopy(certs)
             mutate(rng, forged_sum, forged)
-            path = tmp_path / f"{mutate.__name__}{n}"
-            _write_bundle(path, forged_sum, forged)
-            code, out, err = _run(["verify-null", path])
-            null = _oracle_null(forged_sum, forged, replays)
-            assert code == 0 if null else code in (1, 2), (mutate.__name__, n, out, err)
-            verdicts[mutate.__name__, "null" if null else "refused"] += 1
+            yield mutate.__name__, n, forged_sum, forged
+
+
+def test_forged_bundles_are_refused_as_the_oracle_refuses_them(tmp_path):
+    xsum, certs = _valid_bundle(tmp_path)
+    replays = {}
+    assert _oracle_null(xsum, certs, replays)
+    verdicts = Counter()
+    for name, n, forged_sum, forged in _forged_bundles(xsum, certs):
+        path = tmp_path / f"{name}{n}"
+        _write_bundle(path, forged_sum, forged)
+        code, out, err = _run(["verify-null", path])
+        null = _oracle_null(forged_sum, forged, replays)
+        assert code == 0 if null else code in (1, 2), (name, n, out, err)
+        verdicts[name, "null" if null else "refused"] += 1
     # each kind that can forge is refused at times; duplicated moves and
     # flipped coefficient signs may keep the bundle null
     assert all(verdicts[m.__name__, "refused"] for m, _ in MUTATIONS
@@ -349,3 +401,234 @@ def test_forged_witnesses_are_refused_before_any_certificate(tmp_path):
                                   or "factor relator index" in err), (kind, out, err)
         verdicts[ok] += 1
     assert verdicts[False] >= 20, verdicts
+
+
+# ---------------------------------------------------------------------------
+# verify-smove: k_prime script pairs built as acceptance criterion 5 builds
+# them, then mutated.  Each side's scripts are composed in file order.
+
+
+def _smove_holds(l1: str, l2: str, sides: dict) -> bool:
+    """The independent verdict on a script pair: every script is declared
+    k_prime, and each side's scripts, replayed in turn from l1*l2 by
+    _replay, reach the key of l1*l1 (to_l1l1) or of l2*l2 (to_l2l2)."""
+    gens, first = oracle.parse_presentation(l1)
+    second = oracle.parse_presentation(l2)[1]
+    for prefix, target in (("to_l1l1", first + first), ("to_l2l2", second + second)):
+        rels = first + second
+        for script in sides[prefix]:
+            if script.get("regime", "full") != "k_prime":
+                return False
+            rels = _replay(gens, rels, script)
+            if rels is None:
+                return False
+        if oracle.key(rels) != oracle.key(target):
+            return False
+    return True
+
+
+def _smove_pair(rng) -> tuple:
+    """(l1 text, l2 text, scripts) of a valid pair: one to four moves on the
+    second block of l1*l1 make l1*l2, their inverse script takes l1*l2 back
+    to l1*l1, and the same moves on the first block take it to l2*l2.
+    Conjugating or inverting a relator never changes a key, nor does a
+    restricted slide over one generator, whose commutators are trivial, so
+    l1 has two or three generators and two or three relators, and only
+    pairs with a restricted slide are kept."""
+    rank, m = rng.randint(2, 3), rng.randint(2, 3)
+    names = tuple(f"g{i + 1}" for i in range(rank))
+
+    def word(length):
+        return reduce([rng.choice((1, -1)) * rng.randint(1, rank)
+                       for _ in range(rng.randint(0, length))])
+
+    l1 = Presentation(names, tuple(word(5) for _ in range(m)))
+    moves, cur = [], product(l1, l1)
+    for _ in range(rng.randint(1, 4)):
+        j = rng.randrange(m, 2 * m)
+        kind = rng.choice(("conj", "inv", "rslide") if m > 1 else ("conj", "inv"))
+        if kind == "conj":
+            move = ConjRel(j, word(2))
+        elif kind == "inv":
+            move = InvRel(j)
+        else:
+            k = rng.choice([i for i in range(m, 2 * m) if i != j])
+            move = RestrictedSlide(j, (RSFactor(word(2), k, rng.choice((1, -1)), word(2)),))
+        moves.append(move)
+        cur = apply_move(cur, move)
+    forward = MoveScript(tuple(moves), "k_prime")
+    to_second = script_to_json(forward, names)
+    for move in to_second["moves"]:
+        move["j"] -= m
+        for f in move.get("factors", ()):
+            f["k"] -= m
+    sides = {"to_l1l1": [script_to_json(invert_script(forward), names)],
+             "to_l2l2": [to_second]}
+    l2 = Presentation(names, cur.relators[m:])
+    return format_presentation(l1), format_presentation(l2), sides
+
+
+def _script_moves(sides, ops=None) -> list:
+    return [(script["moves"], n) for scripts in sides.values() for script in scripts
+            for n, move in enumerate(script["moves"]) if ops is None or move["op"] in ops]
+
+
+# Each mutation changes the scripts in place, given the generator names and
+# the relator count of l1*l2, or returns False where it finds nothing to
+# change.
+
+def _s_index(rng, names, relators, sides):
+    fields = [(moves[n], "j") for moves, n in _script_moves(sides)]
+    fields += [(f, "k") for moves, n in _script_moves(sides, ("RestrictedSlide",))
+               for f in moves[n]["factors"]]
+    obj, field = rng.choice(fields)
+    obj[field] += rng.choice((1, -1))
+
+
+def _s_sign(rng, names, relators, sides):
+    slides = _script_moves(sides, ("RestrictedSlide",))
+    if not slides:
+        return False
+    moves, n = rng.choice(slides)
+    f = rng.choice(moves[n]["factors"])
+    f["sign"] = -f["sign"]
+
+
+def _s_conjugator(rng, names, relators, sides):
+    words = [(moves[n], "w") for moves, n in _script_moves(sides, ("ConjRel",))]
+    words += [(f, field) for moves, n in _script_moves(sides, ("RestrictedSlide",))
+              for f in moves[n]["factors"] for field in "wh"]
+    if not words:
+        return False
+    obj, field = rng.choice(words)
+    letters = list(oracle.parse_word(obj[field], names))
+    choices = [x for g in range(1, len(names) + 1) for x in (g, -g)]
+    if letters:  # one letter changed to another
+        at = rng.randrange(len(letters))
+        letters[at] = rng.choice([x for x in choices if x != letters[at]])
+    else:
+        letters = [rng.choice(choices)]
+    obj[field] = oracle.format_word(oracle.reduce(letters), names)
+
+
+def _s_drop(rng, names, relators, sides):
+    moves, n = rng.choice(_script_moves(sides))
+    del moves[n]
+
+
+def _s_duplicate(rng, names, relators, sides):
+    moves, n = rng.choice(_script_moves(sides))
+    moves.insert(n, copy.deepcopy(moves[n]))
+
+
+def _s_swap(rng, names, relators, sides):
+    pairs = [(moves, n) for moves, n in _script_moves(sides) if n + 1 < len(moves)]
+    if not pairs:
+        return False
+    moves, n = rng.choice(pairs)
+    moves[n], moves[n + 1] = moves[n + 1], moves[n]
+
+
+def _s_raw_slide(rng, names, relators, sides):
+    # a raw slide, or one undone by the same slide over the inverted relator,
+    # which leaves every relator as it was: only the regime refuses that
+    moves = rng.choice([scripts[0]["moves"] for scripts in sides.values()])
+    j, k = rng.sample(range(1, relators + 1), 2)
+    slide = {"op": "SlideRel", "j": j, "k": k, "side": rng.choice(("left", "right"))}
+    inserted = [slide]
+    if rng.random() < 0.5:
+        invert = {"op": "InvRel", "j": k}
+        inserted = [slide, invert, dict(slide), dict(invert)]
+    at = rng.randint(0, len(moves))
+    moves[at:at] = inserted
+
+
+def _s_full(rng, names, relators, sides):
+    rng.choice([scripts[0] for scripts in sides.values()])["regime"] = "full"
+
+
+SMOVE_MUTATIONS = [_s_index, _s_sign, _s_conjugator, _s_drop, _s_duplicate, _s_swap,
+                   _s_raw_slide, _s_full]
+SMOVE_PER_KIND = 12
+
+
+def _forged_smove_pairs():
+    """(mutation name, n, l1 text, l2 text, scripts) of every forged pair, in
+    the same order for every run.  A mutation that finds nothing to change
+    in a pair is tried on the next pair."""
+    rng = random.Random(SEED)
+    for mutate in SMOVE_MUTATIONS:
+        for n in range(SMOVE_PER_KIND):
+            while True:
+                l1, l2, sides = _smove_pair(rng)
+                assert _smove_holds(l1, l2, sides), (l1, l2, sides)
+                if not _script_moves(sides, ("RestrictedSlide",)):
+                    continue
+                gens, rels = oracle.parse_presentation(l1)
+                if mutate(rng, gens, 2 * len(rels), sides) is not False:
+                    break
+            yield mutate.__name__, n, l1, l2, sides
+
+
+def _write_smove(path: pathlib.Path, l1: str, l2: str, sides: dict) -> list:
+    """verify-smove's command line for the pair, written under path."""
+    (path / "scripts").mkdir(parents=True)
+    (path / "l1.pres").write_text(l1)
+    (path / "l2.pres").write_text(l2)
+    for prefix, scripts in sides.items():
+        for n, script in enumerate(scripts, start=1):
+            (path / "scripts" / f"{prefix}_{n}.json").write_text(json.dumps(script))
+    return ["verify-smove", path / "l1.pres", path / "l2.pres", "--scripts", path / "scripts"]
+
+
+def test_forged_smove_pairs_are_refused_as_the_oracle_refuses_them(tmp_path):
+    verdicts = Counter()
+    for name, n, l1, l2, sides in _forged_smove_pairs():
+        code, out, err = _run(_write_smove(tmp_path / f"{name}{n}", l1, l2, sides))
+        holds = _smove_holds(l1, l2, sides)
+        assert code == 0 if holds else code in (1, 2), (name, n, sides, out, err)
+        verdicts[name, "valid" if holds else "refused"] += 1
+    # every kind is refused at times; raw slides and full declarations always
+    assert all(verdicts[m.__name__, "refused"] for m in SMOVE_MUTATIONS), verdicts
+    assert verdicts["_s_raw_slide", "refused"] == verdicts["_s_full", "refused"] \
+        == SMOVE_PER_KIND, verdicts
+    valid = sum(v for (_, verdict), v in verdicts.items() if verdict == "valid")
+    assert valid == VALID_SMOVE_MUTANTS, verdicts
+
+
+# ---------------------------------------------------------------------------
+# The verdicts do not rest on asserts or on the hash seed: a sample of the
+# forged inputs is run again under python -O with PYTHONHASHSEED=1.
+
+DRIVER = """
+import contextlib, io, json, sys
+from acpair.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+"""
+
+
+def test_forged_verdicts_hold_under_python_O_and_another_hash_seed(tmp_path):
+    xsum, certs = _valid_bundle(tmp_path)
+    argvs = []
+    for name, n, forged_sum, forged in list(_forged_bundles(xsum, certs))[::25]:
+        _write_bundle(tmp_path / f"{name}{n}", forged_sum, forged)
+        argvs.append(["verify-null", tmp_path / f"{name}{n}"])
+    for name, n, l1, l2, sides in list(_forged_smove_pairs())[::16]:
+        argvs.append(_write_smove(tmp_path / f"{name}{n}", l1, l2, sides))
+    argvs = [[str(a) for a in argv] for argv in argvs]
+    in_process = [list(_run(argv)) for argv in argvs]
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join([str(SOURCE), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", DRIVER], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1
+    assert result["runs"] == in_process
+    assert len(argvs) == 12 and {0, 1} <= {code for code, *_ in in_process}, in_process

@@ -33,11 +33,10 @@ pytestmark = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
 # dataclass's generated methods are named __create_fn__.<locals>.<method>
 COMMON = {
     "cli": "_load main",
-    "moves": "ConjRel.__post_init__ MoveScript.__post_init__ "
-             "__create_fn__.<locals>.__init__ _conj_rel _from_json "
-             "_from_json.<locals>.<listcomp> _inv_rel <lambda> replay "
+    "moves": "ConjRel.__post_init__ EquivalenceCertificate.verify "
+             "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _conj_rel "
+             "_from_json _from_json.<locals>.<listcomp> _inv_rel <lambda> replay "
              "script_from_json",
-    "pairing": "__create_fn__.<locals>.__init__",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
                      "Presentation.__post_init__.<locals>.<genexpr> "
                      "Presentation._trusted Presentation.rank "
@@ -59,14 +58,13 @@ PARSER = {  # build_parser, with the budget defaults it shows
 VERIFY_NULL = {
     "cli": "cmd_verify_null",
     "moves": "SlideRel.__post_init__ _slide_rel",
-    "pairing": "EquivalenceCertificate.verify FormalSum.__init__ "
-               "FormalSum._common_rank FormalSum.dot FormalSum.dot.<locals>.<genexpr> "
-               "NullVectorReport.as_text _ExactSum.__init__ "
-               "_ExactSum.__init__.<locals>.<dictcomp> _ExactSum.is_zero "
-               "_UnionFind.__init__ _UnionFind.add _UnionFind.find _UnionFind.union "
-               "_check_scalar _merge _reduce _reduce.<locals>.<genexpr> "
-               "certificate_from_json sum_from_json verify_null "
-               "verify_null.<locals>.<genexpr>",
+    "pairing": "FormalSum.__init__ FormalSum._common_rank FormalSum.dot "
+               "FormalSum.dot.<locals>.<genexpr> NullVectorReport.as_text "
+               "_ExactSum.__init__ _ExactSum.__init__.<locals>.<dictcomp> "
+               "_ExactSum.is_zero _UnionFind.__init__ _UnionFind.add _UnionFind.find "
+               "_UnionFind.union __create_fn__.<locals>.__init__ _check_scalar _merge "
+               "_reduce _reduce.<locals>.<genexpr> certificate_from_json sum_from_json "
+               "verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
 }
 VERIFY_SMOVE = {
