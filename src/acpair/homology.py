@@ -3,15 +3,36 @@
 Matrices are plain lists of lists of ints.  Two exact eliminations serve
 them.  Ranks and determinants come from a fraction-free (Bareiss)
 echelon that pivots in each column on the least nonzero absolute value,
-made positive.  Invariant factors and transforms come from a Smith
-elimination that pivots once per diagonal position on the least nonzero
-absolute value of the trailing block, then runs Euclid with
-nearest-integer quotients.  Rows are dense lists in both, and a row
-update runs only over the nonzero entries of the pivot row, where it can
-change something.  ``smith_normal_form`` runs it on the matrix
-bordered by identity blocks, which then hold the unimodular transforms;
-invariant factors and homology run it on the bare matrix and build no
-transforms.
+made positive.  Transforms come from a Smith elimination that pivots
+once per diagonal position on the least nonzero absolute value of the
+trailing block, then runs Euclid with nearest-integer quotients.  Rows
+are dense lists in both, and a row update runs only over the nonzero
+entries of the pivot row, where it can change something.
+``smith_normal_form`` runs the Smith elimination on the matrix bordered
+by identity blocks, which then hold the unimodular transforms.
+
+Invariant factors, and with them cokernels and homology, are read from
+the echelon's minors where they settle the answer.  The first k factors
+s_1..s_k multiply to the determinantal divisor d_k, the gcd of the k x k
+minors.  For a square matrix A of side n the echelon gives its rank r,
+the minor D on its pivot rows and columns, and g, the gcd of the four
+(n-1)-minors in its trailing 2 x 2 block when two rows are left.  So
+d_r | D, and s_1..s_{n-1} | d_{n-1} | g.
+
+- If |D| = 1, then d_r = 1 and all r factors are 1.
+- If A is nonsingular, the rows of [A mod g; g*I] span the lattice
+  (row span of A) + gZ^n.  When U*A*V = diag(s) with U and V unimodular,
+  V carries it to the lattice whose i-th coordinate ranges over
+  s_i*Z + g*Z = gcd(s_i, g)*Z, so its factors are the gcd(s_i, g),
+  which is s_i for i < n.  The Smith elimination of that
+  2n x n matrix, on entries below g, gives s_1..s_{n-1}; with g = 1 they
+  are all 1 and it does not run.  Then s_n = |D| / (s_1 * .. * s_{n-1}),
+  because |D| = |det A| = s_1 * .. * s_n; a division that is not exact
+  raises.  This works modulo a multiple of d_{n-1} as Domich, Kannan &
+  Trotter (Math. Oper. Res. 1987) work modulo the determinant.
+- The Smith elimination runs on the bare matrix only for a non-square
+  matrix, which skips the echelon, and a singular square one with
+  |D| > 1.
 
 Group-ring matrices follow the row-vector convention: a matrix with
 ``rows`` = rank of the domain and ``cols`` = rank of the codomain
@@ -28,6 +49,7 @@ import os
 import re
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd, prod
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -207,20 +229,26 @@ def _all_ints(values) -> bool:
 
 
 def _check_entries(a: Sequence[Sequence[int]]) -> None:
+    if len(set(map(len, a))) > 1:
+        raise ValueError("matrix rows differ in length")
     if not _all_ints(chain.from_iterable(a)):
         json_int(next(x for x in chain.from_iterable(a) if type(x) is not int),
                  "a matrix entry")
 
 
-def _echelon(a: Sequence[Sequence[int]]) -> tuple:
+def _echelon(a: Sequence[Sequence[int]], minors: list | None = None) -> tuple:
     """(r, minor): the rank r of a and the determinant of the r x r
     submatrix on its pivot rows and columns, by Bareiss's fraction-free
     elimination (Math. Comp. 1968).
 
-    After each pivot the entries below it are minors of a, so every
-    division is exact and no entry outgrows a minor.  Each column pivots
-    on its least nonzero absolute value below the pivot rows, made
-    positive; a column with none is skipped.
+    After k pivots the entry in row i and column j below them is, up to
+    sign, the minor on the pivot rows and row i and the pivot columns and
+    column j, so every division is exact and no entry outgrows a minor.
+    Each column pivots on its least nonzero absolute value below the
+    pivot rows, made positive; a column with none is skipped.  Given a
+    list `minors` and a square a of side n, the echelon adds to it the
+    entries of the trailing 2 x 2 block when it reaches column n - 2 with
+    n - 2 pivots, as a nonsingular a does: four (n-1)-minors of a.
 
     A row with x in the pivot column becomes (row * p - x * top) // prev.
     When the pivot p equals the previous pivot prev, that is the row
@@ -234,6 +262,8 @@ def _echelon(a: Sequence[Sequence[int]]) -> tuple:
     for c in range(cols):
         if rank == rows:
             break
+        if minors is not None and c == rank == rows - 2 == cols - 2:
+            minors += m[c][c:] + m[c + 1][c:]
         p, k = 0, None
         for i in range(rank, rows):
             x = abs(m[i][c])
@@ -398,8 +428,36 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list:
 
 
 def _invariant_factors(m: list) -> list:
-    """invariant_factors of m, a list of row lists that it overwrites."""
-    _diagonalize(m, len(m), len(m[0]) if m else 0)
+    """invariant_factors of m, a list of row lists that it overwrites.
+
+    A square m of side n goes through the echelon first, for its rank r,
+    pivot minor D and g, the gcd of its trailing (n-1)-minors; the module
+    docstring shows why these rules are exact.  If |D| = 1 the factors
+    are r ones.  If m is nonsingular, s_1..s_{n-1} are those of the Smith
+    elimination of [m mod g; g*I], or all 1 when g = 1, and s_n is |D|
+    over their product.  A non-square m, and a singular square one with
+    |D| > 1, go to the Smith elimination as they are.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    if rows == cols:
+        minors = []
+        rank, minor = _echelon(m, minors)
+        if abs(minor) == 1:
+            return [1] * rank
+        if rank == rows:
+            g = gcd(*minors) if minors else 1  # a 1 x 1 m has no trailing block
+            head = [1] * (rows - 1)
+            if g > 1:
+                m[:] = ([[x % g for x in row] for row in m]
+                        + [[g * (i == j) for i in range(rows)] for j in range(rows)])
+                _diagonalize(m, 2 * rows, rows)
+                head = diagonal_of(m)[:rows - 1]
+            last, rest = divmod(abs(minor), prod(head))
+            if rest:
+                raise ArithmeticError(f"|det| {abs(minor)} is not a multiple of "
+                                      f"the leading invariant factors {head}")
+            return head + [last]
+    _diagonalize(m, rows, cols)
     return [x for x in diagonal_of(m) if x != 0]
 
 
@@ -440,6 +498,8 @@ class AbelianGroup:
 def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
     """Z^ambient_rank modulo the row span of a."""
     _check_entries(a)
+    if a and len(a[0]) != ambient_rank:
+        raise ValueError(f"rows of length {len(a[0])} do not lie in Z^{ambient_rank}")
     return _cokernel([list(row) for row in a], ambient_rank)
 
 

@@ -3,9 +3,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from acpair import homology
 from acpair.constructions import lustig
 from acpair.homology import (AbelianGroup, ChainComplexData, FiniteGroup,
                              GroupRingMatrix, chain_from_json, chain_to_json,
@@ -319,6 +321,48 @@ def test_a5_fox_chains_of_the_benchmark_shape():
         assert 1 - h[1].free_rank + h[2].free_rank == a5.order
 
 
+@pytest.fixture
+def diagonalize_calls(monkeypatch):
+    """(rows, cols) of each call of homology._diagonalize while a test runs."""
+    diagonalize, calls = homology._diagonalize, []
+
+    def watched(m, rows, cols):
+        calls.append((rows, cols))
+        diagonalize(m, rows, cols)
+
+    monkeypatch.setattr(homology, "_diagonalize", watched)
+    return calls
+
+
+def dense_chain(matrix):
+    """Trivial-group chain Z^n -> Z^n -> Z with top boundary `matrix`, as
+    the dense chains of the homology benchmark."""
+    n = len(matrix)
+    top = GroupRingMatrix.from_entries(n, n, {(r, c): {0: x} for r, row in enumerate(matrix)
+                                              for c, x in enumerate(row)})
+    return ChainComplexData(trivial_group(), (1, n, n), (Z(n, 1), top))
+
+
+def test_homology_runs_the_smith_elimination_only_where_minors_leave_it_open(diagonalize_calls):
+    _, chains = a5_fox_chains()
+    for chain in chains:  # |D| = 1
+        assert homology_at(chain, 1) == AbelianGroup(43, ())
+    assert diagonalize_calls == []
+    rng = random.Random(62)
+    a = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
+    # doubling two columns doubles every 23 x 23 minor, so g is even
+    b = [row[:22] + [2 * x for x in row[22:]] for row in a]
+    for matrix, stacked in ((a, []), (b, [(48, 24)])):
+        minors = []
+        _echelon(matrix, minors)
+        assert (gcd(*minors) > 1) == bool(stacked)
+        factors = reference.invariant_factors(matrix)
+        assert homology_at(dense_chain(matrix), 1) == AbelianGroup(
+            24 - len(factors), tuple(x for x in factors if x > 1))
+        assert diagonalize_calls == stacked
+        diagonalize_calls.clear()
+
+
 def test_eliminations_match_the_dense_reference():
     # the eliminations update rows only over the pivot row's nonzero
     # entries and skip zero rows in the Smith pivot search; the reference
@@ -339,6 +383,85 @@ def test_eliminations_match_the_dense_reference():
         "echelon p != prev, zero x", "smith zero row skipped", "smith fold")) >= 10, branches
 
 
+def random_unimodular(rng, n):
+    """A unit lower times a unit upper triangular matrix, entries in
+    -2..2, with its rows permuted and signed: determinant +-1."""
+    lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    rows = mat_mul(lower, upper)
+    rng.shuffle(rows)
+    return [[x * sign for x in row] for row, sign in zip(rows, rng.choices((1, -1), k=n))]
+
+
+def with_factors(rng, diag, rows, cols):
+    """U * D * V for random unimodular U and V, where D is rows x cols
+    with `diag` down its diagonal: a matrix whose invariant factors are
+    the nonzero entries of `diag`, a divisibility chain."""
+    d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+         for i in range(rows)]
+    return mat_mul(mat_mul(random_unimodular(rng, rows), d), random_unimodular(rng, cols))
+
+
+def factor_cases(rng):
+    """(kind, matrix, factors): square matrices U * diag(s) * V of known
+    invariant factors for every rule of homology._invariant_factors, then
+    rectangular and 1 x 1 ones."""
+    cases = []
+
+    def add(kind, diag, rows=None, cols=None, scale=1):
+        rows = rows or len(diag)
+        a = with_factors(rng, diag, rows, cols or rows)
+        cases.append((kind, [[scale * x for x in row] for row in a],
+                      [abs(scale) * x for x in diag if x]))
+
+    for i in range(40):
+        n = rng.randint(2, 7)
+        if i < 10:
+            add("unimodular", [1] * n)
+        add("cyclic", [1] * (n - 1) + [rng.randint(2, 40)])
+        q = rng.choice((2, 3, 6))
+        add("s_{n-1} in {2, 3, 6}", [1] * (n - 2) + [q, q * rng.randint(1, 5)])
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        q = rng.choice((2, 3))
+        add("repeated", [1] * (n - 3) + [q, q, q * rng.choice((1, 2, 5))])
+        add("scaled", [1] * (n - 1) + [rng.randint(1, 9)], scale=rng.choice((2, 3, -2)))
+        zeros = rng.randint(1, n - 1)
+        add("singular", [1] * (n - zeros - 1) + [rng.choice((1, 2, 4))] + [0] * zeros)
+        rows, cols = rng.sample(range(1, 8), 2)
+        add("rectangular", [1] * (min(rows, cols) - 1) + [rng.randint(0, 6)], rows, cols)
+    return cases + [("1 x 1", [[x]], [abs(x)] if x else []) for x in range(-12, 13)]
+
+
+def test_invariant_factors_from_minors_match_the_reference(diagonalize_calls):
+    # each matrix is U * diag(s) * V or 1 x 1, so its factors are known
+    # twice over: from s and from the dense reference.  _diagonalize is watched to
+    # tell the rules apart: no call for |D| = 1 or g = 1, one on
+    # [A mod g; g * I] (2n x n) for g > 1, one on the bare matrix else.
+    branches, kinds = Counter(), Counter()
+    for kind, a, expected in factor_cases(random.Random(61)):
+        diagonalize_calls.clear()
+        factors = invariant_factors(a)
+        assert factors == expected == reference.invariant_factors(a), (kind, a)
+        rows, cols = len(a), len(a[0])
+        rank, minor = reference.echelon(a)
+        if rows == cols and abs(minor) == 1:
+            branch = "|D| = 1"
+            assert not diagonalize_calls
+        elif rows == cols and rank == rows:
+            branch = "g > 1" if diagonalize_calls else "g = 1"
+            assert diagonalize_calls in ([], [(2 * rows, rows)]), (kind, a)
+        else:
+            branch = "smith"
+            assert diagonalize_calls == [(rows, cols)], (kind, a)
+        branches[branch] += 1
+        kinds[kind, branch] += 1
+    assert min(branches[b] for b in ("|D| = 1", "g = 1", "g > 1", "smith")) >= 10, branches
+    assert kinds["s_{n-1} in {2, 3, 6}", "g > 1"] == 40, kinds
+
+
 @pytest.mark.parametrize("entry", [1.5, 0.5, 2.0, Fraction(3, 2), True, "1", None])
 @pytest.mark.parametrize("elimination", [
     determinant, matrix_rank, invariant_factors, smith_normal_form,
@@ -351,6 +474,24 @@ def test_eliminations_refuse_entries_that_are_not_ints(elimination, entry):
     for a in ([[entry]], [[entry, 0], [0, 2]]):
         with pytest.raises(ValueError, match=message):
             elimination(a)
+
+
+
+@pytest.mark.parametrize("elimination", [
+    matrix_rank, invariant_factors, smith_normal_form, lambda a: cokernel_invariants(a, 2)])
+def test_eliminations_refuse_ragged_rows(elimination):
+    # invariant_factors([[1], [2, 3]]) was [1], and matrix_rank([[1, 2], [3]])
+    # raised IndexError
+    for a in ([[1], [2, 3]], [[1, 2], [3]], [[0, 0], []]):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            elimination(a)
+
+
+def test_cokernel_refuses_rows_outside_the_ambient_rank():
+    # cokernel_invariants([[1, 0, 0]], 2) was Z
+    for a, ambient in (([[1, 0, 0]], 2), ([[1]], 2), ([[2, 0], [0, 3]], 3)):
+        with pytest.raises(ValueError, match=f"do not lie in Z\\^{ambient}"):
+            cokernel_invariants(a, ambient)
 
 
 def test_eliminations_take_int_tuples():
