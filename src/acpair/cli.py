@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Move scripts, pairings and homology for presentation "
                     "2-complexes with a fixed wedge boundary.")
     sub = parser.add_subparsers(dest="command", required=True)
-    witness, search = constructions.WitnessBudget(), SearchBudget()
+    # defaults read off the classes: a budget built here runs in every command
+    witness, search = constructions.WitnessBudget, SearchBudget
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)

@@ -418,37 +418,19 @@ class PipelineResult:
         return not self.unknown
 
 
-def _relator_witness(target: Word, relators: Sequence[Word]):
-    """The witness the search meets first for an empty target or for a
-    target that is a relator or its inverse, taking the least such relator;
-    None for any other target."""
-    if not target:
-        return NormalClosureWitness(target, ())
-    inverse = invert(target)
-    for k, rel in enumerate(relators):
-        if rel in (target, inverse):
-            return NormalClosureWitness(target, ((EMPTY, k, 1 if rel == target else -1),))
-    return None
-
-
 def _collect_witnesses(requests, budget, jobs):
     """One witness or None per (label, target, base relators, supplied
     witness or None) request, and the (label, SearchOutcome) of each search
     that stopped without one.  Every supplied witness is checked before any
-    search runs.  A missing one that the search would meet in its first
-    expansion, before the state cap, is taken from _relator_witness; the
-    others are searched, all in one process pool of at most jobs workers,
-    one per search, and a found one was checked by the search itself."""
+    search runs.  Every missing one is searched, all in one process pool
+    of at most jobs workers, one per search, and a found one was checked by
+    the search itself."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     found = []
     for label, word, base, wit in requests:
         if wit is not None:
             _check_witness(wit, word, base, f"{label}: supplied witness")
-        elif budget.max_factors > 0 and budget.max_states > 2 * len(base):
-            # the first expansion adds at most 2 * len(base) - 1 states
-            # before the meeting one, to the 2 it starts with
-            wit = _relator_witness(word, base)
         found.append(wit)
     missing = [n for n, wit in enumerate(found) if wit is None]
     args = ([requests[n][1] for n in missing], [requests[n][2] for n in missing],

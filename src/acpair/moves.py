@@ -504,11 +504,11 @@ def slide_exponent_ledger(script: MoveScript) -> dict:
 # A move is {"op": <class name>, <field>: <value>, ...} with its fields in
 # class order, each written and read by the rule for its name.
 
-_KINDS = {cls.__name__: cls for cls in (
-    ConjRel, InvRel, SlideRel, NielsenInv, NielsenMul, AddGen, RemoveGen,
-    AddTrivialRel, RemoveTrivialRel, RestrictedSlide)}
-_WORDY = (ConjRel, RestrictedSlide)  # the moves whose fields hold words
-_RENAMING = (AddGen, RemoveGen)      # the moves that change the generator names
+_KINDS = {cls.__name__: cls for cls in _MOVES}
+# the moves whose fields hold words, and those that change the generator names
+_WORDY = frozenset(cls for cls in _MOVES
+                   if {"w", "factors"} & {f.name for f in fields(cls)})
+_RENAMING = frozenset(cls for cls, (_, dn, *_) in _MOVES.items() if dn)
 
 
 def _read_name(value, *_) -> str:

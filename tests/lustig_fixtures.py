@@ -149,17 +149,19 @@ def lustig_witness_pair(i, j):
             LustigCalculus(j).witnesses_for(i))
 
 
-def write_lustig_inputs(tmp_path):
-    """lustig(1), lustig(2) and a directory of their witnesses, written under
-    tmp_path (a pathlib.Path): the paths of k1.pres, k2.pres and wits/."""
+def write_lustig_inputs(tmp_path, pair=(1, 2)):
+    """lustig(i), lustig(j) for the pair (i, j) and a directory of their
+    witnesses, written under tmp_path (a pathlib.Path): the paths of
+    k1.pres, k2.pres and wits/."""
+    i, j = pair
     k1, k2, wdir = tmp_path / "k1.pres", tmp_path / "k2.pres", tmp_path / "wits"
-    k1.write_text(format_presentation(lustig(1)))
-    k2.write_text(format_presentation(lustig(2)))
+    k1.write_text(format_presentation(lustig(i)))
+    k2.write_text(format_presentation(lustig(j)))
     wdir.mkdir()
-    names = lustig(1).gens
+    names = lustig(i).gens
     for prefix, witnesses in zip(("second_over_first", "first_over_second"),
-                                 lustig_witness_pair(1, 2)):
-        for i, wit in enumerate(witnesses):
-            (wdir / f"{prefix}_{i + 1}.json").write_text(
+                                 lustig_witness_pair(i, j)):
+        for n, wit in enumerate(witnesses):
+            (wdir / f"{prefix}_{n + 1}.json").write_text(
                 json.dumps(witness_to_json(wit, names)))
     return str(k1), str(k2), wdir

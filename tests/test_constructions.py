@@ -201,9 +201,11 @@ def test_witness_search_stop_reasons():
 
 
 def test_relator_witness_matches_the_search():
-    # the pipeline answers an empty target or a target that is a relator or
-    # its inverse without a search; the answer must be the search's own,
-    # also at the smallest state cap the pipeline lets it answer under
+    # an empty target gets no factors, and a target that is a relator or
+    # its inverse gets one factor over the least such relator, also at the
+    # smallest state cap that lets the first expansion meet it: the first
+    # expansion adds at most 2 * len(rels) - 1 states before the meeting
+    # one, to the 2 it starts with
     rng = random.Random(44)
     answered = 0
     for _ in range(300):
@@ -213,9 +215,12 @@ def test_relator_witness_matches_the_search():
                 for _ in range(rng.randint(1, 4))]
         target = rng.choice([EMPTY, rng.choice(rels), invert(rng.choice(rels)),
                              reduce([rng.choice(letters) for _ in range(3)])])
-        wit = constructions._relator_witness(target, rels)
-        if wit is None:
+        k = next((k for k, rel in enumerate(rels) if rel in (target, invert(target))),
+                 None)
+        if target and k is None:
             continue
+        factors = ((EMPTY, k, 1 if rels[k] == target else -1),) if target else ()
+        wit = NormalClosureWitness(target, factors)
         answered += 1
         budget = WitnessBudget(rng.randint(1, 8), rng.randint(0, 4), 2 * len(rels) + 1)
         assert wit == search_normal_closure_witness(target, rels).result
@@ -548,9 +553,9 @@ def test_pipeline_parallel_search_matches_sequential(monkeypatch):
 
 
 def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
-    # six witnesses are missing, and two of them are shared relators that
-    # need no search, so a pool of 64 would fork 60 idle workers; the
-    # stand-in runs the searches in process and starts no workers
+    # six witnesses are missing, so a pool of 64 would fork 58 idle
+    # workers; the stand-in runs the searches in process and starts no
+    # workers
     sizes = []
 
     class RecordingPool:
@@ -569,16 +574,35 @@ def test_pipeline_pool_is_sized_to_the_missing_searches(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     budget = WitnessBudget(2, 1, 200)
     res = null_vector_pipeline(lustig_common(), budget, jobs=64)
-    assert sizes == [4] and len(res.unknown) == 4
+    assert sizes == [6] and len(res.unknown) == 4
     # one missing search runs in process, with no pool at all
     w12, w21 = lustig_witness_pair(1, 2)
     res = null_vector_pipeline(lustig_common(), budget, w12, [*w21[:2], None],
                                jobs=64)
-    assert sizes == [4] and len(res.unknown) == 1
+    assert sizes == [6] and len(res.unknown) == 1
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             null_vector_pipeline(lustig_common(), budget, jobs=jobs)
-    assert sizes == [4]
+    assert sizes == [6]
+
+
+def test_pipeline_searches_every_missing_witness(monkeypatch):
+    # the search is the one source of a missing witness, the shared relator
+    # s^2 t^-3 included, and a supplied witness is never searched
+    calls = []
+
+    def counting_search(target, relators, budget):
+        calls.append(target)
+        return search_normal_closure_witness(target, relators, budget)
+
+    monkeypatch.setattr(constructions, "search_normal_closure_witness", counting_search)
+    budget = WitnessBudget(2, 1, 200)
+    w12, w21 = lustig_witness_pair(1, 2)
+    for supplied, searches in (((None, None), 6), ((w12, w21), 0),
+                               ((w12, [*w21[:2], None]), 1)):
+        calls.clear()
+        null_vector_pipeline(lustig_common(), budget, *supplied)
+        assert len(calls) == searches
 
 
 def test_pipeline_general_path_with_search():

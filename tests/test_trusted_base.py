@@ -50,10 +50,8 @@ COMMON = {
              "conjugate cyclic_canonical cyclically_reduce invert json_int multiply "
              "read_word reduce valid_name word_key",
 }
-PARSER = {  # build_parser, with the budget defaults it shows
+PARSER = {  # build_parser, which reads the budget defaults off the classes
     "cli": "build_parser build_parser.<locals>.add",
-    "constructions": "WitnessBudget.__post_init__ __create_fn__.<locals>.__init__",
-    "moves": "SearchBudget.__post_init__ _nonnegative",
 }
 VERIFY_NULL = {
     "cli": "cmd_verify_null",
