@@ -11,6 +11,15 @@ entries of the pivot row, where it can change something.
 ``smith_normal_form`` runs the Smith elimination on the matrix bordered
 by identity blocks, which then hold the unimodular transforms.
 
+A rank alone, as homology takes for the outgoing boundary and
+``matrix_rank`` returns, is first taken modulo the prime P = 4,194,301
+when more than half the matrix's entries are nonzero, on rows packed into
+Python ints.  A rank modulo P never exceeds the rank over Q, so when it is
+min(rows, cols) it is the rank; otherwise the echelon decides.  Sparse
+matrices, such as Fox matrices over A5, go to the echelon directly, which
+is cheaper on them.  Determinants, minors and invariant factors come only
+from the exact eliminations.
+
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
 s_1..s_k multiply to the determinantal divisor d_k, the gcd of the k x k
@@ -47,6 +56,7 @@ import csv
 import io
 import os
 import re
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
@@ -461,10 +471,95 @@ def _invariant_factors(m: list) -> list:
     return [x for x in diagonal_of(m) if x != 0]
 
 
+# Ranks modulo a prime.  A row of residues is packed into one Python int,
+# one 64-bit slot per column, so that adding a multiple of one row to
+# another is one multiplication and one addition at C speed.  A slot starts
+# below P, and each update adds less than P**2 to it, once per pivot, so
+# it stays below P + min(rows, cols) * P**2.  That is under 2**63, and so
+# never carries into the next slot, while min(rows, cols) < 2**19.
+# MAX_RESTRICTED_CELLS keeps min(rows, cols) at 512 or less for chain files.
+_P = 4_194_301  # the largest prime below 2**22
+_SLOT_MASK = (1 << 64) - 1
+_MOD_P_MAX_SIDE = 1 << 19
+
+
+def _pack(values: Sequence[int]) -> int:
+    """sum(v * 2**(64*i)) over values v in 0..2**64-1, with a fixed
+    little-endian layout that depends on no host's byte order or C sizes."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unpack(row: int, n: int) -> tuple:
+    """The n slot values of a packed row, as _pack takes them."""
+    return struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))
+
+
+def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
+    """The rank of m over GF(P), which never exceeds its rank over Q.
+
+    Each row is packed and filed in a bucket by its lowest slot that is
+    nonzero mod P, and kept shifted so that slot 0 is that column; a
+    slot found to be zero mod P on the way is cleared.  Column c then
+    touches only the rows filed under it.  One of them becomes the
+    pivot: its slots are reduced below P and scaled so that slot 0 is 1,
+    and slot 0 cleared gives tail.  Each other row, with x in slot 0,
+    becomes row - x + (-x mod P) * tail, whose slot 0 is zero, and is
+    filed again.  Slots are not reduced between updates.
+    """
+    cols = len(m[0]) if m else 0
+    buckets = [[] for _ in range(cols)]
+
+    def file(row: int, c: int) -> None:
+        while row:
+            x = row & _SLOT_MASK
+            if x % _P:
+                buckets[c].append(row)
+                return
+            row -= x
+            if row:
+                skip = ((row & -row).bit_length() - 1) >> 6
+                row >>= skip << 6
+                c += skip
+
+    for row in m:
+        file(_pack([x % _P for x in row]), 0)
+    rank = 0
+    for c in range(cols):
+        # nothing is filed under c again, so its rows are freed after it
+        bucket, buckets[c] = buckets[c], None
+        if not bucket:
+            continue
+        top = _unpack(bucket.pop(), cols - c)
+        inv = pow(top[0], -1, _P)
+        tail = _pack([0] + [x * inv % _P for x in top[1:]])
+        for row in bucket:
+            x = row & _SLOT_MASK
+            file((row - x + (-x % _P) * tail) >> 64, c + 1)
+        rank += 1
+    return rank
+
+
+def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
+    """The rank of m over Q, given the number of its nonzero entries.
+
+    A matrix with more nonzero than zero entries and min(rows, cols)
+    below _MOD_P_MAX_SIDE tries _rank_mod_p first; when that rank is
+    min(rows, cols) it is the rank over Q too, since a rank modulo P
+    never exceeds it.  The echelon decides every other case.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    full = min(rows, cols)
+    if (2 * nonzeros > rows * cols and full < _MOD_P_MAX_SIDE
+            and _rank_mod_p(m) == full):
+        return full
+    return _echelon(m)[0]
+
+
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Z, from the fraction-free echelon."""
+    """Rank over Z, through _rank, with the nonzero entries counted by a
+    scan: the rank modulo P where it is full, else the echelon's."""
     _check_entries(a)
-    return _echelon(a)[0]
+    return _rank(a, sum(map(bool, chain.from_iterable(a))))
 
 
 @dataclass(frozen=True)
@@ -505,7 +600,7 @@ def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> Abelia
 
 def _cokernel(m: list, ambient_rank: int) -> AbelianGroup:
     """cokernel_invariants of m, a list of row lists that it overwrites."""
-    factors = _invariant_factors(m)
+    factors = _invariant_factors(m) if m else []
     if len(factors) > ambient_rank:
         raise ValueError("row span exceeds ambient rank")
     return AbelianGroup(ambient_rank - len(factors),
@@ -553,7 +648,12 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     n = c.top_dim
     if not 0 <= k <= n:
         raise ValueError(f"position {k} outside 0..{n}")
-    rank_out = _echelon(restrict_scalars(c.boundary(k), c.group))[0] if k >= 1 else 0
+    rank_out = 0
+    if k >= 1:
+        # each term of a cell restricts to |G| nonzero entries, one per row
+        d = c.boundary(k)
+        nonzeros = c.group.order * sum(map(len, d.entries.values()))
+        rank_out = _rank(restrict_scalars(d, c.group), nonzeros)
     incoming = restrict_scalars(c.boundary(k + 1), c.group) if k < n else []
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -545,6 +546,26 @@ def test_homology_group_file_reference(tmp_path, capsys):
     code, out, _ = run(capsys, "homology", chain, "--at", "2")
     assert code == 0
     assert out.strip() == "H_2 = 0"
+
+
+def test_homology_of_a_dense_256_boundary_takes_the_rank_modulo_p(tmp_path):
+    # the rank of d_2 is full modulo P, so no fraction-free echelon runs;
+    # with one, this took 7 s on a 2-core box, and without, under 1 s
+    rng = random.Random(1)
+    matrix = [[rng.randint(-5, 5) for _ in range(256)] for _ in range(256)]
+    chain = write(tmp_path / "dense.json", json.dumps(
+        {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 2,
+         "ranks": [1, 256, 256],
+         "entries": [[2, r, c, 0, x] for r, row in enumerate(matrix)
+                     for c, x in enumerate(row) if x]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "acpair.cli", "homology", chain, "--at", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, "H_2 = 0\n"), proc.stderr
+    assert elapsed < 3, elapsed
 
 
 def test_cli_roundtrip_property(tmp_path, capsys):

@@ -462,6 +462,94 @@ def test_invariant_factors_from_minors_match_the_reference(diagonalize_calls):
     assert kinds["s_{n-1} in {2, 3, 6}", "g > 1"] == 40, kinds
 
 
+def test_packing_round_trips_through_64_bit_slots():
+    big = (1 << 63) - 1
+    for values in ([], [0], [1, 0, homology._P - 1, big], [big, big, 0, 1],
+                   [homology._P - 1] * 5 + [0] * 3):
+        packed = homology._pack(values)
+        assert packed == sum(v << (64 * i) for i, v in enumerate(values))
+        assert homology._unpack(packed, len(values)) == tuple(values)
+
+
+def rank_cases(rng):
+    """Matrices of 1..12 rows and columns, wide, tall and square, of
+    densities 0..1, with entries in +-6 or +-10**30, some with a zero row
+    or column and some with a row that is a combination of others."""
+    cases = []
+    for _ in range(4000):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        bound, density = rng.choice((6, 10 ** 30)), rng.random()
+        a = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.2:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.2:
+            c = rng.randrange(cols)
+            for row in a:
+                row[c] = 0
+        if rows > 1 and rng.random() < 0.4:
+            weights = [rng.randint(-3, 3) for _ in range(rows - 1)]
+            a[-1] = [sum(w * x for w, x in zip(weights, col)) for col in zip(*a[:-1])]
+        cases.append(a)
+    return cases
+
+
+def test_rank_mod_p_against_the_echelon():
+    # a rank modulo P never exceeds the rank over Q, and _rank, which takes
+    # a full rank modulo P as the answer, must agree with the echelon
+    routes = Counter()
+    for a in rank_cases(random.Random(71)):
+        rank = _echelon(a)[0]
+        nonzeros = sum(x != 0 for row in a for x in row)
+        modular = homology._rank_mod_p(a)
+        assert modular <= rank, a
+        assert homology._rank(a, nonzeros) == rank, a
+        dense = 2 * nonzeros > len(a) * len(a[0])
+        routes[dense, rank == min(len(a), len(a[0]))] += 1
+    assert min(routes.values()) >= 200 and len(routes) == 4, routes
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Names of the calls of homology._rank_mod_p and homology._echelon
+    while a test runs."""
+    calls = []
+    for name in ("_rank_mod_p", "_echelon"):
+        def watched(*args, _name=name, _f=getattr(homology, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(homology, name, watched)
+    return calls
+
+
+def test_rank_falls_back_to_the_echelon_where_p_divides_the_determinant(rank_calls):
+    # U * diag(P, 1, .., 1) * V is nonsingular, but singular modulo P
+    rng = random.Random(72)
+    for n in range(8, 17):
+        a = with_factors(rng, [homology._P] + [1] * (n - 1), n, n)
+        nonzeros = sum(x != 0 for row in a for x in row)
+        assert 2 * nonzeros > n * n and abs(determinant(a)) == homology._P
+        assert homology._rank_mod_p(a) == n - 1
+        rank_calls.clear()
+        assert homology._rank(a, nonzeros) == n
+        assert rank_calls == ["_rank_mod_p", "_echelon"]
+
+
+def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
+    # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78:
+    # the echelon alone; a dense full-rank top boundary needs no echelon
+    _, chains = a5_fox_chains()
+    for chain in chains:
+        for k in (1, 2):
+            homology_at(chain, k)
+    assert "_rank_mod_p" not in rank_calls and "_echelon" in rank_calls
+    rng = random.Random(73)
+    matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
+    rank_calls.clear()
+    assert homology_at(dense_chain(matrix), 2) == AbelianGroup(0, ())
+    assert rank_calls == ["_rank_mod_p"]
+
+
 @pytest.mark.parametrize("entry", [1.5, 0.5, 2.0, Fraction(3, 2), True, "1", None])
 @pytest.mark.parametrize("elimination", [
     determinant, matrix_rank, invariant_factors, smith_normal_form,
