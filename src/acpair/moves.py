@@ -169,48 +169,48 @@ def _check_gen(i: int, rank: int):
         raise _out_of_range("generator", i, rank)
 
 
-def _too_long(relator: Word) -> MoveError:
-    return MoveError(f"relator of {len(relator)} letters exceeds the "
-                     f"{MAX_WORD_LENGTH}-letter bound")
+def _rel(rels: list, j: int) -> Word:
+    """Relator j, refused when j is out of range."""
+    if not 0 <= j < len(rels):
+        raise _out_of_range("relator", j, len(rels))
+    return rels[j]
+
+
+def _bounded(r: Word) -> Word:
+    """r, refused when it is longer than MAX_WORD_LENGTH."""
+    if len(r) > MAX_WORD_LENGTH:
+        raise MoveError(f"relator of {len(r)} letters exceeds the "
+                        f"{MAX_WORD_LENGTH}-letter bound")
+    return r
+
+
+def _in_context(w: Word, gens: tuple) -> None:
+    """Refuse a move word with a letter outside gens."""
+    if w and (max(w) > len(gens) or -min(w) > len(gens)):
+        raise MoveError(f"word {w} uses a generator outside the context")
 
 
 # One function per move kind applies it to rels in place, the relators over
 # gens, and returns the generators after it.  Every relator built comes from
-# reduced, in-range relators and move words that are reduced when the move
-# is built and range-checked here, so callers wrap the result without
-# validation.  A relator a move lengthens is checked against MAX_WORD_LENGTH.
+# reduced relators, read through _rel, and move words that are reduced when
+# the move is built and checked by _in_context here, so callers wrap the
+# result without validation.  Every relator a move builds passes _bounded.
 
 def _conj_rel(rels: list, gens: tuple, move) -> tuple:
-    j, w = move.j, move.w
-    if not 0 <= j < len(rels):
-        raise _out_of_range("relator", j, len(rels))
-    if w and (max(w) > len(gens) or -min(w) > len(gens)):
-        raise MoveError(f"word {w} uses a generator outside the context")
-    r = conjugate(rels[j], w)
-    if len(r) > MAX_WORD_LENGTH:
-        raise _too_long(r)
-    rels[j] = r
+    r = _rel(rels, move.j)
+    _in_context(move.w, gens)
+    rels[move.j] = _bounded(conjugate(r, move.w))
     return gens
 
 
 def _inv_rel(rels: list, gens: tuple, move) -> tuple:
-    j = move.j
-    if not 0 <= j < len(rels):
-        raise _out_of_range("relator", j, len(rels))
-    rels[j] = invert(rels[j])
+    rels[move.j] = invert(_rel(rels, move.j))
     return gens
 
 
 def _slide_rel(rels: list, gens: tuple, move) -> tuple:
-    j, k = move.j, move.k
-    if not 0 <= j < len(rels):
-        raise _out_of_range("relator", j, len(rels))
-    if not 0 <= k < len(rels):
-        raise _out_of_range("relator", k, len(rels))
-    r = multiply(rels[k], rels[j]) if move.side == "left" else multiply(rels[j], rels[k])
-    if len(r) > MAX_WORD_LENGTH:
-        raise _too_long(r)
-    rels[j] = r
+    r, s = _rel(rels, move.j), _rel(rels, move.k)
+    rels[move.j] = _bounded(multiply(s, r) if move.side == "left" else multiply(r, s))
     return gens
 
 
@@ -231,10 +231,7 @@ def _nielsen(rels: list, gens: tuple, move) -> tuple:
     letter = move.i + 1
     for idx, r in enumerate(rels):
         if letter in r or -letter in r:
-            r = substitute(r, images)
-            if len(r) > MAX_WORD_LENGTH:
-                raise _too_long(r)
-            rels[idx] = r
+            rels[idx] = _bounded(substitute(r, images))
     return gens
 
 
@@ -267,28 +264,22 @@ def _add_trivial_rel(rels: list, gens: tuple, move) -> tuple:
 
 
 def _remove_trivial_rel(rels: list, gens: tuple, move) -> tuple:
-    if not 0 <= move.j < len(rels):
-        raise _out_of_range("relator", move.j, len(rels))
-    if rels[move.j] != EMPTY:
+    if _rel(rels, move.j) != EMPTY:
         raise MoveError(f"relator {move.j} is not trivial")
     del rels[move.j]
     return gens
 
 
 def _restricted_slide(rels: list, gens: tuple, move) -> tuple:
-    if not 0 <= move.j < len(rels):
-        raise _out_of_range("relator", move.j, len(rels))
-    word = rels[move.j]
+    """Each partial product passes _bounded, so the word built never holds
+    more than MAX_WORD_LENGTH letters plus one factor."""
+    word = _rel(rels, move.j)
     for f in move.factors:
-        if not 0 <= f.k < len(rels):
-            raise _out_of_range("relator", f.k, len(rels))
-        for w in (f.w, f.h):
-            if w and (max(w) > len(gens) or -min(w) > len(gens)):
-                raise MoveError(f"word {w} uses a generator outside the context")
-        base = rels[f.k] if f.sign > 0 else invert(rels[f.k])
-        word = multiply(word, conjugate(commutator(base, f.h), f.w))
-    if len(word) > MAX_WORD_LENGTH:
-        raise _too_long(word)
+        r = _rel(rels, f.k)
+        _in_context(f.w, gens)
+        _in_context(f.h, gens)
+        base = r if f.sign > 0 else invert(r)
+        word = _bounded(multiply(word, conjugate(commutator(base, f.h), f.w)))
     rels[move.j] = word
     return gens
 

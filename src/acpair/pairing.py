@@ -136,29 +136,16 @@ class ClosedSum(_ExactSum):
     __slots__ = ()
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, key):
-        self.parent.setdefault(key, key)
-
-    def find(self, key):
-        self.add(key)
-        root = key
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[key] != root:
-            self.parent[key], key = root, self.parent[key]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # Least key in serialization order becomes the representative.
-        keep, drop = (ra, rb) if ra.sort_key() <= rb.sort_key() else (rb, ra)
-        self.parent[drop] = keep
+def _root(parent: dict, key):
+    """The root of key's class in the forest parent, which maps a key to
+    another of its class and leaves a root out or mapped to itself; the
+    path from key is then pointed straight at the root."""
+    root = key
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while key != root:
+        parent[key], key = root, parent[key]
+    return root
 
 
 def _reduce(x: FormalSum, certs) -> tuple:
@@ -166,15 +153,19 @@ def _reduce(x: FormalSum, certs) -> tuple:
     coefficients over the key classes that the holding certificates join.
     Returns the status rows (label, ok, message), labelled by list position
     where a certificate has no label, and the reduced sum."""
-    status, uf = [], _UnionFind()
+    status, parent = [], {}
     for idx, cert in enumerate(certs):
         ok, msg = cert.verify()
         if ok and cert.lhs.rank != x.rank:
             ok, msg = False, "certificate rank differs from the sum"
         status.append((cert.label or str(idx), ok, msg))
         if ok:
-            uf.union(canonical_key(cert.lhs), canonical_key(cert.rhs))
-    return status, FormalSum(x.rank, _merge((uf.find(key), coeff)
+            # the least key in serialization order is its class's root
+            keep, drop = sorted((_root(parent, canonical_key(cert.lhs)),
+                                 _root(parent, canonical_key(cert.rhs))),
+                                key=CanonicalKey.sort_key)
+            parent[drop] = keep
+    return status, FormalSum(x.rank, _merge((_root(parent, key), coeff)
                                             for key, coeff in x._terms.items()))
 
 

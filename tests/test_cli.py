@@ -48,6 +48,14 @@ def test_normalize_golden(tmp_path, capsys):
                    "g1^2 g3^4 g1^-2 g3^-4\n")
 
 
+def test_normalize_json_format(tmp_path, capsys):
+    path = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
+    _, text, _ = run(capsys, "normalize", path)
+    code, out, _ = run(capsys, "normalize", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"rank": 3, "key": text.removesuffix("\n")}
+
+
 def test_lustig_cli_index_over_the_letter_bound(tmp_path, capsys):
     out_path = tmp_path / "k.pres"
     code, _, err = run(capsys, "lustig", "99999", "-o", out_path)
@@ -82,6 +90,41 @@ def test_apply_illegal_move_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "apply", pres, script)
     assert code == 2
     assert "move 1" in err
+
+
+def test_stabilized_script_file_round_trips(tmp_path, capsys):
+    p = make_presentation("x", ["x"])
+    script = MoveScript((moves.AddTrivialRel(), moves.RemoveTrivialRel(1)),
+                        "k_prime", stabilized=True)
+    data = script_to_json(script, p.gens)
+    assert data["stabilized"] is True
+    assert moves.script_from_json(json.loads(json.dumps(data)), p.gens) == script
+    code, out, _ = run(capsys, "apply", write(tmp_path / "p.pres", format_presentation(p)),
+                       write(tmp_path / "s.json", json.dumps(data)))
+    assert (code, out) == (0, format_presentation(p))
+
+
+def test_restricted_slide_refuses_a_partial_product_over_the_word_bound(tmp_path,
+                                                                         capsys):
+    # each factor [(x y)^50000, y] spells one letter in the file and adds
+    # 200,000 to relator 2: the fifth partial product passes the bound, and
+    # the product of twenty would be a 4,000,001-letter tuple, 32 MB of
+    # pointers
+    pres = write(tmp_path / "p.pres", "gens: x y\nrel: " + "x y " * 50_000 + "\nrel: x\n")
+    peaks = []
+    for count in (5, 20):
+        script = write(tmp_path / "s.json", json.dumps([
+            {"op": "RestrictedSlide", "j": 2,
+             "factors": [{"w": "1", "k": 1, "sign": 1, "h": "y"}] * count}]))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "apply", pres, script)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "move 1 (RestrictedSlide): relator of 1000001 letters exceeds" in err
+    assert peaks[1] < peaks[0] + 1_000_000 and peaks[1] < 24_000_000, peaks
 
 
 def fibonacci_slides(count):
@@ -266,6 +309,18 @@ def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
     code, out, err = run(capsys, "verify-null", bundle)
     assert code == 0, err
     assert "null vector: yes" in out
+
+
+def test_pipeline_refuses_an_existing_output_and_leaves_no_partial_bundle(
+        tmp_path, capsys):
+    a = write(tmp_path / "a.pres", format_presentation(lustig(1)))
+    bundle = tmp_path / "b"
+    assert run(capsys, "pipeline", a, a, "-o", bundle)[0] == 0
+    before = (bundle / "x.sum").read_text()
+    code, _, err = run(capsys, "pipeline", a, a, "-o", bundle)
+    assert code == 2 and f"output {bundle} already exists" in err
+    assert (bundle / "x.sum").read_text() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.pres", "b"]
 
 
 def test_pipeline_jobs_below_one_is_an_input_error(tmp_path, capsys):
@@ -507,6 +562,26 @@ def test_verify_smove_cli(tmp_path, capsys):
     assert "rejected" in out
 
 
+def test_verify_smove_writes_certificates_that_verify(tmp_path, capsys):
+    l1 = make_presentation("x y", ["x", "y x"])
+    path = write(tmp_path / "l1.pres", format_presentation(l1))
+    sdir = tmp_path / "scripts"
+    os.makedirs(sdir)
+    for name in ("to_l1l1_1", "to_l2l2_1"):
+        write(sdir / f"{name}.json",
+              json.dumps(script_to_json(MoveScript((), "k_prime"), ("x", "y"))))
+    out_dir = tmp_path / "certs"
+    code, out, _ = run(capsys, "verify-smove", path, path, "--scripts", sdir,
+                       "-o", out_dir)
+    assert (code, out) == (0, "accepted: 2 certificates verified\n")
+    written = sorted(out_dir.iterdir())
+    assert len(written) == 2
+    for cert_path in written:
+        cert = pairing.certificate_from_json(json.loads(cert_path.read_text()))
+        assert cert_path.name == f"{cert.label}.json"
+        assert cert.verify() == (True, "ok")
+
+
 def test_homology_and_glue_cli(tmp_path, capsys):
     rng = random.Random(60)
     c = random_gn_fixture("c2", 3, rng)
@@ -682,6 +757,12 @@ MALFORMED = {
         t, [{"op": "RemoveGen", "i": 9}]), "s.json"),
     "remove_gen_index_zero": (lambda t: _apply(
         t, [{"op": "RemoveGen", "i": 0}]), "s.json"),
+    # a 1-based index of 0 is -1 in memory, which would name the last relator
+    "remove_trivial_rel_index_zero": (lambda t: _apply(
+        t, [{"op": "RemoveTrivialRel", "j": 0}]),
+        "move 1 (RemoveTrivialRel): relator index -1 out of range (have 1)"),
+    "json_invalid": (lambda t: _apply(t, [])[:2] + [write(t / "s.json", '[{"op": ')],
+                     "s.json: invalid JSON"),
     "move_without_op": (lambda t: _apply(t, [{"j": 1}]), "s.json"),
     "move_without_j": (lambda t: _apply(t, [{"op": "InvRel"}]), "s.json"),
     "move_with_text_index": (lambda t: _apply(
@@ -718,6 +799,8 @@ MALFORMED = {
         "second_over_first_1.json"),
     "iso_letters_unbounded": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
+    "pipeline_without_iso_over_other_generators": (lambda t: _pipeline_iso(
+        t, {})[:3] + ["-o", t / "bundle"], "an isomorphism witness file is required"),
     # images over the work bound of common_generators, whose time grows
     # with their length squared; the letter budget admits 1,000,000
     "iso_images_over_their_bound": (lambda t: _pipeline_iso(

@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import make_dataclass
 
 import pytest
 
@@ -647,10 +648,38 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
          "relator, equal to that generator or its inverse, and no other occurrence"),
         (MoveScript((NielsenMul(0, 2, "left"),)), MoveError,
          "move 1 (NielsenMul): generator index 2 out of range (have 2)"),
+        # a script file's "j": 0 reads as index -1, which would name the
+        # last relator
+        (MoveScript((RemoveTrivialRel(-1),)), MoveError,
+         "move 1 (RemoveTrivialRel): relator index -1 out of range (have 2)"),
+        (MoveScript((AddTrivialRel(), RemoveTrivialRel(3))), MoveError,
+         "move 2 (RemoveTrivialRel): relator index 3 out of range (have 3)"),
+        (MoveScript((RestrictedSlide(2, (RSFactor(EMPTY, 0, 1, (1,)),)),)), MoveError,
+         "move 1 (RestrictedSlide): relator index 2 out of range (have 2)"),
+        # ConjRel makes relator 0 x^500000 y x^-499999, at the bound
+        (MoveScript((ConjRel(0, (1,) * 499_999), NielsenMul(1, 0, "right"))), MoveError,
+         "move 2 (NielsenMul): relator of 1000001 letters exceeds the "
+         "1000000-letter bound"),
+        (MoveScript((ConjRel(0, (1,) * 499_999),
+                     RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (1,)),)))), MoveError,
+         "move 2 (RestrictedSlide): relator of 1000006 letters exceeds the "
+         "1000000-letter bound"),
+        # moves refused when they are built: these rows build their scripts
+        (lambda: MoveScript((SlideRel(1, 1, "left"),)), MoveError,
+         "cannot slide a relator over itself"),
+        (lambda: MoveScript((NielsenMul(0, 0, "right"),)), MoveError,
+         "Nielsen multiplication needs distinct generators"),
+        (lambda: MoveScript((RestrictedSlide(0, (RSFactor(EMPTY, 1, 2, (1,)),)),)),
+         MoveError, "bad factor sign 2"),
+        (MoveScript((make_dataclass("Twist", ["j"])(0),)), MoveError,
+         "move 1 (Twist): unknown move Twist(j=0)"),
+        (MoveScript((make_dataclass("Twist", ["j"])(0),), "k_prime"), RegimeError,
+         "move 1 (Twist) violates the k_prime regime"),
     ]
     for script, kind, message in bad:
-        assert outcome(replay, p, script) == (kind, message)
-        assert outcome(fold_apply_move, p, script) == (kind, message)
+        build = script if callable(script) else lambda: script
+        for run in (replay, fold_apply_move):
+            assert outcome(lambda: run(p, build())) == (kind, message)
     # a zero letter is refused when the move is built, before any replay
     assert outcome(ConjRel, 1, (2, 0)) == (ValueError,
                                            "bad letter 0: letters are nonzero ints")

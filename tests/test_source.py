@@ -138,3 +138,22 @@ def test_applied_move_kinds_are_serialized():
     wordy = {cls for cls in applied
              if {"w", "h", "factors"} & {f for f, *_ in moves._FIELDS[cls]}}
     assert wordy == set(moves._WORDY)
+
+
+def test_move_preconditions_are_written_once():
+    # the apply steps behind moves._MOVES read relators through _rel and
+    # pass each relator they build through _bounded, so the copy that the
+    # tests reach is the only copy: no step can forget a check or spell it
+    # differently from the others
+    functions = [node for node in ast.walk(ast.parse((SOURCE / "moves.py").read_text()))
+                 if isinstance(node, ast.FunctionDef)]
+
+    def naming(pred):
+        return {f.name for f in functions for node in ast.walk(f) if pred(node)}
+
+    assert naming(lambda node: isinstance(node, ast.Name)
+                  and node.id == "MAX_WORD_LENGTH") == {"_bounded"}
+    assert naming(lambda node: isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_out_of_range"
+                  and isinstance(node.args[0], ast.Constant)
+                  and node.args[0].value == "relator") == {"_rel"}

@@ -34,9 +34,9 @@ pytestmark = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
 COMMON = {
     "cli": "_load main",
     "moves": "ConjRel.__post_init__ EquivalenceCertificate.verify "
-             "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _conj_rel "
-             "_from_json _from_json.<locals>.<listcomp> _inv_rel <lambda> replay "
-             "script_from_json",
+             "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _bounded "
+             "_conj_rel _from_json _from_json.<locals>.<listcomp> _in_context "
+             "_inv_rel _rel <lambda> replay script_from_json",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
                      "Presentation.__post_init__.<locals>.<genexpr> "
                      "Presentation._trusted Presentation.rank "
@@ -59,10 +59,9 @@ VERIFY_NULL = {
     "pairing": "FormalSum.__init__ FormalSum._common_rank FormalSum.dot "
                "FormalSum.dot.<locals>.<genexpr> NullVectorReport.as_text "
                "_ExactSum.__init__ _ExactSum.__init__.<locals>.<dictcomp> "
-               "_ExactSum.is_zero _UnionFind.__init__ _UnionFind.add _UnionFind.find "
-               "_UnionFind.union __create_fn__.<locals>.__init__ _check_scalar _merge "
-               "_reduce _reduce.<locals>.<genexpr> certificate_from_json sum_from_json "
-               "verify_null verify_null.<locals>.<genexpr>",
+               "_ExactSum.is_zero __create_fn__.<locals>.__init__ _check_scalar _merge "
+               "_reduce _reduce.<locals>.<genexpr> _root certificate_from_json "
+               "sum_from_json verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
 }
 VERIFY_SMOVE = {
