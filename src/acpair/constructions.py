@@ -7,16 +7,16 @@ checking, and bounded witness search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
-from .moves import (AddGen, EquivalenceCertificate, MoveError, MoveScript,
-                    NielsenInv, NielsenMul, SearchOutcome, _breadth_first,
-                    _compact, _conjugated_slide, _nonnegative, replay)
+from .moves import (AddGen, EquivalenceCertificate, MoveError, MoveScript, NielsenInv,
+                    NielsenMul, SearchOutcome, _bounded, _breadth_first, _compact,
+                    _conjugated_slide, _nonnegative, replay)
 from .pairing import FormalSum, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
-from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _letter_tokens,
+from .words import (EMPTY, LetterBudget, Word, _letter_tokens,
                     _token_letters, commutator, identity_images, invert,
                     json_int, multiply, power, read_word, reduce, write_word)
 
@@ -25,9 +25,7 @@ class WitnessError(ValueError):
     pass
 
 
-# Most work common_generators may take (see there).  The slowest input
-# found at the bound, the relator (x z^-1)^4573 rewritten by the image
-# x^-100, takes 0.7 s on a 2-core x86 box (CPython 3.11).
+# Most letters that the replays of common_generators may charge (see there).
 MAX_ISO_WORK = 3_000_000
 
 
@@ -40,18 +38,17 @@ def append_word_moves(i: int, u: Word) -> list:
 
     The engine substitutes the inverse of a declared Nielsen map, so a
     plain right multiplication appends the negative letter and appending a
-    positive letter needs conjugation by an inversion pair.
+    positive letter needs conjugation by an inversion pair.  The moves of
+    each letter are built once and shared, so a long word costs pointers.
     """
-    if any(abs(x) - 1 == i for x in u):
+    if i + 1 in u or -(i + 1) in u:
         raise ValueError("appended word may not involve the rewritten generator")
-    moves = []
-    for letter in reversed(u):
+    steps = {}
+    for letter in dict.fromkeys(u):
         j = abs(letter) - 1
-        if letter < 0:
-            moves.append(NielsenMul(i, j, "right"))
-        else:
-            moves += [NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)]
-    return moves
+        steps[letter] = ((NielsenMul(i, j, "right"),) if letter < 0 else
+                         (NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)))
+    return [move for letter in reversed(u) for move in steps[letter]]
 
 
 def swap_generators_moves(i: int, j: int) -> list:
@@ -133,12 +130,8 @@ def common_generators(p: Presentation, q: Presentation,
     scripts use only generator-level moves and their composites, so they
     are 2-deformations.  When the generator tuples already coincide and
     the witness is the identity, both presentations are returned as they
-    are with empty scripts.  Otherwise a witness is a WitnessError when its
-    work exceeds MAX_ISO_WORK: per direction, the Nielsen moves (three per
-    image letter, eight per generator swap) times the letters each may
-    substitute through, each relator and image five letters longer.  A
-    move substitutes only through the relators that hold its generator, so
-    this over-counts the work.
+    are with empty scripts.  Otherwise both replays charge one LetterBudget
+    of MAX_ISO_WORK letters (see moves' apply steps); past it, a ValueError.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:
@@ -147,22 +140,16 @@ def common_generators(p: Presentation, q: Presentation,
             f"do not match ranks {c}/{a}")
     if p.gens == q.gens and witness.is_identity():
         return CommonGeneratorsResult(p, q, MoveScript(()), MoveScript(()))
-    work = sum((3 * sum(map(len, images)) + 8 * (a + c))
-               * sum(len(w) + 5 for w in chain(rels, images))
-               for rels, images in ((p.relators, witness.y_in_x),
-                                    (q.relators, witness.x_in_y)))
-    if work > MAX_ISO_WORK:
-        raise WitnessError(f"isomorphism witness needs work {work}, "
-                           f"more than the {MAX_ISO_WORK} that common_generators accepts")
-
+    budget = LetterBudget("the Nielsen work of the isomorphism witness", MAX_ISO_WORK)
+    # the second side's moves are built only once the first side is replayed
     script_p = MoveScript(_adjoin_images(p, q.gens, witness.y_in_x))
+    p_prime = replay(p, script_p, budget)
     moves_q = _adjoin_images(q, p.gens, witness.x_in_y)
     # Reorder the roles so position k means: k < a the k-th first-presentation
     # generator, k >= a the (k-a)-th second-presentation generator.
     moves_q.extend(permutation_moves([c + i for i in range(a)] + list(range(c))))
     script_q = MoveScript(moves_q)
-    return CommonGeneratorsResult(replay(p, script_p), replay(q, script_q),
-                                  script_p, script_q)
+    return CommonGeneratorsResult(p_prime, replay(q, script_q, budget), script_p, script_q)
 
 
 def _adjoin_images(p: Presentation, names: Sequence[str], images) -> list:
@@ -172,7 +159,7 @@ def _adjoin_images(p: Presentation, names: Sequence[str], images) -> list:
     moves = []
     taken = set(p.gens)
     for idx, (name, image) in enumerate(zip(names, images)):
-        if any(abs(x) > p.rank for x in image):
+        if image and max(map(abs, image)) > p.rank:
             raise WitnessError(f"image {idx + 1} lies outside the generators "
                                f"{', '.join(p.gens)}")
         if name in taken:
@@ -204,12 +191,13 @@ class NormalClosureWitness:
                 raise WitnessError(f"bad factor sign {s}")
 
     def product_word(self, relators: Sequence[Word]) -> Word:
+        """The product; each partial product passes moves._bounded."""
         out: Word = EMPTY
         for g, k, s in self.factors:
             if not 0 <= k < len(relators):
                 raise WitnessError(f"factor relator index {k} out of range")
             rel = relators[k] if s > 0 else invert(relators[k])
-            out = multiply(out, multiply(multiply(invert(g), rel), g))
+            out = _bounded(multiply(out, multiply(multiply(invert(g), rel), g)))
         return out
 
     def verify(self, relators: Sequence[Word]) -> bool:
@@ -220,7 +208,11 @@ def _check_witness(wit, target: Word, relators: Sequence[Word], name: str) -> No
     """Raise a WitnessError led by name unless wit expresses target over relators."""
     if wit.target != target:
         raise WitnessError(f"{name} targets the wrong word")
-    if not wit.verify(relators):
+    try:
+        verified = wit.verify(relators)
+    except MoveError as e:  # a partial product over the length bound
+        raise WitnessError(f"{name}: {e}") from None
+    if not verified:
         raise WitnessError(f"{name} fails verification")
 
 
@@ -522,8 +514,7 @@ def lustig(i: int) -> Presentation:
     rule)."""
     if i < 1:
         raise ValueError("index must be a positive integer")
-    if 10 * i + 17 > MAX_WORD_LENGTH:
-        raise ValueError(f"lustig({i}) spells out more than {MAX_WORD_LENGTH} letters")
+    LetterBudget(f"lustig({i})").charge(10 * i + 17)
     names = ("r", "s", "t")
     r, s, t = (1,), (2,), (3,)
     rel1 = multiply(power(s, 2), power(t, -3))

@@ -195,28 +195,33 @@ def _in_context(w: Word, gens: tuple) -> None:
 # reduced relators, read through _rel, and move words that are reduced when
 # the move is built and checked by _in_context here, so callers wrap the
 # result without validation.  Every relator a move builds passes _bounded.
+# budget is replay's LetterBudget or None.  Before it builds anything, a Nielsen
+# move charges it one letter per generator (its identity image), per relator and
+# per relator letter (its scan), and AddGen one per generator name it copies.
 
-def _conj_rel(rels: list, gens: tuple, move) -> tuple:
+def _conj_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r = _rel(rels, move.j)
     _in_context(move.w, gens)
     rels[move.j] = _bounded(conjugate(r, move.w))
     return gens
 
 
-def _inv_rel(rels: list, gens: tuple, move) -> tuple:
+def _inv_rel(rels: list, gens: tuple, move, budget) -> tuple:
     rels[move.j] = invert(_rel(rels, move.j))
     return gens
 
 
-def _slide_rel(rels: list, gens: tuple, move) -> tuple:
+def _slide_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r, s = _rel(rels, move.j), _rel(rels, move.k)
     rels[move.j] = _bounded(multiply(s, r) if move.side == "left" else multiply(r, s))
     return gens
 
 
-def _nielsen(rels: list, gens: tuple, move) -> tuple:
+def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
     """Substitute the inverse of the declared map through the relators."""
     rank = len(gens)
+    if budget is not None:
+        budget.charge(rank + len(rels) + sum(map(len, rels)))
     images = dict(enumerate(identity_images(rank)))
     _check_gen(move.i, rank)
     if type(move) is NielsenInv:
@@ -235,7 +240,9 @@ def _nielsen(rels: list, gens: tuple, move) -> tuple:
     return gens
 
 
-def _add_gen(rels: list, gens: tuple, move) -> tuple:
+def _add_gen(rels: list, gens: tuple, move, budget) -> tuple:
+    if budget is not None:
+        budget.charge(len(gens))
     if not valid_name(move.name):
         raise MoveError(f"invalid generator name {move.name!r}")
     if move.name in gens:
@@ -244,7 +251,7 @@ def _add_gen(rels: list, gens: tuple, move) -> tuple:
     return gens + (move.name,)
 
 
-def _remove_gen(rels: list, gens: tuple, move) -> tuple:
+def _remove_gen(rels: list, gens: tuple, move, budget) -> tuple:
     _check_gen(move.i, len(gens))
     letter = move.i + 1
     hits = [idx for idx, r in enumerate(rels) if letter in r or -letter in r]
@@ -258,19 +265,19 @@ def _remove_gen(rels: list, gens: tuple, move) -> tuple:
     return gens[:move.i] + gens[move.i + 1:]
 
 
-def _add_trivial_rel(rels: list, gens: tuple, move) -> tuple:
+def _add_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
     rels.append(EMPTY)
     return gens
 
 
-def _remove_trivial_rel(rels: list, gens: tuple, move) -> tuple:
+def _remove_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
     if _rel(rels, move.j) != EMPTY:
         raise MoveError(f"relator {move.j} is not trivial")
     del rels[move.j]
     return gens
 
 
-def _restricted_slide(rels: list, gens: tuple, move) -> tuple:
+def _restricted_slide(rels: list, gens: tuple, move, budget) -> tuple:
     """Each partial product passes _bounded, so the word built never holds
     more than MAX_WORD_LENGTH letters plus one factor."""
     word = _rel(rels, move.j)
@@ -284,7 +291,7 @@ def _restricted_slide(rels: list, gens: tuple, move) -> tuple:
     return gens
 
 
-def _unknown_move(rels: list, gens: tuple, move) -> tuple:
+def _unknown_move(rels: list, gens: tuple, move, budget) -> tuple:
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -310,13 +317,14 @@ _UNKNOWN = (_unknown_move, 0, 0, ("full",))
 def apply_move(p: Presentation, move) -> Presentation:
     """One move on a validated presentation."""
     rels = list(p.relators)
-    gens = _MOVES.get(type(move), _UNKNOWN)[0](rels, p.gens, move)
+    gens = _MOVES.get(type(move), _UNKNOWN)[0](rels, p.gens, move, None)
     return Presentation._trusted(gens, tuple(rels))
 
 
-def replay(p: Presentation, script: MoveScript) -> Presentation:
+def replay(p: Presentation, script: MoveScript,
+           budget: LetterBudget | None = None) -> Presentation:
     """Left fold of the script's moves over one relator list, with regime
-    and bookkeeping checks on every move."""
+    and bookkeeping checks on every move; the apply steps charge budget."""
     rels, gens = list(p.relators), p.gens
     n, m = p.rank, len(rels)
     # the script's regime as _MOVES names it
@@ -329,7 +337,7 @@ def replay(p: Presentation, script: MoveScript) -> Presentation:
                 f"move {pos} ({type(move).__name__}) violates the "
                 f"{script.regime} regime")
         try:
-            gens = apply(rels, gens, move)
+            gens = apply(rels, gens, move, budget)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
         n += dn

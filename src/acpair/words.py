@@ -37,16 +37,16 @@ MAX_WORD_LENGTH = 1_000_000
 
 
 class LetterBudget:
-    """The letters that the words of one input may still spell out before
-    reduction, MAX_WORD_LENGTH in all; `what` names the input in the error."""
+    """The letters that one input may still spell out, or its work read,
+    limit in all; `what` names the input in the error."""
 
-    def __init__(self, what: str = "word"):
-        self.what, self.left = what, MAX_WORD_LENGTH
+    def __init__(self, what: str = "word", limit: int = MAX_WORD_LENGTH):
+        self.what, self.limit, self.left = what, limit, limit
 
     def charge(self, letters: int) -> None:
         self.left -= letters
         if self.left < 0:
-            raise ValueError(f"{self.what} spells out more than {MAX_WORD_LENGTH} letters")
+            raise ValueError(f"{self.what} spells out more than {self.limit} letters")
 
     def charge_tokens(self, tokens: int) -> None:
         """Charge the letters of `tokens` one-letter tokens at once, leaving

@@ -392,9 +392,9 @@ def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     # pipeline and verify-null each replay every certificate exactly once.
     counts = Counter()
     for module in (constructions, moves):
-        def replay(p, script, original=module.replay):
+        def replay(p, script, budget=None, original=module.replay):
             counts["replay"] += 1
-            return original(p, script)
+            return original(p, script, budget)
         monkeypatch.setattr(module, "replay", replay)
     verify = pairing.EquivalenceCertificate.verify
 
@@ -706,6 +706,17 @@ def _pipeline_witness(tmp_path, witness):
             "-o", tmp_path / "bundle"]
 
 
+def _witness_over_a_long_relator(tmp_path):
+    """A pipeline run on (x y)^50000 whose supplied witness for it
+    multiplies forty factors (1, relator 1, +1), each of no letter in the
+    file: the eleventh partial product passes the word bound."""
+    argv = _pipeline_witness(tmp_path, {
+        "target": "x y " * 50_000,
+        "factors": [{"g": "1", "r_index": 1, "sign": 1}] * 40})
+    write(tmp_path / "k.pres", "gens: x y\nrel: " + "x y " * 50_000 + "\n")
+    return argv
+
+
 def _pipeline_iso(tmp_path, iso, first=PRES_X):
     """A pipeline run from first, over gens x, to gens y through the
     isomorphism iso."""
@@ -729,6 +740,21 @@ def _bare_chain(tmp_path, ranks, at):
     return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", str(at)]
 
 
+def _glue(tmp_path, second):
+    """A glue of a one-dimensional complex over the trivial group with the
+    same complex, changed by the fields of second."""
+    first = {"group": {"order": 1, "identity": 0, "table": [[0]]}, "n": 1,
+             "ranks": [1, 1], "entries": []}
+    return ["glue", write(tmp_path / "c1.json", json.dumps(first)),
+            write(tmp_path / "c2.json", json.dumps({**first, **second}))]
+
+
+def _smove_relator_counts(tmp_path):
+    argv = _smove(tmp_path, {"op": "InvRel", "j": 1})
+    argv[2] = write(tmp_path / "l2.pres", "gens: x\nrel: x\nrel: x^2\n")
+    return argv
+
+
 def _missing_group(tmp_path):
     argv = _homology(tmp_path, [2, 0, 0, 0, 2])
     chain = json.loads((tmp_path / "c.json").read_text())
@@ -740,6 +766,10 @@ MALFORMED = {
     "sum_unknown_generator": (lambda t: _bundle(
         t, [{"coeff": 1, "presentation": "gens: x\nrel: q\n"}]), "x.sum"),
     "sum_empty": (lambda t: _bundle(t, []), "x.sum"),
+    "sum_mixed_ranks": (lambda t: _bundle(
+        t, [{"coeff": 1, "presentation": PRES_X},
+            {"coeff": 1, "presentation": "gens: x y\nrel: x\n"}]),
+        "mixed ranks in formal sum file"),
     "sum_coeff_exponent": (lambda t: _sum_coeff(t, "1e10000000"), "x.sum"),
     "sum_coeff_zero_denominator": (lambda t: _sum_coeff(t, "1/0"), "x.sum"),
     "sum_coeff_underscore": (lambda t: _sum_coeff(t, " 1_0 "), "x.sum"),
@@ -789,6 +819,12 @@ MALFORMED = {
         t, {"target": "x", "factors": [{"g": 1, "r_index": 1, "sign": 1}]}),
         "second_over_first_1.json"),
     "pipeline_witness_dir_missing": (lambda t: _pipeline_witness(t, None), "wits"),
+    "witness_targets_another_word": (lambda t: _pipeline_witness(
+        t, {"target": "x^2", "factors": [{"g": "1", "r_index": 1, "sign": 1}]}),
+        "second_over_first[1]: supplied witness targets the wrong word"),
+    "witness_partial_product_over_the_word_bound": (
+        _witness_over_a_long_relator,
+        "second_over_first[1]: supplied witness: relator of 1100000 letters exceeds"),
     # each conjugator is under the bound, the six of one file are not
     "witness_letters_unbounded": (lambda t: _pipeline_witness(
         t, {"target": "x", "factors": [{"g": "x^900000", "r_index": 1, "sign": 1}] * 6}),
@@ -801,16 +837,19 @@ MALFORMED = {
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
     "pipeline_without_iso_over_other_generators": (lambda t: _pipeline_iso(
         t, {})[:3] + ["-o", t / "bundle"], "an isomorphism witness file is required"),
-    # images over the work bound of common_generators, whose time grows
-    # with their length squared; the letter budget admits 1,000,000
+    # the shortest image over x whose Nielsen moves, which read letters in
+    # proportion to its length squared, spend more than MAX_ISO_WORK; x^-1408
+    # spends 2,998,398, and the letter budget admits 1,000,000
     "iso_images_over_their_bound": (lambda t: _pipeline_iso(
-        t, {"y_in_x": ["x^-1000"], "x_in_y": ["y"]}),
-        f"more than the {constructions.MAX_ISO_WORK} that common_generators accepts"),
-    # a short image over a long relator: each of its moves substitutes
-    # through the whole relator
+        t, {"y_in_x": ["x^-1409"], "x_in_y": ["y"]}),
+        f"the Nielsen work of the isomorphism witness spells out more than "
+        f"{constructions.MAX_ISO_WORK} letters"),
+    # a short image over a long relator: each of its moves reads the whole
+    # relator
     "iso_image_over_a_long_relator": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^-100"], "x_in_y": ["y"]}, "gens: x\nrel: x^1000000\n"),
-        f"more than the {constructions.MAX_ISO_WORK} that common_generators accepts"),
+        f"the Nielsen work of the isomorphism witness spells out more than "
+        f"{constructions.MAX_ISO_WORK} letters"),
     # each word is under the bound, all the words of one file are not
     "script_letters_unbounded": (lambda t: _apply(
         t, [{"op": "ConjRel", "j": 1, "w": "x^999999"}] * 12), "s.json"),
@@ -825,6 +864,8 @@ MALFORMED = {
         t, [{"coeff": 1, "presentation": "gens: x\nrel: x^500000\n"},
             {"coeff": 1, "presentation": "gens: x\nrel: x^500001\n"}]), "x.sum"),
     "json_nested_too_deep": (_nested_sum, "x.sum"),
+    "smove_relator_counts_differ": (_smove_relator_counts,
+                                    "presentations must have the same relator count"),
     "smove_without_op": (lambda t: _smove(t, {"j": 1}), "to_l1l1_1.json"),
     "smove_unknown_op": (lambda t: _smove(t, {"op": "Twist", "j": 1}),
                          "to_l1l1_1.json"),
@@ -855,6 +896,15 @@ MALFORMED = {
     "chain_group_file_missing": (_missing_group, "c.json: group file nope.csv"),
     "chain_group_csv_underscore": (lambda t: _homology(
         t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
+    "glue_over_different_groups": (lambda t: _glue(
+        t, {"group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]}}),
+        "complexes over different groups"),
+    "glue_of_different_dimensions": (lambda t: _glue(t, {"n": 2, "ranks": [1, 1, 1]}),
+                                     "dimension mismatch"),
+    "relation_with_two_equals_signs": (lambda t: ["normalize", write(
+        t / "eq.pres", "gens: x\nrel: x = x = x\n")], "more than one '=' in relation"),
+    "presentation_of_comments_only": (lambda t: ["normalize", write(
+        t / "c.pres", "# no generators\n# and no relators\n")], "missing gens line"),
     # x^+3, x^1_0 and x^(Arabic-Indic 3) are not name^k with k = -?[0-9]+
     "word_exponent_not_ascii_decimal": (lambda t: ["normalize", write(
         t / "exp.pres", "gens: x\nrel: x^+3 x^1_0 x^\u0663\n")], "exp.pres: bad exponent"),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from acpair import constructions
 from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   WitnessBudget, WitnessError,
-                                  common_generators, lustig,
+                                  append_word_moves, common_generators, lustig,
                                   null_vector_pipeline, permutation_moves,
                                   product_stabilization,
                                   search_normal_closure_witness,
@@ -15,7 +16,7 @@ from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   verify_smove_certificates, witness_from_json,
                                   witness_to_json)
 from acpair.moves import (ConjRel, InvRel, MoveError, MoveScript,
-                          RegimeError, RestrictedSlide, RSFactor, SlideRel,
+                          NielsenInv, NielsenMul, RegimeError, RestrictedSlide, RSFactor, SlideRel,
                           apply_move, invert_script, replay)
 from acpair.pairing import verify_null
 from acpair.presentations import (canonical_key, euler_char,
@@ -102,26 +103,56 @@ def test_common_generators_relator_counts():
 
 
 def test_common_generators_bounds_the_image_letters(monkeypatch):
-    # the work of both directions counts together: per direction, three
-    # moves per image letter and eight per generator of the two
-    # presentations, times the letters of the relators and images, each
-    # word five letters longer; identity data needs no moves and is not
-    # counted
+    # both replays charge one budget of MAX_ISO_WORK letters: AddGen one
+    # letter per generator it copies, and each Nielsen move one per
+    # generator, per relator and per relator letter that it reads.  Here
+    # the first side charges 1 + 6 + 6 + 7, an AddGen over x and three
+    # Nielsen moves over two generators and two relators of 2, 2 and 3
+    # letters, and the second side 1 + 6 + 54 for its AddGen, its one
+    # Nielsen move and the eight of a generator swap; identity data needs
+    # no moves and is not charged
     p, q = pres("x", "x"), pres("y", "y")
-    wit = IsoWitness(((-1,) * 4,), ((1,),))
-    assert (3 * 4 + 16) * (6 + 9) + (3 + 16) * (6 + 6) == 648
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 648)
+    wit = IsoWitness(((-1,),), ((1,),))
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 81)
     res = common_generators(p, q, wit)
+    assert replay(p, res.script_p) == res.p_prime
     assert replay(q, res.script_q) == res.q_prime
-    with pytest.raises(WitnessError, match="needs work 706, more than the 648"):
-        common_generators(p, q, IsoWitness(((-1,) * 4,), ((1, 1),)))
-    # a long relator makes even a one-letter image costly
-    with pytest.raises(WitnessError, match="needs work 19437, more than the 648"):
-        common_generators(pres("x", "x^1000"), q, IsoWitness(((-1,),), ((1,),)))
-    assert common_generators(p, p, IsoWitness.identity(1)).p_prime == p
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 80)
+    with pytest.raises(ValueError, match="isomorphism witness spells out more than 80 letters"):
+        common_generators(p, q, wit)
+    # a long relator makes even a one-letter image costly: each Nielsen
+    # move reads all of it, so the first side's three read 1005, 1005 and
+    # 1006 letters
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 3_000)
+    with pytest.raises(ValueError, match="more than 3000 letters"):
+        common_generators(pres("x", "x^1000"), q, wit)
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 0)
+    assert common_generators(p, p, IsoWitness.identity(1)).p_prime == p
     k1 = lustig(1)
     assert common_generators(k1, k1, IsoWitness.identity(3)).q_prime == k1
+
+
+def test_common_generators_charges_generators_and_relators():
+    # a Nielsen move builds an identity image for each generator and scans
+    # each relator, and AddGen copies the generator names, so each is
+    # charged even where it holds no letter: many free generators, or
+    # many empty relators, cannot make the replays run uncharged
+    x, y = pres("x", "x"), pres("y", "y")
+    free = make_presentation(" ".join(f"y{i}" for i in range(3000)), [])
+    with pytest.raises(ValueError, match="more than 3000000 letters"):
+        common_generators(x, free, IsoWitness(((),) * 3000, ((1,),)))
+    empty = pres("x", *["1"] * 20_000)
+    with pytest.raises(ValueError, match="more than 3000000 letters"):
+        common_generators(empty, y, IsoWitness(((-1,) * 100,), ((1,),)))
+
+
+def test_append_word_moves_share_the_moves_of_a_letter():
+    # the moves of a long image are built before its replay is charged,
+    # so they cost a list of pointers: four move objects for two letters
+    moves = append_word_moves(0, (2, -3) * 1000)
+    assert moves[:4] == [NielsenMul(0, 2, "right"),
+                         NielsenInv(1), NielsenMul(0, 1, "right"), NielsenInv(1)]
+    assert len(moves) == 4000 and len(set(map(id, moves))) == 4
 
 
 def test_common_generators_dimension_mismatch():
@@ -381,6 +412,24 @@ def test_product_stabilization_bad_witness():
     wrong = [NormalClosureWitness((1, 1), ((EMPTY, 0, 1),))]
     with pytest.raises(WitnessError):
         product_stabilization(l1, l2, wrong)
+
+
+def test_product_stabilization_refuses_a_partial_product_over_the_word_bound():
+    # each factor (1, relator 0, +1) adds the 100,000 letters of (x y)^50000
+    # to the product: the eleventh partial product passes the bound, and
+    # the product of forty would be a 4,000,000-letter tuple, 32 MB of
+    # pointers
+    l1 = pres("x y", "x y " * 50_000)
+    wit = NormalClosureWitness(l1.relators[0], ((EMPTY, 0, 1),) * 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WitnessError, match="^witness 0: relator of 1100000 "
+                                               "letters exceeds the 1000000-letter bound$"):
+            product_stabilization(l1, l1, [wit])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak
 
 
 def test_product_stabilization_self_random():

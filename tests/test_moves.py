@@ -315,8 +315,8 @@ def test_replay_raises_on_bookkeeping_drift(monkeypatch):
     # the apply step that replay dispatches to drops a relator
     original, *rest = moves._MOVES[InvRel]
 
-    def drops_a_relator(rels, gens, move):
-        gens = original(rels, gens, move)
+    def drops_a_relator(rels, gens, move, budget):
+        gens = original(rels, gens, move, budget)
         rels.pop()
         return gens
 

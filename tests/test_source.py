@@ -157,3 +157,46 @@ def test_move_preconditions_are_written_once():
                   and getattr(node.func, "id", None) == "_out_of_range"
                   and isinstance(node.args[0], ast.Constant)
                   and node.args[0].value == "relator") == {"_rel"}
+
+
+def _scopes(pred) -> set:
+    """(file, qualified name of the innermost function or class, or
+    "<module>") for each node of the program's source that satisfies pred."""
+    found = set()
+
+    def visit(node, path, scope):
+        if pred(node):
+            found.add((path.name, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else ""
+            visit(child, path, ".".join(filter(None, (scope, name))))
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return found
+
+
+def _text(node) -> str:
+    """The text of a str constant or f-string, each formatted value as '…'."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_text(part) if isinstance(part, ast.Constant) else "…"
+                       for part in node.values)
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_letter_bounds_are_kept_by_one_budget():
+    # words.LetterBudget is the one place that refuses an input for the
+    # letters it spells out or its work reads, so each limit is named only
+    # where it is defined, where a budget of it is built, and, for the
+    # length of one word, in moves._bounded
+    def named(name):
+        return _scopes(lambda node: isinstance(node, ast.Name) and node.id == name)
+
+    assert _scopes(lambda node: isinstance(node, ast.Raise) and any(
+        re.search("more than .* letters", _text(part)) for part in ast.walk(node))) == {
+        ("words.py", "LetterBudget.charge")}
+    assert named("MAX_ISO_WORK") == {("constructions.py", "<module>"),
+                                     ("constructions.py", "common_generators")}
+    assert named("MAX_WORD_LENGTH") == {("words.py", "<module>"),
+                                        ("words.py", "LetterBudget.__init__"),
+                                        ("moves.py", "_bounded")}
