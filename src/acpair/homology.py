@@ -5,20 +5,21 @@ them.  Ranks and determinants come from a fraction-free (Bareiss)
 echelon that pivots in each column on the least nonzero absolute value,
 made positive.  Transforms come from a Smith elimination that pivots
 once per diagonal position on the least nonzero absolute value of the
-trailing block, then runs Euclid with nearest-integer quotients.  Rows
-are dense lists in both, and a row update runs only over the nonzero
-entries of the pivot row, where it can change something.
-``smith_normal_form`` runs the Smith elimination on the matrix bordered
-by identity blocks, which then hold the unimodular transforms.
+trailing block, then runs Euclid with nearest-integer quotients.  A row
+update runs only over the nonzero entries of the pivot row, where it can
+change something.  ``smith_normal_form`` runs the Smith elimination on
+the matrix bordered by identity blocks, which then hold the unimodular
+transforms.
 
-A rank alone, as homology takes for the outgoing boundary and
-``matrix_rank`` returns, is first taken modulo the prime P = 4,194,301
-when more than half the matrix's entries are nonzero, on rows packed into
-Python ints.  A rank modulo P never exceeds the rank over Q, so when it is
-min(rows, cols) it is the rank; otherwise the echelon decides.  Sparse
-matrices, such as Fox matrices over A5, go to the echelon directly, which
-is cheaper on them.  Determinants, minors and invariant factors come only
-from the exact eliminations.
+A rank alone of a dense matrix, one with more than half its entries
+nonzero, as homology takes for the outgoing boundary and ``matrix_rank``
+returns, is first taken modulo the prime P = 4,194,301, on rows packed
+into Python ints.  A rank modulo P never exceeds the rank over Q, so when
+it is min(rows, cols) it is the rank; otherwise the echelon decides.
+Homology restricts a sparse boundary, such as a Fox matrix over A5, to
+rows of nonzeros {col: coeff}, and runs the echelon over them: the same
+pivots and results.  Determinants, minors and invariant factors come
+only from the exact eliminations.
 
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
@@ -208,22 +209,37 @@ def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix, group: FiniteGroup) -> Gr
     return GroupRingMatrix.from_entries(a.rows, b.cols, out)
 
 
-def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup) -> list:
-    """Integer matrix of the map on the underlying Z-module.
+def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup, sparse: bool = False) -> list:
+    """Integer matrix of the map on the underlying Z-module, as row lists,
+    or with sparse as rows of nonzeros {col: coeff}.
 
     Each ZG entry x becomes the |G| x |G| regular-representation block
     B[g][h] = coefficient of h in g*x, so restriction is multiplicative
     for composites taken in the row-vector convention.  As in gr_mul, the
-    elements of m lie in 0..|G|-1, which ChainComplexData checks.
+    elements of m lie in 0..|G|-1, which ChainComplexData checks.  Each
+    term writes its own nonzero entry, at column g*elem, in |G| rows.
     """
     n, table = group.order, group.table
-    out = [[0] * (m.cols * n) for _ in range(m.rows * n)]
+    blocks = [[] for _ in range(m.rows)]  # (first column, terms) of each row's cells
     for (r, c), cell in m.entries.items():
-        base = c * n
-        for g, times in enumerate(table, r * n):  # times[h] = g*h
-            row = out[g]
-            for elem, coeff in cell.items():
-                row[base + times[elem]] += coeff
+        blocks[r].append((c * n, cell.items()))
+    rows = []
+    for cells in blocks:
+        for times in table:  # times[h] = g*h
+            row = {}
+            for base, terms in cells:
+                for elem, coeff in terms:
+                    row[base + times[elem]] = coeff
+            rows.append(row)
+    return rows if sparse else _densify(rows, m.cols * n)
+
+
+def _densify(rows: list, cols: int) -> list:
+    """Row lists of cols entries from rows of nonzeros."""
+    out = [[0] * cols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
     return out
 
 
@@ -309,6 +325,64 @@ def _echelon(a: Sequence[Sequence[int]], minors: list | None = None) -> tuple:
                                [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
                 else:
                     row[c:] = [y * p // prev for y in row[c:]]
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def _sparse_echelon(a: list, cols: int, minors: list | None = None) -> tuple:
+    """_echelon of a, given as rows of nonzeros {col: coeff} over cols
+    columns: the same pivots, row order, signs, updates and minors.  An
+    index takes each column to the rows below the pivots nonzero there,
+    so the pivot search and the updates visit only those rows."""
+    m, rows = [dict(row) for row in a], len(a)
+    order, place = list(range(rows)), list(range(rows))  # row at a place, and back
+    index = [set() for _ in range(cols)]
+    for i, row in enumerate(m):
+        for j in row:
+            index[j].add(i)
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        if minors is not None and c == rank == rows - 2 == cols - 2:
+            minors += [m[order[r]].get(j, 0) for r in (c, c + 1) for j in (c, c + 1)]
+        below, index[c] = index[c], None
+        if not below:
+            continue
+        k = min(below, key=lambda i: (abs(m[i][c]), place[i]))
+        below.discard(k)
+        if place[k] != rank:  # row k and the row at place rank trade places
+            j = order[rank]
+            order[rank], order[place[k]], place[j], place[k] = k, j, place[k], rank
+            sign = -sign
+        top = m[k]
+        if top[c] < 0:
+            m[k] = top = {j: -x for j, x in top.items()}
+            sign = -sign
+        p = top.pop(c)
+        for j in top:
+            index[j].discard(k)
+        support, unit = list(top.items()), p == prev == 1
+        # a row with x = 0 in column c changes only when p != prev
+        for i in below if p == prev else order[rank + 1:]:
+            row = m[i]
+            x = row.pop(c, 0)
+            if p != prev:
+                for j, y in row.items():
+                    if not x or j not in top:
+                        row[j] = y * p // prev
+            if not x:
+                continue
+            for j, z in support:
+                y = row.get(j, 0) - x * z if unit else (row.get(j, 0) * p - x * z) // prev
+                if y:
+                    if j not in row:
+                        index[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    index[j].discard(i)
         prev = p
         rank += 1
     return rank, sign * prev
@@ -437,8 +511,10 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list:
     return _invariant_factors([list(row) for row in a])
 
 
-def _invariant_factors(m: list) -> list:
-    """invariant_factors of m, a list of row lists that it overwrites.
+def _invariant_factors(m: list, cols: int | None = None) -> list:
+    """invariant_factors of m, a list of row lists that it overwrites, or,
+    given cols, of rows of nonzeros over cols columns, made lists for the
+    Smith elimination only.
 
     A square m of side n goes through the echelon first, for its rank r,
     pivot minor D and g, the gcd of its trailing (n-1)-minors; the module
@@ -448,25 +524,27 @@ def _invariant_factors(m: list) -> list:
     over their product.  A non-square m, and a singular square one with
     |D| > 1, go to the Smith elimination as they are.
     """
-    rows, cols = len(m), len(m[0]) if m else 0
+    rows, sparse = len(m), cols is not None
+    cols = cols if sparse else len(m[0]) if m else 0
     if rows == cols:
         minors = []
-        rank, minor = _echelon(m, minors)
+        rank, minor = _sparse_echelon(m, cols, minors) if sparse else _echelon(m, minors)
         if abs(minor) == 1:
             return [1] * rank
-        if rank == rows:
-            g = gcd(*minors) if minors else 1  # a 1 x 1 m has no trailing block
-            head = [1] * (rows - 1)
-            if g > 1:
-                m[:] = ([[x % g for x in row] for row in m]
-                        + [[g * (i == j) for i in range(rows)] for j in range(rows)])
-                _diagonalize(m, 2 * rows, rows)
-                head = diagonal_of(m)[:rows - 1]
-            last, rest = divmod(abs(minor), prod(head))
-            if rest:
-                raise ArithmeticError(f"|det| {abs(minor)} is not a multiple of "
-                                      f"the leading invariant factors {head}")
-            return head + [last]
+    m = _densify(m, cols) if sparse else m
+    if rows == cols and rank == rows:
+        g = gcd(*minors) if minors else 1  # a 1 x 1 m has no trailing block
+        head = [1] * (rows - 1)
+        if g > 1:
+            m[:] = ([[x % g for x in row] for row in m]
+                    + [[g * (i == j) for i in range(rows)] for j in range(rows)])
+            _diagonalize(m, 2 * rows, rows)
+            head = diagonal_of(m)[:rows - 1]
+        last, rest = divmod(abs(minor), prod(head))
+        if rest:
+            raise ArithmeticError(f"|det| {abs(minor)} is not a multiple of "
+                                  f"the leading invariant factors {head}")
+        return head + [last]
     _diagonalize(m, rows, cols)
     return [x for x in diagonal_of(m) if x != 0]
 
@@ -539,6 +617,11 @@ def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _dense(nonzeros: int, rows: int, cols: int) -> bool:
+    """Whether a rows x cols matrix with this many nonzeros is dense."""
+    return 2 * nonzeros > rows * cols
+
+
 def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
     """The rank of m over Q, given the number of its nonzero entries.
 
@@ -549,7 +632,7 @@ def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
     """
     rows, cols = len(m), len(m[0]) if m else 0
     full = min(rows, cols)
-    if (2 * nonzeros > rows * cols and full < _MOD_P_MAX_SIDE
+    if (_dense(nonzeros, rows, cols) and full < _MOD_P_MAX_SIDE
             and _rank_mod_p(m) == full):
         return full
     return _echelon(m)[0]
@@ -598,9 +681,9 @@ def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> Abelia
     return _cokernel([list(row) for row in a], ambient_rank)
 
 
-def _cokernel(m: list, ambient_rank: int) -> AbelianGroup:
-    """cokernel_invariants of m, a list of row lists that it overwrites."""
-    factors = _invariant_factors(m) if m else []
+def _cokernel(m: list, ambient_rank: int, cols: int | None = None) -> AbelianGroup:
+    """cokernel_invariants of m, taken as _invariant_factors takes it."""
+    factors = _invariant_factors(m, cols) if m else []
     if len(factors) > ambient_rank:
         raise ValueError("row span exceeds ambient rank")
     return AbelianGroup(ambient_rank - len(factors),
@@ -650,14 +733,21 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
         raise ValueError(f"position {k} outside 0..{n}")
     rank_out = 0
     if k >= 1:
-        # each term of a cell restricts to |G| nonzero entries, one per row
-        d = c.boundary(k)
-        nonzeros = c.group.order * sum(map(len, d.entries.values()))
-        rank_out = _rank(restrict_scalars(d, c.group), nonzeros)
-    incoming = restrict_scalars(c.boundary(k + 1), c.group) if k < n else []
+        m, cols, nonzeros = _restricted(c.boundary(k), c.group)
+        rank_out = _rank(m, nonzeros) if cols is None else _sparse_echelon(m, cols)[0]
+    m, cols, _ = _restricted(c.boundary(k + 1), c.group) if k < n else ([], None, 0)
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0
-    return _cokernel(incoming, c.ranks[k] * c.group.order - rank_out)
+    return _cokernel(m, c.ranks[k] * c.group.order - rank_out, cols)
+
+
+def _restricted(d: GroupRingMatrix, group: FiniteGroup) -> tuple:
+    """(m, cols, nonzeros): d restricted, as row lists and cols None when
+    dense, else as rows of nonzeros over cols columns; |G| per term."""
+    nonzeros, cols = group.order * sum(map(len, d.entries.values())), d.cols * group.order
+    if _dense(nonzeros, d.rows * group.order, cols):
+        return restrict_scalars(d, group), None, nonzeros
+    return restrict_scalars(d, group, sparse=True), cols, nonzeros
 
 
 def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData:

@@ -31,11 +31,11 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Sequence
 
-from .presentations import Presentation, canonical_key
+from .presentations import Presentation, _key, canonical_key
 from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _letter_tokens,
-                    _token_letters, commutator, conjugate, identity_images,
-                    invert, json_int, letter_key, multiply, read_word, reduce,
-                    substitute, valid_name, write_word)
+                    _token_letters, commutator, conjugate, cyclic_canonical,
+                    identity_images, invert, json_int, letter_key, multiply,
+                    read_word, reduce, substitute, valid_name, write_word)
 
 
 class MoveError(ValueError):
@@ -196,8 +196,9 @@ def _in_context(w: Word, gens: tuple) -> None:
 # the move is built and checked by _in_context here, so callers wrap the
 # result without validation.  Every relator a move builds passes _bounded.
 # budget is replay's LetterBudget or None.  Before it builds anything, a Nielsen
-# move charges it one letter per generator (its identity image), per relator and
-# per relator letter (its scan), and AddGen one per generator name it copies.
+# move charges it one letter per generator, per relator and per relator letter
+# (its scan), and AddGen one per generator name it copies.  The letter per
+# generator over-counts: a Nielsen move builds no image per generator.
 
 def _conj_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r = _rel(rels, move.j)
@@ -222,20 +223,21 @@ def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
     rank = len(gens)
     if budget is not None:
         budget.charge(rank + len(rels) + sum(map(len, rels)))
-    images = dict(enumerate(identity_images(rank)))
     _check_gen(move.i, rank)
     if type(move) is NielsenInv:
-        images[move.i] = (-(move.i + 1),)
+        image = (-(move.i + 1),)
     else:
         _check_gen(move.j, rank)
         if move.side == "right":  # declared g_i -> g_i g_j
-            images[move.i] = (move.i + 1, -(move.j + 1))
+            image = (move.i + 1, -(move.j + 1))
         else:                      # declared g_i -> g_j g_i
-            images[move.i] = (-(move.j + 1), move.i + 1)
-    # the map moves only generator i, so a relator without it stays
+            image = (-(move.j + 1), move.i + 1)
+    # the map moves only generator i, so a relator without it stays, and
+    # one with it needs the identity images of its own letters only
     letter = move.i + 1
     for idx, r in enumerate(rels):
         if letter in r or -letter in r:
+            images = {abs(x) - 1: (abs(x),) for x in set(r)} | {move.i: image}
             rels[idx] = _bounded(substitute(r, images))
     return gens
 
@@ -769,6 +771,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
     start = canonical_key(p)
     # key -> (the representative first met, the fragment that reached it)
     known = {start: (p, ())}
+    classes = {}  # relator -> its class: a fragment rewrites one relator
 
     def successors(key):
         here = known[key][0]
@@ -779,7 +782,10 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
                 nxt = apply_move(nxt, move)
             if any(len(r) > budget.max_relator_length for r in nxt.relators):
                 continue
-            nkey = canonical_key(nxt)
+            for r in nxt.relators:
+                if r not in classes:
+                    classes[r] = cyclic_canonical(r)
+            nkey = _key(nxt, classes.__getitem__)
             if nkey not in known:
                 known[nkey] = (nxt, tuple(fragment))
             yield nkey

@@ -86,7 +86,12 @@ class ClosedComplex:
 
 @lru_cache(maxsize=1 << 16)
 def canonical_key(p: Presentation) -> CanonicalKey:
-    return CanonicalKey(p.rank, tuple(cyclic_canonical(r) for r in p.relators))
+    return _key(p, cyclic_canonical)
+
+
+def _key(p: Presentation, canonical) -> CanonicalKey:
+    """p's canonical key, with canonical(r) as the class of relator r."""
+    return CanonicalKey(p.rank, tuple(map(canonical, p.relators)))
 
 
 def serialize_key(key: CanonicalKey) -> str:

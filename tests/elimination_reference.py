@@ -4,9 +4,11 @@
 elimination of acpair.homology in their dense form: every row update
 rebuilds the row's whole tail, and the pivot search scans every row of
 the trailing block.  Their pivots and operations are those of
-acpair.homology; the only addition is the optional `branches` Counter,
-which counts the branches in which acpair.homology skips work, so that a
-test can show its corpus reaches each of them:
+acpair.homology.  `echelon` also takes the trailing 2 x 2 block as
+`minors`, as acpair.homology's echelons do.  The only other addition is
+the optional `branches` Counter, which counts the branches in which
+acpair.homology skips work or its sparse echelon keeps its index, so
+that a test can show its corpus reaches each of them:
 
 - "echelon p == prev == 1": a row updated after a unit pivot that follows
   a unit pivot (or starts the elimination);
@@ -14,6 +16,14 @@ test can show its corpus reaches each of them:
   previous, non-unit pivot;
 - "echelon p != prev, zero x": a row with a zero in the pivot column that
   is only rescaled;
+- "echelon p != prev, nonzero x": a row rebuilt whole after a pivot that
+  differs from the previous one;
+- "echelon swap" and "echelon negated pivot": a pivot row moved up to the
+  pivot position, and one made positive;
+- "echelon fill-in" and "echelon cancel": an entry right of the pivot
+  column that an update turns from zero to nonzero, or from nonzero to
+  zero, which the sparse echelon adds to or drops from its column index;
+- "echelon trailing block": the trailing 2 x 2 block taken as minors;
 - "smith zero row skipped": a row of the trailing block that is all zero
   when the pivot search scans it;
 - "smith fold": a non-unit pivot that does not divide the trailing block,
@@ -23,13 +33,19 @@ test can show its corpus reaches each of them:
 from collections import Counter
 
 
-def echelon(a, branches: Counter | None = None) -> tuple:
+def echelon(a, branches: Counter | None = None, minors: list | None = None) -> tuple:
+    """(rank, minor), and the trailing block added to minors, as
+    acpair.homology._echelon returns and adds them."""
     m = [list(map(int, row)) for row in a]
     rows, cols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
+    count = Counter() if branches is None else branches
     for c in range(cols):
         if rank == rows:
             break
+        if minors is not None and c == rank == rows - 2 == cols - 2:
+            minors += m[c][c:] + m[c + 1][c:]
+            count["echelon trailing block"] += 1
         p, k = 0, None
         for i in range(rank, rows):
             x = abs(m[i][c])
@@ -42,22 +58,27 @@ def echelon(a, branches: Counter | None = None) -> tuple:
         if k != rank:
             m[rank], m[k] = m[k], m[rank]
             sign = -sign
+            count["echelon swap"] += 1
         top = m[rank]
         if top[c] < 0:
             top[c:] = [-x for x in top[c:]]
             sign = -sign
+            count["echelon negated pivot"] += 1
         tail = top[c:]
         for row in m[rank + 1:]:
             x = row[c]
             if x:
-                if branches is not None and p == prev:
-                    branches["echelon p == prev == 1" if p == 1
-                             else "echelon p == prev > 1"] += 1
+                count["echelon p == prev == 1" if p == prev == 1 else
+                      "echelon p == prev > 1" if p == prev else
+                      "echelon p != prev, nonzero x"] += 1
+                old = row[c + 1:]
                 row[c:] = ([y * p - x * z for y, z in zip(row[c:], tail)] if prev == 1 else
                            [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
+                for y, z in zip(old, row[c + 1:]):
+                    if (y == 0) != (z == 0):
+                        count["echelon fill-in" if z else "echelon cancel"] += 1
             elif p != prev:
-                if branches is not None:
-                    branches["echelon p != prev, zero x"] += 1
+                count["echelon p != prev, zero x"] += 1
                 row[c:] = [y * p // prev for y in row[c:]]
         prev = p
         rank += 1

@@ -383,6 +383,54 @@ def test_eliminations_match_the_dense_reference():
         "echelon p != prev, zero x", "smith zero row skipped", "smith fold")) >= 10, branches
 
 
+def sparse_rows(a):
+    """The rows of nonzeros {col: coeff} of a."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def sparse_cases(rng):
+    """Matrices of 2..14 rows and columns, square in half the cases, of
+    densities 0.1..0.7 with entries in +-1, +-2 or +-5; in a third of them
+    one row is a combination of two others."""
+    cases = []
+    for _ in range(800):
+        rows = rng.randint(2, 14)
+        cols = rows if rng.random() < 0.5 else rng.randint(2, 14)
+        density, bound = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7)), rng.choice((1, 2, 5))
+        a = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.33:
+            i, j, k = rng.sample(range(rows), 3)
+            a[i] = [y - rng.choice((1, 2)) * z for y, z in zip(a[j], a[k])]
+        cases.append(a)
+    return cases
+
+
+def test_sparse_echelon_matches_the_dense_echelons():
+    # the sparse echelon takes the dense echelon's pivots, row order and
+    # signs, so its rank, minor and trailing minors are those of _echelon
+    # and of the reference, on random sparse matrices and on every A5 Fox
+    # boundary.  The counts show that the corpus reaches each branch where
+    # the sparse echelon changes its column index or its rows.
+    a5, chains = a5_fox_chains()
+    cases = sparse_cases(random.Random(81))
+    for chain in chains:
+        for k in (1, 2):
+            d = chain.boundary(k)
+            cases.append(restrict_scalars(d, a5))
+            assert restrict_scalars(d, a5, sparse=True) == sparse_rows(cases[-1])
+    branches = Counter()
+    for a in cases:
+        sparse, dense, expected = [], [], []
+        result = homology._sparse_echelon(sparse_rows(a), len(a[0]), sparse)
+        assert result == _echelon(a, dense) == reference.echelon(a, branches, expected), a
+        assert sparse == dense == expected, a
+    assert min(branches[b] for b in (
+        "echelon fill-in", "echelon cancel", "echelon swap", "echelon negated pivot",
+        "echelon p != prev, nonzero x", "echelon p != prev, zero x",
+        "echelon trailing block")) >= 10, branches
+
+
 def random_unimodular(rng, n):
     """A unit lower times a unit upper triangular matrix, entries in
     -2..2, with its rows permuted and signed: determinant +-1."""
@@ -462,6 +510,18 @@ def test_invariant_factors_from_minors_match_the_reference(diagonalize_calls):
     assert kinds["s_{n-1} in {2, 3, 6}", "g > 1"] == 40, kinds
 
 
+def test_invariant_factors_of_sparse_rows_follow_the_same_rules(diagonalize_calls):
+    # rows of nonzeros go through the sparse echelon, and to the Smith
+    # elimination as lists, under every rule of _invariant_factors
+    rules = Counter()
+    for kind, a, expected in factor_cases(random.Random(61)):
+        diagonalize_calls.clear()
+        assert homology._invariant_factors(sparse_rows(a), len(a[0])) == expected, (kind, a)
+        rules["echelon only" if not diagonalize_calls else
+              "bare" if diagonalize_calls == [(len(a), len(a[0]))] else "mod g"] += 1
+    assert min(rules.values()) >= 10 and len(rules) == 3, rules
+
+
 def test_packing_round_trips_through_64_bit_slots():
     big = (1 << 63) - 1
     for values in ([], [0], [1, 0, homology._P - 1, big], [big, big, 0, 1],
@@ -511,10 +571,10 @@ def test_rank_mod_p_against_the_echelon():
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Names of the calls of homology._rank_mod_p and homology._echelon
-    while a test runs."""
+    """Names of the calls of homology._rank_mod_p, homology._echelon and
+    homology._sparse_echelon while a test runs."""
     calls = []
-    for name in ("_rank_mod_p", "_echelon"):
+    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon"):
         def watched(*args, _name=name, _f=getattr(homology, name)):
             calls.append(_name)
             return _f(*args)
@@ -537,12 +597,13 @@ def test_rank_falls_back_to_the_echelon_where_p_divides_the_determinant(rank_cal
 
 def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
     # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78:
-    # the echelon alone; a dense full-rank top boundary needs no echelon
+    # the sparse echelon alone, for the rank of d_k and for the minors of
+    # the square d_{k+1}; a dense full-rank top boundary needs no echelon
     _, chains = a5_fox_chains()
     for chain in chains:
         for k in (1, 2):
             homology_at(chain, k)
-    assert "_rank_mod_p" not in rank_calls and "_echelon" in rank_calls
+    assert rank_calls == ["_sparse_echelon"] * 12  # three per chain
     rng = random.Random(73)
     matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
     rank_calls.clear()

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import make_dataclass
@@ -79,6 +80,19 @@ def test_nielsen_moves_substitute_only_where_their_generator_occurs(monkeypatch)
     calls.clear()
     assert apply_move(p, NielsenInv(0)).relators[-2:] == ((2, -1), (-2,))
     assert len(calls) == 10_001
+
+
+def test_nielsen_moves_build_no_image_per_generator():
+    # a Nielsen move builds images only for the generators of the relators
+    # it rewrites, so its time does not grow with the rank: 200 moves over
+    # 20,000 generators and one 4-letter relator replay at once
+    p = Presentation(tuple(f"g{i}" for i in range(20_000)), ((1, 2, -1, -2),))
+    script = MoveScript(tuple(NielsenInv(i % 3) for i in range(200)), "full")
+    start = time.perf_counter()
+    q = replay(p, script)
+    elapsed = time.perf_counter() - start
+    assert q.relators == ((-1, -2, 1, 2),)
+    assert elapsed < 0.2, elapsed
 
 
 def test_nielsen_moves_match_full_substitution():
@@ -478,6 +492,25 @@ def test_bounded_search_finds_slide():
     script = bounded_equivalence_search(p, q, SearchBudget(max_depth=2)).result
     assert script is not None
     assert canonical_key(replay(p, script)) == canonical_key(q)
+
+
+def test_bounded_search_computes_each_relator_class_once(monkeypatch):
+    # a fragment rewrites one relator, so the search keeps each relator's
+    # class for the rest of the search: no relator word is classified
+    # twice, fewer words are classified than states are reached, and the
+    # keys are those of canonical_key
+    classified = []
+
+    def counted(u):
+        classified.append(u)
+        return words.cyclic_canonical(u)
+
+    monkeypatch.setattr(moves, "cyclic_canonical", counted)
+    outcome = bounded_equivalence_search(
+        lustig(1), lustig(2), SearchBudget(max_depth=2, max_states=300))
+    assert len(classified) == len(set(classified)) < outcome.states
+    keys = {moves._key(p, counted) for p in (lustig(1), lustig(2))}
+    assert keys == {canonical_key(lustig(1)), canonical_key(lustig(2))}
 
 
 def test_bounded_search_identity():

@@ -200,3 +200,35 @@ def test_letter_bounds_are_kept_by_one_budget():
     assert named("MAX_WORD_LENGTH") == {("words.py", "<module>"),
                                         ("words.py", "LetterBudget.__init__"),
                                         ("moves.py", "_bounded")}
+
+
+def _calls(node):
+    return {inner.func.id for inner in ast.walk(node)
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)}
+
+
+def test_the_density_threshold_is_written_once():
+    # _rank takes a rank modulo P first, and homology_at keeps rows as
+    # lists, for the same matrices: those with more nonzero than zero
+    # entries.  One function decides it for both, so they cannot disagree.
+    found, deciders = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Compare)
+                      and isinstance(node.left, ast.BinOp)
+                      and isinstance(node.left.op, ast.Mult)
+                      and 2 in (getattr(node.left.left, "value", None),
+                                getattr(node.left.right, "value", None))]
+            if path.name == "homology.py" and "_dense" in _calls(func):
+                deciders.add(func.name)
+    assert found == ["homology.py:_dense"], found
+    assert deciders == {"_rank", "_restricted"}, deciders
+    homology = ast.parse((SOURCE / "homology.py").read_text())
+    homology_at = next(node for node in homology.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "homology_at")
+    assert {"_restricted", "_rank"} <= _calls(homology_at)
+    assert "restrict_scalars" not in _calls(homology_at)

@@ -41,9 +41,8 @@ COMMON = {
                      "Presentation.__post_init__.<locals>.<genexpr> "
                      "Presentation._trusted Presentation.rank "
                      "__create_fn__.<locals>.__eq__ __create_fn__.<locals>.__hash__ "
-                     "__create_fn__.<locals>.__init__ canonical_key "
-                     "canonical_key.<locals>.<genexpr> parse_presentation "
-                     "parse_relator_text",
+                     "__create_fn__.<locals>.__init__ _key canonical_key "
+                     "parse_presentation parse_relator_text",
     "words": "LetterBudget.__init__ LetterBudget.charge LetterBudget.charge_tokens "
              "_least_rotation _letter_ranks _letter_ranks.<locals>.<listcomp> "
              "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
