@@ -7,11 +7,11 @@ checking, and bounded witness search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from .moves import (AddGen, EquivalenceCertificate, MoveError, MoveScript, NielsenInv,
-                    NielsenMul, SearchOutcome, _bounded, _breadth_first, _compact,
+                    NielsenMul, RegimeError, SearchOutcome, _bounded, _breadth_first, _compact,
                     _conjugated_slide, _nonnegative, replay)
 from .pairing import FormalSum, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
@@ -71,24 +71,23 @@ def swap_generators_moves(i: int, j: int) -> list:
     ]
 
 
-def permutation_moves(perm: Sequence[int]) -> list:
-    """Moves relabelling positions so that new position k holds old perm[k]."""
+def permutation_moves(perm: Sequence[int]):
+    """Moves relabelling positions so that new position k holds old perm[k],
+    made one swap at a time as they are taken; perm is checked first."""
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
     location = list(range(n))   # location[g] = current position of old generator g
     occupant = list(range(n))   # occupant[p] = old generator at position p
-    moves = []
     for k in range(n):
         want = perm[k]
         cur = location[want]
         if cur == k:
             continue
-        moves.extend(swap_generators_moves(k, cur))
+        yield from swap_generators_moves(k, cur)
         other = occupant[k]
         occupant[k], occupant[cur] = want, other
         location[want], location[other] = k, cur
-    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def permutation_moves(perm: Sequence[int]) -> list:
 class IsoWitness:
     """Claimed mutually inverse generator images: each second-presentation
     generator as a word in the first's generators and vice versa.  Validity
-    is certified downstream by the produced scripts replaying correctly."""
+    is certified downstream by the replay of the moves built from them."""
 
     y_in_x: tuple  # tuple[Word, ...]
     x_in_y: tuple  # tuple[Word, ...]
@@ -117,8 +116,6 @@ class IsoWitness:
 class CommonGeneratorsResult:
     p_prime: Presentation
     q_prime: Presentation
-    script_p: MoveScript
-    script_q: MoveScript
 
 
 def common_generators(p: Presentation, q: Presentation,
@@ -127,11 +124,12 @@ def common_generators(p: Presentation, q: Presentation,
 
     The first presentation's generators come first; each added generator
     carries a linking relator equating it with the witness image.  Both
-    scripts use only generator-level moves and their composites, so they
-    are 2-deformations.  When the generator tuples already coincide and
-    the witness is the identity, both presentations are returned as they
-    are with empty scripts.  Otherwise both replays charge one LetterBudget
-    of MAX_ISO_WORK letters (see moves' apply steps); past it, a ValueError.
+    sides are rewritten by generator-level moves and their composites
+    only, so by 2-deformations.  When the generator tuples already
+    coincide and the witness is the identity, both presentations are
+    returned as they are.  Otherwise both replays charge one LetterBudget
+    of MAX_ISO_WORK letters (see moves' apply steps), and each move is made
+    only as its replay takes it; past the budget, a ValueError.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:
@@ -139,35 +137,33 @@ def common_generators(p: Presentation, q: Presentation,
             f"witness dimensions {len(witness.y_in_x)}/{len(witness.x_in_y)} "
             f"do not match ranks {c}/{a}")
     if p.gens == q.gens and witness.is_identity():
-        return CommonGeneratorsResult(p, q, MoveScript(()), MoveScript(()))
+        return CommonGeneratorsResult(p, q)
     budget = LetterBudget("the Nielsen work of the isomorphism witness", MAX_ISO_WORK)
-    # the second side's moves are built only once the first side is replayed
-    script_p = MoveScript(_adjoin_images(p, q.gens, witness.y_in_x))
-    p_prime = replay(p, script_p, budget)
-    moves_q = _adjoin_images(q, p.gens, witness.x_in_y)
+    # each side's images are checked as its replay takes the first move
+    p_prime = replay(p, _adjoin_images(p, q.gens, witness.y_in_x), budget)
     # Reorder the roles so position k means: k < a the k-th first-presentation
     # generator, k >= a the (k-a)-th second-presentation generator.
-    moves_q.extend(permutation_moves([c + i for i in range(a)] + list(range(c))))
-    script_q = MoveScript(moves_q)
-    return CommonGeneratorsResult(p_prime, replay(q, script_q, budget), script_p, script_q)
+    moves_q = chain(_adjoin_images(q, p.gens, witness.x_in_y),
+                    permutation_moves([c + i for i in range(a)] + list(range(c))))
+    return CommonGeneratorsResult(p_prime, replay(q, moves_q, budget))
 
 
-def _adjoin_images(p: Presentation, names: Sequence[str], images) -> list:
+def _adjoin_images(p: Presentation, names: Sequence[str], images):
     """Moves appending one generator per image, named after names where that
     name is free, each linked to its image over p's generators by one new
-    relator."""
-    moves = []
-    taken = set(p.gens)
-    for idx, (name, image) in enumerate(zip(names, images)):
+    relator.  Every image's range is checked before the first move; then
+    the moves are made one image at a time as they are taken."""
+    for idx, image in enumerate(images):
         if image and max(map(abs, image)) > p.rank:
             raise WitnessError(f"image {idx + 1} lies outside the generators "
                                f"{', '.join(p.gens)}")
+    taken = set(p.gens)
+    for idx, (name, image) in enumerate(zip(names, images)):
         if name in taken:
             name = fresh_name(taken, p.rank + idx)
         taken.add(name)
-        moves.append(AddGen(name))
-        moves.extend(append_word_moves(p.rank + idx, invert(reduce(image))))
-    return moves
+        yield AddGen(name)
+        yield from append_word_moves(p.rank + idx, invert(reduce(image)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +524,9 @@ def verify_smove_certificates(l1: Presentation, l2: Presentation,
                               to_second: Sequence[MoveScript]) -> tuple:
     """Check restricted-regime scripts equating l1*l2 with both self-products.
 
-    The to_first scripts, composed in order onto an empty k_prime script,
-    must take l1*l2 to the key of l1*l1, and the to_second scripts to the
-    key of l2*l2; composing refuses a script of another regime.  A failed
+    The to_first scripts, composed in order into one k_prime script, must
+    take l1*l2 to the key of l1*l1, and the to_second scripts to the key of
+    l2*l2; composing refuses a script of another regime.  A failed
     certificate is a MoveError led by its label.  Returns both certificates,
     usable for null-vector verification of l1 - l2 in the restricted setting.
     """
@@ -538,13 +534,20 @@ def verify_smove_certificates(l1: Presentation, l2: Presentation,
         raise ValueError("presentations do not share a boundary")
     if len(l1.relators) != len(l2.relators):
         raise ValueError("presentations must have the same relator count")
-    start, empty = product(l1, l2), MoveScript((), "k_prime")
-    certs = (EquivalenceCertificate(start, product(l1, l1), sum(to_first, empty),
-                                    "to_first_self"),
-             EquivalenceCertificate(start, product(l2, l2), sum(to_second, empty),
-                                    "to_second_self"))
+    start, certs = product(l1, l2), []
+    for scripts, end, label in ((to_first, product(l1, l1), "to_first_self"),
+                                (to_second, product(l2, l2), "to_second_self")):
+        moves, stabilized = [], False  # each composed script is built once
+        for script in scripts:
+            if script.regime != "k_prime":
+                raise RegimeError(f"cannot compose a k_prime script with a "
+                                  f"{script.regime} script")
+            moves += script.moves
+            stabilized = stabilized or script.stabilized
+        script = MoveScript(moves, "k_prime", stabilized)
+        certs.append(EquivalenceCertificate(start, end, script, label))
     for cert in certs:
         ok, message = cert.verify()
         if not ok:
             raise MoveError(f"{cert.label}: {message}")
-    return certs
+    return tuple(certs)

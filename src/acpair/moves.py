@@ -152,13 +152,6 @@ class MoveScript:
     def __len__(self):
         return len(self.moves)
 
-    def __add__(self, other: "MoveScript") -> "MoveScript":
-        if self.regime != other.regime:
-            raise RegimeError(f"cannot compose a {self.regime} script with a "
-                              f"{other.regime} script")
-        return MoveScript(self.moves + other.moves, self.regime,
-                          self.stabilized or other.stabilized)
-
 
 def _out_of_range(what: str, index: int, count: int) -> MoveError:
     return MoveError(f"{what} index {index} out of range (have {count})")
@@ -299,7 +292,7 @@ def _unknown_move(rels: list, gens: tuple, move, budget) -> tuple:
 
 # Move class -> (apply, change in generators, change in relators, the
 # regimes that admit it: "full", "k_prime", and "stabilized" for a k_prime
-# script flagged as stabilized).  apply_move and replay dispatch here.
+# script flagged as stabilized).  replay dispatches here.
 _ALL = ("full", "k_prime", "stabilized")
 _MOVES = {
     ConjRel: (_conj_rel, 0, 0, _ALL),
@@ -316,28 +309,26 @@ _MOVES = {
 _UNKNOWN = (_unknown_move, 0, 0, ("full",))
 
 
-def apply_move(p: Presentation, move) -> Presentation:
-    """One move on a validated presentation."""
-    rels = list(p.relators)
-    gens = _MOVES.get(type(move), _UNKNOWN)[0](rels, p.gens, move, None)
-    return Presentation._trusted(gens, tuple(rels))
-
-
-def replay(p: Presentation, script: MoveScript,
-           budget: LetterBudget | None = None) -> Presentation:
+def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Presentation:
     """Left fold of the script's moves over one relator list, with regime
-    and bookkeeping checks on every move; the apply steps charge budget."""
+    and bookkeeping checks on every move; the apply steps charge budget.
+    script is a MoveScript or any iterable of full-regime moves, whose
+    moves are taken one at a time, as they are made."""
     rels, gens = list(p.relators), p.gens
     n, m = p.rank, len(rels)
+    if isinstance(script, MoveScript):
+        moves, named = script.moves, script.regime
+    else:
+        moves, named = script, "full"
     # the script's regime as _MOVES names it
-    stabilized = script.regime == "k_prime" and script.stabilized
-    regime = "stabilized" if stabilized else script.regime
-    for pos, move in enumerate(script.moves, start=1):
+    stabilized = named == "k_prime" and script.stabilized
+    regime = "stabilized" if stabilized else named
+    for pos, move in enumerate(moves, start=1):
         apply, dn, dm, regimes = _MOVES.get(type(move), _UNKNOWN)
         if regime not in regimes:
             raise RegimeError(
                 f"move {pos} ({type(move).__name__}) violates the "
-                f"{script.regime} regime")
+                f"{named} regime")
         try:
             gens = apply(rels, gens, move, budget)
         except MoveError as e:
@@ -777,9 +768,8 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         here = known[key][0]
         for fragment in _neighbor_fragments(here, regime, target_rels,
                                             budget.conjugator_length):
-            nxt = here
-            for move in fragment:
-                nxt = apply_move(nxt, move)
+            step = MoveScript(fragment, regime)
+            nxt = replay(here, step)
             if any(len(r) > budget.max_relator_length for r in nxt.relators):
                 continue
             for r in nxt.relators:
@@ -787,7 +777,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
                     classes[r] = cyclic_canonical(r)
             nkey = _key(nxt, classes.__getitem__)
             if nkey not in known:
-                known[nkey] = (nxt, tuple(fragment))
+                known[nkey] = (nxt, step.moves)
             yield nkey
 
     reason, _, parents, _ = _breadth_first(start, goal, successors, None,

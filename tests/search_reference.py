@@ -10,7 +10,7 @@ so that a test can show the search reaches the same keys in the same order
 and stops at the same state.
 """
 
-from acpair.moves import _neighbor_fragments, apply_move
+from acpair.moves import _neighbor_fragments, replay
 from acpair.presentations import canonical_key
 
 
@@ -33,7 +33,7 @@ def equivalence_search(p, q, budget, regime="full"):
                                                 budget.conjugator_length):
                 nxt = here
                 for move in fragment:
-                    nxt = apply_move(nxt, move)
+                    nxt = replay(nxt, (move,))
                 if any(len(r) > budget.max_relator_length for r in nxt.relators):
                     continue
                 nkey = canonical_key(nxt)

@@ -26,7 +26,7 @@ from acpair.homology import (determinant, diagonal_of, euler_char_chain,
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RemoveGen,
                           RemoveTrivialRel, RestrictedSlide, RSFactor,
-                          SlideRel, apply_move, expand_restricted_slides,
+                          SlideRel, expand_restricted_slides,
                           invert_script, replay, slide_exponent_ledger)
 from acpair.pairing import FormalSum, verify_null
 from acpair.presentations import (Presentation, abelianization, canonical_key,
@@ -239,7 +239,7 @@ def test_acceptance_3_move_engine_soundness():
         for _ in range(rng.randint(0, 20)):
             mv = _random_legal_move(rng, cur)
             moves.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
             if isinstance(mv, AddGen):
                 n, m = n + 1, m + 1
             elif isinstance(mv, RemoveGen):
@@ -298,7 +298,7 @@ def test_acceptance_4_restricted_regime():
                                               rng.choice([1, -1]),
                                               rand_word(rng, cur.rank, 2)),))
             moves.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
         ledger = slide_exponent_ledger(
             expand_restricted_slides(MoveScript(tuple(moves))))
         if any(v != 0 for v in ledger.values()):
@@ -351,7 +351,7 @@ def test_acceptance_5_smove_roundtrip():
                     rand_word(rng, rank, 2), k, rng.choice([1, -1]),
                     rand_word(rng, rank, 2)),))
             moves.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
         forward = MoveScript(tuple(moves), "k_prime")
         l2 = Presentation(names, cur.relators[m:])
         to_first = [invert_script(forward)]

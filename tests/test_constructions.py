@@ -15,9 +15,9 @@ from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   swap_generators_moves,
                                   verify_smove_certificates, witness_from_json,
                                   witness_to_json)
-from acpair.moves import (ConjRel, InvRel, MoveError, MoveScript,
-                          NielsenInv, NielsenMul, RegimeError, RestrictedSlide, RSFactor, SlideRel,
-                          apply_move, invert_script, replay)
+from acpair.moves import (AddTrivialRel, ConjRel, InvRel, MoveError, MoveScript,
+                          NielsenInv, NielsenMul, RegimeError, RemoveTrivialRel,
+                          RestrictedSlide, RSFactor, SlideRel, invert_script, replay)
 from acpair.pairing import verify_null
 from acpair.presentations import (canonical_key, euler_char,
                                   format_presentation, make_presentation,
@@ -38,12 +38,12 @@ def test_swap_generators_moves():
     p = pres("x y", "x")
     cur = p
     for mv in swap_generators_moves(0, 1):
-        cur = apply_move(cur, mv)
+        cur = replay(cur, (mv,))
     assert cur.relators == ((2,),)
     q = pres("x y z", "x y^-1 z")
     cur = q
     for mv in swap_generators_moves(0, 2):
-        cur = apply_move(cur, mv)
+        cur = replay(cur, (mv,))
     assert cur.relators == ((3, -2, 1),)
 
 
@@ -52,7 +52,7 @@ def test_permutation_moves():
     perm = [2, 0, 1]  # new position k holds old generator perm[k]
     cur = p
     for mv in permutation_moves(perm):
-        cur = apply_move(cur, mv)
+        cur = replay(cur, (mv,))
     # old z -> position 0, old x -> position 1, old y -> position 2
     assert cur.relators == ((2, 3, 3, 1, 1, 1),)
 
@@ -68,8 +68,6 @@ def test_common_generators_micro_example():
     assert res.p_prime.rank == 2 and res.q_prime.rank == 2
     assert res.p_prime.relators == ((1, 1), (2, -1))
     assert res.q_prime.relators == ((2, 2), (1, -2))
-    assert replay(p, res.script_p) == res.p_prime
-    assert replay(q, res.script_q) == res.q_prime
     assert euler_char(res.p_prime) == euler_char(p)
     assert euler_char(res.q_prime) == euler_char(q)
 
@@ -79,15 +77,13 @@ def test_common_generators_symmetric_instance():
     wit = IsoWitness(((1,),), ((1,),))
     res = common_generators(p, p, wit)
     # same tuple but non-identity handling is skipped only for identity data
-    assert res.script_p.moves == () and res.script_q.moves == ()
-    assert res.p_prime == p and res.q_prime == p
+    assert res.p_prime is p and res.q_prime is p
 
 
 def test_common_generators_lustig_skip():
     k1, k2 = lustig(1), lustig(2)
     res = common_generators(k1, k2, IsoWitness.identity(3))
-    assert res.p_prime == k1 and res.q_prime == k2
-    assert len(res.script_p) == 0 and len(res.script_q) == 0
+    assert res.p_prime is k1 and res.q_prime is k2
 
 
 def test_common_generators_relator_counts():
@@ -98,8 +94,6 @@ def test_common_generators_relator_counts():
     assert len(res.p_prime.relators) == len(p.relators) + q.rank
     assert len(res.q_prime.relators) == len(q.relators) + p.rank
     assert res.p_prime.rank == res.q_prime.rank == 3
-    assert replay(p, res.script_p) == res.p_prime
-    assert replay(q, res.script_q) == res.q_prime
 
 
 def test_common_generators_bounds_the_image_letters(monkeypatch):
@@ -115,8 +109,7 @@ def test_common_generators_bounds_the_image_letters(monkeypatch):
     wit = IsoWitness(((-1,),), ((1,),))
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 81)
     res = common_generators(p, q, wit)
-    assert replay(p, res.script_p) == res.p_prime
-    assert replay(q, res.script_q) == res.q_prime
+    assert res.p_prime.relators == ((1,), (2, 1)) and res.q_prime.relators == ((2,), (1, -2))
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 80)
     with pytest.raises(ValueError, match="isomorphism witness spells out more than 80 letters"):
         common_generators(p, q, wit)
@@ -144,6 +137,27 @@ def test_common_generators_charges_generators_and_relators():
     empty = pres("x", *["1"] * 20_000)
     with pytest.raises(ValueError, match="more than 3000000 letters"):
         common_generators(empty, y, IsoWitness(((-1,) * 100,), ((1,),)))
+
+
+def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypatch):
+    # many free generators against a one-generator partner, in both orders:
+    # the budget refuses the replay of the side that adjoins one generator
+    # per free one after a few hundred AddGens, so the moves of the other
+    # generators, and of the swaps that would reorder them, are never made
+    n = 20_000
+    one = pres("x", "x")
+    free = make_presentation(" ".join(f"y{i}" for i in range(n)), [])
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 100_000)
+    for p, q, wit in ((free, one, IsoWitness(((1,),), ((1,),) * n)),
+                      (one, free, IsoWitness(((1,),) * n, ((1,),)))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than 100000 letters"):
+                common_generators(p, q, wit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, (p.rank, peak)
 
 
 def test_append_word_moves_share_the_moves_of_a_letter():
@@ -483,7 +497,7 @@ def test_pipeline_raises_when_normalization_changes_relator_counts():
     # so a normalization that adds a relator fails the Euler check.
     good = lustig_common()
     bad = constructions.CommonGeneratorsResult(
-        good.p_prime, wedge_s2(good.q_prime, 1), good.script_p, good.script_q)
+        good.p_prime, wedge_s2(good.q_prime, 1))
     with pytest.raises(ValueError, match="Euler characteristics differ: 1 vs 2"):
         null_vector_pipeline(bad)
 
@@ -800,6 +814,33 @@ def test_verify_smove_rejects_raw_slide():
     undeclared = MoveScript((InvRel(0),), "full")
     with pytest.raises(RegimeError, match="a k_prime script with a full script"):
         verify_smove_certificates(l1, l1, [undeclared], [])
+
+
+def test_verify_smove_composes_each_side_once(monkeypatch):
+    # each side's scripts are composed into one script, so each move is
+    # copied once; adding the scripts one by one would copy every earlier
+    # move again for each script, quadratic in the number of script files
+    l1 = pres("x y", "x", "y")
+    n = 2000
+    flips = [MoveScript((InvRel(0),), "k_prime")] * n
+    # a trivial relator added and removed again: only a stabilized script may
+    flagged = MoveScript((AddTrivialRel(), RemoveTrivialRel(4)), "k_prime", True)
+    copied = []
+    post_init = MoveScript.__post_init__
+
+    def counted(script):
+        post_init(script)
+        copied.append(len(script.moves))
+
+    monkeypatch.setattr(MoveScript, "__post_init__", counted)
+    first, second = verify_smove_certificates(l1, l1, flips, [flips[0], flagged])
+    assert copied == [n, 3]
+    assert first.script.moves == (InvRel(0),) * n and not first.script.stabilized
+    assert second.script.stabilized
+    unflagged = MoveScript(flagged.moves, "k_prime")
+    with pytest.raises(MoveError, match="^to_second_self: replay failed: move 2 "
+                                        "\\(AddTrivialRel\\) violates the k_prime regime$"):
+        verify_smove_certificates(l1, l1, [], [flips[0], unflagged])
 
 
 def test_verify_smove_wrong_target():

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from acpair.cli import main
 from acpair.moves import (ConjRel, InvRel, MoveScript, RestrictedSlide, RSFactor,
-                          apply_move, invert_script, script_to_json)
+                          invert_script, replay, script_to_json)
 from acpair.presentations import Presentation, format_presentation, product
 from acpair.words import MAX_WORD_LENGTH, reduce
 
@@ -465,7 +465,7 @@ def _smove_pair(rng) -> tuple:
             k = rng.choice([i for i in range(m, 2 * m) if i != j])
             move = RestrictedSlide(j, (RSFactor(word(2), k, rng.choice((1, -1)), word(2)),))
         moves.append(move)
-        cur = apply_move(cur, move)
+        cur = replay(cur, (move,))
     forward = MoveScript(tuple(moves), "k_prime")
     to_second = script_to_json(forward, names)
     for move in to_second["moves"]:

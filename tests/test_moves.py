@@ -14,7 +14,7 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RegimeError,
                           RemoveGen, RemoveTrivialRel, RestrictedSlide,
                           RSFactor, SearchBudget, SlideRel, apply_automorphism,
-                          apply_move, bounded_equivalence_search, enumerate_words,
+                          bounded_equivalence_search, enumerate_words,
                           expand_restricted_slides, invert_script, replay,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
@@ -31,20 +31,20 @@ def pres(gens, *rels):
 
 def test_slide_example():
     p = pres("x y", "x", "y")
-    q = apply_move(p, SlideRel(1, 0, "right"))
+    q = replay(p, (SlideRel(1, 0, "right"),))
     assert q.relators == ((1,), (2, 1))
 
 
 def test_conj_example():
     p = pres("x y", "x")
-    q = apply_move(p, ConjRel(0, (2,)))
+    q = replay(p, (ConjRel(0, (2,)),))
     assert q.relators == ((2, 1, -2),)
 
 
 def test_restricted_slide_example():
     p = pres("x y", "x y", "y x")
     h = (1,)
-    q = apply_move(p, RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, h),)))
+    q = replay(p, (RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, h),)),))
     r, s = p.relators
     from acpair.words import commutator, multiply
     assert q.relators[1] == multiply(s, commutator(r, h))
@@ -57,9 +57,9 @@ def test_restricted_slide_rejects_self_reference():
 
 def test_nielsen_moves_substitute_inverse_map():
     p = pres("x y", "x")
-    q = apply_move(p, NielsenMul(0, 1, "right"))  # declared x -> x y
+    q = replay(p, (NielsenMul(0, 1, "right"),))  # declared x -> x y
     assert q.relators == ((1, -2),)
-    r = apply_move(p, NielsenInv(0))
+    r = replay(p, (NielsenInv(0),))
     assert r.relators == ((-1,),)
 
 
@@ -74,11 +74,11 @@ def test_nielsen_moves_substitute_only_where_their_generator_occurs(monkeypatch)
 
     monkeypatch.setattr(moves, "substitute", counted)
     p = Presentation(("x", "y"), ((1,),) * 10_000 + ((2, 1), (-2,)))
-    q = apply_move(p, NielsenMul(1, 0, "right"))  # y -> y x^-1 substituted
+    q = replay(p, (NielsenMul(1, 0, "right"),))  # y -> y x^-1 substituted
     assert calls == [(2, 1), (-2,)]
     assert q.relators == ((1,),) * 10_000 + ((2,), (1, -2))
     calls.clear()
-    assert apply_move(p, NielsenInv(0)).relators[-2:] == ((2, -1), (-2,))
+    assert replay(p, (NielsenInv(0),)).relators[-2:] == ((2, -1), (-2,))
     assert len(calls) == 10_001
 
 
@@ -112,7 +112,7 @@ def test_nielsen_moves_match_full_substitution():
             image = (i + 1, -(j + 1)) if side == "right" else (-(j + 1), i + 1)
         images = {k: (k + 1,) for k in range(p.rank)}
         images[i] = image
-        assert apply_move(p, move).relators == tuple(
+        assert replay(p, (move,)).relators == tuple(
             substitute(r, images) for r in p.relators), (p, move)
         skipped += sum(i + 1 not in r and -(i + 1) not in r for r in p.relators)
     assert skipped >= 100
@@ -147,31 +147,31 @@ def test_apply_automorphism_matches_substitution():
 
 def test_addgen_removegen():
     p = pres("x", "x^2")
-    q = apply_move(p, AddGen("y"))
+    q = replay(p, (AddGen("y"),))
     assert q.gens == ("x", "y")
     assert q.relators == ((1, 1), (2,))
-    back = apply_move(q, RemoveGen(1))
+    back = replay(q, (RemoveGen(1),))
     assert back == p
     with pytest.raises(MoveError):
-        apply_move(p, AddGen("x"))
+        replay(p, (AddGen("x"),))
     with pytest.raises(MoveError):
-        apply_move(q, RemoveGen(0))  # x occurs in another relator
+        replay(q, (RemoveGen(0),))  # x occurs in another relator
 
 
 def test_removegen_reindexes():
     p = pres("x y z", "y", "x z")
-    q = apply_move(p, RemoveGen(1))
+    q = replay(p, (RemoveGen(1),))
     assert q.gens == ("x", "z")
     assert q.relators == ((1, 2),)
 
 
 def test_trivial_relator_moves():
     p = pres("x", "x")
-    q = apply_move(p, AddTrivialRel())
+    q = replay(p, (AddTrivialRel(),))
     assert q.relators == ((1,), EMPTY)
-    assert apply_move(q, RemoveTrivialRel(1)) == p
+    assert replay(q, (RemoveTrivialRel(1),)) == p
     with pytest.raises(MoveError):
-        apply_move(p, RemoveTrivialRel(0))
+        replay(p, (RemoveTrivialRel(0),))
 
 
 def test_replay_examples():
@@ -257,7 +257,7 @@ def random_script(rng, p, length):
     for _ in range(length):
         mv = random_move(rng, cur)
         moves.append(mv)
-        cur = apply_move(cur, mv)
+        cur = replay(cur, (mv,))
     return MoveScript(tuple(moves)), cur
 
 
@@ -281,7 +281,7 @@ def removable_generators(p):
 
 
 def test_moves_build_what_the_validating_constructor_builds():
-    # apply_move skips Presentation's checks; rebuilding each result through
+    # replay skips Presentation's checks; rebuilding each result through
     # the validating constructor must change nothing.
     rng = random.Random(25)
     fresh = 0
@@ -296,7 +296,7 @@ def test_moves_build_what_the_validating_constructor_builds():
                 mv = RemoveGen(rng.choice(removable_generators(cur)))
             else:
                 mv = random_move(rng, cur)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
             assert type(cur.gens) is tuple and type(cur.relators) is tuple
             assert all(type(r) is tuple for r in cur.relators)
             assert cur == Presentation(cur.gens, cur.relators)
@@ -305,24 +305,24 @@ def test_moves_build_what_the_validating_constructor_builds():
 def test_move_words_are_checked_and_reduced():
     p = pres("x y", "x y", "y^2")
     with pytest.raises(ValueError) as err:
-        apply_move(p, ConjRel(0, (1, 0)))
+        replay(p, (ConjRel(0, (1, 0)),))
     assert type(err.value) is ValueError
     with pytest.raises(ValueError) as err:
-        apply_move(p, RestrictedSlide(0, (RSFactor((0,), 1, 1, (1,)),)))
+        replay(p, (RestrictedSlide(0, (RSFactor((0,), 1, 1, (1,)),)),))
     assert type(err.value) is ValueError
     with pytest.raises(MoveError):
-        apply_move(p, ConjRel(0, (3,)))
+        replay(p, (ConjRel(0, (3,)),))
     with pytest.raises(MoveError):
-        apply_move(p, RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (-3,)),)))
+        replay(p, (RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (-3,)),)),))
     # An unreduced conjugator acts as its reduced form.
     raw = (2, 1, -1, 1, 2, -2)
-    got = apply_move(p, ConjRel(0, raw))
-    assert got == apply_move(p, ConjRel(0, reduce(raw)))
+    got = replay(p, (ConjRel(0, raw),))
+    assert got == replay(p, (ConjRel(0, reduce(raw)),))
     assert got.relators[0] == conjugate(p.relators[0], (2, 1))
     unreduced = list(raw) + list(p.relators[0]) + [-x for x in reversed(raw)]
     assert got == Presentation(p.gens, (unreduced, p.relators[1]))
-    slide = apply_move(p, RestrictedSlide(0, (RSFactor(raw, 1, -1, (1, 2, -2)),)))
-    assert slide == apply_move(p, RestrictedSlide(0, (RSFactor((2, 1), 1, -1, (1,)),)))
+    slide = replay(p, (RestrictedSlide(0, (RSFactor(raw, 1, -1, (1, 2, -2)),)),))
+    assert slide == replay(p, (RestrictedSlide(0, (RSFactor((2, 1), 1, -1, (1,)),)),))
 
 
 def test_replay_raises_on_bookkeeping_drift(monkeypatch):
@@ -341,7 +341,9 @@ def test_replay_raises_on_bookkeeping_drift(monkeypatch):
 
 
 def test_search_raises_when_its_script_misses_the_goal(monkeypatch):
-    monkeypatch.setattr(moves, "replay", lambda p, script: p)
+    # the search replays its fragments itself, so it is the check of the
+    # script it found that fails here
+    monkeypatch.setattr(moves.EquivalenceCertificate, "verify", lambda self: (False, ""))
     p = pres("x y", "x y", "y")
     q = pres("x y", "x", "y")
     with pytest.raises(ValueError, match="does not replay to the goal"):
@@ -388,7 +390,7 @@ def test_ledger_zero_for_expanded_restricted_slides():
                                         random_word_over(rng, cur.rank)))
             mv = RestrictedSlide(j, tuple(factors))
             moves.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
         expanded = expand_restricted_slides(MoveScript(tuple(moves)))
         ledger = slide_exponent_ledger(expanded)
         assert all(v == 0 for v in ledger.values()), ledger
@@ -406,7 +408,7 @@ def test_invert_script_roundtrip():
                 if not isinstance(mv, (AddTrivialRel, RemoveTrivialRel)):
                     break
             moves.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
         script = MoveScript(tuple(moves))
         back = replay(cur, invert_script(script))
         assert canonical_key(back) == canonical_key(p)
@@ -563,7 +565,7 @@ def test_bounded_search_rank_mismatch():
 def test_bounded_search_k_prime_regime():
     # one restricted slide away, so the search takes a k_prime fragment
     p = pres("x y", "x", "y^2")
-    q = apply_move(p, RestrictedSlide(0, (RSFactor((2,), 1, 1, (1,)),)))
+    q = replay(p, (RestrictedSlide(0, (RSFactor((2,), 1, 1, (1,)),)),))
     assert canonical_key(q) != canonical_key(p)
     outcome = bounded_equivalence_search(
         p, q, SearchBudget(max_depth=1, conjugator_length=1), regime="k_prime")
@@ -585,8 +587,8 @@ def test_conj_inverse_pair_is_key_identity():
             [-x for x in reversed(w)])))))
         assert q == p  # exact, hence key-level too
         # neither move changes a key, so the search never takes one alone
-        assert canonical_key(apply_move(p, ConjRel(j, w))) == canonical_key(p)
-        assert canonical_key(apply_move(p, InvRel(j))) == canonical_key(p)
+        assert canonical_key(replay(p, (ConjRel(j, w),))) == canonical_key(p)
+        assert canonical_key(replay(p, (InvRel(j),))) == canonical_key(p)
 
 
 def test_bounded_search_scope_excludes_conjugation():
@@ -621,19 +623,22 @@ def test_enumerate_words_deterministic():
 
 
 def fold_apply_move(p, script):
-    """replay spelled out as a fold of apply_move, one presentation per
-    move, with the same checks and error texts."""
+    """replay spelled out as a fold of the apply steps of moves._MOVES, one
+    presentation per move, with the same checks and error texts."""
     cur = p
     stabilized = script.regime == "k_prime" and script.stabilized
     regime = "stabilized" if stabilized else script.regime
     for pos, move in enumerate(script.moves, start=1):
-        if regime not in moves._MOVES.get(type(move), moves._UNKNOWN)[3]:
+        apply, _, _, regimes = moves._MOVES.get(type(move), moves._UNKNOWN)
+        if regime not in regimes:
             raise RegimeError(f"move {pos} ({type(move).__name__}) violates the "
                               f"{script.regime} regime")
+        rels = list(cur.relators)
         try:
-            cur = apply_move(cur, move)
+            gens = apply(rels, cur.gens, move, None)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
+        cur = Presentation._trusted(gens, tuple(rels))
     return cur
 
 
@@ -646,7 +651,7 @@ def outcome(f, *args):
 
 def test_replay_is_a_fold_of_apply_move():
     # replay runs one relator list through the script; on full-regime
-    # scripts with every move kind it must reach what apply_move reaches
+    # scripts with every move kind it must reach what the apply steps reach
     # one presentation at a time
     rng = random.Random(26)
     fresh = 0
@@ -663,7 +668,7 @@ def test_replay_is_a_fold_of_apply_move():
             else:
                 mv = random_move(rng, cur)
             script.append(mv)
-            cur = apply_move(cur, mv)
+            cur = replay(cur, (mv,))
         got = replay(p, MoveScript(tuple(script)))
         assert got == cur == fold_apply_move(p, MoveScript(tuple(script)))
         assert type(got.gens) is tuple and type(got.relators) is tuple
@@ -820,10 +825,10 @@ def test_equivalence_search_matches_layer_loop_reference():
                     q, regime, len(q.relators) + rng.randint(0, 1), 1))
                 if fragments:
                     for move in rng.choice(fragments):
-                        q = apply_move(q, move)
+                        q = replay(q, (move,))
             if q.relators and rng.random() < 0.3:
-                q = apply_move(q, ConjRel(rng.randrange(len(q.relators)),
-                                          random_word_over(rng, q.rank, 2)))
+                q = replay(q, (ConjRel(rng.randrange(len(q.relators)),
+                                       random_word_over(rng, q.rank, 2)),))
         outcome = bounded_equivalence_search(p, q, budget, regime)
         script = None if outcome.result is None else outcome.result.moves
         assert ((outcome.reason, outcome.states, script)

@@ -125,7 +125,7 @@ def test_public_names_are_used():
 
 
 def test_applied_move_kinds_are_serialized():
-    # a move kind that the dispatch table behind apply_move and replay
+    # a move kind that the dispatch table behind replay
     # applies but the script codec cannot write or read would give
     # certificates that cannot be replayed from a file, and a kind that the
     # codec reads but nothing applies would give scripts that cannot replay
@@ -182,6 +182,21 @@ def _text(node) -> str:
         return "".join(_text(part) if isinstance(part, ast.Constant) else "…"
                        for part in node.values)
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_replay_is_the_one_fold_of_moves():
+    # replay is the one function that applies moves: no other function reads
+    # the dispatch table moves._MOVES or its fallback, whose module-level
+    # codec tables read only its keys and counts, and no function names an
+    # apply step, which only the table holds
+    steps = {step.__name__ for step, *_ in [*moves._MOVES.values(), moves._UNKNOWN]}
+
+    def named(names):
+        return _scopes(lambda node: getattr(node, "id", getattr(node, "attr", None)) in names)
+
+    assert len(steps) >= 9
+    assert named({"_MOVES", "_UNKNOWN"}) == {("moves.py", "<module>"), ("moves.py", "replay")}
+    assert named(steps) == {("moves.py", "<module>")}
 
 
 def test_letter_bounds_are_kept_by_one_budget():

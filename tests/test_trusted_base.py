@@ -68,7 +68,7 @@ VERIFY_SMOVE = {
            "cmd_verify_smove.<locals>.load_scripts.<locals>.<listcomp> "
            "cmd_verify_smove.<locals>.load_scripts.<locals>.<listcomp>.<lambda>",
     "constructions": "verify_smove_certificates",
-    "moves": "<lambda>.<locals>.<genexpr> MoveScript.__add__ RSFactor.__post_init__ "
+    "moves": "<lambda>.<locals>.<genexpr> RSFactor.__post_init__ "
              "RestrictedSlide.__post_init__ _restricted_slide",
     "presentations": "product",
     "words": "commutator",
