@@ -176,25 +176,23 @@ def cyclically_reduce(u: Word) -> Word:
 
 
 def _least_rotation(keys: list) -> int:
-    """Start of the lexicographically least rotation, by Booth's algorithm
-    (IPL 1980): a failure function over the doubled sequence, linear time."""
-    doubled = keys + keys
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:  # here i == -1
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    """Start of the lexicographically least rotation, by a two-pointer scan:
+    i is the best start so far, j > i the next start not yet ruled out and
+    k the length of their common prefix.  At the first difference, the
+    larger side's start and the k after it each lose to the start as far
+    after the other.  Linear: each step raises i + j + k, all below n."""
+    n, doubled = len(keys), keys + keys
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i = max(i + k + 1, j)
+            j, k = i + 1, 0
         else:
-            fail[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
 
 
 def cyclic_canonical(u: Word) -> Word:

@@ -45,6 +45,7 @@ def test_swap_generators_moves():
     for mv in swap_generators_moves(0, 2):
         cur = replay(cur, (mv,))
     assert cur.relators == ((3, -2, 1),)
+    assert swap_generators_moves(1, 1) == []
 
 
 def test_permutation_moves():
@@ -167,6 +168,36 @@ def test_append_word_moves_share_the_moves_of_a_letter():
     assert moves[:4] == [NielsenMul(0, 2, "right"),
                          NielsenInv(1), NielsenMul(0, 1, "right"), NielsenInv(1)]
     assert len(moves) == 4000 and len(set(map(id, moves))) == 4
+
+
+def test_common_generators_renames_images_whose_names_are_taken():
+    # against itself with the swap witness, both names of the other side
+    # are taken, so the added generators take the free names g3 and g4
+    p = pres("x y", "x y^2")
+    swap = IsoWitness(((2,), (1,)), ((2,), (1,)))
+    res = common_generators(p, p, swap)
+    assert res.p_prime.gens == res.q_prime.gens == ("x", "y", "g3", "g4")
+    # g3 stands for the other side's x, which the witness sends to y, and g4
+    # for its y, sent to x
+    assert res.p_prime.relators == ((1, 2, 2), (3, -2), (4, -1))
+    # the second side's own generators move to g3 and g4, after the first's
+    assert res.q_prime.relators == ((3, 4, 4), (1, -4), (2, -3))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: append_word_moves(0, (2, -1)), ValueError,
+     "may not involve the rewritten generator"),
+    (lambda: list(permutation_moves([0, 0])), ValueError, "not a permutation"),
+    (lambda: product_stabilization(pres("x", "x"), pres("x y", "x"), []), ValueError,
+     "presentations do not share a boundary"),
+    (lambda: product_stabilization(pres("x", "x"), pres("x", "x^2"), []), WitnessError,
+     "need 1 witnesses, got 0"),
+    (lambda: verify_smove_certificates(pres("x", "x"), pres("x y", "x"), [], []),
+     ValueError, "presentations do not share a boundary"),
+])
+def test_construction_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_common_generators_dimension_mismatch():

@@ -657,6 +657,7 @@ def test_cokernel_invariants():
 
 def test_abelian_group_str():
     assert str(AbelianGroup(0, ())) == "0"
+    assert str(AbelianGroup(1, ())) == "Z"
     assert str(AbelianGroup(2, (2, 6))) == "Z^2 x C2 x C6"
     with pytest.raises(ValueError):
         AbelianGroup(0, (4, 6))  # 4 does not divide 6
@@ -722,6 +723,41 @@ def test_glue_skeleton_mismatch():
                              (Z(1, 1), Z(1, 1), d3))
     with pytest.raises(ValueError):
         glue_product(c1, other)
+
+
+def _one_cell_chain(group, entry):
+    """Ranks (1, 1, 0) over group, d_1 = (entry) at the identity."""
+    d1 = GroupRingMatrix.from_entries(1, 1, {(0, 0): {0: entry}})
+    return ChainComplexData(group, (1, 1, 0), (d1, Z(0, 1)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupRingMatrix.from_entries(1, 2, {(1, 0): {0: 1}}),
+     r"entry position \(1, 0\) out of range"),
+    (lambda: gr_mat_mul(Z(1, 2), Z(1, 1), trivial_group()), "shape mismatch"),
+    (lambda: AbelianGroup(-1, ()), "negative free rank"),
+    (lambda: AbelianGroup(0, (1,)), "torsion coefficients must exceed 1"),
+    (lambda: ChainComplexData(trivial_group(), (0, 1), (Z(1, 0),)),
+     "need rank_0 >= 1"),
+    (lambda: ChainComplexData(trivial_group(), (1, 1), (Z(1, 2),)),
+     r"boundary 1 has shape \(1, 2\), expected \(1, 1\)"),
+    (lambda: ChainComplexData(trivial_group(), (1, 1), (
+        GroupRingMatrix.from_entries(1, 1, {(0, 0): {1: 1}}),)),
+     "group element index 1 out of range"),
+    (lambda: glue_product(_one_cell_chain(trivial_group(), 2),
+                          _one_cell_chain(trivial_group(), 3)),
+     "lower skeleton boundary mismatch"),
+    (lambda: product_euler(_one_cell_chain(trivial_group(), 2),
+                           _one_cell_chain(cyclic_group(2), 2)),
+     "complexes not gluable"),
+    (lambda: check_dyer_bound(_one_cell_chain(trivial_group(), 2),
+                              _one_cell_chain(trivial_group(), 2),
+                              _one_cell_chain(cyclic_group(2), 2)),
+     "complexes not comparable"),
+])
+def test_homology_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_euler_and_dyer():

@@ -558,8 +558,10 @@ def test_bounded_search_stop_reasons():
 
 
 def test_bounded_search_rank_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary mismatch: ranks 1 and 2"):
         bounded_equivalence_search(pres("x", "x"), pres("x y", "x"))
+    with pytest.raises(ValueError, match="unknown regime 'restricted'"):
+        bounded_equivalence_search(pres("x", "x"), pres("x", "x"), regime="restricted")
 
 
 def test_bounded_search_k_prime_regime():

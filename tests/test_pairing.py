@@ -226,6 +226,8 @@ def test_sum_json_writes_every_representative():
     assert loaded == FormalSum.zero(2) and set(loaded_reps) == set(reps)
     with pytest.raises(KeyError):
         sum_to_json(fs(p), {canonical_key(q): q})
+    with pytest.raises(ValueError, match="representative does not match its key"):
+        sum_to_json(fs(p), {canonical_key(p): q})
 
 
 def test_certificate_json_roundtrip():

@@ -8,7 +8,8 @@ from acpair.moves import (AddGen, ConjRel, MoveError, MoveScript, NielsenInv,
 from acpair.presentations import (CanonicalKey, ClosedComplex, Presentation,
                                   abelianization, canonical_key,
                                   disjoint_union, euler_char, forget_boundary,
-                                  format_presentation, make_presentation,
+                                  format_presentation, fresh_name,
+                                  make_presentation,
                                   parse_presentation, product, serialize_key,
                                   unit_presentation, wedge_s1, wedge_s2)
 from acpair.words import EMPTY, invert, reduce
@@ -134,6 +135,12 @@ def test_wedge_s1_fresh_names():
     p = make_presentation("g2 x", [])
     s = wedge_s1(p, 1)
     assert len(set(s.gens)) == 3
+    # a taken g<k> gets the first free suffix _2, _3, ...
+    assert fresh_name({"g1"}, 0) == "g1_2"
+    assert fresh_name({"g1", "g1_2"}, 0) == "g1_3"
+    for wedge in (wedge_s2, wedge_s1):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            wedge(p, -1)
 
 
 def test_apply_automorphism():

@@ -1,15 +1,18 @@
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from acpair.words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, _letter_tokens,
-                          commutator, conjugate, cyclic_canonical,
+from acpair.words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, _least_rotation,
+                          _letter_tokens, commutator, conjugate, cyclic_canonical,
                           cyclically_reduce, exponent_sum, invert, letter_key,
                           multiply, parse_word, power, reduce, substitute,
                           word_key, write_word)
 
 import word_reference as ref
+from test_forgery import oracle
 
 X, Y = (1,), (2,)
 NAMES = ("x", "y")
@@ -220,7 +223,7 @@ def test_word_key_orders_as_letter_key_tuples():
 
 
 def reference_cyclic_canonical(u):
-    """The quadratic rotation scan that Booth's algorithm replaced."""
+    """The quadratic reference: every rotation of u and of its inverse."""
     u = cyclically_reduce(u)
     if not u:
         return u
@@ -254,8 +257,41 @@ def test_cyclic_canonical_matches_rotation_scan():
     words += [w("x y x^-1 y^-1"), w("x y x y^-1"), w("x^2 y^2 x^-2 y^-2"),
               w("x y^-1 x^-1 y"), w("x y x^-1 y x y^-1 x^-1 y^-1"), (1, 2, -1, -2) * 3]
     words += [reduce(power(w("x y"), k)) for k in (1, 2, 7)]
+    # words that make a rotation scan compare long shared prefixes
+    thue_morse = tuple(1 + bin(i).count("1") % 2 for i in range(200))
+    for n in (1, 2, 3, 7, 64, 199):
+        words += [(1,) * n + (2,), (2,) + (1,) * n, (1, 2) * n + (2,),
+                  (1,) * n + (2,) + (1,) * n + (3,), thue_morse[:n + 1]]
     for u in words:
         assert cyclic_canonical(u) == reference_cyclic_canonical(u), u
+
+
+def test_least_rotation_on_every_short_list():
+    # every list of up to 9 keys from {0, 1, 2}: the start found must give
+    # the least of all rotations, and the same rotation as the oracle's
+    # Booth algorithm, which shares no code with the scan
+    count = 0
+    for n in range(1, 10):
+        for keys in map(list, itertools.product(range(3), repeat=n)):
+            r, b = _least_rotation(keys), oracle.least_rotation(keys)
+            rotation = keys[r:] + keys[:r]
+            assert 0 <= r < n and rotation == min(keys[s:] + keys[:s] for s in range(n)), keys
+            assert rotation == keys[b:] + keys[:b], keys
+            count += 1
+    assert count == 29_523
+
+
+def test_cyclic_canonical_keeps_no_table_of_its_length():
+    # the scan holds the doubled keys and a few ints: a table of 2n Python
+    # ints for x^99999 y would take the peak past 8 MB
+    u = (1,) * 99_999 + (2,)
+    tracemalloc.start()
+    try:
+        assert cyclic_canonical(u) == u
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 def test_power():
