@@ -256,8 +256,9 @@ def product_stabilization(l1: Presentation, l2: Presentation,
     """
     if l1.rank != l2.rank:
         raise ValueError("presentations do not share a boundary")
-    if len(witnesses) != len(l2.relators):
-        raise WitnessError(f"need {len(l2.relators)} witnesses, got {len(witnesses)}")
+    if len(witnesses) != (n := len(l2.relators)):
+        raise WitnessError(f"need {n} {'witness' if n == 1 else 'witnesses'}, "
+                           f"got {len(witnesses)}")
     for idx, (rel, wit) in enumerate(zip(l2.relators, witnesses)):
         _check_witness(wit, rel, l1.relators, f"witness {idx}")
     return MoveScript(stabilization_moves(len(l1.relators), witnesses))
@@ -286,17 +287,13 @@ class WitnessBudget:
         _nonnegative(self)
 
 
-def _insert(prefix: bytes, body: bytes, suffix: bytes) -> bytes:
-    """prefix * body * suffix, reduced.  All three are reduced, so letters
-    cancel only at the two junctions."""
-    i, p, m = 0, len(prefix), len(body)
-    while i < p and i < m and prefix[p - 1 - i] + body[i] == 256:
+def _join(head: bytes, tail: bytes) -> bytes:
+    """head * tail, reduced.  Both are reduced, so letters cancel only
+    where they meet."""
+    i, h, n = 0, len(head), len(tail)
+    while i < h and i < n and head[h - 1 - i] + tail[i] == 256:
         i += 1
-    head = prefix[:p - i] + body[i:]
-    j, h, n = 0, len(head), len(suffix)
-    while j < h and j < n and head[h - 1 - j] + suffix[j] == 256:
-        j += 1
-    return head[:h - j] + suffix[j:]
+    return head[:h - i] + tail[i:]
 
 
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
@@ -311,11 +308,14 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     conjugator bound, so any witness found has conjugators no longer than
     max_conjugator_length letters.  Words on either frontier have at most
     len(target) + 2 * (longest relator) + 2 * max_conjugator_length letters.
-    Each state stores only its parent, the word whose insertion first
-    reached it.  The found path is rebuilt edge by edge by running the
-    parent's insertions again in search order and taking the first that
-    yields the child, which is the edge the search took; the witness is
-    then verified in the free group.
+    The reduced products prefix * body are built once per prefix the search
+    meets and kept for the call, so each insertion is one junction of such
+    a product with the suffix.  Each state stores only its parent, the word
+    whose insertion first reached it.  The found path is rebuilt edge by
+    edge by running the parent's insertions again, from the same products,
+    in search order and taking the first that yields the child, which is
+    the edge the search took; the witness is then verified in the free
+    group.
     Raises ValueError when a word uses a generator beyond the 127th.
     """
     max_conjugator_length = budget.max_conjugator_length
@@ -329,31 +329,33 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     if not target:
         return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)
 
-    # Each relator and its inverse, in successor order, with the body's
-    # first letter, last letter and length.
-    bodies = [(k, sign, body, body[0], body[-1], len(body))
-              for k, rel in enumerate(relators) if rel for sign in (1, -1)
-              for body in [_encode(rel if sign > 0 else invert(rel))]]
+    # Each relator and its inverse, in successor order.
+    bodies = [(k, sign, _encode(rel if sign > 0 else invert(rel)))
+              for k, rel in enumerate(relators) if rel for sign in (1, -1)]
+    # prefix -> (prefix * body reduced, its last letter or 0) per body, in
+    # body order; a prefix's products are built when the search meets it
+    products = {}
+
+    def products_of(prefix):
+        out = products.get(prefix)
+        if out is None:
+            out = products[prefix] = [(h, h[-1] if h else 0) for _, _, body in bodies
+                                      for h in [_join(prefix, body)]]
+        return out
 
     def successors(word):
-        # each body inserted at each prefix position, reduced, if it fits
+        # each body inserted at each prefix position, reduced, if it fits:
+        # one junction of a cached product with the suffix
         out = []
         n = len(word)
-        room = max_word_length - n
         for pos in range(min(max_conjugator_length, n) + 1):
-            prefix, suffix = word[:pos], word[pos:]
-            # the letters that would cancel the prefix's last and the
-            # suffix's first letter; 0 is no letter
-            before = 256 - word[pos - 1] if pos else 0
+            suffix = word[pos:]
+            # the letter that would cancel the suffix's first; 0 is no letter
             after = 256 - word[pos] if pos < n else 0
-            for _, _, body, first, last, m in bodies:
-                if first != before and last != after:
-                    if m <= room:
-                        out.append(prefix + body + suffix)
-                else:
-                    nxt = _insert(prefix, body, suffix)
-                    if len(nxt) <= max_word_length:
-                        out.append(nxt)
+            for h, last in products_of(word[:pos]):
+                nxt = h + suffix if last != after else _join(h, suffix)
+                if len(nxt) <= max_word_length:
+                    out.append(nxt)
         return out
 
     # forward: strip factors off the front of the remaining word (from target),
@@ -376,8 +378,8 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
             pos, k, sign = next(
                 (pos, k, sign)
                 for pos in range(min(max_conjugator_length, len(parent)) + 1)
-                for k, sign, body, *_ in bodies
-                if _insert(parent[:pos], body, parent[pos:]) == word)
+                for (k, sign, _), (h, _) in zip(bodies, products_of(parent[:pos]))
+                if _join(h, parent[pos:]) == word)
             out.append((tuple(128 - b for b in reversed(parent[:pos])), k, orient * sign))
             word = parent
         return out
@@ -530,8 +532,6 @@ def verify_smove_certificates(l1: Presentation, l2: Presentation,
     certificate is a MoveError led by its label.  Returns both certificates,
     usable for null-vector verification of l1 - l2 in the restricted setting.
     """
-    if l1.rank != l2.rank:
-        raise ValueError("presentations do not share a boundary")
     if len(l1.relators) != len(l2.relators):
         raise ValueError("presentations must have the same relator count")
     start, certs = product(l1, l2), []

@@ -191,9 +191,9 @@ def test_common_generators_renames_images_whose_names_are_taken():
     (lambda: product_stabilization(pres("x", "x"), pres("x y", "x"), []), ValueError,
      "presentations do not share a boundary"),
     (lambda: product_stabilization(pres("x", "x"), pres("x", "x^2"), []), WitnessError,
-     "need 1 witnesses, got 0"),
+     "need 1 witness, got 0"),
     (lambda: verify_smove_certificates(pres("x", "x"), pres("x y", "x"), [], []),
-     ValueError, "presentations do not share a boundary"),
+     ValueError, "boundary mismatch: ranks 1 and 2"),
 ])
 def test_construction_refusals(build, error, message):
     with pytest.raises(error, match=message):
@@ -327,12 +327,43 @@ def test_witness_search_commutator_combination():
     assert wit is not None and wit.verify([(1, 1), (2, 2)])
 
 
+def _junction(word, pos, body, nxt):
+    """Where inserting body at pos of word cancels letters, nxt the result."""
+    if len(nxt) <= len(word) - len(body):
+        return "body cancels completely"
+    if pos and word[pos - 1] == -body[0]:
+        return "prefix junction"
+    if pos < len(word) and body[-1] == -word[pos]:
+        return "suffix junction"
+    return "no cancellation"
+
+
+def _cancelled(word, pos, body, nxt):
+    """The letters that inserting body at pos of word cancels at the
+    prefix's junction and then at the suffix's, nxt the result."""
+    i = 0
+    while i < min(pos, len(body)) and word[pos - 1 - i] == -body[i]:
+        i += 1
+    return i, (len(word) + len(body) - len(nxt)) // 2 - i
+
+
+def _cancellation(word, pos, body, nxt):
+    """_junction's label, or a finer one where both junctions cancel."""
+    i, j = _cancelled(word, pos, body, nxt)
+    if j > len(body) - i:
+        return "suffix cancels into the prefix"
+    if i and j:
+        return "both junctions cancel"
+    return _junction(word, pos, body, nxt)
+
+
 def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
-                          branches=None):
+                          branches=None, classify=_junction):
     """Reference: the witness search on tuple words, each successor built
     as multiply(multiply(prefix, body), suffix).  Returns (reason, states,
     factors or None).  A Counter passed as branches counts the successors
-    by where their letters cancel."""
+    by classify(word, pos, body, successor), by default where their letters
+    cancel."""
     target, relators = reduce(target), [reduce(r) for r in relators]
     max_len = (len(target) + 2 * max((len(r) for r in relators), default=0)
                + 2 * max_conj)
@@ -357,7 +388,7 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
                     for sign, body in ((1, rel), (-1, invert(rel))) if rel else ():
                         nxt = multiply(multiply(word[:pos], body), word[pos:])
                         if branches is not None:
-                            branches[_junction(word, pos, body, nxt)] += 1
+                            branches[classify(word, pos, body, nxt)] += 1
                         if len(nxt) > max_len or nxt in seen[side]:
                             continue
                         seen[side][nxt] = (word, pos, k, sign)
@@ -371,23 +402,10 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
     return "exhausted", len(seen[0]) + len(seen[1]), None
 
 
-def _junction(word, pos, body, nxt):
-    """Where inserting body at pos of word cancels letters, nxt the result."""
-    if len(nxt) <= len(word) - len(body):
-        return "body cancels completely"
-    if pos and word[pos - 1] == -body[0]:
-        return "prefix junction"
-    if pos < len(word) and body[-1] == -word[pos]:
-        return "suffix junction"
-    return "no cancellation"
-
-
-def test_witness_search_matches_tuple_word_reference():
-    # the byte encoding and the parent links that hold only the parent word
-    # change neither the space searched nor its order: same stop reason,
-    # state count and factors on every problem
+def _reference_corpus():
+    """(target, relators, budget) of the problems that the search is
+    compared on against the reference."""
     rng = random.Random(2003)
-    reasons, branches = [], Counter()
     for _ in range(240):
         rank = rng.randint(1, 3)
         letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
@@ -399,7 +417,15 @@ def test_witness_search_matches_tuple_word_reference():
             rel = rng.choice(rels)
             rel = rel if rng.random() < 0.5 else invert(rel)
             target = multiply(target, multiply(multiply(invert(g), rel), g))
-        budget = (rng.randint(1, 8), rng.randint(0, 4), rng.choice((20, 200, 5000)))
+        yield target, rels, (rng.randint(1, 8), rng.randint(0, 4), rng.choice((20, 200, 5000)))
+
+
+def test_witness_search_matches_tuple_word_reference():
+    # the byte encoding, the parent links that hold only the parent word and
+    # the products cached per prefix change neither the space searched nor
+    # its order: same stop reason, state count and factors on every problem
+    reasons, branches = [], Counter()
+    for target, rels, budget in _reference_corpus():
         outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
         factors = None if outcome.result is None else outcome.result.factors
         assert ((outcome.reason, outcome.states, factors)
@@ -410,6 +436,40 @@ def test_witness_search_matches_tuple_word_reference():
     assert set(branches) == {"no cancellation", "prefix junction",
                              "suffix junction", "body cancels completely"}
     assert min(branches.values()) >= 100, branches
+
+
+def test_reference_corpus_reaches_both_junctions():
+    # the search joins a cached product prefix * body to the suffix; the
+    # corpus that the reference test compares on reaches insertions that
+    # cancel at both junctions, and ones whose suffix cancels all that is
+    # left of the body and goes on into the prefix
+    kinds = Counter()
+    for target, rels, budget in _reference_corpus():
+        _tuple_witness_search(target, rels, *budget, kinds, _cancellation)
+    assert min(kinds["both junctions cancel"],
+               kinds["suffix cancels into the prefix"]) >= 100, kinds
+
+
+@pytest.mark.parametrize("target, rels, max_conj, states", [
+    ((-1,), [(-1, 2), (-1, -1, -1)], 0, 98),
+    ((-2,), [(2, 1, 1)], 1, 92),
+])
+def test_witness_search_keeps_words_of_the_length_bound(target, rels, max_conj, states):
+    # words may hold len(target) + 2 * 3 + 2 * max_conj letters.  Run to its
+    # end, this space builds successors of exactly that length and of one
+    # letter more, both where the suffix's first letter cancels and where it
+    # does not: the search keeps the first and drops the second as the
+    # reference does
+    bound = len(target) + 6 + 2 * max_conj
+    budget, lengths = (8, max_conj, 100_000), Counter()
+    expected = _tuple_witness_search(
+        target, rels, *budget, lengths,
+        lambda word, pos, body, nxt: (_cancelled(word, pos, body, nxt)[1] > 0, len(nxt)))
+    assert {(cancels, n) for cancels in (False, True)
+            for n in (bound, bound + 1)} <= set(lengths)
+    assert expected == ("exhausted", states, None)
+    outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
+    assert (outcome.reason, outcome.states, outcome.result) == expected
 
 
 def test_witness_search_takes_the_first_of_two_equal_insertions():

@@ -217,6 +217,24 @@ def test_letter_bounds_are_kept_by_one_budget():
                                         ("moves.py", "_bounded")}
 
 
+def test_the_witness_search_cancels_letters_in_one_junction():
+    # the witness search stores letter x as the byte x + 128, so a letter
+    # cancels its neighbour when their sum is 256.  constructions._join is
+    # the one place that compares such a sum: the cached products, the
+    # successors and the rebuilt edges all cancel there, so a second
+    # cancelling loop cannot come back beside it
+    def letter_sum(node):
+        sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        return (any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
+                    for side in sides)
+                and any(getattr(side, "value", None) == 256 for side in sides))
+
+    tree = ast.parse((SOURCE / "constructions.py").read_text())
+    assert sum(map(letter_sum, ast.walk(tree))) == 1
+    assert {scope for scope in _scopes(letter_sum) if scope[0] == "constructions.py"} == {
+        ("constructions.py", "_join")}
+
+
 def _calls(node):
     return {inner.func.id for inner in ast.walk(node)
             if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)}
