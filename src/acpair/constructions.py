@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .moves import (AddGen, EquivalenceCertificate, MoveError, MoveScript, NielsenInv,
-                    NielsenMul, RegimeError, SearchOutcome, _bounded, _breadth_first, _compact,
-                    _conjugated_slide, _nonnegative, replay)
+from .moves import (AddGen, ConjRel, EquivalenceCertificate, InvRel, MoveError,
+                    MoveScript, NielsenInv, NielsenMul, RegimeError, SearchOutcome,
+                    SlideRel, _bounded, _breadth_first, _nonnegative, replay)
 from .pairing import FormalSum, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
@@ -234,14 +234,28 @@ def witness_from_json(data, names: Sequence[str]) -> NormalClosureWitness:
 
 
 def stabilization_moves(base: int, witnesses: Sequence[NormalClosureWitness]) -> list:
-    """Compacted moves clearing relator base + i by witness i, which
-    expresses it over the first base relators."""
-    moves = []
+    """Moves clearing relator j = base + i by witness i, which expresses it
+    over the first base relators.
+
+    Relator j is held as frame r frame^-1, r the remainder, frame empty at
+    first.  Factor (g, k, s) left-multiplies r by g^-1 R_k^-s g: relator k
+    is inverted unless it is held as R_k^-s, relator j is conjugated by
+    g frame^-1 unless that word is empty, so that frame = g, and relator k
+    slides onto it from the left.  Relator j ends empty, and base relators
+    are never conjugated: those left inverted are inverted back at the end.
+    """
+    moves, flipped = [], set()  # flipped: base relators held as R_k^-1
     for i, wit in enumerate(witnesses):
+        frame = EMPTY
         for g, k, s in wit.factors:
-            # left-multiply relator base + i by (g^-1 R_k^s g)^-1
-            moves += _conjugated_slide(base + i, k, invert(g), -s, "left")
-    return _compact(moves)
+            if (k in flipped) != (s > 0):
+                flipped ^= {k}
+                moves.append(InvRel(k))
+            if (c := ConjRel(base + i, multiply(g, invert(frame)))).w:
+                moves.append(c)
+            frame = g
+            moves.append(SlideRel(base + i, k, "left"))
+    return moves + [InvRel(k) for k in sorted(flipped)]
 
 
 def product_stabilization(l1: Presentation, l2: Presentation,
@@ -250,9 +264,10 @@ def product_stabilization(l1: Presentation, l2: Presentation,
 
     One witness per relator of l2, each expressing it over l1's relators;
     witnesses are verified in the free group before any move is emitted.
-    The script touches only relators: conjugated slides, compacted as
-    null_vector_pipeline's scripts are, never the skeleton.  It is returned
-    without being replayed, so the caller replays it.
+    The script, built by stabilization_moves as null_vector_pipeline's are,
+    touches only relators, never the skeleton: it conjugates only l2's, and
+    ends on l1's relators exactly.  It is returned without being replayed,
+    so the caller replays it.
     """
     if l1.rank != l2.rank:
         raise ValueError("presentations do not share a boundary")
@@ -454,7 +469,8 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
     all its witnesses are at hand.  Returns x = first - second with the
     certificates.  Witnesses may be supplied per relator; otherwise they
     are searched within the budget.  When a search stops without a witness
-    the result carries its Unknown label and SearchOutcome.  Every
+    the result carries its Unknown label and SearchOutcome.  Each script is
+    stabilization_moves of its witnesses, one slide per factor.  Every
     certificate built is replayed once, by verify_null, complete or not:
     nothing unverified is ever emitted.
     """

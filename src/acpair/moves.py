@@ -396,27 +396,6 @@ def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
     return out
 
 
-def _compact(moves) -> list:
-    """moves with InvRel(k) InvRel(k) cancelled, ConjRel(k, a) ConjRel(k, b)
-    fused into ConjRel(k, b a) and ConjRel(k, ()) dropped, wherever such
-    moves end up adjacent.  Each rule leaves the relators a replayable
-    script reaches unchanged, and no SlideRel is touched."""
-    out = []
-    for move in moves:
-        top = out[-1] if out else None
-        if isinstance(move, ConjRel):
-            if isinstance(top, ConjRel) and top.j == move.j:
-                out.pop()
-                move = ConjRel(move.j, multiply(move.w, top.w))
-            if move.w:
-                out.append(move)
-        elif isinstance(move, InvRel) and move == top:
-            out.pop()
-        else:
-            out.append(move)
-    return out
-
-
 def expand_restricted_slides(script: MoveScript) -> MoveScript:
     """Rewrite every RestrictedSlide as conjugate/invert/slide composites.
 

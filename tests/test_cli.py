@@ -259,8 +259,10 @@ def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, caps
     assert len(texts) == 10 and len(with_words) == 2
     assert counts["_reduce_letters"] == 0
     assert counts["_letter_tokens"] == len(texts) + len(with_words)
+    # 206 words over 12 tables: the two cross scripts hold 152 ConjRel words,
+    # one per change of conjugator, so a table serves more than 15 words
     words_read = sum(text.count("rel:") for text in texts) + sum(with_words)
-    assert words_read > 20 * counts["_letter_tokens"], (words_read, counts)
+    assert words_read > 15 * counts["_letter_tokens"], (words_read, counts)
 
 
 def test_iso_load_builds_one_token_table_per_side(tmp_path, monkeypatch):

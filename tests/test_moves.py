@@ -8,8 +8,9 @@ from dataclasses import make_dataclass
 import pytest
 
 from acpair import moves, words
-from acpair.constructions import (IsoWitness, common_generators, lustig,
-                                  null_vector_pipeline)
+from acpair.constructions import (IsoWitness, NormalClosureWitness,
+                                  common_generators, lustig, null_vector_pipeline,
+                                  stabilization_moves)
 from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           MoveScript, NielsenInv, NielsenMul, RegimeError,
                           RemoveGen, RemoveTrivialRel, RestrictedSlide,
@@ -19,8 +20,9 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
                           script_from_json, script_to_json,
                           slide_exponent_ledger)
 from acpair.presentations import (Presentation, abelianization, canonical_key,
-                                  euler_char, make_presentation, wedge_s2)
-from acpair.words import EMPTY, conjugate, reduce, substitute
+                                  euler_char, make_presentation, product,
+                                  wedge_s2)
+from acpair.words import EMPTY, conjugate, invert, reduce, substitute
 from lustig_fixtures import lustig_witness_pair
 import search_reference
 
@@ -727,66 +729,105 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
     assert p == pres("x y", "x y", "y^2")
 
 
-def compaction_script(rng, p, length):
-    """ConjRel/InvRel/SlideRel moves on p, drawn so that the three rules of
-    _compact have much to do: few relator indices, short conjugators, and
-    inverse conjugator pairs."""
-    m, out = len(p.relators), []
-    for _ in range(length):
-        j = rng.randrange(min(m, 2))
-        roll = rng.random()
-        if roll < 0.4:
-            w = random_word_over(rng, p.rank, 2)
-            out.append(ConjRel(j, w))
-            if rng.random() < 0.3:
-                out.append(ConjRel(j, tuple(-x for x in reversed(w))))
-        elif roll < 0.8:
-            out.append(InvRel(j))
-        elif m > 1:
-            out.append(SlideRel(j, rng.choice([k for k in range(m) if k != j]),
-                                rng.choice(["left", "right"])))
-    return out
+def conjugated_slide_reference(base, witnesses):
+    """stabilization_moves spelled out as one conjugated slide per factor:
+    relator k is conjugated by g^-1 and inverted when s > 0, slid onto
+    relator base + i from the left, and restored."""
+    return [move for i, wit in enumerate(witnesses) for g, k, s in wit.factors
+            for move in moves._conjugated_slide(base + i, k, invert(g), -s, "left")]
 
 
-def rule_patterns(script_moves):
-    out = []
-    for a, b in zip(script_moves, script_moves[1:]):
-        if isinstance(a, InvRel) and a == b:
-            out.append((a, b))
-        if isinstance(a, ConjRel) and isinstance(b, ConjRel) and a.j == b.j:
-            out.append((a, b))
-    out += [(a,) for a in script_moves if isinstance(a, ConjRel) and not a.w]
-    return out
+def shape_faults(script_moves, base):
+    """The moves of a stabilization script that break its shape: a ConjRel
+    with an empty word or on a base relator, and an InvRel of a relator
+    already inverted since the last slide."""
+    faults, inverted = [], set()
+    for move in script_moves:
+        if isinstance(move, ConjRel) and (not move.w or move.j < base):
+            faults.append(move)
+        elif isinstance(move, InvRel):
+            if move.j in inverted:
+                faults.append(move)
+            inverted.add(move.j)
+        elif isinstance(move, SlideRel):
+            inverted.clear()
+    return faults
 
 
-def test_compact_keeps_relators_and_ledger():
-    rng = random.Random(27)
-    shrunk = 0
-    for _ in range(300):
-        p = random_presentation(rng, max_gens=3, max_rels=3)
-        script = MoveScript(tuple(compaction_script(rng, p, rng.randint(0, 16))))
-        compact = MoveScript(tuple(moves._compact(script.moves)))
-        # an identity on relator tuples, not only on canonical keys
-        assert replay(p, compact).relators == replay(p, script).relators
-        assert not rule_patterns(compact.moves)
-        assert slide_exponent_ledger(compact) == slide_exponent_ledger(script)
-        assert ([m for m in compact.moves if isinstance(m, SlideRel)]
-                == [m for m in script.moves if isinstance(m, SlideRel)])
-        shrunk += len(compact) < len(script)
-    assert shrunk > 100
+def stabilization_cases():
+    """(presentation, base, witnesses) with the targets as relators base on."""
+    rng = random.Random(41)  # the self witnesses of test_product_stabilization_self_random
+    for _ in range(30):
+        rank = rng.randint(1, 3)
+        rels = tuple(reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                             for _ in range(rng.randint(1, 5))])
+                     for _ in range(rng.randint(1, 3)))
+        p = Presentation(tuple(f"g{i+1}" for i in range(rank)), rels)
+        yield product(p, p), len(rels), [NormalClosureWitness(r, ((EMPTY, i, 1),))
+                                         for i, r in enumerate(rels)]
+    for i in range(1, 5):
+        for j in range(i + 1, 6):
+            w_ji, w_ij = lustig_witness_pair(i, j)
+            yield product(lustig(i), lustig(j)), 3, w_ji
+            yield product(lustig(j), lustig(i)), 3, w_ij
+    # random factors, so that the conjugator changes from factor to factor
+    rng = random.Random(43)
+    for _ in range(100):
+        p = random_presentation(rng, max_gens=3, max_rels=3, max_len=5)
+        m = len(p.relators)
+        wits = []
+        for _ in range(rng.randint(0, 3)):
+            factors = tuple((random_word_over(rng, p.rank, 3), rng.randrange(m),
+                             rng.choice((1, -1))) for _ in range(rng.randint(0, 6)))
+            wits.append(NormalClosureWitness(
+                NormalClosureWitness(EMPTY, factors).product_word(p.relators), factors))
+        yield Presentation(p.gens, p.relators + tuple(w.target for w in wits)), m, wits
 
 
-def test_compact_examples():
-    a, b = (1,), (2, 1)
-    assert moves._compact([InvRel(0), InvRel(0)]) == []
-    assert moves._compact([InvRel(0), InvRel(1)]) == [InvRel(0), InvRel(1)]
-    assert moves._compact([ConjRel(0, a), ConjRel(0, b)]) == [ConjRel(0, (2, 1, 1))]
-    assert moves._compact([ConjRel(0, a), ConjRel(1, b)]) == [ConjRel(0, a), ConjRel(1, b)]
-    assert moves._compact([ConjRel(0, EMPTY), InvRel(1)]) == [InvRel(1)]
-    # cancellations cascade: the pair exposed by a removal is fused too
-    assert moves._compact([ConjRel(0, a), InvRel(1), InvRel(1), ConjRel(0, (-1,))]) == []
-    slide = SlideRel(1, 0, "left")
-    assert moves._compact([InvRel(0), slide, InvRel(0)]) == [InvRel(0), slide, InvRel(0)]
+def test_stabilization_moves_match_conjugated_slides():
+    # the frame-tracking construction reaches the relators of one conjugated
+    # slide per factor, byte for byte, by the same slides with the same ledger
+    cases = shorter = 0
+    for p, base, wits in stabilization_cases():
+        got = MoveScript(tuple(stabilization_moves(base, wits)))
+        ref = MoveScript(tuple(conjugated_slide_reference(base, wits)))
+        out = replay(p, got).relators
+        assert out == replay(p, ref).relators
+        assert out[base:] == (EMPTY,) * len(wits)
+        assert ([m for m in got.moves if isinstance(m, SlideRel)]
+                == [m for m in ref.moves if isinstance(m, SlideRel)])
+        assert slide_exponent_ledger(got) == slide_exponent_ledger(ref)
+        assert not shape_faults(got.moves, base)
+        cases += 1
+        shorter += len(got) < len(ref)
+    # the 30 self cases take three moves a relator either way
+    assert cases == 150 and shorter > 80
+
+
+def test_cross_certificate_replay_letters_lustig_3_4():
+    # a timing-free work guard: the letters of every relator that an apply
+    # step writes while replaying the lustig(3) x lustig(4) cross certificates;
+    # conjugating and inverting relator k around each slide writes 16,714
+    # and 44,465, even with adjacent inverse moves cancelled
+    class Written(list):
+        letters = 0
+
+        def __setitem__(self, idx, r):
+            Written.letters += len(r)
+            super().__setitem__(idx, r)
+
+    common = common_generators(lustig(3), lustig(4), IsoWitness.identity(3))
+    w43, w34 = lustig_witness_pair(3, 4)
+    result = null_vector_pipeline(common, witnesses_second_over_first=w43,
+                                  witnesses_first_over_second=w34)
+    written = {}
+    for cert in result.certificates[2:]:
+        Written.letters = 0
+        rels, gens = Written(cert.lhs.relators), cert.lhs.gens
+        for move in cert.script.moves:
+            gens = moves._MOVES[type(move)][0](rels, gens, move, None)
+        written[cert.label] = (len(cert.script), Written.letters)
+    assert written == {"cross": (237, 8046), "cross_second": (600, 27460)}
 
 
 def test_pipeline_certificate_lengths_lustig_1_2():
@@ -795,9 +836,8 @@ def test_pipeline_certificate_lengths_lustig_1_2():
     result = null_vector_pipeline(common, witnesses_second_over_first=w12,
                                   witnesses_first_over_second=w21)
     assert result.complete
-    # 9, 9, 257 and 402 moves before compaction
-    assert [len(c.script) for c in result.certificates] == [9, 9, 214, 326]
-    assert all(not rule_patterns(c.script.moves) for c in result.certificates)
+    assert [len(c.script) for c in result.certificates] == [9, 9, 141, 218]
+    assert all(not shape_faults(c.script.moves, 3) for c in result.certificates)
 
 
 def test_equivalence_search_matches_layer_loop_reference():

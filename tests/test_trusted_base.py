@@ -43,7 +43,7 @@ COMMON = {
                      "__create_fn__.<locals>.__eq__ __create_fn__.<locals>.__hash__ "
                      "__create_fn__.<locals>.__init__ _key canonical_key "
                      "parse_presentation parse_relator_text",
-    "words": "LetterBudget.__init__ LetterBudget.charge LetterBudget.charge_tokens "
+    "words": "LetterBudget.__init__ LetterBudget.charge "
              "_least_rotation _letter_ranks _letter_ranks.<locals>.<listcomp> "
              "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
              "conjugate cyclic_canonical cyclically_reduce invert json_int multiply "
@@ -71,7 +71,7 @@ VERIFY_SMOVE = {
     "moves": "<lambda>.<locals>.<genexpr> RSFactor.__post_init__ "
              "RestrictedSlide.__post_init__ _restricted_slide",
     "presentations": "product",
-    "words": "commutator",
+    "words": "LetterBudget.charge_tokens commutator",
 }
 
 
