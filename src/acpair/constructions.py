@@ -16,9 +16,10 @@ from .moves import (AddGen, ConjRel, EquivalenceCertificate, InvRel, MoveError,
 from .pairing import FormalSum, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
-from .words import (EMPTY, LetterBudget, Word, _letter_tokens,
-                    _token_letters, commutator, identity_images, invert,
-                    json_int, multiply, power, read_word, reduce, write_word)
+from .words import (EMPTY, LetterBudget, Word, _decode, _encode, _inverse,
+                    _letter_tokens, _token_letters, check_rank, commutator,
+                    identity_images, invert, json_int, multiply,
+                    multiply_inverse, power, read_word, reduce, write_word)
 
 
 class WitnessError(ValueError):
@@ -251,7 +252,7 @@ def stabilization_moves(base: int, witnesses: Sequence[NormalClosureWitness]) ->
             if (k in flipped) != (s > 0):
                 flipped ^= {k}
                 moves.append(InvRel(k))
-            if (c := ConjRel(base + i, multiply(g, invert(frame)))).w:
+            if (c := ConjRel(base + i, multiply_inverse(g, frame))).w:
                 moves.append(c)
             frame = g
             moves.append(SlideRel(base + i, k, "left"))
@@ -283,13 +284,14 @@ def product_stabilization(l1: Presentation, l2: Presentation,
 # Witness search: bidirectional BFS over relator insertions.
 
 
-# Letters are stored one per byte, letter x as x + 128, so that a letter and
-# its inverse sum to 256; ranks beyond 127 do not fit.
-_MAX_LETTER = 127
-
-
-def _encode(word: Word) -> bytes:
-    return bytes(x + 128 for x in word)
+def _join(head: bytes, tail: bytes) -> bytes:
+    """head * tail for the search's short byte words (see words), reduced.
+    Both are reduced, so letters cancel only where they meet, and a letter
+    cancels its neighbour when their bytes differ in the last bit alone."""
+    i, h, n = 0, len(head), len(tail)
+    while i < h and i < n and head[h - 1 - i] ^ 1 == tail[i]:
+        i += 1
+    return head[:h - i] + tail[i:]
 
 
 @dataclass(frozen=True)
@@ -300,15 +302,6 @@ class WitnessBudget:
 
     def __post_init__(self):
         _nonnegative(self)
-
-
-def _join(head: bytes, tail: bytes) -> bytes:
-    """head * tail, reduced.  Both are reduced, so letters cancel only
-    where they meet."""
-    i, h, n = 0, len(head), len(tail)
-    while i < h and i < n and head[h - 1 - i] + tail[i] == 256:
-        i += 1
-    return head[:h - i] + tail[i:]
 
 
 def search_normal_closure_witness(target: Word, relators: Sequence[Word],
@@ -331,13 +324,13 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     in search order and taking the first that yields the child, which is
     the edge the search took; the witness is then verified in the free
     group.
-    Raises ValueError when a word uses a generator beyond the 127th.
+    Words are searched as byte words (see words), so the search raises
+    ValueError when a word uses a generator beyond words.MAX_RANK.
     """
     max_conjugator_length = budget.max_conjugator_length
     target = reduce(target)
     relators = [reduce(r) for r in relators]
-    if any(abs(x) > _MAX_LETTER for w in (target, *relators) for x in w):
-        raise ValueError(f"witness search handles at most {_MAX_LETTER} generators")
+    check_rank(max((abs(x) for w in (target, *relators) for x in w), default=0))
     longest = max((len(r) for r in relators), default=0)
     max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
 
@@ -366,7 +359,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         for pos in range(min(max_conjugator_length, n) + 1):
             suffix = word[pos:]
             # the letter that would cancel the suffix's first; 0 is no letter
-            after = 256 - word[pos] if pos < n else 0
+            after = word[pos] ^ 1 if pos < n else 0
             for h, last in products_of(word[:pos]):
                 nxt = h + suffix if last != after else _join(h, suffix)
                 if len(nxt) <= max_word_length:
@@ -395,7 +388,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                 for pos in range(min(max_conjugator_length, len(parent)) + 1)
                 for (k, sign, _), (h, _) in zip(bodies, products_of(parent[:pos]))
                 if _join(h, parent[pos:]) == word)
-            out.append((tuple(128 - b for b in reversed(parent[:pos])), k, orient * sign))
+            out.append((_decode(_inverse(parent[:pos])), k, orient * sign))
             word = parent
         return out
 

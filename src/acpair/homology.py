@@ -197,6 +197,8 @@ class GroupRingMatrix:
 def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix, group: FiniteGroup) -> GroupRingMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
+    if not (a.entries and b.entries):
+        return GroupRingMatrix.zero(a.rows, b.cols)
     right: dict = {}
     for (r, c), cell in b.entries.items():
         right.setdefault(r, []).append((c, cell))

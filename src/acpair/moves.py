@@ -32,10 +32,12 @@ from itertools import chain
 from typing import Sequence
 
 from .presentations import Presentation, _key, canonical_key
-from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _letter_tokens,
-                    _token_letters, commutator, conjugate, cyclic_canonical,
-                    identity_images, invert, json_int, letter_key, multiply,
-                    read_word, reduce, substitute, valid_name, write_word)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _commutator,
+                    _conjugate, _decode, _encode, _inverse, _invert_generator,
+                    _join, _letter_tokens, _multiply_generator, _renumber_above,
+                    _token_letters, check_rank, cyclic_canonical, identity_images,
+                    invert, json_int, letter_key, multiply, read_word, reduce,
+                    valid_name, write_word)
 
 
 class MoveError(ValueError):
@@ -162,14 +164,14 @@ def _check_gen(i: int, rank: int):
         raise _out_of_range("generator", i, rank)
 
 
-def _rel(rels: list, j: int) -> Word:
+def _rel(rels: list, j: int) -> bytes:
     """Relator j, refused when j is out of range."""
     if not 0 <= j < len(rels):
         raise _out_of_range("relator", j, len(rels))
     return rels[j]
 
 
-def _bounded(r: Word) -> Word:
+def _bounded(r: bytes) -> bytes:
     """r, refused when it is longer than MAX_WORD_LENGTH."""
     if len(r) > MAX_WORD_LENGTH:
         raise MoveError(f"relator of {len(r)} letters exceeds the "
@@ -177,17 +179,19 @@ def _bounded(r: Word) -> Word:
     return r
 
 
-def _in_context(w: Word, gens: tuple) -> None:
-    """Refuse a move word with a letter outside gens."""
+def _in_context(w: Word, gens: tuple) -> bytes:
+    """The byte word of a move word, refused if it has a letter outside gens."""
     if w and (max(w) > len(gens) or -min(w) > len(gens)):
         raise MoveError(f"word {w} uses a generator outside the context")
+    return _encode(w)
 
 
 # One function per move kind applies it to rels in place, the relators over
-# gens, and returns the generators after it.  Every relator built comes from
-# reduced relators, read through _rel, and move words that are reduced when
-# the move is built and checked by _in_context here, so callers wrap the
-# result without validation.  Every relator a move builds passes _bounded.
+# gens as byte words (see words), and returns the generators after it.
+# Every relator built comes from reduced relators, read through _rel, and
+# move words that are reduced when the move is built and checked and
+# encoded by _in_context here, so callers wrap the result without
+# validation.  Every relator a move builds passes _bounded.
 # budget is replay's LetterBudget or None.  Before it builds anything, a Nielsen
 # move charges it one letter per generator, per relator and per relator letter
 # (its scan), and AddGen one per generator name it copies.  The letter per
@@ -195,43 +199,39 @@ def _in_context(w: Word, gens: tuple) -> None:
 
 def _conj_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r = _rel(rels, move.j)
-    _in_context(move.w, gens)
-    rels[move.j] = _bounded(conjugate(r, move.w))
+    rels[move.j] = _bounded(_conjugate(r, _in_context(move.w, gens)))
     return gens
 
 
 def _inv_rel(rels: list, gens: tuple, move, budget) -> tuple:
-    rels[move.j] = invert(_rel(rels, move.j))
+    rels[move.j] = _inverse(_rel(rels, move.j))
     return gens
 
 
 def _slide_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r, s = _rel(rels, move.j), _rel(rels, move.k)
-    rels[move.j] = _bounded(multiply(s, r) if move.side == "left" else multiply(r, s))
+    rels[move.j] = _bounded(_join(s, r) if move.side == "left" else _join(r, s))
     return gens
 
 
 def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
-    """Substitute the inverse of the declared map through the relators."""
+    """Substitute the inverse of the declared map through the relators:
+    g_i -> g_i^-1, or g_i -> g_i g_j^-1 for a declared g_i -> g_i g_j
+    (right) and g_i -> g_j^-1 g_i for a declared g_i -> g_j g_i (left)."""
     rank = len(gens)
     if budget is not None:
         budget.charge(rank + len(rels) + sum(map(len, rels)))
     _check_gen(move.i, rank)
-    if type(move) is NielsenInv:
-        image = (-(move.i + 1),)
-    else:
+    if type(move) is not NielsenInv:
         _check_gen(move.j, rank)
-        if move.side == "right":  # declared g_i -> g_i g_j
-            image = (move.i + 1, -(move.j + 1))
-        else:                      # declared g_i -> g_j g_i
-            image = (-(move.j + 1), move.i + 1)
-    # the map moves only generator i, so a relator without it stays, and
-    # one with it needs the identity images of its own letters only
-    letter = move.i + 1
+    # the map moves only generator i, so a relator without it stays
+    letter = _encode((move.i + 1,))
+    inverse = _inverse(letter)
     for idx, r in enumerate(rels):
-        if letter in r or -letter in r:
-            images = {abs(x) - 1: (abs(x),) for x in set(r)} | {move.i: image}
-            rels[idx] = _bounded(substitute(r, images))
+        if letter in r or inverse in r:
+            rels[idx] = _bounded(
+                _invert_generator(r, move.i) if type(move) is NielsenInv
+                else _multiply_generator(r, move.i, move.j, move.side))
     return gens
 
 
@@ -242,31 +242,32 @@ def _add_gen(rels: list, gens: tuple, move, budget) -> tuple:
         raise MoveError(f"invalid generator name {move.name!r}")
     if move.name in gens:
         raise MoveError(f"generator name {move.name!r} already in use")
-    rels.append((len(gens) + 1,))
+    check_rank(len(gens) + 1, MoveError)
+    rels.append(_encode((len(gens) + 1,)))
     return gens + (move.name,)
 
 
 def _remove_gen(rels: list, gens: tuple, move, budget) -> tuple:
     _check_gen(move.i, len(gens))
-    letter = move.i + 1
-    hits = [idx for idx, r in enumerate(rels) if letter in r or -letter in r]
-    if len(hits) != 1 or rels[hits[0]] not in ((letter,), (-letter,)):
+    letter = _encode((move.i + 1,))
+    inverse = _inverse(letter)
+    hits = [idx for idx, r in enumerate(rels) if letter in r or inverse in r]
+    if len(hits) != 1 or rels[hits[0]] not in (letter, inverse):
         raise MoveError(
             f"generator {move.i} is not removable: need exactly one relator, "
             f"equal to that generator or its inverse, and no other occurrence")
     del rels[hits[0]]
-    rels[:] = [tuple(x - 1 if x > letter else x + 1 if x < -letter else x for x in r)
-               for r in rels]
+    rels[:] = [_renumber_above(r, move.i) for r in rels]
     return gens[:move.i] + gens[move.i + 1:]
 
 
 def _add_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
-    rels.append(EMPTY)
+    rels.append(b"")
     return gens
 
 
 def _remove_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
-    if _rel(rels, move.j) != EMPTY:
+    if _rel(rels, move.j):
         raise MoveError(f"relator {move.j} is not trivial")
     del rels[move.j]
     return gens
@@ -278,10 +279,9 @@ def _restricted_slide(rels: list, gens: tuple, move, budget) -> tuple:
     word = _rel(rels, move.j)
     for f in move.factors:
         r = _rel(rels, f.k)
-        _in_context(f.w, gens)
-        _in_context(f.h, gens)
-        base = r if f.sign > 0 else invert(r)
-        word = _bounded(multiply(word, conjugate(commutator(base, f.h), f.w)))
+        w, h = _in_context(f.w, gens), _in_context(f.h, gens)
+        base = r if f.sign > 0 else _inverse(r)
+        word = _bounded(_join(word, _conjugate(_commutator(base, h), w)))
     rels[move.j] = word
     return gens
 
@@ -292,7 +292,7 @@ def _unknown_move(rels: list, gens: tuple, move, budget) -> tuple:
 
 # Move class -> (apply, change in generators, change in relators, the
 # regimes that admit it: "full", "k_prime", and "stabilized" for a k_prime
-# script flagged as stabilized).  replay dispatches here.
+# script flagged as stabilized).  _fold dispatches here.
 _ALL = ("full", "k_prime", "stabilized")
 _MOVES = {
     ConjRel: (_conj_rel, 0, 0, _ALL),
@@ -310,19 +310,27 @@ _UNKNOWN = (_unknown_move, 0, 0, ("full",))
 
 
 def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Presentation:
-    """Left fold of the script's moves over one relator list, with regime
-    and bookkeeping checks on every move; the apply steps charge budget.
-    script is a MoveScript or any iterable of full-regime moves, whose
-    moves are taken one at a time, as they are made."""
-    rels, gens = list(p.relators), p.gens
-    n, m = p.rank, len(rels)
+    """Left fold of the script's moves over p's relators, as byte words,
+    with regime and bookkeeping checks on every move; the apply steps
+    charge budget.  script is a MoveScript or any iterable of full-regime
+    moves, whose moves are taken one at a time, as they are made."""
     if isinstance(script, MoveScript):
-        moves, named = script.moves, script.regime
+        moves, regime = script.moves, script.regime
+        if regime == "k_prime" and script.stabilized:
+            regime = "stabilized"
     else:
-        moves, named = script, "full"
-    # the script's regime as _MOVES names it
-    stabilized = named == "k_prime" and script.stabilized
-    regime = "stabilized" if stabilized else named
+        moves, regime = script, "full"
+    rels = list(map(_encode, p.relators))
+    gens = _fold(rels, p.gens, moves, regime, budget)
+    return Presentation._trusted(gens, tuple(map(_decode, rels)))
+
+
+def _fold(rels: list, gens: tuple, moves, regime: str, budget) -> tuple:
+    """Apply moves to the byte relators rels, over gens, in place, as
+    _MOVES admits them in regime ("full", "k_prime" or "stabilized"), and
+    return the generators after them."""
+    named = "k_prime" if regime == "stabilized" else regime
+    n, m = len(gens), len(rels)
     for pos, move in enumerate(moves, start=1):
         apply, dn, dm, regimes = _MOVES.get(type(move), _UNKNOWN)
         if regime not in regimes:
@@ -338,7 +346,7 @@ def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Prese
         # The Euler characteristic 1 - n + m follows from these counts.
         if len(gens) != n or len(rels) != m:
             raise MoveError(f"bookkeeping drift at move {pos}")
-    return Presentation._trusted(gens, tuple(rels))
+    return gens
 
 
 @dataclass(frozen=True)
@@ -687,13 +695,13 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
     at most conjugator_length letters, made as they are needed, and every
     one-letter h.  Every fragment applies to p: its relator indices
     are in range and distinct, its words are over p's generators, and it
-    removes only empty relators."""
+    removes only empty relators.  p's relators may be tuple or byte words."""
     m = len(p.relators)
     pairs = [(j, k) for j in range(m) for k in range(m) if j != k]
     if regime == "full":
         if m > target_rels:
             for j, r in enumerate(p.relators):
-                if r == EMPTY:
+                if not r:
                     yield [RemoveTrivialRel(j)]
         if m < target_rels:
             yield [AddTrivialRel()]
@@ -739,24 +747,26 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         # k_prime moves preserve the relator count: no script exists
         return SearchOutcome(None, "exhausted", 0)
     start = canonical_key(p)
-    # key -> (the representative first met, the fragment that reached it)
-    known = {start: (p, ())}
-    classes = {}  # relator -> its class: a fragment rewrites one relator
+    # key -> (the representative first met, the fragment that reached it);
+    # a representative holds its relators as byte words (see words)
+    known = {start: (Presentation._trusted(p.gens, tuple(map(_encode, p.relators))), ())}
+    classes = {}  # byte relator -> its class: a fragment rewrites one relator
 
     def successors(key):
         here = known[key][0]
         for fragment in _neighbor_fragments(here, regime, target_rels,
                                             budget.conjugator_length):
-            step = MoveScript(fragment, regime)
-            nxt = replay(here, step)
-            if any(len(r) > budget.max_relator_length for r in nxt.relators):
+            rels = list(here.relators)
+            _fold(rels, here.gens, fragment, regime, None)
+            if any(len(r) > budget.max_relator_length for r in rels):
                 continue
-            for r in nxt.relators:
+            for r in rels:
                 if r not in classes:
-                    classes[r] = cyclic_canonical(r)
+                    classes[r] = cyclic_canonical(_decode(r))
+            nxt = Presentation._trusted(here.gens, tuple(rels))
             nkey = _key(nxt, classes.__getitem__)
             if nkey not in known:
-                known[nkey] = (nxt, step.moves)
+                known[nkey] = (nxt, tuple(fragment))
             yield nkey
 
     reason, _, parents, _ = _breadth_first(start, goal, successors, None,

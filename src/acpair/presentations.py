@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import homology
 from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
-                    cyclic_canonical, invert, multiply, read_word, reduce,
-                    valid_name, word_key, write_word, exponent_sum)
+                    check_rank, cyclic_canonical, invert, multiply, read_word,
+                    reduce, valid_name, word_key, write_word, exponent_sum)
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class Presentation:
 
     def __post_init__(self):
         gens = tuple(self.gens)
+        check_rank(len(gens))
         if len(set(gens)) != len(gens):
             raise ValueError("generator names must be unique")
         for name in gens:
@@ -141,6 +142,7 @@ def fresh_name(taken, position: int) -> str:
 def wedge_s1(p: Presentation, count: int) -> Presentation:
     if count < 0:
         raise ValueError("count must be nonnegative")
+    check_rank(p.rank + count)
     gens = list(p.gens)
     for _ in range(count):
         gens.append(fresh_name(set(gens), len(gens)))  # valid and unused

@@ -7,9 +7,16 @@ dict keys and shared freely between threads.
 
 ``reduce`` and the parsers take any letters and return freely reduced
 words; ``reduce`` returns a word that is already reduced as it is, after
-checks that run at C speed.  ``multiply``, ``conjugate``, ``commutator``
-and ``power`` take reduced words: they cancel letters only where their
-operands meet, so their result is reduced when their operands are.
+checks that run at C speed.  ``multiply``, ``commutator`` and ``power``
+take reduced words: they cancel letters only where their operands meet,
+so their result is reduced when their operands are.
+
+A byte word holds the same letters one per byte, letter x as the byte
+2|x| + (x < 0), so that a letter's inverse is its byte XOR 1 and bytes
+sort as ``letter_key`` does.  One byte holds the letters of at most
+MAX_RANK generators, the program's generator limit.  ``_encode`` and
+``_decode`` convert between the two forms at C speed, and the byte kernels
+below them do a replay's work with ``bytes`` methods.
 
 Generator names live at the presentation level (see ``presentations``);
 words themselves are name-free, so the same word value makes sense in any
@@ -20,9 +27,10 @@ declared.
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import chain, islice
 from operator import add, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Word = tuple  # tuple[int, ...]
 
@@ -34,6 +42,17 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 # may spell out, so that a short token such as x^1000000000 cannot demand
 # gigabytes.
 MAX_WORD_LENGTH = 1_000_000
+
+# Most generators a presentation may have: a byte word holds a letter in
+# one byte (see the module docstring).
+MAX_RANK = 127
+
+
+def check_rank(rank: int, error: type = ValueError) -> None:
+    """Refuse, with error, a rank beyond MAX_RANK."""
+    if rank > MAX_RANK:
+        raise error(f"{rank} generators: a presentation has at most "
+                    f"{MAX_RANK} generators")
 
 
 class LetterBudget:
@@ -96,9 +115,28 @@ def invert(u: Word) -> Word:
     return tuple(map(neg, reversed(u)))
 
 
-def conjugate(u: Word, w: Word) -> Word:
-    """w * u * w^-1."""
-    return multiply(multiply(w, u), invert(w))
+def multiply_inverse(u: Word, v: Word) -> Word:
+    """u * v^-1 for reduced u and v.  Their longest common suffix cancels,
+    found by comparing slices at C speed; what is left of u then meets the
+    inverse of what is left of v without cancelling, and only that rest of
+    v is inverted."""
+    n, m = len(u), len(v)
+    k = _longest(lambda k: u[n - k:] == v[m - k:], 0, min(n, m))
+    return u[:n - k] + invert(v[:m - k])
+
+
+def _longest(holds, low: int, high: int) -> int:
+    """The largest k in low..high with holds(k), given holds(low) and that
+    holds(k) implies holds(k - 1).  high is tried first, as words that
+    meet mostly cancel all they can; then the rest is bisected."""
+    k = high
+    while low < high:
+        if holds(k):
+            low = k
+        else:
+            high = k - 1
+        k = (low + high + 1) // 2
+    return low
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -121,30 +159,6 @@ def exponent_sum(u: Word, gen: int) -> int:
     """Signed count of occurrences of the generator with 0-based index gen."""
     target = gen + 1
     return sum(1 if x == target else -1 for x in u if abs(x) == target)
-
-
-def substitute(u: Word, images: Mapping[int, Word]) -> Word:
-    """Homomorphic extension of a generator map (0-based index -> word).
-
-    Raises ValueError when a generator occurring in u has no image: the
-    first such generator in u.
-    """
-    signed = {}  # letter -> its image, inverted for a negative letter
-    for x in dict.fromkeys(u):
-        idx = abs(x) - 1
-        try:
-            img = images[idx]
-        except KeyError:
-            raise ValueError(f"no image for generator index {idx}") from None
-        signed[x] = invert(img) if x < 0 else img
-    out: list[int] = []
-    for x in u:
-        for y in signed[x]:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
 
 
 def identity_images(rank: int) -> tuple:
@@ -213,6 +227,80 @@ def cyclic_canonical(u: Word) -> Word:
         if best_keys is None or keys < best_keys:
             best, best_keys = cand[r:] + cand[:r], keys
     return best
+
+
+# ---------------------------------------------------------------------------
+# Byte words (see the module docstring).  A letter x of a tuple word goes
+# through array('b') to the byte x mod 256 and is then translated to
+# 2|x| + (x < 0); decoding translates back and reads the signed bytes.  The
+# kernels take reduced byte words, as multiply takes reduced words.
+
+_TO_CODE = bytes(0 if r in (0, 128) else 2 * r if r < 128 else 513 - 2 * r
+                 for r in range(256))
+_FROM_CODE = bytes((c // 2 if c % 2 == 0 else -(c // 2)) % 256 for c in range(256))
+_INVERSE = bytes(c ^ 1 for c in range(256))
+# letters cancelled one at a time at a junction before endswith takes over
+_RUN = 16
+
+
+def _encode(u: Word) -> bytes:
+    """The byte word of u, whose letters lie within MAX_RANK generators."""
+    return array("b", u).tobytes().translate(_TO_CODE)
+
+
+def _decode(u: bytes) -> Word:
+    return tuple(memoryview(u.translate(_FROM_CODE)).cast("b"))
+
+
+def _join(u: bytes, v: bytes) -> bytes:
+    """u * v: letters cancel only where they meet, one at a time for the
+    first _RUN, then found by endswith at C speed."""
+    i, n, m = 0, len(u), len(v)
+    while i < n and i < m and u[n - 1 - i] ^ 1 == v[i]:
+        i += 1
+        if i == _RUN:
+            i = _longest(lambda k: u.endswith(_inverse(v[:k])), i, min(n, m))
+            break
+    return u[:n - i] + v[i:]
+
+
+def _inverse(u: bytes) -> bytes:
+    return u[::-1].translate(_INVERSE)
+
+
+def _conjugate(u: bytes, w: bytes) -> bytes:
+    """w * u * w^-1."""
+    return _join(_join(w, u), _inverse(w))
+
+
+def _commutator(u: bytes, v: bytes) -> bytes:
+    """u * v * u^-1 * v^-1."""
+    return _join(_join(u, v), _join(_inverse(u), _inverse(v)))
+
+
+def _invert_generator(u: bytes, i: int) -> bytes:
+    """u with g_i -> g_i^-1 substituted, i 0-based: one translate."""
+    swap = _encode((i + 1, -(i + 1)))
+    return u.translate(bytes.maketrans(swap, swap[::-1]))
+
+
+def _multiply_generator(u: bytes, i: int, j: int, side: str) -> bytes:
+    """u with g_i -> g_i g_j^-1 (right) or g_j^-1 g_i (left) substituted,
+    i != j.  Two replaces write the images of g_i and g_i^-1.  Then the
+    only letters that cancel are pairs g_j^-1 g_j (right) or g_j g_j^-1
+    (left), each holding a letter that an image added, and removing them
+    in one pass leaves a reduced word."""
+    a, b = _encode((i + 1,)), _encode((j + 1,))
+    inv_a, inv_b = _inverse(a), _inverse(b)
+    if side == "right":
+        return u.replace(a, a + inv_b).replace(inv_a, b + inv_a).replace(inv_b + b, b"")
+    return u.replace(a, inv_b + a).replace(inv_a, inv_a + b).replace(b + inv_b, b"")
+
+
+def _renumber_above(u: bytes, i: int) -> bytes:
+    """u with every generator after g_i moved down one place; u holds no g_i."""
+    above = _encode((-(i + 1),))[0]  # the higher byte of g_i's two
+    return u.translate(bytes(c - 2 if c > above else c for c in range(256)))
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,14 @@ def test_witness_cli(tmp_path, capsys):
 
 
 def test_witness_cli_rank_limit(tmp_path, capsys):
-    # the search stores one letter per byte: generators 1 to 127 only
-    gens = " ".join(f"g{i}" for i in range(1, 129))
+    # a byte word holds one letter per byte: generators 1 to 127 only, and a
+    # file of 128 is refused as it is parsed
+    gens = " ".join(f"g{i}" for i in range(1, 128))
     pres = write(tmp_path / "p.pres", f"gens: {gens}\nrel: g1\nrel: g127\n")
     code, out, _ = run(capsys, "witness", pres, "--target", "g127 g1^2")
     assert code == 0 and len(json.loads(out)["factors"]) == 3
-    high_rel = write(tmp_path / "q.pres", f"gens: {gens}\nrel: g128\n")
-    for path, target in ((pres, "g128"), (high_rel, "g1")):
+    high_rel = write(tmp_path / "q.pres", f"gens: {gens} g128\nrel: g128\n")
+    for path, target in ((high_rel, "g128"), (high_rel, "g1")):
         code, _, err = run(capsys, "witness", path, "--target", target)
         assert code == 2 and "at most 127 generators" in err
         assert "Traceback" not in err
@@ -276,7 +277,7 @@ def test_iso_load_builds_one_token_table_per_side(tmp_path, monkeypatch):
         return build(names)
 
     monkeypatch.setattr(words, "_letter_tokens", counted)
-    for rank in (2, 300):
+    for rank in (2, 127):
         p = Presentation(tuple(f"x{i}" for i in range(rank)), ())
         q = Presentation(tuple(f"y{i}" for i in range(rank)), ())
         iso = write(tmp_path / f"iso{rank}.json", json.dumps(

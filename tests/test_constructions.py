@@ -126,34 +126,39 @@ def test_common_generators_bounds_the_image_letters(monkeypatch):
     assert common_generators(k1, k1, IsoWitness.identity(3)).q_prime == k1
 
 
-def test_common_generators_charges_generators_and_relators():
+def test_common_generators_charges_generators_and_relators(monkeypatch):
     # a Nielsen move builds an identity image for each generator and scans
     # each relator, and AddGen copies the generator names, so each is
     # charged even where it holds no letter: many free generators, or
     # many empty relators, cannot make the replays run uncharged
     x, y = pres("x", "x"), pres("y", "y")
-    free = make_presentation(" ".join(f"y{i}" for i in range(3000)), [])
-    with pytest.raises(ValueError, match="more than 3000000 letters"):
-        common_generators(x, free, IsoWitness(((),) * 3000, ((1,),)))
     empty = pres("x", *["1"] * 20_000)
     with pytest.raises(ValueError, match="more than 3000000 letters"):
         common_generators(empty, y, IsoWitness(((-1,) * 100,), ((1,),)))
+    # 127 free generators, the most a presentation has, charge fewer letters
+    # than the default budget: a smaller one must still trip
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 3000)
+    free = make_presentation(" ".join(f"y{i}" for i in range(127)), [])
+    with pytest.raises(ValueError, match="more than 3000 letters"):
+        common_generators(x, free, IsoWitness(((),) * 127, ((1,),)))
 
 
 def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypatch):
     # many free generators against a one-generator partner, in both orders:
     # the budget refuses the replay of the side that adjoins one generator
-    # per free one after a few hundred AddGens, so the moves of the other
-    # generators, and of the swaps that would reorder them, are never made
-    n = 20_000
+    # per free one after a few AddGens, so the moves of the other
+    # generators, and of the swaps that would reorder them, are never made.
+    # A presentation has at most 127 generators, so the budget is small
+    # enough to trip before the 128th would be refused
+    n = 127
     one = pres("x", "x")
     free = make_presentation(" ".join(f"y{i}" for i in range(n)), [])
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 100_000)
+    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 100)
     for p, q, wit in ((free, one, IsoWitness(((1,),), ((1,),) * n)),
                       (one, free, IsoWitness(((1,),) * n, ((1,),)))):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="more than 100000 letters"):
+            with pytest.raises(ValueError, match="more than 100 letters"):
                 common_generators(p, q, wit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -137,6 +137,20 @@ def test_restrict_functorial():
             assert left == right
 
 
+def test_gr_mat_mul_by_a_matrix_without_entries_is_zero():
+    # a dense chain's d_1 has no entries, so ChainComplexData's d o d check
+    # multiplies d_2 by it: the product is the zero matrix of the product's
+    # shape, on either side, whatever the other factor holds
+    group = symmetric_group_3()
+    full = GroupRingMatrix.from_entries(4, 3, {(r, c): {(r + c) % 6: 1 + r}
+                                              for r in range(4) for c in range(3)})
+    assert gr_mat_mul(full, Z(3, 2), group) == GroupRingMatrix.zero(4, 2)
+    assert gr_mat_mul(Z(5, 4), full, group) == GroupRingMatrix.zero(5, 3)
+    assert gr_mat_mul(Z(2, 4), Z(4, 1), group) == GroupRingMatrix.zero(2, 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        gr_mat_mul(full, Z(4, 2), group)
+
+
 # -- Smith normal form --------------------------------------------------------
 
 

@@ -54,7 +54,7 @@ def test_canonical_key_random_invariance():
         conj = reduce([rng.choice([1, -1]) * rng.randint(1, rank)
                        for _ in range(rng.randint(0, 4))])
         mutated = list(rels)
-        from acpair.words import conjugate
+        from word_reference import conjugate
         mutated[j] = conjugate(mutated[j], conj)
         if rng.random() < 0.5:
             mutated[j] = invert(mutated[j])

@@ -184,19 +184,50 @@ def _text(node) -> str:
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
 
 
+def _named(names):
+    return _scopes(lambda node: getattr(node, "id", getattr(node, "attr", None)) in names)
+
+
 def test_replay_is_the_one_fold_of_moves():
-    # replay is the one function that applies moves: no other function reads
-    # the dispatch table moves._MOVES or its fallback, whose module-level
-    # codec tables read only its keys and counts, and no function names an
-    # apply step, which only the table holds
+    # replay and the equivalence search apply moves through moves._fold, the
+    # one function that applies them: no other function reads the dispatch
+    # table moves._MOVES or its fallback, whose module-level codec tables
+    # read only its keys and counts, and no function names an apply step,
+    # which only the table holds
     steps = {step.__name__ for step, *_ in [*moves._MOVES.values(), moves._UNKNOWN]}
-
-    def named(names):
-        return _scopes(lambda node: getattr(node, "id", getattr(node, "attr", None)) in names)
-
     assert len(steps) >= 9
-    assert named({"_MOVES", "_UNKNOWN"}) == {("moves.py", "<module>"), ("moves.py", "replay")}
-    assert named(steps) == {("moves.py", "<module>")}
+    assert _named({"_MOVES", "_UNKNOWN"}) == {("moves.py", "<module>"), ("moves.py", "_fold")}
+    assert _named(steps) == {("moves.py", "<module>")}
+    assert _named({"_fold"}) == {("moves.py", "replay"),
+                                 ("moves.py", "bounded_equivalence_search.successors")}
+
+
+def test_only_words_converts_between_tuple_and_byte_words():
+    # words._encode and words._decode are the codec: no other code builds
+    # bytes from letters or reads letters from bytes, so a second code for
+    # byte words cannot come back beside the one the kernels assume
+    def calling(names):
+        return _scopes(lambda node: isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) in names)
+
+    letters = {"array", "tobytes", "memoryview", "cast"}
+    assert calling(letters) == {("words.py", "_encode"), ("words.py", "_decode")}
+    assert {path for path, _ in calling(letters | {"bytes", "bytearray", "translate",
+                                                   "maketrans"})} == {"words.py"}
+
+
+def test_the_generator_limit_is_named_once():
+    # one byte holds a letter of a byte word, so words.MAX_RANK is the
+    # program's one generator limit: 127 is written once, and check_rank is
+    # the one place that refuses a rank beyond it
+    assert _scopes(lambda node: isinstance(node, ast.Constant)
+                   and node.value == 127) == {("words.py", "<module>")}
+    assert _named({"MAX_RANK"}) == {("words.py", "<module>"), ("words.py", "check_rank")}
+    assert _scopes(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "check_rank") == {
+        ("presentations.py", "Presentation.__post_init__"),
+        ("presentations.py", "wedge_s1"), ("moves.py", "_add_gen"),
+        ("constructions.py", "search_normal_closure_witness")}
 
 
 def test_letter_bounds_are_kept_by_one_budget():
@@ -218,21 +249,22 @@ def test_letter_bounds_are_kept_by_one_budget():
 
 
 def test_the_witness_search_cancels_letters_in_one_junction():
-    # the witness search stores letter x as the byte x + 128, so a letter
-    # cancels its neighbour when their sum is 256.  constructions._join is
-    # the one place that compares such a sum: the cached products, the
+    # a letter of a byte word (see words) cancels its neighbour when one is
+    # the other's byte XOR 1.  constructions._join is the one place in the
+    # witness search that compares such a pair: the cached products, the
     # successors and the rebuilt edges all cancel there, so a second
-    # cancelling loop cannot come back beside it
-    def letter_sum(node):
+    # cancelling loop cannot come back beside it.  The only other such
+    # comparison is the replay's junction, words._join
+    def inverse_pair(node):
         sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
-        return (any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
-                    for side in sides)
-                and any(getattr(side, "value", None) == 256 for side in sides))
+        return any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.BitXor)
+                   and 1 in (getattr(side.left, "value", None),
+                             getattr(side.right, "value", None))
+                   for side in sides)
 
     tree = ast.parse((SOURCE / "constructions.py").read_text())
-    assert sum(map(letter_sum, ast.walk(tree))) == 1
-    assert {scope for scope in _scopes(letter_sum) if scope[0] == "constructions.py"} == {
-        ("constructions.py", "_join")}
+    assert sum(map(inverse_pair, ast.walk(tree))) == 1
+    assert _scopes(inverse_pair) == {("constructions.py", "_join"), ("words.py", "_join")}
 
 
 def _calls(node):

@@ -35,7 +35,7 @@ COMMON = {
     "cli": "_load main",
     "moves": "ConjRel.__post_init__ EquivalenceCertificate.verify "
              "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _bounded "
-             "_conj_rel _from_json _from_json.<locals>.<listcomp> _in_context "
+             "_conj_rel _fold _from_json _from_json.<locals>.<listcomp> _in_context "
              "_inv_rel _rel <lambda> replay script_from_json",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
                      "Presentation.__post_init__.<locals>.<genexpr> "
@@ -43,11 +43,11 @@ COMMON = {
                      "__create_fn__.<locals>.__eq__ __create_fn__.<locals>.__hash__ "
                      "__create_fn__.<locals>.__init__ _key canonical_key "
                      "parse_presentation parse_relator_text",
-    "words": "LetterBudget.__init__ LetterBudget.charge "
-             "_least_rotation _letter_ranks _letter_ranks.<locals>.<listcomp> "
-             "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
-             "conjugate cyclic_canonical cyclically_reduce invert json_int multiply "
-             "read_word reduce valid_name word_key",
+    "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _decode _encode "
+             "_inverse _join _least_rotation _letter_ranks "
+             "_letter_ranks.<locals>.<listcomp> _letter_tokens _token_letters "
+             "_token_letters.<locals>.<dictcomp> check_rank cyclic_canonical "
+             "cyclically_reduce invert json_int read_word reduce valid_name word_key",
 }
 PARSER = {  # build_parser, which reads the budget defaults off the classes
     "cli": "build_parser build_parser.<locals>.add",
@@ -62,6 +62,7 @@ VERIFY_NULL = {
                "_reduce _reduce.<locals>.<genexpr> _root certificate_from_json "
                "sum_from_json verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
+    "words": "_join.<locals>.<lambda> _longest",
 }
 VERIFY_SMOVE = {
     "cli": "cmd_verify_smove cmd_verify_smove.<locals>.load_scripts "
@@ -71,7 +72,7 @@ VERIFY_SMOVE = {
     "moves": "<lambda>.<locals>.<genexpr> RSFactor.__post_init__ "
              "RestrictedSlide.__post_init__ _restricted_slide",
     "presentations": "product",
-    "words": "LetterBudget.charge_tokens commutator",
+    "words": "LetterBudget.charge_tokens _commutator",
 }
 
 

@@ -3,7 +3,9 @@ test oracles.
 
 `reduce`, `multiply`, `invert` and `conjugate` are those of acpair.words
 in the form that looks at one letter at a time, with the same checks and
-messages.  Their `branches` Counter counts the cases a corpus must reach:
+messages; `conjugate` and `substitute` are also the oracles of the byte
+kernels that a replay runs.  Their `branches` Counter counts the cases a
+corpus must reach:
 
 - "reduce returns a reduced tuple as it is": a tuple of ints, none zero
   and none next to its inverse, which acpair.words only checks, at C
@@ -15,13 +17,12 @@ messages.  Their `branches` Counter counts the cases a corpus must reach:
   shorter word whole": the cancelling run at the junction ends at a letter
   that does not cancel, or at the end of the shorter operand.
 
-`parse_word`, `format_word` and `substitute` are those of acpair.words in
-the form that does all its work one letter at a time: a parsed token is
-expanded and cancelled letter by letter, a written run is found and named
-letter by letter, and an image is inverted at each negative letter.  Their
-checks and messages are those of acpair.words.  The only addition is the
-optional `branches` Counter, which counts the branches in which
-acpair.words decides a token, a run or an image at once, so that a test can
+`parse_word` and `format_word` are those of acpair.words in the form that
+does all its work one letter at a time: a parsed token is expanded and
+cancelled letter by letter, and a written run is found and named letter by
+letter.  Their checks and messages are those of acpair.words.  The only
+addition is the optional `branches` Counter, which counts the branches in
+which acpair.words decides a token or a run at once, so that a test can
 show its corpus reaches each of them:
 
 - "parse name", "parse name^-1": a one-letter token, one table look-up;
@@ -31,10 +32,11 @@ show its corpus reaches each of them:
   "... more than ...": a `name^k` token after a run of m inverse letters,
   for |k| < m, |k| = m and |k| > m; the last two end the run, and the last
   appends the rest of the token's run whole;
-- "format run of one": a run of one letter, written from the table;
-- "substitute reuses an image", "substitute reuses an inverted image": a
-  letter that occurred before, whose image is not looked up, nor inverted
-  again when the letter is negative.
+- "format run of one": a run of one letter, written from the table.
+
+`substitute` is the homomorphic extension of a generator map (0-based
+index -> word), applied one letter at a time, with an image inverted at
+each negative letter.
 """
 
 import re
@@ -145,19 +147,10 @@ def format_word(u, names, branches: Counter | None = None):
     return " ".join(parts)
 
 
-def substitute(u, images, branches: Counter | None = None):
+def substitute(u, images):
     out = []
-    seen = set()
     for x in u:
-        idx = abs(x) - 1
-        try:
-            img = images[idx]
-        except KeyError:
-            raise ValueError(f"no image for generator index {idx}") from None
-        if branches is not None and x in seen:
-            branches["substitute reuses an inverted image" if x < 0
-                     else "substitute reuses an image"] += 1
-        seen.add(x)
+        img = images[abs(x) - 1]
         if x < 0:
             img = tuple(-y for y in reversed(img))
         for y in img:
