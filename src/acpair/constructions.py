@@ -194,7 +194,7 @@ class NormalClosureWitness:
             if not 0 <= k < len(relators):
                 raise WitnessError(f"factor relator index {k} out of range")
             rel = relators[k] if s > 0 else invert(relators[k])
-            out = _bounded(multiply(out, multiply(multiply(invert(g), rel), g)))
+            out = _bounded(multiply(multiply(multiply_inverse(out, g), rel), g))
         return out
 
     def verify(self, relators: Sequence[Word]) -> bool:
@@ -244,19 +244,25 @@ def stabilization_moves(base: int, witnesses: Sequence[NormalClosureWitness]) ->
     g frame^-1 unless that word is empty, so that frame = g, and relator k
     slides onto it from the left.  Relator j ends empty, and base relators
     are never conjugated: those left inverted are inverted back at the end.
+    Equal moves are one object, built once.
     """
     moves, flipped = [], set()  # flipped: base relators held as R_k^-1
+    made = {}  # (move class, *fields) -> the move
+
+    def move(*key):
+        return made.get(key) or made.setdefault(key, key[0](*key[1:]))
+
     for i, wit in enumerate(witnesses):
         frame = EMPTY
         for g, k, s in wit.factors:
             if (k in flipped) != (s > 0):
                 flipped ^= {k}
-                moves.append(InvRel(k))
-            if (c := ConjRel(base + i, multiply_inverse(g, frame))).w:
-                moves.append(c)
+                moves.append(move(InvRel, k))
+            if c := multiply_inverse(g, frame):
+                moves.append(move(ConjRel, base + i, c))
             frame = g
-            moves.append(SlideRel(base + i, k, "left"))
-    return moves + [InvRel(k) for k in sorted(flipped)]
+            moves.append(move(SlideRel, base + i, k, "left"))
+    return moves + [move(InvRel, k) for k in sorted(flipped)]
 
 
 def product_stabilization(l1: Presentation, l2: Presentation,

@@ -27,6 +27,7 @@ freely reduced when the move is built.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Sequence
@@ -321,8 +322,11 @@ def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Prese
     else:
         moves, regime = script, "full"
     rels = list(map(_encode, p.relators))
+    kept = dict(zip(rels, p.relators))  # a relator the moves leave keeps its tuple
     gens = _fold(rels, p.gens, moves, regime, budget)
-    return Presentation._trusted(gens, tuple(map(_decode, rels)))
+    for idx, r in enumerate(rels):
+        rels[idx] = kept[r] if r in kept else _decode(r)
+    return Presentation._trusted(gens, tuple(rels))
 
 
 def _fold(rels: list, gens: tuple, moves, regime: str, budget) -> tuple:
@@ -540,19 +544,26 @@ def _track_names(move, names: list) -> None:
 
 # The codec builds the token table of the names in force when a move with
 # words follows a change of names, not at each change: a script of many
-# AddGen moves costs time and memory linear in its length.
+# AddGen moves costs time and memory linear in its length.  Until the names
+# change, it writes or reads each distinct move once and reuses what it made.
 
 def script_to_json(script: MoveScript, names: Sequence[str]) -> dict:
     """Serialize, tracking the evolving generator names through the script."""
     current, table = list(names), None
-    out = []
+    out, written = [], {}  # written: id of a move of the script -> its first dict
     for move in script.moves:
+        if (obj := written.get(id(move))) is not None:
+            out.append(obj.copy())
+            continue
         if table is None and type(move) in _WORDY:
             table = _letter_tokens(current)
-        out.append(_to_json(move, table, {"op": type(move).__name__}))
+        out.append(obj := _to_json(move, table, {"op": type(move).__name__}))
         if type(move) in _RENAMING:
             _track_names(move, current)
             table = None
+            written.clear()
+        elif type(move) is not RestrictedSlide:  # whose factors a copy would share
+            written[id(move)] = obj
     data = {"regime": script.regime, "moves": out}
     if script.stabilized:
         data["stabilized"] = True
@@ -569,17 +580,29 @@ def script_from_json(data, names: Sequence[str],
     if budget is None:
         budget = LetterBudget("script")
     current, table = list(names), None
-    moves = []
+    moves, read = [], {}  # read: a raw move's marshal bytes -> (move, letters charged)
     for obj in data["moves"]:
+        try:  # marshal writes each value with its type: 1, true and 1.0 differ
+            key = marshal.dumps(obj)
+        except ValueError:  # a value that JSON does not give is read as it is
+            key = None
+        if (hit := read.get(key)) is not None:
+            budget.charge(hit[1])
+            moves.append(hit[0])
+            continue
         cls = _KINDS.get(obj["op"])
         if cls is None:
             raise MoveError(f"unknown op {obj['op']!r}")
         if table is None and cls in _WORDY:
             table = _token_letters(current)
+        left = budget.left
         moves.append(_from_json(cls, obj, table, budget))
         if cls in _RENAMING:
             _track_names(moves[-1], current)
             table = None
+            read.clear()
+        elif key is not None:
+            read[key] = moves[-1], left - budget.left
     stabilized = data.get("stabilized", False)
     if type(stabilized) is not bool:
         raise ValueError(f"'stabilized' must be true or false, not {stabilized!r}")

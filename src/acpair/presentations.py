@@ -216,6 +216,7 @@ def parse_presentation(text: str, budget: LetterBudget | None = None) -> Present
             if gens is not None:
                 raise ValueError(f"line {lineno}: duplicate gens line")
             gens = tuple(rest.split())
+            check_rank(len(gens))  # before a table of too many names is built
             table = _token_letters(gens)
         elif head == "rel":
             if gens is None:

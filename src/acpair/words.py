@@ -290,8 +290,8 @@ def _multiply_generator(u: bytes, i: int, j: int, side: str) -> bytes:
     only letters that cancel are pairs g_j^-1 g_j (right) or g_j g_j^-1
     (left), each holding a letter that an image added, and removing them
     in one pass leaves a reduced word."""
-    a, b = _encode((i + 1,)), _encode((j + 1,))
-    inv_a, inv_b = _inverse(a), _inverse(b)
+    letters = _encode((i + 1, -(i + 1), j + 1, -(j + 1)))
+    a, inv_a, b, inv_b = letters[:1], letters[1:2], letters[2:3], letters[3:]
     if side == "right":
         return u.replace(a, a + inv_b).replace(inv_a, b + inv_a).replace(inv_b + b, b"")
     return u.replace(a, inv_b + a).replace(inv_a, inv_a + b).replace(b + inv_b, b"")
@@ -337,14 +337,15 @@ def parse_word(text: str, names: Sequence[str],
 def read_word(text: str, table: dict, budget: LetterBudget) -> Word:
     """parse_word over the table _token_letters(names).  One-letter tokens
     are charged together, before the next `name^k` token and at the end, as
-    charging each in turn would."""
+    charging each in turn would.  Each `name^k` token read is kept in table
+    as (letter, count), and read from there at its next occurrence."""
     if not isinstance(text, str):
         raise ValueError(f"a word must be text, not {text!r}")
     out: list[int] = []
     ones = 0  # one-letter tokens not yet charged
     for token in text.split():
         letter = table.get(token)
-        if letter is not None:
+        if type(letter) is int:
             ones += 1
             if out and out[-1] == -letter:
                 out.pop()
@@ -356,18 +357,19 @@ def read_word(text: str, table: dict, budget: LetterBudget) -> Word:
         if ones:
             budget.charge_tokens(ones)
             ones = 0
-        base, _, exp = token.partition("^")
-        letter = table.get(base)
         if letter is None:
-            raise ValueError(f"unknown generator {base!r} in word {text!r}")
-        digits = exp[1:] if exp[:1] == "-" else exp
-        if not (digits.isdigit() and digits.isascii()):
-            raise ValueError(f"bad exponent in token {token!r}")
-        k = int(exp)
-        if k == 0:
-            raise ValueError(f"zero exponent in token {token!r}")
-        if k < 0:
-            letter, k = -letter, -k
+            base, _, exp = token.partition("^")
+            letter = table.get(base)
+            if letter is None:
+                raise ValueError(f"unknown generator {base!r} in word {text!r}")
+            digits = exp[1:] if exp[:1] == "-" else exp
+            if not (digits.isdigit() and digits.isascii()):
+                raise ValueError(f"bad exponent in token {token!r}")
+            k = int(exp)
+            if k == 0:
+                raise ValueError(f"zero exponent in token {token!r}")
+            letter = table[token] = (-letter, -k) if k < 0 else (letter, k)
+        letter, k = letter
         budget.charge(k)
         while k and out and out[-1] == -letter:
             out.pop()

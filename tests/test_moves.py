@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import make_dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation, product,
                                   wedge_s2)
-from acpair.words import EMPTY, invert, reduce
+from acpair.words import EMPTY, LetterBudget, invert, reduce
 from lustig_fixtures import lustig_witness_pair
 import search_reference
 import word_reference
@@ -493,6 +494,185 @@ def test_script_codec_is_linear_in_renaming_moves(monkeypatch):
     assert peak < 1_500_000, peak
     assert script_to_json(script, ("x",)) == data
     assert builds == {n + 1: 2}  # one to read, one to write
+
+
+# Within one call the script codec writes each move object and reads each
+# raw move once, until the names change; every other occurrence is a copy
+# of the dict written, or the move read, and is charged as the first was.
+
+def read_each_alone(data, names, budget):
+    """The script of data read one move at a time, each over the names in
+    force before it, all charged to budget."""
+    current, out = list(names), []
+    for obj in data["moves"]:
+        (move,) = script_from_json([obj], current, budget).moves
+        if isinstance(move, AddGen):
+            current.append(move.name)
+        elif isinstance(move, RemoveGen):
+            del current[move.i]
+        out.append(move)
+    return MoveScript(tuple(out), data["regime"], data.get("stabilized", False))
+
+
+def write_each_alone(script, names):
+    """script_to_json's moves, each written alone over the names in force."""
+    current, out = list(names), []
+    for move in script.moves:
+        (obj,) = script_to_json(MoveScript((move,)), current)["moves"]
+        if isinstance(move, AddGen):
+            current.append(move.name)
+        elif isinstance(move, RemoveGen):
+            del current[move.i]
+        out.append(obj)
+    return out
+
+
+def codec_calls(monkeypatch):
+    """Counts of the calls of moves._to_json and moves._from_json."""
+    calls = Counter()
+    for name in ("_to_json", "_from_json"):
+        def counted(*args, _f=getattr(moves, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(moves, name, counted)
+    return calls
+
+
+def test_certificates_are_written_and_read_once_per_distinct_move(monkeypatch):
+    # every certificate of the certify workload's bundles, lustig(i) x (j)
+    calls = codec_calls(monkeypatch)
+    for i, j in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)):
+        common = common_generators(lustig(i), lustig(j), IsoWitness.identity(3))
+        w_ji, w_ij = lustig_witness_pair(i, j)
+        result = null_vector_pipeline(common, witnesses_second_over_first=w_ji,
+                                      witnesses_first_over_second=w_ij)
+        for cert in result.certificates:
+            distinct = len(set(cert.script.moves))
+            # stabilization_moves builds each distinct move once
+            assert len({id(move) for move in cert.script.moves}) == distinct
+            calls.clear()
+            data = json.loads(json.dumps(script_to_json(cert.script, cert.lhs.gens)))
+            assert calls == {"_to_json": distinct}
+            assert data["moves"] == write_each_alone(cert.script, cert.lhs.gens)
+            budgets = [LetterBudget("script") for _ in range(2)]
+            calls.clear()
+            assert script_from_json(data, cert.lhs.gens, budgets[0]) == cert.script
+            assert calls == {"_from_json": distinct}
+            assert read_each_alone(data, cert.lhs.gens, budgets[1]) == cert.script
+            assert budgets[0].left == budgets[1].left
+
+
+def test_random_scripts_with_repeats_read_as_each_move_alone():
+    # moves drawn with repeats from a small pool, with renaming moves among
+    # them that change what the same raw move or move object means
+    rng = random.Random(37)
+    for _ in range(60):
+        p = random_presentation(rng, max_gens=3)
+        pool, _ = random_script(rng, p, 6)
+        moves_, rank, added = [], p.rank, 0
+        for _ in range(rng.randint(0, 40)):
+            roll = rng.random()
+            if roll < 0.1:
+                added += 1
+                moves_.append(AddGen(f"a{added}"))
+                rank += 1
+            elif roll < 0.2 and rank > p.rank:
+                moves_.append(RemoveGen(rng.randrange(p.rank, rank)))
+                rank -= 1
+            else:
+                moves_.append(rng.choice(pool.moves))
+        script = MoveScript(tuple(moves_), "full", rng.random() < 0.5)
+        data = json.loads(json.dumps(script_to_json(script, p.gens)))
+        assert data["moves"] == write_each_alone(script, p.gens)
+        budgets = [LetterBudget("script") for _ in range(2)]
+        assert script_from_json(data, p.gens, budgets[0]) == script
+        assert read_each_alone(data, p.gens, budgets[1]) == script
+        assert budgets[0].left == budgets[1].left
+    # the same move object, and the same raw move, before and after a
+    # RemoveGen that renames its word's letter
+    conj = ConjRel(0, (2,))
+    script = MoveScript((conj, RemoveGen(0), conj))
+    data = script_to_json(script, ("x", "y", "z"))
+    assert [m.get("w") for m in data["moves"]] == ["y", None, "z"]
+    raw = {"op": "ConjRel", "j": 1, "w": "z"}
+    assert script_from_json([raw, {"op": "RemoveGen", "i": 1}, raw],
+                            ("x", "y", "z")).moves == (ConjRel(0, (3,)), RemoveGen(0),
+                                                       ConjRel(0, (2,)))
+
+
+def test_a_raw_move_is_kept_by_value_and_by_type():
+    # True == 1 == 1.0 in Python, with equal hashes: a repeat that differs
+    # only so is read again, and refused with the text of a first reading
+    names = ("x", "y")
+    for value in (True, 1.0):
+        data = [{"op": "InvRel", "j": 1}, {"op": "InvRel", "j": value}]
+        with pytest.raises(ValueError, match=f"^j must be an integer, not {value}$"):
+            script_from_json(data, names)
+        with pytest.raises(ValueError, match=f"^j must be an integer, not {value}$"):
+            script_from_json(data[1:], names)
+    data = [{"op": "SlideRel", "j": 2, "k": 1, "side": "left"},
+            {"op": "SlideRel", "j": 2, "k": True, "side": "left"}]
+    with pytest.raises(ValueError, match="^k must be an integer, not True$"):
+        script_from_json(data, names)
+    # a move whose read fails is not kept: it fails at each occurrence
+    data = [{"op": "ConjRel", "j": 1, "w": "x"}, {"op": "ConjRel", "j": 1, "w": "q"}]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown generator 'q'"):
+            script_from_json(data, names)
+    # a value that JSON does not give is read as it is, and so is an object
+    # that is not a dict; a raw move that holds lists is kept as any other
+    with pytest.raises(ValueError, match=r"^j must be an integer, not Fraction\(1, 1\)$"):
+        script_from_json([{"op": "InvRel", "j": 1}, {"op": "InvRel", "j": Fraction(1)}],
+                         names)
+    with pytest.raises(TypeError):
+        script_from_json([{"op": "InvRel", "j": 1}, [1, 2]], names)
+    slide = {"op": "RestrictedSlide", "j": 1,
+             "factors": [{"w": "x", "k": 2, "sign": 1, "h": "y^2"}]}
+    assert script_from_json([slide, slide], names).moves == (
+        RestrictedSlide(0, (RSFactor((1,), 1, 1, (2, 2)),)),) * 2
+
+
+def test_a_repeated_word_is_charged_at_every_occurrence():
+    # each occurrence of a ConjRel charges the letters its word spells out,
+    # as reading it again would, so repeats cross the file's budget
+    raw = {"op": "ConjRel", "j": 1, "w": "x^400000"}
+    assert len(script_from_json([raw] * 2, ("x",))) == 2
+    with pytest.raises(ValueError, match="^script spells out more than 1000000 letters$"):
+        script_from_json([raw] * 3, ("x",))
+    raw = {"op": "ConjRel", "j": 1, "w": "x x^-1 y x"}  # one-letter tokens, charged together
+    budget = LetterBudget("script", 12)
+    script_from_json([raw] * 3, ("x", "y"), budget)
+    assert budget.left == 0
+    with pytest.raises(ValueError, match="^script spells out more than 11 letters$"):
+        script_from_json([raw] * 3, ("x", "y"), LetterBudget("script", 11))
+
+
+def test_script_to_json_gives_each_move_a_dict_of_its_own():
+    slide = SlideRel(1, 0, "left")
+    restricted = RestrictedSlide(1, (RSFactor((1,), 0, 1, (2,)),))
+    script = MoveScript((slide, InvRel(0), slide, restricted, restricted, slide))
+    data = script_to_json(script, ("x", "y"))
+    data["moves"][0]["j"] = 99
+    data["moves"][3]["factors"][0]["k"] = 99
+    fresh = script_to_json(script, ("x", "y"))["moves"]
+    assert data["moves"][1:3] + data["moves"][4:] == fresh[1:3] + fresh[4:]
+    assert data["moves"][0] != fresh[0] and data["moves"][3] != fresh[3]
+
+
+def test_replay_decodes_only_the_relators_its_moves_change(monkeypatch):
+    # a relator whose bytes come out as they went in is p's own tuple
+    decoded = []
+
+    def counted(r, _decode=moves._decode):
+        decoded.append(r)
+        return _decode(r)
+    monkeypatch.setattr(moves, "_decode", counted)
+    p = pres("x y", "x^5 y", "y x y", "x")
+    q = replay(p, MoveScript(()))
+    assert decoded == [] and all(a is b for a, b in zip(q.relators, p.relators))
+    q = replay(p, (InvRel(1), ConjRel(0, (2,)), InvRel(1)))
+    assert len(decoded) == 1 and q.relators[1:] == p.relators[1:]
+    assert q.relators[1] is p.relators[1] and q.relators[0] == (2, 1, 1, 1, 1, 1)
 
 
 def test_bounded_search_finds_slide():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -249,6 +250,22 @@ def test_parse_errors():
     assert parse_presentation(exact).relators == ((1,), (2,))
     with pytest.raises(ValueError, match="presentation spells out more than 1000000"):
         parse_presentation(exact + "rel: y\n")
+
+
+def test_too_many_generators_are_refused_at_the_gens_line():
+    # 150,000 free generators (a 1.1 MB file) are refused before a token
+    # table of their names is built or a relator is read: a table of them
+    # and the relators read against it peaked at 51 MB
+    text = "gens: " + " ".join(f"g{i}" for i in range(1, 150_001)) + "\nrel: g1^2 q\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "150000 generators: a presentation has at most 127 generators"
+    assert peak < 20_000_000, peak
 
 
 def test_serialize_key_deterministic():

@@ -53,10 +53,74 @@ def _cache_name(node):
     return name if name in CACHES else None
 
 
+CONTAINERS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
+              "Counter", "deque"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+            "update", "setdefault", "add", "discard", "sort", "reverse",
+            "appendleft", "extendleft", "difference_update", "intersection_update",
+            "symmetric_difference_update", "__setitem__", "__delitem__"}
+
+
+def _module_containers(trees) -> set:
+    """The names that a module binds, at its top level, to a dict, list or
+    set: a display, a comprehension or a call of a container type."""
+    found = set()
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            called = getattr(value.func, "id", getattr(value.func, "attr", None)) \
+                if isinstance(value, ast.Call) else None
+            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                  ast.SetComp)) or called in CONTAINERS:
+                found.update(_assigned_names(node))
+    return found
+
+
+def _local_names(func) -> set:
+    """The names that func binds itself, unless it declares them global."""
+    bound = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    bound |= {node.id for node in ast.walk(func)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return bound - {name for node in ast.walk(func) if isinstance(node, ast.Global)
+                    for name in node.names}
+
+
+def _container_writes(trees: dict) -> list:
+    """file:function:line of each write, in a function or lambda of the given
+    module trees, into a container that _module_containers finds: a subscript
+    assigned or deleted, or a mutating method called, on the module's own
+    name or on another module's read as module.name."""
+    shared = _module_containers(trees.values())
+    writes = []
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            local = _local_names(func)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in MUTATORS):
+                    target = node.func.value
+                else:
+                    continue
+                if (isinstance(target, ast.Name) and target.id in shared
+                        and target.id not in local
+                        or isinstance(target, ast.Attribute) and target.attr in shared
+                        and isinstance(target.value, ast.Name)):
+                    writes.append(f"{name}:{getattr(func, 'name', '<lambda>')}:{node.lineno}")
+    return writes
+
+
 def test_caches_decorate_only_canonical_key_and_build_parser():
     # a cache outlives the call that fills it; the bench clears canonical_key
     # before every job, and any other cache would carry work from one
-    # in-process job to the next
+    # in-process job to the next.  A memo cannot dodge this by skipping
+    # lru_cache either: no function writes into a module-level dict, list or
+    # set
     decorated, uses = [], 0
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -65,6 +129,22 @@ def test_caches_decorate_only_canonical_key_and_build_parser():
             uses += isinstance(node, (ast.Name, ast.Attribute)) and bool(_cache_name(node))
     assert sorted(decorated) == ["build_parser", "canonical_key"]
     assert uses == len(decorated), "a cache used other than as a decorator"
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert {"_MOVES", "_KINDS", "_RULES", "_FIELDS"} <= _module_containers(trees.values())
+    writes = _container_writes(trees)
+    assert not writes, f"module-level containers written by functions: {writes}"
+    # the module-level memos the check is there to refuse
+    for text in ("_CACHE = {}\ndef f(w):\n    _CACHE[w] = len(w)\n",
+                 "_CACHE = dict()\ndef f(w):\n    return _CACHE.setdefault(w, len(w))\n",
+                 "_SEEN = []\ndef f(w):\n    del _SEEN[:]\n",
+                 "_SEEN = set()\ndef f(w):\n    (lambda: _SEEN.add(w))()\n",
+                 "import words\ndef f(w):\n    words._TABLE[w] = 1\n"):
+        trees = {"m.py": ast.parse(text), "words.py": ast.parse("_TABLE = {}\n")}
+        assert _container_writes(trees), text
+    # a local of the same name is not the module's
+    assert not _container_writes({"m.py": ast.parse(
+        "_SEEN = []\ndef f(w):\n    _SEEN = []\n    _SEEN.append(w)\n")})
 
 
 def _assigned_names(node):
@@ -226,6 +306,7 @@ def test_the_generator_limit_is_named_once():
     assert _scopes(lambda node: isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "check_rank") == {
         ("presentations.py", "Presentation.__post_init__"),
+        ("presentations.py", "parse_presentation"),
         ("presentations.py", "wedge_s1"), ("moves.py", "_add_gen"),
         ("constructions.py", "search_normal_closure_witness")}
 

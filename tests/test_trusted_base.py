@@ -43,7 +43,7 @@ COMMON = {
                      "__create_fn__.<locals>.__eq__ __create_fn__.<locals>.__hash__ "
                      "__create_fn__.<locals>.__init__ _key canonical_key "
                      "parse_presentation parse_relator_text",
-    "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _decode _encode "
+    "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _encode "
              "_inverse _join _least_rotation _letter_ranks "
              "_letter_ranks.<locals>.<listcomp> _letter_tokens _token_letters "
              "_token_letters.<locals>.<dictcomp> check_rank cyclic_canonical "
@@ -62,7 +62,7 @@ VERIFY_NULL = {
                "_reduce _reduce.<locals>.<genexpr> _root certificate_from_json "
                "sum_from_json verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
-    "words": "_join.<locals>.<lambda> _longest",
+    "words": "_decode _join.<locals>.<lambda> _longest",
 }
 VERIFY_SMOVE = {
     "cli": "cmd_verify_smove cmd_verify_smove.<locals>.load_scripts "

@@ -9,10 +9,10 @@ from acpair.words import (EMPTY, MAX_RANK, MAX_WORD_LENGTH, LetterBudget,
                           _commutator, _conjugate, _decode, _encode, _inverse,
                           _invert_generator, _join, _least_rotation,
                           _letter_tokens, _multiply_generator, _renumber_above,
-                          commutator, cyclic_canonical, cyclically_reduce,
-                          exponent_sum, invert, letter_key, multiply,
-                          multiply_inverse, parse_word, power, reduce, word_key,
-                          write_word)
+                          _token_letters, commutator, cyclic_canonical,
+                          cyclically_reduce, exponent_sum, invert, letter_key,
+                          multiply, multiply_inverse, parse_word, power,
+                          read_word, reduce, word_key, write_word)
 
 import word_reference as ref
 from test_forgery import oracle
@@ -386,6 +386,37 @@ def test_word_codec_matches_the_letter_by_letter_reference():
         "parse power cancels more than the run before it",
         "parse power cancels part of the run before it",
         "parse power, no cancellation"], branches
+
+
+def test_read_word_over_a_warm_table_reads_as_over_a_cold_one():
+    # read_word keeps each name^k token it reads in its table.  A table that
+    # other words have warmed reads every word with the letters, the charges
+    # and the error text of a fresh one, and a bad token is never kept
+    names = ("x", "y", "z")
+    rng = random.Random(31)
+    warm = _token_letters(names)
+    for _ in range(300):
+        text = _random_text(rng, names)
+        budgets = [LetterBudget() for _ in range(2)]
+        if rng.random() < 0.3:
+            spent = MAX_WORD_LENGTH - rng.randint(0, 40)
+            for budget in budgets:
+                budget.charge(spent)
+        assert (_outcome(read_word, text, warm, budgets[0])
+                == _outcome(read_word, text, _token_letters(names), budgets[1]))
+        assert budgets[0].left == budgets[1].left
+    assert {"x^2", "y^-3", "z^6"} <= set(warm)
+    tokens = "x^2 y^-3 x y^-1 1 x^2 z^-6 x^-2".split()
+    for bad in ("q^2", "q", "x^0", "x^-0", "x^+3", "x^", "x^\u0663", "x^2.0", "x^^2",
+                "x^-1^2", "y^3x"):
+        for pos in range(len(tokens) + 1):
+            text = " ".join(tokens[:pos] + [bad] + tokens[pos:])
+            cold = _outcome(read_word, text, _token_letters(names), LetterBudget())
+            assert cold[0] is ValueError and bad in cold[1], (text, cold)
+            assert _outcome(read_word, text, warm, LetterBudget()) == cold
+            assert bad not in warm
+        text = " ".join(tokens)
+        assert read_word(text, warm, LetterBudget()) == parse_word(text, names)
 
 
 def test_format_word_refuses_letters_outside_the_names():
