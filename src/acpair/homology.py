@@ -18,8 +18,12 @@ into Python ints.  A rank modulo P never exceeds the rank over Q, so when
 it is min(rows, cols) it is the rank; otherwise the echelon decides.
 Homology restricts a sparse boundary, such as a Fox matrix over A5, to
 rows of nonzeros {col: coeff}, and runs the echelon over them: the same
-pivots and results.  Determinants, minors and invariant factors come
-only from the exact eliminations.
+pivots and results.  Before that, a sparse outgoing boundary whose rows
+are empty or e_a - e_b up to sign, as the rows e_{h*g} - e_h of a Fox
+derivative g - 1 in d_1 are, is ranked as a graph with those rows as
+edges: an incidence matrix has rank (vertices - components) over Q.
+Determinants, minors and invariant factors come only from the exact
+eliminations.
 
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
@@ -40,6 +44,11 @@ d_r | D, and s_1..s_{n-1} | d_{n-1} | g.
   because |D| = |det A| = s_1 * .. * s_n; a division that is not exact
   raises.  This works modulo a multiple of d_{n-1} as Domich, Kannan &
   Trotter (Math. Oper. Res. 1987) work modulo the determinant.
+- Before that, g loses its primes p < 256 with rank_p(A) >= n - 1,
+  tried in increasing order up to the first with a lower rank.  U and V
+  stay invertible modulo p, so p divides n - rank_p(A) of the s_i, s_n
+  at most: p does not divide d_{n-1}, which still divides what is left
+  of g, and when that is 1 the stacked elimination does not run.
 - The Smith elimination runs on the bare matrix only for a non-square
   matrix, which skips the echelon, and a singular square one with
   |D| > 1.
@@ -221,19 +230,19 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup, sparse: bool = Fals
     elements of m lie in 0..|G|-1, which ChainComplexData checks.  Each
     term writes its own nonzero entry, at column g*elem, in |G| rows.
     """
-    n, table = group.order, group.table
+    n, table, width = group.order, group.table, m.cols * group.order
     blocks = [[] for _ in range(m.rows)]  # (first column, terms) of each row's cells
     for (r, c), cell in m.entries.items():
         blocks[r].append((c * n, cell.items()))
     rows = []
     for cells in blocks:
         for times in table:  # times[h] = g*h
-            row = {}
+            row = {} if sparse else [0] * width
             for base, terms in cells:
                 for elem, coeff in terms:
                     row[base + times[elem]] = coeff
             rows.append(row)
-    return rows if sparse else _densify(rows, m.cols * n)
+    return rows
 
 
 def _densify(rows: list, cols: int) -> list:
@@ -521,10 +530,11 @@ def _invariant_factors(m: list, cols: int | None = None) -> list:
     A square m of side n goes through the echelon first, for its rank r,
     pivot minor D and g, the gcd of its trailing (n-1)-minors; the module
     docstring shows why these rules are exact.  If |D| = 1 the factors
-    are r ones.  If m is nonsingular, s_1..s_{n-1} are those of the Smith
-    elimination of [m mod g; g*I], or all 1 when g = 1, and s_n is |D|
-    over their product.  A non-square m, and a singular square one with
-    |D| > 1, go to the Smith elimination as they are.
+    are r ones.  If m is nonsingular, g loses its primes below 256 that
+    divide s_n alone, and s_1..s_{n-1} are those of the Smith elimination
+    of [m mod g; g*I] with what is left of g, or all 1 when that is 1;
+    s_n is |D| over their product.  A non-square m, and a singular square
+    one with |D| > 1, go to the Smith elimination as they are.
     """
     rows, sparse = len(m), cols is not None
     cols = cols if sparse else len(m[0]) if m else 0
@@ -536,6 +546,12 @@ def _invariant_factors(m: list, cols: int | None = None) -> list:
     m = _densify(m, cols) if sparse else m
     if rows == cols and rank == rows:
         g = gcd(*minors) if minors else 1  # a 1 x 1 m has no trailing block
+        for p in range(2, min(g + 1, 256)):
+            if g % p == 0:  # so p is prime: the smaller primes left g
+                if _rank_mod_p(m, p) < rows - 1:
+                    break
+                while g % p == 0:
+                    g //= p
         head = [1] * (rows - 1)
         if g > 1:
             m[:] = ([[x % g for x in row] for row in m]
@@ -553,10 +569,11 @@ def _invariant_factors(m: list, cols: int | None = None) -> list:
 
 # Ranks modulo a prime.  A row of residues is packed into one Python int,
 # one 64-bit slot per column, so that adding a multiple of one row to
-# another is one multiplication and one addition at C speed.  A slot starts
-# below P, and each update adds less than P**2 to it, once per pivot, so
-# it stays below P + min(rows, cols) * P**2.  That is under 2**63, and so
-# never carries into the next slot, while min(rows, cols) < 2**19.
+# another is one multiplication and one addition at C speed.  Modulo any
+# prime p <= P a slot starts below p, and each update adds less than
+# p**2 <= P**2 to it, once per pivot, so it stays below
+# P + min(rows, cols) * P**2.  That is under 2**63, and so never carries
+# into the next slot, while min(rows, cols) < 2**19.
 # MAX_RESTRICTED_CELLS keeps min(rows, cols) at 512 or less for chain files.
 _P = 4_194_301  # the largest prime below 2**22
 _SLOT_MASK = (1 << 64) - 1
@@ -574,16 +591,17 @@ def _unpack(row: int, n: int) -> tuple:
     return struct.unpack(f"<{n}Q", row.to_bytes(8 * n, "little"))
 
 
-def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
-    """The rank of m over GF(P), which never exceeds its rank over Q.
+def _rank_mod_p(m: Sequence[Sequence[int]], p: int = _P) -> int:
+    """The rank of m over GF(p), for a prime p <= P, which never exceeds
+    its rank over Q.
 
     Each row is packed and filed in a bucket by its lowest slot that is
-    nonzero mod P, and kept shifted so that slot 0 is that column; a
-    slot found to be zero mod P on the way is cleared.  Column c then
+    nonzero mod p, and kept shifted so that slot 0 is that column; a
+    slot found to be zero mod p on the way is cleared.  Column c then
     touches only the rows filed under it.  One of them becomes the
-    pivot: its slots are reduced below P and scaled so that slot 0 is 1,
+    pivot: its slots are reduced below p and scaled so that slot 0 is 1,
     and slot 0 cleared gives tail.  Each other row, with x in slot 0,
-    becomes row - x + (-x mod P) * tail, whose slot 0 is zero, and is
+    becomes row - x + (-x mod p) * tail, whose slot 0 is zero, and is
     filed again.  Slots are not reduced between updates.
     """
     cols = len(m[0]) if m else 0
@@ -592,7 +610,7 @@ def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
     def file(row: int, c: int) -> None:
         while row:
             x = row & _SLOT_MASK
-            if x % _P:
+            if x % p:
                 buckets[c].append(row)
                 return
             row -= x
@@ -602,7 +620,7 @@ def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
                 c += skip
 
     for row in m:
-        file(_pack([x % _P for x in row]), 0)
+        file(_pack([x % p for x in row]), 0)
     rank = 0
     for c in range(cols):
         # nothing is filed under c again, so its rows are freed after it
@@ -610,11 +628,11 @@ def _rank_mod_p(m: Sequence[Sequence[int]]) -> int:
         if not bucket:
             continue
         top = _unpack(bucket.pop(), cols - c)
-        inv = pow(top[0], -1, _P)
-        tail = _pack([0] + [x * inv % _P for x in top[1:]])
+        inv = pow(top[0], -1, p)
+        tail = _pack([0] + [x * inv % p for x in top[1:]])
         for row in bucket:
             x = row & _SLOT_MASK
-            file((row - x + (-x % _P) * tail) >> 64, c + 1)
+            file((row - x + (-x % p) * tail) >> 64, c + 1)
         rank += 1
     return rank
 
@@ -638,6 +656,35 @@ def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
             and _rank_mod_p(m) == full):
         return full
     return _echelon(m)[0]
+
+
+def _graph_rank(rows: list, cols: int) -> int | None:
+    """The rank of rows of nonzeros over cols columns that are each empty
+    or {a: 1, b: -1} up to sign, as the restricted Fox derivatives g - 1
+    of d_1 are, or None at the first row that is neither: the edges of a
+    spanning forest of the graph with those rows as edges, which
+    union-find counts (module docstring)."""
+    root = list(range(cols))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = a = root[root[a]]  # path halving
+        return a
+
+    rank = 0
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != 2:
+            return None
+        (a, x), (b, y) = row.items()
+        if x + y or x not in (1, -1):
+            return None
+        a, b = find(a), find(b)
+        if a != b:
+            root[a] = b
+            rank += 1
+    return rank
 
 
 def matrix_rank(a: Sequence[Sequence[int]]) -> int:
@@ -736,7 +783,10 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     rank_out = 0
     if k >= 1:
         m, cols, nonzeros = _restricted(c.boundary(k), c.group)
-        rank_out = _rank(m, nonzeros) if cols is None else _sparse_echelon(m, cols)[0]
+        if cols is None:
+            rank_out = _rank(m, nonzeros)
+        elif (rank_out := _graph_rank(m, cols)) is None:
+            rank_out = _sparse_echelon(m, cols)[0]
     m, cols, _ = _restricted(c.boundary(k + 1), c.group) if k < n else ([], None, 0)
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0
@@ -855,7 +905,12 @@ def _checked_entries(entries, n: int) -> list:
     checked one at a time in file order, so that an error names the first
     bad entry of the file."""
     out = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if type(entry) is not list:
+            raise ValueError(f"entries[{i}] is not a list [k, r, col, elem, coeff]")
+        if len(entry) != 5:
+            raise ValueError(f"entries[{i}] has {len(entry)} fields, expected 5: "
+                             f"[k, r, col, elem, coeff]")
         k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
         if not 1 <= k <= n:
             raise ValueError(f"boundary index {k} out of range")
@@ -872,6 +927,8 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
     entries, checks positions and builds each boundary in its sorted form;
     the group elements of all entries are checked after it.
     """
+    if type(data) is not dict:
+        raise ValueError("a chain file is a JSON object with group, n, ranks and entries")
     g = data["group"]
     if isinstance(g, str):
         # reference to a CSV group file, relative to the chain file
@@ -880,9 +937,14 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
                 group = load_group_csv(fh.read())
         except (OSError, ValueError) as e:
             raise ValueError(f"group file {g}: {e}") from None
+    elif type(g) is not dict:
+        raise ValueError("group is neither a group file name nor an object with a table")
     else:
         table = g["table"]
         if set(map(type, table)) - {list} or not _all_ints(chain.from_iterable(table)):
+            for i, row in enumerate(table):
+                if type(row) is not list:
+                    raise ValueError(f"group table[{i}] is not a list of element indices")
             table = [[json_int(x, "a group table entry") for x in row] for row in table]
         group = FiniteGroup.from_table(table)
         if group.identity != g.get("identity", group.identity):

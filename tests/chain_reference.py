@@ -20,8 +20,10 @@ reach:
   ("bool field", "float field", "str field", "NoneType field", "list
   field"), an entry that is not a list;
 - each refusal of a table: "non-square", "table entry out of range", "no
-  identity", "no unique inverse", "not associative", "not a group";
-- the "cell bound" and a failed "boundary condition".
+  identity", "no unique inverse", "not associative", "not a group", and
+  a "table row not a list";
+- a file that is "not an object", a "group not an object", the "cell
+  bound" and a failed "boundary condition".
 """
 
 from collections import Counter
@@ -99,18 +101,21 @@ def check_elements(group, cells, branches: Counter | None = None) -> None:
                                   f"group element index {g} out of range")
 
 
-def _entry_branch(entry) -> str:
-    """The branch of an entry that json_int or unpacking refuses."""
-    if not isinstance(entry, list):
-        return "not a list"
-    bad = [x for x in entry[:6] if type(x) is not int]
-    return f"{type(bad[0]).__name__} field" if bad else f"{len(entry)} fields"
-
-
 def chain_from_json(data, branches: Counter | None = None) -> ChainComplexData:
+    if not isinstance(data, dict):
+        raise _refuse(branches, "not an object",
+                      "a chain file is a JSON object with group, n, ranks and entries")
     g = data["group"]
-    group = from_table(
-        [[json_int(x, "a group table entry") for x in row] for row in g["table"]], branches)
+    if not isinstance(g, dict):
+        raise _refuse(branches, "group not an object",
+                      "group is neither a group file name nor an object with a table")
+    rows = g["table"]
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise _refuse(branches, "table row not a list",
+                          f"group table[{i}] is not a list of element indices")
+    group = from_table([[json_int(x, "a group table entry") for x in row] for row in rows],
+                       branches)
     if group.identity != g.get("identity", group.identity):
         raise ValueError("declared identity disagrees with the table")
     n = json_int(data["n"], "n")
@@ -126,13 +131,18 @@ def chain_from_json(data, branches: Counter | None = None) -> ChainComplexData:
                           f"boundary {k} restricts to a {rows} x {cols} integer "
                           f"matrix, over the bound of {MAX_RESTRICTED_CELLS} cells")
     cells: dict = {k: {} for k in range(1, n + 1)}
-    for entry in data["entries"]:
-        try:
-            k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
-        except (ValueError, TypeError):
-            if branches is not None:
-                branches[_entry_branch(entry)] += 1
-            raise
+    shape = "[k, r, col, elem, coeff]"
+    for i, entry in enumerate(data["entries"]):
+        if not isinstance(entry, list):
+            raise _refuse(branches, "not a list", f"entries[{i}] is not a list {shape}")
+        if len(entry) != 5:
+            raise _refuse(branches, f"{len(entry)} fields",
+                          f"entries[{i}] has {len(entry)} fields, expected 5: {shape}")
+        bad = [x for x in entry if type(x) is not int]
+        if bad:
+            raise _refuse(branches, f"{type(bad[0]).__name__} field",
+                          f"an entry field must be an integer, not {bad[0]!r}")
+        k, r, col, elem, coeff = entry
         if not 1 <= k <= n:
             raise _refuse(branches, "k out of range", f"boundary index {k} out of range")
         cell = cells[k].setdefault((r, col), {})

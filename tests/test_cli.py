@@ -737,6 +737,14 @@ def _homology(tmp_path, entry, ranks=(1, 1, 1), group_csv=None):
     return ["homology", write(tmp_path / "c.json", json.dumps(chain)), "--at", "1"]
 
 
+def _chain_of(tmp_path, change):
+    """A homology run on the chain of _homology with a valid entry, its
+    JSON then changed by change."""
+    argv = _homology(tmp_path, [2, 0, 0, 0, 2])
+    write(tmp_path / "c.json", json.dumps(change(json.loads((tmp_path / "c.json").read_text()))))
+    return argv
+
+
 def _bare_chain(tmp_path, ranks, at):
     chain = {"group": {"order": 1, "identity": 0, "table": [[0]]},
              "n": len(ranks) - 1, "ranks": list(ranks), "entries": []}
@@ -897,6 +905,24 @@ MALFORMED = {
     # the chain file was read: the error names it as the prefix, then the
     # group file it could not read
     "chain_group_file_missing": (_missing_group, "c.json: group file nope.csv"),
+    # each malformed shape named in the loader's words, not Python's
+    "chain_entry_not_a_list": (lambda t: _homology(t, 5),
+                               "c.json: entries[0] is not a list [k, r, col, elem, coeff]"),
+    "chain_entry_of_3_fields": (lambda t: _homology(t, [2, 0, 0]),
+                                "c.json: entries[0] has 3 fields, expected 5: "
+                                "[k, r, col, elem, coeff]"),
+    "chain_entry_of_6_fields": (lambda t: _homology(t, [2, 0, 0, 0, 2, 1]),
+                                "c.json: entries[0] has 6 fields, expected 5: "
+                                "[k, r, col, elem, coeff]"),
+    "chain_table_row_not_a_list": (lambda t: _chain_of(
+        t, lambda c: {**c, "group": {**c["group"], "table": [0]}}),
+        "c.json: group table[0] is not a list of element indices"),
+    "chain_group_a_number": (lambda t: _chain_of(t, lambda c: {**c, "group": 5}),
+                             "c.json: group is neither a group file name nor an object "
+                             "with a table"),
+    "chain_file_an_array": (lambda t: _chain_of(t, lambda c: [c]),
+                            "c.json: a chain file is a JSON object with group, n, ranks "
+                            "and entries"),
     "chain_group_csv_underscore": (lambda t: _homology(
         t, [2, 0, 0, 0, 2], group_csv="2,0\n0,1\n1,0_0\n"), "g.csv"),
     "glue_over_different_groups": (lambda t: _glue(

@@ -445,6 +445,61 @@ def test_sparse_echelon_matches_the_dense_echelons():
         "echelon trailing block")) >= 10, branches
 
 
+def incidence_cases(rng):
+    """(rows, cols): rows of nonzeros e_a - e_b up to sign over 1..30
+    columns, some of them empty, some columns in no row, some rows
+    repeating an earlier one (negated or not), and cycles."""
+    cases = []
+    for _ in range(400):
+        cols = rng.randint(1, 30)
+        used = rng.sample(range(cols), rng.randint(1, cols))
+        rows = []
+        for _ in range(rng.randint(0, 40)):
+            if len(used) < 2 or rng.random() < 0.1:
+                rows.append({})
+            elif rows and rng.random() < 0.15:
+                sign = rng.choice((1, -1))
+                rows.append({j: sign * x for j, x in rng.choice(rows).items()})
+            else:
+                a, b = rng.sample(used, 2)
+                sign = rng.choice((1, -1))
+                rows.append({a: sign, b: -sign})
+        cases.append((rows, cols))
+    return cases
+
+
+def test_graph_rank_matches_the_sparse_echelon_on_incidence_matrices():
+    # rows e_a - e_b are the edges of a graph on the columns; its rank is
+    # the columns less the components, as the sparse echelon finds it, on
+    # random graphs and on the restricted d_1 of every A5 Fox chain
+    a5, chains = a5_fox_chains()
+    cases = incidence_cases(random.Random(82))
+    cases += [(restrict_scalars(chain.boundary(1), a5, sparse=True), 60) for chain in chains]
+    branches = Counter()
+    for rows, cols in cases:
+        rank = homology._sparse_echelon(rows, cols)[0]
+        assert homology._graph_rank(rows, cols) == rank, (rows, cols)
+        edges = {frozenset(row) for row in rows if row}
+        branches["empty row"] += any(not row for row in rows)
+        branches["isolated column"] += len(set().union(*edges)) < cols
+        branches["repeated edge"] += len(edges) < sum(map(bool, rows))
+        branches["cycle"] += rank < len(edges)
+    assert min(branches[b] for b in (
+        "empty row", "isolated column", "repeated edge", "cycle")) >= 50, branches
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: -1}, {2: 2, 3: -2}],  # 2e_a - 2e_b
+    [{0: 1, 1: 1}],  # e_a + e_b
+    [{0: -1, 1: -1}],
+    [{0: 1, 1: -2}],
+    [{}, {2: 1}],  # a single nonzero
+    [{0: 1, 1: -1}, {1: 1, 2: -1}, {}, {0: -1, 2: 1}, {0: 1, 1: -1, 3: 1}],
+])
+def test_graph_rank_refuses_rows_that_are_not_edges(rows):
+    assert homology._graph_rank(rows, 4) is None
+
+
 def random_unimodular(rng, n):
     """A unit lower times a unit upper triangular matrix, entries in
     -2..2, with its rows permuted and signed: determinant +-1."""
@@ -502,26 +557,93 @@ def test_invariant_factors_from_minors_match_the_reference(diagonalize_calls):
     # twice over: from s and from the dense reference.  _diagonalize is watched to
     # tell the rules apart: no call for |D| = 1 or g = 1, one on
     # [A mod g; g * I] (2n x n) for g > 1, one on the bare matrix else.
+    # A g > 1 that modular ranks clear to 1 ("g > 1, cleared") needs no call.
     branches, kinds = Counter(), Counter()
     for kind, a, expected in factor_cases(random.Random(61)):
         diagonalize_calls.clear()
         factors = invariant_factors(a)
         assert factors == expected == reference.invariant_factors(a), (kind, a)
         rows, cols = len(a), len(a[0])
-        rank, minor = reference.echelon(a)
+        minors = []
+        rank, minor = reference.echelon(a, None, minors)
         if rows == cols and abs(minor) == 1:
             branch = "|D| = 1"
             assert not diagonalize_calls
         elif rows == cols and rank == rows:
-            branch = "g > 1" if diagonalize_calls else "g = 1"
+            g = gcd(*minors) if minors else 1
+            branch = ("g = 1" if g == 1 else "g > 1" if diagonalize_calls else
+                      "g > 1, cleared")
             assert diagonalize_calls in ([], [(2 * rows, rows)]), (kind, a)
+            assert g > 1 or not diagonalize_calls, (kind, a)
         else:
             branch = "smith"
             assert diagonalize_calls == [(rows, cols)], (kind, a)
         branches[branch] += 1
         kinds[kind, branch] += 1
     assert min(branches[b] for b in ("|D| = 1", "g = 1", "g > 1", "smith")) >= 10, branches
+    assert branches["g > 1, cleared"] >= 5, branches
     assert kinds["s_{n-1} in {2, 3, 6}", "g > 1"] == 40, kinds
+
+
+SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
+
+
+def test_invariant_factors_clear_g_of_the_primes_of_s_n_alone(monkeypatch):
+    # #{i : p | s_i} = n - rank_p(A), so a prime p < 256 of g with
+    # rank_p >= n - 1 divides no s_i but s_n and leaves g; the first one
+    # with a lower rank stops the clearing.  The calls expected follow
+    # from the known factors s alone: modular ranks of the primes of g in
+    # increasing order, then the stacked elimination modulo the rest of g
+    # if it is not 1.
+    calls = []
+    rank_mod_p, diagonalize = homology._rank_mod_p, homology._diagonalize
+
+    def watched_rank(m, p):
+        calls.append(("rank", p))
+        return rank_mod_p(m, p)
+
+    def watched_diagonalize(m, rows, cols):
+        calls.append(("stacked", m[cols][0]) if rows == 2 * cols else ("bare",))
+        diagonalize(m, rows, cols)
+
+    monkeypatch.setattr(homology, "_rank_mod_p", watched_rank)
+    monkeypatch.setattr(homology, "_diagonalize", watched_diagonalize)
+    rng, kinds = random.Random(64), Counter()
+    while min(kinds[k] for k in ("d_{n-1} = 1", "d_{n-1} > 1", "prime >= 256")) < 10:
+        kind, n = rng.choice(("d_{n-1} = 1", "d_{n-1} > 1", "prime >= 256")), rng.randint(3, 7)
+        if kind == "d_{n-1} = 1":
+            s = [1] * (n - 1) + [rng.choice((4, 6, 10, 12, 30))]
+        elif kind == "d_{n-1} > 1":
+            q = rng.choice((2, 3, 6))
+            s = [1] * (n - 2) + [q, q * rng.choice((1, 2, 5, 7))]
+        else:
+            s = [1] * (n - 1) + [257 * rng.choice((1, 2, 6))]
+        a = with_factors(rng, s, n, n)
+        minors = []
+        reference.echelon(a, None, minors)
+        g = gcd(*minors)
+        if g == 1:
+            continue
+        calls.clear()
+        assert invariant_factors(a) == s == reference.invariant_factors(a), (kind, a)
+        expected, rest = [], g
+        for p in (p for p in SMALL_PRIMES if g % p == 0):
+            expected.append(("rank", p))
+            if sum(x % p != 0 for x in s) < n - 1:
+                break
+            while rest % p == 0:
+                rest //= p
+        expected += [("stacked", rest)] if rest > 1 else []
+        assert calls == expected, (kind, a, g)
+        if kind == "d_{n-1} = 1":  # every prime of g divides s_n alone
+            assert calls and ("stacked", rest) not in calls, (a, g)
+        elif kind == "d_{n-1} > 1":
+            assert calls[-1] == ("stacked", rest) and rest % s[-2] == 0, (a, g)
+        elif g % 257 == 0:  # as without the clearing, modulo a multiple of 257
+            assert calls[-1] == ("stacked", rest) and rest % 257 == 0, (a, g)
+        else:
+            continue
+        kinds[kind] += 1
 
 
 def test_invariant_factors_of_sparse_rows_follow_the_same_rules(diagonalize_calls):
@@ -583,12 +705,29 @@ def test_rank_mod_p_against_the_echelon():
     assert min(routes.values()) >= 200 and len(routes) == 4, routes
 
 
+def test_rank_mod_p_counts_the_invariant_factors_that_p_does_not_divide():
+    # U and V stay invertible modulo p, so the rank modulo p is the number
+    # of invariant factors s_i with p not dividing s_i, for any prime p
+    cases = [a for _, a, _ in factor_cases(random.Random(65))]
+    cases += elimination_cases(random.Random(66), dense=(5, 8, 11), sparse=14)
+    rng = random.Random(67)
+    cases += [with_factors(rng, [homology._P] + [1] * (n - 1), n, n) for n in range(2, 9)]
+    for p in (2, 3, 5, 7, homology._P):
+        ranks = Counter()
+        for a in cases:
+            factors = reference.invariant_factors(a)
+            rank = sum(s % p != 0 for s in factors)
+            assert homology._rank_mod_p(a, p) == rank, (p, a)
+            ranks[rank < len(factors)] += 1
+        assert min(ranks[True], ranks[False]) >= 5, (p, ranks)
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Names of the calls of homology._rank_mod_p, homology._echelon and
-    homology._sparse_echelon while a test runs."""
+    """Names of the calls of homology._rank_mod_p, homology._echelon,
+    homology._sparse_echelon and homology._graph_rank while a test runs."""
     calls = []
-    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon"):
+    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon", "_graph_rank"):
         def watched(*args, _name=name, _f=getattr(homology, name)):
             calls.append(_name)
             return _f(*args)
@@ -611,13 +750,15 @@ def test_rank_falls_back_to_the_echelon_where_p_divides_the_determinant(rank_cal
 
 def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
     # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78:
-    # the sparse echelon alone, for the rank of d_k and for the minors of
-    # the square d_{k+1}; a dense full-rank top boundary needs no echelon
+    # the graph rank for d_1, whose rows are edges e_{h*g} - e_h, and, as
+    # it refuses d_2, the sparse echelon, for the rank of d_2 and for the
+    # minors of the square d_2; a dense full-rank top boundary needs no
+    # echelon
     _, chains = a5_fox_chains()
     for chain in chains:
         for k in (1, 2):
             homology_at(chain, k)
-    assert rank_calls == ["_sparse_echelon"] * 12  # three per chain
+    assert rank_calls == ["_graph_rank", "_sparse_echelon"] * 8  # two of each per chain
     rng = random.Random(73)
     matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
     rank_calls.clear()
@@ -909,6 +1050,8 @@ def _bad_table(rng, data, kind: str) -> None:
         if table[a][b] == e:
             b = table[a].index(rng.choice([x for x in table[a] if x != e]))
         table[a][b] = table[b][a] = e
+    elif kind == "row":
+        table[rng.randrange(order)] = rng.choice((5, "0", None, {"0": 0}))
     else:  # one product changed to another element that is not the identity
         if kind == "product":
             b = rng.choice([x for x in range(order) if x != e])
@@ -942,13 +1085,18 @@ def test_chain_loader_matches_entry_by_entry_reference():
         for _ in range(min(rng.choice((0, 1, 2)), len(data["entries"]) - 1)):
             _bad_entry(rng, data, rng.choice((kind, kind, rng.choice(kinds))))
         corpus.append(data)
-    for kind in ("non-square", "range", "type", "identity", "inverse", "product",
+    for kind in ("non-square", "range", "type", "row", "identity", "inverse", "product",
                  "generator") * 25:
         data = valid_chain_file(rng)
-        while len(data["group"]["table"]) < 3 and kind not in ("non-square", "range", "type"):
+        while len(data["group"]["table"]) < 3 and kind not in ("non-square", "range", "type",
+                                                                "row"):
             data = valid_chain_file(rng)
         _bad_table(rng, data, kind)
         corpus.append(data)
+    for _ in range(10):
+        data = valid_chain_file(rng)
+        corpus.append({**data, "group": rng.choice((5, None, [[0]], 1.5))})
+        corpus.append(rng.choice(([data], [], 5, "chain", None)))
     for _ in range(20):
         data = valid_chain_file(rng)
         data["ranks"][-1] = rng.choice((10 ** 6, 2 ** 18 + 1))
@@ -967,5 +1115,5 @@ def test_chain_loader_matches_entry_by_entry_reference():
         "4 fields", "6 fields", "bool field", "float field", "str field",
         "NoneType field", "list field", "not a list", "non-square",
         "table entry out of range", "no identity", "no unique inverse",
-        "not associative", "not a group", "cell bound",
-        "boundary condition")) >= 10, branches
+        "not associative", "not a group", "table row not a list", "cell bound",
+        "boundary condition", "group not an object", "not an object")) >= 10, branches
