@@ -16,10 +16,10 @@ from .moves import (AddGen, ConjRel, EquivalenceCertificate, InvRel, MoveError,
 from .pairing import FormalSum, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
-from .words import (EMPTY, LetterBudget, Word, _decode, _encode, _inverse,
-                    _letter_tokens, _token_letters, check_rank, commutator,
-                    identity_images, invert, json_int, multiply,
-                    multiply_inverse, power, read_word, reduce, write_word)
+from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
+                    check_word, commutator, generator, identity_images, invert,
+                    json_int, multiply, multiply_inverse, power, read_word,
+                    within, write_word)
 
 
 class WitnessError(ValueError):
@@ -42,12 +42,12 @@ def append_word_moves(i: int, u: Word) -> list:
     positive letter needs conjugation by an inversion pair.  The moves of
     each letter are built once and shared, so a long word costs pointers.
     """
-    if i + 1 in u or -(i + 1) in u:
+    if generator(i) in u or invert(generator(i)) in u:
         raise ValueError("appended word may not involve the rewritten generator")
     steps = {}
     for letter in dict.fromkeys(u):
-        j = abs(letter) - 1
-        steps[letter] = ((NielsenMul(i, j, "right"),) if letter < 0 else
+        j = (letter >> 1) - 1
+        steps[letter] = ((NielsenMul(i, j, "right"),) if letter & 1 else
                          (NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)))
     return [move for letter in reversed(u) for move in steps[letter]]
 
@@ -104,6 +104,10 @@ class IsoWitness:
     y_in_x: tuple  # tuple[Word, ...]
     x_in_y: tuple  # tuple[Word, ...]
 
+    def __post_init__(self):
+        for image in chain(self.y_in_x, self.x_in_y):
+            check_word(image, what="image")
+
     @classmethod
     def identity(cls, rank: int) -> "IsoWitness":
         return cls(identity_images(rank), identity_images(rank))
@@ -155,7 +159,7 @@ def _adjoin_images(p: Presentation, names: Sequence[str], images):
     relator.  Every image's range is checked before the first move; then
     the moves are made one image at a time as they are taken."""
     for idx, image in enumerate(images):
-        if image and max(map(abs, image)) > p.rank:
+        if not within(image, p.rank):
             raise WitnessError(f"image {idx + 1} lies outside the generators "
                                f"{', '.join(p.gens)}")
     taken = set(p.gens)
@@ -164,7 +168,7 @@ def _adjoin_images(p: Presentation, names: Sequence[str], images):
             name = fresh_name(taken, p.rank + idx)
         taken.add(name)
         yield AddGen(name)
-        yield from append_word_moves(p.rank + idx, invert(reduce(image)))
+        yield from append_word_moves(p.rank + idx, invert(image))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +184,10 @@ class NormalClosureWitness:
     factors: tuple  # tuple[(Word, int, int), ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "target", reduce(self.target))
-        object.__setattr__(self, "factors", tuple(
-            (reduce(g), k, s) for (g, k, s) in self.factors))
-        for _, _, s in self.factors:
+        check_word(self.target, what="target")
+        object.__setattr__(self, "factors", tuple((g, k, s) for g, k, s in self.factors))
+        for g, _, s in self.factors:
+            check_word(g, what="conjugator")
             if s not in (1, -1):
                 raise WitnessError(f"bad factor sign {s}")
 
@@ -291,9 +295,9 @@ def product_stabilization(l1: Presentation, l2: Presentation,
 
 
 def _join(head: bytes, tail: bytes) -> bytes:
-    """head * tail for the search's short byte words (see words), reduced.
-    Both are reduced, so letters cancel only where they meet, and a letter
-    cancels its neighbour when their bytes differ in the last bit alone."""
+    """head * tail for the search's short words, reduced.  Both are
+    reduced, so letters cancel only where they meet, and a letter cancels
+    its neighbour when their bytes differ in the last bit alone (see words)."""
     i, h, n = 0, len(head), len(tail)
     while i < h and i < n and head[h - 1 - i] ^ 1 == tail[i]:
         i += 1
@@ -330,13 +334,12 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     in search order and taking the first that yields the child, which is
     the edge the search took; the witness is then verified in the free
     group.
-    Words are searched as byte words (see words), so the search raises
-    ValueError when a word uses a generator beyond words.MAX_RANK.
+    A target or relator that is not a freely reduced word is a ValueError.
     """
     max_conjugator_length = budget.max_conjugator_length
-    target = reduce(target)
-    relators = [reduce(r) for r in relators]
-    check_rank(max((abs(x) for w in (target, *relators) for x in w), default=0))
+    check_word(target, what="target")
+    for r in relators:
+        check_word(r, what="relator")
     longest = max((len(r) for r in relators), default=0)
     max_word_length = len(target) + 2 * longest + 2 * max_conjugator_length
 
@@ -344,7 +347,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
         return SearchOutcome(NormalClosureWitness(target, ()), "found", 0)
 
     # Each relator and its inverse, in successor order.
-    bodies = [(k, sign, _encode(rel if sign > 0 else invert(rel)))
+    bodies = [(k, sign, rel if sign > 0 else invert(rel))
               for k, rel in enumerate(relators) if rel for sign in (1, -1)]
     # prefix -> (prefix * body reduced, its last letter or 0) per body, in
     # body order; a prefix's products are built when the search meets it
@@ -376,7 +379,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
     # backward: build the suffix product up from the empty word.  Each map
     # takes a word to its parent: word = parent[:pos] R_k^sign parent[pos:],
     # reduced, for the first such (pos, k, sign) in search order.
-    reason, word, fwd, bwd = _breadth_first(_encode(target), b"", successors, successors,
+    reason, word, fwd, bwd = _breadth_first(target, EMPTY, successors, successors,
                                             budget.max_factors, budget.max_states)
     if reason != "found":
         return SearchOutcome(None, reason, len(fwd) + len(bwd))
@@ -394,7 +397,7 @@ def search_normal_closure_witness(target: Word, relators: Sequence[Word],
                 for pos in range(min(max_conjugator_length, len(parent)) + 1)
                 for (k, sign, _), (h, _) in zip(bodies, products_of(parent[:pos]))
                 if _join(h, parent[pos:]) == word)
-            out.append((_decode(_inverse(parent[:pos])), k, orient * sign))
+            out.append((invert(parent[:pos]), k, orient * sign))
             word = parent
         return out
 
@@ -529,7 +532,7 @@ def lustig(i: int) -> Presentation:
         raise ValueError("index must be a positive integer")
     LetterBudget(f"lustig({i})").charge(10 * i + 17)
     names = ("r", "s", "t")
-    r, s, t = (1,), (2,), (3,)
+    r, s, t = map(generator, range(3))
     rel1 = multiply(power(s, 2), power(t, -3))
     rel2 = commutator(power(r, 2), power(s, 2 * i + 1))
     rel3 = commutator(power(r, 2), power(t, 3 * i + 1))

@@ -941,6 +941,8 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         raise ValueError("group is neither a group file name nor an object with a table")
     else:
         table = g["table"]
+        if type(table) is not list:
+            raise ValueError("group table is not a list of rows of element indices")
         if set(map(type, table)) - {list} or not _all_ints(chain.from_iterable(table)):
             for i, row in enumerate(table):
                 if type(row) is not list:
@@ -950,6 +952,8 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         if group.identity != g.get("identity", group.identity):
             raise ValueError("declared identity disagrees with the table")
     n = json_int(data["n"], "n")
+    if type(data["ranks"]) is not list:
+        raise ValueError("ranks is not a list of the ranks of dimensions 0..n")
     ranks = tuple(json_int(r, "a rank") for r in data["ranks"])
     if len(ranks) != n + 1:
         raise ValueError("ranks must list dimensions 0..n")
@@ -961,6 +965,8 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
             raise ValueError(f"boundary {k} restricts to a {rows} x {cols} integer "
                              f"matrix, over the bound of {MAX_RESTRICTED_CELLS} cells")
     entries = data["entries"]
+    if type(entries) is not list:
+        raise ValueError("entries is not a list of entries [k, r, col, elem, coeff]")
     if (set(map(type, entries)) - {list} or set(map(len, entries)) - {5}
             or not _all_ints(chain.from_iterable(entries))):
         entries = _checked_entries(entries, n)

@@ -22,7 +22,7 @@ Scripts carry a regime: "full" permits everything; "k_prime" permits only
 ConjRel, InvRel and RestrictedSlide, plus the trivial-relator moves when
 the script is explicitly flagged as stabilized.  Indices are 0-based in
 memory and 1-based in script files.  The words of ConjRel and RSFactor are
-freely reduced when the move is built.
+checked to be freely reduced words (see words) when the move is built.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from itertools import chain
 from typing import Sequence
 
 from .presentations import Presentation, _key, canonical_key
-from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _commutator,
-                    _conjugate, _decode, _encode, _inverse, _invert_generator,
-                    _join, _letter_tokens, _multiply_generator, _renumber_above,
-                    _token_letters, check_rank, cyclic_canonical, identity_images,
-                    invert, json_int, letter_key, multiply, read_word, reduce,
-                    valid_name, write_word)
+from .words import (EMPTY, MAX_WORD_LENGTH, LetterBudget, Word, _conjugate,
+                    _invert_generator, _letter_tokens, _multiply_generator,
+                    _renumber_above, _token_letters, check_rank, check_word,
+                    commutator, cyclic_canonical, generator, identity_images,
+                    invert, json_int, multiply, read_word, valid_name, within,
+                    write_word)
 
 
 class MoveError(ValueError):
@@ -55,7 +55,7 @@ class ConjRel:
     w: Word
 
     def __post_init__(self):
-        object.__setattr__(self, "w", reduce(self.w))
+        check_word(self.w)
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ class RSFactor:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise MoveError(f"bad factor sign {self.sign}")
-        object.__setattr__(self, "w", reduce(self.w))
-        object.__setattr__(self, "h", reduce(self.h))
+        check_word(self.w)
+        check_word(self.h)
 
 
 @dataclass(frozen=True)
@@ -180,19 +180,18 @@ def _bounded(r: bytes) -> bytes:
     return r
 
 
-def _in_context(w: Word, gens: tuple) -> bytes:
-    """The byte word of a move word, refused if it has a letter outside gens."""
-    if w and (max(w) > len(gens) or -min(w) > len(gens)):
-        raise MoveError(f"word {w} uses a generator outside the context")
-    return _encode(w)
+def _in_context(w: Word, gens: tuple) -> Word:
+    """w, a move word, refused if it has a letter outside gens."""
+    if not within(w, len(gens)):
+        raise MoveError(f"word uses a generator outside the context {', '.join(gens)}")
+    return w
 
 
 # One function per move kind applies it to rels in place, the relators over
-# gens as byte words (see words), and returns the generators after it.
-# Every relator built comes from reduced relators, read through _rel, and
-# move words that are reduced when the move is built and checked and
-# encoded by _in_context here, so callers wrap the result without
-# validation.  Every relator a move builds passes _bounded.
+# gens, and returns the generators after it.  Every relator built comes
+# from reduced relators, read through _rel, and move words that are reduced
+# when the move is built and checked by _in_context here, so callers wrap
+# the result without validation.  Every relator a move builds passes _bounded.
 # budget is replay's LetterBudget or None.  Before it builds anything, a Nielsen
 # move charges it one letter per generator, per relator and per relator letter
 # (its scan), and AddGen one per generator name it copies.  The letter per
@@ -205,13 +204,13 @@ def _conj_rel(rels: list, gens: tuple, move, budget) -> tuple:
 
 
 def _inv_rel(rels: list, gens: tuple, move, budget) -> tuple:
-    rels[move.j] = _inverse(_rel(rels, move.j))
+    rels[move.j] = invert(_rel(rels, move.j))
     return gens
 
 
 def _slide_rel(rels: list, gens: tuple, move, budget) -> tuple:
     r, s = _rel(rels, move.j), _rel(rels, move.k)
-    rels[move.j] = _bounded(_join(s, r) if move.side == "left" else _join(r, s))
+    rels[move.j] = _bounded(multiply(s, r) if move.side == "left" else multiply(r, s))
     return gens
 
 
@@ -226,8 +225,8 @@ def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
     if type(move) is not NielsenInv:
         _check_gen(move.j, rank)
     # the map moves only generator i, so a relator without it stays
-    letter = _encode((move.i + 1,))
-    inverse = _inverse(letter)
+    letter = generator(move.i)
+    inverse = invert(letter)
     for idx, r in enumerate(rels):
         if letter in r or inverse in r:
             rels[idx] = _bounded(
@@ -244,14 +243,14 @@ def _add_gen(rels: list, gens: tuple, move, budget) -> tuple:
     if move.name in gens:
         raise MoveError(f"generator name {move.name!r} already in use")
     check_rank(len(gens) + 1, MoveError)
-    rels.append(_encode((len(gens) + 1,)))
+    rels.append(generator(len(gens)))
     return gens + (move.name,)
 
 
 def _remove_gen(rels: list, gens: tuple, move, budget) -> tuple:
     _check_gen(move.i, len(gens))
-    letter = _encode((move.i + 1,))
-    inverse = _inverse(letter)
+    letter = generator(move.i)
+    inverse = invert(letter)
     hits = [idx for idx, r in enumerate(rels) if letter in r or inverse in r]
     if len(hits) != 1 or rels[hits[0]] not in (letter, inverse):
         raise MoveError(
@@ -281,8 +280,8 @@ def _restricted_slide(rels: list, gens: tuple, move, budget) -> tuple:
     for f in move.factors:
         r = _rel(rels, f.k)
         w, h = _in_context(f.w, gens), _in_context(f.h, gens)
-        base = r if f.sign > 0 else _inverse(r)
-        word = _bounded(_join(word, _conjugate(_commutator(base, h), w)))
+        base = r if f.sign > 0 else invert(r)
+        word = _bounded(multiply(word, _conjugate(commutator(base, h), w)))
     rels[move.j] = word
     return gens
 
@@ -311,26 +310,23 @@ _UNKNOWN = (_unknown_move, 0, 0, ("full",))
 
 
 def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Presentation:
-    """Left fold of the script's moves over p's relators, as byte words,
-    with regime and bookkeeping checks on every move; the apply steps
-    charge budget.  script is a MoveScript or any iterable of full-regime
-    moves, whose moves are taken one at a time, as they are made."""
+    """Left fold of the script's moves over p's relators, with regime and
+    bookkeeping checks on every move; the apply steps charge budget.
+    script is a MoveScript or any iterable of full-regime moves, whose
+    moves are taken one at a time, as they are made."""
     if isinstance(script, MoveScript):
         moves, regime = script.moves, script.regime
         if regime == "k_prime" and script.stabilized:
             regime = "stabilized"
     else:
         moves, regime = script, "full"
-    rels = list(map(_encode, p.relators))
-    kept = dict(zip(rels, p.relators))  # a relator the moves leave keeps its tuple
+    rels = list(p.relators)
     gens = _fold(rels, p.gens, moves, regime, budget)
-    for idx, r in enumerate(rels):
-        rels[idx] = kept[r] if r in kept else _decode(r)
     return Presentation._trusted(gens, tuple(rels))
 
 
 def _fold(rels: list, gens: tuple, moves, regime: str, budget) -> tuple:
-    """Apply moves to the byte relators rels, over gens, in place, as
+    """Apply moves to the relators rels, over gens, in place, as
     _MOVES admits them in regime ("full", "k_prime" or "stabilized"), and
     return the generators after them."""
     named = "k_prime" if regime == "stabilized" else regime
@@ -392,7 +388,7 @@ def apply_automorphism(p: Presentation, images, script: MoveScript) -> Presentat
     if not all(isinstance(move, (NielsenInv, NielsenMul)) for move in script.moves):
         raise MoveError("an automorphism script holds Nielsen moves only")
     basis = Presentation._trusted(p.gens, identity_images(p.rank))
-    if replay(basis, script).relators != tuple(reduce(w) for w in images):
+    if replay(basis, script).relators != tuple(images):
         raise ValueError("images not certified by the supplied Nielsen script")
     return replay(p, script)
 
@@ -403,7 +399,7 @@ def _conjugated_slide(j: int, k: int, c: Word, e: int, side: str) -> list:
     out = [SlideRel(j, k, side)]
     if e < 0:
         out = [InvRel(k)] + out + [InvRel(k)]
-    if c != EMPTY:
+    if c:
         out = [ConjRel(k, c)] + out + [ConjRel(k, invert(c))]
     return out
 
@@ -692,19 +688,18 @@ def enumerate_words(rank: int, max_len: int):
     """All reduced words of length 1..max_len, shortest first and each
     length in letter order, made one at a time: the memory it holds grows
     with max_len, not with the number of words."""
-    letters = sorted((x for i in range(1, rank + 1) for x in (i, -i)),
-                     key=letter_key)
+    letters = range(2, 2 * rank + 2)  # the letters, in letter order (see words)
     for length in range(1, max_len + 1):
-        word, choices = [], [iter(letters)]  # one letter iterator per position
+        word, choices = bytearray(), [iter(letters)]  # one letter iterator per position
         while choices:
             x = next(choices[-1], None)
             if x is None:
                 choices.pop()
                 if word:
                     word.pop()
-            elif not word or word[-1] != -x:
+            elif not word or word[-1] ^ 1 != x:
                 if len(word) + 1 == length:
-                    yield tuple(word) + (x,)
+                    yield bytes(word) + bytes((x,))
                 else:
                     word.append(x)
                     choices.append(iter(letters))
@@ -718,7 +713,7 @@ def _neighbor_fragments(p: Presentation, regime: str, target_rels: int,
     at most conjugator_length letters, made as they are needed, and every
     one-letter h.  Every fragment applies to p: its relator indices
     are in range and distinct, its words are over p's generators, and it
-    removes only empty relators.  p's relators may be tuple or byte words."""
+    removes only empty relators."""
     m = len(p.relators)
     pairs = [(j, k) for j in range(m) for k in range(m) if j != k]
     if regime == "full":
@@ -770,10 +765,9 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         # k_prime moves preserve the relator count: no script exists
         return SearchOutcome(None, "exhausted", 0)
     start = canonical_key(p)
-    # key -> (the representative first met, the fragment that reached it);
-    # a representative holds its relators as byte words (see words)
-    known = {start: (Presentation._trusted(p.gens, tuple(map(_encode, p.relators))), ())}
-    classes = {}  # byte relator -> its class: a fragment rewrites one relator
+    # key -> (the representative first met, the fragment that reached it)
+    known = {start: (p, ())}
+    classes = {}  # relator -> its class: a fragment rewrites one relator
 
     def successors(key):
         here = known[key][0]
@@ -785,7 +779,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
                 continue
             for r in rels:
                 if r not in classes:
-                    classes[r] = cyclic_canonical(_decode(r))
+                    classes[r] = cyclic_canonical(r)
             nxt = Presentation._trusted(here.gens, tuple(rels))
             nkey = _key(nxt, classes.__getitem__)
             if nkey not in known:

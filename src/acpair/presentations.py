@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from . import homology
 from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
-                    check_rank, cyclic_canonical, invert, multiply, read_word,
-                    reduce, valid_name, word_key, write_word, exponent_sum)
+                    check_rank, check_word, cyclic_canonical, exponent_sum,
+                    multiply_inverse, read_word, valid_name, word_key, write_word)
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,9 @@ class Presentation:
         for name in gens:
             if not valid_name(name):
                 raise ValueError(f"invalid generator name {name!r}")
-        rels = tuple(reduce(r) for r in self.relators)
-        for r in rels:
-            if max(map(abs, r), default=0) > len(gens):
-                raise ValueError(f"relator {r} uses a generator outside the context")
+        rels = tuple(self.relators)
+        for idx, r in enumerate(rels, 1):
+            check_word(r, len(gens), f"relator {idx}")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "relators", rels)
 
@@ -188,7 +187,7 @@ def parse_relator_text(text: str, table: dict, budget: LetterBudget) -> Word:
     if eq:
         if "=" in right:
             raise ValueError(f"more than one '=' in relation {text!r}")
-        w = multiply(w, invert(read_word(right, table, budget)))
+        w = multiply_inverse(w, read_word(right, table, budget))
     return w
 
 
@@ -216,7 +215,6 @@ def parse_presentation(text: str, budget: LetterBudget | None = None) -> Present
             if gens is not None:
                 raise ValueError(f"line {lineno}: duplicate gens line")
             gens = tuple(rest.split())
-            check_rank(len(gens))  # before a table of too many names is built
             table = _token_letters(gens)
         elif head == "rel":
             if gens is None:

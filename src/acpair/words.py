@@ -1,22 +1,19 @@
 """Freely reduced words in a finitely generated free group.
 
-A word is a tuple of nonzero ints.  Letter ``+k`` is the generator with
-0-based index ``k-1``, letter ``-k`` its inverse.  The empty tuple is the
-identity.  All values are immutable and hashable, so words can be used as
-dict keys and shared freely between threads.
+A word is a ``bytes`` value holding one letter per byte: the generator
+with 0-based index i is the byte 2i + 2 and its inverse the byte 2i + 3.
+So a letter's inverse is its byte XOR 1, and bytes sort in the letter
+order: generator index ascending, each generator before its inverse.
+Bytes 0 and 1 are no letter, and one byte holds the letters of at most
+MAX_RANK generators, the program's generator limit.  The empty word is the
+identity.  Words are immutable and hashable, so they can be dict keys and
+shared freely between threads.
 
-``reduce`` and the parsers take any letters and return freely reduced
-words; ``reduce`` returns a word that is already reduced as it is, after
-checks that run at C speed.  ``multiply``, ``commutator`` and ``power``
-take reduced words: they cancel letters only where their operands meet,
-so their result is reduced when their operands are.
-
-A byte word holds the same letters one per byte, letter x as the byte
-2|x| + (x < 0), so that a letter's inverse is its byte XOR 1 and bytes
-sort as ``letter_key`` does.  One byte holds the letters of at most
-MAX_RANK generators, the program's generator limit.  ``_encode`` and
-``_decode`` convert between the two forms at C speed, and the byte kernels
-below them do a replay's work with ``bytes`` methods.
+The parsers build freely reduced words, and the constructors that take
+words from a caller refuse any other value through ``check_word``.  The
+kernels below take reduced words and cancel letters only where their
+operands meet, so their result is reduced when their operands are; they
+do their work with ``bytes`` methods, at C speed.
 
 Generator names live at the presentation level (see ``presentations``);
 words themselves are name-free, so the same word value makes sense in any
@@ -27,14 +24,12 @@ declared.
 from __future__ import annotations
 
 import re
-from array import array
-from itertools import chain, islice
-from operator import add, neg
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
-Word = tuple  # tuple[int, ...]
+Word = bytes
 
-EMPTY: Word = ()
+EMPTY: Word = b""
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
@@ -43,9 +38,15 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 # gigabytes.
 MAX_WORD_LENGTH = 1_000_000
 
-# Most generators a presentation may have: a byte word holds a letter in
-# one byte (see the module docstring).
+# Most generators a presentation may have: a word holds a letter in one
+# byte (see the module docstring).
 MAX_RANK = 127
+
+# The letters of MAX_RANK generators; the first 2n are those of n generators.
+_LETTERS = bytes(range(2, 2 * MAX_RANK + 2))
+_INVERSE = bytes(c ^ 1 for c in range(256))
+# letters cancelled one at a time at a junction before endswith takes over
+_RUN = 16
 
 
 def check_rank(rank: int, error: type = ValueError) -> None:
@@ -75,53 +76,59 @@ class LetterBudget:
         self.left -= tokens
 
 
-def reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a letter sequence.  Idempotent: a tuple of nonzero
-    ints in which no letter meets its inverse is returned as it is, after
-    checks that each take one pass at C speed."""
-    w = letters if type(letters) is tuple else tuple(letters)
-    try:
-        # the sum is an int for int (and bool) letters; a float or Fraction
-        # letter makes it one of those, and a str or None raises TypeError
-        if type(sum(w)) is int and 0 not in w and all(map(add, w, islice(w, 1, None))):
-            return w
-    except TypeError:
-        pass
-    return _reduce_letters(w)
+def generator(i: int) -> Word:
+    """The one-letter word of the generator with 0-based index i."""
+    return bytes((2 * i + 2,))
 
 
-def _reduce_letters(w: tuple) -> Word:
-    """reduce, one letter at a time: the path for words that need it."""
-    out: list[int] = []
-    for x in w:
-        if not isinstance(x, int) or x == 0:
-            raise ValueError(f"bad letter {x!r}: letters are nonzero ints")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+def identity_images(rank: int) -> tuple:
+    """The images of the identity map g_i -> g_i, in generator order."""
+    return tuple(map(generator, range(rank)))
+
+
+def within(u: Word, rank: int) -> bool:
+    """Whether every letter of u is one of the first rank generators' letters."""
+    return not u.translate(None, _LETTERS[:2 * rank])
+
+
+def check_word(u, rank: int = MAX_RANK, what: str = "word") -> Word:
+    """u, refused with a ValueError led by `what` unless it is a freely
+    reduced word over the first rank generators."""
+    if type(u) is not bytes:
+        raise ValueError(f"{what} must be a byte word, not {type(u).__name__}")
+    if not within(u, rank):
+        raise ValueError(f"{what} uses a generator outside the context")
+    if len(u) > 1:
+        # two neighbouring letters cancel exactly where their bytes XOR to
+        # 1: u XOR u shifted by one letter is built at once, as an int
+        shifted = int.from_bytes(u[1:], "little") ^ int.from_bytes(u[:-1], "little")
+        if 1 in shifted.to_bytes(len(u) - 1, "little"):
+            raise ValueError(f"{what} is not freely reduced")
+    return u
 
 
 def multiply(u: Word, v: Word) -> Word:
-    """Product of two reduced words: letters cancel only at the junction."""
-    i, n, m = 0, len(u), min(len(u), len(v))
-    while i < m and u[n - 1 - i] == -v[i]:
+    """u * v: letters cancel only where they meet, one at a time for the
+    first _RUN, then found by endswith at C speed."""
+    i, n, m = 0, len(u), len(v)
+    while i < n and i < m and u[n - 1 - i] ^ 1 == v[i]:
         i += 1
+        if i == _RUN:
+            i = _longest(lambda k: u.endswith(invert(v[:k])), i, min(n, m))
+            break
     return u[:n - i] + v[i:]
 
 
 def invert(u: Word) -> Word:
-    return tuple(map(neg, reversed(u)))
+    return u[::-1].translate(_INVERSE)
 
 
 def multiply_inverse(u: Word, v: Word) -> Word:
-    """u * v^-1 for reduced u and v.  Their longest common suffix cancels,
-    found by comparing slices at C speed; what is left of u then meets the
-    inverse of what is left of v without cancelling, and only that rest of
-    v is inverted."""
+    """u * v^-1.  Their longest common suffix cancels, found by endswith;
+    what is left of u then meets the inverse of what is left of v without
+    cancelling, and only that rest of v is inverted."""
     n, m = len(u), len(v)
-    k = _longest(lambda k: u[n - k:] == v[m - k:], 0, min(n, m))
+    k = _longest(lambda k: u.endswith(v[m - k:]), 0, min(n, m))
     return u[:n - k] + invert(v[:m - k])
 
 
@@ -137,6 +144,11 @@ def _longest(holds, low: int, high: int) -> int:
             high = k - 1
         k = (low + high + 1) // 2
     return low
+
+
+def _conjugate(u: Word, w: Word) -> Word:
+    """w * u * w^-1."""
+    return multiply(multiply(w, u), invert(w))
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -157,45 +169,29 @@ def power(u: Word, k: int) -> Word:
 
 def exponent_sum(u: Word, gen: int) -> int:
     """Signed count of occurrences of the generator with 0-based index gen."""
-    target = gen + 1
-    return sum(1 if x == target else -1 for x in u if abs(x) == target)
-
-
-def identity_images(rank: int) -> tuple:
-    """The images of the identity map g_i -> g_i, in generator order."""
-    return tuple((i + 1,) for i in range(rank))
-
-
-# Deterministic letter order: generator index ascending, positive sign first.
-
-def letter_key(x: int) -> tuple:
-    return (abs(x), x < 0)
-
-
-def _letter_ranks(u: Word) -> list:
-    """2|x| + (x < 0) for each letter x of u: ints in letter_key's order."""
-    return [2 * x if x > 0 else 1 - 2 * x for x in u]
+    letter = 2 * gen + 2
+    return u.count(letter) - u.count(letter ^ 1)
 
 
 def word_key(u: Word) -> tuple:
     """Total order on words: by length, then letterwise."""
-    return (len(u), tuple(_letter_ranks(u)))
+    return (len(u), u)
 
 
 def cyclically_reduce(u: Word) -> Word:
     i = 0
-    while 2 * i + 1 < len(u) and u[i] == -u[-1 - i]:
+    while 2 * i + 1 < len(u) and u[i] ^ 1 == u[-1 - i]:
         i += 1
     return u[i:len(u) - i]
 
 
-def _least_rotation(keys: list) -> int:
+def _least_rotation(u) -> int:
     """Start of the lexicographically least rotation, by a two-pointer scan:
     i is the best start so far, j > i the next start not yet ruled out and
     k the length of their common prefix.  At the first difference, the
     larger side's start and the k after it each lose to the start as far
     after the other.  Linear: each step raises i + j + k, all below n."""
-    n, doubled = len(keys), keys + keys
+    n, doubled = len(u), u + u
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
@@ -213,93 +209,45 @@ def cyclic_canonical(u: Word) -> Word:
     """Canonical representative of the conjugacy-and-inversion class.
 
     Cyclically reduces, then takes the least rotation of the result or of
-    its inverse under the letter order above.  Two words get equal outputs
-    exactly when they are conjugate up to inversion.
+    its inverse; bytes compare in the letter order.  Two words get equal
+    outputs exactly when they are conjugate up to inversion.
     """
     u = cyclically_reduce(u)
     if not u:
         return u
-    best = best_keys = None
-    for cand in (u, invert(u)):
-        keys = _letter_ranks(cand)
-        r = _least_rotation(keys)
-        keys = keys[r:] + keys[:r]
-        if best_keys is None or keys < best_keys:
-            best, best_keys = cand[r:] + cand[:r], keys
-    return best
+    r = _least_rotation(u)
+    best = u[r:] + u[:r]
+    u = invert(u)
+    r = _least_rotation(u)
+    return min(best, u[r:] + u[:r])
 
 
 # ---------------------------------------------------------------------------
-# Byte words (see the module docstring).  A letter x of a tuple word goes
-# through array('b') to the byte x mod 256 and is then translated to
-# 2|x| + (x < 0); decoding translates back and reads the signed bytes.  The
-# kernels take reduced byte words, as multiply takes reduced words.
+# Substitutions of one generator map through a word, as a Nielsen move
+# makes them.
 
-_TO_CODE = bytes(0 if r in (0, 128) else 2 * r if r < 128 else 513 - 2 * r
-                 for r in range(256))
-_FROM_CODE = bytes((c // 2 if c % 2 == 0 else -(c // 2)) % 256 for c in range(256))
-_INVERSE = bytes(c ^ 1 for c in range(256))
-# letters cancelled one at a time at a junction before endswith takes over
-_RUN = 16
-
-
-def _encode(u: Word) -> bytes:
-    """The byte word of u, whose letters lie within MAX_RANK generators."""
-    return array("b", u).tobytes().translate(_TO_CODE)
-
-
-def _decode(u: bytes) -> Word:
-    return tuple(memoryview(u.translate(_FROM_CODE)).cast("b"))
-
-
-def _join(u: bytes, v: bytes) -> bytes:
-    """u * v: letters cancel only where they meet, one at a time for the
-    first _RUN, then found by endswith at C speed."""
-    i, n, m = 0, len(u), len(v)
-    while i < n and i < m and u[n - 1 - i] ^ 1 == v[i]:
-        i += 1
-        if i == _RUN:
-            i = _longest(lambda k: u.endswith(_inverse(v[:k])), i, min(n, m))
-            break
-    return u[:n - i] + v[i:]
-
-
-def _inverse(u: bytes) -> bytes:
-    return u[::-1].translate(_INVERSE)
-
-
-def _conjugate(u: bytes, w: bytes) -> bytes:
-    """w * u * w^-1."""
-    return _join(_join(w, u), _inverse(w))
-
-
-def _commutator(u: bytes, v: bytes) -> bytes:
-    """u * v * u^-1 * v^-1."""
-    return _join(_join(u, v), _join(_inverse(u), _inverse(v)))
-
-
-def _invert_generator(u: bytes, i: int) -> bytes:
+def _invert_generator(u: Word, i: int) -> Word:
     """u with g_i -> g_i^-1 substituted, i 0-based: one translate."""
-    swap = _encode((i + 1, -(i + 1)))
+    swap = generator(i) + invert(generator(i))
     return u.translate(bytes.maketrans(swap, swap[::-1]))
 
 
-def _multiply_generator(u: bytes, i: int, j: int, side: str) -> bytes:
+def _multiply_generator(u: Word, i: int, j: int, side: str) -> Word:
     """u with g_i -> g_i g_j^-1 (right) or g_j^-1 g_i (left) substituted,
     i != j.  Two replaces write the images of g_i and g_i^-1.  Then the
     only letters that cancel are pairs g_j^-1 g_j (right) or g_j g_j^-1
     (left), each holding a letter that an image added, and removing them
     in one pass leaves a reduced word."""
-    letters = _encode((i + 1, -(i + 1), j + 1, -(j + 1)))
-    a, inv_a, b, inv_b = letters[:1], letters[1:2], letters[2:3], letters[3:]
+    a, b = generator(i), generator(j)
+    inv_a, inv_b = invert(a), invert(b)
     if side == "right":
         return u.replace(a, a + inv_b).replace(inv_a, b + inv_a).replace(inv_b + b, b"")
     return u.replace(a, inv_b + a).replace(inv_a, inv_a + b).replace(b + inv_b, b"")
 
 
-def _renumber_above(u: bytes, i: int) -> bytes:
+def _renumber_above(u: Word, i: int) -> Word:
     """u with every generator after g_i moved down one place; u holds no g_i."""
-    above = _encode((-(i + 1),))[0]  # the higher byte of g_i's two
+    above = 2 * i + 3  # the higher byte of g_i's two
     return u.translate(bytes(c - 2 if c > above else c for c in range(256)))
 
 
@@ -312,14 +260,16 @@ def _letter_tokens(names: Sequence[str]) -> dict:
     table write_word writes with.  A writer of many words builds it once
     per naming context."""
     tokens = {}
-    for i, name in enumerate(names, 1):
-        tokens[i], tokens[-i] = name, name + "^-1"
+    for i, name in enumerate(names):
+        tokens[2 * i + 2], tokens[2 * i + 3] = name, name + "^-1"
     return tokens
 
 
 def _token_letters(names: Sequence[str]) -> dict:
     """`name` and `name^-1` -> letter: the table read_word reads with.  A
-    reader of many words builds it once per naming context."""
+    reader of many words builds it once per naming context.  A letter is
+    one byte, so more than MAX_RANK names are refused before it is built."""
+    check_rank(len(names))
     return {token: x for x, token in _letter_tokens(names).items()}
 
 
@@ -341,13 +291,13 @@ def read_word(text: str, table: dict, budget: LetterBudget) -> Word:
     as (letter, count), and read from there at its next occurrence."""
     if not isinstance(text, str):
         raise ValueError(f"a word must be text, not {text!r}")
-    out: list[int] = []
+    out = bytearray()
     ones = 0  # one-letter tokens not yet charged
     for token in text.split():
         letter = table.get(token)
         if type(letter) is int:
             ones += 1
-            if out and out[-1] == -letter:
+            if out and out[-1] ^ 1 == letter:
                 out.pop()
             else:
                 out.append(letter)
@@ -368,16 +318,16 @@ def read_word(text: str, table: dict, budget: LetterBudget) -> Word:
             k = int(exp)
             if k == 0:
                 raise ValueError(f"zero exponent in token {token!r}")
-            letter = table[token] = (-letter, -k) if k < 0 else (letter, k)
+            letter = table[token] = (letter ^ 1, -k) if k < 0 else (letter, k)
         letter, k = letter
         budget.charge(k)
-        while k and out and out[-1] == -letter:
+        while k and out and out[-1] ^ 1 == letter:
             out.pop()
             k -= 1
-        out += [letter] * k
+        out += bytes((letter,)) * k
     if ones:
         budget.charge_tokens(ones)
-    return tuple(out)
+    return bytes(out)
 
 
 def json_int(value, what: str) -> int:
@@ -401,8 +351,9 @@ def write_word(u: Word, tokens: dict) -> str:
             continue
         token = tokens.get(prev)
         if token is None:
-            raise ValueError(f"letter {prev} outside the naming context")
-        parts.append(token if run == 1 else f"{tokens[abs(prev)]}^{run if prev > 0 else -run}")
+            raise ValueError(f"generator {prev >> 1} outside the naming context")
+        parts.append(token if run == 1 else
+                     f"{tokens[prev & ~1]}^{-run if prev & 1 else run}")
         prev, run = x, 1
     return " ".join(parts)
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from acpair.homology import (ChainComplexData, FiniteGroup, GroupRingMatrix,
                              gr_add, gr_mul, restrict_scalars,
                              smith_normal_form)
+from word_reference import decode, encode
 
 # ---------------------------------------------------------------------------
 # Test-only helpers: named groups, a group-file writer, and two independent
@@ -222,7 +223,8 @@ def presentation_chain(group, gen_images, relators):
     """Ranks (1, #gens, #relators) chain data for a presentation of `group`.
 
     gen_images: image in G of each presentation generator; relators: words
-    over those generators (tuples of signed 1-based letters).
+    over those generators, as acpair.words holds them, such as the relators
+    of a Presentation.
     """
     inv = group.inverses
 
@@ -243,7 +245,7 @@ def presentation_chain(group, gen_images, relators):
             d1_entries[(i, 0)] = cell
     d1 = GroupRingMatrix.from_entries(ngens, 1, d1_entries)
     entries = {}
-    for r, word in enumerate(relators):
+    for r, word in enumerate(map(decode, relators)):
         for gen in range(ngens):
             cell = _fox_entry(word, gen, group, eval_word)
             if cell:
@@ -258,18 +260,18 @@ def base_complex(kind):
     if kind == "trivial":
         group = trivial_group()
         # one generator killed by one relator
-        return presentation_chain(group, [0], [(1,)])
+        return presentation_chain(group, [0], [encode((1,))])
     if kind.startswith("c"):
         m = int(kind[1:])
         group = cyclic_group(m)
-        return presentation_chain(group, [1 % m], [(1,) * m])
+        return presentation_chain(group, [1 % m], [encode((1,) * m)])
     if kind == "s3":
         group = symmetric_group_3()
         a = 1  # image of the 3-cycle generator
         b = next(g for g in range(6)
                  if group.mul(g, g) == group.identity and g != group.identity)
         relators = [(1, 1, 1), (2, 2), (1, 2, 1, 2)]
-        return presentation_chain(group, [a, b], relators)
+        return presentation_chain(group, [a, b], [encode(r) for r in relators])
     raise ValueError(kind)
 
 

@@ -9,17 +9,24 @@ Conventions: generators r, s, t have indices 0, 1, 2 (letters 1, 2, 3);
 a = r^2.  Relator indices in the base presentation: 0 the bridge
 s^2 t^-3, 1 the commutator [a, s^p], 2 the commutator [a, t^q], where
 p = 2i+1 and q = 3i+1.  A factor list [(g, k, sign), ...] denotes the
-product of g^-1 R_k^sign g in order.
+product of g^-1 R_k^sign g in order.  The calculus runs on the tuple words
+of word_reference, and its witnesses hold the words of acpair.words.
 """
 
 import json
 
 from acpair.constructions import NormalClosureWitness, lustig, witness_to_json
 from acpair.presentations import format_presentation
-from acpair.words import EMPTY, commutator, invert, multiply, power, reduce
+from word_reference import decode, encode, invert, multiply
 
+EMPTY = ()
 R, S, T = (1,), (2,), (3,)
 A = (1, 1)  # r^2
+
+
+def power(letter, k):
+    """letter^k for a one-letter word: k copies of it or of its inverse."""
+    return letter * k if k >= 0 else invert(letter) * -k
 
 
 def shift(factors, w):
@@ -59,6 +66,7 @@ class LustigCalculus:
         self.p = 2 * i + 1
         self.q = 3 * i + 1
         self.base = lustig(i)
+        self.relators = [decode(r) for r in self.base.relators]  # as tuple words
         self._ws_cache = {}
         self._wt_cache = {}
 
@@ -80,8 +88,7 @@ class LustigCalculus:
             # s^2 = rho1 t^3 exactly, so [a, s^e] routes through the bridge
             nu = bridge_factors(e // 2)
             word_ts = multiply(power(S, e), invert(power(T, 3 * (e // 2))))
-            assert reduce(word_ts) == reduce(
-                self._product_word(nu)), "bridge factorization broken"
+            assert word_ts == self._product_word(nu), "bridge factorization broken"
             out = comm_prod(self._product_word(nu),
                             comm_normal(nu), self.w_t(3 * (e // 2)))
         else:
@@ -115,20 +122,19 @@ class LustigCalculus:
         # nu is the inverted bridge chain conjugated by s^(2p)
         p = self.p
         nu = shift(inv_factors(bridge_factors(p)), power(S, 2 * p))
-        assert reduce(self._product_word(nu)) == reduce(
-            multiply(power(S, -2 * p), power(T, 3 * p)))
+        assert self._product_word(nu) == multiply(power(S, -2 * p), power(T, 3 * p))
         return comm_prod(power(S, 2 * p), self.w_s(2 * p), comm_normal(nu))
 
     def _product_word(self, factors):
         out = EMPTY
-        rels = self.base.relators
+        rels = self.relators
         for g, k, s in factors:
             rel = rels[k] if s > 0 else invert(rels[k])
             out = multiply(out, multiply(multiply(invert(g), rel), g))
         return out
 
     def witness(self, target, factors):
-        wit = NormalClosureWitness(target, tuple(factors))
+        wit = NormalClosureWitness(target, tuple((encode(g), k, s) for g, k, s in factors))
         assert wit.verify(self.base.relators), "calculus produced a bad witness"
         return wit
 

@@ -32,10 +32,11 @@ from acpair.pairing import FormalSum, verify_null
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, format_presentation,
                                   make_presentation, product, unit_presentation)
-from acpair.words import EMPTY, reduce
+from acpair.words import EMPTY
 
 from chain_fixtures import mat_mul, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair
+from word_reference import encode, reduce
 
 
 def report(number, ok, detail):
@@ -47,8 +48,8 @@ def report(number, ok, detail):
 def rand_word(rng, rank, max_len):
     if rank == 0:
         return EMPTY
-    return reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                   for _ in range(rng.randint(0, max_len))])
+    return encode(reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                          for _ in range(rng.randint(0, max_len))]))
 
 
 def rand_presentation(rng, max_gens=4, max_rels=4, max_len=8):
@@ -164,7 +165,7 @@ def test_acceptance_1_companion_supplied_witnesses():
 def test_acceptance_2_stabilization_micro_instance():
     l1 = make_presentation("x", ["x"])
     l2 = make_presentation("x", ["x^2"])
-    wit = [NormalClosureWitness((1, 1), ((EMPTY, 0, 1), (EMPTY, 0, 1)))]
+    wit = [NormalClosureWitness(encode((1, 1)), ((EMPTY, 0, 1), (EMPTY, 0, 1)))]
     script = product_stabilization(l1, l2, wit)
     result = replay(product(l1, l2), script)
     target = make_presentation("x", ["x", "1"])

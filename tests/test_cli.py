@@ -19,6 +19,7 @@ from acpair.moves import MoveScript, SearchBudget, SlideRel, script_to_json
 from acpair.presentations import (Presentation, format_presentation,
                                   make_presentation, parse_presentation)
 from acpair.words import identity_images
+from word_reference import decode, encode
 
 from chain_fixtures import cyclic_group, dump_group_csv, random_gn_fixture
 from lustig_fixtures import lustig_witness_pair, write_lustig_inputs
@@ -80,7 +81,7 @@ def test_apply_and_roundtrip(tmp_path, capsys):
         MoveScript((SlideRel(1, 0, "right"),)), p.gens)))
     code, out, _ = run(capsys, "apply", pres, script)
     assert code == 0
-    assert parse_presentation(out).relators == ((1,), (2, 1))
+    assert tuple(map(decode, parse_presentation(out).relators)) == ((1,), (2, 1))
 
 
 def test_apply_illegal_move_exit_2(tmp_path, capsys):
@@ -166,7 +167,7 @@ def test_product_cli(tmp_path, capsys):
     b = write(tmp_path / "b.pres", "gens: x\nrel: x^2\n")
     code, out, _ = run(capsys, "product", a, b)
     assert code == 0
-    assert parse_presentation(out).relators == ((1,), (1, 1))
+    assert tuple(map(decode, parse_presentation(out).relators)) == ((1,), (1, 1))
     c = write(tmp_path / "c.pres", "gens: x y\n")
     code, _, err = run(capsys, "product", a, c)
     assert code == 2
@@ -228,9 +229,8 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
 
 def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, capsys,
                                                                  monkeypatch):
-    # the words of a bundle come out of the parser reduced, so reduce only
-    # checks them, and each presentation text and each script with words
-    # builds its token table once, not once per word
+    # each presentation text and each script with words builds its token
+    # table once, not once per word
     k1, k2, wdir = write_lustig_inputs(tmp_path)
     bundle = tmp_path / "bundle"
     assert main(["pipeline", k1, k2, "--witnesses", str(wdir), "-o", str(bundle)]) == 0
@@ -244,7 +244,6 @@ def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, caps
             return f(*args)
         monkeypatch.setattr(words, name, counted)
 
-    counting("_reduce_letters")
     counting("_letter_tokens")
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 0 and "null vector: yes" in out
@@ -258,7 +257,6 @@ def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, caps
     assert not {"AddGen", "RemoveGen"} & {op for ops in scripts for op in ops}
     with_words = [ops.count("ConjRel") for ops in scripts if "ConjRel" in ops]
     assert len(texts) == 10 and len(with_words) == 2
-    assert counts["_reduce_letters"] == 0
     assert counts["_letter_tokens"] == len(texts) + len(with_words)
     # 206 words over 12 tables: the two cross scripts hold 152 ConjRel words,
     # one per change of conjugator, so a table serves more than 15 words
@@ -286,7 +284,7 @@ def test_iso_load_builds_one_token_table_per_side(tmp_path, monkeypatch):
         tables.clear()
         witness = cli._load_iso_witness(iso, p, q)
         assert tables == {rank: 2}
-        assert witness.y_in_x[-1] == (rank, -1, -1)
+        assert decode(witness.y_in_x[-1]) == (rank, -1, -1)
         assert witness.x_in_y == identity_images(rank)
 
 
@@ -914,6 +912,14 @@ MALFORMED = {
     "chain_entry_of_6_fields": (lambda t: _homology(t, [2, 0, 0, 0, 2, 1]),
                                 "c.json: entries[0] has 6 fields, expected 5: "
                                 "[k, r, col, elem, coeff]"),
+    "chain_entries_a_number": (lambda t: _chain_of(t, lambda c: {**c, "entries": 5}),
+                               "c.json: entries is not a list of entries "
+                               "[k, r, col, elem, coeff]"),
+    "chain_ranks_a_number": (lambda t: _chain_of(t, lambda c: {**c, "ranks": 5}),
+                             "c.json: ranks is not a list of the ranks of dimensions 0..n"),
+    "chain_table_a_number": (lambda t: _chain_of(
+        t, lambda c: {**c, "group": {**c["group"], "table": 5}}),
+        "c.json: group table is not a list of rows of element indices"),
     "chain_table_row_not_a_list": (lambda t: _chain_of(
         t, lambda c: {**c, "group": {**c["group"], "table": [0]}}),
         "c.json: group table[0] is not a list of element indices"),
@@ -962,12 +968,12 @@ def test_witness_and_iso_files_at_the_letter_budget_load(tmp_path):
     write(tmp_path / "wits" / "w_1.json", json.dumps(
         {"target": "x^999998", "factors": [{"g": "x^2", "r_index": 1, "sign": 1}]}))
     (wit,) = cli._load_witness_dir(tmp_path / "wits", "w_", 1, names)
-    assert wit.target == (1,) * 999_998 and wit.factors == (((1, 1), 0, 1),)
+    assert wit.target == encode((1,) * 999_998) and wit.factors == ((encode((1, 1)), 0, 1),)
     p, q = parse_presentation(PRES_X), parse_presentation("gens: y\nrel: y\n")
     path = write(tmp_path / "iso.json", json.dumps(
         {"y_in_x": ["x^999999"], "x_in_y": ["y"]}))
     iso = cli._load_iso_witness(path, p, q)
-    assert iso.y_in_x == ((1,) * 999_999,) and iso.x_in_y == ((1,),)
+    assert iso.y_in_x == (encode((1,) * 999_999),) and iso.x_in_y == (encode((1,)),)
 
 
 def test_script_certificate_and_sum_files_at_the_letter_budget_load(tmp_path):
@@ -977,12 +983,13 @@ def test_script_certificate_and_sum_files_at_the_letter_budget_load(tmp_path):
             {"op": "ConjRel", "j": 1, "w": "x^-600000"}]
     script = cli._load(write(tmp_path / "s.json", json.dumps(conj)),
                        lambda data: moves.script_from_json(data, ("x",)), json=True)
-    assert script.moves == (moves.ConjRel(0, (1,) * 400_000),
-                            moves.ConjRel(0, (-1,) * 600_000))
+    assert script.moves == (moves.ConjRel(0, encode((1,) * 400_000)),
+                            moves.ConjRel(0, encode((-1,) * 600_000)))
     cert = cli._load(write(tmp_path / "c.json", json.dumps(
         {"lhs": "gens: x\nrel: x^300000\n", "rhs": "gens: x\nrel: x^300000\n",
          "script": conj[:1]})), pairing.certificate_from_json, json=True)
-    assert cert.lhs.relators == ((1,) * 300_000,) and cert.script.moves == script.moves[:1]
+    assert cert.lhs.relators == (encode((1,) * 300_000),)
+    assert cert.script.moves == script.moves[:1]
     x, reps = cli._load(write(tmp_path / "x.sum", json.dumps(
         [{"coeff": 1, "presentation": "gens: x\nrel: x^500000\n"},
          {"coeff": 2, "presentation": "gens: x\nrel: x^-500000\n"}])),

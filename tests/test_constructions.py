@@ -22,13 +22,36 @@ from acpair.pairing import verify_null
 from acpair.presentations import (canonical_key, euler_char,
                                   format_presentation, make_presentation,
                                   parse_presentation, product, wedge_s2)
-from acpair.words import EMPTY, commutator, invert, multiply, power, reduce
+from acpair.words import EMPTY, commutator, generator, multiply, power
 
+import word_reference as ref
 from lustig_fixtures import LustigCalculus, lustig_witness_pair
+from word_reference import decode, encode
 
 
 def pres(gens, *rels):
     return make_presentation(gens, rels)
+
+
+def letters(p):
+    """p's relators as tuple words (see word_reference)."""
+    return tuple(map(decode, p.relators))
+
+
+def words(*tuples):
+    """The words of acpair.words of tuple words (see word_reference)."""
+    return tuple(map(encode, tuples))
+
+
+def search(target, rels, budget=WitnessBudget()):
+    """search_normal_closure_witness of a target and relators written as
+    tuple words."""
+    return search_normal_closure_witness(encode(target), list(words(*rels)), budget)
+
+
+def factor_letters(wit):
+    """The factors of a witness, their conjugators as tuple words."""
+    return tuple((decode(g), k, s) for g, k, s in wit.factors)
 
 
 # -- generator-level script builders ---------------------------------------
@@ -39,12 +62,12 @@ def test_swap_generators_moves():
     cur = p
     for mv in swap_generators_moves(0, 1):
         cur = replay(cur, (mv,))
-    assert cur.relators == ((2,),)
+    assert letters(cur) == ((2,),)
     q = pres("x y z", "x y^-1 z")
     cur = q
     for mv in swap_generators_moves(0, 2):
         cur = replay(cur, (mv,))
-    assert cur.relators == ((3, -2, 1),)
+    assert letters(cur) == ((3, -2, 1),)
     assert swap_generators_moves(1, 1) == []
 
 
@@ -55,7 +78,7 @@ def test_permutation_moves():
     for mv in permutation_moves(perm):
         cur = replay(cur, (mv,))
     # old z -> position 0, old x -> position 1, old y -> position 2
-    assert cur.relators == ((2, 3, 3, 1, 1, 1),)
+    assert letters(cur) == ((2, 3, 3, 1, 1, 1),)
 
 
 # -- common generators -------------------------------------------------------
@@ -64,18 +87,18 @@ def test_permutation_moves():
 def test_common_generators_micro_example():
     p = pres("x", "x^2")
     q = pres("y", "y^2")
-    wit = IsoWitness(((1,),), ((1,),))  # y = x, x = y
+    wit = IsoWitness(words((1,)), words((1,)))  # y = x, x = y
     res = common_generators(p, q, wit)
     assert res.p_prime.rank == 2 and res.q_prime.rank == 2
-    assert res.p_prime.relators == ((1, 1), (2, -1))
-    assert res.q_prime.relators == ((2, 2), (1, -2))
+    assert letters(res.p_prime) == ((1, 1), (2, -1))
+    assert letters(res.q_prime) == ((2, 2), (1, -2))
     assert euler_char(res.p_prime) == euler_char(p)
     assert euler_char(res.q_prime) == euler_char(q)
 
 
 def test_common_generators_symmetric_instance():
     p = pres("x", "x^3")
-    wit = IsoWitness(((1,),), ((1,),))
+    wit = IsoWitness(words((1,)), words((1,)))
     res = common_generators(p, p, wit)
     # same tuple but non-identity handling is skipped only for identity data
     assert res.p_prime is p and res.q_prime is p
@@ -90,7 +113,7 @@ def test_common_generators_lustig_skip():
 def test_common_generators_relator_counts():
     p = pres("x y", "x y", "y^3")
     q = pres("u", "u^2")
-    wit = IsoWitness(((1,),), ((1,), (1, 1)))
+    wit = IsoWitness(words((1,)), words((1,), (1, 1)))
     res = common_generators(p, q, wit)
     assert len(res.p_prime.relators) == len(p.relators) + q.rank
     assert len(res.q_prime.relators) == len(q.relators) + p.rank
@@ -107,10 +130,10 @@ def test_common_generators_bounds_the_image_letters(monkeypatch):
     # Nielsen move and the eight of a generator swap; identity data needs
     # no moves and is not charged
     p, q = pres("x", "x"), pres("y", "y")
-    wit = IsoWitness(((-1,),), ((1,),))
+    wit = IsoWitness(words((-1,)), words((1,)))
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 81)
     res = common_generators(p, q, wit)
-    assert res.p_prime.relators == ((1,), (2, 1)) and res.q_prime.relators == ((2,), (1, -2))
+    assert letters(res.p_prime) == ((1,), (2, 1)) and letters(res.q_prime) == ((2,), (1, -2))
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 80)
     with pytest.raises(ValueError, match="isomorphism witness spells out more than 80 letters"):
         common_generators(p, q, wit)
@@ -134,13 +157,13 @@ def test_common_generators_charges_generators_and_relators(monkeypatch):
     x, y = pres("x", "x"), pres("y", "y")
     empty = pres("x", *["1"] * 20_000)
     with pytest.raises(ValueError, match="more than 3000000 letters"):
-        common_generators(empty, y, IsoWitness(((-1,) * 100,), ((1,),)))
+        common_generators(empty, y, IsoWitness(words((-1,) * 100), words((1,))))
     # 127 free generators, the most a presentation has, charge fewer letters
     # than the default budget: a smaller one must still trip
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 3000)
     free = make_presentation(" ".join(f"y{i}" for i in range(127)), [])
     with pytest.raises(ValueError, match="more than 3000 letters"):
-        common_generators(x, free, IsoWitness(((),) * 127, ((1,),)))
+        common_generators(x, free, IsoWitness((EMPTY,) * 127, words((1,))))
 
 
 def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypatch):
@@ -154,8 +177,8 @@ def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypat
     one = pres("x", "x")
     free = make_presentation(" ".join(f"y{i}" for i in range(n)), [])
     monkeypatch.setattr(constructions, "MAX_ISO_WORK", 100)
-    for p, q, wit in ((free, one, IsoWitness(((1,),), ((1,),) * n)),
-                      (one, free, IsoWitness(((1,),) * n, ((1,),)))):
+    for p, q, wit in ((free, one, IsoWitness(words((1,)), words((1,)) * n)),
+                      (one, free, IsoWitness(words((1,)) * n, words((1,))))):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="more than 100 letters"):
@@ -169,7 +192,7 @@ def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypat
 def test_append_word_moves_share_the_moves_of_a_letter():
     # the moves of a long image are built before its replay is charged,
     # so they cost a list of pointers: four move objects for two letters
-    moves = append_word_moves(0, (2, -3) * 1000)
+    moves = append_word_moves(0, encode((2, -3) * 1000))
     assert moves[:4] == [NielsenMul(0, 2, "right"),
                          NielsenInv(1), NielsenMul(0, 1, "right"), NielsenInv(1)]
     assert len(moves) == 4000 and len(set(map(id, moves))) == 4
@@ -179,18 +202,18 @@ def test_common_generators_renames_images_whose_names_are_taken():
     # against itself with the swap witness, both names of the other side
     # are taken, so the added generators take the free names g3 and g4
     p = pres("x y", "x y^2")
-    swap = IsoWitness(((2,), (1,)), ((2,), (1,)))
+    swap = IsoWitness(words((2,), (1,)), words((2,), (1,)))
     res = common_generators(p, p, swap)
     assert res.p_prime.gens == res.q_prime.gens == ("x", "y", "g3", "g4")
     # g3 stands for the other side's x, which the witness sends to y, and g4
     # for its y, sent to x
-    assert res.p_prime.relators == ((1, 2, 2), (3, -2), (4, -1))
+    assert letters(res.p_prime) == ((1, 2, 2), (3, -2), (4, -1))
     # the second side's own generators move to g3 and g4, after the first's
-    assert res.q_prime.relators == ((3, 4, 4), (1, -4), (2, -3))
+    assert letters(res.q_prime) == ((3, 4, 4), (1, -4), (2, -3))
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: append_word_moves(0, (2, -1)), ValueError,
+    (lambda: append_word_moves(0, encode((2, -1))), ValueError,
      "may not involve the rewritten generator"),
     (lambda: list(permutation_moves([0, 0])), ValueError, "not a permutation"),
     (lambda: product_stabilization(pres("x", "x"), pres("x y", "x"), []), ValueError,
@@ -207,9 +230,9 @@ def test_construction_refusals(build, error, message):
 
 def test_common_generators_dimension_mismatch():
     with pytest.raises(WitnessError):
-        common_generators(pres("x", "x"), pres("y", "y"), IsoWitness((), ((1,),)))
+        common_generators(pres("x", "x"), pres("y", "y"), IsoWitness((), words((1,))))
     # an image may use only the generators of the side it is written over
-    for bad in (IsoWitness(((2,),), ((1,),)), IsoWitness(((1,),), ((1, -2),))):
+    for bad in (IsoWitness(words((2,)), words((1,))), IsoWitness(words((1,)), words((1, -2)))):
         with pytest.raises(WitnessError, match="image 1 lies outside the generators"):
             common_generators(pres("x", "x"), pres("y", "y"), bad)
 
@@ -218,21 +241,19 @@ def test_common_generators_dimension_mismatch():
 
 
 def test_witness_verify():
-    wit = NormalClosureWitness((1, 1), ((EMPTY, 0, 1), (EMPTY, 0, 1)))
-    assert wit.verify([(1,)])
-    assert not wit.verify([(1, 1)])
+    wit = NormalClosureWitness(encode((1, 1)), ((EMPTY, 0, 1), (EMPTY, 0, 1)))
+    assert wit.verify(words((1,)))
+    assert not wit.verify(words((1, 1)))
     with pytest.raises(WitnessError):
-        NormalClosureWitness((1,), ((EMPTY, 0, 2),))
+        NormalClosureWitness(encode((1,)), ((EMPTY, 0, 2),))
 
 
 def test_witness_search_examples():
-    wit = search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2)).result
+    wit = search((1, 1), [(1,)], WitnessBudget(4, 2)).result
     assert wit.factors == ((EMPTY, 0, 1), (EMPTY, 0, 1))
-    single = search_normal_closure_witness((1, 1, 1), [(1, 1, 1)],
-                                           WitnessBudget(2, 1)).result
+    single = search((1, 1, 1), [(1, 1, 1)], WitnessBudget(2, 1)).result
     assert single.factors == ((EMPTY, 0, 1),)
-    assert search_normal_closure_witness((1,), [(1, 1)], WitnessBudget(
-        6, 3, max_states=4000)).result is None
+    assert search((1,), [(1, 1)], WitnessBudget(6, 3, max_states=4000)).result is None
 
 
 def test_witness_search_meet_keeps_forward_order():
@@ -240,9 +261,9 @@ def test_witness_search_meet_keeps_forward_order():
     # forward layers, so the forward factors must be listed first-to-last
     rels = [(1, 1), (2, 2)]
     target = (2, 2, -1, -2, -2, 1, -2, -2)
-    outcome = search_normal_closure_witness(target, rels, WitnessBudget(4, 2))
+    outcome = search(target, rels, WitnessBudget(4, 2))
     wit = outcome.result
-    assert wit is not None and wit.verify(rels)
+    assert wit is not None and wit.verify(words(*rels))
     assert len(wit.factors) <= 4
     assert all(len(g) <= 2 for g, _, _ in wit.factors)
     assert outcome.reason == "found"
@@ -252,32 +273,30 @@ def test_witness_search_found_witnesses_verify_random():
     rng = random.Random(11)
     letters = (1, -1, 2, -2)
     for _ in range(40):
-        rels = [reduce([rng.choice(letters) for _ in range(rng.randint(2, 4))])
+        rels = [ref.reduce([rng.choice(letters) for _ in range(rng.randint(2, 4))])
                 or (1,) for _ in range(2)]
-        target = EMPTY
+        target = ()
         for _ in range(rng.randint(2, 4)):
-            g = reduce([rng.choice(letters) for _ in range(rng.randint(0, 2))])
+            g = ref.reduce([rng.choice(letters) for _ in range(rng.randint(0, 2))])
             rel = rng.choice(rels)
-            rel = rel if rng.random() < 0.5 else invert(rel)
-            target = multiply(target, multiply(multiply(invert(g), rel), g))
-        wit = search_normal_closure_witness(target, rels, WitnessBudget(8, 4)).result
+            rel = rel if rng.random() < 0.5 else ref.invert(rel)
+            target = ref.multiply(target, ref.multiply(ref.multiply(ref.invert(g), rel), g))
+        wit = search(target, rels, WitnessBudget(8, 4)).result
         if wit is not None:
-            assert wit.verify(rels)
+            assert wit.verify(words(*rels))
             assert len(wit.factors) <= 8
             assert all(len(g) <= 4 for g, _, _ in wit.factors)
 
 
 def test_witness_search_stop_reasons():
     # the first insertion into x^2 over x^3 meets nothing and passes the cap
-    outcome = search_normal_closure_witness((1, 1), [(1, 1, 1)],
-                                            WitnessBudget(6, 3, max_states=1))
+    outcome = search((1, 1), [(1, 1, 1)], WitnessBudget(6, 3, max_states=1))
     assert (outcome.result, outcome.reason, outcome.states) == (None, "state_cap", 3)
     assert str(outcome) == "state_cap after 3 states"
     # x is not in the normal closure of x^2: the whole space is searched
-    outcome = search_normal_closure_witness((1,), [(1, 1)],
-                                            WitnessBudget(6, 3, max_states=4000))
+    outcome = search((1,), [(1, 1)], WitnessBudget(6, 3, max_states=4000))
     assert (outcome.result, outcome.reason, outcome.states) == (None, "exhausted", 14)
-    outcome = search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2))
+    outcome = search((1, 1), [(1,)], WitnessBudget(4, 2))
     assert outcome.result is not None and outcome.reason == "found"
 
 
@@ -292,20 +311,20 @@ def test_relator_witness_matches_the_search():
     for _ in range(300):
         rank = rng.randint(1, 3)
         letters = [x for i in range(1, rank + 1) for x in (i, -i)]
-        rels = [reduce([rng.choice(letters) for _ in range(rng.randint(0, 5))])
+        rels = [ref.reduce([rng.choice(letters) for _ in range(rng.randint(0, 5))])
                 for _ in range(rng.randint(1, 4))]
-        target = rng.choice([EMPTY, rng.choice(rels), invert(rng.choice(rels)),
-                             reduce([rng.choice(letters) for _ in range(3)])])
-        k = next((k for k, rel in enumerate(rels) if rel in (target, invert(target))),
+        target = rng.choice([(), rng.choice(rels), ref.invert(rng.choice(rels)),
+                             ref.reduce([rng.choice(letters) for _ in range(3)])])
+        k = next((k for k, rel in enumerate(rels) if rel in (target, ref.invert(target))),
                  None)
         if target and k is None:
             continue
         factors = ((EMPTY, k, 1 if rels[k] == target else -1),) if target else ()
-        wit = NormalClosureWitness(target, factors)
+        wit = NormalClosureWitness(encode(target), factors)
         answered += 1
         budget = WitnessBudget(rng.randint(1, 8), rng.randint(0, 4), 2 * len(rels) + 1)
-        assert wit == search_normal_closure_witness(target, rels).result
-        assert wit == search_normal_closure_witness(target, rels, budget).result
+        assert wit == search(target, rels).result
+        assert wit == search(target, rels, budget).result
     assert answered > 150
 
 
@@ -314,22 +333,21 @@ def test_witness_search_raises_when_its_witness_fails_verification(monkeypatch):
     # never an assert or a verdict
     monkeypatch.setattr(NormalClosureWitness, "verify", lambda self, relators: False)
     with pytest.raises(WitnessError, match="failed verification"):
-        search_normal_closure_witness((1, 1), [(1,)], WitnessBudget(4, 2))
+        search((1, 1), [(1,)], WitnessBudget(4, 2))
 
 
 def test_witness_search_conjugated_target():
     rel = (1, 2, 1)
-    target = reduce((2,) + rel + (-2,))
-    wit = search_normal_closure_witness(target, [rel], WitnessBudget(3, 2)).result
-    assert wit is not None and wit.verify([rel])
+    target = ref.reduce((2,) + rel + (-2,))
+    wit = search(target, [rel], WitnessBudget(3, 2)).result
+    assert wit is not None and wit.verify(words(rel))
 
 
 def test_witness_search_commutator_combination():
     # x^2 y^2 over {x^2, y^2}: needs a conjugate pair
     target = (1, 1, 2, 2)
-    wit = search_normal_closure_witness(target, [(1, 1), (2, 2)],
-                                        WitnessBudget(4, 3)).result
-    assert wit is not None and wit.verify([(1, 1), (2, 2)])
+    wit = search(target, [(1, 1), (2, 2)], WitnessBudget(4, 3)).result
+    assert wit is not None and wit.verify(words((1, 1), (2, 2)))
 
 
 def _junction(word, pos, body, nxt):
@@ -369,18 +387,18 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
     factors or None).  A Counter passed as branches counts the successors
     by classify(word, pos, body, successor), by default where their letters
     cancel."""
-    target, relators = reduce(target), [reduce(r) for r in relators]
+    target, relators = ref.reduce(target), [ref.reduce(r) for r in relators]
     max_len = (len(target) + 2 * max((len(r) for r in relators), default=0)
                + 2 * max_conj)
     if not target:
         return "found", 0, ()
-    seen, frontiers, depth = ({target: None}, {EMPTY: None}), [[target], [EMPTY]], 0
+    seen, frontiers, depth = ({target: None}, {(): None}), [[target], [()]], 0
 
     def factors(side, word):
         out = []
         while seen[side][word] is not None:
             word, pos, k, sign = seen[side][word]
-            out.append((invert(word[:pos]), k, sign if side else -sign))
+            out.append((ref.invert(word[:pos]), k, sign if side else -sign))
         return out if side else out[::-1]
 
     while (frontiers[0] or frontiers[1]) and depth < max_factors:
@@ -390,8 +408,8 @@ def _tuple_witness_search(target, relators, max_factors, max_conj, max_states,
         for word in frontiers[side]:
             for pos in range(min(max_conj, len(word)) + 1):
                 for k, rel in enumerate(relators):
-                    for sign, body in ((1, rel), (-1, invert(rel))) if rel else ():
-                        nxt = multiply(multiply(word[:pos], body), word[pos:])
+                    for sign, body in ((1, rel), (-1, ref.invert(rel))) if rel else ():
+                        nxt = ref.multiply(ref.multiply(word[:pos], body), word[pos:])
                         if branches is not None:
                             branches[classify(word, pos, body, nxt)] += 1
                         if len(nxt) > max_len or nxt in seen[side]:
@@ -414,25 +432,25 @@ def _reference_corpus():
     for _ in range(240):
         rank = rng.randint(1, 3)
         letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
-        rels = [reduce(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+        rels = [ref.reduce(rng.choice(letters) for _ in range(rng.randint(0, 5)))
                 for _ in range(rng.randint(1, 3))]
-        target = reduce(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        target = ref.reduce(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         for _ in range(rng.randint(1, 3)):
-            g = reduce(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            g = ref.reduce(rng.choice(letters) for _ in range(rng.randint(0, 2)))
             rel = rng.choice(rels)
-            rel = rel if rng.random() < 0.5 else invert(rel)
-            target = multiply(target, multiply(multiply(invert(g), rel), g))
+            rel = rel if rng.random() < 0.5 else ref.invert(rel)
+            target = ref.multiply(target, ref.multiply(ref.multiply(ref.invert(g), rel), g))
         yield target, rels, (rng.randint(1, 8), rng.randint(0, 4), rng.choice((20, 200, 5000)))
 
 
 def test_witness_search_matches_tuple_word_reference():
-    # the byte encoding, the parent links that hold only the parent word and
-    # the products cached per prefix change neither the space searched nor
-    # its order: same stop reason, state count and factors on every problem
+    # the parent links that hold only the parent word and the products
+    # cached per prefix change neither the space searched nor its order:
+    # same stop reason, state count and factors on every problem
     reasons, branches = [], Counter()
     for target, rels, budget in _reference_corpus():
-        outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
-        factors = None if outcome.result is None else outcome.result.factors
+        outcome = search(target, rels, WitnessBudget(*budget))
+        factors = None if outcome.result is None else factor_letters(outcome.result)
         assert ((outcome.reason, outcome.states, factors)
                 == _tuple_witness_search(target, rels, *budget, branches))
         reasons.append(outcome.reason)
@@ -473,7 +491,7 @@ def test_witness_search_keeps_words_of_the_length_bound(target, rels, max_conj, 
     assert {(cancels, n) for cancels in (False, True)
             for n in (bound, bound + 1)} <= set(lengths)
     assert expected == ("exhausted", states, None)
-    outcome = search_normal_closure_witness(target, rels, WitnessBudget(*budget))
+    outcome = search(target, rels, WitnessBudget(*budget))
     assert (outcome.reason, outcome.states, outcome.result) == expected
 
 
@@ -482,14 +500,14 @@ def test_witness_search_takes_the_first_of_two_equal_insertions():
     # search recorded position 0, so the rebuilt path must take it too
     rels = [(1, 1, 1), (1, 1)]
     budget = (4, 1, 1000)
-    outcome = search_normal_closure_witness((1,), rels, WitnessBudget(*budget))
+    outcome = search((1,), rels, WitnessBudget(*budget))
     expected = _tuple_witness_search((1,), rels, *budget)
     assert expected[2] == (((), 1, -1), ((), 0, 1))
-    assert (outcome.reason, outcome.states, outcome.result.factors) == expected
+    assert (outcome.reason, outcome.states, factor_letters(outcome.result)) == expected
 
 
 def test_witness_json_roundtrip():
-    wit = NormalClosureWitness((1, 1, 2), (((2, -1), 0, -1), (EMPTY, 1, 1)))
+    wit = NormalClosureWitness(encode((1, 1, 2)), ((encode((2, -1)), 0, -1), (EMPTY, 1, 1)))
     names = ("x", "y")
     again = witness_from_json(witness_to_json(wit, names), names)
     assert again == wit
@@ -501,7 +519,7 @@ def test_witness_json_roundtrip():
 def test_product_stabilization_micro():
     l1 = pres("x", "x")
     l2 = pres("x", "x^2")
-    wit = [NormalClosureWitness((1, 1), ((EMPTY, 0, 1), (EMPTY, 0, 1)))]
+    wit = [NormalClosureWitness(encode((1, 1)), ((EMPTY, 0, 1), (EMPTY, 0, 1)))]
     script = product_stabilization(l1, l2, wit)
     start = product(l1, l2)
     result = replay(start, script)
@@ -519,7 +537,7 @@ def test_product_stabilization_empty_second():
 def test_product_stabilization_bad_witness():
     l1 = pres("x", "x")
     l2 = pres("x", "x^2")
-    wrong = [NormalClosureWitness((1, 1), ((EMPTY, 0, 1),))]
+    wrong = [NormalClosureWitness(encode((1, 1)), ((EMPTY, 0, 1),))]
     with pytest.raises(WitnessError):
         product_stabilization(l1, l2, wrong)
 
@@ -527,8 +545,7 @@ def test_product_stabilization_bad_witness():
 def test_product_stabilization_refuses_a_partial_product_over_the_word_bound():
     # each factor (1, relator 0, +1) adds the 100,000 letters of (x y)^50000
     # to the product: the eleventh partial product passes the bound, and
-    # the product of forty would be a 4,000,000-letter tuple, 32 MB of
-    # pointers
+    # the product of forty would be a 4,000,000-letter word
     l1 = pres("x y", "x y " * 50_000)
     wit = NormalClosureWitness(l1.relators[0], ((EMPTY, 0, 1),) * 40)
     tracemalloc.start()
@@ -547,9 +564,9 @@ def test_product_stabilization_self_random():
     for _ in range(30):
         rank = rng.randint(1, 3)
         names = tuple(f"g{i+1}" for i in range(rank))
-        rels = tuple(reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                             for _ in range(rng.randint(1, 5))])
-                     for _ in range(rng.randint(1, 3)))
+        rels = words(*(ref.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                   for _ in range(rng.randint(1, 5))])
+                       for _ in range(rng.randint(1, 3))))
         p = make_presentation(names, [])
         p = type(p)(names, rels)
         wits = [NormalClosureWitness(r, ((EMPTY, i, 1),))
@@ -769,7 +786,7 @@ def test_pipeline_general_path_with_search():
     # cross witnesses are small enough for the search to find live
     p = pres("x", "x^2")
     q = pres("y", "y^2")
-    common = common_generators(p, q, IsoWitness(((1,),), ((1,),)))
+    common = common_generators(p, q, IsoWitness(words((1,)), words((1,))))
     res = null_vector_pipeline(common, WitnessBudget(8, 4, 40000))
     assert res.complete, res.unknown
     assert common.p_prime.rank == 2
@@ -810,7 +827,7 @@ def test_pipeline_rejects_bad_supplied_witness():
 def test_lustig_values():
     k1 = lustig(1)
     assert k1.gens == ("r", "s", "t")
-    s, t, r = (2,), (3,), (1,)
+    r, s, t = map(generator, range(3))
     assert k1.relators[0] == multiply(power(s, 2), power(t, -3))
     assert k1.relators[1] == commutator(power(r, 2), power(s, 3))
     assert k1.relators[2] == commutator(power(r, 2), power(t, 4))
@@ -847,17 +864,17 @@ def _random_k_prime_script(rng, block, m, rank, length):
         j = rng.choice(block)
         kind = rng.choice(["conj", "inv", "rslide"])
         if kind == "conj":
-            w = reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                        for _ in range(rng.randint(1, 2))])
+            w = encode(ref.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                   for _ in range(rng.randint(1, 2))]))
             moves.append(ConjRel(j, w))
         elif kind == "inv":
             moves.append(InvRel(j))
         else:
             k = rng.choice([i for i in block if i != j])
-            w = reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                        for _ in range(rng.randint(0, 2))])
-            h = reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                        for _ in range(rng.randint(1, 2))])
+            w = encode(ref.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                   for _ in range(rng.randint(0, 2))]))
+            h = encode(ref.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                   for _ in range(rng.randint(1, 2))]))
             moves.append(RestrictedSlide(j, (RSFactor(w, k, rng.choice([1, -1]), h),)))
     return MoveScript(tuple(moves), "k_prime")
 

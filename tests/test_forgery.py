@@ -45,9 +45,10 @@ from acpair.cli import main
 from acpair.moves import (ConjRel, InvRel, MoveScript, RestrictedSlide, RSFactor,
                           invert_script, replay, script_to_json)
 from acpair.presentations import Presentation, format_presentation, product
-from acpair.words import MAX_WORD_LENGTH, reduce
+from acpair.words import MAX_WORD_LENGTH
 
 from lustig_fixtures import write_lustig_inputs
+from word_reference import encode, reduce
 
 SEED = 10
 PER_KIND = 16
@@ -449,8 +450,8 @@ def _smove_pair(rng) -> tuple:
     names = tuple(f"g{i + 1}" for i in range(rank))
 
     def word(length):
-        return reduce([rng.choice((1, -1)) * rng.randint(1, rank)
-                       for _ in range(rng.randint(0, length))])
+        return encode(reduce([rng.choice((1, -1)) * rng.randint(1, rank)
+                              for _ in range(rng.randint(0, length))]))
 
     l1 = Presentation(names, tuple(word(5) for _ in range(m)))
     moves, cur = [], product(l1, l1)

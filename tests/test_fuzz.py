@@ -34,6 +34,7 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveScript,
 from acpair.presentations import format_presentation
 
 from chain_fixtures import cyclic_group, dump_group_csv, random_gn_fixture
+from word_reference import encode
 
 SEED = 20
 RUNS_PER_SEED = 60
@@ -202,8 +203,9 @@ def corpus(tmp_path):
     kind of input file.  argv names files relative to the directory it runs
     in."""
     script = script_to_json(MoveScript((
-        SlideRel(1, 0, "right"), ConjRel(0, (2, 1)), InvRel(1),
-        RestrictedSlide(0, (RSFactor((2,), 1, 1, (1,)),)), NielsenMul(0, 1, "left"),
+        SlideRel(1, 0, "right"), ConjRel(0, encode((2, 1))), InvRel(1),
+        RestrictedSlide(0, (RSFactor(encode((2,)), 1, 1, encode((1,))),)),
+        NielsenMul(0, 1, "left"),
         NielsenInv(1), AddGen("z"), AddTrivialRel())), ("x", "y"))
     witness = {"target": "x", "factors": [{"g": "x", "r_index": 1, "sign": 1}]}
     iso = {"y_in_x": ["x"], "x_in_y": ["y"]}

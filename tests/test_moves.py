@@ -23,48 +23,53 @@ from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveError,
 from acpair.presentations import (Presentation, abelianization, canonical_key,
                                   euler_char, make_presentation, product,
                                   wedge_s2)
-from acpair.words import EMPTY, LetterBudget, invert, reduce
+from acpair.words import EMPTY, LetterBudget, commutator, generator, invert, multiply
 from lustig_fixtures import lustig_witness_pair
 import search_reference
 import word_reference
+from word_reference import decode, encode
 
 
 def pres(gens, *rels):
     return make_presentation(gens, rels)
 
 
+def letters(p):
+    """p's relators as tuple words (see word_reference)."""
+    return tuple(map(decode, p.relators))
+
+
 def test_slide_example():
     p = pres("x y", "x", "y")
     q = replay(p, (SlideRel(1, 0, "right"),))
-    assert q.relators == ((1,), (2, 1))
+    assert letters(q) == ((1,), (2, 1))
 
 
 def test_conj_example():
     p = pres("x y", "x")
-    q = replay(p, (ConjRel(0, (2,)),))
-    assert q.relators == ((2, 1, -2),)
+    q = replay(p, (ConjRel(0, encode((2,))),))
+    assert letters(q) == ((2, 1, -2),)
 
 
 def test_restricted_slide_example():
     p = pres("x y", "x y", "y x")
-    h = (1,)
+    h = encode((1,))
     q = replay(p, (RestrictedSlide(1, (RSFactor(EMPTY, 0, 1, h),)),))
     r, s = p.relators
-    from acpair.words import commutator, multiply
     assert q.relators[1] == multiply(s, commutator(r, h))
 
 
 def test_restricted_slide_rejects_self_reference():
     with pytest.raises(MoveError):
-        RestrictedSlide(1, (RSFactor(EMPTY, 1, 1, (1,)),))
+        RestrictedSlide(1, (RSFactor(EMPTY, 1, 1, encode((1,))),))
 
 
 def test_nielsen_moves_substitute_inverse_map():
     p = pres("x y", "x")
     q = replay(p, (NielsenMul(0, 1, "right"),))  # declared x -> x y
-    assert q.relators == ((1, -2),)
+    assert letters(q) == ((1, -2),)
     r = replay(p, (NielsenInv(0),))
-    assert r.relators == ((-1,),)
+    assert letters(r) == ((-1,),)
 
 
 def test_nielsen_moves_substitute_only_where_their_generator_occurs(monkeypatch):
@@ -74,18 +79,18 @@ def test_nielsen_moves_substitute_only_where_their_generator_occurs(monkeypatch)
 
     def counting(kernel):
         def counted(u, *args):
-            calls.append(words._decode(u))
+            calls.append(decode(u))
             return kernel(u, *args)
         return counted
 
     for name in ("_invert_generator", "_multiply_generator"):
         monkeypatch.setattr(moves, name, counting(getattr(words, name)))
-    p = Presentation(("x", "y"), ((1,),) * 10_000 + ((2, 1), (-2,)))
+    p = Presentation(("x", "y"), tuple(map(encode, ((1,),) * 10_000 + ((2, 1), (-2,)))))
     q = replay(p, (NielsenMul(1, 0, "right"),))  # y -> y x^-1 substituted
     assert calls == [(2, 1), (-2,)]
-    assert q.relators == ((1,),) * 10_000 + ((2,), (1, -2))
+    assert letters(q) == ((1,),) * 10_000 + ((2,), (1, -2))
     calls.clear()
-    assert replay(p, (NielsenInv(0),)).relators[-2:] == ((2, -1), (-2,))
+    assert letters(replay(p, (NielsenInv(0),)))[-2:] == ((2, -1), (-2,))
     assert len(calls) == 10_001
 
 
@@ -94,12 +99,12 @@ def test_nielsen_moves_build_no_image_per_generator():
     # it rewrites, so its time does not grow with the rank: 200 moves over
     # 127 generators, the most a presentation has, and one 4-letter relator
     # replay at once
-    p = Presentation(tuple(f"g{i}" for i in range(127)), ((1, 2, -1, -2),))
+    p = Presentation(tuple(f"g{i}" for i in range(127)), (encode((1, 2, -1, -2)),))
     script = MoveScript(tuple(NielsenInv(i % 3) for i in range(200)), "full")
     start = time.perf_counter()
     q = replay(p, script)
     elapsed = time.perf_counter() - start
-    assert q.relators == ((-1, -2, 1, 2),)
+    assert letters(q) == ((-1, -2, 1, 2),)
     assert elapsed < 0.2, elapsed
 
 
@@ -120,9 +125,9 @@ def test_nielsen_moves_match_full_substitution():
             image = (i + 1, -(j + 1)) if side == "right" else (-(j + 1), i + 1)
         images = {k: (k + 1,) for k in range(p.rank)}
         images[i] = image
-        assert replay(p, (move,)).relators == tuple(
-            word_reference.substitute(r, images) for r in p.relators), (p, move)
-        skipped += sum(i + 1 not in r and -(i + 1) not in r for r in p.relators)
+        assert letters(replay(p, (move,))) == tuple(
+            word_reference.substitute(r, images) for r in letters(p)), (p, move)
+        skipped += sum(i + 1 not in r and -(i + 1) not in r for r in letters(p))
     assert skipped >= 100
 
 
@@ -147,17 +152,17 @@ def test_apply_automorphism_matches_substitution():
                 script.append(NielsenMul(i, j, side))
                 step[i] = (i + 1, -(j + 1)) if side == "right" else (-(j + 1), i + 1)
             images = [word_reference.substitute(w, step) for w in images]
-        q = apply_automorphism(p, images, MoveScript(tuple(script)))
+        q = apply_automorphism(p, list(map(encode, images)), MoveScript(tuple(script)))
         assert q.gens == p.gens
-        assert q.relators == tuple(word_reference.substitute(r, dict(enumerate(images)))
-                                   for r in p.relators)
+        assert letters(q) == tuple(word_reference.substitute(r, dict(enumerate(images)))
+                                   for r in letters(p))
 
 
 def test_addgen_removegen():
     p = pres("x", "x^2")
     q = replay(p, (AddGen("y"),))
     assert q.gens == ("x", "y")
-    assert q.relators == ((1, 1), (2,))
+    assert letters(q) == ((1, 1), (2,))
     back = replay(q, (RemoveGen(1),))
     assert back == p
     with pytest.raises(MoveError):
@@ -170,13 +175,13 @@ def test_removegen_reindexes():
     p = pres("x y z", "y", "x z")
     q = replay(p, (RemoveGen(1),))
     assert q.gens == ("x", "z")
-    assert q.relators == ((1, 2),)
+    assert letters(q) == ((1, 2),)
 
 
 def test_trivial_relator_moves():
     p = pres("x", "x")
     q = replay(p, (AddTrivialRel(),))
-    assert q.relators == ((1,), EMPTY)
+    assert q.relators == (generator(0), EMPTY)
     assert replay(q, (RemoveTrivialRel(1),)) == p
     with pytest.raises(MoveError):
         replay(p, (RemoveTrivialRel(0),))
@@ -208,14 +213,14 @@ def random_presentation(rng, max_gens=4, max_rels=4, max_len=8):
     names = tuple(f"g{i+1}" for i in range(rank))
     rels = []
     for _ in range(rng.randint(1, max_rels)):
-        rels.append(reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                            for _ in range(rng.randint(0, max_len))]))
+        rels.append(encode(word_reference.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                                  for _ in range(rng.randint(0, max_len))])))
     return make_presentation(names, []).__class__(names, tuple(rels))
 
 
 def random_word_over(rng, rank, max_len=3):
-    return reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                   for _ in range(rng.randint(0, max_len))])
+    return encode(word_reference.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                         for _ in range(rng.randint(0, max_len))]))
 
 
 def random_move(rng, p):
@@ -282,7 +287,7 @@ def test_replay_preserves_abelianization():
 def removable_generators(p):
     out = []
     for i in range(p.rank):
-        hits = [r for r in p.relators if any(abs(x) == i + 1 for x in r)]
+        hits = [r for r in letters(p) if any(abs(x) == i + 1 for x in r)]
         if len(hits) == 1 and hits[0] in ((i + 1,), (-(i + 1),)):
             out.append(i)
     return out
@@ -306,31 +311,30 @@ def test_moves_build_what_the_validating_constructor_builds():
                 mv = random_move(rng, cur)
             cur = replay(cur, (mv,))
             assert type(cur.gens) is tuple and type(cur.relators) is tuple
-            assert all(type(r) is tuple for r in cur.relators)
+            assert all(type(r) is bytes for r in cur.relators)
             assert cur == Presentation(cur.gens, cur.relators)
 
 
 def test_move_words_are_checked_and_reduced():
+    # a move word that is no byte word, holds a byte that is no letter, or
+    # is not freely reduced is refused when the move is built
     p = pres("x y", "x y", "y^2")
-    with pytest.raises(ValueError) as err:
-        replay(p, (ConjRel(0, (1, 0)),))
-    assert type(err.value) is ValueError
-    with pytest.raises(ValueError) as err:
-        replay(p, (RestrictedSlide(0, (RSFactor((0,), 1, 1, (1,)),)),))
-    assert type(err.value) is ValueError
-    with pytest.raises(MoveError):
-        replay(p, (ConjRel(0, (3,)),))
-    with pytest.raises(MoveError):
-        replay(p, (RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (-3,)),)),))
-    # An unreduced conjugator acts as its reduced form.
-    raw = (2, 1, -1, 1, 2, -2)
-    got = replay(p, (ConjRel(0, raw),))
-    assert got == replay(p, (ConjRel(0, reduce(raw)),))
-    assert got.relators[0] == word_reference.conjugate(p.relators[0], (2, 1))
-    unreduced = list(raw) + list(p.relators[0]) + [-x for x in reversed(raw)]
-    assert got == Presentation(p.gens, (unreduced, p.relators[1]))
-    slide = replay(p, (RestrictedSlide(0, (RSFactor(raw, 1, -1, (1, 2, -2)),)),))
-    assert slide == replay(p, (RestrictedSlide(0, (RSFactor((2, 1), 1, -1, (1,)),)),))
+    x = encode((1,))
+    for bad, message in (((1,), "word must be a byte word, not tuple"),
+                         (x + b"\x00", "word uses a generator outside the context"),
+                         (encode((2, 1, -1)), "word is not freely reduced")):
+        for build in (lambda: ConjRel(0, bad), lambda: RSFactor(bad, 1, 1, x),
+                      lambda: RSFactor(EMPTY, 1, 1, bad)):
+            with pytest.raises(ValueError, match=f"^{message}$") as err:
+                build()
+            assert type(err.value) is ValueError
+    # a letter beyond the generators is refused when the move is replayed
+    with pytest.raises(MoveError, match="word uses a generator outside the context x, y"):
+        replay(p, (ConjRel(0, encode((3,))),))
+    with pytest.raises(MoveError, match="word uses a generator outside the context x, y"):
+        replay(p, (RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, encode((-3,))),)),))
+    got = replay(p, (ConjRel(0, encode((2, 1))),))
+    assert decode(got.relators[0]) == word_reference.conjugate(decode(p.relators[0]), (2, 1))
 
 
 def test_replay_raises_on_bookkeeping_drift(monkeypatch):
@@ -433,11 +437,12 @@ def test_script_json_roundtrip():
     # every move kind, with words written over the names in force at each
     # move (z exists only between AddGen and RemoveGen)
     p = pres("x y", "x y", "y")
-    script = MoveScript((ConjRel(0, (2,)), InvRel(1), SlideRel(0, 1, "left"),
-                         AddGen("z"), ConjRel(0, (3, 3)), ConjRel(0, (-3, -3)),
+    x, y, z = map(generator, range(3))
+    script = MoveScript((ConjRel(0, y), InvRel(1), SlideRel(0, 1, "left"),
+                         AddGen("z"), ConjRel(0, z * 2), ConjRel(0, invert(z) * 2),
                          RemoveGen(2), NielsenInv(1), NielsenMul(1, 0, "left"),
-                         RestrictedSlide(0, (RSFactor((1,), 1, -1, (2,)),
-                                             RSFactor(EMPTY, 1, 1, (-1, -1)))),
+                         RestrictedSlide(0, (RSFactor(x, 1, -1, y),
+                                             RSFactor(EMPTY, 1, 1, invert(x) * 2))),
                          AddTrivialRel(), RemoveTrivialRel(2)))
     text = json.dumps(script_to_json(script, p.gens))
     assert text == (
@@ -459,7 +464,7 @@ def test_script_json_roundtrip():
 
 def test_script_json_examples_shape():
     p = pres("x y", "x")
-    data = script_to_json(MoveScript((ConjRel(0, (2,)),)), p.gens)
+    data = script_to_json(MoveScript((ConjRel(0, generator(1)),)), p.gens)
     assert data["moves"][0] == {"op": "ConjRel", "j": 1, "w": "y"}
     bare = script_from_json([{"op": "InvRel", "j": 1}], p.gens)
     assert bare.regime == "full"
@@ -468,14 +473,15 @@ def test_script_json_examples_shape():
 
 def test_script_codec_is_linear_in_renaming_moves(monkeypatch):
     # the codec builds a token table only when a move with words follows a
-    # change of names, so 2,000 AddGen moves need one table, built for the
-    # ConjRel after them, and reading them holds memory linear in the
-    # script; a table kept for each of the 2,001 naming contexts would hold
-    # millions of entries
+    # change of names, so 2,000 AddGen and 2,000 RemoveGen moves need one
+    # table, built for the ConjRel after them, and reading them holds
+    # memory linear in the script; a table kept for each of the 4,001
+    # naming contexts would hold millions of entries
     n = 2000
     data = {"regime": "full",
             "moves": [{"op": "AddGen", "name": f"a{i}"} for i in range(n)]
-            + [{"op": "ConjRel", "j": n, "w": f"a{n - 1}^-1"}]}
+            + [{"op": "RemoveGen", "i": 2}] * n
+            + [{"op": "ConjRel", "j": 1, "w": "x^-1"}]}
     builds = Counter()
     build = words._letter_tokens
 
@@ -490,10 +496,17 @@ def test_script_codec_is_linear_in_renaming_moves(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert script.moves[-1] == ConjRel(n - 1, (-(n + 1),)) and len(script.moves) == n + 1
+    assert script.moves[-1] == ConjRel(0, invert(generator(0)))
+    assert len(script.moves) == 2 * n + 1
     assert peak < 1_500_000, peak
     assert script_to_json(script, ("x",)) == data
-    assert builds == {n + 1: 2}  # one to read, one to write
+    assert builds == {1: 2}  # one to read, one to write
+    # a letter holds one byte: a word read over more than 127 names is
+    # refused as a presentation of that many generators is
+    data["moves"][n:] = [{"op": "ConjRel", "j": 1, "w": "a126"}]
+    with pytest.raises(ValueError, match="^2001 generators: a presentation has at most "
+                                         "127 generators$"):
+        script_from_json(data, ("x",))
 
 
 # Within one call the script codec writes each move object and reads each
@@ -590,14 +603,14 @@ def test_random_scripts_with_repeats_read_as_each_move_alone():
         assert budgets[0].left == budgets[1].left
     # the same move object, and the same raw move, before and after a
     # RemoveGen that renames its word's letter
-    conj = ConjRel(0, (2,))
+    conj = ConjRel(0, generator(1))
     script = MoveScript((conj, RemoveGen(0), conj))
     data = script_to_json(script, ("x", "y", "z"))
     assert [m.get("w") for m in data["moves"]] == ["y", None, "z"]
     raw = {"op": "ConjRel", "j": 1, "w": "z"}
     assert script_from_json([raw, {"op": "RemoveGen", "i": 1}, raw],
-                            ("x", "y", "z")).moves == (ConjRel(0, (3,)), RemoveGen(0),
-                                                       ConjRel(0, (2,)))
+                            ("x", "y", "z")).moves == (ConjRel(0, generator(2)),
+                                                       RemoveGen(0), ConjRel(0, generator(1)))
 
 
 def test_a_raw_move_is_kept_by_value_and_by_type():
@@ -629,7 +642,7 @@ def test_a_raw_move_is_kept_by_value_and_by_type():
     slide = {"op": "RestrictedSlide", "j": 1,
              "factors": [{"w": "x", "k": 2, "sign": 1, "h": "y^2"}]}
     assert script_from_json([slide, slide], names).moves == (
-        RestrictedSlide(0, (RSFactor((1,), 1, 1, (2, 2)),)),) * 2
+        RestrictedSlide(0, (RSFactor(generator(0), 1, 1, generator(1) * 2),)),) * 2
 
 
 def test_a_repeated_word_is_charged_at_every_occurrence():
@@ -649,7 +662,7 @@ def test_a_repeated_word_is_charged_at_every_occurrence():
 
 def test_script_to_json_gives_each_move_a_dict_of_its_own():
     slide = SlideRel(1, 0, "left")
-    restricted = RestrictedSlide(1, (RSFactor((1,), 0, 1, (2,)),))
+    restricted = RestrictedSlide(1, (RSFactor(generator(0), 0, 1, generator(1)),))
     script = MoveScript((slide, InvRel(0), slide, restricted, restricted, slide))
     data = script_to_json(script, ("x", "y"))
     data["moves"][0]["j"] = 99
@@ -659,20 +672,15 @@ def test_script_to_json_gives_each_move_a_dict_of_its_own():
     assert data["moves"][0] != fresh[0] and data["moves"][3] != fresh[3]
 
 
-def test_replay_decodes_only_the_relators_its_moves_change(monkeypatch):
-    # a relator whose bytes come out as they went in is p's own tuple
-    decoded = []
-
-    def counted(r, _decode=moves._decode):
-        decoded.append(r)
-        return _decode(r)
-    monkeypatch.setattr(moves, "_decode", counted)
+def test_replay_keeps_the_relators_its_moves_leave():
+    # replay folds the moves over p's own relators: one that no move
+    # touches is p's own word
     p = pres("x y", "x^5 y", "y x y", "x")
     q = replay(p, MoveScript(()))
-    assert decoded == [] and all(a is b for a, b in zip(q.relators, p.relators))
-    q = replay(p, (InvRel(1), ConjRel(0, (2,)), InvRel(1)))
-    assert len(decoded) == 1 and q.relators[1:] == p.relators[1:]
-    assert q.relators[1] is p.relators[1] and q.relators[0] == (2, 1, 1, 1, 1, 1)
+    assert all(a is b for a, b in zip(q.relators, p.relators))
+    q = replay(p, (InvRel(1), ConjRel(0, generator(1)), InvRel(1)))
+    assert q.relators[1:] == p.relators[1:] and q.relators[2] is p.relators[2]
+    assert decode(q.relators[0]) == (2, 1, 1, 1, 1, 1)
 
 
 def test_bounded_search_finds_slide():
@@ -754,7 +762,7 @@ def test_bounded_search_rank_mismatch():
 def test_bounded_search_k_prime_regime():
     # one restricted slide away, so the search takes a k_prime fragment
     p = pres("x y", "x", "y^2")
-    q = replay(p, (RestrictedSlide(0, (RSFactor((2,), 1, 1, (1,)),)),))
+    q = replay(p, (RestrictedSlide(0, (RSFactor(generator(1), 1, 1, generator(0)),)),))
     assert canonical_key(q) != canonical_key(p)
     outcome = bounded_equivalence_search(
         p, q, SearchBudget(max_depth=1, conjugator_length=1), regime="k_prime")
@@ -772,8 +780,7 @@ def test_conj_inverse_pair_is_key_identity():
         p = random_presentation(rng)
         j = rng.randrange(len(p.relators))
         w = random_word_over(rng, p.rank, 4)
-        q = replay(p, MoveScript((ConjRel(j, w), ConjRel(j, reduce(
-            [-x for x in reversed(w)])))))
+        q = replay(p, MoveScript((ConjRel(j, w), ConjRel(j, invert(w)))))
         assert q == p  # exact, hence key-level too
         # neither move changes a key, so the search never takes one alone
         assert canonical_key(replay(p, (ConjRel(j, w),))) == canonical_key(p)
@@ -786,7 +793,7 @@ def test_bounded_search_scope_excludes_conjugation():
     # conjugating relator 0 by x reaches a key outside the space searched
     # to depth 2.
     p = pres("x y", "x y x^-1 y^-2", "x^2 y")
-    script = MoveScript((ConjRel(0, (1,)), InvRel(1), SlideRel(0, 1, "left"),
+    script = MoveScript((ConjRel(0, encode((1,))), InvRel(1), SlideRel(0, 1, "left"),
                          InvRel(1)))
     q = replay(p, script)
     assert q == pres("x y", "x^-1 y^-2 x^-1", "x^2 y")
@@ -807,7 +814,7 @@ def test_bookkeeping_counts():
 
 def test_enumerate_words_deterministic():
     words = list(enumerate_words(2, 2))
-    assert words[:4] == [(1,), (-1,), (2,), (-2,)]
+    assert words[:4] == [encode((1,)), encode((-1,)), encode((2,)), encode((-2,))]
     assert len(words) == 4 + 12
 
 
@@ -822,12 +829,12 @@ def fold_apply_move(p, script):
         if regime not in regimes:
             raise RegimeError(f"move {pos} ({type(move).__name__}) violates the "
                               f"{script.regime} regime")
-        rels = list(map(words._encode, cur.relators))
+        rels = list(cur.relators)
         try:
             gens = apply(rels, cur.gens, move, None)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
-        cur = Presentation._trusted(gens, tuple(map(words._decode, rels)))
+        cur = Presentation._trusted(gens, tuple(rels))
     return cur
 
 
@@ -868,7 +875,10 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
     bad = [
         (MoveScript((InvRel(0), InvRel(5))), MoveError,
          "move 2 (InvRel): relator index 5 out of range (have 2)"),
-        (MoveScript((ConjRel(0, (1,)), SlideRel(1, 0, "left")), "k_prime"), RegimeError,
+        (MoveScript((ConjRel(0, encode((1,))), SlideRel(1, 0, "left")), "k_prime"), RegimeError,
+         "move 2 (SlideRel) violates the k_prime regime"),
+        # a stabilized k_prime script admits the trivial-relator moves, not slides
+        (MoveScript((AddTrivialRel(), SlideRel(1, 0, "left")), "k_prime", True), RegimeError,
          "move 2 (SlideRel) violates the k_prime regime"),
         (MoveScript((AddGen("z"), RemoveGen(0))), MoveError,
          "move 2 (RemoveGen): generator 0 is not removable: need exactly one "
@@ -881,14 +891,14 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
          "move 1 (RemoveTrivialRel): relator index -1 out of range (have 2)"),
         (MoveScript((AddTrivialRel(), RemoveTrivialRel(3))), MoveError,
          "move 2 (RemoveTrivialRel): relator index 3 out of range (have 3)"),
-        (MoveScript((RestrictedSlide(2, (RSFactor(EMPTY, 0, 1, (1,)),)),)), MoveError,
+        (MoveScript((RestrictedSlide(2, (RSFactor(EMPTY, 0, 1, encode((1,))),)),)), MoveError,
          "move 1 (RestrictedSlide): relator index 2 out of range (have 2)"),
         # ConjRel makes relator 0 x^500000 y x^-499999, at the bound
-        (MoveScript((ConjRel(0, (1,) * 499_999), NielsenMul(1, 0, "right"))), MoveError,
+        (MoveScript((ConjRel(0, encode((1,)) * 499_999), NielsenMul(1, 0, "right"))), MoveError,
          "move 2 (NielsenMul): relator of 1000001 letters exceeds the "
          "1000000-letter bound"),
-        (MoveScript((ConjRel(0, (1,) * 499_999),
-                     RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, (1,)),)))), MoveError,
+        (MoveScript((ConjRel(0, encode((1,)) * 499_999),
+                     RestrictedSlide(0, (RSFactor(EMPTY, 1, 1, encode((1,))),)))), MoveError,
          "move 2 (RestrictedSlide): relator of 1000006 letters exceeds the "
          "1000000-letter bound"),
         # moves refused when they are built: these rows build their scripts
@@ -896,7 +906,7 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
          "cannot slide a relator over itself"),
         (lambda: MoveScript((NielsenMul(0, 0, "right"),)), MoveError,
          "Nielsen multiplication needs distinct generators"),
-        (lambda: MoveScript((RestrictedSlide(0, (RSFactor(EMPTY, 1, 2, (1,)),)),)),
+        (lambda: MoveScript((RestrictedSlide(0, (RSFactor(EMPTY, 1, 2, encode((1,))),)),)),
          MoveError, "bad factor sign 2"),
         (MoveScript((make_dataclass("Twist", ["j"])(0),)), MoveError,
          "move 1 (Twist): unknown move Twist(j=0)"),
@@ -907,9 +917,9 @@ def test_replay_rejects_bad_scripts_as_apply_move_does():
         build = script if callable(script) else lambda: script
         for run in (replay, fold_apply_move):
             assert outcome(lambda: run(p, build())) == (kind, message)
-    # a zero letter is refused when the move is built, before any replay
-    assert outcome(ConjRel, 1, (2, 0)) == (ValueError,
-                                           "bad letter 0: letters are nonzero ints")
+    # a byte that is no letter is refused when the move is built, before any replay
+    assert outcome(ConjRel, 1, encode((2,)) + b"\x00") == (
+        ValueError, "word uses a generator outside the context")
     # a failed replay leaves its input as it was
     assert p == pres("x y", "x y", "y^2")
 
@@ -944,8 +954,8 @@ def stabilization_cases():
     rng = random.Random(41)  # the self witnesses of test_product_stabilization_self_random
     for _ in range(30):
         rank = rng.randint(1, 3)
-        rels = tuple(reduce([rng.choice([1, -1]) * rng.randint(1, rank)
-                             for _ in range(rng.randint(1, 5))])
+        rels = tuple(encode(word_reference.reduce([rng.choice([1, -1]) * rng.randint(1, rank)
+                                                   for _ in range(rng.randint(1, 5))]))
                      for _ in range(rng.randint(1, 3)))
         p = Presentation(tuple(f"g{i+1}" for i in range(rank)), rels)
         yield product(p, p), len(rels), [NormalClosureWitness(r, ((EMPTY, i, 1),))
@@ -1008,7 +1018,7 @@ def test_cross_certificate_replay_letters_lustig_3_4():
     written = {}
     for cert in result.certificates[2:]:
         Written.letters = 0
-        rels, gens = Written(map(words._encode, cert.lhs.relators)), cert.lhs.gens
+        rels, gens = Written(cert.lhs.relators), cert.lhs.gens
         for move in cert.script.moves:
             gens = moves._MOVES[type(move)][0](rels, gens, move, None)
         written[cert.label] = (len(cert.script), Written.letters)

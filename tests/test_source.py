@@ -282,33 +282,36 @@ def test_replay_is_the_one_fold_of_moves():
                                  ("moves.py", "bounded_equivalence_search.successors")}
 
 
-def test_only_words_converts_between_tuple_and_byte_words():
-    # words._encode and words._decode are the codec: no other code builds
-    # bytes from letters or reads letters from bytes, so a second code for
-    # byte words cannot come back beside the one the kernels assume
+def test_the_program_has_one_word_encoding():
+    # a word is bytes from the parser to the key (see words): no code reads
+    # letters out of bytes or packs them in through array or memoryview,
+    # and only words translates bytes, so a second encoding of words cannot
+    # come back beside the one the kernels assume
     def calling(names):
         return _scopes(lambda node: isinstance(node, ast.Call) and getattr(
             node.func, "id", getattr(node.func, "attr", None)) in names)
 
-    letters = {"array", "tobytes", "memoryview", "cast"}
-    assert calling(letters) == {("words.py", "_encode"), ("words.py", "_decode")}
-    assert {path for path, _ in calling(letters | {"bytes", "bytearray", "translate",
-                                                   "maketrans"})} == {"words.py"}
+    assert not calling({"array", "tobytes", "memoryview", "cast"})
+    assert not _scopes(lambda node: isinstance(node, (ast.Import, ast.ImportFrom)) and (
+        getattr(node, "module", None) == "array"
+        or any(alias.name == "array" for alias in node.names)))
+    assert {path for path, _ in calling({"translate", "maketrans"})} == {"words.py"}
 
 
 def test_the_generator_limit_is_named_once():
-    # one byte holds a letter of a byte word, so words.MAX_RANK is the
-    # program's one generator limit: 127 is written once, and check_rank is
-    # the one place that refuses a rank beyond it
+    # one byte holds a letter of a word, so words.MAX_RANK is the program's
+    # one generator limit: 127 is written once, check_rank is the one place
+    # that refuses a rank beyond it, and check_word takes it as the rank of
+    # a word that no presentation holds yet
     assert _scopes(lambda node: isinstance(node, ast.Constant)
                    and node.value == 127) == {("words.py", "<module>")}
-    assert _named({"MAX_RANK"}) == {("words.py", "<module>"), ("words.py", "check_rank")}
+    assert _named({"MAX_RANK"}) == {("words.py", "<module>"), ("words.py", "check_rank"),
+                                    ("words.py", "check_word")}
     assert _scopes(lambda node: isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "check_rank") == {
         ("presentations.py", "Presentation.__post_init__"),
-        ("presentations.py", "parse_presentation"),
         ("presentations.py", "wedge_s1"), ("moves.py", "_add_gen"),
-        ("constructions.py", "search_normal_closure_witness")}
+        ("words.py", "_token_letters")}
 
 
 def test_letter_bounds_are_kept_by_one_budget():
@@ -330,12 +333,14 @@ def test_letter_bounds_are_kept_by_one_budget():
 
 
 def test_the_witness_search_cancels_letters_in_one_junction():
-    # a letter of a byte word (see words) cancels its neighbour when one is
-    # the other's byte XOR 1.  constructions._join is the one place in the
+    # a letter of a word (see words) cancels its neighbour when one is the
+    # other's byte XOR 1.  constructions._join is the one place in the
     # witness search that compares such a pair: the cached products, the
     # successors and the rebuilt edges all cancel there, so a second
-    # cancelling loop cannot come back beside it.  The only other such
-    # comparison is the replay's junction, words._join
+    # cancelling loop cannot come back beside it.  The other such
+    # comparisons are the kernels of words that cancel letters, and the
+    # enumeration of reduced words that the equivalence search's restricted
+    # slides take
     def inverse_pair(node):
         sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
         return any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.BitXor)
@@ -345,7 +350,10 @@ def test_the_witness_search_cancels_letters_in_one_junction():
 
     tree = ast.parse((SOURCE / "constructions.py").read_text())
     assert sum(map(inverse_pair, ast.walk(tree))) == 1
-    assert _scopes(inverse_pair) == {("constructions.py", "_join"), ("words.py", "_join")}
+    assert _scopes(inverse_pair) == {
+        ("constructions.py", "_join"), ("words.py", "multiply"),
+        ("words.py", "cyclically_reduce"), ("words.py", "read_word"),
+        ("moves.py", "enumerate_words")}
 
 
 def _calls(node):

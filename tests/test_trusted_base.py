@@ -25,6 +25,7 @@ from acpair.presentations import (Presentation, canonical_key,
                                   product)
 
 from lustig_fixtures import write_lustig_inputs
+from word_reference import encode
 
 pytestmark = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="the lists name CPython 3.11 code objects")
@@ -38,16 +39,14 @@ COMMON = {
              "_conj_rel _fold _from_json _from_json.<locals>.<listcomp> _in_context "
              "_inv_rel _rel <lambda> replay script_from_json",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
-                     "Presentation.__post_init__.<locals>.<genexpr> "
                      "Presentation._trusted Presentation.rank "
                      "__create_fn__.<locals>.__eq__ __create_fn__.<locals>.__hash__ "
                      "__create_fn__.<locals>.__init__ _key canonical_key "
                      "parse_presentation parse_relator_text",
-    "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _encode "
-             "_inverse _join _least_rotation _letter_ranks "
-             "_letter_ranks.<locals>.<listcomp> _letter_tokens _token_letters "
-             "_token_letters.<locals>.<dictcomp> check_rank cyclic_canonical "
-             "cyclically_reduce invert json_int read_word reduce valid_name word_key",
+    "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _least_rotation "
+             "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
+             "check_rank check_word cyclic_canonical cyclically_reduce invert "
+             "json_int multiply read_word valid_name within word_key",
 }
 PARSER = {  # build_parser, which reads the budget defaults off the classes
     "cli": "build_parser build_parser.<locals>.add",
@@ -62,7 +61,7 @@ VERIFY_NULL = {
                "_reduce _reduce.<locals>.<genexpr> _root certificate_from_json "
                "sum_from_json verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
-    "words": "_decode _join.<locals>.<lambda> _longest",
+    "words": "_longest multiply.<locals>.<lambda>",
 }
 VERIFY_SMOVE = {
     "cli": "cmd_verify_smove cmd_verify_smove.<locals>.load_scripts "
@@ -72,7 +71,7 @@ VERIFY_SMOVE = {
     "moves": "<lambda>.<locals>.<genexpr> RSFactor.__post_init__ "
              "RestrictedSlide.__post_init__ _restricted_slide",
     "presentations": "product",
-    "words": "LetterBudget.charge_tokens _commutator",
+    "words": "LetterBudget.charge_tokens commutator",
 }
 
 
@@ -115,11 +114,12 @@ def test_verify_smove_trusted_base(tmp_path, capsys):
     # one script pair as acceptance 5 builds them: moves on the second block
     # of l1*l1 give l2, and the same moves on the first block are undone
     l1 = make_presentation("x y", ["x y x^-1 y^-1", "x^3"])
-    forward = MoveScript((ConjRel(2, (1,)), InvRel(3),
-                          RestrictedSlide(2, (RSFactor((2,), 3, 1, (-1,)),))), "k_prime")
+    x, y = encode((1,)), encode((2,))
+    forward = MoveScript((ConjRel(2, x), InvRel(3),
+                          RestrictedSlide(2, (RSFactor(y, 3, 1, encode((-1,))),))), "k_prime")
     l2 = Presentation(l1.gens, replay(product(l1, l1), forward).relators[2:])
-    to_second = MoveScript((ConjRel(0, (1,)), InvRel(1),
-                            RestrictedSlide(0, (RSFactor((2,), 1, 1, (-1,)),))), "k_prime")
+    to_second = MoveScript((ConjRel(0, x), InvRel(1),
+                            RestrictedSlide(0, (RSFactor(y, 1, 1, encode((-1,))),))), "k_prime")
     names = product(l1, l2).gens
     scripts = tmp_path / "scripts"
     scripts.mkdir()

@@ -1,29 +1,33 @@
-"""Reference copies of the letter-by-letter word kernels and codec, as
-test oracles.
+"""Reference word kernels and text codec, one letter at a time, as test
+oracles.  They share no code with acpair.words.
 
-`reduce`, `multiply`, `invert` and `conjugate` are those of acpair.words
-in the form that looks at one letter at a time, with the same checks and
-messages; `conjugate` and `substitute` are also the oracles of the byte
-kernels that a replay runs.  Their `branches` Counter counts the cases a
-corpus must reach:
+Reference words are tuples of nonzero ints: letter +k is the generator
+with 0-based index k-1, letter -k its inverse.  `encode` gives the word of
+acpair.words (letter x as the byte 2|x| + (x < 0)) and `decode` reads one
+back, so that a test can write a word as a tuple and compare the program's
+words with the references' results.
+
+`reduce`, `multiply`, `invert`, `conjugate` and `substitute` are the
+oracles of the kernels of acpair.words.  `reduce` refuses a letter that is
+not a nonzero int.  Their `branches` Counter counts the cases a corpus must
+reach:
 
 - "reduce returns a reduced tuple as it is": a tuple of ints, none zero
-  and none next to its inverse, which acpair.words only checks, at C
-  speed;
-- "reduce letter by letter": any other input, which acpair.words reduces
-  one letter at a time;
+  and none next to its inverse;
+- "reduce letter by letter": any other input;
 - "multiply without cancellation": the junction letters do not cancel;
 - "multiply cancels a run up to a mismatch", "multiply cancels the
   shorter word whole": the cancelling run at the junction ends at a letter
   that does not cancel, or at the end of the shorter operand.
 
 `parse_word` and `format_word` are those of acpair.words in the form that
-does all its work one letter at a time: a parsed token is expanded and
-cancelled letter by letter, and a written run is found and named letter by
-letter.  Their checks and messages are those of acpair.words.  The only
-addition is the optional `branches` Counter, which counts the branches in
-which acpair.words decides a token or a run at once, so that a test can
-show its corpus reaches each of them:
+does all its work one letter at a time, on tuple words: a parsed token is
+expanded and cancelled letter by letter, charged to the budget given, and a
+written run is found and named letter by letter.  Their checks and
+messages are those of acpair.words.  The only addition is the optional
+`branches` Counter, which counts the branches in which acpair.words
+decides a token or a run at once, so that a test can show its corpus
+reaches each of them:
 
 - "parse name", "parse name^-1": a one-letter token, one table look-up;
 - "parse power, no cancellation": a `name^k` token whose first letter does
@@ -41,8 +45,17 @@ each negative letter.
 
 import re
 from collections import Counter
+from operator import neg
 
-from acpair.words import LetterBudget
+
+def encode(u) -> bytes:
+    """The word of acpair.words that holds the letters of u."""
+    return bytes(2 * x if x > 0 else 1 - 2 * x for x in u)
+
+
+def decode(b) -> tuple:
+    """The letters of a word of acpair.words."""
+    return tuple(c // 2 if c % 2 == 0 else -(c // 2) for c in b)
 
 
 def reduce(letters, branches: Counter | None = None):
@@ -75,18 +88,16 @@ def multiply(u, v, branches: Counter | None = None):
 
 
 def invert(u):
-    return tuple(-x for x in reversed(u))
+    return tuple(map(neg, reversed(u)))
 
 
 def conjugate(u, w, branches: Counter | None = None):
     return multiply(multiply(w, u, branches), invert(w), branches)
 
 
-def parse_word(text, names, budget=None, branches: Counter | None = None):
+def parse_word(text, names, budget, branches: Counter | None = None):
     if not isinstance(text, str):
         raise ValueError(f"a word must be text, not {text!r}")
-    if budget is None:
-        budget = LetterBudget()
     index = {name: i for i, name in enumerate(names)}
     out = []
     for token in text.split():
