@@ -16,14 +16,16 @@ nonzero, as homology takes for the outgoing boundary and ``matrix_rank``
 returns, is first taken modulo the prime P = 4,194,301, on rows packed
 into Python ints.  A rank modulo P never exceeds the rank over Q, so when
 it is min(rows, cols) it is the rank; otherwise the echelon decides.
-Homology restricts a sparse boundary, such as a Fox matrix over A5, to
-rows of nonzeros {col: coeff}, and runs the echelon over them: the same
-pivots and results.  Before that, a sparse outgoing boundary whose rows
-are empty or e_a - e_b up to sign, as the rows e_{h*g} - e_h of a Fox
-derivative g - 1 in d_1 are, is ranked as a graph with those rows as
-edges: an incidence matrix has rank (vertices - components) over Q.
-Determinants, minors and invariant factors come only from the exact
-eliminations.
+An outgoing boundary whose block rows each hold no term or two, x*a and
+-x*b with x = +-1, as the Fox derivatives g - 1 of d_1 do, is ranked from
+its cells and not restricted: each such block row restricts to |G| rows
+that are empty or e_u - e_v up to sign, the edges of a graph on the
+restricted columns, and an incidence matrix has rank (vertices -
+components) over Q.  Homology restricts any other sparse boundary, such
+as an A5 Fox d_2, to rows of nonzeros {col: coeff}, and runs the echelon
+over them: the same pivots and results, a +-1 first candidate taken at
+once.  Determinants, minors and invariant factors come only from the
+exact eliminations.
 
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
@@ -52,6 +54,13 @@ d_r | D, and s_1..s_{n-1} | d_{n-1} | g.
 - The Smith elimination runs on the bare matrix only for a non-square
   matrix, which skips the echelon, and a singular square one with
   |D| > 1.
+
+A group table whose elements fit in a byte is checked in bulk, on rows
+packed as bytes: each row a permutation, the identity found by its row
+and its column, inverses on both sides, and Light's associativity test
+as whole-row compositions.  A table that fails a bulk check, or has more
+than 256 elements, is checked element by element, and that check gives
+every refusal.
 
 Group-ring matrices follow the row-vector convention: a matrix with
 ``rows`` = rank of the domain and ``cols`` = rank of the codomain
@@ -94,40 +103,92 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroup":
-        n = len(rows)
+        """The group of a multiplication table, table[a][b] = a*b, checked:
+        in bulk by _checked_in_bulk when its elements fit in a byte, and
+        element by element by _checked_by_element, which gives every
+        refusal, when they do not or a bulk check fails."""
         table = tuple(map(tuple, rows))
-        if set(map(len, table)) - {n}:
-            raise ValueError("multiplication table must be square")
-        if table and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
-            raise ValueError("table entry out of range")
-        # the identity's row and column are 0..n-1
-        ident = tuple(range(n))
-        identity = next((e for e in range(n) if table[e] == ident
-                         and tuple(map(itemgetter(e), table)) == ident), None)
-        if identity is None:
-            raise ValueError("table has no identity element")
-        inverses = []
-        for a, row in enumerate(table):
-            # the b with row[b] == identity, of which a group has one
-            inv = ([row.index(identity)] if row.count(identity) == 1 else
-                   [b for b, x in enumerate(row) if x == identity])
-            inv = [b for b in inv if table[b][a] == identity]
-            if len(inv) != 1:
-                raise ValueError(f"element {a} has no unique inverse")
-            inverses.append(inv[0])
-        for s in _greedy_generators(table, identity):
-            # Light's test: (x s) y == x (s y) for every x, y.  The elements
-            # passing it (the identity among them) are closed under the
-            # product, so passing on generators makes the table associative.
-            # A generator exists only for n >= 2, so table[s] has two
-            # entries and times_s returns a tuple.
-            times_s = itemgetter(*table[s])
-            for x, row in enumerate(table):
-                xs = table[row[s]]
-                if times_s(row) != xs:
-                    y = next(y for y, sy in enumerate(table[s]) if xs[y] != row[sy])
-                    raise ValueError(f"table not associative at ({x},{s},{y})")
-        return cls(table, identity, tuple(inverses))
+        checked = _checked_in_bulk(table) if len(table) <= 256 else None
+        return cls(table, *(checked or _checked_by_element(table)))
+
+
+def _checked_by_element(table: tuple) -> tuple:
+    """(identity, inverses) of a group table, checked one element at a
+    time, or the ValueError that names the first check it fails."""
+    n = len(table)
+    if set(map(len, table)) - {n}:
+        raise ValueError("multiplication table must be square")
+    if table and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+        raise ValueError("table entry out of range")
+    # the identity's row and column are 0..n-1
+    ident = tuple(range(n))
+    identity = next((e for e in range(n) if table[e] == ident
+                     and tuple(map(itemgetter(e), table)) == ident), None)
+    if identity is None:
+        raise ValueError("table has no identity element")
+    inverses = []
+    for a, row in enumerate(table):
+        # the b with row[b] == identity, of which a group has one
+        inv = ([row.index(identity)] if row.count(identity) == 1 else
+               [b for b, x in enumerate(row) if x == identity])
+        inv = [b for b in inv if table[b][a] == identity]
+        if len(inv) != 1:
+            raise ValueError(f"element {a} has no unique inverse")
+        inverses.append(inv[0])
+    for s in _greedy_generators(table, identity):
+        # Light's test: (x s) y == x (s y) for every x, y.  The elements
+        # passing it (the identity among them) are closed under the
+        # product, so passing on generators makes the table associative.
+        # A generator exists only for n >= 2, so table[s] has two
+        # entries and times_s returns a tuple.
+        times_s = itemgetter(*table[s])
+        for x, row in enumerate(table):
+            xs = table[row[s]]
+            if times_s(row) != xs:
+                y = next(y for y, sy in enumerate(table[s]) if xs[y] != row[sy])
+                raise ValueError(f"table not associative at ({x},{s},{y})")
+    return identity, tuple(inverses)
+
+
+def _checked_in_bulk(table: tuple) -> tuple | None:
+    """(identity, inverses) of a group table of at most 256 elements, as
+    _checked_by_element finds them, checked a row at a time on rows packed
+    as bytes; or None where a check fails, for _checked_by_element to
+    report.  It raises nothing.
+
+    Each row is a permutation: n bytes, with every element of 0..n-1
+    among them, so ident.translate(None, row), ident with the row's bytes
+    deleted, is empty.  The identity is the first row equal to ident, and
+    its column must be ident too.  The inverse of a is where row a holds
+    the identity, of which a permutation has one, and it is two-sided
+    when the inverse map is its own inverse.  Light's test on s compares
+    x*(s*y) = row_x[row_s[y]], for all y at once row_s translated by
+    row_x, with row_{x*s}.
+    """
+    n = len(table)
+    try:
+        rows = list(map(bytes, table))
+    except (TypeError, ValueError):  # an entry that is no int in 0..255
+        return None
+    ident, pad = bytes(range(n)), bytes(256 - n)
+    if (set(map(len, rows)) != {n} or any(ident.translate(None, row) for row in rows)
+            or ident not in rows):
+        return None
+    identity = rows.index(ident)
+    inverses = bytes(row.index(identity) for row in rows)
+    if (bytes(map(itemgetter(identity), rows)) != ident
+            or inverses.translate(inverses + pad) != ident):
+        return None
+    try:
+        gens = _greedy_generators(rows, identity)
+    except ValueError:
+        return None
+    padded = [row + pad for row in rows]
+    for s in gens:
+        if (list(map(rows[s].translate, padded))
+                != list(map(rows.__getitem__, map(itemgetter(s), rows)))):
+            return None
+    return identity, tuple(inverses)
 
 
 def _greedy_generators(table, identity: int) -> list:
@@ -361,7 +422,9 @@ def _sparse_echelon(a: list, cols: int, minors: list | None = None) -> tuple:
         below, index[c] = index[c], None
         if not below:
             continue
-        k = min(below, key=lambda i: (abs(m[i][c]), place[i]))
+        k = min(below, key=place.__getitem__)
+        if m[k][c] not in (1, -1):  # else no candidate has a smaller |x|
+            k = min(below, key=lambda i: (abs(m[i][c]), place[i]))
         below.discard(k)
         if place[k] != rank:  # row k and the row at place rank trade places
             j = order[rank]
@@ -658,32 +721,44 @@ def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
     return _echelon(m)[0]
 
 
-def _graph_rank(rows: list, cols: int) -> int | None:
-    """The rank of rows of nonzeros over cols columns that are each empty
-    or {a: 1, b: -1} up to sign, as the restricted Fox derivatives g - 1
-    of d_1 are, or None at the first row that is neither: the edges of a
-    spanning forest of the graph with those rows as edges, which
-    union-find counts (module docstring)."""
-    root = list(range(cols))
+def _cell_graph_rank(d: GroupRingMatrix, group: FiniteGroup) -> int | None:
+    """The rank of d restricted when each block row of d holds no term or
+    two, x*a and -x*b with x = +-1, as the Fox derivatives g - 1 of d_1 do;
+    else None.  Read from the cells, so d is not restricted.
 
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = a = root[root[a]]  # path halving
-        return a
+    Such a block row restricts to the |G| rows x*(e_u - e_v), one for each
+    g in G, with u = g*a and v = g*b placed in the blocks of their columns:
+    the edges of a graph on the restricted columns, whose rank is the
+    number of edges of a spanning forest, which union-find counts (module
+    docstring).  A restricted row holds one nonzero for each term of its
+    block row, with the term's coefficient, so the restricted rows of any
+    other block row are neither empty nor +-(e_u - e_v).
+    """
+    n, blocks = group.order, {}
+    for (r, c), cell in d.entries.items():
+        terms = blocks.setdefault(r, [])
+        terms += [(c * n, elem, x) for elem, x in cell.items()]
+        if len(terms) > 2:
+            return None
+    root = list(range(d.cols * n))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        return u
 
     rank = 0
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != 2:
+    for terms in blocks.values():
+        if len(terms) != 2:
             return None
-        (a, x), (b, y) = row.items()
+        (p, a, x), (q, b, y) = terms
         if x + y or x not in (1, -1):
             return None
-        a, b = find(a), find(b)
-        if a != b:
-            root[a] = b
-            rank += 1
+        for u, v in zip(map(itemgetter(a), group.table), map(itemgetter(b), group.table)):
+            u, v = find(p + u), find(q + v)
+            if u != v:
+                root[u] = v
+                rank += 1
     return rank
 
 
@@ -781,12 +856,9 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     if not 0 <= k <= n:
         raise ValueError(f"position {k} outside 0..{n}")
     rank_out = 0
-    if k >= 1:
+    if k >= 1 and (rank_out := _cell_graph_rank(c.boundary(k), c.group)) is None:
         m, cols, nonzeros = _restricted(c.boundary(k), c.group)
-        if cols is None:
-            rank_out = _rank(m, nonzeros)
-        elif (rank_out := _graph_rank(m, cols)) is None:
-            rank_out = _sparse_echelon(m, cols)[0]
+        rank_out = _rank(m, nonzeros) if cols is None else _sparse_echelon(m, cols)[0]
     m, cols, _ = _restricted(c.boundary(k + 1), c.group) if k < n else ([], None, 0)
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0

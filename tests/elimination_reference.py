@@ -24,6 +24,12 @@ that a test can show its corpus reaches each of them:
   column that an update turns from zero to nonzero, or from nonzero to
   zero, which the sparse echelon adds to or drops from its column index;
 - "echelon trailing block": the trailing 2 x 2 block taken as minors;
+- "echelon pivot: first candidate a unit", "echelon pivot: first
+  candidate +-q, a later unit" (q > 1) and "echelon pivot: no unit": a
+  column whose first nonzero below the pivot rows is +-1, which the
+  sparse echelon takes at once, one whose first is +-q with a +-1
+  further down, and one with no +-1, where it keys every candidate by
+  (|x|, place);
 - "smith zero row skipped": a row of the trailing block that is all zero
   when the pivot search scans it;
 - "smith fold": a non-unit pivot that does not divide the trailing block,
@@ -55,6 +61,10 @@ def echelon(a, branches: Counter | None = None, minors: list | None = None) -> t
                     break
         if k is None:
             continue
+        first = next(abs(row[c]) for row in m[rank:] if row[c])
+        count["echelon pivot: first candidate a unit" if first == 1 else
+              "echelon pivot: no unit" if p > 1 else
+              f"echelon pivot: first candidate +-{first}, a later unit"] += 1
         if k != rank:
             m[rank], m[k] = m[k], m[rank]
             sign = -sign

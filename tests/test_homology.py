@@ -80,6 +80,127 @@ def test_group_validation():
                                 [4, 3, 3, 3, 0]])
 
 
+def relabeled(rng, table) -> list:
+    """table, a group table as lists, under a random relabeling of its
+    elements."""
+    n = len(table)
+    label = rng.sample(range(n), n)
+    out = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        for b, x in enumerate(row):
+            out[label[a]][label[b]] = label[x]
+    return out
+
+
+def _spoiled_table(rng, table, kind):
+    """A copy of the group table `table` (lists) with one defect of the
+    given kind, or None where its order leaves no room for it."""
+    n, t = len(table), [list(row) for row in table]
+    e = next(x for x in range(n) if t[x] == list(range(n)))
+    others = [x for x in range(n) if x != e]
+    if kind == "range":
+        t[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, n, max(n, 256)))
+    elif kind == "repeated" and n >= 2:
+        a, (y, z) = rng.randrange(n), rng.sample(range(n), 2)
+        t[a][y] = t[a][z]
+    elif kind == "two identity rows" and others:
+        t[rng.choice(others)] = list(range(n))
+    elif kind == "one-sided identity" and n >= 3:
+        x, v = rng.sample(others, 2)
+        if rng.random() < 0.5:
+            t[x][e] = v  # e's row is 0..n-1, its column is not
+        else:
+            t[e][x] = v
+    elif kind == "one-sided inverse" and n >= 3:
+        # row a stays a permutation, but holds e where b * a is not e
+        a = rng.choice(others)
+        inv, b = t[a].index(e), rng.choice([x for x in others if t[a][x] != e])
+        t[a][inv], t[a][b] = t[a][b], e
+    elif kind == "non-associative loop":
+        # swap u and v in an intercalate: rows x and xi, columns y and iy,
+        # for an involution i, so rows and columns stay permutations and
+        # inverses two-sided; without involutions, swap two entries of a
+        # row away from the identity and the inverse
+        involutions = [x for x in others if t[x][x] == e]
+        for _ in range(50):
+            if involutions:
+                i, x, y = rng.choice(involutions), rng.randrange(n), rng.randrange(n)
+                cells = [(x, y), (x, t[i][y]), (t[x][i], y), (t[x][i], t[i][y])]
+                if e not in {x, y, t[x][i], t[i][y], t[x][y], t[x][t[i][y]]}:
+                    u, v = t[x][y], t[x][t[i][y]]
+                    for (r, c), new in zip(cells, (v, u, u, v)):
+                        t[r][c] = new
+                    return t
+            elif n >= 4:
+                a = rng.choice(others)
+                y, z = rng.sample([x for x in others if t[a][x] != e], 2)
+                t[a][y], t[a][z] = t[a][z], t[a][y]
+                return t
+        return None
+    elif kind in ("doubling, absorbing", "doubling, transposition"):
+        # one more element z, z * z = e and g * z = z for g in the group, so
+        # the group's elements and z generate n + 1 elements, not 2n; its row
+        # is absorbing, or the transposition of e and z, a permutation
+        z = n
+        row = [z] * (n + 1) if kind == "doubling, absorbing" else list(range(n + 1))
+        row[e], row[z] = z, e
+        t = [r + [z] for r in t] + [row]
+    else:
+        return None
+    return t
+
+
+TABLE_DEFECTS = ("range", "repeated", "two identity rows", "one-sided identity",
+                 "one-sided inverse", "non-associative loop", "doubling, absorbing",
+                 "doubling, transposition")
+
+
+def test_table_check_matches_the_element_by_element_reference(monkeypatch):
+    # a table of at most 256 elements is checked in bulk and goes to the
+    # element-by-element checker only when a bulk check fails; either way
+    # from_table gives the reference's group or its refusal.  A table is
+    # checked in bulk exactly when it is a group of at most 256 elements,
+    # and each path takes 20 cases or more, so orders 256 and 257 pin the
+    # bound between them
+    by_element = homology._checked_by_element
+    calls = []
+
+    def watched(table):
+        calls.append(len(table))
+        return by_element(table)
+
+    monkeypatch.setattr(homology, "_checked_by_element", watched)
+
+    def outcome(check, table):
+        try:
+            return check(table)
+        except ValueError as e:
+            return str(e)
+
+    a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    groups = [[[(a + b) % n for b in range(n)] for a in range(n)]
+              for n in (1, 2, 255, 256, 257, 300)]
+    groups += [[list(row) for row in symmetric_group_3().table],
+               [list(row) for row in a5.table]]
+    rng, branches, paths = random.Random(41), Counter(), Counter()
+    for table in groups:
+        for _ in range(8 if len(table) < 255 else 3):
+            for kind in ("valid",) + TABLE_DEFECTS:
+                case = relabeled(rng, table)
+                if kind != "valid" and (case := _spoiled_table(rng, case, kind)) is None:
+                    continue
+                calls.clear()
+                expected = outcome(lambda t: chain_reference.from_table(t, branches), case)
+                assert outcome(FiniteGroup.from_table, case) == expected, (kind, case)
+                bulk = isinstance(expected, FiniteGroup) and len(case) <= 256
+                assert calls == ([] if bulk else [len(case)]), (kind, len(case))
+                paths["bulk" if bulk else "by element"] += 1
+    assert min(paths["bulk"], paths["by element"]) >= 20, paths
+    assert min(branches[b] for b in (
+        "table entry out of range", "no identity", "no unique inverse",
+        "not associative", "not a group")) >= 10, branches
+
+
 def test_symmetric_group_3():
     g = symmetric_group_3()
     assert g.order == 6
@@ -468,36 +589,113 @@ def incidence_cases(rng):
     return cases
 
 
-def test_graph_rank_matches_the_sparse_echelon_on_incidence_matrices():
-    # rows e_a - e_b are the edges of a graph on the columns; its rank is
-    # the columns less the components, as the sparse echelon finds it, on
-    # random graphs and on the restricted d_1 of every A5 Fox chain
-    a5, chains = a5_fox_chains()
-    cases = incidence_cases(random.Random(82))
-    cases += [(restrict_scalars(chain.boundary(1), a5, sparse=True), 60) for chain in chains]
-    branches = Counter()
-    for rows, cols in cases:
-        rank = homology._sparse_echelon(rows, cols)[0]
-        assert homology._graph_rank(rows, cols) == rank, (rows, cols)
-        edges = {frozenset(row) for row in rows if row}
-        branches["empty row"] += any(not row for row in rows)
-        branches["isolated column"] += len(set().union(*edges)) < cols
-        branches["repeated edge"] += len(edges) < sum(map(bool, rows))
-        branches["cycle"] += rank < len(edges)
-    assert min(branches[b] for b in (
-        "empty row", "isolated column", "repeated edge", "cycle")) >= 50, branches
-
-
-@pytest.mark.parametrize("rows", [
+NOT_EDGES = [  # rows of nonzeros over 4 columns, one of them neither empty nor an edge
     [{0: 1, 1: -1}, {2: 2, 3: -2}],  # 2e_a - 2e_b
     [{0: 1, 1: 1}],  # e_a + e_b
     [{0: -1, 1: -1}],
     [{0: 1, 1: -2}],
     [{}, {2: 1}],  # a single nonzero
     [{0: 1, 1: -1}, {1: 1, 2: -1}, {}, {0: -1, 2: 1}, {0: 1, 1: -1, 3: 1}],
-])
+]
+
+
+def trivial_matrix(rows, cols) -> GroupRingMatrix:
+    """The matrix over the trivial group whose restriction is `rows`, rows
+    of nonzeros over cols columns."""
+    return GroupRingMatrix.from_entries(len(rows), cols, {
+        (r, j): {0: x} for r, row in enumerate(rows) for j, x in row.items()})
+
+
+def group_ring_cases(rng, groups) -> list:
+    """(group, d): matrices over the given groups, of 1..5 block rows and
+    1..3 block columns, whose block rows hold 0..3 terms at distinct
+    (column, element) places with coefficients in +-1, +-2; in half of
+    them every block row holds no term or two, x*a and -x*b, x = +-1."""
+    cases = []
+    for _ in range(300):
+        group = rng.choice(groups)
+        n, rows, cols = group.order, rng.randint(1, 5), rng.randint(1, 3)
+        edges = rng.random() < 0.5
+        entries = {}
+        for r in range(rows):
+            places = rng.sample(range(cols * n), rng.choice((0, 2, 2)) if edges else
+                                rng.randint(0, 3))
+            x = rng.choice((1, -1))
+            coeffs = (x, -x) if edges else rng.choices((1, -1, 2, -2), k=len(places))
+            for place, coeff in zip(places, coeffs):
+                entries.setdefault((r, place // n), {})[place % n] = coeff
+        cases.append((group, GroupRingMatrix.from_entries(rows, cols, entries)))
+    return cases
+
+
+def test_cell_graph_rank_matches_the_sparse_echelon_of_the_restriction():
+    # a block row of no term or two, x*a and -x*b with x = +-1, restricts
+    # to |G| empty rows or edges e_u - e_v up to sign, and any other block
+    # row to rows that are neither.  The graph rank read from the cells is
+    # None exactly when a restricted row is neither, and otherwise the
+    # sparse echelon's rank of the restriction: on random matrices over
+    # Z/3, S3 and A5, on every case of the row-level graph rank over the
+    # trivial group, and on the d_1 of every A5 Fox chain, of rank 59.
+    # The counts show that the corpus reaches graphs with empty rows,
+    # isolated columns, repeated edges and cycles, and each refusal.
+    a5, chains = a5_fox_chains()
+    cases = group_ring_cases(random.Random(83), [cyclic_group(3), symmetric_group_3(), a5])
+    cases += [(trivial_group(), trivial_matrix(rows, cols))
+              for rows, cols in incidence_cases(random.Random(82))]
+    cases += [(trivial_group(), trivial_matrix(rows, 4)) for rows in NOT_EDGES]
+    cases += [(a5, chain.boundary(1)) for chain in chains]
+    branches = Counter()
+    for group, d in cases:
+        rows, cols = restrict_scalars(d, group, sparse=True), d.cols * group.order
+        rank = homology._cell_graph_rank(d, group)
+        if all(not row or sorted(row.values()) == [-1, 1] for row in rows):
+            assert rank == homology._sparse_echelon(rows, cols)[0], (group, d)
+            edges = {frozenset(row) for row in rows if row}
+            branches["empty row"] += any(not row for row in rows)
+            branches["isolated column"] += len(set().union(*edges)) < cols
+            branches["repeated edge"] += len(edges) < sum(map(bool, rows))
+            branches["cycle"] += rank < len(edges)
+        else:
+            assert rank is None, (group, d)
+            branches["one term"] += any(len(row) == 1 for row in rows)
+            branches["three terms"] += any(len(row) == 3 for row in rows)
+            branches["two terms, not an edge"] += any(
+                len(row) == 2 and sorted(row.values()) != [-1, 1] for row in rows)
+    assert [homology._cell_graph_rank(chain.boundary(1), a5) for chain in chains] == [59] * 4
+    assert min(branches[b] for b in (
+        "empty row", "isolated column", "repeated edge", "cycle", "one term",
+        "three terms", "two terms, not an edge")) >= 50, branches
+
+
+@pytest.mark.parametrize("rows", NOT_EDGES)
 def test_graph_rank_refuses_rows_that_are_not_edges(rows):
-    assert homology._graph_rank(rows, 4) is None
+    # the row-level cases of a restriction that is no incidence matrix, as
+    # a matrix over the trivial group
+    assert homology._cell_graph_rank(trivial_matrix(rows, 4), trivial_group()) is None
+
+
+def test_sparse_echelon_takes_a_unit_pivot_at_once_and_keys_the_rest():
+    # the sparse echelon takes a column's first candidate when it is +-1,
+    # and otherwise the least |x|, the first of them: the dense echelon's
+    # pivot either way, so their rank, minor and trailing minors agree, on
+    # sparse matrices where a first candidate +-2 sits above a +-1 and where
+    # no candidate is a unit.  The counts come from the dense reference,
+    # whose pivots and row order the sparse echelon shares
+    rng, branches = random.Random(84), Counter()
+    for _ in range(300):
+        rows = rng.randint(2, 12)
+        cols = rows if rng.random() < 0.5 else rng.randint(2, 12)
+        values = rng.choice(((2, -2, 2, -2, 1, -1), (2, -2, 3, 4, -6)))
+        a = [[rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        sparse, dense, expected = [], [], []
+        result = homology._sparse_echelon(sparse_rows(a), cols, sparse)
+        assert result == _echelon(a, dense) == reference.echelon(a, branches, expected), a
+        assert sparse == dense == expected, a
+    assert min(branches[b] for b in (
+        "echelon pivot: first candidate a unit",
+        "echelon pivot: first candidate +-2, a later unit",
+        "echelon pivot: no unit")) >= 50, branches
 
 
 def random_unimodular(rng, n):
@@ -725,9 +923,10 @@ def test_rank_mod_p_counts_the_invariant_factors_that_p_does_not_divide():
 @pytest.fixture
 def rank_calls(monkeypatch):
     """Names of the calls of homology._rank_mod_p, homology._echelon,
-    homology._sparse_echelon and homology._graph_rank while a test runs."""
+    homology._sparse_echelon and homology._cell_graph_rank while a test
+    runs."""
     calls = []
-    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon", "_graph_rank"):
+    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon", "_cell_graph_rank"):
         def watched(*args, _name=name, _f=getattr(homology, name)):
             calls.append(_name)
             return _f(*args)
@@ -749,21 +948,22 @@ def test_rank_falls_back_to_the_echelon_where_p_divides_the_determinant(rank_cal
 
 
 def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
-    # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78:
-    # the graph rank for d_1, whose rows are edges e_{h*g} - e_h, and, as
-    # it refuses d_2, the sparse echelon, for the rank of d_2 and for the
-    # minors of the square d_2; a dense full-rank top boundary needs no
-    # echelon
+    # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78.
+    # Each outgoing boundary is first ranked as a graph from its cells:
+    # that is the rank of d_1, whose block rows are g - 1; it refuses d_2,
+    # which goes to the sparse echelon, as the square d_2 does for its
+    # minors.  A dense full-rank top boundary, which the graph rank refuses
+    # at its first block row, needs no echelon
     _, chains = a5_fox_chains()
     for chain in chains:
         for k in (1, 2):
             homology_at(chain, k)
-    assert rank_calls == ["_graph_rank", "_sparse_echelon"] * 8  # two of each per chain
+    assert rank_calls == ["_cell_graph_rank", "_sparse_echelon"] * 8  # two of each per chain
     rng = random.Random(73)
     matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
     rank_calls.clear()
     assert homology_at(dense_chain(matrix), 2) == AbelianGroup(0, ())
-    assert rank_calls == ["_rank_mod_p"]
+    assert rank_calls == ["_cell_graph_rank", "_rank_mod_p"]
 
 
 @pytest.mark.parametrize("entry", [1.5, 0.5, 2.0, Fraction(3, 2), True, "1", None])
