@@ -55,12 +55,12 @@ d_r | D, and s_1..s_{n-1} | d_{n-1} | g.
   matrix, which skips the echelon, and a singular square one with
   |D| > 1.
 
-A group table whose elements fit in a byte is checked in bulk, on rows
-packed as bytes: each row a permutation, the identity found by its row
-and its column, inverses on both sides, and Light's associativity test
-as whole-row compositions.  A table that fails a bulk check, or has more
-than 256 elements, is checked element by element, and that check gives
-every refusal.
+A group table is checked by one function, a row at a time, on rows
+packed as bytes when its elements fit in a byte and on tuples otherwise:
+entries in range, the identity by its row and its column, unique
+two-sided inverses, and Light's associativity test as whole-row
+compositions.  Only a check that fails runs element by element, to name
+the first offender in its refusal.
 
 Group-ring matrices follow the row-vector convention: a matrix with
 ``rows`` = rank of the domain and ``cols`` = rank of the codomain
@@ -103,91 +103,67 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroup":
-        """The group of a multiplication table, table[a][b] = a*b, checked:
-        in bulk by _checked_in_bulk when its elements fit in a byte, and
-        element by element by _checked_by_element, which gives every
-        refusal, when they do not or a bulk check fails."""
+        """The group of a multiplication table, table[a][b] = a*b, or the
+        ValueError that names the first check it fails: square, entries in
+        range, an identity (its row and column), unique two-sided inverses,
+        greedy generators, and Light's associativity test.  Each check runs
+        over whole rows, packed as bytes when every entry fits in a byte,
+        and an element-level loop runs only after one fails, to name the
+        first offender."""
         table = tuple(map(tuple, rows))
-        checked = _checked_in_bulk(table) if len(table) <= 256 else None
-        return cls(table, *(checked or _checked_by_element(table)))
+        return cls(table, *_checked_table(table))
 
 
-def _checked_by_element(table: tuple) -> tuple:
-    """(identity, inverses) of a group table, checked one element at a
-    time, or the ValueError that names the first check it fails."""
+def _checked_table(table: tuple) -> tuple:
+    """(identity, inverses) of a group table, checked as from_table says;
+    only the range test and Light's row composition differ between rows of
+    bytes and of tuples."""
     n = len(table)
     if set(map(len, table)) - {n}:
         raise ValueError("multiplication table must be square")
-    if table and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+    pack = bytes if n <= 256 else tuple
+    try:
+        rows = list(map(pack, table))
+    except (TypeError, ValueError):  # an entry that is no int in 0..255
+        pack, rows = tuple, table
+    ident = pack(range(n))
+    entries = b"".join(rows) if pack is bytes else tuple(chain.from_iterable(rows))
+    # bytes: deleting 0..n-1 from the entries leaves those of n or more
+    if (entries.translate(None, ident) if pack is bytes
+            else rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= n)):
         raise ValueError("table entry out of range")
     # the identity's row and column are 0..n-1
-    ident = tuple(range(n))
-    identity = next((e for e in range(n) if table[e] == ident
-                     and tuple(map(itemgetter(e), table)) == ident), None)
+    identity = next((e for e in range(n) if rows[e] == ident
+                     and pack(map(itemgetter(e), rows)) == ident), None)
     if identity is None:
         raise ValueError("table has no identity element")
-    inverses = []
-    for a, row in enumerate(table):
-        # the b with row[b] == identity, of which a group has one
-        inv = ([row.index(identity)] if row.count(identity) == 1 else
-               [b for b, x in enumerate(row) if x == identity])
-        inv = [b for b in inv if table[b][a] == identity]
-        if len(inv) != 1:
-            raise ValueError(f"element {a} has no unique inverse")
-        inverses.append(inv[0])
-    for s in _greedy_generators(table, identity):
-        # Light's test: (x s) y == x (s y) for every x, y.  The elements
-        # passing it (the identity among them) are closed under the
-        # product, so passing on generators makes the table associative.
-        # A generator exists only for n >= 2, so table[s] has two
-        # entries and times_s returns a tuple.
-        times_s = itemgetter(*table[s])
-        for x, row in enumerate(table):
-            xs = table[row[s]]
-            if times_s(row) != xs:
-                y = next(y for y, sy in enumerate(table[s]) if xs[y] != row[sy])
-                raise ValueError(f"table not associative at ({x},{s},{y})")
-    return identity, tuple(inverses)
-
-
-def _checked_in_bulk(table: tuple) -> tuple | None:
-    """(identity, inverses) of a group table of at most 256 elements, as
-    _checked_by_element finds them, checked a row at a time on rows packed
-    as bytes; or None where a check fails, for _checked_by_element to
-    report.  It raises nothing.
-
-    Each row is a permutation: n bytes, with every element of 0..n-1
-    among them, so ident.translate(None, row), ident with the row's bytes
-    deleted, is empty.  The identity is the first row equal to ident, and
-    its column must be ident too.  The inverse of a is where row a holds
-    the identity, of which a permutation has one, and it is two-sided
-    when the inverse map is its own inverse.  Light's test on s compares
-    x*(s*y) = row_x[row_s[y]], for all y at once row_s translated by
-    row_x, with row_{x*s}.
-    """
-    n = len(table)
-    try:
-        rows = list(map(bytes, table))
-    except (TypeError, ValueError):  # an entry that is no int in 0..255
-        return None
-    ident, pad = bytes(range(n)), bytes(256 - n)
-    if (set(map(len, rows)) != {n} or any(ident.translate(None, row) for row in rows)
-            or ident not in rows):
-        return None
-    identity = rows.index(ident)
-    inverses = bytes(row.index(identity) for row in rows)
-    if (bytes(map(itemgetter(identity), rows)) != ident
-            or inverses.translate(inverses + pad) != ident):
-        return None
-    try:
-        gens = _greedy_generators(rows, identity)
-    except ValueError:
-        return None
-    padded = [row + pad for row in rows]
-    for s in gens:
-        if (list(map(rows[s].translate, padded))
-                != list(map(rows.__getitem__, map(itemgetter(s), rows)))):
-            return None
+    # in a group each row holds the identity once (found in every row, n
+    # times in all), at the inverse, and the inverse map is its own
+    # inverse.  Otherwise the two-sided candidates decide: a row may hold
+    # the identity twice and still have one.
+    inverses = [row.index(identity) for row in rows if identity in row]
+    if (len(inverses) != n or entries.count(identity) != n
+            or list(map(inverses.__getitem__, inverses)) != list(range(n))):
+        inverses = []
+        for a, row in enumerate(rows):
+            inv = [b for b, x in enumerate(row) if x == identity and rows[b][a] == identity]
+            if len(inv) != 1:
+                raise ValueError(f"element {a} has no unique inverse")
+            inverses.append(inv[0])
+    # Light's test: (x s) y == x (s y) for every x, y.  The elements passing
+    # it (the identity among them) are closed under the product, so passing
+    # on generators makes the table associative.  x (s y) for all y at once
+    # is row_s translated by row_x, padded to the 256 bytes of a translation
+    # table, or row_x picked at row_s's entries: a generator exists only for
+    # n >= 2, so itemgetter returns a tuple.
+    padded = [row.ljust(256, b"\0") for row in rows] if pack is bytes else rows
+    for s in _greedy_generators(rows, identity):
+        times_s = rows[s].translate if pack is bytes else itemgetter(*rows[s])
+        lhs = list(map(times_s, padded))
+        rhs = list(map(rows.__getitem__, map(itemgetter(s), rows)))
+        if lhs != rhs:
+            x, y = next((x, y) for x in range(n) for y in range(n) if lhs[x][y] != rhs[x][y])
+            raise ValueError(f"table not associative at ({x},{s},{y})")
     return identity, tuple(inverses)
 
 
@@ -947,12 +923,16 @@ def load_group_csv(text: str) -> FiniteGroup:
     rows = [[_csv_cell(x) for x in row] for row in reader if row]
     if not rows or len(rows[0]) != 2:
         raise ValueError("group file must start with 'order,identity'")
-    order, identity = rows[0]
-    table = rows[1:]
-    if len(table) != order:
+    return _declared_group(rows[1:], *rows[0])
+
+
+def _declared_group(table: list, order: int, identity: int | None) -> FiniteGroup:
+    """The group of a table declared to have order rows and, unless it is
+    None, the identity given: a group file's or an inline group's."""
+    if order != len(table):
         raise ValueError(f"expected {order} table rows, got {len(table)}")
     group = FiniteGroup.from_table(table)
-    if group.identity != identity:
+    if identity not in (None, group.identity):
         raise ValueError("declared identity disagrees with the table")
     return group
 
@@ -1015,14 +995,14 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         table = g["table"]
         if type(table) is not list:
             raise ValueError("group table is not a list of rows of element indices")
+        order = json_int(g.get("order", len(table)), "the group order")
+        identity = json_int(g["identity"], "the group identity") if "identity" in g else None
         if set(map(type, table)) - {list} or not _all_ints(chain.from_iterable(table)):
             for i, row in enumerate(table):
                 if type(row) is not list:
                     raise ValueError(f"group table[{i}] is not a list of element indices")
             table = [[json_int(x, "a group table entry") for x in row] for row in table]
-        group = FiniteGroup.from_table(table)
-        if group.identity != g.get("identity", group.identity):
-            raise ValueError("declared identity disagrees with the table")
+        group = _declared_group(table, order, identity)
     n = json_int(data["n"], "n")
     if type(data["ranks"]) is not list:
         raise ValueError("ranks is not a list of the ranks of dimensions 0..n")

@@ -22,6 +22,9 @@ reach:
 - each refusal of a table: "non-square", "table entry out of range", "no
   identity", "no unique inverse", "not associative", "not a group", and
   a "table row not a list";
+- each refusal of a group's declared fields: an "order not an int" or an
+  "identity not an int", a "declared order" other than the table's
+  length, and a "declared identity" other than the table's;
 - a file that is "not an object", a "group not an object", the "cell
   bound" and a failed "boundary condition".
 """
@@ -110,14 +113,21 @@ def chain_from_json(data, branches: Counter | None = None) -> ChainComplexData:
         raise _refuse(branches, "group not an object",
                       "group is neither a group file name nor an object with a table")
     rows = g["table"]
+    for key in ("order", "identity"):
+        if key in g and type(g[key]) is not int:
+            raise _refuse(branches, f"{key} not an int",
+                          f"the group {key} must be an integer, not {g[key]!r}")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise _refuse(branches, "table row not a list",
                           f"group table[{i}] is not a list of element indices")
-    group = from_table([[json_int(x, "a group table entry") for x in row] for row in rows],
-                       branches)
-    if group.identity != g.get("identity", group.identity):
-        raise ValueError("declared identity disagrees with the table")
+    table = [[json_int(x, "a group table entry") for x in row] for row in rows]
+    if "order" in g and g["order"] != len(table):
+        raise _refuse(branches, "declared order",
+                      f"expected {g['order']} table rows, got {len(table)}")
+    group = from_table(table, branches)
+    if "identity" in g and g["identity"] != group.identity:
+        raise _refuse(branches, "declared identity", "declared identity disagrees with the table")
     n = json_int(data["n"], "n")
     ranks = tuple(json_int(r, "a rank") for r in data["ranks"])
     if len(ranks) != n + 1:

@@ -923,6 +923,12 @@ MALFORMED = {
     "chain_table_row_not_a_list": (lambda t: _chain_of(
         t, lambda c: {**c, "group": {**c["group"], "table": [0]}}),
         "c.json: group table[0] is not a list of element indices"),
+    "chain_group_order_disagrees": (lambda t: _chain_of(
+        t, lambda c: {**c, "group": {**c["group"], "order": 7}}),
+        "c.json: expected 7 table rows, got 1"),
+    "chain_group_identity_a_bool": (lambda t: _chain_of(
+        t, lambda c: {**c, "group": {**c["group"], "identity": False}}),
+        "c.json: the group identity must be an integer, not False"),
     "chain_group_a_number": (lambda t: _chain_of(t, lambda c: {**c, "group": 5}),
                              "c.json: group is neither a group file name nor an object "
                              "with a table"),

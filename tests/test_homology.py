@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -150,55 +151,75 @@ def _spoiled_table(rng, table, kind):
     return t
 
 
+def table_outcome(check, table):
+    """The group that check makes of table, or the text of its refusal."""
+    try:
+        return check(table)
+    except ValueError as e:
+        return str(e)
+
+
 TABLE_DEFECTS = ("range", "repeated", "two identity rows", "one-sided identity",
                  "one-sided inverse", "non-associative loop", "doubling, absorbing",
                  "doubling, transposition")
 
 
-def test_table_check_matches_the_element_by_element_reference(monkeypatch):
-    # a table of at most 256 elements is checked in bulk and goes to the
-    # element-by-element checker only when a bulk check fails; either way
-    # from_table gives the reference's group or its refusal.  A table is
-    # checked in bulk exactly when it is a group of at most 256 elements,
-    # and each path takes 20 cases or more, so orders 256 and 257 pin the
-    # bound between them
-    by_element = homology._checked_by_element
-    calls = []
-
-    def watched(table):
-        calls.append(len(table))
-        return by_element(table)
-
-    monkeypatch.setattr(homology, "_checked_by_element", watched)
-
-    def outcome(check, table):
-        try:
-            return check(table)
-        except ValueError as e:
-            return str(e)
-
+def test_table_check_matches_the_element_by_element_reference():
+    # from_table gives the reference's group or its refusal, on rows packed
+    # as bytes up to 256 elements and on tuples beyond: each takes 20 cases
+    # or more, so orders 256 and 257 pin the bound between them
     a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
     groups = [[[(a + b) % n for b in range(n)] for a in range(n)]
               for n in (1, 2, 255, 256, 257, 300)]
     groups += [[list(row) for row in symmetric_group_3().table],
                [list(row) for row in a5.table]]
-    rng, branches, paths = random.Random(41), Counter(), Counter()
+    rng, branches, sizes = random.Random(41), Counter(), Counter()
     for table in groups:
         for _ in range(8 if len(table) < 255 else 3):
             for kind in ("valid",) + TABLE_DEFECTS:
                 case = relabeled(rng, table)
                 if kind != "valid" and (case := _spoiled_table(rng, case, kind)) is None:
                     continue
-                calls.clear()
-                expected = outcome(lambda t: chain_reference.from_table(t, branches), case)
-                assert outcome(FiniteGroup.from_table, case) == expected, (kind, case)
-                bulk = isinstance(expected, FiniteGroup) and len(case) <= 256
-                assert calls == ([] if bulk else [len(case)]), (kind, len(case))
-                paths["bulk" if bulk else "by element"] += 1
-    assert min(paths["bulk"], paths["by element"]) >= 20, paths
+                expected = table_outcome(lambda t: chain_reference.from_table(t, branches), case)
+                assert table_outcome(FiniteGroup.from_table, case) == expected, (kind, case)
+                sizes["n <= 256" if len(case) <= 256 else "n > 256"] += 1
+    assert min(sizes["n <= 256"], sizes["n > 256"]) >= 20, sizes
     assert min(branches[b] for b in (
         "table entry out of range", "no identity", "no unique inverse",
         "not associative", "not a group")) >= 10, branches
+
+
+def test_table_check_matches_the_reference_on_every_small_table():
+    # Small scope, exhaustively: every table of order 0 to 3 with entries in
+    # 0..n-1 and every Latin square of order 4 (20,277 tables), and every
+    # change of one cell of those 576 squares to another value in 0..4
+    # (36,864 tables).  from_table gives the reference's group or its
+    # refusal on each.  A row may hold the identity twice and still have one
+    # two-sided inverse, as [[0, 1, 2], [1, 0, 1], [2, 0, 0]] does, which
+    # sampled tables seldom reach
+    tables = [[list(cells[i * n:(i + 1) * n]) for i in range(n)]
+              for n in range(4) for cells in itertools.product(range(n), repeat=n * n)]
+    perms, squares = list(itertools.permutations(range(4))), [[]]
+    for _ in range(4):
+        squares = [square + [list(p)] for square in squares for p in perms
+                   if all(p[c] != row[c] for row in square for c in range(4))]
+    tables += squares
+    assert (len(tables), len(squares)) == (20277, 576)
+    for square in squares:
+        for r, c in itertools.product(range(4), repeat=2):
+            for x in set(range(5)) - {square[r][c]}:
+                tables.append([row[:c] + [x] + row[c + 1:] if i == r else row
+                               for i, row in enumerate(square)])
+    assert len(tables) == 20277 + 36864
+    branches, groups = Counter(), 0
+    for table in tables:
+        expected = table_outcome(lambda t: chain_reference.from_table(t, branches), table)
+        assert table_outcome(FiniteGroup.from_table, table) == expected, table
+        groups += isinstance(expected, FiniteGroup)
+    # the labelled groups of orders 1, 2, 3 and 4: 1 + 2 + 3 + (12 + 4)
+    assert groups == 22 and min(branches[b] for b in (
+        "table entry out of range", "no identity", "no unique inverse",
+        "not associative", "not a group")) >= 50, (groups, branches)
 
 
 def test_symmetric_group_3():
@@ -1305,6 +1326,19 @@ def test_chain_loader_matches_entry_by_entry_reference():
         k = rng.randint(1, data["n"])
         data["entries"].append([k, 0, 0, 0, rng.randint(1, 3)])
         corpus.append(data)
+    for _ in range(12):
+        # a group's declared order and identity: of another type, other
+        # than the table's, or left out
+        for key, others in (("order", ("x", 1.0, True, None, [1])),
+                            ("identity", (False, True, 0.0, "0", None))):
+            typed, wrong = valid_chain_file(rng), valid_chain_file(rng)
+            typed["group"][key] = rng.choice(others)
+            true = wrong["group"][key]
+            wrong["group"][key] = rng.choice([x for x in (0, 1, 7, -1, true + 1) if x != true])
+            corpus += [typed, wrong]
+        data = valid_chain_file(rng)
+        del data["group"][rng.choice(("order", "identity"))]
+        corpus.append(data)
     for data in corpus:
         assert (outcome(chain_from_json, data)
                 == outcome(lambda d: chain_reference.chain_from_json(d, branches), data)), data
@@ -1316,4 +1350,5 @@ def test_chain_loader_matches_entry_by_entry_reference():
         "NoneType field", "list field", "not a list", "non-square",
         "table entry out of range", "no identity", "no unique inverse",
         "not associative", "not a group", "table row not a list", "cell bound",
-        "boundary condition", "group not an object", "not an object")) >= 10, branches
+        "boundary condition", "group not an object", "not an object", "order not an int",
+        "identity not an int", "declared order", "declared identity")) >= 10, branches

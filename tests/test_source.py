@@ -287,8 +287,8 @@ def test_the_program_has_one_word_encoding():
     # letters out of bytes or packs them in through array or memoryview,
     # and only words translates bytes, so a second encoding of words cannot
     # come back beside the one the kernels assume.  The one other function
-    # that translates bytes is homology's bulk check of a group table,
-    # whose bytes are rows of group elements, not letters
+    # that translates bytes is homology's check of a group table, whose
+    # bytes are rows of group elements, not letters
     def calling(names):
         return _scopes(lambda node: isinstance(node, ast.Call) and getattr(
             node.func, "id", getattr(node.func, "attr", None)) in names)
@@ -300,24 +300,19 @@ def test_the_program_has_one_word_encoding():
     translating = calling({"translate", "maketrans"})
     assert {path for path, _ in translating} == {"words.py", "homology.py"}
     assert {scope for path, scope in translating if path == "homology.py"} == {
-        "_checked_in_bulk"}
+        "_checked_table"}
 
 
 def test_only_the_element_by_element_check_refuses_a_group_table():
-    # FiniteGroup.from_table checks a table of at most 256 elements in bulk
-    # and hands one that fails a bulk check to the element-by-element
-    # check, the one place that raises a table's refusals: the bulk check
-    # raises nothing, so it can only accept a table or hand it over, and
-    # every refusal names what the element-by-element check finds first
+    # one function checks a group table and raises its refusals, and
+    # FiniteGroup.from_table is its one caller, so no second checker can
+    # accept a table, or word a refusal, beside it
     for text in ("table entry out of range", "has no identity element",
                  "has no unique inverse", "not associative at"):
         assert _scopes(lambda node: isinstance(node, ast.Raise) and any(
             text in _text(part) for part in ast.walk(node))) == {
-            ("homology.py", "_checked_by_element")}, text
-    assert ("homology.py", "_checked_in_bulk") not in _scopes(
-        lambda node: isinstance(node, ast.Raise))
-    assert _named({"_checked_in_bulk", "_checked_by_element"}) == {
-        ("homology.py", "FiniteGroup.from_table")}
+            ("homology.py", "_checked_table")}, text
+    assert _named({"_checked_table"}) == {("homology.py", "FiniteGroup.from_table")}
 
 
 def test_the_generator_limit_is_named_once():
