@@ -224,7 +224,7 @@ def cmd_verify_null(args) -> int:
         print(json.dumps(report.as_json(), indent=1))
     else:
         print(report.as_text())
-    return 0 if report.null else VERIFY_FAIL
+    return 0 if report.null and not report.trivial else VERIFY_FAIL
 
 
 def cmd_verify_smove(args) -> int:

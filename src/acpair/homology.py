@@ -22,10 +22,10 @@ its cells and not restricted: each such block row restricts to |G| rows
 that are empty or e_u - e_v up to sign, the edges of a graph on the
 restricted columns, and an incidence matrix has rank (vertices -
 components) over Q.  Homology restricts any other sparse boundary, such
-as an A5 Fox d_2, to rows of nonzeros {col: coeff}, and runs the echelon
-over them: the same pivots and results, a +-1 first candidate taken at
-once.  Determinants, minors and invariant factors come only from the
-exact eliminations.
+as an A5 Fox d_2, to rows of nonzeros {col: coeff} and reduces them with
++-1 leads only (_unit_rank).  Where that succeeds, a unimodular transform
+took them to an echelon with +-1 leads, so the kept rows number the rank
+and every invariant factor is 1; otherwise the rows are made lists.
 
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
@@ -92,7 +92,6 @@ from .words import json_int
 class FiniteGroup:
     table: tuple  # tuple[tuple[int, ...], ...]
     identity: int
-    inverses: tuple  # tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -111,11 +110,11 @@ class FiniteGroup:
         and an element-level loop runs only after one fails, to name the
         first offender."""
         table = tuple(map(tuple, rows))
-        return cls(table, *_checked_table(table))
+        return cls(table, _checked_table(table))
 
 
-def _checked_table(table: tuple) -> tuple:
-    """(identity, inverses) of a group table, checked as from_table says;
+def _checked_table(table: tuple) -> int:
+    """The identity of a group table, checked as from_table says;
     only the range test and Light's row composition differ between rows of
     bytes and of tuples."""
     n = len(table)
@@ -144,12 +143,10 @@ def _checked_table(table: tuple) -> tuple:
     inverses = [row.index(identity) for row in rows if identity in row]
     if (len(inverses) != n or entries.count(identity) != n
             or list(map(inverses.__getitem__, inverses)) != list(range(n))):
-        inverses = []
         for a, row in enumerate(rows):
             inv = [b for b, x in enumerate(row) if x == identity and rows[b][a] == identity]
             if len(inv) != 1:
                 raise ValueError(f"element {a} has no unique inverse")
-            inverses.append(inv[0])
     # Light's test: (x s) y == x (s y) for every x, y.  The elements passing
     # it (the identity among them) are closed under the product, so passing
     # on generators makes the table associative.  x (s y) for all y at once
@@ -164,7 +161,7 @@ def _checked_table(table: tuple) -> tuple:
         if lhs != rhs:
             x, y = next((x, y) for x in range(n) for y in range(n) if lhs[x][y] != rhs[x][y])
             raise ValueError(f"table not associative at ({x},{s},{y})")
-    return identity, tuple(inverses)
+    return identity
 
 
 def _greedy_generators(table, identity: int) -> list:
@@ -378,64 +375,38 @@ def _echelon(a: Sequence[Sequence[int]], minors: list | None = None) -> tuple:
     return rank, sign * prev
 
 
-def _sparse_echelon(a: list, cols: int, minors: list | None = None) -> tuple:
-    """_echelon of a, given as rows of nonzeros {col: coeff} over cols
-    columns: the same pivots, row order, signs, updates and minors.  An
-    index takes each column to the rows below the pivots nonzero there,
-    so the pivot search and the updates visit only those rows."""
-    m, rows = [dict(row) for row in a], len(a)
-    order, place = list(range(rows)), list(range(rows))  # row at a place, and back
-    index = [set() for _ in range(cols)]
-    for i, row in enumerate(m):
-        for j in row:
-            index[j].add(i)
-    rank, sign, prev = 0, 1, 1
-    for c in range(cols):
-        if rank == rows:
-            break
-        if minors is not None and c == rank == rows - 2 == cols - 2:
-            minors += [m[order[r]].get(j, 0) for r in (c, c + 1) for j in (c, c + 1)]
-        below, index[c] = index[c], None
-        if not below:
-            continue
-        k = min(below, key=place.__getitem__)
-        if m[k][c] not in (1, -1):  # else no candidate has a smaller |x|
-            k = min(below, key=lambda i: (abs(m[i][c]), place[i]))
-        below.discard(k)
-        if place[k] != rank:  # row k and the row at place rank trade places
-            j = order[rank]
-            order[rank], order[place[k]], place[j], place[k] = k, j, place[k], rank
-            sign = -sign
-        top = m[k]
-        if top[c] < 0:
-            m[k] = top = {j: -x for j, x in top.items()}
-            sign = -sign
-        p = top.pop(c)
-        for j in top:
-            index[j].discard(k)
-        support, unit = list(top.items()), p == prev == 1
-        # a row with x = 0 in column c changes only when p != prev
-        for i in below if p == prev else order[rank + 1:]:
-            row = m[i]
-            x = row.pop(c, 0)
-            if p != prev:
-                for j, y in row.items():
-                    if not x or j not in top:
-                        row[j] = y * p // prev
-            if not x:
-                continue
-            for j, z in support:
-                y = row.get(j, 0) - x * z if unit else (row.get(j, 0) * p - x * z) // prev
+def _unit_rank(rows: list) -> int | None:
+    """The rank of rows of nonzeros {col: coeff}, when a reduction with +-1
+    leads proves all their invariant factors 1; else None.
+
+    Shortest first, each row loses +-1 times the kept row that leads at
+    its own leading column, until none does; then it is kept there, or it
+    is zero.  None comes as soon as a leading entry read, as a multiplier
+    or as a new lead, is not +-1.  Otherwise a unimodular transform took
+    the rows to the kept rows and zeros, an echelon with +-1 leads, whose
+    Smith form is the identity beside zeros.  The largest entry at most
+    doubles a step.
+    """
+    kept = {}  # leading column -> kept row
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            c = min(row)
+            x = row[c]
+            if x not in (1, -1):
+                return None
+            top = kept.get(c)
+            if top is None:
+                kept[c] = row
+                break
+            x *= top[c]  # top[c] = +-1
+            for j, z in top.items():
+                y = row.get(j, 0) - x * z
                 if y:
-                    if j not in row:
-                        index[j].add(i)
                     row[j] = y
-                elif j in row:
+                else:
                     del row[j]
-                    index[j].discard(i)
-        prev = p
-        rank += 1
-    return rank, sign * prev
+    return len(kept)
 
 
 def determinant(a: Sequence[Sequence[int]]) -> int:
@@ -563,8 +534,8 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list:
 
 def _invariant_factors(m: list, cols: int | None = None) -> list:
     """invariant_factors of m, a list of row lists that it overwrites, or,
-    given cols, of rows of nonzeros over cols columns, made lists for the
-    Smith elimination only.
+    given cols, of rows of nonzeros over cols columns: r ones when
+    _unit_rank gives their rank r, else those of the rows made lists.
 
     A square m of side n goes through the echelon first, for its rank r,
     pivot minor D and g, the gcd of its trailing (n-1)-minors; the module
@@ -575,14 +546,16 @@ def _invariant_factors(m: list, cols: int | None = None) -> list:
     s_n is |D| over their product.  A non-square m, and a singular square
     one with |D| > 1, go to the Smith elimination as they are.
     """
-    rows, sparse = len(m), cols is not None
-    cols = cols if sparse else len(m[0]) if m else 0
+    if cols is not None:
+        if (rank := _unit_rank(m)) is not None:
+            return [1] * rank
+        m = _densify(m, cols)
+    rows, cols = len(m), len(m[0]) if m else 0
     if rows == cols:
         minors = []
-        rank, minor = _sparse_echelon(m, cols, minors) if sparse else _echelon(m, minors)
+        rank, minor = _echelon(m, minors)
         if abs(minor) == 1:
             return [1] * rank
-    m = _densify(m, cols) if sparse else m
     if rows == cols and rank == rows:
         g = gcd(*minors) if minors else 1  # a 1 x 1 m has no trailing block
         for p in range(2, min(g + 1, 256)):
@@ -681,14 +654,20 @@ def _dense(nonzeros: int, rows: int, cols: int) -> bool:
     return 2 * nonzeros > rows * cols
 
 
-def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
-    """The rank of m over Q, given the number of its nonzero entries.
+def _rank(m: Sequence[Sequence[int]], nonzeros: int, cols: int | None = None) -> int:
+    """The rank of m over Q, given the number of its nonzero entries; given
+    cols, m is rows of nonzeros over cols columns, ranked by _unit_rank
+    where it can and made lists where it cannot.
 
     A matrix with more nonzero than zero entries and min(rows, cols)
     below _MOD_P_MAX_SIDE tries _rank_mod_p first; when that rank is
     min(rows, cols) it is the rank over Q too, since a rank modulo P
     never exceeds it.  The echelon decides every other case.
     """
+    if cols is not None:
+        if (rank := _unit_rank(m)) is not None:
+            return rank
+        m = _densify(m, cols)
     rows, cols = len(m), len(m[0]) if m else 0
     full = min(rows, cols)
     if (_dense(nonzeros, rows, cols) and full < _MOD_P_MAX_SIDE
@@ -834,7 +813,7 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     rank_out = 0
     if k >= 1 and (rank_out := _cell_graph_rank(c.boundary(k), c.group)) is None:
         m, cols, nonzeros = _restricted(c.boundary(k), c.group)
-        rank_out = _rank(m, nonzeros) if cols is None else _sparse_echelon(m, cols)[0]
+        rank_out = _rank(m, nonzeros, cols)
     m, cols, _ = _restricted(c.boundary(k + 1), c.group) if k < n else ([], None, 0)
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0

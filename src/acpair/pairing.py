@@ -148,11 +148,12 @@ def _root(parent: dict, key):
     return root
 
 
-def _reduce(x: FormalSum, certs) -> tuple:
-    """Verify each certificate once, at the rank of x, and sum x's
-    coefficients over the key classes that the holding certificates join.
-    Returns the status rows (label, ok, message), labelled by list position
-    where a certificate has no label, and the reduced sum."""
+def _reduce(x: FormalSum, certs, *more) -> tuple:
+    """Verify each certificate once, at the rank of x, and sum the
+    coefficients of x, and of each sum in more, over the key classes that
+    the holding certificates join.  Returns the status rows (label, ok,
+    message), labelled by list position where a certificate has no label,
+    and the reduced sums in turn."""
     status, parent = [], {}
     for idx, cert in enumerate(certs):
         ok, msg = cert.verify()
@@ -165,13 +166,15 @@ def _reduce(x: FormalSum, certs) -> tuple:
                                  _root(parent, canonical_key(cert.rhs))),
                                 key=CanonicalKey.sort_key)
             parent[drop] = keep
-    return status, FormalSum(x.rank, _merge((_root(parent, key), coeff)
-                                            for key, coeff in x._terms.items()))
+    return (status, *(FormalSum(x.rank, _merge((_root(parent, key), coeff)
+                                               for key, coeff in s._terms.items()))
+                      for s in (x, *more)))
 
 
 @dataclass(frozen=True)
 class NullVectorReport:
     null: bool
+    trivial: bool  # x itself reduces to 0, every certificate holding
     certificate_status: tuple  # tuple[(label, ok, message), ...]
     residue: FormalSum
 
@@ -186,12 +189,15 @@ class NullVectorReport:
             for key, coeff in self.residue.items():
                 head = serialize_key(key).replace("\n", " | ")
                 lines.append(f"  {coeff} * ({head})")
-        lines.append(f"null vector: {'yes' if self.null else 'NO'}")
+        verdict = ("trivial (x reduces to 0 under these certificates)" if self.trivial
+                   else "yes" if self.null else "NO")
+        lines.append(f"null vector: {verdict}")
         return "\n".join(lines)
 
     def as_json(self) -> dict:
         return {
             "null": self.null,
+            "trivial": self.trivial,
             "certificates": [{"label": l, "ok": ok, "message": m}
                              for l, ok, m in self.certificate_status],
             "surviving_terms": [{"coeff": str(c), "key": serialize_key(k)}
@@ -200,14 +206,17 @@ class NullVectorReport:
 
 
 def verify_null(x: FormalSum, certs) -> NullVectorReport:
-    """True iff the certificate-reduced self-product x.x is the empty sum.
+    """null iff the certificate-reduced self-product x.x is the empty sum;
+    trivial iff x reduced by the same classes is too, so that x shows no
+    null vector.
 
     Certificate failures are reported, excluded from the reduction, and
-    force the verdict to False.
+    force null and trivial to False.
     """
-    status, residue = _reduce(x.dot(x), certs)
-    null = residue.is_zero() and all(ok for _, ok, _ in status)
-    return NullVectorReport(null, tuple(status), residue)
+    status, residue, reduced = _reduce(x.dot(x), certs, x)
+    holding = all(ok for _, ok, _ in status)
+    return NullVectorReport(residue.is_zero() and holding, reduced.is_zero() and holding,
+                            tuple(status), residue)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def presentation_chain(group, gen_images, relators):
     over those generators, as acpair.words holds them, such as the relators
     of a Presentation.
     """
-    inv = group.inverses
+    inv = [row.index(group.identity) for row in group.table]
 
     def eval_word(letters):
         g = group.identity

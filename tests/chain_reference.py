@@ -58,12 +58,10 @@ def from_table(rows, branches: Counter | None = None) -> FiniteGroup:
             break
     if identity is None:
         raise _refuse(branches, "no identity", "table has no identity element")
-    inverses = []
     for a in range(n):
         inv = [b for b in range(n) if table[a][b] == identity and table[b][a] == identity]
         if len(inv) != 1:
             raise _refuse(branches, "no unique inverse", f"element {a} has no unique inverse")
-        inverses.append(inv[0])
     try:
         gens = _greedy_generators(table, identity)
     except ValueError as e:
@@ -75,7 +73,7 @@ def from_table(rows, branches: Counter | None = None) -> FiniteGroup:
                 if xs[y] != row[sy]:
                     raise _refuse(branches, "not associative",
                                   f"table not associative at ({x},{s},{y})")
-    return FiniteGroup(table, identity, tuple(inverses))
+    return FiniteGroup(table, identity)
 
 
 def from_entries(rows, cols, entries, branches: Counter | None = None) -> GroupRingMatrix:

@@ -5,10 +5,10 @@ elimination of acpair.homology in their dense form: every row update
 rebuilds the row's whole tail, and the pivot search scans every row of
 the trailing block.  Their pivots and operations are those of
 acpair.homology.  `echelon` also takes the trailing 2 x 2 block as
-`minors`, as acpair.homology's echelons do.  The only other addition is
+`minors`, as acpair.homology's echelon does.  The only other addition is
 the optional `branches` Counter, which counts the branches in which
-acpair.homology skips work or its sparse echelon keeps its index, so
-that a test can show its corpus reaches each of them:
+acpair.homology skips work or takes a rarer turn, so that a test can show
+its corpus reaches each of them:
 
 - "echelon p == prev == 1": a row updated after a unit pivot that follows
   a unit pivot (or starts the elimination);
@@ -20,16 +20,7 @@ that a test can show its corpus reaches each of them:
   differs from the previous one;
 - "echelon swap" and "echelon negated pivot": a pivot row moved up to the
   pivot position, and one made positive;
-- "echelon fill-in" and "echelon cancel": an entry right of the pivot
-  column that an update turns from zero to nonzero, or from nonzero to
-  zero, which the sparse echelon adds to or drops from its column index;
 - "echelon trailing block": the trailing 2 x 2 block taken as minors;
-- "echelon pivot: first candidate a unit", "echelon pivot: first
-  candidate +-q, a later unit" (q > 1) and "echelon pivot: no unit": a
-  column whose first nonzero below the pivot rows is +-1, which the
-  sparse echelon takes at once, one whose first is +-q with a +-1
-  further down, and one with no +-1, where it keys every candidate by
-  (|x|, place);
 - "smith zero row skipped": a row of the trailing block that is all zero
   when the pivot search scans it;
 - "smith fold": a non-unit pivot that does not divide the trailing block,
@@ -61,10 +52,6 @@ def echelon(a, branches: Counter | None = None, minors: list | None = None) -> t
                     break
         if k is None:
             continue
-        first = next(abs(row[c]) for row in m[rank:] if row[c])
-        count["echelon pivot: first candidate a unit" if first == 1 else
-              "echelon pivot: no unit" if p > 1 else
-              f"echelon pivot: first candidate +-{first}, a later unit"] += 1
         if k != rank:
             m[rank], m[k] = m[k], m[rank]
             sign = -sign
@@ -81,12 +68,8 @@ def echelon(a, branches: Counter | None = None, minors: list | None = None) -> t
                 count["echelon p == prev == 1" if p == prev == 1 else
                       "echelon p == prev > 1" if p == prev else
                       "echelon p != prev, nonzero x"] += 1
-                old = row[c + 1:]
                 row[c:] = ([y * p - x * z for y, z in zip(row[c:], tail)] if prev == 1 else
                            [(y * p - x * z) // prev for y, z in zip(row[c:], tail)])
-                for y, z in zip(old, row[c + 1:]):
-                    if (y == 0) != (z == 0):
-                        count["echelon fill-in" if z else "echelon cancel"] += 1
             elif p != prev:
                 count["echelon p != prev, zero x"] += 1
                 row[c:] = [y * p // prev for y in row[c:]]

@@ -224,7 +224,7 @@ def test_pipeline_and_verify_null_with_supplied_witnesses(tmp_path, capsys):
     assert "null vector: yes" in out
     code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
     assert code == 0
-    assert json.loads(out)["null"] is True
+    assert json.loads(out)["null"] is True and json.loads(out)["trivial"] is False
 
 
 def test_verify_null_reads_words_once_and_tables_once_per_context(tmp_path, capsys,
@@ -300,7 +300,9 @@ def test_cli_import_leaves_multiprocessing_out():
 
 def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
     # x = a - a is the zero sum; its file still names the presentation
-    # (coefficient 0), so that verify-null can read the sum's rank
+    # (coefficient 0), so that verify-null can read the sum's rank.  Its
+    # certificates hold, but a zero x shows no null vector: the verdict is
+    # trivial, not yes
     a = write(tmp_path / "a.pres", format_presentation(lustig(1)))
     bundle = tmp_path / "b"
     code, out, _ = run(capsys, "pipeline", a, a, "-o", bundle)
@@ -308,8 +310,9 @@ def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
     assert json.loads((bundle / "x.sum").read_text()) == [
         {"coeff": 0, "presentation": format_presentation(lustig(1))}]
     code, out, err = run(capsys, "verify-null", bundle)
-    assert code == 0, err
-    assert "null vector: yes" in out
+    assert code == 1, err
+    assert "certificate first_self: ok" in out
+    assert out.endswith("null vector: trivial (x reduces to 0 under these certificates)\n")
 
 
 def test_pipeline_refuses_an_existing_output_and_leaves_no_partial_bundle(
@@ -473,6 +476,24 @@ def test_verify_null_detects_broken_bundle(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 1
     assert "null vector: NO" in out
+
+
+def test_verify_null_calls_a_sum_that_is_zero_trivial(tmp_path, capsys):
+    # x = [x] - [x^-1] is one key with coefficient 0, and with no
+    # certificates its self-product is 0 too: a bare "yes" would claim a
+    # null vector that x = 0 cannot show
+    bundle = tmp_path / "b"
+    bundle.mkdir()
+    write(bundle / "x.sum", json.dumps([
+        {"coeff": 1, "presentation": "gens: x\nrel: x\n"},
+        {"coeff": -1, "presentation": "gens: x\nrel: x^-1\n"}]))
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert (code, out) == (1, "reduced self-product: 0\nnull vector: trivial "
+                               "(x reduces to 0 under these certificates)\n")
+    code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"null": True, "trivial": True, "certificates": [],
+                               "surviving_terms": []}
 
 
 @pytest.mark.parametrize("tamper, message", [

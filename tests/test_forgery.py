@@ -9,7 +9,7 @@ duplicated or swapped with its neighbour, a letter added to an lhs or rhs
 relator, the regime narrowed to k_prime, a certificate replaced by another
 or one of another rank added, a coefficient changed, a move at the end
 whose relator index is out of range, and a conjugation that makes a
-relator longer than the word bound.
+relator longer than the word bound, and x made zero.
 `verify-null` must exit 0 exactly when an independent null check says yes,
 and 1 or 2 otherwise.  The witness files are mutated too: the pipeline must
 accept exactly the witnesses whose products the oracle checks, and refuse
@@ -25,7 +25,7 @@ are 1-based and in range, k_prime admits ConjRel, InvRel and RestrictedSlide
 (and the trivial-relator moves when stabilized), RestrictedSlide multiplies
 as the README defines it, no relator may grow past the word bound, and the
 certificates that replay join the keys whose coefficients must cancel in
-the self-product.
+the self-product, but must not cancel x itself.
 """
 
 import contextlib
@@ -157,10 +157,13 @@ def _oracle_null(xsum: list, certs: list, replays: dict) -> bool:
             ends = [tuple(oracle.key(oracle.parse_presentation(cert[side])[1]))
                     for side in ("lhs", "rhs")]
             parent[find(ends[0])] = find(ends[1])
-    residue = defaultdict(Fraction)
+    residue, reduced = defaultdict(Fraction), defaultdict(Fraction)
     for key, coeff in product.items():
         residue[find(key)] += coeff
-    return all_ok and not any(residue.values())
+    for key, coeff in terms.items():
+        reduced[find(key)] += coeff
+    # x reduced to 0 has a self-product of 0 but shows no null vector
+    return all_ok and not any(residue.values()) and any(reduced.values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +283,21 @@ def _over_the_bound(rng, xsum, certs):
     cert["script"]["moves"].append({"op": "ConjRel", "j": 1, "w": "s^500010"})
 
 
+def _zero(rng, xsum, certs):
+    # every coefficient 0, or the first term's presentation in the second
+    # term too, so that their coefficients, 1 and -1, meet
+    if rng.random() < 0.5:
+        for item in xsum:
+            item["coeff"] = 0
+    else:
+        xsum[1]["presentation"] = xsum[0]["presentation"]
+
+
 MUTATIONS = [(_index, PER_KIND), (_side, PER_KIND), (_sign, 2), (_conjugator, PER_KIND),
              (_drop, PER_KIND), (_duplicate, PER_KIND), (_swap, PER_KIND),
              (_relator_letter, PER_KIND), (_regime, 6), (_certificate, 8),
-             (_coefficient, 8), (_index_past_the_end, 12), (_over_the_bound, 1)]
+             (_coefficient, 8), (_index_past_the_end, 12), (_over_the_bound, 1),
+             (_zero, 1)]
 
 
 def _write_bundle(path: pathlib.Path, xsum, certs) -> None:
@@ -326,7 +340,7 @@ def _forged_bundles(xsum, certs):
 
 def test_forged_bundles_are_refused_as_the_oracle_refuses_them(tmp_path):
     # the bundles of lustig(1) x lustig(2) and of lustig(1) x lustig(3),
-    # whose longest certificates hold 326 and 587 moves; of the 149 forged
+    # whose longest certificates hold 326 and 587 moves; of the 150 forged
     # bundles of each, 8 and 13 stay null
     for pair in ((1, 2), (1, 3)):
         root = tmp_path / f"lustig{pair[0]}x{pair[1]}"

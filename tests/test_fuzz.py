@@ -186,16 +186,19 @@ def _write(path, text):
 
 
 def _bundle_files(tmp_path):
-    """x.sum and a certificate of the bundle pipeline PRES_X PRES_X writes."""
+    """{file: content} of x.sum and the certificates of the bundle that
+    pipeline writes for PRES_XY and another presentation of the trivial
+    group, under b/: a nonzero x, as a zero one shows no null vector."""
     os.makedirs(tmp_path / "seed")
-    pres = tmp_path / "seed" / "k.pres"
-    _write(pres, PRES_X)
-    code, _, _, err = _run(["pipeline", str(pres), str(pres), "-o",
+    pres, other = tmp_path / "seed" / "k.pres", tmp_path / "seed" / "l.pres"
+    _write(pres, PRES_XY)
+    _write(other, "gens: x y\nrel: x y\nrel: y\n")
+    code, _, _, err = _run(["pipeline", str(pres), str(other), "-o",
                             str(tmp_path / "seed" / "bundle")])
     assert code == 0, err
     bundle = tmp_path / "seed" / "bundle"
-    cert = sorted((bundle / "certs").iterdir())[0]
-    return json.loads((bundle / "x.sum").read_text()), json.loads(cert.read_text())
+    return {f"b/{path.relative_to(bundle)}": json.loads(path.read_text())
+            for path in [bundle / "x.sum", *sorted((bundle / "certs").iterdir())]}
 
 
 def corpus(tmp_path):
@@ -209,7 +212,7 @@ def corpus(tmp_path):
         NielsenInv(1), AddGen("z"), AddTrivialRel())), ("x", "y"))
     witness = {"target": "x", "factors": [{"g": "x", "r_index": 1, "sign": 1}]}
     iso = {"y_in_x": ["x"], "x_in_y": ["y"]}
-    x_sum, cert = _bundle_files(tmp_path)
+    bundle = _bundle_files(tmp_path)
     chain = chain_to_json(random_gn_fixture("c2", 3, random.Random(60)))
     group_chain = chain_to_json(random_gn_fixture("c3", 3, random.Random(61)))
     group_chain["group"] = "c3.csv"
@@ -225,10 +228,8 @@ def corpus(tmp_path):
         ("iso", {"p.pres": PRES_X, "q.pres": "gens: y\nrel: y\n", "iso.json": iso},
          "iso.json", ["pipeline", "p.pres", "q.pres", "--iso", "iso.json",
                       "--max-states", "200", "-o", "bundle"]),
-        ("sum", {"b/x.sum": x_sum, "b/certs/c.json": cert}, "b/x.sum",
-         ["verify-null", "b"]),
-        ("certificate", {"b/x.sum": x_sum, "b/certs/c.json": cert}, "b/certs/c.json",
-         ["verify-null", "b"]),
+        ("sum", bundle, "b/x.sum", ["verify-null", "b"]),
+        ("certificate", bundle, "b/certs/cross.json", ["verify-null", "b"]),
         ("chain", {"c.json": chain}, "c.json", ["homology", "c.json", "--at", "2"]),
         ("glued chain", {"c.json": chain, "d.json": chain}, "d.json",
          ["glue", "c.json", "d.json", "-o", "g.json"]),

@@ -64,7 +64,7 @@ def test_group_validation():
     g = cyclic_group(6)
     assert g.order == 6 and g.identity == 0
     assert g.mul(2, 5) == 1
-    assert g.inverses[2] == 4
+    assert g.mul(2, 4) == g.mul(4, 2) == g.identity
     with pytest.raises(ValueError):
         FiniteGroup.from_table([[0, 1], [1, 1]])
     # Z_128 with one wrong entry: 2 + 3 = 7 is found although no identity or
@@ -562,28 +562,55 @@ def sparse_cases(rng):
     return cases
 
 
-def test_sparse_echelon_matches_the_dense_echelons():
-    # the sparse echelon takes the dense echelon's pivots, row order and
-    # signs, so its rank, minor and trailing minors are those of _echelon
-    # and of the reference, on random sparse matrices and on every A5 Fox
-    # boundary.  The counts show that the corpus reaches each branch where
-    # the sparse echelon changes its column index or its rows.
+def small_scope():
+    """Every matrix of 1..3 rows and 1..3 columns with entries in
+    {-1, 0, 1}, then every 2 x 2, 2 x 3 and 3 x 2 matrix with entries in
+    -2..2."""
+    for (rows, cols), values in itertools.chain(
+            zip(itertools.product((1, 2, 3), repeat=2), itertools.repeat((-1, 0, 1))),
+            zip(((2, 2), (2, 3), (3, 2)), itertools.repeat(range(-2, 3)))):
+        for entries in itertools.product(values, repeat=rows * cols):
+            yield [list(entries[i:i + cols]) for i in range(0, rows * cols, cols)]
+
+
+def test_sparse_rank_and_factors_match_the_dense_reference():
+    # Scope: the 53,172 matrices of small_scope, the 800 random sparse
+    # matrices of sparse_cases, the four A5 Fox d_2, and [[1, 1], [1, -1]],
+    # whose second row's lead turns -2 when the first is subtracted; and
+    # [[1, 1], [2, 1]] for _unit_rank alone, whose lead 2 is a multiplier.
+    # Given as rows of nonzeros to the sparse entry points, _rank and
+    # _invariant_factors, each gives the rank and the nonzero Smith
+    # diagonal of the dense reference.  _unit_rank either keeps every row
+    # it cannot reduce to zero, and gives the rank, with every invariant
+    # factor 1, or it gives None, and the rows take the dense path; the
+    # counts show each outcome on at least 100 matrices, and the dense
+    # echelon's rarer turns on the matrices that fall back.
     a5, chains = a5_fox_chains()
-    cases = sparse_cases(random.Random(81))
-    for chain in chains:
+    fox = [restrict_scalars(chain.boundary(2), a5) for chain in chains]
+    for chain in chains:  # the sparse restriction is the dense one's nonzeros
         for k in (1, 2):
-            d = chain.boundary(k)
-            cases.append(restrict_scalars(d, a5))
-            assert restrict_scalars(d, a5, sparse=True) == sparse_rows(cases[-1])
-    branches = Counter()
+            assert restrict_scalars(chain.boundary(k), a5, sparse=True) == sparse_rows(
+                restrict_scalars(chain.boundary(k), a5))
+    cases = itertools.chain(small_scope(), sparse_cases(random.Random(81)), fox,
+                            [[[1, 1], [1, -1]]])
+    outcomes, branches = Counter(), Counter()
     for a in cases:
-        sparse, dense, expected = [], [], []
-        result = homology._sparse_echelon(sparse_rows(a), len(a[0]), sparse)
-        assert result == _echelon(a, dense) == reference.echelon(a, branches, expected), a
-        assert sparse == dense == expected, a
+        rows, cols = sparse_rows(a), len(a[0])
+        unit = homology._unit_rank(rows)
+        rank = reference.echelon(a, None if unit is not None else branches, [])[0]
+        factors = reference.invariant_factors(a)
+        assert homology._rank(rows, sum(map(len, rows)), cols) == rank, a
+        assert homology._invariant_factors(sparse_rows(a), cols) == factors, a
+        assert unit in (None, rank) and (unit is None or factors == [1] * rank), a
+        outcomes["kept" if unit is not None else "None"] += 1
+    assert [homology._unit_rank(sparse_rows(a)) for a in fox] == [78] * 4
+    assert homology._unit_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) is None
+    # a multiplier 2 would keep the answer right, but only +-1 times a kept
+    # row is ever subtracted, which bounds the growth of the entries
+    assert homology._unit_rank([{0: 1, 1: 1}, {0: 2, 1: 1}]) is None
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 2, outcomes
     assert min(branches[b] for b in (
-        "echelon fill-in", "echelon cancel", "echelon swap", "echelon negated pivot",
-        "echelon p != prev, nonzero x", "echelon p != prev, zero x",
+        "echelon swap", "echelon negated pivot", "echelon p != prev, nonzero x",
         "echelon trailing block")) >= 10, branches
 
 
@@ -649,12 +676,12 @@ def group_ring_cases(rng, groups) -> list:
     return cases
 
 
-def test_cell_graph_rank_matches_the_sparse_echelon_of_the_restriction():
+def test_cell_graph_rank_matches_the_sparse_rank_of_the_restriction():
     # a block row of no term or two, x*a and -x*b with x = +-1, restricts
     # to |G| empty rows or edges e_u - e_v up to sign, and any other block
     # row to rows that are neither.  The graph rank read from the cells is
     # None exactly when a restricted row is neither, and otherwise the
-    # sparse echelon's rank of the restriction: on random matrices over
+    # sparse rank of the restriction: on random matrices over
     # Z/3, S3 and A5, on every case of the row-level graph rank over the
     # trivial group, and on the d_1 of every A5 Fox chain, of rank 59.
     # The counts show that the corpus reaches graphs with empty rows,
@@ -670,7 +697,7 @@ def test_cell_graph_rank_matches_the_sparse_echelon_of_the_restriction():
         rows, cols = restrict_scalars(d, group, sparse=True), d.cols * group.order
         rank = homology._cell_graph_rank(d, group)
         if all(not row or sorted(row.values()) == [-1, 1] for row in rows):
-            assert rank == homology._sparse_echelon(rows, cols)[0], (group, d)
+            assert rank == homology._rank(rows, sum(map(len, rows)), cols), (group, d)
             edges = {frozenset(row) for row in rows if row}
             branches["empty row"] += any(not row for row in rows)
             branches["isolated column"] += len(set().union(*edges)) < cols
@@ -693,30 +720,6 @@ def test_graph_rank_refuses_rows_that_are_not_edges(rows):
     # the row-level cases of a restriction that is no incidence matrix, as
     # a matrix over the trivial group
     assert homology._cell_graph_rank(trivial_matrix(rows, 4), trivial_group()) is None
-
-
-def test_sparse_echelon_takes_a_unit_pivot_at_once_and_keys_the_rest():
-    # the sparse echelon takes a column's first candidate when it is +-1,
-    # and otherwise the least |x|, the first of them: the dense echelon's
-    # pivot either way, so their rank, minor and trailing minors agree, on
-    # sparse matrices where a first candidate +-2 sits above a +-1 and where
-    # no candidate is a unit.  The counts come from the dense reference,
-    # whose pivots and row order the sparse echelon shares
-    rng, branches = random.Random(84), Counter()
-    for _ in range(300):
-        rows = rng.randint(2, 12)
-        cols = rows if rng.random() < 0.5 else rng.randint(2, 12)
-        values = rng.choice(((2, -2, 2, -2, 1, -1), (2, -2, 3, 4, -6)))
-        a = [[rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(cols)]
-             for _ in range(rows)]
-        sparse, dense, expected = [], [], []
-        result = homology._sparse_echelon(sparse_rows(a), cols, sparse)
-        assert result == _echelon(a, dense) == reference.echelon(a, branches, expected), a
-        assert sparse == dense == expected, a
-    assert min(branches[b] for b in (
-        "echelon pivot: first candidate a unit",
-        "echelon pivot: first candidate +-2, a later unit",
-        "echelon pivot: no unit")) >= 50, branches
 
 
 def random_unimodular(rng, n):
@@ -866,8 +869,8 @@ def test_invariant_factors_clear_g_of_the_primes_of_s_n_alone(monkeypatch):
 
 
 def test_invariant_factors_of_sparse_rows_follow_the_same_rules(diagonalize_calls):
-    # rows of nonzeros go through the sparse echelon, and to the Smith
-    # elimination as lists, under every rule of _invariant_factors
+    # rows of nonzeros that _unit_rank cannot rank are made lists and take
+    # the dense path, under every rule of _invariant_factors
     rules = Counter()
     for kind, a, expected in factor_cases(random.Random(61)):
         diagonalize_calls.clear()
@@ -944,10 +947,9 @@ def test_rank_mod_p_counts_the_invariant_factors_that_p_does_not_divide():
 @pytest.fixture
 def rank_calls(monkeypatch):
     """Names of the calls of homology._rank_mod_p, homology._echelon,
-    homology._sparse_echelon and homology._cell_graph_rank while a test
-    runs."""
+    homology._unit_rank and homology._cell_graph_rank while a test runs."""
     calls = []
-    for name in ("_rank_mod_p", "_echelon", "_sparse_echelon", "_cell_graph_rank"):
+    for name in ("_rank_mod_p", "_echelon", "_unit_rank", "_cell_graph_rank"):
         def watched(*args, _name=name, _f=getattr(homology, name)):
             calls.append(_name)
             return _f(*args)
@@ -972,14 +974,15 @@ def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
     # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78.
     # Each outgoing boundary is first ranked as a graph from its cells:
     # that is the rank of d_1, whose block rows are g - 1; it refuses d_2,
-    # which goes to the sparse echelon, as the square d_2 does for its
-    # minors.  A dense full-rank top boundary, which the graph rank refuses
-    # at its first block row, needs no echelon
+    # whose rank the unit-lead reduction gives, as it gives the invariant
+    # factors of d_2, all 1, with no echelon.  A dense full-rank top
+    # boundary, which the graph rank refuses at its first block row, needs
+    # no echelon
     _, chains = a5_fox_chains()
     for chain in chains:
         for k in (1, 2):
             homology_at(chain, k)
-    assert rank_calls == ["_cell_graph_rank", "_sparse_echelon"] * 8  # two of each per chain
+    assert rank_calls == ["_cell_graph_rank", "_unit_rank"] * 8  # two of each per chain
     rng = random.Random(73)
     matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
     rank_calls.clear()

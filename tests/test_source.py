@@ -403,3 +403,33 @@ def test_the_density_threshold_is_written_once():
                        if isinstance(node, ast.FunctionDef) and node.name == "homology_at")
     assert {"_restricted", "_rank"} <= _calls(homology_at)
     assert "restrict_scalars" not in _calls(homology_at)
+
+
+def _floor_divisor(node):
+    """The divisor of a floor division, or None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv):
+        return node.right if isinstance(node, ast.BinOp) else node.value
+    return None
+
+
+def test_one_elimination_divides_by_the_previous_pivot():
+    # a fraction-free (Bareiss) elimination divides each update by the
+    # pivot before: a floor division by a name that the same function
+    # rebinds inside a loop.  homology._echelon is the one such function,
+    # so no second fraction-free elimination, which would have to repeat
+    # its pivots and minors step for step, can come back beside it
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            rebound = {target.id for loop in ast.walk(func)
+                       if isinstance(loop, (ast.For, ast.While))
+                       for stmt in loop.body for node in ast.walk(stmt)
+                       if isinstance(node, (ast.Assign, ast.AugAssign))
+                       for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                       if isinstance(target, ast.Name)}
+            divisors = map(_floor_divisor, ast.walk(func))
+            if any(isinstance(d, ast.Name) and d.id in rebound for d in divisors):
+                found.add((path.name, func.name))
+    assert found == {("homology.py", "_echelon")}, found

@@ -58,7 +58,8 @@ VERIFY_NULL = {
                "FormalSum.dot.<locals>.<genexpr> NullVectorReport.as_text "
                "_ExactSum.__init__ _ExactSum.__init__.<locals>.<dictcomp> "
                "_ExactSum.is_zero __create_fn__.<locals>.__init__ _check_scalar _merge "
-               "_reduce _reduce.<locals>.<genexpr> _root certificate_from_json "
+               "_reduce _reduce.<locals>.<genexpr> _reduce.<locals>.<genexpr>.<genexpr> "
+               "_root certificate_from_json "
                "sum_from_json verify_null verify_null.<locals>.<genexpr>",
     "presentations": "CanonicalKey.sort_key CanonicalKey.sort_key.<locals>.<genexpr>",
     "words": "_longest multiply.<locals>.<lambda>",
