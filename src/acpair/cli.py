@@ -172,13 +172,16 @@ def cmd_pipeline(args) -> int:
     if result.unknown:
         lines.append("unknown witnesses (no claim): " + ", ".join(
             f"{label} ({outcome})" for label, outcome in result.unknown))
+    elif result.report.trivial:  # as verify-null answers on the bundle
+        lines.append("verify-null: trivial (x reduces to 0 under these certificates)")
     else:
         # null_vector_pipeline raised WitnessError unless verify_null passed.
         lines.append("verify-null: pass")
 
     _write_bundle(args.output, result, {canonical_key(p): p for p in (p1, p2)}, lines)
     print("\n".join(lines))
-    return 0 if result.complete else VERIFY_FAIL
+    verified = result.complete and result.report.null and not result.report.trivial
+    return 0 if verified else VERIFY_FAIL
 
 
 def _write_json(path: str, data) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 from .moves import (AddGen, ConjRel, EquivalenceCertificate, InvRel, MoveError,
                     MoveScript, NielsenInv, NielsenMul, RegimeError, SearchOutcome,
                     SlideRel, _bounded, _breadth_first, _nonnegative, replay)
-from .pairing import FormalSum, verify_null
+from .pairing import FormalSum, NullVectorReport, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
 from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
@@ -419,6 +419,7 @@ class PipelineResult:
     certificates: tuple
     stabilizations: int
     unknown: tuple  # (label, SearchOutcome) of each witness not found
+    report: NullVectorReport  # verify_null's, over x and the certificates
 
     @property
     def complete(self) -> bool:
@@ -469,12 +470,13 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
     Each certificate takes a*b to a v mS^2: first_self (p1*p1), second_self
     (p2*p2), cross (p1*p2) and cross_second (p2*p1), a cross one only when
     all its witnesses are at hand.  Returns x = first - second with the
-    certificates.  Witnesses may be supplied per relator; otherwise they
-    are searched within the budget.  When a search stops without a witness
-    the result carries its Unknown label and SearchOutcome.  Each script is
-    stabilization_moves of its witnesses, one slide per factor.  Every
-    certificate built is replayed once, by verify_null, complete or not:
-    nothing unverified is ever emitted.
+    certificates and verify_null's report on them.  Witnesses may be
+    supplied per relator; otherwise they are searched within the budget.
+    When a search stops without a witness the result carries its Unknown
+    label and SearchOutcome.  Each script is stabilization_moves of its
+    witnesses, one slide per factor.  Every certificate built is replayed
+    once, by verify_null, complete or not: nothing unverified is ever
+    emitted.
     """
     p1, p2 = common.p_prime, common.q_prime
     if euler_char(p1) != euler_char(p2):
@@ -508,16 +510,15 @@ def null_vector_pipeline(common: CommonGeneratorsResult,
                                      ("cross_second", p2, p1, wits[m:]))
              if None not in ws]
 
-    result = PipelineResult(x, tuple(certs), m, tuple(unknown))
     report = verify_null(x, certs)
     failed = [label for label, ok, _ in report.certificate_status if not ok]
     if failed:
         raise WitnessError(f"pipeline certificates fail verification: "
                            f"{', '.join(failed)}")
-    if result.complete and not report.null:
+    if not unknown and not report.null:
         raise WitnessError("pipeline produced certificates that do not "
                            "cancel the self-product")
-    return result
+    return PipelineResult(x, tuple(certs), m, tuple(unknown), report)
 
 
 # ---------------------------------------------------------------------------

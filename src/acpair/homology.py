@@ -16,16 +16,20 @@ nonzero, as homology takes for the outgoing boundary and ``matrix_rank``
 returns, is first taken modulo the prime P = 4,194,301, on rows packed
 into Python ints.  A rank modulo P never exceeds the rank over Q, so when
 it is min(rows, cols) it is the rank; otherwise the echelon decides.
-An outgoing boundary whose block rows each hold no term or two, x*a and
--x*b with x = +-1, as the Fox derivatives g - 1 of d_1 do, is ranked from
-its cells and not restricted: each such block row restricts to |G| rows
-that are empty or e_u - e_v up to sign, the edges of a graph on the
-restricted columns, and an incidence matrix has rank (vertices -
-components) over Q.  Homology restricts any other sparse boundary, such
-as an A5 Fox d_2, to rows of nonzeros {col: coeff} and reduces them with
-+-1 leads only (_unit_rank).  Where that succeeds, a unimodular transform
-took them to an echelon with +-1 leads, so the kept rows number the rank
-and every invariant factor is 1; otherwise the rows are made lists.
+One function settles each boundary that homology reads, the outgoing
+d_k for its rank and the incoming d_{k+1} for its invariant factors.  A
+boundary whose block rows each hold no term or two, x*a and -x*b with
+x = +-1, as the Fox derivatives g - 1 of d_1 do, is ranked from its cells
+and not restricted: each such block row restricts to |G| rows that are
+empty or e_u - e_v up to sign, the edges of a graph on the restricted
+columns, and an incidence matrix has rank (vertices - components) over Q.
+It is totally unimodular (Schrijver, Theory of Linear and Integer
+Programming, 1986), so that rank r also proves r invariant factors of 1.
+Any other sparse boundary, such as an A5 Fox d_2, is restricted to rows
+of nonzeros {col: coeff} and reduced with +-1 leads only (_unit_rank).
+Where that succeeds, a unimodular transform took them to an echelon with
++-1 leads, so the kept rows number the rank and every invariant factor
+is 1; otherwise the rows are made lists.
 
 Invariant factors, and with them cokernels and homology, are read from
 the echelon's minors where they settle the answer.  The first k factors
@@ -279,15 +283,6 @@ def restrict_scalars(m: GroupRingMatrix, group: FiniteGroup, sparse: bool = Fals
     return rows
 
 
-def _densify(rows: list, cols: int) -> list:
-    """Row lists of cols entries from rows of nonzeros."""
-    out = [[0] * cols for _ in rows]
-    for dense, row in zip(out, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact integer matrices.  The public eliminations refuse an entry that is
 # not an int, a bool included, as json_int does: their divisions are exact
@@ -532,10 +527,9 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list:
     return _invariant_factors([list(row) for row in a])
 
 
-def _invariant_factors(m: list, cols: int | None = None) -> list:
-    """invariant_factors of m, a list of row lists that it overwrites, or,
-    given cols, of rows of nonzeros over cols columns: r ones when
-    _unit_rank gives their rank r, else those of the rows made lists.
+def _invariant_factors(m: list) -> list:
+    """invariant_factors of m, a list of row lists that it overwrites; none
+    and no elimination for no rows.
 
     A square m of side n goes through the echelon first, for its rank r,
     pivot minor D and g, the gcd of its trailing (n-1)-minors; the module
@@ -546,11 +540,9 @@ def _invariant_factors(m: list, cols: int | None = None) -> list:
     s_n is |D| over their product.  A non-square m, and a singular square
     one with |D| > 1, go to the Smith elimination as they are.
     """
-    if cols is not None:
-        if (rank := _unit_rank(m)) is not None:
-            return [1] * rank
-        m = _densify(m, cols)
-    rows, cols = len(m), len(m[0]) if m else 0
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
     if rows == cols:
         minors = []
         rank, minor = _echelon(m, minors)
@@ -654,21 +646,18 @@ def _dense(nonzeros: int, rows: int, cols: int) -> bool:
     return 2 * nonzeros > rows * cols
 
 
-def _rank(m: Sequence[Sequence[int]], nonzeros: int, cols: int | None = None) -> int:
-    """The rank of m over Q, given the number of its nonzero entries; given
-    cols, m is rows of nonzeros over cols columns, ranked by _unit_rank
-    where it can and made lists where it cannot.
+def _rank(m: Sequence[Sequence[int]], nonzeros: int) -> int:
+    """The rank of m over Q, given the number of its nonzero entries; 0,
+    with no elimination, for no rows.
 
     A matrix with more nonzero than zero entries and min(rows, cols)
     below _MOD_P_MAX_SIDE tries _rank_mod_p first; when that rank is
     min(rows, cols) it is the rank over Q too, since a rank modulo P
     never exceeds it.  The echelon decides every other case.
     """
-    if cols is not None:
-        if (rank := _unit_rank(m)) is not None:
-            return rank
-        m = _densify(m, cols)
-    rows, cols = len(m), len(m[0]) if m else 0
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
     full = min(rows, cols)
     if (_dense(nonzeros, rows, cols) and full < _MOD_P_MAX_SIDE
             and _rank_mod_p(m) == full):
@@ -677,15 +666,17 @@ def _rank(m: Sequence[Sequence[int]], nonzeros: int, cols: int | None = None) ->
 
 
 def _cell_graph_rank(d: GroupRingMatrix, group: FiniteGroup) -> int | None:
-    """The rank of d restricted when each block row of d holds no term or
-    two, x*a and -x*b with x = +-1, as the Fox derivatives g - 1 of d_1 do;
-    else None.  Read from the cells, so d is not restricted.
+    """The rank of d restricted, and so its number of invariant factors,
+    all 1, when each block row of d holds no term or two, x*a and -x*b with
+    x = +-1, as the Fox derivatives g - 1 of d_1 do; else None.  Read from
+    the cells, so d is not restricted.
 
     Such a block row restricts to the |G| rows x*(e_u - e_v), one for each
     g in G, with u = g*a and v = g*b placed in the blocks of their columns:
     the edges of a graph on the restricted columns, whose rank is the
-    number of edges of a spanning forest, which union-find counts (module
-    docstring).  A restricted row holds one nonzero for each term of its
+    number of edges of a spanning forest, which union-find counts, and
+    whose incidence matrix is totally unimodular (module docstring).  A
+    restricted row holds one nonzero for each term of its
     block row, with the term's coefficient, so the restricted rows of any
     other block row are neither empty nor +-(e_u - e_v).
     """
@@ -757,12 +748,11 @@ def cokernel_invariants(a: Sequence[Sequence[int]], ambient_rank: int) -> Abelia
     _check_entries(a)
     if a and len(a[0]) != ambient_rank:
         raise ValueError(f"rows of length {len(a[0])} do not lie in Z^{ambient_rank}")
-    return _cokernel([list(row) for row in a], ambient_rank)
+    return _cokernel(_invariant_factors([list(row) for row in a]), ambient_rank)
 
 
-def _cokernel(m: list, ambient_rank: int, cols: int | None = None) -> AbelianGroup:
-    """cokernel_invariants of m, taken as _invariant_factors takes it."""
-    factors = _invariant_factors(m, cols) if m else []
+def _cokernel(factors: list, ambient_rank: int) -> AbelianGroup:
+    """Z^ambient_rank modulo a row span with these invariant factors."""
     if len(factors) > ambient_rank:
         raise ValueError("row span exceeds ambient rank")
     return AbelianGroup(ambient_rank - len(factors),
@@ -810,23 +800,33 @@ def homology_at(c: ChainComplexData, k: int) -> AbelianGroup:
     n = c.top_dim
     if not 0 <= k <= n:
         raise ValueError(f"position {k} outside 0..{n}")
-    rank_out = 0
-    if k >= 1 and (rank_out := _cell_graph_rank(c.boundary(k), c.group)) is None:
-        m, cols, nonzeros = _restricted(c.boundary(k), c.group)
-        rank_out = _rank(m, nonzeros, cols)
-    m, cols, _ = _restricted(c.boundary(k + 1), c.group) if k < n else ([], None, 0)
+    ones, m, nonzeros = _restricted(c.boundary(k), c.group) if k else (0, [], 0)
+    rank_out = ones + _rank(m, nonzeros)
+    ones, m, _ = _restricted(c.boundary(k + 1), c.group) if k < n else (0, [], 0)
     # ker d_k is a direct summand of rank ranks[k] * |G| - rank_out, and it
     # holds im d_{k+1} because ChainComplexData checked d o d = 0
-    return _cokernel(m, c.ranks[k] * c.group.order - rank_out, cols)
+    return _cokernel([1] * ones + _invariant_factors(m), c.ranks[k] * c.group.order - rank_out)
 
 
 def _restricted(d: GroupRingMatrix, group: FiniteGroup) -> tuple:
-    """(m, cols, nonzeros): d restricted, as row lists and cols None when
-    dense, else as rows of nonzeros over cols columns; |G| per term."""
+    """(ones, m, nonzeros): d settled as far as it goes without an
+    elimination, for its rank, ones + that of m, and its invariant factors,
+    ones 1s and those of m.  m is empty when d is settled: ranked as a
+    graph from its cells, or, restricted to rows of nonzeros, by _unit_rank.
+    Otherwise m is d restricted, as row lists, with nonzeros, |G| per term."""
+    if (rank := _cell_graph_rank(d, group)) is not None:
+        return rank, [], 0
     nonzeros, cols = group.order * sum(map(len, d.entries.values())), d.cols * group.order
     if _dense(nonzeros, d.rows * group.order, cols):
-        return restrict_scalars(d, group), None, nonzeros
-    return restrict_scalars(d, group, sparse=True), cols, nonzeros
+        return 0, restrict_scalars(d, group), nonzeros
+    rows = restrict_scalars(d, group, sparse=True)
+    if (rank := _unit_rank(rows)) is not None:
+        return rank, [], 0
+    m = [[0] * cols for _ in rows]
+    for dense, row in zip(m, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return 0, m, nonzeros
 
 
 def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData:
@@ -931,22 +931,19 @@ def chain_to_json(c: ChainComplexData) -> dict:
     }
 
 
-def _checked_entries(entries, n: int) -> list:
-    """entries as lists [k, r, col, elem, coeff] of ints with k in 1..n,
-    checked one at a time in file order, so that an error names the first
-    bad entry of the file."""
-    out = []
+def _refuse_entries(entries, n: int) -> None:
+    """Raise the error of the first entry, in file order, that is not a
+    list [k, r, col, elem, coeff] of ints with k in 1..n; chain_from_json
+    calls it only when one is."""
     for i, entry in enumerate(entries):
         if type(entry) is not list:
             raise ValueError(f"entries[{i}] is not a list [k, r, col, elem, coeff]")
         if len(entry) != 5:
             raise ValueError(f"entries[{i}] has {len(entry)} fields, expected 5: "
                              f"[k, r, col, elem, coeff]")
-        k, r, col, elem, coeff = (json_int(x, "an entry field") for x in entry)
+        k, *_ = (json_int(x, "an entry field") for x in entry)
         if not 1 <= k <= n:
             raise ValueError(f"boundary index {k} out of range")
-        out.append([k, r, col, elem, coeff])
-    return out
 
 
 def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
@@ -1000,10 +997,10 @@ def chain_from_json(data: Mapping, base_dir: str = ".") -> ChainComplexData:
         raise ValueError("entries is not a list of entries [k, r, col, elem, coeff]")
     if (set(map(type, entries)) - {list} or set(map(len, entries)) - {5}
             or not _all_ints(chain.from_iterable(entries))):
-        entries = _checked_entries(entries, n)
+        _refuse_entries(entries, n)
     entries = sorted(entries)
     if entries and not (1 <= entries[0][0] and entries[-1][0] <= n):
-        _checked_entries(data["entries"], n)
+        _refuse_entries(data["entries"], n)
     # every element an entry names is checked, even in a term that is zero
     # or cancels, after the positions
     stray = entries and (min(map(itemgetter(3), entries)) < 0

@@ -302,11 +302,13 @@ def test_pipeline_same_key_bundle_verifies(tmp_path, capsys):
     # x = a - a is the zero sum; its file still names the presentation
     # (coefficient 0), so that verify-null can read the sum's rank.  Its
     # certificates hold, but a zero x shows no null vector: the verdict is
-    # trivial, not yes
+    # trivial, not yes, from pipeline as from verify-null, and the bundle
+    # is still written
     a = write(tmp_path / "a.pres", format_presentation(lustig(1)))
     bundle = tmp_path / "b"
     code, out, _ = run(capsys, "pipeline", a, a, "-o", bundle)
-    assert code == 0 and "verify-null: pass" in out, out
+    assert code == 1, out
+    assert out.endswith("verify-null: trivial (x reduces to 0 under these certificates)\n")
     assert json.loads((bundle / "x.sum").read_text()) == [
         {"coeff": 0, "presentation": format_presentation(lustig(1))}]
     code, out, err = run(capsys, "verify-null", bundle)
@@ -319,7 +321,7 @@ def test_pipeline_refuses_an_existing_output_and_leaves_no_partial_bundle(
         tmp_path, capsys):
     a = write(tmp_path / "a.pres", format_presentation(lustig(1)))
     bundle = tmp_path / "b"
-    assert run(capsys, "pipeline", a, a, "-o", bundle)[0] == 0
+    assert run(capsys, "pipeline", a, a, "-o", bundle)[0] == 1  # a zero x: trivial
     before = (bundle / "x.sum").read_text()
     code, _, err = run(capsys, "pipeline", a, a, "-o", bundle)
     assert code == 2 and f"output {bundle} already exists" in err
@@ -505,7 +507,7 @@ def test_verify_null_reports_a_failing_certificate(tmp_path, capsys, tamper, mes
     k1 = write(tmp_path / "k1.pres", format_presentation(lustig(1)))
     bundle = tmp_path / "b"
     code, out, _ = run(capsys, "pipeline", k1, k1, "-o", bundle)
-    assert code == 0 and "verify-null: pass" in out, out
+    assert code == 1 and "verify-null: trivial" in out, out  # a zero x
     path = bundle / "certs" / "first_self.json"
     cert = json.loads(path.read_text())
     tamper(cert)

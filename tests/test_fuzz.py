@@ -210,7 +210,9 @@ def corpus(tmp_path):
         RestrictedSlide(0, (RSFactor(encode((2,)), 1, 1, encode((1,))),)),
         NielsenMul(0, 1, "left"),
         NielsenInv(1), AddGen("z"), AddTrivialRel())), ("x", "y"))
-    witness = {"target": "x", "factors": [{"g": "x", "r_index": 1, "sign": 1}]}
+    # x y over x and y, for a nonzero x as in _bundle_files
+    witness = {"target": "x y", "factors": [{"g": "x", "r_index": 1, "sign": 1},
+                                            {"g": "1", "r_index": 2, "sign": 1}]}
     iso = {"y_in_x": ["x"], "x_in_y": ["y"]}
     bundle = _bundle_files(tmp_path)
     chain = chain_to_json(random_gn_fixture("c2", 3, random.Random(60)))
@@ -221,9 +223,10 @@ def corpus(tmp_path):
          ["normalize", "k.pres"]),
         ("script", {"p.pres": PRES_XY, "s.json": script}, "s.json",
          ["apply", "p.pres", "s.json"]),
-        ("witness", {"k.pres": PRES_X, "wits/second_over_first_1.json": witness},
+        ("witness", {"k.pres": PRES_XY, "l.pres": "gens: x y\nrel: x y\nrel: y\n",
+                     "wits/second_over_first_1.json": witness},
          "wits/second_over_first_1.json",
-         ["pipeline", "k.pres", "k.pres", "--witnesses", "wits", "--max-states", "200",
+         ["pipeline", "k.pres", "l.pres", "--witnesses", "wits", "--max-states", "200",
           "-o", "bundle"]),
         ("iso", {"p.pres": PRES_X, "q.pres": "gens: y\nrel: y\n", "iso.json": iso},
          "iso.json", ["pipeline", "p.pres", "q.pres", "--iso", "iso.json",

@@ -573,17 +573,38 @@ def small_scope():
             yield [list(entries[i:i + cols]) for i in range(0, rows * cols, cols)]
 
 
+def settled(rows, cols) -> tuple:
+    """The rank and the invariant factors of rows of nonzeros over cols
+    columns, read as homology_at reads a boundary: _restricted settles the
+    matrix over the trivial group whose restriction they are, and _rank
+    and _invariant_factors take what it leaves.  Also the route taken:
+    settled, dense, or sparse and made lists."""
+    d, group = trivial_matrix(rows, cols), trivial_group()
+    ones, m, nonzeros = homology._restricted(d, group)
+    route = ("settled" if not m else "dense" if homology._dense(nonzeros, len(m), cols)
+             else "made lists")
+    return (ones + homology._rank(m, nonzeros),
+            [1] * ones + homology._invariant_factors(m), route)
+
+
+@pytest.fixture
+def all_sparse(monkeypatch):
+    """Every matrix counts as sparse, so that _restricted tries _unit_rank
+    on it and makes lists of the rows that it cannot rank."""
+    monkeypatch.setattr(homology, "_dense", lambda nonzeros, rows, cols: False)
+
+
 def test_sparse_rank_and_factors_match_the_dense_reference():
     # Scope: the 53,172 matrices of small_scope, the 800 random sparse
     # matrices of sparse_cases, the four A5 Fox d_2, and [[1, 1], [1, -1]],
     # whose second row's lead turns -2 when the first is subtracted; and
     # [[1, 1], [2, 1]] for _unit_rank alone, whose lead 2 is a multiplier.
-    # Given as rows of nonzeros to the sparse entry points, _rank and
-    # _invariant_factors, each gives the rank and the nonzero Smith
-    # diagonal of the dense reference.  _unit_rank either keeps every row
-    # it cannot reduce to zero, and gives the rank, with every invariant
-    # factor 1, or it gives None, and the rows take the dense path; the
-    # counts show each outcome on at least 100 matrices, and the dense
+    # Settled by _restricted as homology_at settles a boundary, each gives
+    # the rank and the nonzero Smith diagonal of the dense reference.
+    # _unit_rank either keeps every row it cannot reduce to zero, and
+    # gives the rank, with every invariant factor 1, or it gives None, and
+    # the rows take the dense path; the counts show each outcome and each
+    # route of _restricted on at least 100 matrices, and the dense
     # echelon's rarer turns on the matrices that fall back.
     a5, chains = a5_fox_chains()
     fox = [restrict_scalars(chain.boundary(2), a5) for chain in chains]
@@ -593,22 +614,24 @@ def test_sparse_rank_and_factors_match_the_dense_reference():
                 restrict_scalars(chain.boundary(k), a5))
     cases = itertools.chain(small_scope(), sparse_cases(random.Random(81)), fox,
                             [[[1, 1], [1, -1]]])
-    outcomes, branches = Counter(), Counter()
+    outcomes, branches, routes = Counter(), Counter(), Counter()
     for a in cases:
         rows, cols = sparse_rows(a), len(a[0])
         unit = homology._unit_rank(rows)
         rank = reference.echelon(a, None if unit is not None else branches, [])[0]
         factors = reference.invariant_factors(a)
-        assert homology._rank(rows, sum(map(len, rows)), cols) == rank, a
-        assert homology._invariant_factors(sparse_rows(a), cols) == factors, a
+        got_rank, got_factors, route = settled(rows, cols)
+        assert (got_rank, got_factors) == (rank, factors), a
         assert unit in (None, rank) and (unit is None or factors == [1] * rank), a
         outcomes["kept" if unit is not None else "None"] += 1
+        routes[route] += 1
     assert [homology._unit_rank(sparse_rows(a)) for a in fox] == [78] * 4
     assert homology._unit_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) is None
     # a multiplier 2 would keep the answer right, but only +-1 times a kept
     # row is ever subtracted, which bounds the growth of the entries
     assert homology._unit_rank([{0: 1, 1: 1}, {0: 2, 1: 1}]) is None
     assert min(outcomes.values()) >= 100 and len(outcomes) == 2, outcomes
+    assert min(routes.values()) >= 100 and len(routes) == 3, routes
     assert min(branches[b] for b in (
         "echelon swap", "echelon negated pivot", "echelon p != prev, nonzero x",
         "echelon trailing block")) >= 10, branches
@@ -681,10 +704,11 @@ def test_cell_graph_rank_matches_the_sparse_rank_of_the_restriction():
     # to |G| empty rows or edges e_u - e_v up to sign, and any other block
     # row to rows that are neither.  The graph rank read from the cells is
     # None exactly when a restricted row is neither, and otherwise the
-    # sparse rank of the restriction: on random matrices over
-    # Z/3, S3 and A5, on every case of the row-level graph rank over the
-    # trivial group, and on the d_1 of every A5 Fox chain, of rank 59.
-    # The counts show that the corpus reaches graphs with empty rows,
+    # rank of the restriction in the dense reference, with as many
+    # invariant factors, all 1, since an incidence matrix is totally
+    # unimodular: on random matrices over Z/3, S3 and A5, on every case of
+    # the row-level graph rank over the trivial group, and on the d_1 of
+    # every A5 Fox chain, of rank 59.  The counts show that the corpus reaches graphs with empty rows,
     # isolated columns, repeated edges and cycles, and each refusal.
     a5, chains = a5_fox_chains()
     cases = group_ring_cases(random.Random(83), [cyclic_group(3), symmetric_group_3(), a5])
@@ -697,7 +721,9 @@ def test_cell_graph_rank_matches_the_sparse_rank_of_the_restriction():
         rows, cols = restrict_scalars(d, group, sparse=True), d.cols * group.order
         rank = homology._cell_graph_rank(d, group)
         if all(not row or sorted(row.values()) == [-1, 1] for row in rows):
-            assert rank == homology._rank(rows, sum(map(len, rows)), cols), (group, d)
+            a = restrict_scalars(d, group)
+            assert rank == reference.echelon(a)[0], (group, d)
+            assert reference.invariant_factors(a) == [1] * rank, (group, d)
             edges = {frozenset(row) for row in rows if row}
             branches["empty row"] += any(not row for row in rows)
             branches["isolated column"] += len(set().union(*edges)) < cols
@@ -868,13 +894,16 @@ def test_invariant_factors_clear_g_of_the_primes_of_s_n_alone(monkeypatch):
         kinds[kind] += 1
 
 
-def test_invariant_factors_of_sparse_rows_follow_the_same_rules(diagonalize_calls):
+def test_invariant_factors_of_sparse_rows_follow_the_same_rules(diagonalize_calls,
+                                                                all_sparse):
     # rows of nonzeros that _unit_rank cannot rank are made lists and take
-    # the dense path, under every rule of _invariant_factors
+    # the dense path, under every rule of _invariant_factors, each matrix
+    # counting as sparse so that it reaches _unit_rank first
     rules = Counter()
     for kind, a, expected in factor_cases(random.Random(61)):
         diagonalize_calls.clear()
-        assert homology._invariant_factors(sparse_rows(a), len(a[0])) == expected, (kind, a)
+        factors = settled(sparse_rows(a), len(a[0]))[1]
+        assert factors == expected == reference.invariant_factors(a), (kind, a)
         rules["echelon only" if not diagonalize_calls else
               "bare" if diagonalize_calls == [(len(a), len(a[0]))] else "mod g"] += 1
     assert min(rules.values()) >= 10 and len(rules) == 3, rules
@@ -972,22 +1001,42 @@ def test_rank_falls_back_to_the_echelon_where_p_divides_the_determinant(rank_cal
 
 def test_homology_takes_the_rank_modulo_p_only_for_dense_boundaries(rank_calls):
     # an A5 Fox boundary has 780 of its 32,400 entries nonzero and rank 78.
-    # Each outgoing boundary is first ranked as a graph from its cells:
-    # that is the rank of d_1, whose block rows are g - 1; it refuses d_2,
-    # whose rank the unit-lead reduction gives, as it gives the invariant
-    # factors of d_2, all 1, with no echelon.  A dense full-rank top
-    # boundary, which the graph rank refuses at its first block row, needs
-    # no echelon
+    # Each boundary, outgoing or incoming, is first ranked as a graph from
+    # its cells: that is the rank of d_1, whose block rows are g - 1; it
+    # refuses d_2, whose rank the unit-lead reduction gives, as it gives
+    # the invariant factors of d_2, all 1, with no echelon.  A dense
+    # full-rank top boundary, which the graph rank refuses at its first
+    # block row, needs no echelon
     _, chains = a5_fox_chains()
     for chain in chains:
         for k in (1, 2):
             homology_at(chain, k)
-    assert rank_calls == ["_cell_graph_rank", "_unit_rank"] * 8  # two of each per chain
+    per_chain = ["_cell_graph_rank",  # d_1 out, at k = 1
+                 "_cell_graph_rank", "_unit_rank",  # d_2 in, at k = 1
+                 "_cell_graph_rank", "_unit_rank"]  # d_2 out, at k = 2
+    assert rank_calls == per_chain * 4
     rng = random.Random(73)
     matrix = [[rng.randint(-5, 5) for _ in range(24)] for _ in range(24)]
     rank_calls.clear()
     assert homology_at(dense_chain(matrix), 2) == AbelianGroup(0, ())
     assert rank_calls == ["_cell_graph_rank", "_rank_mod_p"]
+
+
+def test_homology_at_0_settles_d_1_from_its_cells(rank_calls, monkeypatch):
+    # a Fox d_1, whose block rows are g - 1, is ranked as a graph from its
+    # cells, and that rank r is also its number of invariant factors, all
+    # 1: H_0 equals the dense reference's cokernel of the restricted d_1,
+    # with d_1 never restricted and no other rank taken
+    a5, chains = a5_fox_chains()
+    restricted = []
+    monkeypatch.setattr(homology, "restrict_scalars",
+                        lambda *args, **kw: restricted.append(args) or restrict_scalars(*args, **kw))
+    for chain in chains:
+        factors = reference.invariant_factors(restrict_scalars(chain.boundary(1), a5))
+        rank_calls.clear()
+        assert homology_at(chain, 0) == AbelianGroup(
+            a5.order - len(factors), tuple(f for f in factors if f != 1)) == AbelianGroup(1, ())
+        assert rank_calls == ["_cell_graph_rank"] and not restricted
 
 
 @pytest.mark.parametrize("entry", [1.5, 0.5, 2.0, Fraction(3, 2), True, "1", None])

@@ -405,6 +405,21 @@ def test_the_density_threshold_is_written_once():
     assert "restrict_scalars" not in _calls(homology_at)
 
 
+def test_one_function_settles_a_boundary():
+    # homology_at reads both its boundaries, d_k for its rank and d_{k+1}
+    # for its invariant factors, through _restricted, which tries the cell
+    # graph, then the density choice, then the unit-lead reduction on rows
+    # of nonzeros.  Naming each step in that function alone keeps a second
+    # copy of the order, for one end only, from coming back
+    def sparse_restriction(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "restrict_scalars"
+                and (len(node.args) > 2 or any(kw.arg == "sparse" for kw in node.keywords)))
+
+    for name in ("_unit_rank", "_cell_graph_rank"):
+        assert _named({name}) == {("homology.py", "_restricted")}, name
+    assert _scopes(sparse_restriction) == {("homology.py", "_restricted")}
+
+
 def _floor_divisor(node):
     """The divisor of a floor division, or None."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv):

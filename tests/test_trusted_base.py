@@ -6,9 +6,13 @@ object that one command calls, comprehensions and lambdas included.  The
 caches of canonical_key and build_parser are cleared first, so that nothing
 computed earlier in the process is reused and each run records all it needs.
 The record must equal the list written here: a change that adds to what a
-"yes" runs adds to this list, so the base grows only on purpose.  The list
-holds CPython 3.11's code objects: 3.10 has no co_qualname, and 3.12
-inlines list, dict and set comprehensions into their functions (PEP 709).
+"yes" runs adds to this list, so the base grows only on purpose.  CPython
+3.12 inlines list, dict and set comprehensions into their functions (PEP
+709), so each recorded name drops its comprehension parts: a
+comprehension's frame folds into its function's, and a lambda inside one
+is named as on 3.12, where f.<locals>.<listcomp>.<lambda> is
+f.<locals>.<lambda>.  Every function a comprehension calls is still
+recorded, so one list serves 3.11 and later; 3.10 has no co_qualname.
 """
 
 import json
@@ -27,8 +31,8 @@ from acpair.presentations import (Presentation, canonical_key,
 from lustig_fixtures import write_lustig_inputs
 from word_reference import encode
 
-pytestmark = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                                reason="the lists name CPython 3.11 code objects")
+pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
+                                reason="code objects have no co_qualname before 3.11")
 
 # module -> the qualified names of its code objects, in sorted order; a
 # dataclass's generated methods are named __create_fn__.<locals>.<method>
@@ -36,7 +40,7 @@ COMMON = {
     "cli": "_load main",
     "moves": "ConjRel.__post_init__ EquivalenceCertificate.verify "
              "MoveScript.__post_init__ __create_fn__.<locals>.__init__ _bounded "
-             "_conj_rel _fold _from_json _from_json.<locals>.<listcomp> _in_context "
+             "_conj_rel _fold _from_json _in_context "
              "_inv_rel _rel <lambda> replay script_from_json",
     "presentations": "CanonicalKey.__post_init__ Presentation.__post_init__ "
                      "Presentation._trusted Presentation.rank "
@@ -44,7 +48,7 @@ COMMON = {
                      "__create_fn__.<locals>.__init__ _key canonical_key "
                      "parse_presentation parse_relator_text",
     "words": "LetterBudget.__init__ LetterBudget.charge _conjugate _least_rotation "
-             "_letter_tokens _token_letters _token_letters.<locals>.<dictcomp> "
+             "_letter_tokens _token_letters "
              "check_rank check_word cyclic_canonical cyclically_reduce invert "
              "json_int multiply read_word valid_name within word_key",
 }
@@ -56,7 +60,7 @@ VERIFY_NULL = {
     "moves": "SlideRel.__post_init__ _slide_rel",
     "pairing": "FormalSum.__init__ FormalSum._common_rank FormalSum.dot "
                "FormalSum.dot.<locals>.<genexpr> NullVectorReport.as_text "
-               "_ExactSum.__init__ _ExactSum.__init__.<locals>.<dictcomp> "
+               "_ExactSum.__init__ "
                "_ExactSum.is_zero __create_fn__.<locals>.__init__ _check_scalar _merge "
                "_reduce _reduce.<locals>.<genexpr> _reduce.<locals>.<genexpr>.<genexpr> "
                "_root certificate_from_json "
@@ -66,8 +70,7 @@ VERIFY_NULL = {
 }
 VERIFY_SMOVE = {
     "cli": "cmd_verify_smove cmd_verify_smove.<locals>.load_scripts "
-           "cmd_verify_smove.<locals>.load_scripts.<locals>.<listcomp> "
-           "cmd_verify_smove.<locals>.load_scripts.<locals>.<listcomp>.<lambda>",
+           "cmd_verify_smove.<locals>.load_scripts.<locals>.<lambda>",
     "constructions": "verify_smove_certificates",
     "moves": "<lambda>.<locals>.<genexpr> RSFactor.__post_init__ "
              "RestrictedSlide.__post_init__ _restricted_slide",
@@ -81,9 +84,18 @@ def base(*parts) -> set:
             for module, names in part.items() for name in names.split()}
 
 
+def folded(qualname: str) -> str:
+    """qualname without its comprehension parts, as CPython 3.12 names it:
+    f.<locals>.<listcomp> is f, and f.<locals>.<listcomp>.<lambda> is
+    f.<locals>.<lambda>."""
+    parts = [part for part in qualname.split(".")
+             if part not in ("<listcomp>", "<dictcomp>", "<setcomp>")]
+    return ".".join(parts[:-1] if parts[-1:] == ["<locals>"] else parts)
+
+
 def trusted_base(argv) -> tuple:
-    """main(argv)'s exit code and the (module, qualname) of every acpair
-    code object it calls."""
+    """main(argv)'s exit code and the (module, folded qualname) of every
+    acpair code object it calls."""
     canonical_key.cache_clear()
     cli.build_parser.cache_clear()
     seen = set()
@@ -92,7 +104,7 @@ def trusted_base(argv) -> tuple:
         if event == "call":
             module = frame.f_globals.get("__name__", "")
             if module.startswith("acpair"):
-                seen.add((module, frame.f_code.co_qualname))
+                seen.add((module, folded(frame.f_code.co_qualname)))
 
     sys.setprofile(record)
     try:
