@@ -126,10 +126,14 @@ def _load_iso_witness(path, p, q) -> constructions.IsoWitness:
 
     def parse(data):
         budget = LetterBudget("isomorphism witness")
-        over_p, over_q = _token_letters(p.gens), _token_letters(q.gens)
-        return constructions.IsoWitness(
-            tuple(read_word(w, over_p, budget) for w in data["y_in_x"]),
-            tuple(read_word(w, over_q, budget) for w in data["x_in_y"]))
+
+        def images(field, names):
+            if type(data[field]) is not list:
+                raise ValueError(f"{field} is not a list of words")
+            table = _token_letters(names)
+            return tuple(read_word(w, table, budget) for w in data[field])
+
+        return constructions.IsoWitness(images("y_in_x", p.gens), images("x_in_y", q.gens))
 
     return _load(path, parse, json=True)
 

@@ -10,85 +10,20 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .moves import (AddGen, ConjRel, EquivalenceCertificate, InvRel, MoveError,
-                    MoveScript, NielsenInv, NielsenMul, RegimeError, SearchOutcome,
-                    SlideRel, _bounded, _breadth_first, _nonnegative, replay)
+from .moves import (ConjRel, EquivalenceCertificate, InvRel, MoveError,
+                    MoveScript, RegimeError, SearchOutcome, SlideRel, _bounded,
+                    _breadth_first, _nonnegative)
 from .pairing import FormalSum, NullVectorReport, verify_null
 from .presentations import (Presentation, euler_char, fresh_name, product,
                             wedge_s2)
-from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _token_letters,
-                    check_word, commutator, generator, identity_images, invert,
-                    json_int, multiply, multiply_inverse, power, read_word,
-                    within, write_word)
+from .words import (EMPTY, LetterBudget, Word, _letter_tokens, _rotate_generators,
+                    _token_letters, check_rank, check_word, commutator, generator,
+                    identity_images, invert, json_int, multiply, multiply_inverse,
+                    power, read_word, within, write_word)
 
 
 class WitnessError(ValueError):
     pass
-
-
-# Most letters that the replays of common_generators may charge (see there).
-MAX_ISO_WORK = 3_000_000
-
-
-# ---------------------------------------------------------------------------
-# Nielsen-composite script builders (2-deformations: generator-level moves).
-
-
-def append_word_moves(i: int, u: Word) -> list:
-    """Moves realizing the substitution g_i -> g_i * u (u must avoid g_i).
-
-    The engine substitutes the inverse of a declared Nielsen map, so a
-    plain right multiplication appends the negative letter and appending a
-    positive letter needs conjugation by an inversion pair.  The moves of
-    each letter are built once and shared, so a long word costs pointers.
-    """
-    if generator(i) in u or invert(generator(i)) in u:
-        raise ValueError("appended word may not involve the rewritten generator")
-    steps = {}
-    for letter in dict.fromkeys(u):
-        j = (letter >> 1) - 1
-        steps[letter] = ((NielsenMul(i, j, "right"),) if letter & 1 else
-                         (NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j)))
-    return [move for letter in reversed(u) for move in steps[letter]]
-
-
-def swap_generators_moves(i: int, j: int) -> list:
-    """Moves whose net substitution transposes g_i and g_j.
-
-    Composite of three transvections and one inversion; all other
-    generators are untouched.
-    """
-    if i == j:
-        return []
-    return [
-        # g_i -> g_i g_j
-        NielsenInv(j), NielsenMul(i, j, "right"), NielsenInv(j),
-        # g_j -> g_i^-1 g_j
-        NielsenMul(j, i, "left"),
-        # g_i -> g_j g_i
-        NielsenInv(j), NielsenMul(i, j, "left"), NielsenInv(j),
-        # fix the leftover inversion
-        NielsenInv(i),
-    ]
-
-
-def permutation_moves(perm: Sequence[int]):
-    """Moves relabelling positions so that new position k holds old perm[k],
-    made one swap at a time as they are taken; perm is checked first."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    location = list(range(n))   # location[g] = current position of old generator g
-    occupant = list(range(n))   # occupant[p] = old generator at position p
-    for k in range(n):
-        want = perm[k]
-        cur = location[want]
-        if cur == k:
-            continue
-        yield from swap_generators_moves(k, cur)
-        other = occupant[k]
-        occupant[k], occupant[cur] = want, other
-        location[want], location[other] = k, cur
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +33,9 @@ def permutation_moves(perm: Sequence[int]):
 @dataclass(frozen=True)
 class IsoWitness:
     """Claimed mutually inverse generator images: each second-presentation
-    generator as a word in the first's generators and vice versa.  Validity
-    is certified downstream by the replay of the moves built from them."""
+    generator as a word in the first's generators and vice versa.  Nothing
+    rests on their validity: common_generators is a 2-deformation for any
+    images, and the pipeline's certificates are replayed."""
 
     y_in_x: tuple  # tuple[Word, ...]
     x_in_y: tuple  # tuple[Word, ...]
@@ -128,13 +64,13 @@ def common_generators(p: Presentation, q: Presentation,
     """Rewrite both presentations over one generator tuple of rank a+c.
 
     The first presentation's generators come first; each added generator
-    carries a linking relator equating it with the witness image.  Both
-    sides are rewritten by generator-level moves and their composites
-    only, so by 2-deformations.  When the generator tuples already
-    coincide and the witness is the identity, both presentations are
-    returned as they are.  Otherwise both replays charge one LetterBudget
-    of MAX_ISO_WORK letters (see moves' apply steps), and each move is made
-    only as its replay takes it; past the budget, a ValueError.
+    carries a linking relator equating it with the witness image, a Tietze
+    transformation.  The second side's letters are then relabelled so that
+    its added generators come first, as Nielsen swaps move letters; its
+    names stay.  Both sides are what AddGen and Nielsen moves reach from
+    the inputs, so they are 2-deformations of them.  When the generator
+    tuples already coincide and the witness is the identity, both
+    presentations are returned as they are.
     """
     a, c = p.rank, q.rank
     if len(witness.y_in_x) != c or len(witness.x_in_y) != a:
@@ -143,32 +79,32 @@ def common_generators(p: Presentation, q: Presentation,
             f"do not match ranks {c}/{a}")
     if p.gens == q.gens and witness.is_identity():
         return CommonGeneratorsResult(p, q)
-    budget = LetterBudget("the Nielsen work of the isomorphism witness", MAX_ISO_WORK)
-    # each side's images are checked as its replay takes the first move
-    p_prime = replay(p, _adjoin_images(p, q.gens, witness.y_in_x), budget)
-    # Reorder the roles so position k means: k < a the k-th first-presentation
-    # generator, k >= a the (k-a)-th second-presentation generator.
-    moves_q = chain(_adjoin_images(q, p.gens, witness.x_in_y),
-                    permutation_moves([c + i for i in range(a)] + list(range(c))))
-    return CommonGeneratorsResult(p_prime, replay(q, moves_q, budget))
+    p_prime = _adjoin_images(p, q.gens, witness.y_in_x)
+    q_wide = _adjoin_images(q, p.gens, witness.x_in_y)
+    # position k < a is the k-th added generator, position a + j the j-th of q
+    q_prime = Presentation._trusted(q_wide.gens, tuple(
+        _rotate_generators(r, a, a + c) for r in q_wide.relators))
+    return CommonGeneratorsResult(p_prime, q_prime)
 
 
-def _adjoin_images(p: Presentation, names: Sequence[str], images):
-    """Moves appending one generator per image, named after names where that
-    name is free, each linked to its image over p's generators by one new
-    relator.  Every image's range is checked before the first move; then
-    the moves are made one image at a time as they are taken."""
+def _adjoin_images(p: Presentation, names: Sequence[str], images) -> Presentation:
+    """p with one generator appended per image, named after names where
+    that name is free, and one relator g * image^-1 linking it to its image
+    over p's generators.  A built presentation spells out at most
+    MAX_WORD_LENGTH letters, as a presentation file does."""
     for idx, image in enumerate(images):
         if not within(image, p.rank):
             raise WitnessError(f"image {idx + 1} lies outside the generators "
                                f"{', '.join(p.gens)}")
-    taken = set(p.gens)
-    for idx, (name, image) in enumerate(zip(names, images)):
-        if name in taken:
-            name = fresh_name(taken, p.rank + idx)
-        taken.add(name)
-        yield AddGen(name)
-        yield from append_word_moves(p.rank + idx, invert(image))
+    check_rank(p.rank + len(images))
+    budget = LetterBudget("a presentation over the common generators")
+    budget.charge(sum(map(len, p.relators)))
+    gens, rels = list(p.gens), list(p.relators)
+    for name, image in zip(names, images):
+        budget.charge(1 + len(image))
+        rels.append(generator(len(gens)) + invert(image))
+        gens.append(name if name not in gens else fresh_name(gens, len(gens)))
+    return Presentation._trusted(tuple(gens), tuple(rels))
 
 
 # ---------------------------------------------------------------------------

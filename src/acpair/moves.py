@@ -192,35 +192,29 @@ def _in_context(w: Word, gens: tuple) -> Word:
 # from reduced relators, read through _rel, and move words that are reduced
 # when the move is built and checked by _in_context here, so callers wrap
 # the result without validation.  Every relator a move builds passes _bounded.
-# budget is replay's LetterBudget or None.  Before it builds anything, a Nielsen
-# move charges it one letter per generator, per relator and per relator letter
-# (its scan), and AddGen one per generator name it copies.  The letter per
-# generator over-counts: a Nielsen move builds no image per generator.
 
-def _conj_rel(rels: list, gens: tuple, move, budget) -> tuple:
+def _conj_rel(rels: list, gens: tuple, move) -> tuple:
     r = _rel(rels, move.j)
     rels[move.j] = _bounded(_conjugate(r, _in_context(move.w, gens)))
     return gens
 
 
-def _inv_rel(rels: list, gens: tuple, move, budget) -> tuple:
+def _inv_rel(rels: list, gens: tuple, move) -> tuple:
     rels[move.j] = invert(_rel(rels, move.j))
     return gens
 
 
-def _slide_rel(rels: list, gens: tuple, move, budget) -> tuple:
+def _slide_rel(rels: list, gens: tuple, move) -> tuple:
     r, s = _rel(rels, move.j), _rel(rels, move.k)
     rels[move.j] = _bounded(multiply(s, r) if move.side == "left" else multiply(r, s))
     return gens
 
 
-def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
+def _nielsen(rels: list, gens: tuple, move) -> tuple:
     """Substitute the inverse of the declared map through the relators:
     g_i -> g_i^-1, or g_i -> g_i g_j^-1 for a declared g_i -> g_i g_j
     (right) and g_i -> g_j^-1 g_i for a declared g_i -> g_j g_i (left)."""
     rank = len(gens)
-    if budget is not None:
-        budget.charge(rank + len(rels) + sum(map(len, rels)))
     _check_gen(move.i, rank)
     if type(move) is not NielsenInv:
         _check_gen(move.j, rank)
@@ -235,9 +229,7 @@ def _nielsen(rels: list, gens: tuple, move, budget) -> tuple:
     return gens
 
 
-def _add_gen(rels: list, gens: tuple, move, budget) -> tuple:
-    if budget is not None:
-        budget.charge(len(gens))
+def _add_gen(rels: list, gens: tuple, move) -> tuple:
     if not valid_name(move.name):
         raise MoveError(f"invalid generator name {move.name!r}")
     if move.name in gens:
@@ -247,7 +239,7 @@ def _add_gen(rels: list, gens: tuple, move, budget) -> tuple:
     return gens + (move.name,)
 
 
-def _remove_gen(rels: list, gens: tuple, move, budget) -> tuple:
+def _remove_gen(rels: list, gens: tuple, move) -> tuple:
     _check_gen(move.i, len(gens))
     letter = generator(move.i)
     inverse = invert(letter)
@@ -261,19 +253,19 @@ def _remove_gen(rels: list, gens: tuple, move, budget) -> tuple:
     return gens[:move.i] + gens[move.i + 1:]
 
 
-def _add_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
+def _add_trivial_rel(rels: list, gens: tuple, move) -> tuple:
     rels.append(b"")
     return gens
 
 
-def _remove_trivial_rel(rels: list, gens: tuple, move, budget) -> tuple:
+def _remove_trivial_rel(rels: list, gens: tuple, move) -> tuple:
     if _rel(rels, move.j):
         raise MoveError(f"relator {move.j} is not trivial")
     del rels[move.j]
     return gens
 
 
-def _restricted_slide(rels: list, gens: tuple, move, budget) -> tuple:
+def _restricted_slide(rels: list, gens: tuple, move) -> tuple:
     """Each partial product passes _bounded, so the word built never holds
     more than MAX_WORD_LENGTH letters plus one factor."""
     word = _rel(rels, move.j)
@@ -286,7 +278,7 @@ def _restricted_slide(rels: list, gens: tuple, move, budget) -> tuple:
     return gens
 
 
-def _unknown_move(rels: list, gens: tuple, move, budget) -> tuple:
+def _unknown_move(rels: list, gens: tuple, move) -> tuple:
     raise MoveError(f"unknown move {move!r}")
 
 
@@ -309,11 +301,10 @@ _MOVES = {
 _UNKNOWN = (_unknown_move, 0, 0, ("full",))
 
 
-def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Presentation:
+def replay(p: Presentation, script) -> Presentation:
     """Left fold of the script's moves over p's relators, with regime and
-    bookkeeping checks on every move; the apply steps charge budget.
-    script is a MoveScript or any iterable of full-regime moves, whose
-    moves are taken one at a time, as they are made."""
+    bookkeeping checks on every move.  script is a MoveScript or any
+    iterable of full-regime moves."""
     if isinstance(script, MoveScript):
         moves, regime = script.moves, script.regime
         if regime == "k_prime" and script.stabilized:
@@ -321,11 +312,11 @@ def replay(p: Presentation, script, budget: LetterBudget | None = None) -> Prese
     else:
         moves, regime = script, "full"
     rels = list(p.relators)
-    gens = _fold(rels, p.gens, moves, regime, budget)
+    gens = _fold(rels, p.gens, moves, regime)
     return Presentation._trusted(gens, tuple(rels))
 
 
-def _fold(rels: list, gens: tuple, moves, regime: str, budget) -> tuple:
+def _fold(rels: list, gens: tuple, moves, regime: str) -> tuple:
     """Apply moves to the relators rels, over gens, in place, as
     _MOVES admits them in regime ("full", "k_prime" or "stabilized"), and
     return the generators after them."""
@@ -338,7 +329,7 @@ def _fold(rels: list, gens: tuple, moves, regime: str, budget) -> tuple:
                 f"move {pos} ({type(move).__name__}) violates the "
                 f"{named} regime")
         try:
-            gens = apply(rels, gens, move, budget)
+            gens = apply(rels, gens, move)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
         n += dn
@@ -774,7 +765,7 @@ def bounded_equivalence_search(p: Presentation, q: Presentation,
         for fragment in _neighbor_fragments(here, regime, target_rels,
                                             budget.conjugator_length):
             rels = list(here.relators)
-            _fold(rels, here.gens, fragment, regime, None)
+            _fold(rels, here.gens, fragment, regime)
             if any(len(r) > budget.max_relator_length for r in rels):
                 continue
             for r in rels:

@@ -57,11 +57,12 @@ def check_rank(rank: int, error: type = ValueError) -> None:
 
 
 class LetterBudget:
-    """The letters that one input may still spell out, or its work read,
-    limit in all; `what` names the input in the error."""
+    """The letters that one input may still spell out, MAX_WORD_LENGTH in
+    all; `what` names the input in the error."""
 
-    def __init__(self, what: str = "word", limit: int = MAX_WORD_LENGTH):
-        self.what, self.limit, self.left = what, limit, limit
+    def __init__(self, what: str = "word"):
+        self.what = what
+        self.limit = self.left = MAX_WORD_LENGTH
 
     def charge(self, letters: int) -> None:
         self.left -= letters
@@ -223,8 +224,8 @@ def cyclic_canonical(u: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Substitutions of one generator map through a word, as a Nielsen move
-# makes them.
+# Substitutions of generator maps through a word, as Nielsen moves make
+# them.
 
 def _invert_generator(u: Word, i: int) -> Word:
     """u with g_i -> g_i^-1 substituted, i 0-based: one translate."""
@@ -243,6 +244,14 @@ def _multiply_generator(u: Word, i: int, j: int, side: str) -> Word:
     if side == "right":
         return u.replace(a, a + inv_b).replace(inv_a, b + inv_a).replace(inv_b + b, b"")
     return u.replace(a, inv_b + a).replace(inv_a, inv_a + b).replace(b + inv_b, b"")
+
+
+def _rotate_generators(u: Word, k: int, rank: int) -> Word:
+    """u over rank generators with each g_i replaced by g_((i + k) mod rank),
+    i 0-based: one translate."""
+    letters = _LETTERS[:2 * rank]
+    cut = 2 * (k % rank)
+    return u.translate(bytes.maketrans(letters, letters[cut:] + letters[:cut]))
 
 
 def _renumber_above(u: Word, i: int) -> Word:

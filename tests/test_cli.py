@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from acpair import cli, constructions, moves, pairing, words
+from acpair import cli, moves, pairing, words
 from acpair.cli import build_parser, main
 from acpair.constructions import WitnessBudget, lustig, witness_to_json
 from acpair.homology import chain_to_json
@@ -397,11 +397,13 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     # pipeline and verify-null each replay every certificate exactly once.
     counts = Counter()
-    for module in (constructions, moves):
-        def replay(p, script, budget=None, original=module.replay):
-            counts["replay"] += 1
-            return original(p, script, budget)
-        monkeypatch.setattr(module, "replay", replay)
+    original = moves.replay
+
+    def replay(p, script):
+        counts["replay"] += 1
+        return original(p, script)
+
+    monkeypatch.setattr(moves, "replay", replay)
     verify = pairing.EquivalenceCertificate.verify
 
     def counted_verify(cert):
@@ -420,14 +422,14 @@ def test_certificate_replays_per_command(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-null", bundle)
     assert code == 0 and "null vector: yes" in out
     assert counts == {"replay": 4, "verify": 4}
-    # with an isomorphism witness the normalization replays both sides once
+    # with an isomorphism witness the normalization replays nothing
     counts.clear()
     p = write(tmp_path / "p.pres", "gens: x\nrel: x^2\n")
     q = write(tmp_path / "q.pres", "gens: y\nrel: y^2\n")
     iso = write(tmp_path / "iso.json", json.dumps({"y_in_x": ["x"], "x_in_y": ["y"]}))
     code, out, _ = run(capsys, "pipeline", p, q, "--iso", iso, "-o", tmp_path / "iso")
     assert code == 0 and "verify-null: pass" in out, out
-    assert counts == {"replay": 6, "verify": 4}
+    assert counts == {"replay": 4, "verify": 4}
 
 
 def test_pipeline_unknown_exits_1(tmp_path, capsys):
@@ -869,19 +871,18 @@ MALFORMED = {
         t, {"y_in_x": ["x^500000"], "x_in_y": ["y^500001"]}), "iso.json"),
     "pipeline_without_iso_over_other_generators": (lambda t: _pipeline_iso(
         t, {})[:3] + ["-o", t / "bundle"], "an isomorphism witness file is required"),
-    # the shortest image over x whose Nielsen moves, which read letters in
-    # proportion to its length squared, spend more than MAX_ISO_WORK; x^-1408
-    # spends 2,998,398, and the letter budget admits 1,000,000
-    "iso_images_over_their_bound": (lambda t: _pipeline_iso(
-        t, {"y_in_x": ["x^-1409"], "x_in_y": ["y"]}),
-        f"the Nielsen work of the isomorphism witness spells out more than "
-        f"{constructions.MAX_ISO_WORK} letters"),
-    # a short image over a long relator: each of its moves reads the whole
-    # relator
+    # a short image over a long relator: the side built over the common
+    # generators spells out more letters than a presentation file may
     "iso_image_over_a_long_relator": (lambda t: _pipeline_iso(
         t, {"y_in_x": ["x^-100"], "x_in_y": ["y"]}, "gens: x\nrel: x^1000000\n"),
-        f"the Nielsen work of the isomorphism witness spells out more than "
-        f"{constructions.MAX_ISO_WORK} letters"),
+        "a presentation over the common generators spells out more than 1000000 letters"),
+    "iso_link_over_a_relator_at_the_bound": (lambda t: _pipeline_iso(
+        t, {"y_in_x": ["x"], "x_in_y": ["y"]}, "gens: x\nrel: x^1000000\n"),
+        "a presentation over the common generators spells out more than 1000000 letters"),
+    "iso_images_a_string": (lambda t: _pipeline_iso(
+        t, {"y_in_x": "x", "x_in_y": ["y"]}), "iso.json: y_in_x is not a list of words"),
+    "iso_images_an_object": (lambda t: _pipeline_iso(
+        t, {"y_in_x": ["x"], "x_in_y": {"y": 1}}), "iso.json: x_in_y is not a list of words"),
     # each word is under the bound, all the words of one file are not
     "script_letters_unbounded": (lambda t: _apply(
         t, [{"op": "ConjRel", "j": 1, "w": "x^999999"}] * 12), "s.json"),

@@ -8,22 +8,22 @@ import pytest
 from acpair import constructions
 from acpair.constructions import (IsoWitness, NormalClosureWitness,
                                   WitnessBudget, WitnessError,
-                                  append_word_moves, common_generators, lustig,
-                                  null_vector_pipeline, permutation_moves,
-                                  product_stabilization,
+                                  common_generators, lustig,
+                                  null_vector_pipeline, product_stabilization,
                                   search_normal_closure_witness,
-                                  swap_generators_moves,
                                   verify_smove_certificates, witness_from_json,
                                   witness_to_json)
 from acpair.moves import (AddTrivialRel, ConjRel, InvRel, MoveError, MoveScript,
-                          NielsenInv, NielsenMul, RegimeError, RemoveTrivialRel,
+                          RegimeError, RemoveTrivialRel,
                           RestrictedSlide, RSFactor, SlideRel, invert_script, replay)
 from acpair.pairing import verify_null
-from acpair.presentations import (canonical_key, euler_char,
+from acpair.presentations import (Presentation, canonical_key, euler_char,
                                   format_presentation, make_presentation,
                                   parse_presentation, product, wedge_s2)
-from acpair.words import EMPTY, commutator, generator, multiply, power
+from acpair.words import (EMPTY, MAX_WORD_LENGTH, commutator, generator, multiply,
+                          power)
 
+import iso_reference
 import word_reference as ref
 from lustig_fixtures import LustigCalculus, lustig_witness_pair
 from word_reference import decode, encode
@@ -54,28 +54,28 @@ def factor_letters(wit):
     return tuple((decode(g), k, s) for g, k, s in wit.factors)
 
 
-# -- generator-level script builders ---------------------------------------
+# -- the generator-level moves of iso_reference --------------------------------
 
 
 def test_swap_generators_moves():
     p = pres("x y", "x")
     cur = p
-    for mv in swap_generators_moves(0, 1):
+    for mv in iso_reference.swap_generators_moves(0, 1):
         cur = replay(cur, (mv,))
     assert letters(cur) == ((2,),)
     q = pres("x y z", "x y^-1 z")
     cur = q
-    for mv in swap_generators_moves(0, 2):
+    for mv in iso_reference.swap_generators_moves(0, 2):
         cur = replay(cur, (mv,))
     assert letters(cur) == ((3, -2, 1),)
-    assert swap_generators_moves(1, 1) == []
+    assert iso_reference.swap_generators_moves(1, 1) == []
 
 
 def test_permutation_moves():
     p = pres("x y z", "x y^2 z^3")
     perm = [2, 0, 1]  # new position k holds old generator perm[k]
     cur = p
-    for mv in permutation_moves(perm):
+    for mv in iso_reference.permutation_moves(perm):
         cur = replay(cur, (mv,))
     # old z -> position 0, old x -> position 1, old y -> position 2
     assert letters(cur) == ((2, 3, 3, 1, 1, 1),)
@@ -120,84 +120,6 @@ def test_common_generators_relator_counts():
     assert res.p_prime.rank == res.q_prime.rank == 3
 
 
-def test_common_generators_bounds_the_image_letters(monkeypatch):
-    # both replays charge one budget of MAX_ISO_WORK letters: AddGen one
-    # letter per generator it copies, and each Nielsen move one per
-    # generator, per relator and per relator letter that it reads.  Here
-    # the first side charges 1 + 6 + 6 + 7, an AddGen over x and three
-    # Nielsen moves over two generators and two relators of 2, 2 and 3
-    # letters, and the second side 1 + 6 + 54 for its AddGen, its one
-    # Nielsen move and the eight of a generator swap; identity data needs
-    # no moves and is not charged
-    p, q = pres("x", "x"), pres("y", "y")
-    wit = IsoWitness(words((-1,)), words((1,)))
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 81)
-    res = common_generators(p, q, wit)
-    assert letters(res.p_prime) == ((1,), (2, 1)) and letters(res.q_prime) == ((2,), (1, -2))
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 80)
-    with pytest.raises(ValueError, match="isomorphism witness spells out more than 80 letters"):
-        common_generators(p, q, wit)
-    # a long relator makes even a one-letter image costly: each Nielsen
-    # move reads all of it, so the first side's three read 1005, 1005 and
-    # 1006 letters
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 3_000)
-    with pytest.raises(ValueError, match="more than 3000 letters"):
-        common_generators(pres("x", "x^1000"), q, wit)
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 0)
-    assert common_generators(p, p, IsoWitness.identity(1)).p_prime == p
-    k1 = lustig(1)
-    assert common_generators(k1, k1, IsoWitness.identity(3)).q_prime == k1
-
-
-def test_common_generators_charges_generators_and_relators(monkeypatch):
-    # a Nielsen move builds an identity image for each generator and scans
-    # each relator, and AddGen copies the generator names, so each is
-    # charged even where it holds no letter: many free generators, or
-    # many empty relators, cannot make the replays run uncharged
-    x, y = pres("x", "x"), pres("y", "y")
-    empty = pres("x", *["1"] * 20_000)
-    with pytest.raises(ValueError, match="more than 3000000 letters"):
-        common_generators(empty, y, IsoWitness(words((-1,) * 100), words((1,))))
-    # 127 free generators, the most a presentation has, charge fewer letters
-    # than the default budget: a smaller one must still trip
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 3000)
-    free = make_presentation(" ".join(f"y{i}" for i in range(127)), [])
-    with pytest.raises(ValueError, match="more than 3000 letters"):
-        common_generators(x, free, IsoWitness((EMPTY,) * 127, words((1,))))
-
-
-def test_common_generators_makes_moves_only_as_the_budget_charges_them(monkeypatch):
-    # many free generators against a one-generator partner, in both orders:
-    # the budget refuses the replay of the side that adjoins one generator
-    # per free one after a few AddGens, so the moves of the other
-    # generators, and of the swaps that would reorder them, are never made.
-    # A presentation has at most 127 generators, so the budget is small
-    # enough to trip before the 128th would be refused
-    n = 127
-    one = pres("x", "x")
-    free = make_presentation(" ".join(f"y{i}" for i in range(n)), [])
-    monkeypatch.setattr(constructions, "MAX_ISO_WORK", 100)
-    for p, q, wit in ((free, one, IsoWitness(words((1,)), words((1,)) * n)),
-                      (one, free, IsoWitness(words((1,)) * n, words((1,))))):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="more than 100 letters"):
-                common_generators(p, q, wit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5_000_000, (p.rank, peak)
-
-
-def test_append_word_moves_share_the_moves_of_a_letter():
-    # the moves of a long image are built before its replay is charged,
-    # so they cost a list of pointers: four move objects for two letters
-    moves = append_word_moves(0, encode((2, -3) * 1000))
-    assert moves[:4] == [NielsenMul(0, 2, "right"),
-                         NielsenInv(1), NielsenMul(0, 1, "right"), NielsenInv(1)]
-    assert len(moves) == 4000 and len(set(map(id, moves))) == 4
-
-
 def test_common_generators_renames_images_whose_names_are_taken():
     # against itself with the swap witness, both names of the other side
     # are taken, so the added generators take the free names g3 and g4
@@ -213,9 +135,6 @@ def test_common_generators_renames_images_whose_names_are_taken():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: append_word_moves(0, encode((2, -1))), ValueError,
-     "may not involve the rewritten generator"),
-    (lambda: list(permutation_moves([0, 0])), ValueError, "not a permutation"),
     (lambda: product_stabilization(pres("x", "x"), pres("x y", "x"), []), ValueError,
      "presentations do not share a boundary"),
     (lambda: product_stabilization(pres("x", "x"), pres("x", "x^2"), []), WitnessError,
@@ -235,6 +154,71 @@ def test_common_generators_dimension_mismatch():
     for bad in (IsoWitness(words((2,)), words((1,))), IsoWitness(words((1,)), words((1, -2)))):
         with pytest.raises(WitnessError, match="image 1 lies outside the generators"):
             common_generators(pres("x", "x"), pres("y", "y"), bad)
+
+
+def _random_word(rng, rank, length):
+    """A reduced word of at most length letters over rank generators."""
+    return encode(ref.reduce(tuple(rng.choice((1, -1)) * rng.randint(1, rank)
+                                   for _ in range(rng.randint(0, length)))))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_common_generators_reaches_what_its_moves_replay():
+    # iso_reference rewrites each side by AddGen and Nielsen moves and
+    # replays them, so that common_generators, which builds both sides in
+    # one pass, is checked to be a 2-deformation: it must reach the same
+    # generators and relators, or refuse as the replay does.  Ranks 1 to 4
+    # a side, clashing names, empty relators, images past their side's
+    # generators and identity data over one generator tuple
+    rng = random.Random(50)
+    names = ("x", "y", "z", "g1", "g2", "g3", "g5")
+    seen = Counter()
+    for _ in range(2000):
+        a = rng.randint(1, 4)
+        p = Presentation(tuple(rng.sample(names, a)), tuple(
+            _random_word(rng, a, 6) for _ in range(rng.randint(0, 3))))
+        same = rng.random() < 0.1
+        c = a if same else rng.randint(1, 4)
+        q = Presentation(p.gens if same else tuple(rng.sample(names, c)), tuple(
+            _random_word(rng, c, 6) for _ in range(rng.randint(0, 3))))
+        wit = IsoWitness.identity(a) if same else IsoWitness(
+            tuple(_random_word(rng, a + (rng.random() < 0.03), 4) for _ in range(c)),
+            tuple(_random_word(rng, c + (rng.random() < 0.03), 4) for _ in range(a)))
+        got = _outcome(common_generators, p, q, wit)
+        assert got == _outcome(iso_reference.common_generators, p, q, wit), (p, q, wit)
+        seen["refused" if type(got) is tuple
+             else "as given" if got.p_prime is p else "built"] += 1
+    assert seen["built"] > 1500 and seen["refused"] > 50 and seen["as given"] > 100, seen
+
+
+def test_common_generators_bounds_the_letters_of_each_side():
+    # a built side spells out at most MAX_WORD_LENGTH letters in all, as a
+    # presentation file does: x^999998 and the link y x^-1 reach the bound
+    y, wit = pres("y", "y"), IsoWitness(words((1,)), words((1,)))
+    res = common_generators(pres("x", "x^999998"), y, wit)
+    assert sum(map(len, res.p_prime.relators)) == MAX_WORD_LENGTH
+    # a long image costs its letters once, not once per move that writes it
+    res = common_generators(pres("x", "x"), y, IsoWitness(words((-1,) * 1409), words((1,))))
+    assert letters(res.p_prime) == ((1,), (2,) + (1,) * 1409)
+    over = "^a presentation over the common generators spells out more than 1000000 letters$"
+    for p, q, wit in ((pres("x", "x^999999"), y, wit),
+                      (y, pres("x", "x^999999"), wit),
+                      (pres("x", "x^1000000"), y, wit),
+                      # a short image over a long relator
+                      (pres("x", "x^1000000"), y, IsoWitness(words((-1,) * 100), words((1,))))):
+        with pytest.raises(ValueError, match=over):
+            common_generators(p, q, wit)
+    # a side past MAX_RANK generators is refused before a relator is built
+    free = make_presentation(" ".join(f"y{i}" for i in range(127)), [])
+    with pytest.raises(ValueError, match="^130 generators: a presentation has at most "
+                                         "127 generators$"):
+        common_generators(pres("x y z", "x"), free, IsoWitness((EMPTY,) * 127, (EMPTY,) * 3))
 
 
 # -- normal closure witnesses -------------------------------------------------

@@ -341,8 +341,8 @@ def test_replay_raises_on_bookkeeping_drift(monkeypatch):
     # the apply step that replay dispatches to drops a relator
     original, *rest = moves._MOVES[InvRel]
 
-    def drops_a_relator(rels, gens, move, budget):
-        gens = original(rels, gens, move, budget)
+    def drops_a_relator(rels, gens, move):
+        gens = original(rels, gens, move)
         rels.pop()
         return gens
 
@@ -645,7 +645,7 @@ def test_a_raw_move_is_kept_by_value_and_by_type():
         RestrictedSlide(0, (RSFactor(generator(0), 1, 1, generator(1) * 2),)),) * 2
 
 
-def test_a_repeated_word_is_charged_at_every_occurrence():
+def test_a_repeated_word_is_charged_at_every_occurrence(monkeypatch):
     # each occurrence of a ConjRel charges the letters its word spells out,
     # as reading it again would, so repeats cross the file's budget
     raw = {"op": "ConjRel", "j": 1, "w": "x^400000"}
@@ -653,11 +653,13 @@ def test_a_repeated_word_is_charged_at_every_occurrence():
     with pytest.raises(ValueError, match="^script spells out more than 1000000 letters$"):
         script_from_json([raw] * 3, ("x",))
     raw = {"op": "ConjRel", "j": 1, "w": "x x^-1 y x"}  # one-letter tokens, charged together
-    budget = LetterBudget("script", 12)
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 12)
+    budget = LetterBudget("script")
     script_from_json([raw] * 3, ("x", "y"), budget)
     assert budget.left == 0
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 11)
     with pytest.raises(ValueError, match="^script spells out more than 11 letters$"):
-        script_from_json([raw] * 3, ("x", "y"), LetterBudget("script", 11))
+        script_from_json([raw] * 3, ("x", "y"), LetterBudget("script"))
 
 
 def test_script_to_json_gives_each_move_a_dict_of_its_own():
@@ -831,7 +833,7 @@ def fold_apply_move(p, script):
                               f"{script.regime} regime")
         rels = list(cur.relators)
         try:
-            gens = apply(rels, cur.gens, move, None)
+            gens = apply(rels, cur.gens, move)
         except MoveError as e:
             raise MoveError(f"move {pos} ({type(move).__name__}): {e}") from None
         cur = Presentation._trusted(gens, tuple(rels))
@@ -1020,7 +1022,7 @@ def test_cross_certificate_replay_letters_lustig_3_4():
         Written.letters = 0
         rels, gens = Written(cert.lhs.relators), cert.lhs.gens
         for move in cert.script.moves:
-            gens = moves._MOVES[type(move)][0](rels, gens, move, None)
+            gens = moves._MOVES[type(move)][0](rels, gens, move)
         written[cert.label] = (len(cert.script), Written.letters)
     assert written == {"cross": (237, 8046), "cross_second": (600, 27460)}
 

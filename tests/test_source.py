@@ -328,25 +328,31 @@ def test_the_generator_limit_is_named_once():
                    and getattr(node.func, "id", None) == "check_rank") == {
         ("presentations.py", "Presentation.__post_init__"),
         ("presentations.py", "wedge_s1"), ("moves.py", "_add_gen"),
-        ("words.py", "_token_letters")}
+        ("words.py", "_token_letters"), ("constructions.py", "_adjoin_images")}
 
 
 def test_letter_bounds_are_kept_by_one_budget():
     # words.LetterBudget is the one place that refuses an input for the
-    # letters it spells out or its work reads, so each limit is named only
-    # where it is defined, where a budget of it is built, and, for the
-    # length of one word, in moves._bounded
+    # letters it spells out, so the limit is named only where it is
+    # defined, where a budget of it is built, and, for the length of one
+    # word, in moves._bounded
     def named(name):
         return _scopes(lambda node: isinstance(node, ast.Name) and node.id == name)
 
     assert _scopes(lambda node: isinstance(node, ast.Raise) and any(
         re.search("more than .* letters", _text(part)) for part in ast.walk(node))) == {
         ("words.py", "LetterBudget.charge")}
-    assert named("MAX_ISO_WORK") == {("constructions.py", "<module>"),
-                                     ("constructions.py", "common_generators")}
     assert named("MAX_WORD_LENGTH") == {("words.py", "<module>"),
                                         ("words.py", "LetterBudget.__init__"),
                                         ("moves.py", "_bounded")}
+
+
+def test_common_generators_builds_its_presentations_without_moves():
+    # common_generators writes the closed form of its Nielsen moves, which
+    # tests/iso_reference.py replays, so no construction replays moves of
+    # its own or builds the generator-level moves that a replay would take
+    moving = _named({"replay", "AddGen", "NielsenInv", "NielsenMul"})
+    assert not {scope for path, scope in moving if path == "constructions.py"}
 
 
 def test_the_witness_search_cancels_letters_in_one_junction():
