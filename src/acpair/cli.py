@@ -57,6 +57,8 @@ def _load(path: str, parse, json: bool = False):
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file path byte for byte, or, when path is None, to
+    stdout with a newline after it.  The one writer of files."""
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -173,24 +175,17 @@ def cmd_pipeline(args) -> int:
              f"certificates: {len(result.certificates)}"]
     for cert in result.certificates:
         lines.append(f"  {cert.label}: {len(cert.script)} moves")
+    verdict = result.report.verdict  # as verify-null answers on the bundle
     if result.unknown:
         lines.append("unknown witnesses (no claim): " + ", ".join(
             f"{label} ({outcome})" for label, outcome in result.unknown))
-    elif result.report.trivial:  # as verify-null answers on the bundle
-        lines.append("verify-null: trivial (x reduces to 0 under these certificates)")
     else:
-        # null_vector_pipeline raised WitnessError unless verify_null passed.
-        lines.append("verify-null: pass")
+        # null_vector_pipeline raised WitnessError unless x.x reduced to 0
+        lines.append(f"verify-null: {'pass' if verdict == 'yes' else verdict}")
 
     _write_bundle(args.output, result, {canonical_key(p): p for p in (p1, p2)}, lines)
     print("\n".join(lines))
-    verified = result.complete and result.report.null and not result.report.trivial
-    return 0 if verified else VERIFY_FAIL
-
-
-def _write_json(path: str, data) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data))  # json.dump and indent bypass the C encoder
+    return 0 if result.complete and verdict == "yes" else VERIFY_FAIL
 
 
 def _write_bundle(output: str, result, reps, lines) -> None:
@@ -201,13 +196,14 @@ def _write_bundle(output: str, result, reps, lines) -> None:
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
     try:
-        _write_json(os.path.join(tmp, "x.sum"), pairing.sum_to_json(result.x, reps))
+        # json.dumps without an indent: json.dump and indent bypass the C encoder
+        _write_text(os.path.join(tmp, "x.sum"),
+                    json.dumps(pairing.sum_to_json(result.x, reps)))
         os.makedirs(os.path.join(tmp, "certs"), exist_ok=True)
         for cert in result.certificates:
-            _write_json(os.path.join(tmp, "certs", f"{cert.label}.json"),
-                        pairing.certificate_to_json(cert))
-        with open(os.path.join(tmp, "report.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            _write_text(os.path.join(tmp, "certs", f"{cert.label}.json"),
+                        json.dumps(pairing.certificate_to_json(cert)))
+        _write_text(os.path.join(tmp, "report.txt"), "\n".join(lines) + "\n")
         if os.path.exists(output):
             raise InputError(f"output {output} already exists")
         os.rename(tmp, output)
@@ -231,7 +227,7 @@ def cmd_verify_null(args) -> int:
         print(json.dumps(report.as_json(), indent=1))
     else:
         print(report.as_text())
-    return 0 if report.null and not report.trivial else VERIFY_FAIL
+    return 0 if report.verdict == "yes" else VERIFY_FAIL
 
 
 def cmd_verify_smove(args) -> int:
@@ -256,8 +252,8 @@ def cmd_verify_smove(args) -> int:
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for cert in certs:
-            _write_json(os.path.join(args.output, f"{cert.label}.json"),
-                        pairing.certificate_to_json(cert))
+            _write_text(os.path.join(args.output, f"{cert.label}.json"),
+                        json.dumps(pairing.certificate_to_json(cert)))
     return 0
 
 
@@ -314,84 +310,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # defaults read off the classes: a budget built here runs in every command
     witness, search = constructions.WitnessBudget, SearchBudget
+    # (flags, options) of each argument that several commands take
+    presentation = (("presentation",), {})
+    pair = ((("first",), {}), (("second",), {}))
+    output = (("-o", "--output"), {})
+    text_or_json = (("--format",), {"choices": ("text", "json"), "default": "text"})
+    witness_budget = (
+        (("--max-factors",), {"type": int, "default": witness.max_factors}),
+        (("--max-conj",), {"type": int, "default": witness.max_conjugator_length}),
+        (("--max-states",), {"type": int, "default": witness.max_states}))
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *arguments):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
 
-    p = add("normalize", cmd_normalize, "print the canonical key")
-    p.add_argument("presentation")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("apply", cmd_apply, "replay a move script")
-    p.add_argument("presentation")
-    p.add_argument("script")
-    p.add_argument("-o", "--output")
-
-    p = add("product", cmd_product, "glue two presentations along the boundary")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output")
-
-    p = add("lustig", cmd_lustig, "emit the i-th Lustig presentation")
-    p.add_argument("index", type=int)
-    p.add_argument("-o", "--output")
-
-    p = add("witness", cmd_witness, "search a normal closure witness")
-    p.add_argument("presentation")
-    p.add_argument("--target", required=True)
-    p.add_argument("--max-factors", type=int, default=witness.max_factors)
-    p.add_argument("--max-conj", type=int, default=witness.max_conjugator_length)
-    p.add_argument("--max-states", type=int, default=witness.max_states)
-    p.add_argument("-o", "--output")
-
-    p = add("pipeline", cmd_pipeline, "build a certified null vector bundle")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--iso", help="isomorphism witness JSON (default: identity)")
-    p.add_argument("--witnesses", help="directory of supplied witness files")
-    p.add_argument("--max-factors", type=int, default=witness.max_factors)
-    p.add_argument("--max-conj", type=int, default=witness.max_conjugator_length)
-    p.add_argument("--max-states", type=int, default=witness.max_states)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
-
-    p = add("verify-null", cmd_verify_null, "verify a pipeline bundle")
-    p.add_argument("bundle")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("verify-smove", cmd_verify_smove,
-            "verify restricted-regime product certificates")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--scripts", required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("search-equiv", cmd_search_equiv, "bounded equivalence search")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--depth", type=int, default=search.max_depth)
-    p.add_argument("--regime", choices=("full", "k_prime"), default="full")
-    p.add_argument("--max-states", type=int, default=search.max_states)
-    p.add_argument("--max-relator-length", type=int,
-                   default=search.max_relator_length)
-    p.add_argument("--conj-len", type=int, default=search.conjugator_length,
-                   help="longest conjugator of a restricted slide (k_prime only)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="unused; kept because the benchmark's command lines pass it")
-    p.add_argument("-o", "--output")
-
-    p = add("homology", cmd_homology, "homology of a chain complex file")
-    p.add_argument("chain")
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = add("glue", cmd_glue, "glue two chain complexes along the lower skeleton")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output")
-
+    add("normalize", cmd_normalize, "print the canonical key", presentation, text_or_json)
+    add("apply", cmd_apply, "replay a move script", presentation, (("script",), {}), output)
+    add("product", cmd_product, "glue two presentations along the boundary", *pair, output)
+    add("lustig", cmd_lustig, "emit the i-th Lustig presentation",
+        (("index",), {"type": int}), output)
+    add("witness", cmd_witness, "search a normal closure witness", presentation,
+        (("--target",), {"required": True}), *witness_budget, output)
+    add("pipeline", cmd_pipeline, "build a certified null vector bundle", *pair,
+        (("--iso",), {"help": "isomorphism witness JSON (default: identity)"}),
+        (("--witnesses",), {"help": "directory of supplied witness files"}),
+        *witness_budget, (("--jobs",), {"type": int, "default": 1}),
+        (("-o", "--output"), {"required": True}))
+    add("verify-null", cmd_verify_null, "verify a pipeline bundle",
+        (("bundle",), {}), text_or_json)
+    add("verify-smove", cmd_verify_smove, "verify restricted-regime product certificates",
+        *pair, (("--scripts",), {"required": True}), output)
+    add("search-equiv", cmd_search_equiv, "bounded equivalence search", *pair,
+        (("--depth",), {"type": int, "default": search.max_depth}),
+        (("--regime",), {"choices": ("full", "k_prime"), "default": "full"}),
+        (("--max-states",), {"type": int, "default": search.max_states}),
+        (("--max-relator-length",), {"type": int, "default": search.max_relator_length}),
+        (("--conj-len",), {"type": int, "default": search.conjugator_length,
+                           "help": "longest conjugator of a restricted slide (k_prime only)"}),
+        (("--jobs",), {"type": int, "default": 1,
+                       "help": "unused; kept because the benchmark's command lines pass it"}),
+        output)
+    add("homology", cmd_homology, "homology of a chain complex file", (("chain",), {}),
+        (("--at",), {"type": int, "required": True}), text_or_json)
+    add("glue", cmd_glue, "glue two chain complexes along the lower skeleton", *pair, output)
     return parser
 
 

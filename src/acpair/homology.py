@@ -816,17 +816,11 @@ def _restricted(d: GroupRingMatrix, group: FiniteGroup) -> tuple:
     Otherwise m is d restricted, as row lists, with nonzeros, |G| per term."""
     if (rank := _cell_graph_rank(d, group)) is not None:
         return rank, [], 0
-    nonzeros, cols = group.order * sum(map(len, d.entries.values())), d.cols * group.order
-    if _dense(nonzeros, d.rows * group.order, cols):
-        return 0, restrict_scalars(d, group), nonzeros
-    rows = restrict_scalars(d, group, sparse=True)
-    if (rank := _unit_rank(rows)) is not None:
-        return rank, [], 0
-    m = [[0] * cols for _ in rows]
-    for dense, row in zip(m, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return 0, m, nonzeros
+    nonzeros = group.order * sum(map(len, d.entries.values()))
+    if not _dense(nonzeros, d.rows * group.order, d.cols * group.order):
+        if (rank := _unit_rank(restrict_scalars(d, group, sparse=True))) is not None:
+            return rank, [], 0
+    return 0, restrict_scalars(d, group), nonzeros
 
 
 def glue_product(c1: ChainComplexData, c2: ChainComplexData) -> ChainComplexData:

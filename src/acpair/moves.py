@@ -299,6 +299,10 @@ _MOVES = {
     RestrictedSlide: (_restricted_slide, 0, 0, _ALL),
 }
 _UNKNOWN = (_unknown_move, 0, 0, ("full",))
+# The moves that re-identify the boundary's generators or change their
+# number; an equivalence rel boundary holds none of them.
+_BOUNDARY_MOVES = frozenset(kind for kind, (apply, dn, _, _) in _MOVES.items()
+                            if apply is _nielsen or dn)
 
 
 def replay(p: Presentation, script) -> Presentation:
@@ -352,9 +356,17 @@ class EquivalenceCertificate:
     label: str = ""
 
     def verify(self) -> tuple:
-        """(ok, message).  Never raises for replay failures."""
+        """(ok, message).  Never raises for replay failures.  A full-regime
+        script fails on a move that re-identifies or changes the boundary,
+        which would join classes that are not equivalent rel boundary."""
         if self.lhs.rank != self.rhs.rank:
             return False, "endpoint ranks differ"
+        if self.script.regime == "full":
+            for pos, move in enumerate(self.script.moves, start=1):
+                if type(move) in _BOUNDARY_MOVES:
+                    return False, (f"move {pos} ({type(move).__name__}) re-identifies "
+                                   "or changes the boundary; a certificate holds "
+                                   "relator moves only")
         try:
             result = replay(self.lhs, self.script)
         except MoveError as e:

@@ -178,6 +178,13 @@ class NullVectorReport:
     certificate_status: tuple  # tuple[(label, ok, message), ...]
     residue: FormalSum
 
+    @property
+    def verdict(self) -> str:
+        """yes only when every certificate holds, x.x reduces to 0 and x
+        does not; the answer that verify-null and pipeline print."""
+        return ("trivial (x reduces to 0 under these certificates)" if self.trivial
+                else "yes" if self.null else "NO")
+
     def as_text(self) -> str:
         lines = []
         for label, ok, msg in self.certificate_status:
@@ -189,9 +196,7 @@ class NullVectorReport:
             for key, coeff in self.residue.items():
                 head = serialize_key(key).replace("\n", " | ")
                 lines.append(f"  {coeff} * ({head})")
-        verdict = ("trivial (x reduces to 0 under these certificates)" if self.trivial
-                   else "yes" if self.null else "NO")
-        lines.append(f"null vector: {verdict}")
+        lines.append(f"null vector: {self.verdict}")
         return "\n".join(lines)
 
     def as_json(self) -> dict:

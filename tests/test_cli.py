@@ -377,6 +377,76 @@ def test_search_flag_defaults_are_the_budget_defaults():
                         args.conj_len) == SearchBudget()
 
 
+_WITNESS = {"max_factors": WitnessBudget().max_factors,
+            "max_conj": WitnessBudget().max_conjugator_length,
+            "max_states": WitnessBudget().max_states}
+_SEARCH = {"depth": SearchBudget().max_depth, "regime": "full",
+           "max_states": SearchBudget().max_states,
+           "max_relator_length": SearchBudget().max_relator_length,
+           "conj_len": SearchBudget().conjugator_length, "jobs": 1}
+# Each command line and the namespace it parses to, besides its command and
+# func: every command with and without its optional arguments, and the
+# command lines that bench/workloads.py builds.
+NAMESPACES = [
+    ("normalize p", {"presentation": "p", "format": "text"}),
+    ("normalize p --format json", {"presentation": "p", "format": "json"}),
+    ("apply p s.json", {"presentation": "p", "script": "s.json", "output": None}),
+    ("apply p s.json -o q", {"presentation": "p", "script": "s.json", "output": "q"}),
+    ("product a b", {"first": "a", "second": "b", "output": None}),
+    ("product a b --output ab", {"first": "a", "second": "b", "output": "ab"}),
+    ("lustig 3", {"index": 3, "output": None}),
+    ("lustig 3 -o k3", {"index": 3, "output": "k3"}),
+    ("witness p --target x", {"presentation": "p", "target": "x", **_WITNESS,
+                              "output": None}),
+    ("witness p --target x^2 -o w.json", {"presentation": "p", "target": "x^2",
+                                          **_WITNESS, "output": "w.json"}),
+    ("witness p --target x --max-factors 2 --max-conj 3 --max-states 40 --output w",
+     {"presentation": "p", "target": "x", "max_factors": 2, "max_conj": 3,
+      "max_states": 40, "output": "w"}),
+    ("pipeline a b -o out", {"first": "a", "second": "b", "iso": None, "witnesses": None,
+                             **_WITNESS, "jobs": 1, "output": "out"}),
+    ("pipeline a b --jobs 1 -o out", {"first": "a", "second": "b", "iso": None,
+                                      "witnesses": None, **_WITNESS, "jobs": 1,
+                                      "output": "out"}),
+    ("pipeline a b --witnesses w --jobs 1 -o out",
+     {"first": "a", "second": "b", "iso": None, "witnesses": "w", **_WITNESS, "jobs": 1,
+      "output": "out"}),
+    ("pipeline a b --iso i.json --max-factors 1 --max-conj 2 --max-states 3 --jobs 2 "
+     "--output out", {"first": "a", "second": "b", "iso": "i.json", "witnesses": None,
+                      "max_factors": 1, "max_conj": 2, "max_states": 3, "jobs": 2,
+                      "output": "out"}),
+    ("verify-null out", {"bundle": "out", "format": "text"}),
+    ("verify-null out --format json", {"bundle": "out", "format": "json"}),
+    ("verify-smove a b --scripts s", {"first": "a", "second": "b", "scripts": "s",
+                                      "output": None}),
+    ("verify-smove a b --scripts s -o c", {"first": "a", "second": "b", "scripts": "s",
+                                           "output": "c"}),
+    ("search-equiv a b", {"first": "a", "second": "b", **_SEARCH, "output": None}),
+    ("search-equiv a b --regime k_prime --conj-len 2",
+     {"first": "a", "second": "b", **_SEARCH, "regime": "k_prime", "conj_len": 2,
+      "output": None}),
+    ("search-equiv a b --depth 4 --max-states 9 --max-relator-length 24 --conj-len 1 "
+     "--jobs 1 -o s.json", {"first": "a", "second": "b", "depth": 4, "regime": "full",
+                            "max_states": 9, "max_relator_length": 24, "conj_len": 1,
+                            "jobs": 1, "output": "s.json"}),
+    ("homology c --at 1", {"chain": "c", "at": 1, "format": "text"}),
+    ("homology c --at 2 --format json", {"chain": "c", "at": 2, "format": "json"}),
+    ("glue c1 c2", {"first": "c1", "second": "c2", "output": None}),
+    ("glue c1 c2 -o c", {"first": "c1", "second": "c2", "output": "c"}),
+]
+
+
+def test_each_command_line_parses_to_its_namespace():
+    assert {argv.split()[0] for argv, _ in NAMESPACES} == set(
+        build_parser()._subparsers._group_actions[0].choices)
+    for argv, namespace in NAMESPACES:
+        args = vars(build_parser().parse_args(argv.split()))
+        command = args.pop("command")
+        assert command == argv.split()[0], argv
+        assert args.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_")), argv
+        assert args == namespace, argv
+
+
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     # one parser and its twelve subparsers, however many commands run
     built = Counter()
@@ -518,6 +588,39 @@ def test_verify_null_reports_a_failing_certificate(tmp_path, capsys, tamper, mes
     assert code == 1
     assert f"certificate first_self: FAILED - {message}\n" in out
     assert out.endswith("null vector: NO\n")
+
+
+def test_verify_null_refuses_a_certificate_that_moves_the_boundary(tmp_path, capsys):
+    # <x, y | x y^2> and <x, y | x^-1 y^2> have different normal closures, so
+    # they are not equivalent rel boundary, though NielsenInv(x) takes one to
+    # the other: a certificate of it once made x = [first] - [second] trivial
+    bundle = tmp_path / "b"
+    (bundle / "certs").mkdir(parents=True)
+    first, second = "gens: x y\nrel: x y^2\n", "gens: x y\nrel: x^-1 y^2\n"
+    write(bundle / "x.sum", json.dumps([{"coeff": 1, "presentation": first},
+                                        {"coeff": -1, "presentation": second}]))
+    script = {"regime": "full", "moves": [{"op": "NielsenInv", "i": 1}]}
+    path = write(bundle / "certs" / "n.json", json.dumps(
+        {"label": "n", "lhs": first, "rhs": second, "script": script}))
+    # apply replays the script, which no certificate may hold
+    code, out, _ = run(capsys, "apply", write(tmp_path / "first.pres", first),
+                       write(tmp_path / "s.json", json.dumps(script)))
+    assert (code, out) == (0, second)
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 1, out
+    assert out.startswith("certificate n: FAILED - move 1 (NielsenInv) re-identifies or "
+                          "changes the boundary; a certificate holds relator moves only\n")
+    assert out.endswith("null vector: NO\n")
+    code, out, _ = run(capsys, "verify-null", bundle, "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and not report["null"] and not report["trivial"]
+    # a k_prime script keeps its regime refusal
+    script["regime"] = "k_prime"
+    write(path, json.dumps({"label": "n", "lhs": first, "rhs": second, "script": script}))
+    code, out, _ = run(capsys, "verify-null", bundle)
+    assert code == 1 and out.startswith(
+        "certificate n: FAILED - replay failed: move 1 (NielsenInv) violates the "
+        "k_prime regime\n"), out
 
 
 def test_search_equiv_cli(tmp_path, capsys):

@@ -25,7 +25,9 @@ are 1-based and in range, k_prime admits ConjRel, InvRel and RestrictedSlide
 (and the trivial-relator moves when stabilized), RestrictedSlide multiplies
 as the README defines it, no relator may grow past the word bound, and the
 certificates that replay join the keys whose coefficients must cancel in
-the self-product, but must not cancel x itself.
+the self-product, but must not cancel x itself.  A certificate holds
+relator moves only, so one with a Nielsen move is refused
+(test_a_nielsen_move_in_a_certificate_is_refused, beside the corpus).
 """
 
 import contextlib
@@ -72,6 +74,8 @@ STABILIZED = {"AddTrivialRel", "RemoveTrivialRel"}
 RELATOR_FIELDS = {"ConjRel": "j", "InvRel": "j", "SlideRel": "jk", "RemoveTrivialRel": "j",
                   "RestrictedSlide": "j"}
 GENERATOR_FIELDS = {"NielsenInv": "i", "NielsenMul": "ij", "RemoveGen": "i"}
+# the moves that keep the boundary wedge fixed, the only ones a certificate holds
+RELATOR_MOVES = K_PRIME | STABILIZED | {"SlideRel"}
 
 
 def _restricted_slide(rels: list, move: dict, names) -> list:
@@ -123,6 +127,8 @@ def _replays(cert: dict, rank: int) -> bool:
     gens, rels = oracle.parse_presentation(cert["lhs"])
     rgens, target = oracle.parse_presentation(cert["rhs"])
     if not len(gens) == len(rgens) == rank:
+        return False
+    if any(move["op"] not in RELATOR_MOVES for move in cert["script"]["moves"]):
         return False
     rels = _replay(gens, rels, cert["script"])
     return rels is not None and oracle.key(rels) == oracle.key(target)
@@ -298,6 +304,25 @@ MUTATIONS = [(_index, PER_KIND), (_side, PER_KIND), (_sign, 2), (_conjugator, PE
              (_relator_letter, PER_KIND), (_regime, 6), (_certificate, 8),
              (_coefficient, 8), (_index_past_the_end, 12), (_over_the_bound, 1),
              (_zero, 1)]
+
+
+def test_a_nielsen_move_in_a_certificate_is_refused(tmp_path):
+    # NielsenInv(i) once, or twice, which leaves every relator as it was, so
+    # that only the rule on relator moves refuses the certificate
+    xsum, certs = _valid_bundle(tmp_path)
+    rng = random.Random(SEED)
+    for n in range(8):
+        forged = copy.deepcopy(certs)
+        cert = rng.choice(forged)
+        moves = cert["script"]["moves"]
+        rank = len(oracle.parse_presentation(cert["lhs"])[0])
+        at = rng.randint(0, len(moves))
+        moves[at:at] = [{"op": "NielsenInv", "i": rng.randint(1, rank)}] * (1 + n % 2)
+        assert not _oracle_null(xsum, forged, {})
+        path = tmp_path / f"nielsen{n}"
+        _write_bundle(path, xsum, forged)
+        code, out, err = _run(["verify-null", path])
+        assert code == 1 and f"move {at + 1} (NielsenInv) re-identifies" in out, (out, err)
 
 
 def _write_bundle(path: pathlib.Path, xsum, certs) -> None:

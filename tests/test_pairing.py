@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from acpair.constructions import lustig
-from acpair.moves import ConjRel, MoveScript, SlideRel, replay
+from acpair.moves import (AddGen, AddTrivialRel, ConjRel, InvRel, MoveScript,
+                          NielsenInv, NielsenMul, RemoveGen, RemoveTrivialRel,
+                          SlideRel, replay)
 from acpair.pairing import (EquivalenceCertificate, FormalSum, _reduce,
                             certificate_from_json, certificate_to_json,
                             sum_from_json, sum_to_json, verify_null)
@@ -188,6 +190,33 @@ def test_verify_null_trivial_cases():
     report = verify_null(single, [])
     assert not report.null
     assert not report.residue.is_zero()
+
+
+def test_a_certificate_holds_relator_moves_only():
+    # every script takes a to its own key; a full-regime one that
+    # re-identifies or changes the boundary fails all the same, at its
+    # first such move
+    a = pres("x y z", "x y^2", "y x", "z")
+    held = [(InvRel(0), InvRel(0)), (ConjRel(1, encode((1,))), ConjRel(1, encode((-1,)))),
+            (SlideRel(0, 1, "left"), InvRel(1), SlideRel(0, 1, "left"), InvRel(1)),
+            (AddTrivialRel(), RemoveTrivialRel(3))]
+    refused = [(NielsenInv(0), NielsenInv(0)),
+               (NielsenMul(0, 1, "right"), NielsenInv(1), NielsenMul(0, 1, "right"),
+                NielsenInv(1)),
+               (AddGen("w"), RemoveGen(3)),
+               (RemoveGen(2), AddGen("z"))]
+    for moves in held + refused:
+        script = MoveScript(moves)
+        assert canonical_key(replay(a, script)) == canonical_key(a), moves
+        ok, message = EquivalenceCertificate(a, a, script).verify()
+        kind = type(moves[0]).__name__
+        assert (ok, message) == ((True, "ok") if moves in held else (
+            False, f"move 1 ({kind}) re-identifies or changes the boundary; "
+                   "a certificate holds relator moves only")), moves
+        # a k_prime script is refused these moves by its regime
+        if moves in refused:
+            ok, message = EquivalenceCertificate(a, a, MoveScript(moves, "k_prime")).verify()
+            assert not ok and f"move 1 ({kind}) violates the k_prime regime" in message
 
 
 def test_verify_null_failed_certificate_forces_false():

@@ -454,3 +454,37 @@ def test_one_elimination_divides_by_the_previous_pivot():
             if any(isinstance(d, ast.Name) and d.id in rebound for d in divisors):
                 found.add((path.name, func.name))
     assert found == {("homology.py", "_echelon")}, found
+
+
+def _open_calls(tree, module: str) -> set:
+    """module.function of each call of open, os.open and the like, named by
+    the innermost function or lambda around it, or <module> outside one."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, f"{module}.{getattr(child, 'name', '<lambda>')}")
+                continue
+            if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, f"{module}.<module>")
+    return found
+
+
+def test_files_are_opened_by_one_reader_and_one_writer():
+    # the CLI reads every input file through _load and writes every file
+    # through _write_text; a chain file may name a group CSV file, which
+    # chain_from_json opens itself
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        found |= _open_calls(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == {"cli._load", "cli._write_text", "homology.chain_from_json"}
+    # the calls the guard is there to find
+    for text, where in (("with open(p) as fh:\n    pass\n", "m.<module>"),
+                        ("def f():\n    def g():\n        os.open(p)\n", "m.g"),
+                        ("f = lambda p: io.open(p)\n", "m.<lambda>")):
+        assert _open_calls(ast.parse(text), "m") == {where}, text

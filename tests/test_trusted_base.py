@@ -60,6 +60,7 @@ VERIFY_NULL = {
     "moves": "SlideRel.__post_init__ _slide_rel",
     "pairing": "FormalSum.__init__ FormalSum._common_rank FormalSum.dot "
                "FormalSum.dot.<locals>.<genexpr> NullVectorReport.as_text "
+               "NullVectorReport.verdict "
                "_ExactSum.__init__ "
                "_ExactSum.is_zero __create_fn__.<locals>.__init__ _check_scalar _merge "
                "_reduce _reduce.<locals>.<genexpr> _reduce.<locals>.<genexpr>.<genexpr> "
